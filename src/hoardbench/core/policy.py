@@ -73,10 +73,23 @@ class ActOutcome:
     clamped: bool = False
 
 
+def check_policy(policy, protocol: type):
+    """Return `policy` once it is shown to implement `protocol`
+    (`OptionPolicy` or `PrimitivePolicy`).
+
+    Runners call this where they build each policy, so `select_option` and
+    `act` need not repeat the structural check on every step.
+    """
+    if not isinstance(policy, protocol):
+        raise ConfigurationError(
+            f"{type(policy).__name__} does not implement {protocol.__name__}"
+        )
+    return policy
+
+
 def select_option(policy: OptionPolicy, belief: Belief, ctx: PolicyContext) -> OptionChoice:
-    """Run the high-level policy and validate its choice against the schema."""
-    if not isinstance(policy, OptionPolicy):
-        raise ConfigurationError("policy does not implement the option interface")
+    """Run the high-level policy and validate its choice against the schema.
+    The policy was checked against `OptionPolicy` when it was built."""
     option = policy.select(belief, ctx)
     return validate_option(option, ctx.option_schema)
 
@@ -107,9 +120,8 @@ def act(
     option: OptionChoice,
     ctx: PolicyContext,
 ) -> ActOutcome:
-    """Run the low-level policy for the active option."""
-    if not isinstance(policy, PrimitivePolicy):
-        raise ConfigurationError("policy does not implement the primitive interface")
+    """Run the low-level policy for the active option. The policy was checked
+    against `PrimitivePolicy` when it was built."""
     return policy.act(belief, retrieved, option, ctx)
 
 

@@ -215,14 +215,14 @@ class Observation:
                 raise InputError(f"observation value {k!r} is not finite")
         return self
 
-    def to_json_obj(self) -> dict:
+    def _json_obj_without_landmarks(self) -> dict:
+        """The observation's trace object, less the landmark snapshot that
+        `TraceRecord.to_json_line` appends as its last key."""
         obj: dict = {"values": {k: self.values[k] for k in sorted(self.values)}}
         if self.latent_evidence:
             obj["latent_evidence"] = [
                 [e.name, e.regressor, e.response] for e in self.latent_evidence
             ]
-        if self.landmarks:
-            obj["landmarks"] = [list(t) for t in self.landmarks]
         return obj
 
 
@@ -244,6 +244,9 @@ NOOP = Action("noop")
 # Traces
 # ---------------------------------------------------------------------------
 
+# `json.dumps(obj, separators=(",", ":"))` without building an encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -253,16 +256,42 @@ class TraceRecord:
     option_active: OptionChoice
     observed_by_adversary: bool
 
-    def to_json_line(self) -> str:
-        # Field order is part of the wire format; do not reorder.
-        obj = {
-            "step": self.step,
-            "observation": self.observation.to_json_obj(),
-            "action": self.action.to_json_obj(),
-            "option_active": self.option_active.to_json_obj(),
-            "observed_by_adversary": self.observed_by_adversary,
-        }
-        return json.dumps(obj, separators=(",", ":"))
+    def to_json_line(self, landmarks_json: dict | None = None) -> str:
+        """The record as one compact JSON object.
+
+        Invariant: the line equals, byte for byte, ``json.dumps(obj,
+        separators=(",", ":"))`` of the dict with keys step, observation,
+        action, option_active and observed_by_adversary, in that order; the
+        field order is part of the wire format. The observation object holds
+        values (sorted by key), then latent_evidence and landmarks (lists of
+        lists) when non-empty. The landmark snapshot is encoded on its own
+        and spliced in. `landmarks_json` maps ``id`` of a snapshot to
+        (snapshot, its JSON), so a caller encoding many records encodes each
+        snapshot object once; holding the snapshot keeps its id from being
+        reused.
+        """
+        observation = self.observation
+        head = _ENCODER.encode(
+            {"step": self.step, "observation": observation._json_obj_without_landmarks()}
+        )
+        tail = _ENCODER.encode(
+            {
+                "action": self.action.to_json_obj(),
+                "option_active": self.option_active.to_json_obj(),
+                "observed_by_adversary": self.observed_by_adversary,
+            }
+        )
+        snapshot = observation.landmarks
+        landmarks = ""
+        if snapshot:
+            memo = {} if landmarks_json is None else landmarks_json
+            hit = memo.get(id(snapshot))
+            if hit is None:
+                hit = memo[id(snapshot)] = (snapshot, _ENCODER.encode([list(t) for t in snapshot]))
+            landmarks = ',"landmarks":' + hit[1]
+        # head ends by closing the observation and the record; tail opens a
+        # record of the remaining fields.
+        return head[:-2] + landmarks + "}," + tail[1:]
 
 
 class Trace:
@@ -287,7 +316,8 @@ class Trace:
         return TraceSegment(start, end, recs)
 
     def to_jsonl(self) -> str:
-        return "\n".join(r.to_json_line() for r in self.records) + ("\n" if self.records else "")
+        landmarks_json: dict = {}
+        return "".join(r.to_json_line(landmarks_json) + "\n" for r in self.records)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 from ..controller import ControllerConfig, double_integrator, open_loop_plan
 from ..core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from ..core.policy import PolicyContext, StabilizingController, act, select_option
+from ..core.policy import (
+    OptionPolicy,
+    PolicyContext,
+    PrimitivePolicy,
+    StabilizingController,
+    act,
+    check_policy,
+    select_option,
+)
 from ..core.state import (
     Action,
     AgentState,
@@ -169,7 +177,7 @@ def run_family_a(
     )
     latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
     task = TaskState(remaining_steps=env.trials * (env.horizon + 1))
-    planner = LaunchPlanner(env)
+    planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
         rng=streams.agent,
         controller=agent,
@@ -250,7 +258,7 @@ def run_family_a(
                 env.dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol,
                 agent.action_bound,
             )
-        stabilizer = StabilizingController(plan)
+        stabilizer = check_policy(StabilizingController(plan), PrimitivePolicy)
         option = OptionChoice(OptionKind.STABILIZE)
         option_age = 0
 

@@ -14,12 +14,19 @@ confusion is returning the wrong episode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.belief import Belief, BeliefConfig, initial_belief
-from ..core.policy import PolicyContext, form_query, select_option
+from ..core.policy import (
+    OptionPolicy,
+    PolicyContext,
+    check_policy,
+    form_query,
+    select_option,
+)
 from ..core.state import (
     Action,
     ConfigurationError,
@@ -96,14 +103,39 @@ class FamilyBConfig:
     verifier_delay: int = 1
 
     def __post_init__(self):
-        if self.n_events < 1:
-            raise ConfigurationError("n_events must be at least 1")
-        if self.dig_radius <= 0:
+        for name, low in (
+            ("n_events", 1),
+            ("item_types", 1),
+            ("landmark_count", 3),
+            ("query_delay", 0),
+            ("verifier_delay", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low, high in (
+            ("landmark_drift", 0.0, math.inf),
+            ("conflict_rate", 0.0, math.inf),
+            ("dig_radius", 0.0, math.inf),
+            ("precision_target", 0.0, 1.0),
+            ("verifier_fp", 0.0, 1.0),
+            ("verifier_fn", 0.0, 1.0),
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or not low <= value <= high
+            ):
+                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                raise ConfigurationError(f"{name} must be a finite number {bounds}, got {value!r}")
+        if self.dig_radius == 0:
             raise ConfigurationError("dig_radius must be positive")
-        if self.item_types < 1 or self.landmark_count < 3:
-            raise ConfigurationError("need >= 1 item type and >= 3 landmarks")
-        if self.conflict_rate < 0 or self.landmark_drift < 0:
-            raise ConfigurationError("conflict_rate and landmark_drift must be >= 0")
+        if self.verifier_fp + self.verifier_fn >= 1.0:
+            raise ConfigurationError(
+                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
+            )
 
 
 def run_family_b(
@@ -135,7 +167,11 @@ def run_family_b(
     angles = streams.env.uniform(0.0, 2.0 * np.pi, size=n_conflict) if n_conflict else np.zeros(0)
     conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
-    landmark_obs = landmarks.as_obs_tuples()
+    # One observation per phase: every write sees the original landmarks and
+    # every query the drifted ones, so each snapshot is built (and, in the
+    # store and the trace, parsed and encoded) once.
+    write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
+    query_obs = Observation({"phase": 1.0}, landmarks=drifted.as_obs_tuples())
     step = 0
     write_kappa = 0.0
 
@@ -151,8 +187,7 @@ def run_family_b(
                 "step": float(step),
             },
         )
-        obs = Observation({"phase": 0.0}, landmarks=landmark_obs)
-        write(store, obs, action)
+        write(store, write_obs, action)
         accrue(ledger, StepCosts(latency=1.0, compute=1.0))
         write_kappa += 1.0
         if trace is not None:
@@ -167,7 +202,7 @@ def run_family_b(
             )
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
-            trace.append(TraceRecord(len(trace), obs, action, option, False))
+            trace.append(TraceRecord(len(trace), write_obs, action, option, False))
         step += 1
 
     for i in range(n):
@@ -188,8 +223,11 @@ def run_family_b(
 
     belief_cfg = BeliefConfig(observation_keys=("phase",), embodied_keys=("phase", "phase"))
     belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
-    policy = RetrievalGoalPolicy(
-        [(int(types[int(k)]), float(locs[int(k), 0]), float(locs[int(k), 1])) for k in order]
+    policy = check_policy(
+        RetrievalGoalPolicy(
+            [(int(types[int(k)]), float(locs[int(k), 0]), float(locs[int(k), 1])) for k in order]
+        ),
+        OptionPolicy,
     )
     ctx = PolicyContext(
         rng=streams.agent,
@@ -243,7 +281,7 @@ def run_family_b(
             trace.append(
                 TraceRecord(
                     len(trace),
-                    Observation({"phase": 1.0}, landmarks=drifted.as_obs_tuples()),
+                    query_obs,
                     Action("dig", {"x": float(dig[0]), "y": float(dig[1])}),
                     option,
                     False,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.belief import Belief, BeliefConfig, initial_belief
-from ..core.policy import PolicyContext, select_option
+from ..core.policy import OptionPolicy, PolicyContext, check_policy, select_option
 from ..core.state import (
     Action,
     ConfigurationError,
@@ -222,7 +222,9 @@ def run_family_c(
 
     belief_cfg = BeliefConfig(observation_keys=("phase",), embodied_keys=("phase", "phase"))
     belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
-    policy = CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells)
+    policy = check_policy(
+        CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells), OptionPolicy
+    )
     ctx = PolicyContext(
         rng=streams.agent,
         belief_config=belief_cfg,

@@ -417,8 +417,11 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     Files: resolved_config.json, runs.jsonl, summary.csv,
     constraint_report.json, failures.md, traces/ for the listed failures,
     and timing.json (the only file allowed to differ between identical
-    runs).
+    runs). timing.json holds the grid's wall clock plus `report_seconds`
+    for this call and `trace_replay_seconds`, the part of it spent
+    re-running failures to record their traces.
     """
+    started = time.monotonic()
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = result.config
@@ -494,11 +497,14 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    _write_failures(result, by_variant, out)
+    replay_seconds = _write_failures(result, by_variant, out)
 
-    (out / "timing.json").write_text(
-        json.dumps(result.wallclock, indent=2, sort_keys=True) + "\n"
-    )
+    timing = {
+        **result.wallclock,
+        "report_seconds": time.monotonic() - started,
+        "trace_replay_seconds": replay_seconds,
+    }
+    (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
     return out
 
 
@@ -518,13 +524,15 @@ def _variant_order(config: ExperimentConfig) -> list[str]:
     return order
 
 
-def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> None:
+def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
     """List the worst completed runs per variant and re-run them with trace
-    recording on (determinism makes the replay exact)."""
+    recording on (determinism makes the replay exact). Returns the seconds
+    spent on the replays, trace files included."""
     config = result.config
     lines = ["# Representative failures", ""]
     trace_dir = out / "traces"
     agents = dict(variant_agents(config))
+    replay_seconds = 0.0
     for variant, records in by_variant.items():
         completed = [r for r in records if r.status != STATUS_FAILED]
         worst = sorted(completed, key=lambda r: (-r.objective, r.seed))[:WORST_RUNS_LISTED]
@@ -545,6 +553,7 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> None:
             sweep_value = _coerce_sweep_value(config, raw_value)
         for record in worst:
             trace = Trace()
+            replay_started = time.monotonic()
             try:
                 run_one(config, agents[base_name], record.seed, sweep_value, trace)
                 rel = Path("traces") / _safe(variant) / f"seed_{record.seed}.jsonl"
@@ -554,12 +563,14 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> None:
                 where = str(rel)
             except Exception as exc:  # trace replay must never sink the report
                 where = f"(trace replay failed: {exc})"
+            replay_seconds += time.monotonic() - replay_started
             lines.append(
                 f"- seed {record.seed}: objective {record.objective:.6g}, "
                 f"status {record.status}, trace: {where}"
             )
         lines.append("")
     (out / "failures.md").write_text("\n".join(lines) + "\n")
+    return replay_seconds
 
 
 def _coerce_sweep_value(config: ExperimentConfig, raw: str):

@@ -11,17 +11,19 @@ Retrieval latency is structural: the probe count is the number of episodes
 examined while answering a query, tracked on the store's monotone counter.
 
 A cue is the write-time encoding of a location against the three nearest
-landmarks: their ids, distances, and bearings. Matching scores cue geometry
-(sorted distances plus sorted circular bearing gaps); landmark ids are used
-only when re-decoding a stored cue against the current, possibly drifted,
-landmark positions via least-squares trilateration.
+landmarks: their ids, distances, and bearings. Matching aligns two cues by
+landmark id: each landmark both cues reference adds a Gaussian score of the
+distance mismatch and the bearing chord, and a landmark only one cue
+references adds nothing. Decoding re-derives a stored cue's location against
+the current, possibly drifted, landmark positions of its three ids by
+least-squares trilateration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -65,10 +67,17 @@ class LandmarkSet:
 
     ids: tuple[int, ...]
     positions: np.ndarray  # shape (L, 2)
+    # id -> (x, y) as Python floats, built once; the first of duplicate ids
+    # wins, as with `ids.index`.
+    _xy: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.positions.shape != (len(self.ids), 2):
             raise InputError("landmark positions must be (L, 2)")
+        xy: dict = {}
+        for i, (x, y) in zip(self.ids, self.positions.tolist()):
+            xy.setdefault(i, (float(x), float(y)))
+        object.__setattr__(self, "_xy", xy)
 
     @classmethod
     def sample(cls, count: int, stream: Substream) -> "LandmarkSet":
@@ -83,8 +92,11 @@ class LandmarkSet:
         return replace(self, positions=self.positions + noise)
 
     def position_of(self, landmark_id: int) -> tuple[float, float]:
-        idx = self.ids.index(landmark_id)
-        return float(self.positions[idx, 0]), float(self.positions[idx, 1])
+        """Position of one landmark; ValueError for an id not in the set."""
+        try:
+            return self._xy[landmark_id]
+        except KeyError:
+            raise ValueError(f"unknown landmark id {landmark_id!r}") from None
 
     def as_obs_tuples(self) -> tuple[tuple[int, float, float], ...]:
         return tuple(
@@ -180,6 +192,8 @@ def _batch_scores(feats: np.ndarray, query: CueVector) -> np.ndarray:
     e_ids = feats[:, 0:3]
     e_d = feats[:, 3:6]
     e_b = feats[:, 6:9]
+    e_cos = np.cos(e_b)
+    e_sin = np.sin(e_b)
     total = np.zeros(len(feats))
     bscale2 = BEARING_SCALE * BEARING_SCALE
     for j in range(CUE_LANDMARKS):
@@ -188,8 +202,8 @@ def _batch_scores(feats: np.ndarray, query: CueVector) -> np.ndarray:
             continue
         qc, qs = math.cos(query.bearings[j]), math.sin(query.bearings[j])
         dd = (e_d - query.distances[j]) / DIST_SCALE
-        dc = np.cos(e_b) - qc
-        ds = np.sin(e_b) - qs
+        dc = e_cos - qc
+        ds = e_sin - qs
         contrib = np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / bscale2))
         total += np.where(match, contrib, 0.0).sum(axis=1)
     return total / CUE_LANDMARKS
@@ -347,6 +361,8 @@ class MemoryStore:
         self._id_to_index: dict[int, int] = {}
         self._feature_cache: dict[int, tuple] | None = None
         self._slot_cache: dict[int, dict] | None = None
+        # The landmark snapshot the last write was encoded against, parsed.
+        self._snapshot: tuple[tuple, LandmarkSet] | None = None
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -410,6 +426,19 @@ class MemoryStore:
             )
         self._invalidate()
 
+    def landmarks_of(self, snapshot: tuple) -> LandmarkSet:
+        """`LandmarkSet.from_obs_tuples(snapshot)`, parsed once per run of
+        writes against the same snapshot object.
+
+        The memo holds one entry and is keyed by identity, not equality:
+        equal tuples may still differ in the sign of a zero coordinate,
+        which can change a bearing.
+        """
+        memo = self._snapshot
+        if memo is None or memo[0] is not snapshot:
+            memo = self._snapshot = (snapshot, LandmarkSet.from_obs_tuples(snapshot))
+        return memo[1]
+
     def episode_by_id(self, episode_id: int) -> EpisodeRecord | None:
         idx = self._id_to_index.get(episode_id)
         return None if idx is None else self.episodes[idx]
@@ -452,7 +481,7 @@ def write(
     if not observation.landmarks:
         raise InputError("cache write requires a landmark snapshot")
     location = (action.params["x"], action.params["y"])
-    landmarks = LandmarkSet.from_obs_tuples(observation.landmarks)
+    landmarks = store.landmarks_of(observation.landmarks)
     record = EpisodeRecord(
         id=store.next_id(),
         written_at=int(action.params.get("step", 0)),
@@ -605,26 +634,31 @@ def _ring_cells(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:
 
 def _cue_anchor_positions(
     cue: CueVector, landmarks: LandmarkSet
-) -> tuple[np.ndarray, bool]:
+) -> tuple[tuple[tuple[float, float], ...], bool]:
+    """Current (x, y) of the cue's three landmarks, or ((), False) when the
+    set lacks one of them."""
     try:
-        pts = np.asarray([landmarks.position_of(i) for i in cue.landmark_ids])
+        return tuple(landmarks.position_of(i) for i in cue.landmark_ids), True
     except ValueError:
-        return np.zeros((0, 2)), False
-    return pts, True
+        return (), False
 
 
-def _bearing_fix(cue: CueVector, anchors: np.ndarray) -> tuple[float, float]:
+def _bearing_fix(
+    cue: CueVector, anchors: tuple[tuple[float, float], ...]
+) -> tuple[float, float]:
     """Average of the three single-landmark position fixes (anchor minus the
     stored range along the stored bearing)."""
     x = y = 0.0
-    for k in range(CUE_LANDMARKS):
-        x += anchors[k, 0] - cue.distances[k] * math.cos(cue.bearings[k])
-        y += anchors[k, 1] - cue.distances[k] * math.sin(cue.bearings[k])
+    for (ax, ay), d, b in zip(anchors, cue.distances, cue.bearings):
+        x += ax - d * math.cos(b)
+        y += ay - d * math.sin(b)
     return x / CUE_LANDMARKS, y / CUE_LANDMARKS
 
 
 def _range_least_squares(
-    cue: CueVector, anchors: np.ndarray, init: tuple[float, float]
+    cue: CueVector,
+    anchors: tuple[tuple[float, float], ...],
+    init: tuple[float, float],
 ) -> tuple[float, float]:
     """Damped Gauss-Newton on the three range residuals |x - a_k| - d_k.
 
@@ -632,31 +666,38 @@ def _range_least_squares(
     near-collinear anchor triples anchored to a sane estimate; along
     well-determined directions the iteration converges to the least-squares
     intersection of the stored distance constraints.
+
+    Invariant: everything runs on Python floats, with the operations of the
+    numpy-scalar form this replaced in the same order (accumulators start
+    at 0.0, so signed zeros match too). The result is therefore
+    bit-identical to it, and `runs.jsonl` does not depend on which of the
+    two ran; a test keeps the numpy-scalar form as the oracle.
     """
+    (x0, y0), (x1, y1), (x2, y2) = anchors
+    d0, d1, d2 = cue.distances
+    hypot = math.hypot
     x, y = init
 
-    def cost_at(px: float, py: float) -> tuple[float, list[float]]:
-        res = []
-        total = 0.0
-        for k in range(CUE_LANDMARKS):
-            r = math.hypot(px - anchors[k, 0], py - anchors[k, 1])
-            f = r - cue.distances[k]
-            res.append(f)
-            total += f * f
-        return total, res
+    def cost_at(px: float, py: float) -> tuple[float, tuple[float, float, float]]:
+        f0 = hypot(px - x0, py - y0) - d0
+        f1 = hypot(px - x1, py - y1) - d1
+        f2 = hypot(px - x2, py - y2) - d2
+        # A sum started at 0.0 would equal this bit for bit: a square is
+        # never -0.0.
+        return f0 * f0 + f1 * f1 + f2 * f2, (f0, f1, f2)
 
     cost, res = cost_at(x, y)
     for _ in range(30):
         gx = gy = hxx = hxy = hyy = 0.0
-        for k in range(CUE_LANDMARKS):
-            dx = x - anchors[k, 0]
-            dy = y - anchors[k, 1]
-            r = math.hypot(dx, dy)
+        for (ax, ay), f in zip(anchors, res):
+            dx = x - ax
+            dy = y - ay
+            r = hypot(dx, dy)
             if r < 1e-12:
                 continue
             jx, jy = dx / r, dy / r
-            gx += jx * res[k]
-            gy += jy * res[k]
+            gx += jx * f
+            gy += jy * f
             hxx += jx * jx
             hxy += jx * jy
             hyy += jy * jy
@@ -691,9 +732,8 @@ def _decode(
     anchors, ok = _cue_anchor_positions(record.cue, current_landmarks)
     if not ok:
         return record.location, True
-    cross = (anchors[1, 0] - anchors[0, 0]) * (anchors[2, 1] - anchors[0, 1]) - (
-        anchors[1, 1] - anchors[0, 1]
-    ) * (anchors[2, 0] - anchors[0, 0])
+    (x0, y0), (x1, y1), (x2, y2) = anchors
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if abs(cross) < COLLINEAR_TOL:
         # Collinear anchors: fall back to the stored absolute location.
         return record.location, True

@@ -1,8 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
+from hoardbench.harness import parse_config
 from hoardbench.ledger import CostLedger
 
 
@@ -98,9 +103,73 @@ def test_reproducible_including_trace():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="n_events"):
         FamilyBConfig(n_events=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="dig_radius"):
         FamilyBConfig(dig_radius=0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="landmark_count"):
         FamilyBConfig(landmark_count=2)
+    with pytest.raises(ConfigurationError, match="verifier_fp"):
+        FamilyBConfig(verifier_fp=0.5, verifier_fn=0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_events", 2.5),
+        ("n_events", True),
+        ("item_types", 3.5),
+        ("item_types", 0),
+        ("landmark_count", 4.0),
+        ("query_delay", -5),
+        ("query_delay", 1.5),
+        ("verifier_delay", -1),
+        ("landmark_drift", math.nan),
+        ("landmark_drift", -0.01),
+        ("landmark_drift", True),
+        ("conflict_rate", math.inf),
+        ("conflict_rate", -1.0),
+        ("conflict_rate", "0.5"),
+        ("dig_radius", math.nan),
+        ("precision_target", math.nan),
+        ("precision_target", 1.5),
+        ("verifier_fp", 1.0),
+        ("verifier_fn", -0.1),
+    ],
+)
+def test_config_rejects_bad_values_by_field_name(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        FamilyBConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        parse_config(json.dumps({"family": "B", "env": {field: value}}))
+
+
+def _output_files(directory):
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.is_file() and path.name != "timing.json":
+            files[str(path.relative_to(directory))] = path.read_bytes()
+    doc = json.loads(files.pop("resolved_config.json"))
+    doc.pop("output_dir")
+    return files, doc
+
+
+def test_jobs_do_not_change_output_bytes(tmp_path):
+    # Both variants, drift and distractors, with failure traces recorded.
+    config = tmp_path / "b.json"
+    config.write_text(json.dumps({
+        "family": "B",
+        "seeds": "0..3",
+        "env": {"n_events": 48, "landmark_drift": 0.02, "conflict_rate": 0.5},
+        "ablations": ["flat_archive"],
+    }))
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
+        outputs[jobs] = _output_files(out)
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["report_seconds"] >= timing["trace_replay_seconds"] > 0.0
+    files, _ = outputs[1]
+    assert sum(name.startswith("traces/") for name in files) == 6
+    assert outputs[1] == outputs[2]

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoardbench.core.state import Action, InputError, Observation
 from hoardbench.memory import (
+    COLLINEAR_TOL,
     CueVector,
     EpisodeRecord,
     LandmarkSet,
@@ -13,6 +16,7 @@ from hoardbench.memory import (
     Query,
     StoreVariant,
     VerifyStatus,
+    _decode,
     brute_force_retrieve,
     cue_similarity,
     decode_location,
@@ -349,3 +353,175 @@ def test_grid_cell_clipping():
     assert grid_cell((0.0, 0.0)) == (0, 0)
     assert grid_cell((1.0, 1.0)) == (15, 15)
     assert grid_cell((0.51, 0.49)) == (8, 7)
+
+
+# --- Python-float decode against the numpy-scalar form ------------------------
+
+
+def _numpy_scalar_decode(record, landmarks):
+    """Frozen copy of the decode that indexed numpy arrays: anchors as an
+    (3, 2) float64 array, ids looked up with `tuple.index`."""
+    try:
+        anchors = np.asarray(
+            [
+                (
+                    float(landmarks.positions[landmarks.ids.index(i), 0]),
+                    float(landmarks.positions[landmarks.ids.index(i), 1]),
+                )
+                for i in record.cue.landmark_ids
+            ]
+        )
+    except ValueError:
+        return record.location, True
+    cue = record.cue
+    cross = (anchors[1, 0] - anchors[0, 0]) * (anchors[2, 1] - anchors[0, 1]) - (
+        anchors[1, 1] - anchors[0, 1]
+    ) * (anchors[2, 0] - anchors[0, 0])
+    if abs(cross) < COLLINEAR_TOL:
+        return record.location, True
+    x = y = 0.0
+    for k in range(3):
+        x += anchors[k, 0] - cue.distances[k] * math.cos(cue.bearings[k])
+        y += anchors[k, 1] - cue.distances[k] * math.sin(cue.bearings[k])
+    x, y = x / 3, y / 3
+
+    def cost_at(px, py):
+        res = []
+        total = 0.0
+        for k in range(3):
+            f = math.hypot(px - anchors[k, 0], py - anchors[k, 1]) - cue.distances[k]
+            res.append(f)
+            total += f * f
+        return total, res
+
+    cost, res = cost_at(x, y)
+    for _ in range(30):
+        gx = gy = hxx = hxy = hyy = 0.0
+        for k in range(3):
+            dx = x - anchors[k, 0]
+            dy = y - anchors[k, 1]
+            r = math.hypot(dx, dy)
+            if r < 1e-12:
+                continue
+            jx, jy = dx / r, dy / r
+            gx += jx * res[k]
+            gy += jy * res[k]
+            hxx += jx * jx
+            hxy += jx * jy
+            hyy += jy * jy
+        hxx += 1e-8
+        hyy += 1e-8
+        det = hxx * hyy - hxy * hxy
+        if det <= 0.0:
+            break
+        sx = (gx * hyy - gy * hxy) / det
+        sy = (hxx * gy - hxy * gx) / det
+        t = 1.0
+        new_cost, new_res, nx, ny = cost, res, x, y
+        for _ in range(20):
+            cx, cy = x - t * sx, y - t * sy
+            c, rr = cost_at(cx, cy)
+            if c <= cost:
+                new_cost, new_res, nx, ny = c, rr, cx, cy
+                break
+            t *= 0.5
+        if new_cost > cost or (nx == x and ny == y):
+            break
+        moved = math.hypot(nx - x, ny - y)
+        x, y, cost, res = nx, ny, new_cost, new_res
+        if moved < 1e-12:
+            break
+    return (x, y), False
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _decode_cases(draw):
+    """(record, current landmarks): a cue written against one landmark set,
+    decoded against a drifted, possibly degenerate, copy of it."""
+    shape = draw(st.sampled_from(("free", "near_collinear", "on_anchor", "unknown_id")))
+    count = 3 if shape == "near_collinear" else draw(st.integers(3, 6))
+    points = draw(st.lists(st.tuples(_unit, _unit), min_size=count, max_size=count))
+    if shape == "near_collinear":
+        # Three landmarks on a line, the middle one nudged off it, so the
+        # anchors' cross product straddles the collinearity tolerance.
+        t0, t1, t2 = (draw(_unit) for _ in range(3))
+        slope = draw(st.floats(-2.0, 2.0))
+        nudge = draw(st.floats(-1e-4, 1e-4))
+        points = [(t0, slope * t0), (t1, slope * t1 + nudge), (t2, slope * t2)]
+    written = LandmarkSet(tuple(range(count)), np.array(points, dtype=float))
+    location = (draw(_unit), draw(_unit))
+    if shape == "on_anchor":
+        # The bearing-fix start lands within 1e-12 of this anchor.
+        ax, ay = points[draw(st.integers(0, count - 1))]
+        location = (ax + draw(st.floats(-1e-13, 1e-13)), ay)
+    cue = encode_cue(location, written)
+    drift = draw(st.sampled_from((0.0, 1e-9, 0.01, 0.1)))
+    noise = np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * count, max_size=2 * count))
+    ).reshape(count, 2)
+    ids = written.ids
+    if shape == "unknown_id":
+        ids = tuple(i + 100 if i == cue.landmark_ids[1] else i for i in ids)
+    current = LandmarkSet(ids, written.positions + drift * noise)
+    return EpisodeRecord(0, 0, 1, 1.0, location, cue), current
+
+
+_COLLINEAR = LandmarkSet((0, 1, 2), np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]))
+_HAND_CUE = EpisodeRecord(
+    0, 0, 1, 1.0, (0.3, 0.7), CueVector((0, 1, 2), (0.1, 0.2, 0.3), (0.0, 1.0, 2.0))
+)
+_ON_ANCHOR = LandmarkSet((0, 1, 2, 3), np.array([[0.2, 0.3], [0.6, 0.1], [0.5, 0.9], [0.9, 0.8]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_decode_cases())
+@example((_HAND_CUE, _COLLINEAR))  # collinear anchors
+@example((_HAND_CUE, LandmarkSet((0, 1, 7), _COLLINEAR.positions + 0.2)))  # unknown id
+@example((_episode(0, 1, (0.2, 0.3), _ON_ANCHOR), _ON_ANCHOR))  # starts on an anchor
+def test_decode_is_bit_identical_to_numpy_scalar_form(case):
+    record, current = case
+    assert _decode(record, current) == _numpy_scalar_decode(record, current)
+
+
+def test_position_of_matches_index_lookup():
+    lm = LandmarkSet((4, 2, 4, 9), np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]))
+    assert lm.position_of(4) == (0.1, 0.2)  # first of a duplicated id, as ids.index
+    assert lm.position_of(9) == (0.7, 0.8)
+    assert all(type(v) is float for v in lm.position_of(2))
+    with pytest.raises(ValueError):
+        lm.position_of(5)
+    moved = lm.drifted(0.1, Substream(1, "env"))
+    assert moved.position_of(9) == tuple(float(v) for v in moved.positions[3])
+
+
+# --- Memoized snapshot parse ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    st.lists(st.tuples(_unit, _unit), min_size=12, max_size=12),
+)
+def test_memoized_snapshot_parse_matches_fresh_parse(picks, locations):
+    base = _landmarks(21, 6).as_obs_tuples()
+    zeroed = tuple((i, 0.0 if i == 2 else x, y) for i, x, y in base)
+    snapshots = [
+        base,
+        _landmarks(22, 6).as_obs_tuples(),
+        tuple(tuple(t) for t in base),  # equal to `base`, another object
+        zeroed,
+        # Equal to `zeroed` as a tuple, yet it parses to a -0.0 coordinate.
+        tuple((i, -0.0 if i == 2 else x, y) for i, x, y in base),
+    ]
+    store = MemoryStore(StoreVariant.FLAT)
+    for step, (pick, loc) in enumerate(zip(picks, locations)):
+        snapshot = snapshots[pick]
+        write(store, Observation({"phase": 0.0}, landmarks=snapshot), _dig(*loc, step=step))
+        fresh = LandmarkSet.from_obs_tuples(snapshot)
+        memo = store.landmarks_of(snapshot)
+        assert memo.ids == fresh.ids
+        assert memo.positions.tobytes() == fresh.positions.tobytes()
+        assert store.episodes[-1].cue == encode_cue(loc, fresh)

@@ -8,6 +8,8 @@ a verifier signal's ground-truth verdict.
 import inspect
 import typing
 
+import pytest
+
 from hoardbench.core.belief import Belief
 from hoardbench.core.policy import (
     DigAtRetrieved,
@@ -15,7 +17,9 @@ from hoardbench.core.policy import (
     PolicyContext,
     PrimitivePolicy,
     StabilizingController,
+    check_policy,
 )
+from hoardbench.core.state import ConfigurationError
 from hoardbench.envs.family_a import LaunchPlanner, FamilyAConfig
 from hoardbench.envs.family_b import RetrievalGoalPolicy
 from hoardbench.envs.family_c import CacheSitePolicy
@@ -55,6 +59,17 @@ def test_option_policies_conform_to_protocol():
 def test_primitive_policies_conform_to_protocol():
     for policy in PRIMITIVE_POLICIES:
         assert isinstance(policy, PrimitivePolicy)
+
+
+def test_non_conforming_policy_is_rejected_when_built():
+    for policy in OPTION_POLICIES:
+        assert check_policy(policy, OptionPolicy) is policy
+    for policy in PRIMITIVE_POLICIES:
+        assert check_policy(policy, PrimitivePolicy) is policy
+    with pytest.raises(ConfigurationError, match="OptionPolicy"):
+        check_policy(StabilizingController(), OptionPolicy)
+    with pytest.raises(ConfigurationError, match="PrimitivePolicy"):
+        check_policy(RetrievalGoalPolicy([]), PrimitivePolicy)
 
 
 def test_policy_signatures_expose_no_ground_truth():
