@@ -38,6 +38,7 @@ from ..core.state import (
     TraceRecord,
     TraceSegment,
 )
+from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..memory import (
     LandmarkSet,
@@ -103,33 +104,21 @@ class FamilyBConfig:
     verifier_delay: int = 1
 
     def __post_init__(self):
-        for name, low in (
-            ("n_events", 1),
-            ("item_types", 1),
-            ("landmark_count", 3),
-            ("query_delay", 0),
-            ("verifier_delay", 0),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, low, high in (
+        check_int_fields(self, (
+            ("n_events", 1, math.inf),
+            ("item_types", 1, math.inf),
+            ("landmark_count", 3, math.inf),
+            ("query_delay", 0, math.inf),
+            ("verifier_delay", 0, math.inf),
+        ))
+        check_number_fields(self, (
             ("landmark_drift", 0.0, math.inf),
             ("conflict_rate", 0.0, math.inf),
             ("dig_radius", 0.0, math.inf),
             ("precision_target", 0.0, 1.0),
             ("verifier_fp", 0.0, 1.0),
             ("verifier_fn", 0.0, 1.0),
-        ):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or not low <= value <= high
-            ):
-                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-                raise ConfigurationError(f"{name} must be a finite number {bounds}, got {value!r}")
+        ))
         if self.dig_radius == 0:
             raise ConfigurationError("dig_radius must be positive")
         if self.verifier_fp + self.verifier_fn >= 1.0:

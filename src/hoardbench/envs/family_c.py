@@ -19,6 +19,7 @@ arrive only after the adversary has already acted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.belief import Belief, BeliefConfig, initial_belief
@@ -34,6 +35,7 @@ from ..core.state import (
     TraceRecord,
     TraceSegment,
 )
+from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
 from ..observer import (
@@ -94,15 +96,44 @@ class FamilyCConfig:
     verifier_fn: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ConfigurationError("visibility must lie in [0, 1]")
-        if not (1 <= self.pilfer_budget <= OBSERVER_GRID * OBSERVER_GRID):
-            raise ConfigurationError("pilfer budget out of range")
-        if self.caches < 1:
-            raise ConfigurationError("need at least one cache")
-        r0, c0, r1, c1 = self.forbidden_zone
+        n_cells = OBSERVER_GRID * OBSERVER_GRID
+        check_int_fields(self, (
+            ("caches", 1, n_cells),
+            ("pilfer_budget", 1, n_cells),
+            ("conceal_wait_cost", 1, math.inf),
+            ("recovery_horizon", 0, math.inf),
+            ("landmark_count", 3, math.inf),
+            ("item_types", 1, math.inf),
+            ("monitor_delay", 0, math.inf),
+        ))
+        check_number_fields(self, (
+            ("visibility", 0.0, 1.0),
+            ("decoy_cost", 0.0, math.inf),
+            ("dig_radius", 0.0, math.inf),
+            ("diffusion_rate", 0.0, 1.0),
+            ("theta_obs", 0.0, 1.0),
+            ("recovered_target", 0.0, 1.0),
+            ("verifier_fp", 0.0, 1.0),
+            ("verifier_fn", 0.0, 1.0),
+        ))
+        if self.dig_radius == 0:
+            raise ConfigurationError("dig_radius must be positive")
+        if self.verifier_fp + self.verifier_fn >= 1.0:
+            raise ConfigurationError(
+                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
+            )
+        zone = self.forbidden_zone
+        if (
+            not isinstance(zone, tuple)
+            or len(zone) != 4
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in zone)
+        ):
+            raise ConfigurationError(
+                f"forbidden_zone must be four integers (r0, c0, r1, c1), got {zone!r}"
+            )
+        r0, c0, r1, c1 = zone
         if not (0 <= r0 <= r1 < OBSERVER_GRID and 0 <= c0 <= c1 < OBSERVER_GRID):
-            raise ConfigurationError("forbidden zone must lie inside the grid")
+            raise ConfigurationError("forbidden_zone must lie inside the grid")
 
 
 @dataclass(frozen=True)
@@ -209,6 +240,9 @@ def run_family_c(
     defer_budget = dict.fromkeys(range(env.caches), MAX_DEFERS_PER_CACHE)
     decoys_owed = OPENING_DECOYS if (flags.observer_aware and flags.decoys_enabled) else 0
     used_cells: set[tuple[int, int]] = set()
+    # Cells hiding something, rebuilt only when a cache is placed or moved,
+    # so leakage_score sees one tuple per layout and reuses its indices.
+    true_cells: tuple[tuple[int, int], ...] = ()
 
     caching_horizon = 8 * env.caches
     step = 0
@@ -330,6 +364,7 @@ def run_family_c(
                     }
                 )
             used_cells.add(cell)
+            true_cells = tuple(c["cell"] for c in placed)
             dig = Action(
                 "dig",
                 {
@@ -368,7 +403,6 @@ def run_family_c(
             agent_estimate = observer_update(agent_estimate, event)
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
-        true_cells = [c["cell"] for c in placed]
         exposure = leakage_score(adversary, true_cells) if true_cells else 0.0
         accrue(
             ledger,
@@ -413,8 +447,7 @@ def run_family_c(
 
     # Pilfer phase: the adversary digs its best guesses.
     pilfer_step = step
-    final_cells = [c["cell"] for c in placed]
-    leakage = leakage_score(adversary, final_cells) if final_cells else 0.0
+    leakage = leakage_score(adversary, true_cells) if true_cells else 0.0
     belief_mismatch = 0.0
     if agent_estimate is not None:
         belief_mismatch = float(abs(agent_estimate.grid - adversary.grid).max())

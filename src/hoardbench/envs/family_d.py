@@ -28,6 +28,7 @@ stays the reference for what a constraint means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +42,7 @@ from ..core.state import (
     TraceRecord,
     TraceSegment,
 )
+from ..errors import check_int_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams, Substream
 from ..verifier import (
@@ -97,15 +99,12 @@ class FamilyDConfig:
     adversary_probes: int = 20
 
     def __post_init__(self):
-        for name, low in (
-            ("n_constraints", 1),
-            ("plan_length", 2),
-            ("alphabet_size", 2),
-            ("adversary_probes", 0),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_int_fields(self, (
+            ("n_constraints", 1, math.inf),
+            ("plan_length", 2, math.inf),
+            ("alphabet_size", 2, math.inf),
+            ("adversary_probes", 0, math.inf),
+        ))
         if not (0.0 < self.knowledge_fraction <= 1.0):
             raise ConfigurationError("knowledge_fraction must lie in (0, 1]")
         if self.coverage is not None and not (0.0 <= self.coverage <= 1.0):

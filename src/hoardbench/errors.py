@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the config field checks that raise them."""
+
+import math
 
 
 class SchemaError(ValueError):
@@ -11,3 +13,33 @@ class InputError(ValueError):
 
 class ConfigurationError(ValueError):
     """A configuration combination is invalid."""
+
+
+def _bounds(low, high) -> str:
+    return f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+
+
+def check_int_fields(config, fields) -> None:
+    """Reject, by name, the first of `fields` ((name, low, high) triples) whose
+    value on `config` is not an integer in [low, high]; booleans are not
+    integers here."""
+    for name, low, high in fields:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+            raise ConfigurationError(f"{name} must be an integer {_bounds(low, high)}, got {value!r}")
+
+
+def check_number_fields(config, fields) -> None:
+    """Reject, by name, the first of `fields` ((name, low, high) triples) whose
+    value on `config` is not a finite int or float in [low, high]."""
+    for name, low, high in fields:
+        value = getattr(config, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or not low <= value <= high
+        ):
+            raise ConfigurationError(
+                f"{name} must be a finite number {_bounds(low, high)}, got {value!r}"
+            )

@@ -6,6 +6,16 @@ uniformly over the cells near the sighting, plus weight (1 - w) spread over
 the whole grid (the observer never fully trusts a single glimpse). Quiet
 steps diffuse the belief toward uniform.
 
+The kernel is 1/cnt on the block of cnt cells around the sighting (clipped
+to the grid) and 0 elsewhere, so the likelihood takes only two values:
+a = (1 - w)/n outside the block and b = a + w * (1/cnt) inside it. The update
+multiplies by these two scalars instead of building a 20x20 likelihood
+array. The result is bit-identical to the array form: outside the block that
+form computed a + w * 0.0, which is exactly a, and inside it computed
+a + w * (1.0/cnt) from the same operands in the same order; each cell is
+then one multiplication by the same double, and the normalizing sum runs
+over the same array.
+
 The same update code serves both sides: the adversary runs it on what it
 actually saw, and an observer-aware agent runs it on the visibility bits it
 logged, so the two beliefs agree bit for bit whenever the log is correct.
@@ -13,7 +23,8 @@ logged, so the two beliefs agree bit for bit whenever the log is correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,21 +106,21 @@ def _check_cell(cell: Cell) -> Cell:
     return int(r), int(c)
 
 
-def _kernel(cell: Cell, width: int) -> np.ndarray:
-    """Uniform mass over the width x width block centered at `cell`, clipped
-    to the grid; always sums to one."""
+def _sighting_update(grid: np.ndarray, cell: Cell, width: int, weight: float) -> np.ndarray:
+    """grid times the mixture likelihood of a sighting at `cell`: the uniform
+    part a everywhere, plus the kernel's 1/cnt share of weight on the
+    width x width block centered at `cell`, clipped to the grid."""
     half = width // 2
     r, c = cell
-    grid = np.zeros((OBSERVER_GRID, OBSERVER_GRID))
     r0, r1 = max(0, r - half), min(OBSERVER_GRID, r + half + 1)
     c0, c1 = max(0, c - half), min(OBSERVER_GRID, c + half + 1)
-    grid[r0:r1, c0:c1] = 1.0
-    return grid / grid.sum()
-
-
-def _likelihood(cell: Cell, width: int, weight: float) -> np.ndarray:
-    n = OBSERVER_GRID * OBSERVER_GRID
-    return (1.0 - weight) / n + weight * _kernel(cell, width)
+    # A numpy scalar, so a float32 or integer grid is promoted to float64
+    # exactly as the product with a float64 likelihood array promoted it.
+    a = np.float64((1.0 - weight) / (OBSERVER_GRID * OBSERVER_GRID))
+    b = a + weight * (1.0 / ((r1 - r0) * (c1 - c0)))
+    out = grid * a
+    out[r0:r1, c0:c1] = grid[r0:r1, c0:c1] * b
+    return out
 
 
 def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBelief:
@@ -121,15 +132,15 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
 
     if isinstance(event, SawCache):
         cell = _check_cell(event.cell)
-        grid = grid * _likelihood(cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
+        grid = _sighting_update(grid, cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
     elif isinstance(event, SawPresence):
         cell = _check_cell(event.cell)
-        grid = grid * _likelihood(cell, PRESENCE_KERNEL_WIDTH, PRESENCE_KERNEL_WEIGHT)
+        grid = _sighting_update(grid, cell, PRESENCE_KERNEL_WIDTH, PRESENCE_KERNEL_WEIGHT)
     elif isinstance(event, SawNothing):
         rate = belief.diffusion_rate
         if rate == 0.0:
             # Exact identity; skip the renormalization round-off.
-            return replace(belief, observations_seen=belief.observations_seen + 1)
+            return ObserverBelief(belief.grid, belief.observations_seen + 1, rate)
         grid = (1.0 - rate) * grid + rate / grid.size
     else:
         raise InputError(f"unknown observed event {event!r}")
@@ -137,10 +148,21 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     total = grid.sum()
     if total <= 0:
         raise InputError("observer update produced zero total mass")
-    grid = grid / total
-    return replace(
-        belief, grid=grid, observations_seen=belief.observations_seen + 1
-    )
+    return ObserverBelief(grid / total, belief.observations_seen + 1, belief.diffusion_rate)
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_indices(cells: tuple[Cell, ...]) -> np.ndarray:
+    """Row-major flat indices of the distinct cells, in the iteration order
+    of the set of int cells. Memoised on the tuple: equal tuples convert to
+    equal int cells, so they share one result; an invalid tuple raises and
+    is not cached. The result is read-only because every caller shares it."""
+    distinct = {(int(r), int(c)) for r, c in cells}
+    for cell in distinct:
+        _check_cell(cell)
+    idx = np.array([r * OBSERVER_GRID + c for r, c in distinct], dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
 
 
 def leakage_score(belief: ObserverBelief, true_caches: list[Cell]) -> float:
@@ -148,13 +170,14 @@ def leakage_score(belief: ObserverBelief, true_caches: list[Cell]) -> float:
 
     A uniform belief over G cells scores len(true_caches)/G (the no-information
     baseline); a belief concentrated on the true cells scores near one.
+    Duplicate cells count once. Cells must be hashable (r, c) pairs; repeat
+    calls with an equal cell sequence reuse its compiled flat indices. The
+    masses are added as Python floats in the set order of the distinct cells.
     """
     if not true_caches:
         raise InputError("leakage_score requires a non-empty cache list")
-    cells = {(int(r), int(c)) for r, c in true_caches}
-    for cell in cells:
-        _check_cell(cell)
-    total = sum(belief.mass_at(cell) for cell in cells)
+    idx = _cell_indices(tuple(true_caches))
+    total = sum(belief.grid.ravel()[idx].tolist())
     return max(0.0, min(1.0, total))
 
 

@@ -1,5 +1,9 @@
+import json
+import math
+
 import pytest
 
+from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs.family_c import (
     AgentFlags,
@@ -10,6 +14,7 @@ from hoardbench.envs.family_c import (
 from hoardbench.core.belief import BeliefConfig, initial_belief
 from hoardbench.core.policy import PolicyContext
 from hoardbench.core.state import EmbodiedState, OptionKind
+from hoardbench.harness import parse_config
 from hoardbench.ledger import CostLedger
 from hoardbench.observer import ObserverBelief, SawCache, observer_update
 from hoardbench.rng import RunStreams
@@ -128,12 +133,84 @@ def test_reproducible_with_trace():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="visibility"):
         FamilyCConfig(visibility=1.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="pilfer_budget"):
         FamilyCConfig(pilfer_budget=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="forbidden_zone"):
         FamilyCConfig(forbidden_zone=(5, 5, 3, 3))
+    with pytest.raises(ConfigurationError, match="verifier_fp"):
+        FamilyCConfig(verifier_fp=0.5, verifier_fn=0.5)
+    # The largest values that still run: a cache on every cell, a pilfer of
+    # every cell, and no recovery phase at all.
+    FamilyCConfig(caches=400, pilfer_budget=400, recovery_horizon=0, theta_obs=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("caches", 500),
+        ("caches", 2.5),
+        ("caches", True),
+        ("caches", 0),
+        ("pilfer_budget", 1.5),
+        ("pilfer_budget", 401),
+        ("item_types", 0),
+        ("landmark_count", 2),
+        ("recovery_horizon", -3),
+        ("conceal_wait_cost", 0),
+        ("conceal_wait_cost", 2.5),
+        ("monitor_delay", -1),
+        ("visibility", math.nan),
+        ("decoy_cost", -1.0),
+        ("dig_radius", 0.0),
+        ("diffusion_rate", 2.0),
+        ("theta_obs", math.nan),
+        ("theta_obs", math.inf),
+        ("recovered_target", 1.5),
+        ("verifier_fp", "0.1"),
+        ("verifier_fn", 1.0),
+        ("forbidden_zone", (0, 0, 2)),
+        ("forbidden_zone", (0, 0, 2.5, 2)),
+    ],
+)
+def test_config_rejects_bad_values_by_field_name(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        FamilyCConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        parse_config(json.dumps({"family": "C", "env": {field: value}}))
+
+
+def _output_files(directory):
+    files = {}
+    for path in sorted(directory.rglob("*")):
+        if path.is_file() and path.name != "timing.json":
+            files[str(path.relative_to(directory))] = path.read_bytes()
+    doc = json.loads(files.pop("resolved_config.json"))
+    doc.pop("output_dir")
+    return files, doc
+
+
+def test_jobs_do_not_change_output_bytes(tmp_path):
+    # All three variants, noisy monitors, with failure traces recorded.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "family": "C",
+        "seeds": "0..3",
+        "env": {"caches": 12, "visibility": 0.7, "verifier_fp": 0.1, "verifier_fn": 0.1},
+        "ablations": ["no_observer_model", "end_only_checking"],
+    }))
+    outputs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
+        outputs[jobs] = _output_files(out)
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["report_seconds"] >= timing["trace_replay_seconds"] > 0.0
+    files, _ = outputs[1]
+    assert files["runs.jsonl"].count(b"\n") == 12
+    assert sum(name.startswith("traces/") for name in files) == 9
+    assert outputs[1] == outputs[2]
 
 
 def test_hidden_zone_postcondition_reported():

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hoardbench.core.state import InputError
 from hoardbench.observer import (
+    CACHE_KERNEL_WIDTH,
+    CACHE_KERNEL_WEIGHT,
     OBSERVER_GRID,
+    PRESENCE_KERNEL_WIDTH,
+    PRESENCE_KERNEL_WEIGHT,
     ObserverBelief,
     SawCache,
     SawNothing,
     SawPresence,
+    _cell_indices,
     leakage_score,
     observer_update,
     pilfer_select,
@@ -174,3 +182,165 @@ def test_edge_kernel_clips_and_renormalizes():
     assert abs(belief.total_mass() - 1.0) < 1e-12
     # Clipped kernel spreads over 4 cells instead of 9.
     assert belief.mass_at((0, 0)) > 0.2
+
+
+# Frozen copy of the array-form update that the two-scalar update replaced:
+# a 20x20 kernel and likelihood grid built per sighting. The oracle tests
+# below require exact equality with it, byte for byte.
+def _ref_kernel(cell, width):
+    half = width // 2
+    r, c = cell
+    grid = np.zeros((OBSERVER_GRID, OBSERVER_GRID))
+    r0, r1 = max(0, r - half), min(OBSERVER_GRID, r + half + 1)
+    c0, c1 = max(0, c - half), min(OBSERVER_GRID, c + half + 1)
+    grid[r0:r1, c0:c1] = 1.0
+    return grid / grid.sum()
+
+
+def _ref_likelihood(cell, width, weight):
+    n = OBSERVER_GRID * OBSERVER_GRID
+    return (1.0 - weight) / n + weight * _ref_kernel(cell, width)
+
+
+def _ref_update(grid, rate, event):
+    """Next grid, or None where the update must raise for zero total mass."""
+    prior = grid
+    if float(grid.sum()) == 0.0:
+        grid = np.full_like(grid, 1.0 / grid.size)
+    if isinstance(event, SawCache):
+        grid = grid * _ref_likelihood(event.cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
+    elif isinstance(event, SawPresence):
+        grid = grid * _ref_likelihood(event.cell, PRESENCE_KERNEL_WIDTH, PRESENCE_KERNEL_WEIGHT)
+    elif rate == 0.0:
+        return prior
+    else:
+        grid = (1.0 - rate) * grid + rate / grid.size
+    total = grid.sum()
+    return None if total <= 0 else grid / total
+
+
+# Frozen copy of the leakage sum over the set of int cells, in set order.
+def _ref_leakage(grid, caches):
+    cells = {(int(r), int(c)) for r, c in caches}
+    for r, c in cells:
+        if not (0 <= r < OBSERVER_GRID and 0 <= c < OBSERVER_GRID):
+            raise InputError("outside")
+    total = sum(float(grid[r, c]) for r, c in cells)
+    return max(0.0, min(1.0, total))
+
+
+def _non_uniform_grid(seed):
+    grid = Substream(seed, "adversary").uniform(0.0, 1.0, size=(OBSERVER_GRID, OBSERVER_GRID))
+    grid[grid < 0.3] = 0.0
+    return grid / grid.sum()
+
+
+def test_sighting_update_matches_array_form_on_every_cell():
+    priors = {
+        "uniform": ObserverBelief.uniform().grid,
+        "empty": ObserverBelief.empty().grid,
+        "non_uniform": _non_uniform_grid(5),
+        "float32": _non_uniform_grid(6).astype(np.float32),
+    }
+    for name, prior in priors.items():
+        belief = ObserverBelief(prior, 7, 0.02)
+        for r in range(OBSERVER_GRID):
+            for c in range(OBSERVER_GRID):
+                for event in (SawCache((r, c)), SawPresence((r, c))):
+                    after = observer_update(belief, event)
+                    expected = _ref_update(prior, 0.02, event)
+                    assert after.grid.dtype == expected.dtype, (name, event)
+                    assert after.grid.tobytes() == expected.tobytes(), (name, event)
+                    assert after.observations_seen == 8
+                    assert after.diffusion_rate == 0.02
+
+
+_GRIDS = st.one_of(
+    st.just(ObserverBelief.empty().grid),
+    st.just(ObserverBelief.uniform().grid),
+    arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1e3)),
+)
+_COORD = st.integers(-2, OBSERVER_GRID + 1)
+_IN_GRID = st.tuples(st.integers(0, OBSERVER_GRID - 1), st.integers(0, OBSERVER_GRID - 1))
+_EVENTS = st.one_of(
+    _IN_GRID.map(SawCache), _IN_GRID.map(SawPresence), st.just(SawNothing())
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_GRIDS, st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.lists(_EVENTS, max_size=12))
+def test_update_sequences_match_array_form(prior, rate, events):
+    belief = ObserverBelief(prior, 0, rate)
+    grid = prior
+    for event in events:
+        grid = _ref_update(grid, rate, event)
+        if grid is None:
+            with pytest.raises(InputError):
+                observer_update(belief, event)
+            return
+        belief = observer_update(belief, event)
+        assert belief.grid.tobytes() == grid.tobytes()
+
+
+def _as(kind, v):
+    return {"int": v, "np": np.int64(v), "float": float(v), "frac": v + 0.25}[kind]
+
+
+_CELLS = st.lists(
+    st.tuples(_COORD, _COORD, st.sampled_from(["int", "np", "float", "frac"])).map(
+        lambda t: (_as(t[2], t[0]), _as(t[2], t[1]))
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_GRIDS, _CELLS)
+@example(ObserverBelief.uniform().grid, [(3, 4), (3, 4), (np.int64(3), 4.0), (3.0, np.int64(4))])
+@example(ObserverBelief.uniform().grid, [(0, 0), (19, 19), (-1, 5)])
+@example(ObserverBelief.uniform().grid, [(5, 5), (20, 0)])
+def test_leakage_matches_set_order_sum(grid, cells):
+    belief = ObserverBelief(grid)
+    try:
+        expected = _ref_leakage(grid, cells)
+    except InputError:
+        expected = None
+    # The list, an equal tuple, and a second equal but distinct tuple (a
+    # memo hit) all score alike; an invalid list raises every time.
+    for arg in (cells, tuple(cells), tuple(list(cells))):
+        if expected is None:
+            with pytest.raises(InputError):
+                leakage_score(belief, arg)
+        else:
+            assert leakage_score(belief, arg) == expected
+
+
+def test_leakage_adds_masses_in_set_order():
+    cells = [(0, 1), (19, 19), (10, 3), (5, 17), (2, 2)]
+    grid = np.zeros((OBSERVER_GRID, OBSERVER_GRID))
+    for (r, c), mass in zip(cells, (0.1, 0.2, 1e-17, 1e-16, 0.05)):
+        grid[r, c] = mass
+    expected = _ref_leakage(grid, cells)
+    # The example only discriminates if sorted and input order round
+    # differently from set order.
+    assert expected != sum(float(grid[r, c]) for r, c in sorted(cells))
+    assert expected != sum(float(grid[r, c]) for r, c in cells)
+    assert leakage_score(ObserverBelief(grid), cells) == expected
+    assert leakage_score(ObserverBelief(grid), tuple(cells)) == expected
+
+
+def test_leakage_memo_never_admits_out_of_grid_cells():
+    belief = ObserverBelief.uniform()
+    valid = ((1, 1), (5, 9))
+    assert leakage_score(belief, valid) == 2 / N_CELLS
+    for bad in ([(20, 0)], [(0, 20)], [(-1, 0)], [*valid, (19, 20)], [(np.int64(20), 3)]):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                leakage_score(belief, bad)
+        assert leakage_score(belief, valid) == 2 / N_CELLS
+    # Equal cells in another representation share the compiled indices.
+    hits = _cell_indices.cache_info().hits
+    assert leakage_score(belief, ((np.int64(1), 1.0), (5.0, np.int64(9)))) == 2 / N_CELLS
+    assert leakage_score(belief, tuple(list(valid))) == 2 / N_CELLS
+    assert _cell_indices.cache_info().hits == hits + 2
