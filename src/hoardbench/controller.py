@@ -45,8 +45,9 @@ class ControllerConfig:
     forgetting: float = 0.98
 
     def __post_init__(self):
-        if self.kp < 0 or self.kd < 0:
-            raise ConfigurationError("gains must be non-negative")
+        for name in ("kp", "kd"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"gain {name} must be non-negative")
         if self.action_bound <= 0:
             raise ConfigurationError("action_bound must be positive")
         if not (0.9 < self.forgetting <= 1.0):

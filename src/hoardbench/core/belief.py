@@ -8,7 +8,7 @@ observation forward to the present (Smith-predictor style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,8 +148,7 @@ def update_belief(
             mean[i] = est.mean
             var[i] = est.variance
 
-    return replace(
-        belief,
+    return Belief(
         latent_mean=mean,
         latent_variance=var,
         delayed_obs_buffer=buffer,

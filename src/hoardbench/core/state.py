@@ -3,7 +3,7 @@
 This file is the contract between the agent side (beliefs, policies) and the
 environment side (ground truth, physics). The split is deliberate: policies
 are handed `Belief`, `Retrieval`, and `OptionChoice` objects only, never the
-ground-truth `LatentParams` living inside `AgentState`.
+ground-truth `LatentParams` an environment keeps.
 """
 
 from __future__ import annotations
@@ -78,37 +78,14 @@ class LatentParams:
 
 @dataclass
 class TaskState:
-    """Remaining horizon, resource counters, and permission flags."""
+    """Remaining horizon of a run, in steps."""
 
     remaining_steps: int
-    resources: dict[str, float] = field(default_factory=dict)
-    permissions: dict[str, bool] = field(default_factory=dict)
 
     def tick(self) -> None:
         if self.remaining_steps <= 0:
             raise InputError("task horizon already exhausted")
         self.remaining_steps -= 1
-
-    def __post_init__(self):
-        for k, v in self.resources.items():
-            if v < 0:
-                raise InputError(f"resource {k!r} is negative")
-
-
-@dataclass
-class AgentState:
-    """Full environment-side state bundle for one run.
-
-    `observer_estimate` is the agent-side copy of what an adversary may have
-    inferred; it is the only field here a policy is allowed to read, and it
-    is always handed over separately, never through this container.
-    """
-
-    embodied: EmbodiedState
-    latent: LatentParams
-    memory_ref: str
-    observer_estimate: object  # ObserverBelief; kept loose to avoid an import cycle
-    task: TaskState
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +183,7 @@ class Observation:
     landmarks: tuple[tuple[int, float, float], ...] = ()
 
     def validate(self, keys: tuple[str, ...]) -> "Observation":
-        if set(self.values) != set(keys):
+        if self.values.keys() != set(keys):
             raise SchemaError(
                 f"observation keys {sorted(self.values)} != schema {sorted(keys)}"
             )
@@ -264,34 +241,33 @@ class TraceRecord:
         action, option_active and observed_by_adversary, in that order; the
         field order is part of the wire format. The observation object holds
         values (sorted by key), then latent_evidence and landmarks (lists of
-        lists) when non-empty. The landmark snapshot is encoded on its own
-        and spliced in. `landmarks_json` maps ``id`` of a snapshot to
-        (snapshot, its JSON), so a caller encoding many records encodes each
-        snapshot object once; holding the snapshot keeps its id from being
-        reused.
+        lists) when non-empty. A record without landmarks is encoded in one
+        pass. A landmark snapshot is encoded on its own and spliced in.
+        `landmarks_json` maps ``id`` of a snapshot to (snapshot, its JSON),
+        so a caller encoding many records encodes each snapshot object once;
+        holding the snapshot keeps its id from being reused.
         """
         observation = self.observation
-        head = _ENCODER.encode(
-            {"step": self.step, "observation": observation._json_obj_without_landmarks()}
-        )
-        tail = _ENCODER.encode(
-            {
-                "action": self.action.to_json_obj(),
-                "option_active": self.option_active.to_json_obj(),
-                "observed_by_adversary": self.observed_by_adversary,
-            }
-        )
+        head = {"step": self.step, "observation": observation._json_obj_without_landmarks()}
+        tail = {
+            "action": self.action.to_json_obj(),
+            "option_active": self.option_active.to_json_obj(),
+            "observed_by_adversary": self.observed_by_adversary,
+        }
         snapshot = observation.landmarks
-        landmarks = ""
-        if snapshot:
-            memo = {} if landmarks_json is None else landmarks_json
-            hit = memo.get(id(snapshot))
-            if hit is None:
-                hit = memo[id(snapshot)] = (snapshot, _ENCODER.encode([list(t) for t in snapshot]))
-            landmarks = ',"landmarks":' + hit[1]
+        if not snapshot:
+            head.update(tail)
+            return _ENCODER.encode(head)
+        memo = {} if landmarks_json is None else landmarks_json
+        hit = memo.get(id(snapshot))
+        if hit is None:
+            hit = memo[id(snapshot)] = (snapshot, _ENCODER.encode([list(t) for t in snapshot]))
         # head ends by closing the observation and the record; tail opens a
         # record of the remaining fields.
-        return head[:-2] + landmarks + "}," + tail[1:]
+        return (
+            _ENCODER.encode(head)[:-2] + ',"landmarks":' + hit[1] + "},"
+            + _ENCODER.encode(tail)[1:]
+        )
 
 
 class Trace:

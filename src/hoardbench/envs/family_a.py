@@ -18,6 +18,7 @@ environment stream's draw count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..controller import ControllerConfig, double_integrator, open_loop_plan
@@ -33,7 +34,6 @@ from ..core.policy import (
 )
 from ..core.state import (
     Action,
-    AgentState,
     ConfigurationError,
     EmbodiedState,
     LatentEvidence,
@@ -48,6 +48,7 @@ from ..core.state import (
     TraceRecord,
     TraceSegment,
 )
+from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams
 from ..verifier import (
@@ -99,16 +100,49 @@ class FamilyAConfig:
     verifier_fn: float = 0.0
 
     def __post_init__(self):
-        if self.pos_tol <= 0 or self.vel_tol <= 0:
-            raise ConfigurationError("success tolerances must be positive")
-        if self.obs_delay < 0:
-            raise ConfigurationError("observation delay must be non-negative")
-        if not (0.0 <= self.z_range[0] <= self.z_range[1] <= 1.0):
-            raise ConfigurationError("z_range must be a subinterval of [0, 1]")
-        if self.trials < 1 or self.horizon < 1:
-            raise ConfigurationError("trials and horizon must be at least 1")
-        if self.impulse < 0 or self.gap_scale <= 0 or self.dt <= 0:
-            raise ConfigurationError("impulse, gap_scale, and dt must be positive")
+        check_int_fields(self, (
+            ("trials", 1, math.inf),
+            ("horizon", 1, math.inf),
+            ("obs_delay", 0, math.inf),
+            ("launch_grid", 2, math.inf),
+            ("verifier_delay", 0, math.inf),
+        ))
+        # Both count steps of a trial: past the horizon a trial can never
+        # succeed, or is never perturbed.
+        check_int_fields(self, (("hold_steps", 1, self.horizon),))
+        if self.perturb_step is not None:
+            check_int_fields(self, (("perturb_step", 1, self.horizon),))
+        check_number_fields(self, (
+            ("gap_scale", 0.0, math.inf),
+            ("obs_noise", 0.0, math.inf),
+            ("perturb_magnitude", -math.inf, math.inf),
+            ("pos_tol", 0.0, math.inf),
+            ("vel_tol", 0.0, math.inf),
+            ("dt", 0.0, math.inf),
+            ("impulse", 0.0, math.inf),
+            ("z_drift", 0.0, math.inf),
+            ("z_prior_mean", -math.inf, math.inf),
+            ("z_prior_variance", 0.0, math.inf),
+            ("verifier_fp", 0.0, 1.0),
+            ("verifier_fn", 0.0, 1.0),
+        ))
+        for name in ("gap_scale", "pos_tol", "vel_tol", "dt"):
+            if getattr(self, name) == 0:
+                raise ConfigurationError(f"{name} must be positive")
+        if self.verifier_fp + self.verifier_fn >= 1.0:
+            raise ConfigurationError(
+                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
+            )
+        z_range = self.z_range
+        if (
+            not isinstance(z_range, tuple)
+            or len(z_range) != 2
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in z_range)
+            or not 0.0 <= z_range[0] <= z_range[1] <= 1.0
+        ):
+            raise ConfigurationError(
+                f"z_range must be a subinterval (low, high) of [0, 1], got {z_range!r}"
+            )
 
 
 def predicted_landing_error(config: FamilyAConfig, z_hat: float, offset: float) -> float:
@@ -247,7 +281,7 @@ def run_family_a(
         pre_seg = (trial_start, trial_start)
         pre_truth = {"launch_ok": launch_ok}
         if pipeline.placement is Placement.IN_LOOP:
-            signals.append(_eval(pipeline.specs[0], pre_seg, pre_truth, streams, trace))
+            signals.append(_eval(pipeline.specs[0], pre_seg, pre_truth, streams))
         else:
             pending.append((pipeline.specs[0], pre_seg, pre_truth))
 
@@ -265,9 +299,9 @@ def run_family_a(
         hold = 0
         first_hold_step = None
         perturbed = False
-        agent_state = AgentState(
-            EmbodiedState((e,), (edot,)), truth_latent, "", None, task
-        )
+        # The whole trial's sensor noise in one draw: the same values, in the
+        # same order, as one size-2 draw per step.
+        step_noise = streams.env.normal(0.0, 1.0, size=(env.horizon, 2)).tolist()
 
         for step in range(1, env.horizon + 1):
             if option_age >= OPTION_MAX_STEPS:
@@ -284,15 +318,13 @@ def run_family_a(
             if env.perturb_step is not None and step == env.perturb_step:
                 w = env.perturb_magnitude / env.dt
                 perturbed = True
-            e, edot_new = e + edot * env.dt, edot + (force + w) * env.dt
-            edot = edot_new
-            agent_state.embodied = EmbodiedState((e,), (edot,))
+            e, edot = e + edot * env.dt, edot + (force + w) * env.dt
 
-            noise = streams.env.normal(0.0, 1.0, size=2)
+            noise = step_noise[step - 1]
             obs = Observation(
                 {
-                    "error": e + env.obs_noise * float(noise[0]),
-                    "error_rate": edot + env.obs_noise * float(noise[1]),
+                    "error": e + env.obs_noise * noise[0],
+                    "error_rate": edot + env.obs_noise * noise[1],
                 }
             )
             belief = update_belief(belief, obs, outcome.action, belief_cfg)
@@ -334,7 +366,7 @@ def run_family_a(
         post_seg = (trial_start, global_step - 1)
         post_truth = {"success": success}
         if pipeline.placement is Placement.IN_LOOP:
-            signals.append(_eval(pipeline.specs[1], post_seg, post_truth, streams, trace))
+            signals.append(_eval(pipeline.specs[1], post_seg, post_truth, streams))
         else:
             pending.append((pipeline.specs[1], post_seg, post_truth))
 
@@ -342,7 +374,7 @@ def run_family_a(
             break
 
     for spec, seg, truth in pending:
-        signals.append(_eval(spec, seg, truth, streams, trace, emitted_at=final_step))
+        signals.append(_eval(spec, seg, truth, streams, emitted_at=final_step))
 
     post_signals = [s for s in signals if s.predicate_id == "stabilized"]
     record.goal_verdict = int(all(s.verdict for s in post_signals)) if post_signals else 0
@@ -358,7 +390,7 @@ def run_family_a(
     return finish_record(record, ledger)
 
 
-def _eval(spec, seg_bounds, truth, streams: RunStreams, trace, emitted_at=None):
+def _eval(spec, seg_bounds, truth, streams: RunStreams, emitted_at=None):
     segment = TraceSegment(seg_bounds[0], seg_bounds[1])
     return evaluate(
         spec, segment, truth, streams.verifier, PREDICATES, emitted_at=emitted_at

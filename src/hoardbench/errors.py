@@ -15,8 +15,21 @@ class ConfigurationError(ValueError):
     """A configuration combination is invalid."""
 
 
+def is_finite_number(value) -> bool:
+    """A finite int or float. Booleans are not numbers here, nor is an int
+    too large to convert to a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _bounds(low, high) -> str:
-    return f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    if high != math.inf:
+        return f" in [{low}, {high}]"
+    return "" if low == -math.inf else f" >= {low}"
 
 
 def check_int_fields(config, fields) -> None:
@@ -26,7 +39,7 @@ def check_int_fields(config, fields) -> None:
     for name, low, high in fields:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-            raise ConfigurationError(f"{name} must be an integer {_bounds(low, high)}, got {value!r}")
+            raise ConfigurationError(f"{name} must be an integer{_bounds(low, high)}, got {value!r}")
 
 
 def check_number_fields(config, fields) -> None:
@@ -34,12 +47,7 @@ def check_number_fields(config, fields) -> None:
     value on `config` is not a finite int or float in [low, high]."""
     for name, low, high in fields:
         value = getattr(config, name)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or not low <= value <= high
-        ):
+        if not is_finite_number(value) or not low <= value <= high:
             raise ConfigurationError(
-                f"{name} must be a finite number {_bounds(low, high)}, got {value!r}"
+                f"{name} must be a finite number{_bounds(low, high)}, got {value!r}"
             )

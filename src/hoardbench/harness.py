@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .controller import ControllerConfig
-from .core.state import ConfigurationError, Trace
+from .core.state import ConfigurationError, InputError, Trace
 from .envs import (
     ENV_CONFIGS,
     AgentFlags,
@@ -31,6 +31,7 @@ from .envs import (
     run_family_c,
     run_family_d,
 )
+from .errors import is_finite_number
 from .ledger import CostLedger, aggregate, constraint_check
 from .rng import Substream
 
@@ -104,9 +105,9 @@ def _fail(key: str, message: str) -> ConfigurationError:
 
 
 def _parse_seeds(value) -> tuple[int, int]:
-    if isinstance(value, int):
-        return value, value
-    if isinstance(value, str) and ".." in value:
+    if isinstance(value, int) and not isinstance(value, bool):
+        start = stop = value
+    elif isinstance(value, str) and ".." in value:
         a, _, b = value.partition("..")
         try:
             start, stop = int(a), int(b)
@@ -114,8 +115,15 @@ def _parse_seeds(value) -> tuple[int, int]:
             raise _fail("seeds", f"cannot parse {value!r} as 'a..b'") from exc
         if stop < start:
             raise _fail("seeds", "range end precedes start")
-        return start, stop
-    raise _fail("seeds", "expected an integer or an 'a..b' range string")
+    else:
+        raise _fail("seeds", "expected an integer or an 'a..b' range string")
+    if start < 0:
+        raise _fail("seeds", "seeds must be non-negative")
+    return start, stop
+
+
+def _env_value(key: str, value):
+    return tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
 
 
 def _build_env(family: str, block: dict):
@@ -125,11 +133,23 @@ def _build_env(family: str, block: dict):
     for key, value in block.items():
         if key not in names:
             raise _fail(f"env.{key}", f"unknown key for family {family}")
-        kwargs[key] = tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
+        kwargs[key] = _env_value(key, value)
     try:
         return cls(**kwargs)
     except (ConfigurationError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"config key 'env': {exc}") from exc
+
+
+def _controller(agent: dict) -> ControllerConfig:
+    return ControllerConfig(
+        feedback_enabled=bool(agent["feedback"]),
+        compensator_enabled=bool(agent["compensator"]),
+        rls_enabled=bool(agent["rls"]),
+        kp=float(agent["kp"]),
+        kd=float(agent["kd"]),
+        action_bound=float(agent["action_bound"]),
+        forgetting=float(agent["forgetting"]),
+    )
 
 
 def _build_agent(block: dict) -> dict:
@@ -142,9 +162,18 @@ def _build_agent(block: dict) -> dict:
         default = AGENT_DEFAULTS[key]
         if isinstance(default, bool) and not isinstance(value, bool):
             raise _fail(f"agent.{key}", "expected a boolean")
-        if isinstance(default, float) and not isinstance(value, (int, float)):
-            raise _fail(f"agent.{key}", "expected a number")
+        if isinstance(default, float) and not is_finite_number(value):
+            raise _fail(f"agent.{key}", "expected a finite number")
         agent[key] = value
+    try:
+        _controller(agent)  # range validation
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config key 'agent': {exc}") from exc
+    for key in ("checker_fp", "checker_fn"):
+        if not 0.0 <= agent[key] < 1.0:
+            raise _fail(f"agent.{key}", "must lie in [0, 1)")
+    if agent["checker_fp"] + agent["checker_fn"] >= 1.0:
+        raise _fail("agent.checker_fp", "checker_fp + checker_fn must stay below 1")
     return agent
 
 
@@ -153,10 +182,13 @@ def _build_ledger(block: dict) -> dict:
     for key, value in block.items():
         if key not in LEDGER_DEFAULTS:
             raise _fail(f"ledger.{key}", "unknown key")
-        if not isinstance(value, (int, float)):
-            raise _fail(f"ledger.{key}", "expected a number")
+        if not is_finite_number(value):
+            raise _fail(f"ledger.{key}", "expected a finite number")
         out[key] = float(value)
-    CostLedger(**out)  # range validation
+    try:
+        CostLedger(**out)  # range validation
+    except InputError as exc:
+        raise ConfigurationError(f"config key 'ledger': {exc}") from exc
     return out
 
 
@@ -181,6 +213,8 @@ def parse_config(document: str) -> ExperimentConfig:
     family = raw.get("family")
     if family not in ENV_CONFIGS:
         raise _fail("family", f"must be one of {sorted(ENV_CONFIGS)}")
+    if "version" in raw and raw["version"] != __version__:
+        raise _fail("version", f"{raw['version']!r} does not match hoardbench {__version__}")
     seed_start, seed_stop = _parse_seeds(raw.get("seeds", "0..0"))
     env = _build_env(family, raw.get("env", {}))
     agent = _build_agent(raw.get("agent", {}))
@@ -309,20 +343,13 @@ def run_one(
     """Execute a single cell with a fresh ledger and stream bundle."""
     env = config.env
     if config.sweep_key is not None and sweep_value is not None:
-        env = dataclasses.replace(env, **{config.sweep_key: sweep_value})
+        env = dataclasses.replace(
+            env, **{config.sweep_key: _env_value(config.sweep_key, sweep_value)}
+        )
     ledger = CostLedger(**config.ledger)
     placement = agent["verifier_placement"]
     if config.family == "A":
-        controller = ControllerConfig(
-            feedback_enabled=bool(agent["feedback"]),
-            compensator_enabled=bool(agent["compensator"]),
-            rls_enabled=bool(agent["rls"]),
-            kp=float(agent["kp"]),
-            kd=float(agent["kd"]),
-            action_bound=float(agent["action_bound"]),
-            forgetting=float(agent["forgetting"]),
-        )
-        return run_family_a(env, controller, ledger, seed, placement, trace)
+        return run_family_a(env, _controller(agent), ledger, seed, placement, trace)
     if config.family == "B":
         return run_family_b(env, agent["memory_variant"], ledger, seed, placement, trace)
     if config.family == "C":

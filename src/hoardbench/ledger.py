@@ -37,6 +37,16 @@ class StepCosts:
     compute: float = 0.0
 
     def __post_init__(self):
+        # One chained test first: for floats it holds exactly when every
+        # field passes the per-field check below (NaN fails it, -0.0 passes).
+        if (
+            0.0 <= self.task < math.inf
+            and 0.0 <= self.latency < math.inf
+            and 0.0 <= self.leak < math.inf
+            and 0.0 <= self.repair < math.inf
+            and 0.0 <= self.compute < math.inf
+        ):
+            return
         for name in ("task", "latency", "leak", "repair", "compute"):
             v = getattr(self, name)
             if v < 0 or not math.isfinite(v):

@@ -61,8 +61,13 @@ def test_option_schema_exact_keys():
 def test_observation_schema_and_finiteness():
     obs = Observation({"error": 0.0, "error_rate": 1.0})
     obs.validate(("error", "error_rate"))
+    obs.validate(("error_rate", "error", "error"))
     with pytest.raises(SchemaError):
         obs.validate(("error",))
+    # Same size, other keys: the message lists both sorted key sets.
+    with pytest.raises(SchemaError) as info:
+        obs.validate(("rate", "error"))
+    assert str(info.value) == "observation keys ['error', 'error_rate'] != schema ['error', 'rate']"
     with pytest.raises(InputError):
         Observation({"error": float("nan"), "error_rate": 0.0}).validate(
             ("error", "error_rate")
@@ -164,9 +169,22 @@ def _signed_zero_trace():
     return trace
 
 
+def _trace_without_landmarks():
+    trace = Trace()
+    evidence = (LatentEvidence("compliance", -0.1, 0.02),)
+    trace.append(TraceRecord(0, Observation({"error": -0.0, "error_rate": 0.0}, evidence),
+                             Action("launch", {"offset": 0.5, "impulse": 0.38}),
+                             OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}),
+                             False))
+    for step in (1, 2):
+        trace.append(_record(step))
+    return trace
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_traces())
 @example(_signed_zero_trace())
+@example(_trace_without_landmarks())
 def test_json_line_is_byte_identical_to_json_dumps(trace):
     expected = [_reference_line(r) for r in trace.records]
     assert [r.to_json_line() for r in trace.records] == expected

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.harness import parse_config
@@ -144,32 +143,14 @@ def test_config_rejects_bad_values_by_field_name(field, value):
         parse_config(json.dumps({"family": "B", "env": {field: value}}))
 
 
-def _output_files(directory):
-    files = {}
-    for path in sorted(directory.rglob("*")):
-        if path.is_file() and path.name != "timing.json":
-            files[str(path.relative_to(directory))] = path.read_bytes()
-    doc = json.loads(files.pop("resolved_config.json"))
-    doc.pop("output_dir")
-    return files, doc
-
-
-def test_jobs_do_not_change_output_bytes(tmp_path):
+def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     # Both variants, drift and distractors, with failure traces recorded.
-    config = tmp_path / "b.json"
-    config.write_text(json.dumps({
+    outputs = outputs_by_jobs({
         "family": "B",
         "seeds": "0..3",
         "env": {"n_events": 48, "landmark_drift": 0.02, "conflict_rate": 0.5},
         "ablations": ["flat_archive"],
-    }))
-    outputs = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
-        outputs[jobs] = _output_files(out)
-        timing = json.loads((out / "timing.json").read_text())
-        assert timing["report_seconds"] >= timing["trace_replay_seconds"] > 0.0
+    })
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 6
     assert outputs[1] == outputs[2]

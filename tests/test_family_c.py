@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs.family_c import (
     AgentFlags,
@@ -181,32 +180,14 @@ def test_config_rejects_bad_values_by_field_name(field, value):
         parse_config(json.dumps({"family": "C", "env": {field: value}}))
 
 
-def _output_files(directory):
-    files = {}
-    for path in sorted(directory.rglob("*")):
-        if path.is_file() and path.name != "timing.json":
-            files[str(path.relative_to(directory))] = path.read_bytes()
-    doc = json.loads(files.pop("resolved_config.json"))
-    doc.pop("output_dir")
-    return files, doc
-
-
-def test_jobs_do_not_change_output_bytes(tmp_path):
+def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     # All three variants, noisy monitors, with failure traces recorded.
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({
+    outputs = outputs_by_jobs({
         "family": "C",
         "seeds": "0..3",
         "env": {"caches": 12, "visibility": 0.7, "verifier_fp": 0.1, "verifier_fn": 0.1},
         "ablations": ["no_observer_model", "end_only_checking"],
-    }))
-    outputs = {}
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
-        outputs[jobs] = _output_files(out)
-        timing = json.loads((out / "timing.json").read_text())
-        assert timing["report_seconds"] >= timing["trace_replay_seconds"] > 0.0
+    })
     files, _ = outputs[1]
     assert files["runs.jsonl"].count(b"\n") == 12
     assert sum(name.startswith("traces/") for name in files) == 9

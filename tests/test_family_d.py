@@ -162,6 +162,21 @@ def test_config_rejects_non_integer_and_degenerate_counts(field, low, bad):
         parse_config(json.dumps({"family": "D", "env": {field: value}}))
 
 
+def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
+    # Both modes, noisy checkers, with failure traces recorded.
+    outputs = outputs_by_jobs({
+        "family": "D",
+        "seeds": "0..3",
+        "env": {"n_constraints": 16},
+        "agent": {"checker_fp": 0.1, "checker_fn": 0.2},
+        "ablations": ["single_agent"],
+    })
+    files, _ = outputs[1]
+    assert files["runs.jsonl"].count(b"\n") == 8
+    assert sum(name.startswith("traces/") for name in files) == 6
+    assert outputs[1] == outputs[2]
+
+
 def _reference_climb(plan, known, alphabet, stream, iterations):
     """Brute-force climb: re-runs `_violations` on every trial plan."""
     positions = stream.integers(0, len(plan), size=iterations)

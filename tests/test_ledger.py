@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hoardbench.core.state import InputError
 from hoardbench.ledger import (
@@ -35,6 +39,44 @@ def test_accrual_arithmetic():
 def test_negative_costs_rejected():
     with pytest.raises(InputError):
         StepCosts(task=-0.1)
+
+
+_COST_FIELDS = ("task", "latency", "leak", "repair", "compute")
+
+
+def _reference_step_cost_check(values):
+    """The per-field check alone: the message StepCosts must raise, or None."""
+    for name, v in zip(_COST_FIELDS, values):
+        if v < 0 or not math.isfinite(v):
+            return f"step cost {name!r}={v} must be finite and >= 0"
+    return None
+
+
+# Ints stay in the float range: beyond it the per-field check itself fails
+# (math.isfinite raises OverflowError).
+_cost_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**63), 2**63),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, -1e-300, 5e-324, 1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(*[_cost_values] * 5))
+@example((0.0, -0.0, 0.0, 0.0, 0.0))
+@example((0.0, 0.0, math.nan, 0.0, 0.0))
+@example((True, False, 1, 0, math.inf))
+@example((1.0, 2.0, 3.0, 4.0, -math.inf))
+@example((-0.0, -1, 0.0, math.nan, -1.0))
+def test_step_cost_check_matches_per_field_oracle(values):
+    expected = _reference_step_cost_check(values)
+    if expected is None:
+        assert tuple(getattr(StepCosts(*values), n) for n in _COST_FIELDS) == values
+    else:
+        with pytest.raises(InputError) as info:
+            StepCosts(*values)
+        assert str(info.value) == expected
 
 
 def test_budget_exhaustion_marks_ledger():
