@@ -9,7 +9,7 @@ from .ledger import CostLedger, StepCosts, accrue, constraint_check, objective_v
 from .memory import MemoryStore, Query, Retrieval, StoreVariant, decode_location, retrieve, write
 from .observer import ObserverBelief, leakage_score, observer_update, pilfer_select
 from .rng import RunStreams, Substream
-from .verifier import VerifierPipeline, VerifierSpec, evaluate, schedule, score_verifier
+from .verifier import SignalSink, VerifierSpec, evaluate, score_verifier
 
 __all__ = [
     "ControllerConfig",
@@ -20,10 +20,10 @@ __all__ = [
     "Retrieval",
     "RlsState",
     "RunStreams",
+    "SignalSink",
     "StepCosts",
     "StoreVariant",
     "Substream",
-    "VerifierPipeline",
     "VerifierSpec",
     "__version__",
     "accrue",
@@ -38,7 +38,6 @@ __all__ = [
     "predictive_compensate",
     "retrieve",
     "rls_update",
-    "schedule",
     "score_verifier",
     "write",
 ]

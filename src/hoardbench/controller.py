@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_number_fields
 
 # Discrete step map for a 1-D plant: (pos, vel, accel) -> (pos', vel').
 # Position integrates the old velocity, then velocity integrates the input.
@@ -45,12 +45,15 @@ class ControllerConfig:
     forgetting: float = 0.98
 
     def __post_init__(self):
-        for name in ("kp", "kd"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"gain {name} must be non-negative")
-        if self.action_bound <= 0:
+        check_number_fields(self, (
+            ("kp", 0.0, math.inf),
+            ("kd", 0.0, math.inf),
+            ("action_bound", 0.0, math.inf),
+            ("forgetting", 0.9, 1.0),
+        ))
+        if self.action_bound == 0:
             raise ConfigurationError("action_bound must be positive")
-        if not (0.9 < self.forgetting <= 1.0):
+        if self.forgetting == 0.9:
             raise ConfigurationError("forgetting must lie in (0.9, 1]")
 
 

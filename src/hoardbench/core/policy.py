@@ -8,17 +8,16 @@ that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from ..controller import ControllerConfig, pd_feedback
 from ..memory import EMPTY_QUERY, LandmarkSet, Query, Retrieval, encode_cue
 from ..rng import Substream
-from .belief import Belief, BeliefConfig
+from .belief import Belief
 from .state import (
     Action,
     ConfigurationError,
-    NOOP,
     OptionChoice,
     OptionKind,
     validate_option,
@@ -30,16 +29,13 @@ class PolicyContext:
     """Everything a policy may consult besides its belief.
 
     `observer_estimate` is the agent-side copy of the adversary belief (None
-    for observer-unaware agents); `signals` are agent-visible verifier
-    signals delivered so far; `landmark_estimates` are the agent's current
+    for observer-unaware agents); `landmark_estimates` are the agent's current
     landmark fixes used for cue formation.
     """
 
     rng: Substream
     controller: ControllerConfig | None = None
-    belief_config: BeliefConfig | None = None
     observer_estimate: object | None = None
-    signals: list = field(default_factory=list)
     landmark_estimates: LandmarkSet | None = None
     option_schema: dict | None = None
 
@@ -87,14 +83,16 @@ def check_policy(policy, protocol: type):
     return policy
 
 
-def select_option(policy: OptionPolicy, belief: Belief, ctx: PolicyContext) -> OptionChoice:
+def select_option(
+    policy: OptionPolicy, belief: Belief | None, ctx: PolicyContext
+) -> OptionChoice:
     """Run the high-level policy and validate its choice against the schema.
     The policy was checked against `OptionPolicy` when it was built."""
     option = policy.select(belief, ctx)
     return validate_option(option, ctx.option_schema)
 
 
-def form_query(belief: Belief, option: OptionChoice, ctx: PolicyContext) -> Query:
+def form_query(belief: Belief | None, option: OptionChoice, ctx: PolicyContext) -> Query:
     """Derive the retrieval query induced by the current belief and option.
 
     Only cache and retrieve options touch memory; every other option kind
@@ -106,11 +104,7 @@ def form_query(belief: Belief, option: OptionChoice, ctx: PolicyContext) -> Quer
     if landmarks is None:
         raise ConfigurationError("query formation requires landmark estimates")
     location = (option.params["x"], option.params["y"])
-    return Query(
-        item_type=int(option.params["item_type"]),
-        value_band=None,
-        cue=encode_cue(location, landmarks),
-    )
+    return Query(item_type=int(option.params["item_type"]), cue=encode_cue(location, landmarks))
 
 
 def act(
@@ -164,19 +158,3 @@ class StabilizingController:
                 Action("force", {"force": bounded}), 0.0, bounded != force
             )
         return ActOutcome(Action("force", {"force": 0.0}))
-
-
-class DigAtRetrieved:
-    """Dig at the decoded location carried by a retrieval result."""
-
-    def act(
-        self,
-        belief: Belief,
-        retrieved: Retrieval | None,
-        option: OptionChoice,
-        ctx: PolicyContext,
-    ) -> ActOutcome:
-        if retrieved is None or retrieved.decoded_location is None:
-            return ActOutcome(NOOP)
-        x, y = retrieved.decoded_location
-        return ActOutcome(Action("dig", {"x": x, "y": y}))

@@ -76,18 +76,6 @@ class LatentParams:
         return self.values[self.spec.index(name)]
 
 
-@dataclass
-class TaskState:
-    """Remaining horizon of a run, in steps."""
-
-    remaining_steps: int
-
-    def tick(self) -> None:
-        if self.remaining_steps <= 0:
-            raise InputError("task horizon already exhausted")
-        self.remaining_steps -= 1
-
-
 # ---------------------------------------------------------------------------
 # Options
 # ---------------------------------------------------------------------------

@@ -43,23 +43,14 @@ from ..core.state import (
     OptionChoice,
     OptionKind,
     OPTION_MAX_STEPS,
-    TaskState,
     Trace,
     TraceRecord,
-    TraceSegment,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams
-from ..verifier import (
-    Placement,
-    VerifierKind,
-    VerifierPipeline,
-    VerifierSpec,
-    evaluate,
-    schedule,
-)
-from .records import RunRecord, STATUS_COMPLETED, finish_record
+from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 INTERVENTION_EPS = 1e-12
 
@@ -194,35 +185,24 @@ def run_family_a(
         rls_forgetting=agent.forgetting,
         dynamics=dynamics,
     )
-    pipeline = schedule(
-        VerifierPipeline(
-            (
-                VerifierSpec(
-                    VerifierKind.PRECONDITION, "launch_in_range", env.verifier_fp,
-                    env.verifier_fn, 0,
-                ),
-                VerifierSpec(
-                    VerifierKind.POSTCONDITION, "stabilized", env.verifier_fp,
-                    env.verifier_fn, env.verifier_delay,
-                ),
-            )
-        ),
-        placement,
+    launch_spec = VerifierSpec(
+        VerifierKind.PRECONDITION, "launch_in_range", env.verifier_fp, env.verifier_fn, 0
     )
+    goal_spec = VerifierSpec(
+        VerifierKind.POSTCONDITION, "stabilized", env.verifier_fp, env.verifier_fn,
+        env.verifier_delay,
+    )
+    sink = SignalSink(placement, streams.verifier, PREDICATES)
     latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
-    task = TaskState(remaining_steps=env.trials * (env.horizon + 1))
     planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
         rng=streams.agent,
         controller=agent,
-        belief_config=belief_cfg,
         option_schema=OPTION_SCHEMA,
     )
 
     belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
     record = RunRecord(family="A", variant="", seed=seed, status=STATUS_COMPLETED)
-    signals = []
-    pending = []  # (spec, segment_bounds, truth, target) deferred to the end
 
     successes = 0
     stab_times: list[float] = []
@@ -271,19 +251,13 @@ def run_family_a(
         launch_action = Action("launch", {"offset": offset, "impulse": impulse})
         belief = update_belief(belief, landing_obs, launch_action, belief_cfg)
         comp_kappa += belief.last_compute
-        task.tick()
         if trace is not None:
             trace.append(
                 TraceRecord(global_step, landing_obs, launch_action, launch, False)
             )
         global_step += 1
 
-        pre_seg = (trial_start, trial_start)
-        pre_truth = {"launch_ok": launch_ok}
-        if pipeline.placement is Placement.IN_LOOP:
-            signals.append(_eval(pipeline.specs[0], pre_seg, pre_truth, streams))
-        else:
-            pending.append((pipeline.specs[0], pre_seg, pre_truth))
+        sink.check(launch_spec, trial_start, trial_start, {"launch_ok": launch_ok})
 
         # Open-loop agents commit a correction schedule now and never revise.
         plan: list[float] = []
@@ -329,7 +303,6 @@ def run_family_a(
             )
             belief = update_belief(belief, obs, outcome.action, belief_cfg)
             comp_kappa += belief.last_compute
-            task.tick()
             if trace is not None:
                 trace.append(
                     TraceRecord(global_step, obs, outcome.action, option, False)
@@ -363,21 +336,13 @@ def run_family_a(
         successes += int(success)
         stab_times.append(float(first_hold_step if first_hold_step is not None else env.horizon))
 
-        post_seg = (trial_start, global_step - 1)
-        post_truth = {"success": success}
-        if pipeline.placement is Placement.IN_LOOP:
-            signals.append(_eval(pipeline.specs[1], post_seg, post_truth, streams))
-        else:
-            pending.append((pipeline.specs[1], post_seg, post_truth))
+        sink.check(goal_spec, trial_start, global_step - 1, {"success": success})
 
         if ledger.exhausted:
             break
 
-    for spec, seg, truth in pending:
-        signals.append(_eval(spec, seg, truth, streams, emitted_at=final_step))
-
-    post_signals = [s for s in signals if s.predicate_id == "stabilized"]
-    record.goal_verdict = int(all(s.verdict for s in post_signals)) if post_signals else 0
+    sink.flush(final_step)
+    record.goal_verdict = sink.goal_verdict("stabilized")
     record.metrics = {
         "success_rate": successes / env.trials,
         "time_to_stabilization": sum(stab_times) / len(stab_times) if stab_times else float(env.horizon),
@@ -386,12 +351,42 @@ def run_family_a(
         "trials": float(env.trials),
     }
     record.kappa_by_source = {"launch_scan": scan_kappa, "compensation": comp_kappa}
-    record.signals = [s.to_json_obj() for s in signals]
+    record.signals = [s.to_json_obj() for s in sink.signals]
     return finish_record(record, ledger)
 
 
-def _eval(spec, seg_bounds, truth, streams: RunStreams, emitted_at=None):
-    segment = TraceSegment(seg_bounds[0], seg_bounds[1])
-    return evaluate(
-        spec, segment, truth, streams.verifier, PREDICATES, emitted_at=emitted_at
+def _controller(agent: dict) -> ControllerConfig:
+    return ControllerConfig(
+        feedback_enabled=agent["feedback"],
+        compensator_enabled=agent["compensator"],
+        rls_enabled=agent["rls"],
+        kp=float(agent["kp"]),
+        kd=float(agent["kd"]),
+        action_bound=float(agent["action_bound"]),
+        forgetting=float(agent["forgetting"]),
     )
+
+
+def _run(env, agent, ledger, seed, trace):
+    return run_family_a(
+        env, _controller(agent), ledger, seed, agent["verifier_placement"], trace
+    )
+
+
+FAMILY = Family(
+    env_config=FamilyAConfig,
+    agent={
+        "feedback": True,
+        "compensator": True,
+        "rls": False,
+        "kp": 3.0,
+        "kd": 2.5,
+        "action_bound": 10.0,
+        "forgetting": 0.98,
+        "verifier_placement": "in_loop",
+    },
+    choices={"verifier_placement": ("in_loop", "end_only")},
+    ablations={"no_feedback": ("feedback", False), "no_compensator": ("compensator", False)},
+    run=_run,
+    check_agent=_controller,
+)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.belief import Belief, BeliefConfig, initial_belief
+from ..core.belief import Belief
 from ..core.policy import (
     OptionPolicy,
     PolicyContext,
@@ -30,13 +30,11 @@ from ..core.policy import (
 from ..core.state import (
     Action,
     ConfigurationError,
-    EmbodiedState,
     Observation,
     OptionChoice,
     OptionKind,
     Trace,
     TraceRecord,
-    TraceSegment,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -48,15 +46,8 @@ from ..memory import (
     write,
 )
 from ..rng import RunStreams
-from ..verifier import (
-    Placement,
-    VerifierKind,
-    VerifierPipeline,
-    VerifierSpec,
-    evaluate,
-    schedule,
-)
-from .records import RunRecord, STATUS_COMPLETED, finish_record
+from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 # Distractors land within this radius of a true cache: near enough to share
 # landmark context and confuse cue matching, far enough that digging at a
@@ -82,7 +73,7 @@ class RetrievalGoalPolicy:
     def __init__(self, goals: list[tuple[int, float, float]]):
         self.goals = list(goals)
 
-    def select(self, belief: Belief, ctx: PolicyContext) -> OptionChoice:
+    def select(self, belief: Belief | None, ctx: PolicyContext) -> OptionChoice:
         item_type, x, y = self.goals.pop(0)
         return OptionChoice(
             OptionKind.RETRIEVE, {"item_type": float(item_type), "x": x, "y": y}
@@ -210,8 +201,6 @@ def run_family_b(
     # world moves underneath the cues.
     step += env.query_delay
 
-    belief_cfg = BeliefConfig(observation_keys=("phase",), embodied_keys=("phase", "phase"))
-    belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
     policy = check_policy(
         RetrievalGoalPolicy(
             [(int(types[int(k)]), float(locs[int(k), 0]), float(locs[int(k), 1])) for k in order]
@@ -220,28 +209,16 @@ def run_family_b(
     )
     ctx = PolicyContext(
         rng=streams.agent,
-        belief_config=belief_cfg,
         landmark_estimates=drifted,
         option_schema=OPTION_SCHEMA,
     )
 
-    pipeline = schedule(
-        VerifierPipeline(
-            (
-                VerifierSpec(
-                    VerifierKind.RUNTIME_MONITOR, "retrieval_cites_written_episode",
-                    env.verifier_fp, env.verifier_fn, env.verifier_delay,
-                ),
-                VerifierSpec(
-                    VerifierKind.POSTCONDITION, "precision_target",
-                    env.verifier_fp, env.verifier_fn, env.verifier_delay,
-                ),
-            )
-        ),
-        placement,
+    fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.verifier_delay)
+    cite_spec = VerifierSpec(
+        VerifierKind.RUNTIME_MONITOR, "retrieval_cites_written_episode", *fp_fn_delay
     )
-    signals = []
-    pending = []
+    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "precision_target", *fp_fn_delay)
+    sink = SignalSink(placement, streams.verifier, PREDICATES)
 
     hits = 0
     confusions = 0
@@ -251,8 +228,8 @@ def run_family_b(
 
     for qi, idx in enumerate(int(k) for k in order):
         true_loc = (float(locs[idx, 0]), float(locs[idx, 1]))
-        option = select_option(policy, belief, ctx)
-        query = form_query(belief, option, ctx)
+        option = select_option(policy, None, ctx)
+        query = form_query(None, option, ctx)
         result = retrieve(store, query, drifted)
         probes.append(result.probes_used)
         probe_kappa += result.probes_used
@@ -290,42 +267,22 @@ def run_family_b(
             confusions += 1
 
         if qi % PROVENANCE_SAMPLE_STRIDE == 0:
-            seg = (step, step)
-            truth = {"cited_ok": cited_ok}
             if not cited_ok:
                 provenance_failures += 1
-            if pipeline.placement is Placement.IN_LOOP:
-                signals.append(
-                    evaluate(pipeline.specs[0], TraceSegment(*seg), truth,
-                             streams.verifier, PREDICATES)
-                )
-            else:
-                pending.append((pipeline.specs[0], seg, truth))
+            sink.check(cite_spec, step, step, {"cited_ok": cited_ok})
         step += 1
 
     precision = hits / n
     confusion_rate = confusions / n
-    truth = {"precision_ok": precision >= env.precision_target}
-    final_step = step
-    if pipeline.placement is Placement.IN_LOOP:
-        signals.append(
-            evaluate(pipeline.specs[1], TraceSegment(0, final_step), truth,
-                     streams.verifier, PREDICATES)
-        )
-    else:
-        pending.append((pipeline.specs[1], (0, final_step), truth))
-    for spec, seg, t in pending:
-        signals.append(
-            evaluate(spec, TraceSegment(*seg), t, streams.verifier, PREDICATES,
-                     emitted_at=final_step + env.verifier_delay)
-        )
+    precision_ok = precision >= env.precision_target
+    sink.check(goal_spec, 0, step, {"precision_ok": precision_ok})
+    sink.flush(step + env.verifier_delay)
 
-    accrue(ledger, StepCosts(task=0.0 if truth["precision_ok"] else 1.0))
+    accrue(ledger, StepCosts(task=0.0 if precision_ok else 1.0))
 
     probe_arr = np.asarray(probes, dtype=float)
-    post = [s for s in signals if s.predicate_id == "precision_target"]
     record = RunRecord(family="B", variant="", seed=seed, status=STATUS_COMPLETED)
-    record.goal_verdict = int(all(s.verdict for s in post)) if post else 0
+    record.goal_verdict = sink.goal_verdict("precision_target")
     record.metrics = {
         "precision": precision,
         "confusion_rate": confusion_rate,
@@ -336,5 +293,23 @@ def run_family_b(
         "episodes_stored": float(len(store)),
     }
     record.kappa_by_source = {"writes": write_kappa, "retrieval_probes": probe_kappa}
-    record.signals = [s.to_json_obj() for s in signals]
+    record.signals = [s.to_json_obj() for s in sink.signals]
     return finish_record(record, ledger)
+
+
+def _run(env, agent, ledger, seed, trace):
+    return run_family_b(
+        env, agent["memory_variant"], ledger, seed, agent["verifier_placement"], trace
+    )
+
+
+FAMILY = Family(
+    env_config=FamilyBConfig,
+    agent={"memory_variant": "clustered", "verifier_placement": "in_loop"},
+    choices={
+        "memory_variant": ("flat", "clustered"),
+        "verifier_placement": ("in_loop", "end_only"),
+    },
+    ablations={"flat_archive": ("memory_variant", "flat")},
+    run=_run,
+)

@@ -22,18 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.belief import Belief, BeliefConfig, initial_belief
+from ..core.belief import Belief
 from ..core.policy import OptionPolicy, PolicyContext, check_policy, select_option
 from ..core.state import (
     Action,
     ConfigurationError,
-    EmbodiedState,
     Observation,
     OptionChoice,
     OptionKind,
     Trace,
     TraceRecord,
-    TraceSegment,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -49,16 +47,8 @@ from ..observer import (
     pilfer_select,
 )
 from ..rng import RunStreams
-from ..verifier import (
-    Placement,
-    VerifierKind,
-    VerifierPipeline,
-    VerifierSpec,
-    evaluate,
-    schedule,
-    score_verifier,
-)
-from .records import RunRecord, STATUS_COMPLETED, finish_record
+from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec, score_verifier
+from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 CANDIDATE_CELLS = 8
 MAX_DEFERS_PER_CACHE = 3
@@ -169,7 +159,7 @@ class CacheSitePolicy:
         pool = [c for c in cells if c not in self.avoid] or cells
         return min(pool, key=lambda c: (self._mass(ctx, c), c))
 
-    def select(self, belief: Belief, ctx: PolicyContext) -> OptionChoice:
+    def select(self, belief: Belief | None, ctx: PolicyContext) -> OptionChoice:
         cell = self.pick_cell(ctx)
         if self._mass(ctx, cell) > self.theta:
             return OptionChoice(
@@ -202,29 +192,11 @@ def run_family_c(
     adversary = ObserverBelief.uniform(env.diffusion_rate)
     agent_estimate = ObserverBelief.uniform(env.diffusion_rate) if flags.observer_aware else None
 
-    pipeline = schedule(
-        VerifierPipeline(
-            (
-                VerifierSpec(
-                    VerifierKind.RUNTIME_MONITOR, "cache_while_observed",
-                    env.verifier_fp, env.verifier_fn, env.monitor_delay,
-                ),
-                VerifierSpec(
-                    VerifierKind.POSTCONDITION, "no_cache_in_forbidden_zone",
-                    env.verifier_fp, env.verifier_fn, env.monitor_delay,
-                ),
-                VerifierSpec(
-                    VerifierKind.POSTCONDITION, "recovered_target",
-                    env.verifier_fp, env.verifier_fn, env.monitor_delay,
-                ),
-            )
-        ),
-        placement,
-    )
-    monitor_spec, zone_spec, goal_spec = pipeline.specs
-    in_loop = pipeline.placement is Placement.IN_LOOP
-    signals = []
-    pending = []
+    fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.monitor_delay)
+    monitor_spec = VerifierSpec(VerifierKind.RUNTIME_MONITOR, "cache_while_observed", *fp_fn_delay)
+    zone_spec = VerifierSpec(VerifierKind.POSTCONDITION, "no_cache_in_forbidden_zone", *fp_fn_delay)
+    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "recovered_target", *fp_fn_delay)
+    sink = SignalSink(placement, streams.verifier, PREDICATES)
 
     # Item values and the unaware agent's cell plan are drawn up front so
     # awareness toggles cannot shift the environment stream.
@@ -254,14 +226,11 @@ def run_family_c(
     inbox: list = []  # (deliver_at, agent-visible signal view)
     sighted_cells: list[tuple[int, int]] = []  # raw sightings, in order
 
-    belief_cfg = BeliefConfig(observation_keys=("phase",), embodied_keys=("phase", "phase"))
-    belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
     policy = check_policy(
         CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells), OptionPolicy
     )
     ctx = PolicyContext(
         rng=streams.agent,
-        belief_config=belief_cfg,
         observer_estimate=agent_estimate,
         option_schema=OPTION_SCHEMA,
     )
@@ -308,7 +277,7 @@ def run_family_c(
         elif pending_items:
             nxt = pending_items[0]
             if flags.observer_aware:
-                option = select_option(policy, belief, ctx)
+                option = select_option(policy, None, ctx)
                 cell = (int(option.params["row"]), int(option.params["col"]))
                 if option.kind is OptionKind.CONCEAL and defer_budget[nxt] > 0:
                     defer_budget[nxt] -= 1
@@ -416,14 +385,9 @@ def run_family_c(
 
         violation = is_real_cache and visible
         violations += int(violation)
-        seg = (step, step)
-        truth = {"violation": violation}
-        if in_loop:
-            sig = evaluate(monitor_spec, TraceSegment(*seg), truth, streams.verifier, PREDICATES)
-            signals.append(sig)
+        sig = sink.check(monitor_spec, step, step, {"violation": violation})
+        if sig is not None:
             inbox.append((sig.emitted_at, sig.agent_view()))
-        else:
-            pending.append((monitor_spec, seg, truth))
 
         if trace is not None:
             px, py = _cell_center(action_cell) if action_cell else (0.0, 0.0)
@@ -499,29 +463,18 @@ def run_family_c(
     total_value = float(sum(c["value"] for c in placed)) if placed else 1.0
     recovered_fraction = recovered_value / total_value if total_value else 0.0
 
-    final_step = step + env.monitor_delay
-    zone_truth = {"in_zone": any(_in_zone(c["cell"], env.forbidden_zone) for c in placed)}
-    goal_truth = {"recovered_ok": recovered_fraction >= env.recovered_target}
-    if in_loop:
-        signals.append(evaluate(zone_spec, TraceSegment(0, step), zone_truth, streams.verifier, PREDICATES))
-        signals.append(evaluate(goal_spec, TraceSegment(0, step), goal_truth, streams.verifier, PREDICATES))
-    else:
-        pending.append((zone_spec, (0, step), zone_truth))
-        pending.append((goal_spec, (0, step), goal_truth))
-    for spec, seg, t in pending:
-        signals.append(
-            evaluate(spec, TraceSegment(*seg), t, streams.verifier, PREDICATES,
-                     emitted_at=final_step)
-        )
+    in_zone = any(_in_zone(c["cell"], env.forbidden_zone) for c in placed)
+    sink.check(zone_spec, 0, step, {"in_zone": in_zone})
+    sink.check(goal_spec, 0, step, {"recovered_ok": recovered_fraction >= env.recovered_target})
+    sink.flush(step + env.monitor_delay)
 
     accrue(ledger, StepCosts(task=max(0.0, 1.0 - recovered_fraction)))
 
-    monitor_signals = [s for s in signals if s.predicate_id == "cache_while_observed"]
+    monitor_signals = [s for s in sink.signals if s.predicate_id == "cache_while_observed"]
     vmetrics = score_verifier(monitor_signals, deadline=pilfer_step)
 
-    goal_signals = [s for s in signals if s.predicate_id == "recovered_target"]
     record = RunRecord(family="C", variant="", seed=seed, status=STATUS_COMPLETED)
-    record.goal_verdict = int(all(s.verdict for s in goal_signals)) if goal_signals else 0
+    record.goal_verdict = sink.goal_verdict("recovered_target")
     record.metrics = {
         "recovered_value": recovered_value,
         "recovered_fraction": recovered_fraction,
@@ -532,10 +485,27 @@ def run_family_c(
         "recache_moves": float(recache_moves),
         "caches_pilfered": float(stolen_count),
         "post_hoc_corrections": float(corrections),
-        "zone_breaches": float(zone_truth["in_zone"]),
+        "zone_breaches": float(in_zone),
         "belief_mismatch": belief_mismatch,
     }
     record.kappa_by_source = dict(kappa)
-    record.signals = [s.to_json_obj() for s in signals]
+    record.signals = [s.to_json_obj() for s in sink.signals]
     record.observer_grid = adversary.dump_row_major()
     return finish_record(record, ledger)
+
+
+def _run(env, agent, ledger, seed, trace):
+    flags = AgentFlags(agent["observer_aware"], agent["decoys"])
+    return run_family_c(env, flags, ledger, seed, agent["verifier_placement"], trace)
+
+
+FAMILY = Family(
+    env_config=FamilyCConfig,
+    agent={"observer_aware": True, "decoys": True, "verifier_placement": "in_loop"},
+    choices={"verifier_placement": ("in_loop", "end_only")},
+    ablations={
+        "no_observer_model": ("observer_aware", False),
+        "end_only_checking": ("verifier_placement", "end_only"),
+    },
+    run=_run,
+)

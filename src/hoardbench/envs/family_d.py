@@ -40,20 +40,12 @@ from ..core.state import (
     OptionKind,
     Trace,
     TraceRecord,
-    TraceSegment,
 )
 from ..errors import check_int_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams, Substream
-from ..verifier import (
-    Placement,
-    VerifierKind,
-    VerifierPipeline,
-    VerifierSpec,
-    evaluate,
-    schedule,
-)
-from .records import RunRecord, STATUS_COMPLETED, finish_record
+from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 HILLCLIMB_ITERATIONS = 200
 WITNESS_ITERATIONS = 2000
@@ -286,7 +278,6 @@ def run_family_d(
     seed: int,
     verifier_fp: float = 0.0,
     verifier_fn: float = 0.0,
-    placement: Placement | str = Placement.IN_LOOP,
     trace: Trace | None = None,
 ) -> RunRecord:
     mode = RoleMode(mode)
@@ -329,16 +320,10 @@ def run_family_d(
     registry["plan_satisfies_universe"] = lambda seg, truth: len(
         _violations(truth["plan"], truth["universe"])
     ) == 0
-    goal_pipeline = schedule(
-        VerifierPipeline(
-            (VerifierSpec(VerifierKind.POSTCONDITION, "plan_satisfies_universe"),)
-        ),
-        placement,
-    )
+    sink = SignalSink(Placement.IN_LOOP, streams.verifier, registry)
 
     proposer_known_ids = set(k_proposer)
     plan = tuple(int(v) for v in streams.agent.integers(0, env.alphabet_size, size=env.plan_length))
-    signals = []
     repair_rounds = 0
     proposer_evals = 0
     executor_evals = 0
@@ -380,8 +365,7 @@ def run_family_d(
             spec = VerifierSpec(
                 VerifierKind.RUNTIME_MONITOR, f"c{cid}", verifier_fp, verifier_fn
             )
-            sig = evaluate(spec, TraceSegment(step, step), truth, streams.verifier, registry)
-            signals.append(sig)
+            sig = sink.check(spec, step, step, truth)
             checker_evals += 1
             if sig.verdict is False:
                 checker_bad.append(cid)
@@ -419,18 +403,13 @@ def run_family_d(
     ]
     correlated_error_rate = len(correlated_blind) / n if n else 0.0
 
-    goal_truth = {"plan": plan, "universe": universe}
-    goal_sig = evaluate(
-        goal_pipeline.specs[0], TraceSegment(0, step), goal_truth, streams.verifier,
-        registry,
-        emitted_at=step if goal_pipeline.placement is Placement.END_ONLY else None,
-    )
-    signals.append(goal_sig)
+    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "plan_satisfies_universe")
+    sink.check(goal_spec, 0, step, {"plan": plan, "universe": universe})
 
     accrue(ledger, StepCosts(task=float(len(released_violations))))
 
     record = RunRecord(family="D", variant="", seed=seed, status=STATUS_COMPLETED)
-    record.goal_verdict = int(bool(goal_sig.verdict))
+    record.goal_verdict = sink.goal_verdict("plan_satisfies_universe")
     record.metrics = {
         "silent_failure": float(silent_failure),
         "correlated_error_rate": correlated_error_rate,
@@ -445,5 +424,30 @@ def run_family_d(
         "executor_evals": float(executor_evals),
         "checker_evals": float(checker_evals),
     }
-    record.signals = [s.to_json_obj() for s in signals[-20:]]
+    record.signals = [s.to_json_obj() for s in sink.signals[-20:]]
     return finish_record(record, ledger)
+
+
+def _check_agent(agent: dict) -> None:
+    for key in ("checker_fp", "checker_fn"):
+        if not 0.0 <= agent[key] < 1.0:
+            raise ConfigurationError(f"agent.{key} must lie in [0, 1)")
+    if agent["checker_fp"] + agent["checker_fn"] >= 1.0:
+        raise ConfigurationError("agent.checker_fp + agent.checker_fn must stay below 1")
+
+
+def _run(env, agent, ledger, seed, trace):
+    return run_family_d(
+        env, agent["mode"], ledger, seed, float(agent["checker_fp"]),
+        float(agent["checker_fn"]), trace,
+    )
+
+
+FAMILY = Family(
+    env_config=FamilyDConfig,
+    agent={"mode": "differentiated", "checker_fp": 0.0, "checker_fn": 0.0},
+    choices={"mode": ("single_agent", "differentiated")},
+    ablations={"single_agent": ("mode", "single_agent")},
+    run=_run,
+    check_agent=_check_agent,
+)

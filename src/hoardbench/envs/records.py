@@ -1,9 +1,11 @@
-"""Per-run result record shared by all benchmark families."""
+"""Per-run result record shared by all benchmark families, and the registry
+entry through which the harness sees each family."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..ledger import CostLedger, objective_value
 
@@ -96,3 +98,22 @@ def finish_record(record: RunRecord, ledger: CostLedger) -> RunRecord:
     if ledger.exhausted:
         record.status = STATUS_BUDGET_EXHAUSTED
     return record
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the harness knows of one family.
+
+    `agent` maps each agent key the family reads to its default, and
+    `choices` lists the allowed values of the string keys. Each ablation maps
+    its name to the (agent key, value) it sets. `run(env, agent, ledger,
+    seed, trace)` runs one cell, and `check_agent` raises
+    `ConfigurationError` for an agent block the family cannot run.
+    """
+
+    env_config: type
+    agent: dict[str, object]
+    choices: dict[str, tuple[str, ...]]
+    ablations: dict[str, tuple[str, object]]
+    run: Callable[..., RunRecord]
+    check_agent: Callable[[dict], object] = lambda agent: None

@@ -7,6 +7,10 @@ weights. The grid is the baseline plus one variant per ablation, optionally
 crossed with a sweep over one environment key, run over every seed. Results
 are written as line-delimited JSON plus plot-ready CSV; all run output is
 byte-deterministic for a fixed config, whatever the worker count.
+
+Everything family-specific comes from the family registry, `envs.FAMILIES`:
+each family's env config class, the agent keys it reads with their
+defaults, its ablations, its agent check and its cell runner.
 """
 
 from __future__ import annotations
@@ -19,40 +23,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .controller import ControllerConfig
 from .core.state import ConfigurationError, InputError, Trace
-from .envs import (
-    ENV_CONFIGS,
-    AgentFlags,
-    RunRecord,
-    STATUS_FAILED,
-    run_family_a,
-    run_family_b,
-    run_family_c,
-    run_family_d,
-)
+from .envs import FAMILIES, RunRecord, STATUS_FAILED
 from .errors import is_finite_number
 from .ledger import CostLedger, aggregate, constraint_check
 from .rng import Substream
 
 WORST_RUNS_LISTED = 3
-
-AGENT_DEFAULTS: dict[str, object] = {
-    "feedback": True,
-    "compensator": True,
-    "rls": False,
-    "kp": 3.0,
-    "kd": 2.5,
-    "action_bound": 10.0,
-    "forgetting": 0.98,
-    "memory_variant": "clustered",
-    "observer_aware": True,
-    "decoys": True,
-    "verifier_placement": "in_loop",
-    "mode": "differentiated",
-    "checker_fp": 0.0,
-    "checker_fn": 0.0,
-}
 
 LEDGER_DEFAULTS: dict[str, float] = {
     "lambda_latency": 0.01,
@@ -60,23 +37,6 @@ LEDGER_DEFAULTS: dict[str, float] = {
     "lambda_repair": 0.1,
     "budget": 1e9,
     "delta": 0.1,
-}
-
-# Named single-switch ablations: which family they apply to and the exact
-# agent key they flip.
-ABLATIONS: dict[str, tuple[str, str, object]] = {
-    "no_feedback": ("A", "feedback", False),
-    "no_compensator": ("A", "compensator", False),
-    "flat_archive": ("B", "memory_variant", "flat"),
-    "no_observer_model": ("C", "observer_aware", False),
-    "end_only_checking": ("C", "verifier_placement", "end_only"),
-    "single_agent": ("D", "mode", "single_agent"),
-}
-
-_AGENT_CHOICES = {
-    "memory_variant": {"flat", "clustered"},
-    "verifier_placement": {"in_loop", "end_only"},
-    "mode": {"single_agent", "differentiated"},
 }
 
 # Environment fields stored as tuples but written as JSON lists.
@@ -127,7 +87,7 @@ def _env_value(key: str, value):
 
 
 def _build_env(family: str, block: dict):
-    cls = ENV_CONFIGS[family]
+    cls = FAMILIES[family].env_config
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in block.items():
@@ -140,40 +100,24 @@ def _build_env(family: str, block: dict):
         raise ConfigurationError(f"config key 'env': {exc}") from exc
 
 
-def _controller(agent: dict) -> ControllerConfig:
-    return ControllerConfig(
-        feedback_enabled=bool(agent["feedback"]),
-        compensator_enabled=bool(agent["compensator"]),
-        rls_enabled=bool(agent["rls"]),
-        kp=float(agent["kp"]),
-        kd=float(agent["kd"]),
-        action_bound=float(agent["action_bound"]),
-        forgetting=float(agent["forgetting"]),
-    )
-
-
-def _build_agent(block: dict) -> dict:
-    agent = dict(AGENT_DEFAULTS)
+def _build_agent(family: str, block: dict) -> dict:
+    entry = FAMILIES[family]
+    agent = dict(entry.agent)
     for key, value in block.items():
-        if key not in AGENT_DEFAULTS:
-            raise _fail(f"agent.{key}", "unknown key")
-        if key in _AGENT_CHOICES and value not in _AGENT_CHOICES[key]:
-            raise _fail(f"agent.{key}", f"must be one of {sorted(_AGENT_CHOICES[key])}")
-        default = AGENT_DEFAULTS[key]
+        if key not in entry.agent:
+            raise _fail(f"agent.{key}", f"unknown key for family {family}")
+        if key in entry.choices and value not in entry.choices[key]:
+            raise _fail(f"agent.{key}", f"must be one of {sorted(entry.choices[key])}")
+        default = entry.agent[key]
         if isinstance(default, bool) and not isinstance(value, bool):
             raise _fail(f"agent.{key}", "expected a boolean")
         if isinstance(default, float) and not is_finite_number(value):
             raise _fail(f"agent.{key}", "expected a finite number")
         agent[key] = value
     try:
-        _controller(agent)  # range validation
+        entry.check_agent(agent)
     except ConfigurationError as exc:
         raise ConfigurationError(f"config key 'agent': {exc}") from exc
-    for key in ("checker_fp", "checker_fn"):
-        if not 0.0 <= agent[key] < 1.0:
-            raise _fail(f"agent.{key}", "must lie in [0, 1)")
-    if agent["checker_fp"] + agent["checker_fn"] >= 1.0:
-        raise _fail("agent.checker_fp", "checker_fp + checker_fn must stay below 1")
     return agent
 
 
@@ -211,26 +155,24 @@ def parse_config(document: str) -> ExperimentConfig:
             raise _fail(key, "unknown top-level key")
 
     family = raw.get("family")
-    if family not in ENV_CONFIGS:
-        raise _fail("family", f"must be one of {sorted(ENV_CONFIGS)}")
+    if family not in FAMILIES:
+        raise _fail("family", f"must be one of {sorted(FAMILIES)}")
     if "version" in raw and raw["version"] != __version__:
         raise _fail("version", f"{raw['version']!r} does not match hoardbench {__version__}")
     seed_start, seed_stop = _parse_seeds(raw.get("seeds", "0..0"))
     env = _build_env(family, raw.get("env", {}))
-    agent = _build_agent(raw.get("agent", {}))
+    agent = _build_agent(family, raw.get("agent", {}))
     ledger = _build_ledger(raw.get("ledger", {}))
 
     ablations = raw.get("ablations", [])
     if not isinstance(ablations, list):
         raise _fail("ablations", "expected a list of ablation names")
+    known = FAMILIES[family].ablations
     for name in ablations:
-        if name not in ABLATIONS:
-            raise _fail(f"ablations.{name}", f"unknown ablation; known: {sorted(ABLATIONS)}")
-        fam, _, _ = ABLATIONS[name]
-        if fam != family:
+        if name not in known:
             raise _fail(
                 f"ablations.{name}",
-                f"only applicable to family {fam}, not {family} (compatibility table)",
+                f"not an ablation of family {family}; known: {sorted(known)}",
             )
 
     sweep_key = None
@@ -240,7 +182,7 @@ def parse_config(document: str) -> ExperimentConfig:
         if not isinstance(sweep, dict) or set(sweep) != {"key", "values"}:
             raise _fail("sweep", "expected an object with exactly 'key' and 'values'")
         sweep_key = sweep["key"]
-        names = {f.name for f in dataclasses.fields(ENV_CONFIGS[family])}
+        names = {f.name for f in dataclasses.fields(FAMILIES[family].env_config)}
         if sweep_key not in names:
             raise _fail("sweep.key", f"not an env key of family {family}")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
@@ -297,7 +239,7 @@ def variant_agents(config: ExperimentConfig) -> list[tuple[str, dict]]:
     """Baseline plus one single-switch variant per configured ablation."""
     out = [("baseline", dict(config.agent))]
     for name in config.ablations:
-        _, key, value = ABLATIONS[name]
+        key, value = FAMILIES[config.family].ablations[name]
         patched = dict(config.agent)
         patched[key] = value
         out.append((name, patched))
@@ -346,24 +288,7 @@ def run_one(
         env = dataclasses.replace(
             env, **{config.sweep_key: _env_value(config.sweep_key, sweep_value)}
         )
-    ledger = CostLedger(**config.ledger)
-    placement = agent["verifier_placement"]
-    if config.family == "A":
-        return run_family_a(env, _controller(agent), ledger, seed, placement, trace)
-    if config.family == "B":
-        return run_family_b(env, agent["memory_variant"], ledger, seed, placement, trace)
-    if config.family == "C":
-        flags = AgentFlags(bool(agent["observer_aware"]), bool(agent["decoys"]))
-        return run_family_c(env, flags, ledger, seed, placement, trace)
-    if config.family == "D":
-        return run_family_d(
-            env, agent["mode"], ledger, seed,
-            verifier_fp=float(agent["checker_fp"]),
-            verifier_fn=float(agent["checker_fn"]),
-            placement=placement,
-            trace=trace,
-        )
-    raise ConfigurationError(f"unknown family {config.family!r}")
+    return FAMILIES[config.family].run(env, agent, CostLedger(**config.ledger), seed, trace)
 
 
 def _run_cell(payload: tuple[str, str, dict, object, int]) -> str:

@@ -320,10 +320,9 @@ class EpisodeRecord:
 
 @dataclass(frozen=True)
 class Query:
-    """Retrieval probe: item type, optional value band, and a cue."""
+    """Retrieval probe: item type and a cue."""
 
     item_type: int | None = None
-    value_band: tuple[float, float] | None = None
     cue: CueVector | None = None
 
     @property

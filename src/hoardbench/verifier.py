@@ -10,6 +10,10 @@ views with the ground truth stripped.
 Coverage is explicit: a verifier asked about a predicate outside its
 coverage set withholds its signal. That is a modelled blind spot, never an
 error.
+
+Placement is the in-loop vs end-only ablation: a run sends every check to a
+`SignalSink`, which evaluates it at once or queues it until the run's own
+flush time. The sink's docstring lists each family's flush time.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def evaluate(
     """Run one check over a completed segment.
 
     `emitted_at` defaults to segment end plus the spec's delay; an end-only
-    schedule passes the final step instead (never earlier than the natural
+    flush passes its flush time instead (never earlier than the natural
     emission time). One noise draw is consumed per evaluation regardless of
     the configured rates, so noise settings do not shift the stream.
     """
@@ -153,31 +157,67 @@ def evaluate(
     )
 
 
-@dataclass(frozen=True)
-class VerifierPipeline:
-    """An ordered set of verifiers plus the placement policy under which the
-    environment triggers them."""
+class SignalSink:
+    """Where a run's verifier checks go, and the one owner of its placement.
 
-    specs: tuple[VerifierSpec, ...]
-    placement: Placement = Placement.IN_LOOP
+    In-loop, `check` evaluates at once: the signal is emitted at segment end
+    plus the verifier's delay and is returned, so the run can deliver it to
+    the agent. End-only, `check` queues the check and returns None, and
+    `flush(emitted_at)` evaluates the queue in order, emitting each signal
+    at `max(emitted_at, segment end + delay)`. Checks are evaluated in the
+    order they were made under either placement, so the noise stream is
+    drawn identically and only emission times differ.
 
-    def __post_init__(self):
-        if not self.specs:
-            raise ConfigurationError("pipeline must contain at least one verifier")
+    Each family flushes at its own time:
 
-    def of_kind(self, kind: VerifierKind) -> tuple[VerifierSpec, ...]:
-        return tuple(s for s in self.specs if s.kind is kind)
-
-
-def schedule(pipeline: VerifierPipeline, placement: Placement | str) -> VerifierPipeline:
-    """Return the pipeline bound to a placement policy.
-
-    In-loop keeps each verifier's natural trigger (preconditions at option
-    start, monitors every step, postconditions at option end plus delay);
-    end-only defers every evaluation to the final step while preserving
-    predicates and the order of noise draws.
+    - A: the planned last step, `trials * (horizon + 1) - 1`, even when the
+      budget ends the run early;
+    - B: the last query step plus `verifier_delay`;
+    - C: the last recovery step plus `monitor_delay`;
+    - D: never; its checks always run in-loop. Its goal check has delay 0
+      over a segment ending at the current step, so an end-only flush at
+      that step would change nothing.
     """
-    return VerifierPipeline(pipeline.specs, Placement(placement))
+
+    def __init__(
+        self,
+        placement: Placement | str,
+        noise_stream: Substream,
+        predicates: dict[str, Predicate],
+    ):
+        self.in_loop = Placement(placement) is Placement.IN_LOOP
+        self.noise_stream = noise_stream
+        self.predicates = predicates
+        self.signals: list[VerifierSignal] = []
+        self._queue: list[tuple[VerifierSpec, int, int, object]] = []
+
+    def check(
+        self, spec: VerifierSpec, start: int, end: int, truth: object
+    ) -> VerifierSignal | None:
+        if not self.in_loop:
+            self._queue.append((spec, start, end, truth))
+            return None
+        signal = evaluate(
+            spec, TraceSegment(start, end), truth, self.noise_stream, self.predicates
+        )
+        self.signals.append(signal)
+        return signal
+
+    def flush(self, emitted_at: int) -> None:
+        for spec, start, end, truth in self._queue:
+            self.signals.append(
+                evaluate(
+                    spec, TraceSegment(start, end), truth, self.noise_stream,
+                    self.predicates, emitted_at=emitted_at,
+                )
+            )
+        self._queue.clear()
+
+    def goal_verdict(self, predicate_id: str) -> int:
+        """1 when every signal of the predicate passed (a withheld signal has
+        not), else 0, also when there is none."""
+        verdicts = [s.verdict for s in self.signals if s.predicate_id == predicate_id]
+        return int(all(verdicts)) if verdicts else 0
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ def test_gain_and_forgetting_validation():
         ControllerConfig(forgetting=0.5)
     with pytest.raises(ConfigurationError):
         ControllerConfig(action_bound=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["kp", "kd", "action_bound", "forgetting"])
+def test_non_finite_gains_rejected_by_name(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        ControllerConfig(**{key: value})
 
 
 # --- Predictive compensation ----------------------------------------------

@@ -15,7 +15,6 @@ from hoardbench.core.state import (
     OptionChoice,
     OptionKind,
     SchemaError,
-    TaskState,
     Trace,
     TraceRecord,
     validate_option,
@@ -37,14 +36,6 @@ def test_latent_values_validated_against_ranges():
     LatentParams(spec, (0.5,))
     with pytest.raises(InputError):
         LatentParams(spec, (1.5,))
-
-
-def test_task_steps_non_increasing():
-    task = TaskState(remaining_steps=2)
-    task.tick()
-    task.tick()
-    with pytest.raises(InputError):
-        task.tick()
 
 
 def test_option_schema_exact_keys():

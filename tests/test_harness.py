@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -5,7 +6,8 @@ import pytest
 
 from hoardbench import __version__
 from hoardbench.core.state import ConfigurationError
-from hoardbench.harness import parse_config, resolved_document, run_grid
+from hoardbench.envs import FAMILIES, STATUS_COMPLETED
+from hoardbench.harness import parse_config, resolved_document, run_grid, run_one, variant_agents
 
 
 @pytest.mark.parametrize(
@@ -21,9 +23,9 @@ from hoardbench.harness import parse_config, resolved_document, run_grid
         ("agent.action_bound", {"agent": {"action_bound": math.inf}}),
         ("kp", {"agent": {"kp": -1.0}}),
         ("forgetting", {"agent": {"forgetting": 0.5}}),
-        ("agent.checker_fp", {"agent": {"checker_fp": 1.0}}),
-        ("agent.checker_fp", {"agent": {"checker_fp": 0.5, "checker_fn": 0.5}}),
-        ("agent.checker_fn", {"agent": {"checker_fn": -0.1}}),
+        ("agent.checker_fp", {"family": "D", "agent": {"checker_fp": 1.0}}),
+        ("agent.checker_fp", {"family": "D", "agent": {"checker_fp": 0.5, "checker_fn": 0.5}}),
+        ("agent.checker_fn", {"family": "D", "agent": {"checker_fn": -0.1}}),
         ("ledger.budget", {"ledger": {"budget": math.nan}}),
         ("ledger.budget", {"ledger": {"budget": math.inf}}),
         ("ledger.budget", {"ledger": {"budget": True}}),
@@ -72,3 +74,67 @@ def test_sweep_over_tuple_field_runs(family, env, key, values):
     assert [c.variant for c in result.cells] == [
         f"baseline@{key}={v}" for v in values for _ in range(2)
     ]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_ablation_flips_one_of_its_family_keys(family):
+    entry = FAMILIES[family]
+    config = parse_config(json.dumps({"family": family, "ablations": sorted(entry.ablations)}))
+    agents = dict(variant_agents(config))
+    assert agents["baseline"] == entry.agent
+    for name, (key, value) in entry.ablations.items():
+        assert key in entry.agent and value != entry.agent[key]
+        assert agents[name] == {**entry.agent, key: value}
+        entry.check_agent(agents[name])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_foreign_agent_keys_rejected_by_name(family):
+    own = FAMILIES[family].agent
+    foreign = {
+        key: value
+        for entry in FAMILIES.values()
+        for key, value in entry.agent.items()
+        if key not in own
+    }
+    assert foreign
+    for key, value in foreign.items():
+        with pytest.raises(ConfigurationError, match=f"agent.{key}"):
+            parse_config(json.dumps({"family": family, "agent": {key: value}}))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_other_family_ablations_rejected_by_name(family):
+    foreign = [
+        name for other, entry in FAMILIES.items() if other != family for name in entry.ablations
+    ]
+    assert foreign
+    for name in foreign:
+        with pytest.raises(ConfigurationError, match=f"ablations.{name}"):
+            parse_config(json.dumps({"family": family, "ablations": [name]}))
+
+
+def test_run_one_calls_each_family_runner_through_its_module(monkeypatch):
+    # perfbench/tracing.py times each family by replacing the module
+    # attribute `run_family_x`, so the registry must look the runner up
+    # there at call time, not hold the function object.
+    calls = []
+    for family in "abcd":
+        module = importlib.import_module(f"hoardbench.envs.family_{family}")
+        original = getattr(module, f"run_family_{family}")
+
+        def counting(*args, _original=original, _family=family, **kwargs):
+            calls.append(_family)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, f"run_family_{family}", counting)
+    tiny_envs = {
+        "A": {"horizon": 10},
+        "B": {"n_events": 8},
+        "C": {"caches": 2},
+        "D": {"n_constraints": 5},
+    }
+    for family, env in tiny_envs.items():
+        config = parse_config(json.dumps({"family": family, "env": env}))
+        assert run_one(config, config.agent, 0).status == STATUS_COMPLETED
+    assert calls == ["a", "b", "c", "d"]

@@ -224,7 +224,7 @@ def test_singleton_store_probes_one_for_both_variants():
     lm = _landmarks()
     for variant in StoreVariant:
         store = _store_with([_episode(0, 2, (0.3, 0.3), lm)], variant)
-        q = Query(2, None, encode_cue((0.3, 0.3), lm))
+        q = Query(2, encode_cue((0.3, 0.3), lm))
         r = retrieve(store, q, lm)
         assert r.episode.id == 0
         assert r.probes_used == 1
@@ -235,7 +235,7 @@ def test_absent_type_returns_empty_with_zero_confidence():
     lm = _landmarks()
     for variant in StoreVariant:
         store = _store_with([_episode(0, 2, (0.3, 0.3), lm)], variant)
-        r = retrieve(store, Query(5, None, encode_cue((0.3, 0.3), lm)), lm)
+        r = retrieve(store, Query(5, encode_cue((0.3, 0.3), lm)), lm)
         assert r.episode is None and r.confidence == 0.0
 
 
@@ -256,7 +256,7 @@ def test_probe_counts_at_n1024_match_reference():
     clustered = _store_with(episodes, StoreVariant.CLUSTERED)
     flat_probes, clust_probes = [], []
     for e in episodes[::31]:
-        q = Query(e.item_type, None, encode_cue(e.location, lm))
+        q = Query(e.item_type, encode_cue(e.location, lm))
         rf = retrieve(flat, q, lm)
         rc = retrieve(clustered, q, lm)
         ref = brute_force_retrieve(flat, q, lm)
@@ -280,7 +280,7 @@ def test_equal_content_equivalence_up_to_64_episodes():
         flat = _store_with(episodes, StoreVariant.FLAT)
         clustered = _store_with(episodes, StoreVariant.CLUSTERED)
         for e in episodes:
-            q = Query(e.item_type, None, encode_cue(e.location, lm))
+            q = Query(e.item_type, encode_cue(e.location, lm))
             ids = {
                 retrieve(flat, q, lm).episode.id,
                 retrieve(clustered, q, lm).episode.id,
@@ -302,7 +302,7 @@ def test_probe_scaling_ladder():
         clustered = _store_with(episodes, StoreVariant.CLUSTERED)
         fp, cp = [], []
         for e in episodes[:: max(1, n // 32)]:
-            q = Query(e.item_type, None, encode_cue(e.location, lm))
+            q = Query(e.item_type, encode_cue(e.location, lm))
             fp.append(retrieve(flat, q, lm).probes_used)
             cp.append(retrieve(clustered, q, lm).probes_used)
         flat_means[n] = np.mean(fp)
@@ -343,7 +343,7 @@ def test_probe_counter_monotone_and_consistent():
     store = _store_with(_random_episodes(30, lm, stream))
     last = 0
     for e in store.episodes[:10]:
-        q = Query(e.item_type, None, encode_cue(e.location, lm))
+        q = Query(e.item_type, encode_cue(e.location, lm))
         r = retrieve(store, q, lm)
         assert store.probe_counter == last + r.probes_used
         last = store.probe_counter

@@ -12,7 +12,6 @@ import pytest
 
 from hoardbench.core.belief import Belief
 from hoardbench.core.policy import (
-    DigAtRetrieved,
     OptionPolicy,
     PolicyContext,
     PrimitivePolicy,
@@ -40,7 +39,7 @@ OPTION_POLICIES = [
     RetrievalGoalPolicy([(1, 0.5, 0.5)]),
     CacheSitePolicy(0.02, 2, set()),
 ]
-PRIMITIVE_POLICIES = [StabilizingController(), DigAtRetrieved()]
+PRIMITIVE_POLICIES = [StabilizingController()]
 
 
 def _annotation_names(func) -> set[str]:
@@ -90,9 +89,7 @@ def test_policy_context_carries_no_truth_fields():
     assert field_names == {
         "rng",
         "controller",
-        "belief_config",
         "observer_estimate",
-        "signals",
         "landmark_estimates",
         "option_schema",
     }

@@ -1,15 +1,21 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hoardbench.controller import ControllerConfig
 from hoardbench.core.state import ConfigurationError, TraceSegment
+from hoardbench.envs.family_a import FamilyAConfig, run_family_a
+from hoardbench.envs.family_b import FamilyBConfig, run_family_b
+from hoardbench.ledger import CostLedger
 from hoardbench.rng import Substream
 from hoardbench.verifier import (
-    Placement,
+    SignalSink,
     VerifierKind,
-    VerifierPipeline,
     VerifierSignal,
     VerifierSpec,
     evaluate,
-    schedule,
     score_verifier,
 )
 
@@ -86,45 +92,87 @@ def test_coverage_hole_withholds_signal():
     assert sig.agent_view() is None
 
 
-def test_end_only_defers_all_emissions_to_final_step():
-    pipeline = schedule(
-        VerifierPipeline((_spec(), _spec(predicate_id="always_pass"))), "end_only"
-    )
-    assert pipeline.placement is Placement.END_ONLY
-    final = 100
-    signals = [
-        evaluate(s, TraceSegment(2, 9), {"ok": True}, _stream(), REGISTRY,
-                 emitted_at=final)
-        for s in pipeline.specs
-    ]
-    assert all(s.emitted_at == final for s in signals)
+SEGMENTS = [(0, 4, True), (5, 9, True), (10, 14, False), (15, 19, True), (20, 24, False)]
+
+
+def _sink_run(placement, spec, flush_at):
+    """Send SEGMENTS through a sink; return what `check` returned and the
+    signals after the flush."""
+    sink = SignalSink(placement, Substream(33, "verifier"), REGISTRY)
+    returned = [sink.check(spec, start, end, {"ok": ok}) for start, end, ok in SEGMENTS]
+    sink.flush(flush_at)
+    return returned, sink.signals
 
 
 def test_placement_changes_timing_not_truth():
-    # Same frozen trace, same seed: the multiset of ground truths is
-    # identical whichever placement triggers the evaluations.
-    segments = [(0, 4, True), (5, 9, False), (10, 14, True), (15, 19, False)]
-    spec = _spec(fp_rate=0.1, fn_rate=0.1)
-
-    def run(placement):
-        stream = Substream(33, "verifier")
-        out = []
-        for start, end, ok in segments:
-            emitted = 19 if placement == "end_only" else None
-            out.append(
-                evaluate(spec, TraceSegment(start, end), {"ok": ok}, stream, REGISTRY,
-                         emitted_at=emitted)
-            )
-        return out
-
-    in_loop = run("in_loop")
-    end_only = run("end_only")
-    assert sorted(s.ground_truth_verdict for s in in_loop) == sorted(
-        s.ground_truth_verdict for s in end_only
-    )
-    # Noise draws align too, so even the noisy verdicts agree here.
+    # Same checks, same seed: both placements draw the noise stream in the
+    # same order, so verdicts and ground truths agree signal by signal.
+    spec = _spec(fp_rate=0.3, fn_rate=0.3)
+    returned, in_loop = _sink_run("in_loop", spec, 30)
+    queued, end_only = _sink_run("end_only", spec, 30)
+    assert returned == in_loop and queued == [None] * len(SEGMENTS)
     assert [s.verdict for s in in_loop] == [s.verdict for s in end_only]
-    assert {s.emitted_at for s in end_only} == {19}
+    assert [s.ground_truth_verdict for s in in_loop] == [s.ground_truth_verdict for s in end_only]
+    assert [s.ground_truth_verdict for s in end_only] == [ok for _, _, ok in SEGMENTS]
+    # The noise flips some verdicts, so the agreement is not just truth.
+    assert [s.verdict for s in in_loop] != [ok for _, _, ok in SEGMENTS]
+
+
+def test_end_only_emits_at_flush_or_natural_time():
+    # Flush times before, among and after the natural emission times
+    # (segment end + delay: 7, 12, 17, 22, 27).
+    spec = _spec(delay=3)
+    for flush_at in (0, 10, 19, 100):
+        _, signals = _sink_run("end_only", spec, flush_at)
+        assert [s.emitted_at for s in signals] == [
+            max(flush_at, end + spec.delay) for _, end, _ in SEGMENTS
+        ]
+        _, in_loop = _sink_run("in_loop", spec, flush_at)
+        assert [s.emitted_at for s in in_loop] == [end + spec.delay for _, end, _ in SEGMENTS]
+
+
+def test_goal_verdict_needs_every_signal_passed():
+    sink = SignalSink("in_loop", _stream(), REGISTRY)
+    assert sink.goal_verdict("from_truth") == 0
+    sink.check(_spec(), 0, 1, {"ok": True})
+    sink.check(_spec(predicate_id="always_fail"), 0, 1, {})
+    assert sink.goal_verdict("from_truth") == 1
+    sink.check(_spec(), 2, 3, {"ok": True})
+    assert sink.goal_verdict("from_truth") == 1
+    sink.check(_spec(), 4, 5, {"ok": False})
+    assert sink.goal_verdict("from_truth") == 0
+    withheld = SignalSink("in_loop", _stream(), REGISTRY)
+    withheld.check(_spec(coverage=frozenset({"other"})), 0, 1, {"ok": True})
+    assert withheld.goal_verdict("from_truth") == 0
+
+
+def _without_emission_times(record):
+    obj = json.loads(record.to_json_line())
+    for signal in obj["signals"]:
+        del signal["emitted_at"]
+    return obj
+
+
+def _family_a(seed, placement):
+    env = FamilyAConfig(trials=3, horizon=40, verifier_fp=0.2, verifier_fn=0.2)
+    return run_family_a(env, ControllerConfig(), CostLedger(), seed, placement)
+
+
+def _family_b(seed, placement):
+    env = FamilyBConfig(n_events=300, landmark_drift=0.02, verifier_fp=0.2, verifier_fn=0.2)
+    return run_family_b(env, "clustered", CostLedger(), seed, placement)
+
+
+@pytest.mark.parametrize("run", [_family_a, _family_b])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000))
+def test_placement_moves_only_emission_times(run, seed):
+    in_loop = run(seed, "in_loop")
+    end_only = run(seed, "end_only")
+    assert [s["emitted_at"] for s in in_loop.signals] != [
+        s["emitted_at"] for s in end_only.signals
+    ]
+    assert _without_emission_times(in_loop) == _without_emission_times(end_only)
 
 
 def test_score_verifier_all_correct():
@@ -172,8 +220,3 @@ def test_miss_rate_with_deadline():
 def test_empty_signal_set_scores_zero():
     m = score_verifier([])
     assert m.samples == 0 and m.fp_rate == 0.0
-
-
-def test_pipeline_requires_specs():
-    with pytest.raises(ConfigurationError):
-        VerifierPipeline(())
