@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -279,9 +280,20 @@ class Trace:
         recs = tuple(r for r in self.records if start <= r.step <= end)
         return TraceSegment(start, end, recs)
 
-    def to_jsonl(self) -> str:
+    def jsonl_lines(self) -> Iterator[str]:
+        """The records as JSON lines, each ending in a newline."""
         landmarks_json: dict = {}
-        return "".join(r.to_json_line(landmarks_json) + "\n" for r in self.records)
+        for record in self.records:
+            yield record.to_json_line(landmarks_json) + "\n"
+
+    def to_jsonl(self) -> str:
+        return "".join(self.jsonl_lines())
+
+    def write_jsonl(self, path) -> None:
+        """Stream the records to the file at `path` one line at a time, so
+        the whole JSONL text never exists in memory at once."""
+        with open(path, "w") as fh:
+            fh.writelines(self.jsonl_lines())
 
 
 @dataclass(frozen=True)

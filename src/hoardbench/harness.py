@@ -82,6 +82,13 @@ def _parse_seeds(value) -> tuple[int, int]:
     return start, stop
 
 
+def _object_block(raw: dict, key: str) -> dict:
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise _fail(key, "expected a JSON object")
+    return block
+
+
 def _env_value(key: str, value):
     return tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
 
@@ -155,17 +162,18 @@ def parse_config(document: str) -> ExperimentConfig:
             raise _fail(key, "unknown top-level key")
 
     family = raw.get("family")
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise _fail("family", f"must be one of {sorted(FAMILIES)}")
     if "version" in raw and raw["version"] != __version__:
         raise _fail("version", f"{raw['version']!r} does not match hoardbench {__version__}")
     seed_start, seed_stop = _parse_seeds(raw.get("seeds", "0..0"))
-    env = _build_env(family, raw.get("env", {}))
-    agent = _build_agent(family, raw.get("agent", {}))
-    ledger = _build_ledger(raw.get("ledger", {}))
+    env_block = _object_block(raw, "env")
+    env = _build_env(family, env_block)
+    agent = _build_agent(family, _object_block(raw, "agent"))
+    ledger = _build_ledger(_object_block(raw, "ledger"))
 
     ablations = raw.get("ablations", [])
-    if not isinstance(ablations, list):
+    if not isinstance(ablations, list) or not all(isinstance(n, str) for n in ablations):
         raise _fail("ablations", "expected a list of ablation names")
     known = FAMILIES[family].ablations
     for name in ablations:
@@ -183,13 +191,13 @@ def parse_config(document: str) -> ExperimentConfig:
             raise _fail("sweep", "expected an object with exactly 'key' and 'values'")
         sweep_key = sweep["key"]
         names = {f.name for f in dataclasses.fields(FAMILIES[family].env_config)}
-        if sweep_key not in names:
+        if not isinstance(sweep_key, str) or sweep_key not in names:
             raise _fail("sweep.key", f"not an env key of family {family}")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
             raise _fail("sweep.values", "expected a non-empty list")
         sweep_values = tuple(sweep["values"])
         for v in sweep_values:
-            _build_env(family, {**raw.get("env", {}), sweep_key: v})
+            _build_env(family, {**env_block, sweep_key: v})
 
     output_dir = raw.get("output_dir", "results")
     if not isinstance(output_dir, str):
@@ -254,16 +262,24 @@ def _variant_label(name: str, sweep_key: str | None, sweep_value) -> str:
 
 @dataclass
 class CellResult:
+    """One finished cell. `trace` is its step trace when the grid recorded
+    it for failures.md (see `run_grid`), else None."""
+
     variant: str
     seed: int
     record: RunRecord
+    trace: Trace | None = None
 
 
 @dataclass
 class ResultSet:
+    """A grid's cells. `loaded_from` is the results directory the set was
+    read back from by `load_result_set`, else None."""
+
     config: ExperimentConfig
     cells: list[CellResult] = field(default_factory=list)
     wallclock: dict[str, float] = field(default_factory=dict)
+    loaded_from: Path | None = None
 
     def by_variant(self) -> dict[str, list[RunRecord]]:
         out: dict[str, list[RunRecord]] = {}
@@ -291,13 +307,13 @@ def run_one(
     return FAMILIES[config.family].run(env, agent, CostLedger(**config.ledger), seed, trace)
 
 
-def _run_cell(payload: tuple[str, str, dict, object, int]) -> str:
+def _run_cell(payload: tuple[str, str, dict, object, int], trace: Trace | None = None) -> str:
     """Worker entry point: returns the finished record as a JSON line."""
     document, variant, agent, sweep_value, seed = payload
     config = parse_config(document)
     label = _variant_label(variant, config.sweep_key, sweep_value)
     try:
-        record = run_one(config, agent, seed, sweep_value)
+        record = run_one(config, agent, seed, sweep_value, trace)
         record.variant = label
     except Exception as exc:  # worker failures become Failed cells, never drops
         record = RunRecord(
@@ -313,32 +329,47 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     Cells are independent; results are ordered by (variant, sweep value,
     seed) regardless of completion order, so worker count never changes the
     output bytes.
+
+    With one job and at most `WORST_RUNS_LISTED` seeds, failures.md lists
+    every completed cell, so the grid records cell traces as it goes and
+    `write_report` need not re-run those cells. It keeps at most
+    `WORST_RUNS_LISTED` traces, of completed cells only, which bounds the
+    memory they hold; the report replays the rest. Pool workers record no
+    traces: shipping one back costs about as much as a replay.
     """
     document = json.dumps(resolved_document(config))
     sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
-    payloads = []
-    labels = []
-    for variant, agent in variant_agents(config):
-        for sweep_value in sweep_values:
-            for seed in config.seeds():
-                payloads.append((document, variant, agent, sweep_value, seed))
-                labels.append(_variant_label(variant, config.sweep_key, sweep_value))
+    payloads = [
+        (document, variant, agent, sweep_value, seed)
+        for variant, agent in variant_agents(config)
+        for sweep_value in sweep_values
+        for seed in config.seeds()
+    ]
 
     started = time.monotonic()
     if jobs <= 1:
-        lines = [_run_cell(p) for p in payloads]
+        traces_left = WORST_RUNS_LISTED if len(config.seeds()) <= WORST_RUNS_LISTED else 0
+        cells = []
+        for payload in payloads:
+            trace = Trace() if traces_left else None
+            cell = _cell_result(_run_cell(payload, trace))
+            if trace is not None and cell.record.status != STATUS_FAILED:
+                cell.trace = trace
+                traces_left -= 1
+            cells.append(cell)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            lines = list(pool.map(_run_cell, payloads, chunksize=4))
+            cells = [_cell_result(line) for line in pool.map(_run_cell, payloads, chunksize=4)]
     elapsed = time.monotonic() - started
 
-    result = ResultSet(config=config)
-    for (_, variant, _, sweep_value, seed), line in zip(payloads, lines):
-        record = RunRecord.from_json_obj(json.loads(line))
-        label = _variant_label(variant, config.sweep_key, sweep_value)
-        result.cells.append(CellResult(label, seed, record))
+    result = ResultSet(config=config, cells=cells)
     result.wallclock = {"total_seconds": elapsed, "jobs": float(jobs)}
     return result
+
+
+def _cell_result(line: str) -> CellResult:
+    record = RunRecord.from_json_obj(json.loads(line))
+    return CellResult(record.variant, record.seed, record)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +402,10 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     and timing.json (the only file allowed to differ between identical
     runs). timing.json holds the grid's wall clock plus `report_seconds`
     for this call and `trace_replay_seconds`, the part of it spent
-    re-running failures to record their traces.
+    re-running listed cells to record their traces. That is 0.0 when
+    nothing was re-run: every listed trace was recorded by the grid or, when
+    re-reporting the directory the results were loaded from, is already
+    there.
     """
     started = time.monotonic()
     out = Path(output_dir)
@@ -477,13 +511,17 @@ def _variant_order(config: ExperimentConfig) -> list[str]:
 
 
 def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
-    """List the worst completed runs per variant and re-run them with trace
-    recording on (determinism makes the replay exact). Returns the seconds
-    spent on the replays, trace files included."""
+    """List the worst completed runs per variant, each with a trace file, and
+    the error of every failed cell. A listed cell's trace is the one the grid
+    recorded or, when re-reporting the directory the results were loaded
+    from, the file already there; any other is recorded by re-running the
+    cell (determinism makes the replay exact). Returns the seconds spent on
+    re-runs, their trace files included."""
     config = result.config
     lines = ["# Representative failures", ""]
-    trace_dir = out / "traces"
     agents = dict(variant_agents(config))
+    recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
+    reuse = result.loaded_from is not None and result.loaded_from.resolve() == out.resolve()
     replay_seconds = 0.0
     for variant, records in by_variant.items():
         completed = [r for r in records if r.status != STATUS_FAILED]
@@ -493,6 +531,12 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
             lines.append(
                 f"({len(records) - len(completed)} failed cells; "
                 "aggregate is low-confidence)"
+            )
+            # Not "- seed ...": that prefix marks a listed run with a trace.
+            lines.extend(
+                f"- failed seed {r.seed}: {' '.join(r.error.split())}"
+                for r in records
+                if r.status == STATUS_FAILED
             )
         if not worst:
             lines.append("(no completed runs)")
@@ -504,18 +548,23 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
             raw_value = variant.split("=", 1)[1]
             sweep_value = _coerce_sweep_value(config, raw_value)
         for record in worst:
-            trace = Trace()
+            rel = Path("traces") / _safe(variant) / f"seed_{record.seed}.jsonl"
+            path = out / rel
+            trace = recorded.get((variant, record.seed))
+            replay = trace is None and not (reuse and path.is_file())
             replay_started = time.monotonic()
             try:
-                run_one(config, agents[base_name], record.seed, sweep_value, trace)
-                rel = Path("traces") / _safe(variant) / f"seed_{record.seed}.jsonl"
-                path = trace_dir / _safe(variant) / f"seed_{record.seed}.jsonl"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(trace.to_jsonl())
+                if replay:
+                    trace = Trace()
+                    run_one(config, agents[base_name], record.seed, sweep_value, trace)
+                if trace is not None:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    trace.write_jsonl(path)
                 where = str(rel)
             except Exception as exc:  # trace replay must never sink the report
                 where = f"(trace replay failed: {exc})"
-            replay_seconds += time.monotonic() - replay_started
+            if replay:
+                replay_seconds += time.monotonic() - replay_started
             lines.append(
                 f"- seed {record.seed}: objective {record.objective:.6g}, "
                 f"status {record.status}, trace: {where}"
@@ -540,7 +589,7 @@ def load_result_set(directory: str | Path) -> ResultSet:
     """Rebuild a ResultSet from a results directory (for re-reporting)."""
     directory = Path(directory)
     config = parse_config((directory / "resolved_config.json").read_text())
-    result = ResultSet(config=config)
+    result = ResultSet(config=config, loaded_from=directory)
     with open(directory / "runs.jsonl") as fh:
         for line in fh:
             if not line.strip():

@@ -19,9 +19,13 @@ def _output_files(directory):
 def outputs_by_jobs(tmp_path):
     """Run a config document through `hoardbench run` with `--jobs 1` and
     `--jobs 2`. Returns, per job count, the output files except timing.json
-    (relative path -> bytes) and the resolved config less its output_dir."""
+    (relative path -> bytes) and the resolved config less its output_dir.
 
-    def run(document: dict) -> dict:
+    The pool run always re-runs listed cells to record their traces. Pass
+    `grid_records_traces=True` for a grid whose `--jobs 1` run records every
+    listed trace itself, so that its report re-runs nothing."""
+
+    def run(document: dict, grid_records_traces: bool = False) -> dict:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
         outputs = {}
@@ -30,7 +34,12 @@ def outputs_by_jobs(tmp_path):
             assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
             outputs[jobs] = _output_files(out)
             timing = json.loads((out / "timing.json").read_text())
-            assert timing["report_seconds"] >= timing["trace_replay_seconds"] > 0.0
+            replay_seconds = timing["trace_replay_seconds"]
+            assert timing["report_seconds"] >= replay_seconds
+            if jobs == 1 and grid_records_traces:
+                assert replay_seconds == 0.0
+            else:
+                assert replay_seconds > 0.0
         return outputs
 
     return run

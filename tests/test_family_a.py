@@ -365,6 +365,22 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     assert outputs[1] == outputs[2]
 
 
+def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
+    # One seed lists every cell, so `--jobs 1` records all three traces in
+    # the grid; the `--jobs 2` run replays them and is the oracle.
+    outputs = outputs_by_jobs({
+        "family": "A",
+        "seeds": "5..5",
+        "env": {"trials": 2, "perturb_step": 60, "perturb_magnitude": 0.2,
+                "verifier_fp": 0.1, "verifier_fn": 0.1},
+        "agent": {"rls": True},
+        "ablations": ["no_feedback", "no_compensator"],
+    }, grid_records_traces=True)
+    files, _ = outputs[1]
+    assert sum(name.startswith("traces/") for name in files) == 3
+    assert outputs[1] == outputs[2]
+
+
 def test_goal_verdict_tracks_postcondition():
     good = run_family_a(FamilyAConfig(z_range=(0.5, 0.5)), FEEDBACK, _ledger(), 0)
     assert good.goal_verdict == 1

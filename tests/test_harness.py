@@ -4,10 +4,19 @@ import math
 
 import pytest
 
-from hoardbench import __version__
+from hoardbench import __version__, harness
+from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError
-from hoardbench.envs import FAMILIES, STATUS_COMPLETED
-from hoardbench.harness import parse_config, resolved_document, run_grid, run_one, variant_agents
+from hoardbench.envs import FAMILIES, STATUS_COMPLETED, family_d
+from hoardbench.harness import (
+    WORST_RUNS_LISTED,
+    parse_config,
+    resolved_document,
+    run_grid,
+    run_one,
+    variant_agents,
+    write_report,
+)
 
 
 @pytest.mark.parametrize(
@@ -36,6 +45,22 @@ from hoardbench.harness import parse_config, resolved_document, run_grid, run_on
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(json.dumps({"family": "A", **document}))
+
+
+@pytest.mark.parametrize(
+    "key, document",
+    [
+        ("agent", {"agent": []}),
+        ("env", {"env": [1]}),
+        ("ledger", {"ledger": "x"}),
+        ("family", {"family": ["A"]}),
+        ("ablations", {"ablations": [{}]}),
+        ("sweep.key", {"sweep": {"key": ["x"], "values": [1]}}),
+    ],
+)
+def test_wrong_typed_blocks_rejected_by_name(key, document):
     with pytest.raises(ConfigurationError, match=key):
         parse_config(json.dumps({"family": "A", **document}))
 
@@ -138,3 +163,78 @@ def test_run_one_calls_each_family_runner_through_its_module(monkeypatch):
         config = parse_config(json.dumps({"family": family, "env": env}))
         assert run_one(config, config.agent, 0).status == STATUS_COMPLETED
     assert calls == ["a", "b", "c", "d"]
+
+
+D_TWO_SEEDS = {"family": "D", "seeds": "0..1", "env": {"n_constraints": 8},
+               "ablations": ["single_agent"]}
+
+
+def test_grid_keeps_at_most_the_listed_cap_of_traces(outputs_by_jobs):
+    # Two seeds list all four cells, but the grid keeps only the first
+    # WORST_RUNS_LISTED traces; the report replays the fourth. The `--jobs 2`
+    # run replays all four and is the oracle.
+    config = parse_config(json.dumps(D_TWO_SEEDS))
+    kept = [c.trace is not None for c in run_grid(config).cells]
+    assert kept == [True] * WORST_RUNS_LISTED + [False]
+    outputs = outputs_by_jobs(D_TWO_SEEDS)
+    files, _ = outputs[1]
+    assert sum(name.startswith("traces/") for name in files) == 4
+    assert outputs[1] == outputs[2]
+
+
+def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(D_TWO_SEEDS))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+
+    def files():
+        return {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "timing.json"
+        }
+
+    before = files()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return run_one(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one", counting)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == []
+    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] == 0.0
+    assert files() == before
+
+    (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [1]
+    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] > 0.0
+    assert files() == before
+
+
+def test_failures_md_lists_failed_cells_with_their_error(tmp_path, monkeypatch):
+    original = family_d.run_family_d
+
+    def failing(env, mode, ledger, seed, *rest):
+        if seed == 1:
+            raise RuntimeError("checker crashed\n- seed 9: not a listed run")
+        return original(env, mode, ledger, seed, *rest)
+
+    monkeypatch.setattr(family_d, "run_family_d", failing)
+    config = parse_config(json.dumps({"family": "D", "seeds": "0..1", "env": {"n_constraints": 8}}))
+    result = run_grid(config)
+    # The failed cell's trace is dropped; the completed one is kept.
+    assert [c.trace is not None for c in result.cells] == [True, False]
+    write_report(result, tmp_path)
+    lines = (tmp_path / "failures.md").read_text().splitlines()
+    assert lines[lines.index("## baseline") + 1:] == [
+        "(1 failed cells; aggregate is low-confidence)",
+        "- failed seed 1: RuntimeError: checker crashed - seed 9: not a listed run",
+        "- seed 0: objective %s, status completed, trace: traces/baseline/seed_0.jsonl"
+        % format(result.cells[0].record.objective, ".6g"),
+        "",
+    ]
+    assert json.loads((tmp_path / "timing.json").read_text())["trace_replay_seconds"] == 0.0
