@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -291,9 +292,18 @@ class Trace:
 
     def write_jsonl(self, path) -> None:
         """Stream the records to the file at `path` one line at a time, so
-        the whole JSONL text never exists in memory at once."""
-        with open(path, "w") as fh:
-            fh.writelines(self.jsonl_lines())
+        the whole JSONL text never exists in memory at once. The lines go to
+        a file beside `path` that then replaces it, so a file at `path` is
+        always a whole trace, even after a write cut short."""
+        partial = f"{os.fspath(path)}.partial"
+        try:
+            with open(partial, "w") as fh:
+                fh.writelines(self.jsonl_lines())
+            os.replace(partial, path)
+        except BaseException:
+            if os.path.exists(partial):
+                os.remove(partial)
+            raise
 
 
 @dataclass(frozen=True)

@@ -297,23 +297,35 @@ def run_one(
     seed: int,
     sweep_value=None,
     trace: Trace | None = None,
+    *,
+    record_into: Trace | None = None,
 ) -> RunRecord:
-    """Execute a single cell with a fresh ledger and stream bundle."""
+    """Execute a single cell with a fresh ledger and stream bundle.
+
+    `trace` is for a failure-trace replay: re-running a cell only to record
+    its steps. `record_into` records the steps of a grid cell whose record
+    is kept. Both fill the Trace the same way; they stay apart because a
+    call with `trace` is a replay, and perfbench's span tracer
+    (`perfbench/tracing.py`) counts it as one rather than as a grid cell.
+    """
     env = config.env
     if config.sweep_key is not None and sweep_value is not None:
         env = dataclasses.replace(
             env, **{config.sweep_key: _env_value(config.sweep_key, sweep_value)}
         )
+    if trace is None:
+        trace = record_into
     return FAMILIES[config.family].run(env, agent, CostLedger(**config.ledger), seed, trace)
 
 
 def _run_cell(payload: tuple[str, str, dict, object, int], trace: Trace | None = None) -> str:
-    """Worker entry point: returns the finished record as a JSON line."""
+    """Worker entry point: returns the finished record as a JSON line.
+    `trace`, when given, records the cell's steps as it runs."""
     document, variant, agent, sweep_value, seed = payload
     config = parse_config(document)
     label = _variant_label(variant, config.sweep_key, sweep_value)
     try:
-        record = run_one(config, agent, seed, sweep_value, trace)
+        record = run_one(config, agent, seed, sweep_value, record_into=trace)
         record.variant = label
     except Exception as exc:  # worker failures become Failed cells, never drops
         record = RunRecord(
@@ -420,13 +432,24 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         result.cells,
         key=lambda c: (_variant_order(config).index(c.variant), c.seed),
     )
+    by_variant = {}
+    for cell in ordered:
+        by_variant.setdefault(cell.variant, []).append(cell.record)
+
+    # Only a re-report of the directory the results came from may reuse the
+    # trace files there. Otherwise the listed paths are cleared before
+    # runs.jsonl is written, so that a report cut short cannot leave an
+    # older run's traces where a later `report --in` would take them.
+    reuse = result.loaded_from is not None and result.loaded_from.resolve() == out.resolve()
+    if not reuse:
+        for variant, records in by_variant.items():
+            for record in _worst_completed(records):
+                (out / _trace_path(variant, record.seed)).unlink(missing_ok=True)
+
     with open(out / "runs.jsonl", "w") as fh:
         for cell in ordered:
             fh.write(cell.record.to_json_line() + "\n")
 
-    by_variant = {}
-    for cell in ordered:
-        by_variant.setdefault(cell.variant, []).append(cell.record)
     baseline_key = _variant_order(config)[0].split("@")[0]
 
     rows = []
@@ -483,7 +506,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds = _write_failures(result, by_variant, out)
+    replay_seconds = _write_failures(result, by_variant, out, reuse)
 
     timing = {
         **result.wallclock,
@@ -510,34 +533,39 @@ def _variant_order(config: ExperimentConfig) -> list[str]:
     return order
 
 
-def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
+def _worst_completed(records: list[RunRecord]) -> list[RunRecord]:
+    """The completed runs failures.md lists for one variant."""
+    completed = [r for r in records if r.status != STATUS_FAILED]
+    return sorted(completed, key=lambda r: (-r.objective, r.seed))[:WORST_RUNS_LISTED]
+
+
+def _trace_path(variant: str, seed: int) -> Path:
+    """A listed run's trace file, relative to the results directory."""
+    return Path("traces") / _safe(variant) / f"seed_{seed}.jsonl"
+
+
+def _write_failures(result: ResultSet, by_variant: dict, out: Path, reuse: bool) -> float:
     """List the worst completed runs per variant, each with a trace file, and
     the error of every failed cell. A listed cell's trace is the one the grid
-    recorded or, when re-reporting the directory the results were loaded
-    from, the file already there; any other is recorded by re-running the
-    cell (determinism makes the replay exact). Returns the seconds spent on
-    re-runs, their trace files included."""
+    recorded or, with `reuse`, the file already there; any other is recorded
+    by re-running the cell (determinism makes the replay exact). Returns the
+    seconds spent on re-runs, their trace files included."""
     config = result.config
     lines = ["# Representative failures", ""]
     agents = dict(variant_agents(config))
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
-    reuse = result.loaded_from is not None and result.loaded_from.resolve() == out.resolve()
     replay_seconds = 0.0
     for variant, records in by_variant.items():
-        completed = [r for r in records if r.status != STATUS_FAILED]
-        worst = sorted(completed, key=lambda r: (-r.objective, r.seed))[:WORST_RUNS_LISTED]
+        worst = _worst_completed(records)
+        failed = [r for r in records if r.status == STATUS_FAILED]
         lines.append(f"## {variant}")
-        if len(completed) < len(records):
+        if failed:
             lines.append(
-                f"({len(records) - len(completed)} failed cells; "
+                f"({len(failed)} failed cells; "
                 "aggregate is low-confidence)"
             )
             # Not "- seed ...": that prefix marks a listed run with a trace.
-            lines.extend(
-                f"- failed seed {r.seed}: {' '.join(r.error.split())}"
-                for r in records
-                if r.status == STATUS_FAILED
-            )
+            lines.extend(f"- failed seed {r.seed}: {' '.join(r.error.split())}" for r in failed)
         if not worst:
             lines.append("(no completed runs)")
             lines.append("")
@@ -548,7 +576,7 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
             raw_value = variant.split("=", 1)[1]
             sweep_value = _coerce_sweep_value(config, raw_value)
         for record in worst:
-            rel = Path("traces") / _safe(variant) / f"seed_{record.seed}.jsonl"
+            rel = _trace_path(variant, record.seed)
             path = out / rel
             trace = recorded.get((variant, record.seed))
             replay = trace is None and not (reuse and path.is_file())
@@ -561,8 +589,8 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path) -> float:
                     path.parent.mkdir(parents=True, exist_ok=True)
                     trace.write_jsonl(path)
                 where = str(rel)
-            except Exception as exc:  # trace replay must never sink the report
-                where = f"(trace replay failed: {exc})"
+            except Exception as exc:  # a trace must never sink the report
+                where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
             if replay:
                 replay_seconds += time.monotonic() - replay_started
             lines.append(

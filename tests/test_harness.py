@@ -6,7 +6,7 @@ import pytest
 
 from hoardbench import __version__, harness
 from hoardbench.cli import main
-from hoardbench.core.state import ConfigurationError
+from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs import FAMILIES, STATUS_COMPLETED, family_d
 from hoardbench.harness import (
     WORST_RUNS_LISTED,
@@ -187,15 +187,103 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     config.write_text(json.dumps(D_TWO_SEEDS))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    before = _result_files(out)
+    calls = _count_run_one(monkeypatch)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == []
+    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] == 0.0
+    assert _result_files(out) == before
 
-    def files():
-        return {
-            str(p.relative_to(out)): p.read_bytes()
-            for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name != "timing.json"
-        }
+    (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [1]
+    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] > 0.0
+    assert _result_files(out) == before
 
-    before = files()
+
+def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
+    # A trace write that stops partway leaves nothing at the trace's path,
+    # so `report --in` replays that cell instead of keeping a truncated file.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(D_TWO_SEEDS))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    before = _result_files(out)
+    trace_file = out / "traces" / "single_agent" / "seed_1.jsonl"
+    trace_file.unlink()
+
+    def cut_short(self):
+        yield next(iter(self.records)).to_json_line({}) + "\n"
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(Trace, "jsonl_lines", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            main(["report", "--in", str(out)])
+    assert not trace_file.exists()
+    assert not any(p.name.endswith(".partial") for p in out.rglob("*"))
+
+    calls = _count_run_one(monkeypatch)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [1]
+    assert _result_files(out) == before
+
+
+def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, monkeypatch):
+    # An older run with other results left traces at the same paths. A new
+    # run whose report stops after runs.jsonl must not let `report --in`
+    # take those traces for its own.
+    reference = tmp_path / "reference"
+    write_report(run_grid(parse_config(json.dumps(D_TWO_SEEDS))), reference)
+    out = tmp_path / "out"
+    older = {**D_TWO_SEEDS, "env": {"n_constraints": 9}}
+    write_report(run_grid(parse_config(json.dumps(older))), out)
+    stale = _result_files(out)
+    traces = [name for name in _result_files(reference) if name.startswith("traces/")]
+    assert len(traces) == 4
+    assert all(stale[name] != _result_files(reference)[name] for name in traces)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_write_failures", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_report(run_grid(parse_config(json.dumps(D_TWO_SEEDS))), out)
+    calls = _count_run_one(monkeypatch)
+    assert main(["report", "--in", str(out)]) == 0
+    assert sorted(calls) == [0, 0, 1, 1]
+    assert _result_files(out) == _result_files(reference)
+
+
+def test_grid_cells_that_record_are_not_passed_as_replays(tmp_path, monkeypatch):
+    # Only a re-run in the report carries `trace`; a grid cell that records
+    # its steps passes `record_into`.
+    calls = []
+
+    def spying(*args, **kwargs):
+        calls.append((len(args) > 4 or "trace" in kwargs, kwargs.get("record_into") is not None))
+        return run_one(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one", spying)
+    result = run_grid(parse_config(json.dumps(D_TWO_SEEDS)))
+    assert calls == [(False, True)] * WORST_RUNS_LISTED + [(False, False)]
+    calls.clear()
+    write_report(result, tmp_path)
+    assert calls == [(True, False)]
+
+
+def _result_files(out) -> dict:
+    """Every output file except timing.json, relative path -> bytes."""
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "timing.json"
+    }
+
+
+def _count_run_one(monkeypatch) -> list:
+    """Replace `harness.run_one` with a wrapper that records each call's seed."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -203,16 +291,7 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
         return run_one(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_one", counting)
-    assert main(["report", "--in", str(out)]) == 0
-    assert calls == []
-    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] == 0.0
-    assert files() == before
-
-    (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
-    assert main(["report", "--in", str(out)]) == 0
-    assert calls == [1]
-    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] > 0.0
-    assert files() == before
+    return calls
 
 
 def test_failures_md_lists_failed_cells_with_their_error(tmp_path, monkeypatch):
