@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..controller import StepDynamics, double_integrator, predictive_compensate, rls_update, RlsState
+from ..trusted import trusted
 from .state import Action, EmbodiedState, InputError, Observation, SchemaError
 
 
@@ -45,6 +46,7 @@ class BeliefConfig:
             raise InputError("latent prior layout does not match latent names")
 
 
+@trusted
 @dataclass(frozen=True)
 class Belief:
     """Agent-side posterior summary. Policies read this, never ground truth."""
@@ -82,11 +84,12 @@ def initial_belief(config: BeliefConfig, start: EmbodiedState) -> Belief:
 def _embodied_from_obs(
     config: BeliefConfig, obs: Observation, fallback: EmbodiedState
 ) -> EmbodiedState:
+    """The state `obs` reports; `update_belief` validated `obs` when it arrived."""
     pos_key, vel_key = config.embodied_keys
     if pos_key not in obs.values or vel_key not in obs.values:
         # Non-kinematic environments: keep the previous estimate.
         return fallback
-    return EmbodiedState((obs.values[pos_key],), (obs.values[vel_key],))
+    return EmbodiedState._trusted((obs.values[pos_key],), (obs.values[vel_key],))
 
 
 def update_belief(
@@ -98,7 +101,9 @@ def update_belief(
     than `delay` entries the oldest one is delivered and becomes the delayed
     state estimate. The present-time estimate is that delayed state pushed
     through the logged actions. The latent posterior moves only when the
-    observation carries evidence (an informative step).
+    observation carries evidence (an informative step). The observation is
+    validated here; the new belief and its states are built unchecked from
+    it and from `belief`.
     """
     observation.validate(config.observation_keys)
 
@@ -117,7 +122,7 @@ def update_belief(
         # delayed estimate through the action just issued.
         p, v = belief.delayed_embodied.scalar()
         p, v = config.dynamics(p, v, force)
-        delayed_embodied = EmbodiedState((p,), (v,))
+        delayed_embodied = EmbodiedState._trusted((p,), (v,))
 
     kappa = 0
     flagged = False
@@ -127,7 +132,7 @@ def update_belief(
         p, v, kappa, flagged = predictive_compensate(
             config.dynamics, p0, v0, log, config.delay
         )
-        reconstructed = EmbodiedState((p,), (v,))
+        reconstructed = EmbodiedState._trusted((p,), (v,))
 
     # Evidence rides the sensor stream: the posterior moves when an
     # informative observation is delivered, not when it is emitted.
@@ -148,14 +153,7 @@ def update_belief(
             mean[i] = est.mean
             var[i] = est.variance
 
-    return Belief(
-        latent_mean=mean,
-        latent_variance=var,
-        delayed_obs_buffer=buffer,
-        action_log=log,
-        reconstructed_embodied=reconstructed,
-        delayed_embodied=delayed_embodied,
-        step=belief.step + 1,
-        last_compute=kappa,
-        flagged=flagged,
+    return Belief._trusted(
+        mean, var, buffer, log, reconstructed, delayed_embodied,
+        belief.step + 1, kappa, flagged,
     )

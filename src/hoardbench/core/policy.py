@@ -14,6 +14,7 @@ from typing import Protocol, runtime_checkable
 from ..controller import ControllerConfig, pd_feedback
 from ..memory import EMPTY_QUERY, LandmarkSet, Query, Retrieval, encode_cue
 from ..rng import Substream
+from ..trusted import trusted
 from .belief import Belief
 from .state import (
     Action,
@@ -60,6 +61,7 @@ class PrimitivePolicy(Protocol):
     ) -> "ActOutcome": ...
 
 
+@trusted
 @dataclass(frozen=True)
 class ActOutcome:
     """Primitive action plus its reported compute burden."""
@@ -129,7 +131,9 @@ class StabilizingController:
 
     Uses the compensated state estimate when the compensator is enabled,
     otherwise the raw delayed estimate. With feedback disabled it pops the
-    pre-committed open-loop schedule (if any) and then stays silent.
+    pre-committed open-loop schedule (if any) and then stays silent. Every
+    force it emits is clamped to the checked `action_bound`, so its actions
+    and outcomes are built unchecked.
     """
 
     def __init__(self, schedule: list[float] | None = None):
@@ -150,11 +154,11 @@ class StabilizingController:
                 est = belief.delayed_embodied
             err, err_rate = est.scalar()
             force, clamped = pd_feedback(cfg, err, err_rate)
-            return ActOutcome(Action("force", {"force": force}), 0.0, clamped)
+            return ActOutcome._trusted(Action._trusted("force", {"force": force}), 0.0, clamped)
         if self.schedule:
             force = self.schedule.pop(0)
             bounded = max(-cfg.action_bound, min(cfg.action_bound, force))
-            return ActOutcome(
-                Action("force", {"force": bounded}), 0.0, bounded != force
+            return ActOutcome._trusted(
+                Action._trusted("force", {"force": bounded}), 0.0, bounded != force
             )
-        return ActOutcome(Action("force", {"force": 0.0}))
+        return ActOutcome._trusted(Action._trusted("force", {"force": 0.0}), 0.0, False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ConfigurationError, InputError, SchemaError
+from ..trusted import trusted
 
 
 # ---------------------------------------------------------------------------
@@ -23,6 +24,7 @@ from ..errors import ConfigurationError, InputError, SchemaError
 # ---------------------------------------------------------------------------
 
 
+@trusted
 @dataclass(frozen=True)
 class EmbodiedState:
     """Plant state: position-like and velocity-like coordinates.
@@ -158,6 +160,7 @@ class LatentEvidence:
     response: float
 
 
+@trusted
 @dataclass(frozen=True)
 class Observation:
     """Raw per-step sensor payload.
@@ -193,6 +196,7 @@ class Observation:
         return obj
 
 
+@trusted
 @dataclass(frozen=True)
 class Action:
     """Primitive action. `kind` names the actuator, `params` its arguments."""

@@ -295,11 +295,14 @@ def run_family_a(
             e, edot = e + edot * env.dt, edot + (force + w) * env.dt
 
             noise = step_noise[step - 1]
-            obs = Observation(
+            # update_belief validates this observation.
+            obs = Observation._trusted(
                 {
                     "error": e + env.obs_noise * noise[0],
                     "error_rate": edot + env.obs_noise * noise[1],
-                }
+                },
+                (),
+                (),
             )
             belief = update_belief(belief, obs, outcome.action, belief_cfg)
             comp_kappa += belief.last_compute
@@ -317,12 +320,15 @@ def run_family_a(
             if first_hold_step is None and hold >= env.hold_steps:
                 first_hold_step = step
 
+            # Unchecked: latency is 0/1, repair |force| of a clamped force, compute a count >= 0.
             accrue(
                 ledger,
-                StepCosts(
-                    latency=0.0 if first_hold_step is not None else 1.0,
-                    repair=abs(force) if perturbed else 0.0,
-                    compute=float(belief.last_compute),
+                StepCosts._trusted(
+                    0.0,  # task
+                    0.0 if first_hold_step is not None else 1.0,  # latency
+                    0.0,  # leak
+                    abs(force) if perturbed else 0.0,  # repair
+                    float(belief.last_compute),  # compute
                 ),
             )
             if ledger.exhausted:

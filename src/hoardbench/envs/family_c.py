@@ -373,13 +373,15 @@ def run_family_c(
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
         exposure = leakage_score(adversary, true_cells) if true_cells else 0.0
+        # Unchecked: latency and repair are 0/1, leak in [0, 1], compute 0, 1 or decoy_cost.
         accrue(
             ledger,
-            StepCosts(
-                latency=step_costs["latency"],
-                leak=exposure,
-                repair=step_costs["repair"],
-                compute=step_costs["compute"],
+            StepCosts._trusted(
+                0.0,  # task
+                step_costs["latency"],
+                exposure,  # leak
+                step_costs["repair"],
+                step_costs["compute"],
             ),
         )
 

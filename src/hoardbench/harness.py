@@ -176,12 +176,14 @@ def parse_config(document: str) -> ExperimentConfig:
     if not isinstance(ablations, list) or not all(isinstance(n, str) for n in ablations):
         raise _fail("ablations", "expected a list of ablation names")
     known = FAMILIES[family].ablations
-    for name in ablations:
+    for i, name in enumerate(ablations):
         if name not in known:
             raise _fail(
                 f"ablations.{name}",
                 f"not an ablation of family {family}; known: {sorted(known)}",
             )
+        if name in ablations[:i]:
+            raise _fail(f"ablations.{name}", "listed more than once")
 
     sweep_key = None
     sweep_values = None
@@ -263,12 +265,15 @@ def _variant_label(name: str, sweep_key: str | None, sweep_value) -> str:
 @dataclass
 class CellResult:
     """One finished cell. `trace` is its step trace when the grid recorded
-    it for failures.md (see `run_grid`), else None."""
+    it for failures.md (see `run_grid`), else None. `seconds` is the wall
+    time the cell took in the grid, None for a cell read back from a results
+    directory."""
 
     variant: str
     seed: int
     record: RunRecord
     trace: Trace | None = None
+    seconds: float | None = None
 
 
 @dataclass
@@ -318,9 +323,13 @@ def run_one(
     return FAMILIES[config.family].run(env, agent, CostLedger(**config.ledger), seed, trace)
 
 
-def _run_cell(payload: tuple[str, str, dict, object, int], trace: Trace | None = None) -> str:
-    """Worker entry point: returns the finished record as a JSON line.
-    `trace`, when given, records the cell's steps as it runs."""
+def _run_cell(
+    payload: tuple[str, str, dict, object, int], trace: Trace | None = None
+) -> tuple[str, float]:
+    """Worker entry point: returns the finished record as a JSON line and
+    the cell's wall seconds. `trace`, when given, records the cell's steps
+    as it runs."""
+    started = time.monotonic()
     document, variant, agent, sweep_value, seed = payload
     config = parse_config(document)
     label = _variant_label(variant, config.sweep_key, sweep_value)
@@ -332,7 +341,7 @@ def _run_cell(payload: tuple[str, str, dict, object, int], trace: Trace | None =
             family=config.family, variant=label, seed=seed,
             status=STATUS_FAILED, error=f"{type(exc).__name__}: {exc}",
         )
-    return record.to_json_line()
+    return record.to_json_line(), time.monotonic() - started
 
 
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
@@ -364,14 +373,14 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
         cells = []
         for payload in payloads:
             trace = Trace() if traces_left else None
-            cell = _cell_result(_run_cell(payload, trace))
+            cell = _cell_result(*_run_cell(payload, trace))
             if trace is not None and cell.record.status != STATUS_FAILED:
                 cell.trace = trace
                 traces_left -= 1
             cells.append(cell)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = [_cell_result(line) for line in pool.map(_run_cell, payloads, chunksize=4)]
+            cells = [_cell_result(*out) for out in pool.map(_run_cell, payloads, chunksize=4)]
     elapsed = time.monotonic() - started
 
     result = ResultSet(config=config, cells=cells)
@@ -379,9 +388,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     return result
 
 
-def _cell_result(line: str) -> CellResult:
+def _cell_result(line: str, seconds: float) -> CellResult:
     record = RunRecord.from_json_obj(json.loads(line))
-    return CellResult(record.variant, record.seed, record)
+    return CellResult(record.variant, record.seed, record, seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +426,10 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     re-running listed cells to record their traces. That is 0.0 when
     nothing was re-run: every listed trace was recorded by the grid or, when
     re-reporting the directory the results were loaded from, is already
-    there.
+    there. `cell_seconds` maps variant, then seed, to the wall seconds each
+    cell took in the grid, measured inside the worker that ran it; it is
+    empty for results read back from a directory, whose cells were not
+    timed.
     """
     started = time.monotonic()
     out = Path(output_dir)
@@ -508,10 +520,15 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
 
     replay_seconds = _write_failures(result, by_variant, out, reuse)
 
+    cell_seconds: dict[str, dict[str, float]] = {}
+    for cell in ordered:
+        if cell.seconds is not None:
+            cell_seconds.setdefault(cell.variant, {})[str(cell.seed)] = cell.seconds
     timing = {
         **result.wallclock,
         "report_seconds": time.monotonic() - started,
         "trace_replay_seconds": replay_seconds,
+        "cell_seconds": cell_seconds,
     }
     (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
     return out

@@ -21,11 +21,13 @@ import numpy as np
 
 from .core.state import InputError
 from .rng import Substream
+from .trusted import trusted
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 BOOTSTRAP_RESAMPLES = 2000
 
 
+@trusted
 @dataclass(frozen=True)
 class StepCosts:
     """Per-step, non-negative cost increments."""

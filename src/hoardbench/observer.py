@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.state import InputError
+from .trusted import trusted
 
 OBSERVER_GRID = 20
 CACHE_KERNEL_WIDTH = 3
@@ -58,6 +59,7 @@ class SawNothing:
 ObservedEvent = SawCache | SawPresence | SawNothing
 
 
+@trusted
 @dataclass(frozen=True)
 class ObserverBelief:
     """Probability mass over grid cells; sums to one once evidence or a prior
@@ -124,7 +126,12 @@ def _sighting_update(grid: np.ndarray, cell: Cell, width: int, weight: float) ->
 
 
 def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBelief:
-    """Condition the belief on one sighting event and renormalize."""
+    """Condition the belief on one sighting event and renormalize.
+
+    The result is built without `ObserverBelief`'s checks: its grid is the
+    checked 20x20 grid of `belief` (or a uniform one) times non-negative
+    factors, divided by a positive total, and the rate is `belief`'s.
+    """
     grid = belief.grid
     if belief.total_mass() == 0.0:
         # No prior yet: initialize to uniform before conditioning.
@@ -140,7 +147,7 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
         rate = belief.diffusion_rate
         if rate == 0.0:
             # Exact identity; skip the renormalization round-off.
-            return ObserverBelief(belief.grid, belief.observations_seen + 1, rate)
+            return ObserverBelief._trusted(belief.grid, belief.observations_seen + 1, rate)
         grid = (1.0 - rate) * grid + rate / grid.size
     else:
         raise InputError(f"unknown observed event {event!r}")
@@ -148,7 +155,9 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     total = grid.sum()
     if total <= 0:
         raise InputError("observer update produced zero total mass")
-    return ObserverBelief(grid / total, belief.observations_seen + 1, belief.diffusion_rate)
+    return ObserverBelief._trusted(
+        grid / total, belief.observations_seen + 1, belief.diffusion_rate
+    )
 
 
 @functools.lru_cache(maxsize=1)

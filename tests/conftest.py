@@ -23,7 +23,8 @@ def outputs_by_jobs(tmp_path):
 
     The pool run always re-runs listed cells to record their traces. Pass
     `grid_records_traces=True` for a grid whose `--jobs 1` run records every
-    listed trace itself, so that its report re-runs nothing."""
+    listed trace itself, so that its report re-runs nothing. Either run's
+    timing.json must give the seconds of every cell in runs.jsonl."""
 
     def run(document: dict, grid_records_traces: bool = False) -> dict:
         config = tmp_path / "config.json"
@@ -40,6 +41,14 @@ def outputs_by_jobs(tmp_path):
                 assert replay_seconds == 0.0
             else:
                 assert replay_seconds > 0.0
+            runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+            timed = {
+                (variant, seed): seconds
+                for variant, by_seed in timing["cell_seconds"].items()
+                for seed, seconds in by_seed.items()
+            }
+            assert sorted(timed) == sorted((r["variant"], str(r["seed"])) for r in runs)
+            assert all(seconds > 0.0 for seconds in timed.values())
         return outputs
 
     return run

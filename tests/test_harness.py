@@ -42,6 +42,8 @@ from hoardbench.harness import (
         ("delta", {"ledger": {"delta": 1.0}}),
         ("version", {"version": "0.0.1"}),
         ("version", {"version": 1}),
+        ("ablations.single_agent", {"family": "D", "ablations": ["single_agent", "single_agent"]}),
+        ("ablations.no_feedback", {"ablations": ["no_feedback", "no_compensator", "no_feedback"]}),
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):
@@ -191,7 +193,10 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
     assert calls == []
-    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] == 0.0
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["trace_replay_seconds"] == 0.0
+    # Cells read back from the directory were not timed by this call.
+    assert timing["cell_seconds"] == {}
     assert _result_files(out) == before
 
     (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()

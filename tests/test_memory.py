@@ -289,6 +289,55 @@ def test_equal_content_equivalence_up_to_64_episodes():
             assert ids == {e.id}
 
 
+def _agrees(result, reference):
+    """Same episode, same decoded location, same confidence. Flat scoring
+    uses numpy's exp and the reference `math.exp`, which can differ in the
+    last bit, so confidence is compared to 1e-12."""
+    same_episode = (result.episode is None) == (reference.episode is None) and (
+        result.episode is None or result.episode.id == reference.episode.id
+    )
+    return (
+        same_episode
+        and result.decoded_location == reference.decoded_location
+        and abs(result.confidence - reference.confidence) <= 1e-12
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 90),
+    types=st.integers(1, 4),
+    landmark_count=st.integers(4, 25),
+    drift=st.sampled_from([0.0, 0.005, 0.02, 0.05, 0.2]),
+)
+def test_retrieval_under_landmark_drift_matches_brute_force(
+    seed, n, types, landmark_count, drift
+):
+    # Episodes are encoded against the landmarks at write time; queries and
+    # decodes use the drifted set, as in family B's query phase.
+    stream = Substream(seed, "env")
+    written = LandmarkSet.sample(landmark_count, stream)
+    episodes = _random_episodes(n, written, stream, types=types)
+    flat = _store_with(episodes, StoreVariant.FLAT)
+    clustered = _store_with(episodes, StoreVariant.CLUSTERED)
+    current = written.drifted(drift, stream)
+    for k in range(8):
+        if k % 2 == 0:
+            episode = episodes[int(stream.integers(0, n))]
+            location, item_type = episode.location, episode.item_type
+        else:
+            location = tuple(float(v) for v in stream.uniform(0.0, 1.0, size=2))
+            item_type = int(stream.integers(1, types + 2))  # may be absent
+        query = Query(item_type, encode_cue(location, current))
+        reference = brute_force_retrieve(flat, query, current)
+        assert _agrees(retrieve(flat, query, current), reference)
+        result = retrieve(clustered, query, current)
+        same_type = sum(1 for e in episodes if e.item_type == item_type)
+        if result.probes_used == same_type:
+            assert _agrees(result, reference)
+
+
 def test_probe_scaling_ladder():
     # Flat probes grow linearly with same-type count; clustered probes stay
     # bounded by the populated-bucket sizes.

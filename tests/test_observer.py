@@ -8,6 +8,7 @@ from hoardbench.core.state import InputError
 from hoardbench.observer import (
     CACHE_KERNEL_WIDTH,
     CACHE_KERNEL_WEIGHT,
+    NORMALIZATION_TOL,
     OBSERVER_GRID,
     PRESENCE_KERNEL_WIDTH,
     PRESENCE_KERNEL_WEIGHT,
@@ -280,6 +281,31 @@ def test_update_sequences_match_array_form(prior, rate, events):
             return
         belief = observer_update(belief, event)
         assert belief.grid.tobytes() == grid.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([ObserverBelief.uniform, ObserverBelief.empty]),
+    st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
+    st.lists(_EVENTS, max_size=40),
+)
+def test_mass_stays_one_and_cells_non_negative(prior, rate, events):
+    belief = prior(rate)
+    # An empty prior holds no mass until an update that is not the identity
+    # (a quiet step without diffusion) initializes it.
+    initialized = belief.total_mass() > 0.0
+    for seen, event in enumerate(events, start=1):
+        belief = observer_update(belief, event)
+        initialized = initialized or not (isinstance(event, SawNothing) and rate == 0.0)
+        if initialized:
+            assert abs(belief.total_mass() - 1.0) <= NORMALIZATION_TOL
+        else:
+            assert belief.total_mass() == 0.0
+        assert np.all(belief.grid >= 0.0)
+        assert (belief.observations_seen, belief.diffusion_rate) == (seen, rate)
+        # The update skips ObserverBelief's checks; the public constructor
+        # re-runs them on its result.
+        ObserverBelief(belief.grid, belief.observations_seen, belief.diffusion_rate)
 
 
 def _as(kind, v):

@@ -1,0 +1,247 @@
+"""Guards for trusted construction (`hoardbench.trusted`).
+
+A covered frozen dataclass has a public constructor, which keeps every
+check, and `_trusted`, which sets the fields and checks nothing. These tests
+pin three things: both paths build the same object from valid input; the
+public constructors still reject invalid input; and only an allow-listed set
+of internal functions, each building from already-checked values, reaches
+`_trusted` at all.
+"""
+
+import ast
+import dataclasses
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import hoardbench
+from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
+from hoardbench.core.policy import ActOutcome
+from hoardbench.core.state import (
+    Action,
+    EmbodiedState,
+    InputError,
+    LatentEvidence,
+    Observation,
+    SchemaError,
+)
+from hoardbench.ledger import StepCosts
+from hoardbench.observer import OBSERVER_GRID, ObserverBelief
+from hoardbench.trusted import trusted
+
+COVERED = (Action, ActOutcome, Belief, EmbodiedState, Observation, ObserverBelief, StepCosts)
+
+# Every function that may touch `_trusted`, as "module:qualname". Each builds
+# only from values that were checked on the way in or derived from them in a
+# way that keeps them valid; see the comment or docstring at each one.
+ALLOWED_CALLERS = {
+    "hoardbench.core.belief:_embodied_from_obs",
+    "hoardbench.core.belief:update_belief",
+    "hoardbench.core.policy:StabilizingController.act",
+    "hoardbench.envs.family_a:run_family_a",
+    "hoardbench.envs.family_c:run_family_c",
+    "hoardbench.observer:observer_update",
+}
+
+SRC = Path(hoardbench.__file__).resolve().parent
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_COST = st.floats(0.0, 1e6, allow_nan=False)
+_STATES = st.builds(
+    EmbodiedState,
+    st.lists(_FINITE, min_size=1, max_size=3).map(tuple),
+    st.lists(_FINITE, min_size=1, max_size=3).map(tuple),
+)
+_OBSERVATIONS = st.builds(
+    Observation,
+    st.dictionaries(st.sampled_from(["error", "error_rate", "phase", "round"]), _FINITE),
+    st.lists(st.builds(LatentEvidence, st.just("compliance"), _FINITE, _FINITE), max_size=2)
+    .map(tuple),
+    st.lists(st.tuples(st.integers(0, 30), _FINITE, _FINITE), max_size=3).map(tuple),
+)
+_LATENTS = arrays(np.float64, st.integers(0, 3), elements=st.floats(0.0, 1e12))
+
+
+def _field_values(cls, draw):
+    """One valid value per field of `cls`, in declaration order."""
+    if cls is EmbodiedState:
+        state = draw(_STATES)
+        return [state.position, state.velocity]
+    if cls is Observation:
+        obs = draw(_OBSERVATIONS)
+        return [obs.values, obs.latent_evidence, obs.landmarks]
+    if cls is Action:
+        return [
+            draw(st.sampled_from(["force", "launch", "dig", "noop"])),
+            draw(st.dictionaries(st.sampled_from(["force", "offset", "x", "y"]), _FINITE)),
+        ]
+    if cls is ActOutcome:
+        return [Action("force", {"force": draw(_FINITE)}), draw(_COST), draw(st.booleans())]
+    if cls is StepCosts:
+        return [draw(_COST) for _ in range(5)]
+    if cls is Belief:
+        return [
+            draw(_LATENTS),
+            draw(_LATENTS),
+            tuple(draw(st.lists(_OBSERVATIONS, max_size=3))),
+            tuple(draw(st.lists(_FINITE, max_size=3))),
+            draw(_STATES),
+            draw(_STATES),
+            draw(st.integers(0, 10_000)),
+            draw(st.integers(0, 10)),
+            draw(st.booleans()),
+        ]
+    if cls is ObserverBelief:
+        return [
+            draw(arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1.0))),
+            draw(st.integers(0, 10_000)),
+            draw(st.floats(0.0, 1.0)),
+        ]
+    raise AssertionError(f"no strategy for {cls.__name__}")
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("cls", COVERED, ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
+    values = _field_values(cls, data.draw)
+    names = [f.name for f in dataclasses.fields(cls)]
+    public = cls(*values)
+    built = cls._trusted(*values)
+    assert type(built) is cls
+    # Exactly the dataclass's fields, in declaration order, each holding
+    # the value passed in.
+    assert list(vars(built)) == names
+    for name, value in zip(names, values):
+        assert getattr(built, name) is value
+        assert _same(getattr(built, name), getattr(public, name)), name
+    # Equal sizes mean the trusted object shares its class's dict keys as
+    # the public one does; a dict assigned whole would not.
+    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(public))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, names[0], values[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StepCosts(task=-1.0),
+        lambda: StepCosts(latency=math.nan),
+        lambda: StepCosts(leak=math.inf),
+        lambda: StepCosts(repair=-1e-300),
+        lambda: StepCosts(compute=-0.5),
+        lambda: ObserverBelief(np.full((OBSERVER_GRID, OBSERVER_GRID), -1.0 / 400)),
+        lambda: ObserverBelief(np.where(np.eye(OBSERVER_GRID) > 0, -1e-9, 0.01)),
+        lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID - 1))),
+        lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID)), 0, 1.5),
+        lambda: initial_belief(
+            BeliefConfig(("error",), latent_names=("z",), latent_prior_mean=(0.0,),
+                         latent_prior_variance=(-1.0,)),
+            EmbodiedState((0.0,), (0.0,)),
+        ),
+    ],
+)
+def test_public_constructors_still_reject_invalid_input(build):
+    with pytest.raises(InputError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ({"error": math.nan, "error_rate": 0.0}, InputError),
+        ({"error": 0.0, "error_rate": math.inf}, InputError),
+        ({"error": 0.0}, SchemaError),
+        ({"error": 0.0, "error_rate": 0.0, "extra": 0.0}, SchemaError),
+    ],
+)
+def test_update_belief_validates_an_observation_built_unchecked(values, error):
+    config = BeliefConfig(("error", "error_rate"), delay=1)
+    belief = initial_belief(config, EmbodiedState((0.0,), (0.0,)))
+    with pytest.raises(error):
+        update_belief(belief, Observation._trusted(values, (), ()), Action("noop"), config)
+
+
+def test_trusted_rejects_a_class_that_is_not_a_frozen_dataclass():
+    @dataclasses.dataclass
+    class Mutable:
+        x: int
+
+    class Plain:
+        pass
+
+    for cls in (Mutable, Plain):
+        with pytest.raises(TypeError, match="frozen dataclass"):
+            trusted(cls)
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC.parent).with_suffix("")
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        yield ".".join(parts), ast.parse(path.read_text())
+
+
+def _trusted_users(tree: ast.AST, module: str) -> set[str]:
+    """module:qualname of each function that mentions `<anything>._trusted`;
+    a mention outside any function reads as module:<module>."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+            found.add(f"{module}:{'.'.join(scope) or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _decorated_classes(tree: ast.AST) -> set[str]:
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "trusted" for d in node.decorator_list)
+    }
+
+
+def test_only_allow_listed_functions_reach_the_trusted_path():
+    users = set()
+    covered = set()
+    for module, tree in _modules():
+        if module == "hoardbench.trusted":
+            continue
+        users |= _trusted_users(tree, module)
+        covered |= _decorated_classes(tree)
+    assert users == ALLOWED_CALLERS
+    assert covered == {cls.__name__ for cls in COVERED}
+
+
+def test_scan_sees_calls_in_methods_and_at_module_level():
+    tree = ast.parse(
+        "class K:\n"
+        "    def f(self):\n"
+        "        return Action._trusted('a', {})\n"
+        "build = StepCosts._trusted\n"
+    )
+    assert _trusted_users(tree, "m") == {"m:K.f", "m:<module>"}
