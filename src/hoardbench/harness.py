@@ -198,8 +198,11 @@ def parse_config(document: str) -> ExperimentConfig:
         if not isinstance(sweep["values"], list) or not sweep["values"]:
             raise _fail("sweep.values", "expected a non-empty list")
         sweep_values = tuple(sweep["values"])
-        for v in sweep_values:
+        labels = [str(v) for v in sweep_values]
+        for i, v in enumerate(sweep_values):
             _build_env(family, {**env_block, sweep_key: v})
+            if labels[i] in labels[:i]:
+                raise _fail("sweep.values", f"{labels[i]} listed more than once")
 
     output_dir = raw.get("output_dir", "results")
     if not isinstance(output_dir, str):
@@ -266,8 +269,7 @@ def _variant_label(name: str, sweep_key: str | None, sweep_value) -> str:
 class CellResult:
     """One finished cell. `trace` is its step trace when the grid recorded
     it for failures.md (see `run_grid`), else None. `seconds` is the wall
-    time the cell took in the grid, None for a cell read back from a results
-    directory."""
+    time the cell took in the grid, None when it is not known."""
 
     variant: str
     seed: int
@@ -427,9 +429,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     nothing was re-run: every listed trace was recorded by the grid or, when
     re-reporting the directory the results were loaded from, is already
     there. `cell_seconds` maps variant, then seed, to the wall seconds each
-    cell took in the grid, measured inside the worker that ran it; it is
-    empty for results read back from a directory, whose cells were not
-    timed.
+    cell took in the grid, measured inside the worker that ran it. Results
+    read back from a directory carry the grid's wall clock and cell seconds
+    from its timing.json, so a re-report keeps them.
     """
     started = time.monotonic()
     out = Path(output_dir)
@@ -635,10 +637,29 @@ def load_result_set(directory: str | Path) -> ResultSet:
     directory = Path(directory)
     config = parse_config((directory / "resolved_config.json").read_text())
     result = ResultSet(config=config, loaded_from=directory)
+    result.wallclock, cell_seconds = _read_timing(directory)
     with open(directory / "runs.jsonl") as fh:
         for line in fh:
             if not line.strip():
                 continue
             record = RunRecord.from_json_obj(json.loads(line))
-            result.cells.append(CellResult(record.variant, record.seed, record))
+            seconds = cell_seconds.get((record.variant, record.seed))
+            result.cells.append(CellResult(record.variant, record.seed, record, seconds=seconds))
     return result
+
+
+def _read_timing(directory: Path) -> tuple[dict[str, float], dict[tuple[str, int], float]]:
+    """The grid's wall clock (`total_seconds`, `jobs`) and per-cell seconds,
+    by (variant, seed), from a results directory's timing.json; both empty
+    when the file is missing or unreadable."""
+    try:
+        timing = json.loads((directory / "timing.json").read_text())
+        wallclock = {k: float(timing[k]) for k in ("total_seconds", "jobs") if k in timing}
+        cells = {
+            (variant, int(seed)): float(seconds)
+            for variant, by_seed in timing.get("cell_seconds", {}).items()
+            for seed, seconds in by_seed.items()
+        }
+    except (OSError, ValueError, TypeError, AttributeError):
+        return {}, {}
+    return wallclock, cells

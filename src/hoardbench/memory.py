@@ -17,6 +17,12 @@ distance mismatch and the bearing chord, and a landmark only one cue
 references adds nothing. Decoding re-derives a stored cue's location against
 the current, possibly drifted, landmark positions of its three ids by
 least-squares trilateration.
+
+`cue_similarity` is the one scoring rule. The clustered path folds it over
+the few episodes it probes (about 4 per query), where numpy's per-call set-up
+would cost more than the arithmetic; the flat path scores every same-type
+episode at once with `_slot_scores`, its vectorized form over an inverted
+landmark index, which tests pin to the rule through `brute_force_retrieve`.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ GRID_DIV = 16
 # instead of cliff-edging.
 DIST_SCALE = 0.05
 BEARING_SCALE = 0.5
+BEARING_SCALE2 = BEARING_SCALE * BEARING_SCALE
 COLLINEAR_TOL = 1e-6
 DEGENERATE_CONFIDENCE = 0.5
 # Clustered retrieval stops expanding its cell search once a candidate this
@@ -123,12 +130,6 @@ class CueVector:
         if len(set(self.landmark_ids)) != CUE_LANDMARKS:
             raise InputError("cue must reference three distinct landmarks")
 
-    def features(self) -> np.ndarray:
-        """Flat (ids, distances, bearings) layout used for batch scoring."""
-        return np.array(
-            [*self.landmark_ids, *self.distances, *self.bearings], dtype=float
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "landmark_ids": list(self.landmark_ids),
@@ -159,12 +160,6 @@ def encode_cue(location: tuple[float, float], landmarks: LandmarkSet) -> CueVect
     return CueVector(ids, ds, bearings)
 
 
-def _bearing_chord(eb_cos: float, eb_sin: float, qb_cos: float, qb_sin: float) -> float:
-    dx = eb_cos - qb_cos
-    dy = eb_sin - qb_sin
-    return dx * dx + dy * dy
-
-
 def cue_similarity(a: CueVector, b: CueVector) -> float:
     """Similarity in [0, 1]: landmark ids align the comparison, mismatched
     distance and bearing accumulate as Gaussian penalties, and a landmark the
@@ -177,45 +172,22 @@ def cue_similarity(a: CueVector, b: CueVector) -> float:
             if qid != eid:
                 continue
             dd = (b.distances[k] - a.distances[j]) / DIST_SCALE
-            chord2 = _bearing_chord(
-                math.cos(b.bearings[k]), math.sin(b.bearings[k]), qc, qs
-            )
-            total += math.exp(-0.5 * (dd * dd + chord2 / (BEARING_SCALE * BEARING_SCALE)))
+            dc = math.cos(b.bearings[k]) - qc
+            ds = math.sin(b.bearings[k]) - qs
+            total += math.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE2))
             break
     return total / CUE_LANDMARKS
 
 
-def _batch_scores(feats: np.ndarray, query: CueVector) -> np.ndarray:
-    """Vectorized `cue_similarity` of one query against a feature matrix."""
-    if not len(feats):
-        return np.zeros(0)
-    e_ids = feats[:, 0:3]
-    e_d = feats[:, 3:6]
-    e_b = feats[:, 6:9]
-    e_cos = np.cos(e_b)
-    e_sin = np.sin(e_b)
-    total = np.zeros(len(feats))
-    bscale2 = BEARING_SCALE * BEARING_SCALE
-    for j in range(CUE_LANDMARKS):
-        match = e_ids == float(query.landmark_ids[j])
-        if not match.any():
-            continue
-        qc, qs = math.cos(query.bearings[j]), math.sin(query.bearings[j])
-        dd = (e_d - query.distances[j]) / DIST_SCALE
-        dc = e_cos - qc
-        ds = e_sin - qs
-        contrib = np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / bscale2))
-        total += np.where(match, contrib, 0.0).sum(axis=1)
-    return total / CUE_LANDMARKS
+def _slot_scores(count: int, slots: dict, query: CueVector) -> np.ndarray:
+    """`cue_similarity` of one query against `count` episodes at once,
+    through their inverted landmark index (see `MemoryStore._type_index`).
 
-
-def _slot_scores(store: "MemoryStore", item_type: int, query: CueVector) -> np.ndarray:
-    """Scores of one query against every same-type episode, through the
-    inverted landmark index (identical values to `_batch_scores`)."""
-    idx, _, _ = store._features_for_type(item_type)
-    slots = store._slots_for_type(item_type)
-    total = np.zeros(len(idx))
-    bscale2 = BEARING_SCALE * BEARING_SCALE
+    The vectorized form of the scalar rule: the same terms, summed in the
+    same order, but with numpy's `cos` and `exp`, which may differ from the
+    `math` functions in the last bit.
+    """
+    total = np.zeros(count)
     for j in range(CUE_LANDMARKS):
         hit = slots.get(query.landmark_ids[j])
         if hit is None:
@@ -225,7 +197,7 @@ def _slot_scores(store: "MemoryStore", item_type: int, query: CueVector) -> np.n
         dd = (dist - query.distances[j]) / DIST_SCALE
         dc = bcos - qc
         ds = bsin - qs
-        total[rows] += np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / bscale2))
+        total[rows] += np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE2))
     return total / CUE_LANDMARKS
 
 
@@ -358,50 +330,26 @@ class MemoryStore:
         self.index: dict[int, dict[tuple[int, int], list[int]]] = {}
         self.probe_counter = 0
         self._id_to_index: dict[int, int] = {}
-        self._feature_cache: dict[int, tuple] | None = None
-        self._slot_cache: dict[int, dict] | None = None
+        # item type -> (episode indices, inverted landmark index), built on
+        # the first flat scan of the type and dropped by a write of it.
+        self._by_type: dict[int, tuple[list[int], dict]] = {}
         # The landmark snapshot the last write was encoded against, parsed.
         self._snapshot: tuple[tuple, LandmarkSet] | None = None
 
     def __len__(self) -> int:
         return len(self.episodes)
 
-    def _invalidate(self) -> None:
-        self._feature_cache = None
-        self._slot_cache = None
-
-    def _features_for_type(
-        self, item_type: int
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-        """(episode indices, feature matrix, index->row map) for one item type."""
-        if self._feature_cache is None:
-            self._feature_cache = {}
-        hit = self._feature_cache.get(item_type)
+    def _type_index(self, item_type: int) -> tuple[list[int], dict]:
+        """Episode indices of one item type, in insertion order, and their
+        inverted landmark index: id -> (rows, distances, cos b, sin b), where
+        a row is a position in the index list."""
+        hit = self._by_type.get(item_type)
         if hit is not None:
             return hit
-        idx = np.array(
-            [i for i, e in enumerate(self.episodes) if e.item_type == item_type],
-            dtype=int,
-        )
-        if len(idx):
-            feats = np.stack([self.episodes[i].cue.features() for i in idx])
-        else:
-            feats = np.zeros((0, 9))
-        lookup = {int(e): k for k, e in enumerate(idx)}
-        self._feature_cache[item_type] = (idx, feats, lookup)
-        return idx, feats, lookup
-
-    def _slots_for_type(self, item_type: int):
-        """Inverted landmark index: id -> (rows, distances, cos b, sin b)."""
-        if self._slot_cache is None:
-            self._slot_cache = {}
-        hit = self._slot_cache.get(item_type)
-        if hit is not None:
-            return hit
-        idx, _, _ = self._features_for_type(item_type)
+        idx = [i for i, e in enumerate(self.episodes) if e.item_type == item_type]
         grouped: dict[int, list[tuple[int, float, float]]] = {}
         for row, i in enumerate(idx):
-            cue = self.episodes[int(i)].cue
+            cue = self.episodes[i].cue
             for k, lid in enumerate(cue.landmark_ids):
                 grouped.setdefault(lid, []).append((row, cue.distances[k], cue.bearings[k]))
         slots = {}
@@ -410,8 +358,8 @@ class MemoryStore:
             dist = np.array([e[1] for e in entries])
             bear = np.array([e[2] for e in entries])
             slots[lid] = (rows, dist, np.cos(bear), np.sin(bear))
-        self._slot_cache[item_type] = slots
-        return slots
+        hit = self._by_type[item_type] = (idx, slots)
+        return hit
 
     def append(self, record: EpisodeRecord) -> None:
         if record.id in self._id_to_index:
@@ -423,7 +371,7 @@ class MemoryStore:
             self.index.setdefault(record.item_type, {}).setdefault(cell, []).append(
                 record.id
             )
-        self._invalidate()
+        self._by_type.pop(record.item_type, None)
 
     def landmarks_of(self, snapshot: tuple) -> LandmarkSet:
         """`LandmarkSet.from_obs_tuples(snapshot)`, parsed once per run of
@@ -494,46 +442,33 @@ def write(
     return store
 
 
-def _score_and_pick(
-    store: MemoryStore,
-    query: Query,
-    candidates: np.ndarray,
-) -> tuple[int | None, float, float]:
-    """Best episode index among candidates plus the top-two score margin.
+# (best episode index, best score, second score) before any candidate.
+_NO_PICK: tuple[int | None, float, float] = (None, -1.0, 0.0)
 
-    Tie-break: the candidate appearing first in `candidates` wins, so the
-    caller controls tie semantics (insertion order for the flat archive,
-    probe order for the clustered index).
-    """
-    if len(candidates) == 0:
-        return None, 0.0, 0.0
-    idx, feats, lookup = store._features_for_type(query.item_type)
-    if candidates is idx:
-        scores = _batch_scores(feats, query.cue)
-    else:
-        rows = np.array([lookup[int(c)] for c in candidates], dtype=int)
-        scores = _batch_scores(feats[rows], query.cue)
-    best_pos = int(np.argmax(scores))
-    best_score = float(scores[best_pos])
-    if len(scores) > 1:
-        second = float(np.partition(scores, -2)[-2])
-    else:
-        second = 0.0
-    return int(candidates[best_pos]), best_score, second
+
+def _fold_best_two(
+    store: MemoryStore, cue: CueVector, rows: list[int], picked: tuple
+) -> tuple[int | None, float, float]:
+    """Fold `cue_similarity` over episode indices, in probe order, into the
+    running `picked` (best index, best score, second score); the first of
+    equal scores wins."""
+    best_idx, best, second = picked
+    episodes = store.episodes
+    for i in rows:
+        s = cue_similarity(cue, episodes[i].cue)
+        if s > best:
+            best_idx, second, best = i, best, s
+        elif s > second:
+            second = s
+    return best_idx, best, second
 
 
 def _finish(
-    store: MemoryStore,
-    query: Query,
-    best_idx: int | None,
-    best: float,
-    second: float,
-    probes: int,
-    current_landmarks: LandmarkSet,
+    store: MemoryStore, picked: tuple, probes: int, current_landmarks: LandmarkSet
 ) -> Retrieval:
     store.probe_counter += probes
-    if best_idx is None:
-        return Retrieval(None, None, probes, 0.0)
+    best_idx, best, second = picked
+    second = max(second, 0.0)
     episode = store.episodes[best_idx]
     confidence = 1.0 if best <= 0.0 else max(0.0, min(1.0, (best - second) / best))
     decoded, degenerate = _decode(episode, current_landmarks)
@@ -552,22 +487,21 @@ def retrieve(
         raise InputError("query must carry an item type and a cue")
 
     if store.variant is StoreVariant.FLAT:
-        idx, _, _ = store._features_for_type(query.item_type)
-        if len(idx) == 0:
-            return _finish(store, query, None, 0.0, 0.0, 0, current_landmarks)
-        scores = _slot_scores(store, query.item_type, query.cue)
+        idx, slots = store._type_index(query.item_type)
+        if not idx:
+            return Retrieval(None, None, 0, 0.0)
+        scores = _slot_scores(len(idx), slots, query.cue)
         best_pos = int(np.argmax(scores))
-        best = float(scores[best_pos])
         second = float(np.partition(scores, -2)[-2]) if len(scores) > 1 else 0.0
-        return _finish(
-            store, query, int(idx[best_pos]), best, second, len(idx), current_landmarks
-        )
+        picked = (idx[best_pos], float(scores[best_pos]), second)
+        return _finish(store, picked, len(idx), current_landmarks)
 
     # Clustered: predict the target location from the query cue, then probe
     # grid cells outward by Chebyshev ring until candidates appear.
     bucket = store.index.get(query.item_type, {})
     if not bucket:
-        return _finish(store, query, None, 0.0, 0.0, 0, current_landmarks)
+        return Retrieval(None, None, 0, 0.0)
+    rank = store._id_to_index
     anchors, ok = _cue_anchor_positions(query.cue, current_landmarks)
     predicted = None
     if ok:
@@ -577,45 +511,25 @@ def retrieve(
     if predicted is None:
         # No usable geometry: fall back to scanning the type bucket in
         # deterministic row-major cell order.
-        candidates: list[int] = []
-        for cell in sorted(bucket):
-            candidates.extend(store._id_to_index[i] for i in bucket[cell])
-        order = np.array(candidates, dtype=int)
-        best_idx, best, second = _score_and_pick(store, query, order)
-        ret = _finish(store, query, best_idx, best, second, len(order), current_landmarks)
+        rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
+        picked = _fold_best_two(store, query.cue, rows, _NO_PICK)
+        ret = _finish(store, picked, len(rows), current_landmarks)
         return replace(ret, confidence=min(ret.confidence, DEGENERATE_CONFIDENCE))
 
     # Probe cells outward from the predicted location, nearest ring first.
     # Stop as soon as a strong match appears (the predicted cell almost
     # always holds the right episode), or, failing that, at the first
-    # non-empty ring beyond the immediate neighbourhood.
+    # non-empty ring beyond the immediate neighbourhood. Ring 15 reaches
+    # every cell, so a non-empty bucket always yields a pick.
     center = grid_cell(predicted)
-    _, feats, lookup = store._features_for_type(query.item_type)
-    best_idx: int | None = None
-    best, second = -1.0, 0.0
-    probes = 0
+    picked, probes = _NO_PICK, 0
     for ring in range(GRID_DIV + 1):
-        ring_rows: list[int] = []
-        for cell in _ring_cells(center, ring):
-            for eid in bucket.get(cell, ()):  # noqa: B020 - bucket holds ids
-                ring_rows.append(store._id_to_index[eid])
-        if ring_rows:
-            rows = np.array([lookup[r] for r in ring_rows], dtype=int)
-            scores = _batch_scores(feats[rows], query.cue)
-            probes += len(ring_rows)
-            for pos in range(len(ring_rows)):
-                s = float(scores[pos])
-                if s > best:
-                    best_idx, second, best = ring_rows[pos], best, s
-                elif s > second:
-                    second = s
-        if best >= EARLY_STOP_SCORE:
+        rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
+        picked = _fold_best_two(store, query.cue, rows, picked)
+        probes += len(rows)
+        if picked[1] >= EARLY_STOP_SCORE or (ring >= 1 and probes > 0):
             break
-        if ring >= 1 and probes > 0:
-            break
-    return _finish(
-        store, query, best_idx, best, max(second, 0.0), probes, current_landmarks
-    )
+    return _finish(store, picked, probes, current_landmarks)
 
 
 def _ring_cells(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:

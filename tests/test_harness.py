@@ -44,6 +44,8 @@ from hoardbench.harness import (
         ("version", {"version": 1}),
         ("ablations.single_agent", {"family": "D", "ablations": ["single_agent", "single_agent"]}),
         ("ablations.no_feedback", {"ablations": ["no_feedback", "no_compensator", "no_feedback"]}),
+        ("sweep.values", {"family": "D", "sweep": {"key": "plan_length", "values": [8, 8]}}),
+        ("sweep.values", {"sweep": {"key": "trials", "values": [1, 2, 1]}}),
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):
@@ -190,13 +192,16 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
     before = _result_files(out)
+    grid_timing = json.loads((out / "timing.json").read_text())
+    assert set(grid_timing["cell_seconds"]) == {"baseline", "single_agent"}
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
     assert calls == []
     timing = json.loads((out / "timing.json").read_text())
     assert timing["trace_replay_seconds"] == 0.0
-    # Cells read back from the directory were not timed by this call.
-    assert timing["cell_seconds"] == {}
+    # The grid's wall clock and cell seconds survive the re-report.
+    for key in ("total_seconds", "jobs", "cell_seconds"):
+        assert timing[key] == grid_timing[key]
     assert _result_files(out) == before
 
     (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
@@ -204,6 +209,22 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     assert calls == [1]
     assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] > 0.0
     assert _result_files(out) == before
+
+
+@pytest.mark.parametrize("timing", [None, "not json", '{"cell_seconds": [1]}'])
+def test_report_without_a_readable_timing_file_keeps_only_its_own(tmp_path, timing):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(D_TWO_SEEDS))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    if timing is None:
+        (out / "timing.json").unlink()
+    else:
+        (out / "timing.json").write_text(timing)
+    assert main(["report", "--in", str(out)]) == 0
+    rewritten = json.loads((out / "timing.json").read_text())
+    assert set(rewritten) == {"report_seconds", "trace_replay_seconds", "cell_seconds"}
+    assert rewritten["cell_seconds"] == {}
 
 
 def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from hoardbench.core.state import Action, InputError, Observation
 from hoardbench.memory import (
+    BEARING_SCALE,
     COLLINEAR_TOL,
+    DEGENERATE_CONFIDENCE,
+    DIST_SCALE,
+    EARLY_STOP_SCORE,
+    GRID_DIV,
     CueVector,
     EpisodeRecord,
     LandmarkSet,
@@ -16,7 +22,9 @@ from hoardbench.memory import (
     Query,
     StoreVariant,
     VerifyStatus,
+    _cue_anchor_positions,
     _decode,
+    _ring_cells,
     brute_force_retrieve,
     cue_similarity,
     decode_location,
@@ -289,17 +297,16 @@ def test_equal_content_equivalence_up_to_64_episodes():
             assert ids == {e.id}
 
 
-def _agrees(result, reference):
-    """Same episode, same decoded location, same confidence. Flat scoring
-    uses numpy's exp and the reference `math.exp`, which can differ in the
-    last bit, so confidence is compared to 1e-12."""
+def _agrees(result, reference, tolerance=0.0):
+    """Same episode, same decoded location, and confidence within
+    `tolerance`."""
     same_episode = (result.episode is None) == (reference.episode is None) and (
         result.episode is None or result.episode.id == reference.episode.id
     )
     return (
         same_episode
         and result.decoded_location == reference.decoded_location
-        and abs(result.confidence - reference.confidence) <= 1e-12
+        and abs(result.confidence - reference.confidence) <= tolerance
     )
 
 
@@ -331,11 +338,150 @@ def test_retrieval_under_landmark_drift_matches_brute_force(
             item_type = int(stream.integers(1, types + 2))  # may be absent
         query = Query(item_type, encode_cue(location, current))
         reference = brute_force_retrieve(flat, query, current)
-        assert _agrees(retrieve(flat, query, current), reference)
+        # Flat scoring uses numpy's exp and the reference `math.exp`, which
+        # can differ in the last bit; clustered scoring is the reference's
+        # own `cue_similarity`, so its confidence must match exactly.
+        assert _agrees(retrieve(flat, query, current), reference, 1e-12)
         result = retrieve(clustered, query, current)
         same_type = sum(1 for e in episodes if e.item_type == item_type)
         if result.probes_used == same_type:
             assert _agrees(result, reference)
+
+
+# --- Clustered retrieval against its former numpy scoring ---------------------
+
+
+def _frozen_batch_scores(store, rows, query):
+    """Frozen copy of the vectorized scorer the clustered path used before it
+    scored with `cue_similarity`, over the rows' (ids, distances, bearings)
+    feature matrix."""
+    cues = [store.episodes[r].cue for r in rows]
+    feats = np.array([[*c.landmark_ids, *c.distances, *c.bearings] for c in cues], dtype=float)
+    e_ids = feats[:, 0:3]
+    e_d = feats[:, 3:6]
+    e_b = feats[:, 6:9]
+    e_cos = np.cos(e_b)
+    e_sin = np.sin(e_b)
+    total = np.zeros(len(feats))
+    bscale2 = BEARING_SCALE * BEARING_SCALE
+    for j in range(3):
+        match = e_ids == float(query.landmark_ids[j])
+        if not match.any():
+            continue
+        qc, qs = math.cos(query.bearings[j]), math.sin(query.bearings[j])
+        dd = (e_d - query.distances[j]) / DIST_SCALE
+        dc = e_cos - qc
+        ds = e_sin - qs
+        contrib = np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / bscale2))
+        total += np.where(match, contrib, 0.0).sum(axis=1)
+    return total / 3
+
+
+def _frozen_clustered_retrieve(store, query, current):
+    """Frozen copy of the former clustered path: (episode id, probes,
+    decoded location, confidence). Each ring is scored as one batch and
+    folded in probe order; without usable geometry the whole type bucket is
+    scored in sorted cell order and picked by argmax and partition."""
+    bucket = store.index.get(query.item_type, {})
+    if not bucket:
+        return None, 0, None, 0.0
+    rank = store._id_to_index
+    anchors, ok = _cue_anchor_positions(query.cue, current)
+    predicted = None
+    if ok:
+        predicted, degenerate = trilaterate(anchors, np.asarray(query.cue.distances))
+        if degenerate:
+            predicted = None
+    cap = 1.0
+    if predicted is None:
+        rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
+        scores = _frozen_batch_scores(store, rows, query.cue)
+        best_pos = int(np.argmax(scores))
+        best_idx, best = rows[best_pos], float(scores[best_pos])
+        second = float(np.partition(scores, -2)[-2]) if len(scores) > 1 else 0.0
+        probes, cap = len(rows), DEGENERATE_CONFIDENCE
+    else:
+        center = grid_cell(predicted)
+        best_idx, best, second, probes = None, -1.0, 0.0, 0
+        for ring in range(GRID_DIV + 1):
+            rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
+            if rows:
+                scores = _frozen_batch_scores(store, rows, query.cue)
+                probes += len(rows)
+                for pos, row in enumerate(rows):
+                    s = float(scores[pos])
+                    if s > best:
+                        best_idx, second, best = row, best, s
+                    elif s > second:
+                        second = s
+            if best >= EARLY_STOP_SCORE or (ring >= 1 and probes > 0):
+                break
+        second = max(second, 0.0)
+    episode = store.episodes[best_idx]
+    confidence = 1.0 if best <= 0.0 else max(0.0, min(1.0, (best - second) / best))
+    decoded, degenerate = _decode(episode, current)
+    if degenerate:
+        confidence = min(confidence, DEGENERATE_CONFIDENCE)
+    return episode.id, probes, decoded, min(confidence, cap)
+
+
+def _collinear_landmarks(count, stream):
+    """Landmarks on one line: every cue triple is collinear to within
+    floating-point error, so clustered retrieval falls back to a bucket
+    scan until drift breaks the line."""
+    origin = stream.uniform(0.2, 0.8, size=2)
+    angle = float(stream.uniform(0.0, math.pi))
+    t = stream.uniform(-0.6, 0.6, size=count)
+    positions = origin + np.outer(t, [math.cos(angle), math.sin(angle)])
+    return LandmarkSet(tuple(range(count)), positions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 60),
+    copies=st.integers(0, 12),
+    types=st.integers(1, 3),
+    landmark_count=st.integers(3, 20),
+    collinear=st.booleans(),
+    drift=st.sampled_from([0.0, 0.0, 0.005, 0.02, 0.05, 0.2]),
+)
+@example(seed=1, n=30, copies=10, types=1, landmark_count=3, collinear=True, drift=0.0)
+@example(seed=2, n=40, copies=12, types=2, landmark_count=5, collinear=False, drift=0.0)
+def test_clustered_retrieval_matches_its_former_numpy_scoring(
+    seed, n, copies, types, landmark_count, collinear, drift
+):
+    # Copies reuse an earlier episode's cue and type, at the same location or
+    # at another one, so equal scores occur within a cell and across cells:
+    # the first in probe order must win, as before.
+    stream = Substream(seed, "env")
+    sample = _collinear_landmarks if collinear else LandmarkSet.sample
+    written = sample(landmark_count, stream)
+    episodes = _random_episodes(n, written, stream, types=types)
+    for k in range(copies):
+        source = episodes[int(stream.integers(0, len(episodes)))]
+        location = source.location
+        if k % 2:
+            location = tuple(float(v) for v in stream.uniform(0.05, 0.95, size=2))
+        episodes.append(replace(source, id=len(episodes), location=location))
+    store = _store_with(episodes, StoreVariant.CLUSTERED)
+    current = written.drifted(drift, stream)
+    for k in range(8):
+        if k % 2 == 0:
+            episode = episodes[int(stream.integers(0, len(episodes)))]
+            location, item_type = episode.location, episode.item_type
+        else:
+            location = tuple(float(v) for v in stream.uniform(0.0, 1.0, size=2))
+            item_type = int(stream.integers(1, types + 2))  # may be absent
+        query = Query(item_type, encode_cue(location, current))
+        episode_id, probes, decoded, confidence = _frozen_clustered_retrieve(
+            store, query, current
+        )
+        result = retrieve(store, query, current)
+        assert (None if result.episode is None else result.episode.id) == episode_id
+        assert result.probes_used == probes
+        assert result.decoded_location == decoded
+        assert abs(result.confidence - confidence) <= 1e-12
 
 
 def test_probe_scaling_ladder():
