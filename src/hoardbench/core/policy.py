@@ -29,9 +29,9 @@ from .state import (
 class PolicyContext:
     """Everything a policy may consult besides its belief.
 
-    `observer_estimate` is the agent-side copy of the adversary belief (None
-    for observer-unaware agents); `landmark_estimates` are the agent's current
-    landmark fixes used for cue formation.
+    `observer_estimate` is the adversary belief an observer-aware agent reads
+    (None for observer-unaware agents); `landmark_estimates` are the agent's
+    current landmark fixes used for cue formation.
     """
 
     rng: Substream

@@ -111,11 +111,6 @@ DEFAULT_OPTION_SCHEMA: dict[OptionKind, tuple[str, ...]] = {
     OptionKind.PROBE: ("count",),
 }
 
-# Bounded macro-actions: an option that never fires its own termination
-# predicate is cut off after this many steps.
-OPTION_MAX_STEPS = 50
-
-
 @dataclass(frozen=True)
 class OptionChoice:
     """A temporally extended macro-action selected by the high-level policy."""

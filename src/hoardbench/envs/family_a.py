@@ -42,7 +42,6 @@ from ..core.state import (
     Observation,
     OptionChoice,
     OptionKind,
-    OPTION_MAX_STEPS,
     Trace,
     TraceRecord,
 )
@@ -268,7 +267,6 @@ def run_family_a(
             )
         stabilizer = check_policy(StabilizingController(plan), PrimitivePolicy)
         option = OptionChoice(OptionKind.STABILIZE)
-        option_age = 0
 
         hold = 0
         first_hold_step = None
@@ -278,9 +276,6 @@ def run_family_a(
         step_noise = streams.env.normal(0.0, 1.0, size=(env.horizon, 2)).tolist()
 
         for step in range(1, env.horizon + 1):
-            if option_age >= OPTION_MAX_STEPS:
-                option = OptionChoice(OptionKind.STABILIZE)
-                option_age = 0
             outcome = act(stabilizer, belief, None, option, ctx)
             force = outcome.action.params.get("force", 0.0)
             if outcome.clamped:
@@ -311,7 +306,6 @@ def run_family_a(
                     TraceRecord(global_step, obs, outcome.action, option, False)
                 )
             global_step += 1
-            option_age += 1
 
             if abs(e) < env.pos_tol and abs(edot) < env.vel_tol:
                 hold += 1

@@ -3,13 +3,15 @@
 Three phases. In the caching phase the agent buries K items on the 20x20
 arena grid; every physical action is independently visible to a watching
 adversary with probability nu, and each sighting updates the adversary's
-location belief. An observer-aware agent maintains its own copy of that
-belief from the visibility bits it logs, opens with decoy digs that dilute
-later evidence, places caches where inferred mass is low, defers when even
-the best spot looks watched, and relocates caches the runtime monitor
-reports as seen. In the pilfer phase the adversary digs up its top-mass
-cells. In the recovery phase the agent retrieves survivors through its
-episodic memory and re-caches what it finds stolen.
+location belief. An observer-aware agent reads that one belief: it logs
+the visibility bit of every action and knows the adversary's prior and
+update rule, so the adversary's belief is exactly what it could compute. It
+opens with decoy digs that dilute later evidence, places caches where
+inferred mass is low, defers when even the best spot looks watched, and
+relocates caches the runtime monitor reports as seen. In the pilfer phase
+the adversary digs up its top-mass cells. In the recovery phase the agent
+retrieves survivors through its episodic memory and re-caches what it finds
+stolen.
 
 A hidden constraint (a forbidden zone the agent does not know about) is
 checkable only by postcondition. The "cache while observed" runtime monitor
@@ -190,7 +192,6 @@ def run_family_c(
     store = MemoryStore(StoreVariant.CLUSTERED)
 
     adversary = ObserverBelief.uniform(env.diffusion_rate)
-    agent_estimate = ObserverBelief.uniform(env.diffusion_rate) if flags.observer_aware else None
 
     fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.monitor_delay)
     monitor_spec = VerifierSpec(VerifierKind.RUNTIME_MONITOR, "cache_while_observed", *fp_fn_delay)
@@ -231,7 +232,6 @@ def run_family_c(
     )
     ctx = PolicyContext(
         rng=streams.agent,
-        observer_estimate=agent_estimate,
         option_schema=OPTION_SCHEMA,
     )
 
@@ -257,7 +257,8 @@ def run_family_c(
                             if i not in compromised:
                                 compromised.append(i)
 
-        ctx.observer_estimate = agent_estimate
+        if flags.observer_aware:
+            ctx.observer_estimate = adversary
         action_kind = "wait"
         action_cell: tuple[int, int] | None = None
         item_idx: int | None = None
@@ -355,7 +356,7 @@ def run_family_c(
         if action_kind == "cache" and flags.observer_aware and flags.decoys_enabled:
             decoys_owed += 1
 
-        # Adversary inference, mirrored by the aware agent's own estimate.
+        # Adversary inference, which the aware agent reads from the next step.
         # The adversary also keeps its raw sighting list: a dig it actually
         # watched is a remembered site, not just a blurred belief bump (and
         # it cannot tell decoy digs from real ones).
@@ -368,8 +369,6 @@ def run_family_c(
         else:
             event = SawNothing()
         adversary = observer_update(adversary, event)
-        if agent_estimate is not None:
-            agent_estimate = observer_update(agent_estimate, event)
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
         exposure = leakage_score(adversary, true_cells) if true_cells else 0.0
@@ -414,9 +413,6 @@ def run_family_c(
     # Pilfer phase: the adversary digs its best guesses.
     pilfer_step = step
     leakage = leakage_score(adversary, true_cells) if true_cells else 0.0
-    belief_mismatch = 0.0
-    if agent_estimate is not None:
-        belief_mismatch = float(abs(agent_estimate.grid - adversary.grid).max())
     # Remembered sightings are dug first; belief mass guides what is left of
     # the budget. Decoy and stale sightings waste digs, which is the point.
     chosen: list[tuple[int, int]] = list(sighted_cells[: env.pilfer_budget])
@@ -488,7 +484,6 @@ def run_family_c(
         "caches_pilfered": float(stolen_count),
         "post_hoc_corrections": float(corrections),
         "zone_breaches": float(in_zone),
-        "belief_mismatch": belief_mismatch,
     }
     record.kappa_by_source = dict(kappa)
     record.signals = [s.to_json_obj() for s in sink.signals]

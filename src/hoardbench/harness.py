@@ -309,6 +309,7 @@ def run_one(
 ) -> RunRecord:
     """Execute a single cell with a fresh ledger and stream bundle.
 
+    In a sweep, `sweep_value` replaces the swept env key, None included.
     `trace` is for a failure-trace replay: re-running a cell only to record
     its steps. `record_into` records the steps of a grid cell whose record
     is kept. Both fill the Trace the same way; they stay apart because a
@@ -316,7 +317,7 @@ def run_one(
     (`perfbench/tracing.py`) counts it as one rather than as a grid cell.
     """
     env = config.env
-    if config.sweep_key is not None and sweep_value is not None:
+    if config.sweep_key is not None:
         env = dataclasses.replace(
             env, **{config.sweep_key: _env_value(config.sweep_key, sweep_value)}
         )
@@ -326,14 +327,13 @@ def run_one(
 
 
 def _run_cell(
-    payload: tuple[str, str, dict, object, int], trace: Trace | None = None
+    payload: tuple[ExperimentConfig, str, dict, object, int], trace: Trace | None = None
 ) -> tuple[str, float]:
     """Worker entry point: returns the finished record as a JSON line and
     the cell's wall seconds. `trace`, when given, records the cell's steps
     as it runs."""
     started = time.monotonic()
-    document, variant, agent, sweep_value, seed = payload
-    config = parse_config(document)
+    config, variant, agent, sweep_value, seed = payload
     label = _variant_label(variant, config.sweep_key, sweep_value)
     try:
         record = run_one(config, agent, seed, sweep_value, record_into=trace)
@@ -360,10 +360,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     memory they hold; the report replays the rest. Pool workers record no
     traces: shipping one back costs about as much as a replay.
     """
-    document = json.dumps(resolved_document(config))
     sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
     payloads = [
-        (document, variant, agent, sweep_value, seed)
+        (config, variant, agent, sweep_value, seed)
         for variant, agent in variant_agents(config)
         for sweep_value in sweep_values
         for seed in config.seeds()
@@ -442,10 +441,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(resolved_document(config), indent=2, sort_keys=True) + "\n"
     )
 
-    ordered = sorted(
-        result.cells,
-        key=lambda c: (_variant_order(config).index(c.variant), c.seed),
-    )
+    variant_order = _variant_order(config)
+    position = {label: i for i, label in enumerate(variant_order)}
+    ordered = sorted(result.cells, key=lambda c: (position[c.variant], c.seed))
     by_variant = {}
     for cell in ordered:
         by_variant.setdefault(cell.variant, []).append(cell.record)
@@ -464,7 +462,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         for cell in ordered:
             fh.write(cell.record.to_json_line() + "\n")
 
-    baseline_key = _variant_order(config)[0].split("@")[0]
+    baseline_key = variant_order[0].split("@")[0]
 
     rows = []
     for variant, records in by_variant.items():

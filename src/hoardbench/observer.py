@@ -1,4 +1,4 @@
-"""Adversary inference over cache locations, and the agent-side copy of it.
+"""Adversary inference over cache locations.
 
 The belief is a probability grid over a 20x20 arena. Sighting events update
 it multiplicatively with a mixture likelihood: a kernel of weight w spread
@@ -16,9 +16,10 @@ a + w * (1.0/cnt) from the same operands in the same order; each cell is
 then one multiplication by the same double, and the normalizing sum runs
 over the same array.
 
-The same update code serves both sides: the adversary runs it on what it
-actually saw, and an observer-aware agent runs it on the visibility bits it
-logged, so the two beliefs agree bit for bit whenever the log is correct.
+The adversary runs the update on what it actually saw. An observer-aware
+agent logs the visibility bit of every action it takes and knows this prior
+and this rule, so the belief it could compute is exactly the adversary's;
+family C therefore keeps one belief per run and lets the aware agent read it.
 """
 
 from __future__ import annotations

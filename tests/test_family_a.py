@@ -344,7 +344,8 @@ def test_every_accepted_config_runs_without_failed_cells(document):
         config = parse_config(json.dumps(document))
     except ConfigurationError:
         return
-    line, _ = _run_cell((json.dumps(resolved_document(config)), "baseline", config.agent, None, 0))
+    assert parse_config(json.dumps(resolved_document(config))) == config
+    line, _ = _run_cell((config, "baseline", config.agent, None, 0))
     assert json.loads(line)["status"] != "failed", line
 
 

@@ -105,6 +105,20 @@ def test_sweep_over_tuple_field_runs(family, env, key, values):
     ]
 
 
+def test_null_sweep_value_unsets_the_env_key():
+    # A null sweep value replaces the env block's value like any other.
+    swept = run_grid(parse_config(json.dumps({
+        "family": "D", "seeds": "0..2", "env": {"coverage": 0.1},
+        "sweep": {"key": "coverage", "values": [None, 0.1]},
+    })))
+    unset = run_grid(parse_config(json.dumps({"family": "D", "seeds": "0..2"})))
+    nulls = [c.record for c in swept.cells if c.variant == "baseline@coverage=None"]
+    assert len(nulls) == 3
+    for null, plain in zip(nulls, (c.record for c in unset.cells)):
+        null.variant = plain.variant
+        assert null.to_json_line() == plain.to_json_line()
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_ablation_flips_one_of_its_family_keys(family):
     entry = FAMILIES[family]

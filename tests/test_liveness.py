@@ -56,8 +56,6 @@ ALLOWED_CONSTANT = {
     ("B", "provenance_failures"): "known dead: retrieval_cites_written_episode "
     "only checks that the cited id exists",
     ("B", "truth:retrieval_cites_written_episode"): "known dead: as provenance_failures",
-    ("C", "belief_mismatch"): "known dead: agent_estimate replays the adversary's "
-    "exact events from the same start",
     # Structural: fixed by the family's design or echoing the config.
     ("A", "leak_cost"): "structural: nothing in family A is watched",
     ("B", "leak_cost"): "structural: nothing in family B is watched",
