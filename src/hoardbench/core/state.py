@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from struct import Struct
 
 from ..errors import ConfigurationError, InputError, SchemaError
 from ..trusted import trusted
@@ -260,19 +262,124 @@ class TraceRecord:
 
 
 class Trace:
-    """Append-only step log with strictly increasing, gap-free step indices."""
+    """Append-only step log with strictly increasing, gap-free step indices.
+
+    A trace is kept compactly: it takes each record apart as it is appended,
+    so no per-step object outlives its step. A record's shape is its
+    observation's value keys, its action's kind and param keys, its
+    option's kind and param keys and its visible flag. The trace stores a
+    record as its shape id followed by its floats, in sorted key order, in
+    one flat `array('d')`, and writes it through the shape's `%`-template.
+    A record is kept whole instead, and written by `to_json_line`, when it
+    carries latent evidence or landmarks, when one dict's keys are not all
+    str or all int, or when a value is not a float (an int or a bool prints
+    otherwise); the array marks each run of such records with `_WHOLE` and
+    its length. Either way each line is byte-identical to
+    `TraceRecord.to_json_line`'s. `records` rebuilds the records for readers
+    that want objects.
+    """
 
     def __init__(self):
-        self.records: list[TraceRecord] = []
+        self._floats = array("d")
+        self._shapes: list[_Shape] = []
+        self._whole: list[TraceRecord] = []
+        self._count = 0
+        # The array's length after the last record kept whole: while it
+        # stands, the next such record extends that run.
+        self._whole_run_end = -1
+        # (action kind, option kind, visible) -> the gather function and id
+        # of the shape last appended with them.
+        self._recent: dict[tuple, tuple] = {}
 
-    def append(self, record: TraceRecord) -> None:
-        expected = self.records[-1].step + 1 if self.records else 0
-        if record.step != expected:
-            raise InputError(f"trace step {record.step} != expected {expected}")
-        self.records.append(record)
+    def append(
+        self,
+        step: int,
+        observation: Observation,
+        action: Action,
+        option_active: OptionChoice,
+        observed_by_adversary: bool,
+    ) -> None:
+        if step != self._count:
+            raise InputError(f"trace step {step} != expected {self._count}")
+        self._count = step + 1
+        if not (observation.latent_evidence or observation.landmarks):
+            recent = self._recent.get((action.kind, option_active.kind, observed_by_adversary))
+            packed = None
+            if recent is not None:
+                try:
+                    packed = recent[0](
+                        recent[1], observation.values, action.params, option_active.params,
+                        observed_by_adversary,
+                    )
+                except KeyError:
+                    pass
+            if packed is None:
+                packed = self._compact(observation, action, option_active, observed_by_adversary)
+            if packed is not None:
+                self._floats.frombytes(packed)
+                return
+        floats = self._floats
+        if self._whole_run_end == len(floats):
+            floats[-1] += 1.0
+        else:
+            floats.extend((_WHOLE, 1.0))
+            self._whole_run_end = len(floats)
+        self._whole.append(
+            TraceRecord(step, observation, action, option_active, observed_by_adversary)
+        )
+
+    def _compact(self, observation, action, option_active, visible) -> bytes | None:
+        """The record's floats, its shape id first, packed as doubles, or
+        None when it must be kept whole. Remembers the shape for the next
+        record of the same kinds."""
+        shape = _Shape.of(
+            observation.values, action.kind, action.params, option_active.kind,
+            option_active.params, visible,
+        )
+        if shape is None:
+            return None
+        if shape not in self._shapes:
+            self._shapes.append(shape)
+        shape_id = float(self._shapes.index(shape))
+        self._recent[(action.kind, option_active.kind, visible)] = (shape.gather, shape_id)
+        return shape.gather(
+            shape_id, observation.values, action.params, option_active.params, visible
+        )
+
+    def __getstate__(self) -> dict:
+        # Pickle cannot carry generated gather functions; shapes pickle by
+        # key, and the next append finds them again.
+        return {**self.__dict__, "_recent": {}}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count
+
+    def _walk(self) -> Iterator[tuple["_Shape | None", "array | TraceRecord"]]:
+        """Per record, in step order, its shape and its floats, or None and
+        the record kept whole."""
+        floats = self._floats
+        shapes = self._shapes
+        whole = iter(self._whole)
+        i = 0
+        while i < len(floats):
+            shape_id = floats[i]
+            if shape_id == _WHOLE:
+                for _ in range(int(floats[i + 1])):
+                    yield None, next(whole)
+                i += 2
+            else:
+                shape = shapes[int(shape_id)]
+                start = i + 1
+                i = start + shape.width
+                yield shape, floats[start:i]
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The records, rebuilt as objects."""
+        return [
+            item if shape is None else shape.record(step, item)
+            for step, (shape, item) in enumerate(self._walk())
+        ]
 
     def segment(self, start: int, end: int) -> "TraceSegment":
         if not (0 <= start <= end):
@@ -283,8 +390,15 @@ class Trace:
     def jsonl_lines(self) -> Iterator[str]:
         """The records as JSON lines, each ending in a newline."""
         landmarks_json: dict = {}
-        for record in self.records:
-            yield record.to_json_line(landmarks_json) + "\n"
+        total = sum(self._floats)
+        # Unless the sum is not finite, no float is, and `repr` writes each
+        # as JSON does.
+        number = _FLOAT_REPR if total - total == 0.0 else _json_number
+        for step, (shape, item) in enumerate(self._walk()):
+            if shape is None:
+                yield item.to_json_line(landmarks_json) + "\n"
+            else:
+                yield shape.template % (step, *map(number, item))
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
@@ -303,6 +417,127 @@ class Trace:
             if os.path.exists(partial):
                 os.remove(partial)
             raise
+
+
+_WHOLE = -1.0  # in place of a shape id: a run of records kept whole
+_FLOAT_REPR = float.__repr__
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float) -> str:
+    """`x` as JSON writes it: its `repr`, but NaN and the infinities spelt
+    JSON's way."""
+    text = _FLOAT_REPR(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _template_text(text: str | int) -> str:
+    """`text` as JSON writes it as a string or an object key, safe inside a
+    `%`-template."""
+    return _ENCODER.encode(str(text)).replace("%", "%%")
+
+
+def _json_keys(keys) -> bool:
+    """Whether a shape can write these dict keys: all str, or all int, which
+    sort numerically and which JSON writes as their digits in quotes."""
+    types = set(map(type, keys))
+    return types <= {str} or types == {int}
+
+
+class _Shape:
+    """The fixed part of a compact record: `key` is its sorted observation
+    keys, action kind, sorted action keys, option kind, sorted option keys
+    and visible flag, and `width` the number of its floats.
+
+    `template` takes the step and then the floats, as text, and writes the
+    record's JSON line. `gather(shape_id, values, action_params,
+    option_params, visible)` returns the shape id and the floats in key
+    order, packed as doubles for `array.frombytes`, which costs a third of
+    `array.extend`. It returns None when a value is not a float or the flag
+    is not the shape's, and raises KeyError or returns None when the dicts'
+    keys are not the shape's. `gather` is generated code, as `trusted`'s
+    builders are, so one shape per key is built and shared by every trace:
+    building one per trace would cost each cell its compile time.
+    """
+
+    __slots__ = ("key", "width", "template", "gather")
+    _cache: dict[tuple, "_Shape"] = {}
+
+    def __reduce__(self):
+        return _Shape.for_key, (self.key,)
+
+    @classmethod
+    def of(cls, values, action_kind, action_params, option_kind, option_params, visible):
+        """The shape of a record without landmarks or latent evidence, or
+        None when such records are kept whole."""
+        if not (
+            all(_json_keys(keys) for keys in (values, action_params, option_params))
+            and type(action_kind) is str
+            and isinstance(option_kind, OptionKind)
+            and type(visible) is bool
+        ):
+            return None
+        return cls.for_key((
+            tuple(sorted(values)), action_kind, tuple(sorted(action_params)),
+            option_kind, tuple(sorted(option_params)), visible,
+        ))
+
+    @classmethod
+    def for_key(cls, key: tuple) -> "_Shape":
+        shape = cls._cache.get(key)
+        if shape is None:
+            shape = cls._cache[key] = cls(key)
+        return shape
+
+    def __init__(self, key: tuple):
+        obs_keys, action_kind, action_keys, option_kind, option_keys, visible = key
+        self.key = key
+        self.width = len(obs_keys) + len(action_keys) + len(option_keys)
+
+        def params(keys):
+            return "{" + ",".join(_template_text(k) + ":%s" for k in keys) + "}"
+
+        self.template = (
+            '{"step":%d,"observation":{"values":' + params(obs_keys) + "}"
+            + ',"action":{"kind":' + _template_text(action_kind)
+            + ',"params":' + params(action_keys) + "}"
+            + ',"option_active":{"kind":' + _template_text(option_kind.value)
+            + ',"params":' + params(option_keys) + "}"
+            + ',"observed_by_adversary":' + ("true" if visible else "false") + "}\n"
+        )
+        names, fetch, checks = [], [], [f"visible is {visible}"]
+        for group, keys in (("values", obs_keys), ("action_params", action_keys),
+                            ("option_params", option_keys)):
+            checks.append(f"len({group}) == {len(keys)}")
+            if keys and type(keys[0]) is int:
+                # A bool or float key would find an equal int's slot.
+                checks.append(f"all(type(k) is int for k in {group})")
+            for k in keys:
+                names.append(f"v{len(names)}")
+                fetch.append(f"    {names[-1]} = {group}[{k!r}]\n")
+                checks.append(f"type({names[-1]}) is float")
+        source = (
+            "def gather(shape_id, values, action_params, option_params, visible):\n"
+            + "".join(fetch)
+            + f"    if {' and '.join(checks)}:\n"
+            + f"        return pack(shape_id, {''.join(n + ', ' for n in names)})\n"
+            + "    return None\n"
+        )
+        namespace: dict = {"pack": Struct(f"{self.width + 1}d").pack}
+        exec(compile(source, "<trace shape>", "exec"), namespace)
+        self.gather = namespace["gather"]
+
+    def record(self, step: int, values: array) -> TraceRecord:
+        obs_keys, action_kind, action_keys, option_kind, option_keys, visible = self.key
+        a = len(obs_keys)
+        b = a + len(action_keys)
+        return TraceRecord(
+            step,
+            Observation(dict(zip(obs_keys, values[:a]))),
+            Action(action_kind, dict(zip(action_keys, values[a:b]))),
+            OptionChoice(option_kind, dict(zip(option_keys, values[b:]))),
+            visible,
+        )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from ..core.state import (
     OptionChoice,
     OptionKind,
     Trace,
-    TraceRecord,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -251,9 +250,7 @@ def run_family_a(
         belief = update_belief(belief, landing_obs, launch_action, belief_cfg)
         comp_kappa += belief.last_compute
         if trace is not None:
-            trace.append(
-                TraceRecord(global_step, landing_obs, launch_action, launch, False)
-            )
+            trace.append(global_step, landing_obs, launch_action, launch, False)
         global_step += 1
 
         sink.check(launch_spec, trial_start, trial_start, {"launch_ok": launch_ok})
@@ -302,9 +299,7 @@ def run_family_a(
             belief = update_belief(belief, obs, outcome.action, belief_cfg)
             comp_kappa += belief.last_compute
             if trace is not None:
-                trace.append(
-                    TraceRecord(global_step, obs, outcome.action, option, False)
-                )
+                trace.append(global_step, obs, outcome.action, option, False)
             global_step += 1
 
             if abs(e) < env.pos_tol and abs(edot) < env.vel_tol:

@@ -34,7 +34,6 @@ from ..core.state import (
     OptionChoice,
     OptionKind,
     Trace,
-    TraceRecord,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -182,7 +181,7 @@ def run_family_b(
             )
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
-            trace.append(TraceRecord(len(trace), write_obs, action, option, False))
+            trace.append(len(trace), write_obs, action, option, False)
         step += 1
 
     for i in range(n):
@@ -245,13 +244,11 @@ def run_family_b(
             )
             dig = result.decoded_location or (0.0, 0.0)
             trace.append(
-                TraceRecord(
-                    len(trace),
-                    query_obs,
-                    Action("dig", {"x": float(dig[0]), "y": float(dig[1])}),
-                    option,
-                    False,
-                )
+                len(trace),
+                query_obs,
+                Action("dig", {"x": float(dig[0]), "y": float(dig[1])}),
+                option,
+                False,
             )
 
         if result.episode is not None and result.decoded_location is not None:

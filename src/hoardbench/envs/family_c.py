@@ -33,7 +33,6 @@ from ..core.state import (
     OptionChoice,
     OptionKind,
     Trace,
-    TraceRecord,
 )
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -66,6 +65,11 @@ OPTION_SCHEMA = {
     OptionKind.CACHE: ("row", "col"),
     OptionKind.CONCEAL: ("steps", "row", "col"),
 }
+
+# The observation of every caching-step trace record, and the option of each
+# one that is not a real cache. Records share them; a trace only reads them.
+_TRACE_OBSERVATION = Observation({"phase": 0.0})
+_TRACE_CONCEAL = OptionChoice(OptionKind.CONCEAL, {"steps": 1.0, "row": 0.0, "col": 0.0})
 
 
 @dataclass(frozen=True)
@@ -396,18 +400,11 @@ def run_family_c(
                 r, c = action_cell
                 opt = OptionChoice(OptionKind.CACHE, {"row": float(r), "col": float(c)})
             else:
-                opt = OptionChoice(
-                    OptionKind.CONCEAL, {"steps": 1.0, "row": 0.0, "col": 0.0}
-                )
-            trace.append(
-                TraceRecord(
-                    len(trace),
-                    Observation({"phase": 0.0}),
-                    Action(action_kind, {"x": px, "y": py}),
-                    opt,
-                    visible,
-                )
-            )
+                opt = _TRACE_CONCEAL
+            # Unchecked: the kind is one of this loop's literals, the
+            # coordinates are cell centres.
+            action = Action._trusted(action_kind, {"x": px, "y": py})
+            trace.append(len(trace), _TRACE_OBSERVATION, action, opt, visible)
         step += 1
 
     # Pilfer phase: the adversary digs its best guesses.

@@ -39,7 +39,6 @@ from ..core.state import (
     OptionChoice,
     OptionKind,
     Trace,
-    TraceRecord,
 )
 from ..errors import check_int_fields
 from ..ledger import CostLedger, StepCosts, accrue
@@ -339,13 +338,11 @@ def run_family_d(
         accrue(ledger, StepCosts(latency=1.0, compute=float(evals)))
         if trace is not None:
             trace.append(
-                TraceRecord(
-                    len(trace),
-                    Observation({"round": float(round_no)}),
-                    Action("plan", {k: float(v) for k, v in enumerate(plan)}),
-                    OptionChoice(OptionKind.PROPOSE),
-                    False,
-                )
+                len(trace),
+                Observation({"round": float(round_no)}),
+                Action("plan", {k: float(v) for k, v in enumerate(plan)}),
+                OptionChoice(OptionKind.PROPOSE),
+                False,
             )
         step += 1
 

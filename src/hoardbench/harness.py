@@ -267,9 +267,9 @@ def _variant_label(name: str, sweep_key: str | None, sweep_value) -> str:
 
 @dataclass
 class CellResult:
-    """One finished cell. `trace` is its step trace when the grid recorded
-    it for failures.md (see `run_grid`), else None. `seconds` is the wall
-    time the cell took in the grid, None when it is not known."""
+    """One finished cell. `trace` is its step trace while it is one of the
+    cells failures.md lists (see `run_grid`), else None. `seconds` is the
+    wall time the cell took in the grid, None when it is not known."""
 
     variant: str
     seed: int
@@ -310,11 +310,12 @@ def run_one(
     """Execute a single cell with a fresh ledger and stream bundle.
 
     In a sweep, `sweep_value` replaces the swept env key, None included.
+    `record_into` records the steps of a grid cell, as every grid cell does.
     `trace` is for a failure-trace replay: re-running a cell only to record
-    its steps. `record_into` records the steps of a grid cell whose record
-    is kept. Both fill the Trace the same way; they stay apart because a
-    call with `trace` is a replay, and perfbench's span tracer
-    (`perfbench/tracing.py`) counts it as one rather than as a grid cell.
+    its steps, which `report --in` does when a listed trace file is missing.
+    Both fill the Trace the same way; they stay apart because a call with
+    `trace` is a replay, and perfbench's span tracer (`perfbench/tracing.py`)
+    counts it as one rather than as a grid cell.
     """
     env = config.env
     if config.sweep_key is not None:
@@ -327,14 +328,15 @@ def run_one(
 
 
 def _run_cell(
-    payload: tuple[ExperimentConfig, str, dict, object, int], trace: Trace | None = None
-) -> tuple[str, float]:
-    """Worker entry point: returns the finished record as a JSON line and
-    the cell's wall seconds. `trace`, when given, records the cell's steps
-    as it runs."""
+    payload: tuple[ExperimentConfig, str, dict, object, int],
+) -> tuple[str, float, Trace | None]:
+    """Worker entry point: runs one cell, recording its steps. Returns the
+    finished record as a JSON line, the cell's wall seconds and its trace,
+    None for a failed cell: a partial trace is never kept."""
     started = time.monotonic()
     config, variant, agent, sweep_value, seed = payload
     label = _variant_label(variant, config.sweep_key, sweep_value)
+    trace: Trace | None = Trace()
     try:
         record = run_one(config, agent, seed, sweep_value, record_into=trace)
         record.variant = label
@@ -343,7 +345,8 @@ def _run_cell(
             family=config.family, variant=label, seed=seed,
             status=STATUS_FAILED, error=f"{type(exc).__name__}: {exc}",
         )
-    return record.to_json_line(), time.monotonic() - started
+        trace = None
+    return record.to_json_line(), time.monotonic() - started, trace
 
 
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
@@ -353,12 +356,12 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     seed) regardless of completion order, so worker count never changes the
     output bytes.
 
-    With one job and at most `WORST_RUNS_LISTED` seeds, failures.md lists
-    every completed cell, so the grid records cell traces as it goes and
-    `write_report` need not re-run those cells. It keeps at most
-    `WORST_RUNS_LISTED` traces, of completed cells only, which bounds the
-    memory they hold; the report replays the rest. Pool workers record no
-    traces: shipping one back costs about as much as a replay.
+    Every cell records its step trace as it runs, in this process or in a
+    pool worker that ships it back compactly, so `write_report` re-runs
+    nothing. Per variant, the grid keeps the traces of the cells failures.md
+    will list, its `WORST_RUNS_LISTED` worst completed cells so far by
+    `_rank`, and drops every other trace as soon as it is ranked out, which
+    bounds the memory traces hold.
     """
     sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
     payloads = [
@@ -370,18 +373,10 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
 
     started = time.monotonic()
     if jobs <= 1:
-        traces_left = WORST_RUNS_LISTED if len(config.seeds()) <= WORST_RUNS_LISTED else 0
-        cells = []
-        for payload in payloads:
-            trace = Trace() if traces_left else None
-            cell = _cell_result(*_run_cell(payload, trace))
-            if trace is not None and cell.record.status != STATUS_FAILED:
-                cell.trace = trace
-                traces_left -= 1
-            cells.append(cell)
+        cells = _keeping_listed_traces(map(_run_cell, payloads))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = [_cell_result(*out) for out in pool.map(_run_cell, payloads, chunksize=4)]
+            cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=4))
     elapsed = time.monotonic() - started
 
     result = ResultSet(config=config, cells=cells)
@@ -389,9 +384,23 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     return result
 
 
-def _cell_result(line: str, seconds: float) -> CellResult:
-    record = RunRecord.from_json_obj(json.loads(line))
-    return CellResult(record.variant, record.seed, record, seconds=seconds)
+def _keeping_listed_traces(outputs) -> list[CellResult]:
+    """The cells of `_run_cell` outputs, in order, each holding its trace
+    while it ranks among its variant's `WORST_RUNS_LISTED` worst completed
+    cells so far."""
+    cells = []
+    listed: dict[str, list[CellResult]] = {}
+    for line, seconds, trace in outputs:
+        record = RunRecord.from_json_obj(json.loads(line))
+        cell = CellResult(record.variant, record.seed, record, trace, seconds)
+        cells.append(cell)
+        if trace is not None:
+            worst = listed.setdefault(cell.variant, [])
+            worst.append(cell)
+            if len(worst) > WORST_RUNS_LISTED:
+                worst.sort(key=lambda c: _rank(c.record))
+                worst.pop().trace = None
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +431,20 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     Files: resolved_config.json, runs.jsonl, summary.csv,
     constraint_report.json, failures.md, traces/ for the listed failures,
     and timing.json (the only file allowed to differ between identical
-    runs). timing.json holds the grid's wall clock plus `report_seconds`
-    for this call and `trace_replay_seconds`, the part of it spent
-    re-running listed cells to record their traces. That is 0.0 when
-    nothing was re-run: every listed trace was recorded by the grid or, when
-    re-reporting the directory the results were loaded from, is already
-    there. `cell_seconds` maps variant, then seed, to the wall seconds each
-    cell took in the grid, measured inside the worker that ran it. Results
-    read back from a directory carry the grid's wall clock and cell seconds
-    from its timing.json, so a re-report keeps them.
+    runs). The report encodes the traces the grid kept for the listed cells
+    and runs no cell again, except under `report --in` for a listed trace
+    whose file is missing.
+
+    timing.json holds the grid's wall clock plus `report_seconds` for this
+    call; `trace_write_seconds`, the part of it spent encoding and writing
+    listed traces; and `trace_replay_seconds`, the part spent re-running
+    listed cells to record their traces, their files included. The replay
+    seconds are 0.0 after `hoardbench run`, and both are 0.0 for a
+    re-report of the directory the results were loaded from that finds every
+    listed trace file there. `cell_seconds` maps variant, then seed, to the
+    wall seconds each cell took in the grid, measured inside the worker
+    that ran it. Results read back from a directory carry the grid's wall
+    clock and cell seconds from its timing.json, so a re-report keeps them.
     """
     started = time.monotonic()
     out = Path(output_dir)
@@ -518,7 +532,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds = _write_failures(result, by_variant, out, reuse)
+    replay_seconds, write_seconds = _write_failures(result, by_variant, out, reuse)
 
     cell_seconds: dict[str, dict[str, float]] = {}
     for cell in ordered:
@@ -528,6 +542,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         **result.wallclock,
         "report_seconds": time.monotonic() - started,
         "trace_replay_seconds": replay_seconds,
+        "trace_write_seconds": write_seconds,
         "cell_seconds": cell_seconds,
     }
     (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
@@ -550,10 +565,17 @@ def _variant_order(config: ExperimentConfig) -> list[str]:
     return order
 
 
+def _rank(record: RunRecord) -> tuple[float, int]:
+    """Where a completed run stands among its variant's in failures.md:
+    highest objective first, then lowest seed. Seeds are unique within a
+    variant, so no two runs tie."""
+    return (-record.objective, record.seed)
+
+
 def _worst_completed(records: list[RunRecord]) -> list[RunRecord]:
     """The completed runs failures.md lists for one variant."""
     completed = [r for r in records if r.status != STATUS_FAILED]
-    return sorted(completed, key=lambda r: (-r.objective, r.seed))[:WORST_RUNS_LISTED]
+    return sorted(completed, key=_rank)[:WORST_RUNS_LISTED]
 
 
 def _trace_path(variant: str, seed: int) -> Path:
@@ -561,17 +583,21 @@ def _trace_path(variant: str, seed: int) -> Path:
     return Path("traces") / _safe(variant) / f"seed_{seed}.jsonl"
 
 
-def _write_failures(result: ResultSet, by_variant: dict, out: Path, reuse: bool) -> float:
-    """List the worst completed runs per variant, each with a trace file, and
-    the error of every failed cell. A listed cell's trace is the one the grid
-    recorded or, with `reuse`, the file already there; any other is recorded
-    by re-running the cell (determinism makes the replay exact). Returns the
-    seconds spent on re-runs, their trace files included."""
+def _write_failures(
+    result: ResultSet, by_variant: dict, out: Path, reuse: bool
+) -> tuple[float, float]:
+    """List the worst completed runs per variant, by `_rank`, each with a
+    trace file, and the error of every failed cell. A listed cell's trace is
+    the one the grid kept or, with `reuse`, the file already there. Results
+    read back by `load_result_set` carry no traces, so for them a missing
+    file is recorded by re-running the cell (determinism makes the replay
+    exact). Returns the seconds spent on re-runs, their trace files
+    included, and the seconds spent encoding and writing trace files."""
     config = result.config
     lines = ["# Representative failures", ""]
     agents = dict(variant_agents(config))
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
-    replay_seconds = 0.0
+    replay_seconds = write_seconds = 0.0
     for variant, records in by_variant.items():
         worst = _worst_completed(records)
         failed = [r for r in records if r.status == STATUS_FAILED]
@@ -598,25 +624,30 @@ def _write_failures(result: ResultSet, by_variant: dict, out: Path, reuse: bool)
             trace = recorded.get((variant, record.seed))
             replay = trace is None and not (reuse and path.is_file())
             replay_started = time.monotonic()
+            write_started = None
             try:
                 if replay:
                     trace = Trace()
                     run_one(config, agents[base_name], record.seed, sweep_value, trace)
                 if trace is not None:
+                    write_started = time.monotonic()
                     path.parent.mkdir(parents=True, exist_ok=True)
                     trace.write_jsonl(path)
                 where = str(rel)
             except Exception as exc:  # a trace must never sink the report
                 where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
+            finished = time.monotonic()
             if replay:
-                replay_seconds += time.monotonic() - replay_started
+                replay_seconds += finished - replay_started
+            if write_started is not None:
+                write_seconds += finished - write_started
             lines.append(
                 f"- seed {record.seed}: objective {record.objective:.6g}, "
                 f"status {record.status}, trace: {where}"
             )
         lines.append("")
     (out / "failures.md").write_text("\n".join(lines) + "\n")
-    return replay_seconds
+    return replay_seconds, write_seconds
 
 
 def _coerce_sweep_value(config: ExperimentConfig, raw: str):

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -21,12 +22,13 @@ def outputs_by_jobs(tmp_path):
     `--jobs 2`. Returns, per job count, the output files except timing.json
     (relative path -> bytes) and the resolved config less its output_dir.
 
-    The pool run always re-runs listed cells to record their traces. Pass
-    `grid_records_traces=True` for a grid whose `--jobs 1` run records every
-    listed trace itself, so that its report re-runs nothing. Either run's
-    timing.json must give the seconds of every cell in runs.jsonl."""
+    Every grid cell records its trace, in the pool as in one process, so
+    neither report re-runs a cell. The replay is the oracle: with the
+    `--jobs 1` run's trace files deleted, `report --in` re-runs the listed
+    cells and must write the same files. Either run's timing.json must give
+    the seconds of every cell in runs.jsonl."""
 
-    def run(document: dict, grid_records_traces: bool = False) -> dict:
+    def run(document: dict) -> dict:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(document))
         outputs = {}
@@ -35,12 +37,8 @@ def outputs_by_jobs(tmp_path):
             assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
             outputs[jobs] = _output_files(out)
             timing = json.loads((out / "timing.json").read_text())
-            replay_seconds = timing["trace_replay_seconds"]
-            assert timing["report_seconds"] >= replay_seconds
-            if jobs == 1 and grid_records_traces:
-                assert replay_seconds == 0.0
-            else:
-                assert replay_seconds > 0.0
+            assert timing["trace_replay_seconds"] == 0.0
+            assert 0.0 <= timing["trace_write_seconds"] <= timing["report_seconds"]
             runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
             timed = {
                 (variant, seed): seconds
@@ -49,6 +47,11 @@ def outputs_by_jobs(tmp_path):
             }
             assert sorted(timed) == sorted((r["variant"], str(r["seed"])) for r in runs)
             assert all(seconds > 0.0 for seconds in timed.values())
+        replayed = tmp_path / "jobs1"
+        shutil.rmtree(replayed / "traces")
+        assert main(["report", "--in", str(replayed)]) == 0
+        assert json.loads((replayed / "timing.json").read_text())["trace_replay_seconds"] > 0.0
+        assert _output_files(replayed) == outputs[1]
         return outputs
 
     return run

@@ -1,4 +1,7 @@
 import json
+import math
+import pickle
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +32,18 @@ def _record(step):
         option_active=OptionChoice(OptionKind.STABILIZE),
         observed_by_adversary=False,
     )
+
+
+def _append(trace, record):
+    trace.append(record.step, record.observation, record.action, record.option_active,
+                 record.observed_by_adversary)
+
+
+def _trace_of(records):
+    trace = Trace()
+    for record in records:
+        _append(trace, record)
+    return trace
 
 
 def test_latent_values_validated_against_ranges():
@@ -67,15 +82,15 @@ def test_observation_schema_and_finiteness():
 
 def test_trace_steps_gap_free():
     trace = Trace()
-    trace.append(_record(0))
-    trace.append(_record(1))
+    _append(trace, _record(0))
+    _append(trace, _record(1))
     with pytest.raises(InputError):
-        trace.append(_record(3))
+        _append(trace, _record(3))
+    assert len(trace) == 2
 
 
 def test_trace_json_field_order():
-    trace = Trace()
-    trace.append(_record(0))
+    trace = _trace_of([_record(0)])
     line = trace.to_jsonl().splitlines()[0]
     keys = list(json.loads(line).keys())
     assert keys == [
@@ -88,9 +103,7 @@ def test_trace_json_field_order():
 
 
 def test_segment_bounds():
-    trace = Trace()
-    for i in range(5):
-        trace.append(_record(i))
+    trace = _trace_of([_record(i) for i in range(5)])
     seg = trace.segment(1, 3)
     assert seg.start == 1 and seg.end == 3
     assert [r.step for r in seg.records] == [1, 2, 3]
@@ -133,7 +146,7 @@ def _traces(draw):
     pool += [tuple(tuple(t) for t in s) for s in pool] + [
         tuple((i, x if x else -x, y if y else -y) for i, x, y in s) for s in pool
     ]
-    trace = Trace()
+    records = []
     for step in range(draw(st.integers(0, 8))):
         evidence = tuple(
             LatentEvidence(name, reg, resp)
@@ -147,36 +160,157 @@ def _traces(draw):
                         draw(st.dictionaries(st.text(max_size=3), _any_float, max_size=3)))
         option = OptionChoice(draw(st.sampled_from(list(OptionKind))),
                               draw(st.dictionaries(st.text(max_size=3), _any_float, max_size=2)))
-        trace.append(TraceRecord(step, observation, action, option, draw(st.booleans())))
-    return trace
+        records.append(TraceRecord(step, observation, action, option, draw(st.booleans())))
+    return records
 
 
 def _signed_zero_trace():
-    trace = Trace()
+    records = []
     for step, x in enumerate((0.0, -0.0, 0.0)):
         observation = Observation({"phase": 0.0}, landmarks=((0, x, 0.5), (1, 0.25, 1)))
         option = OptionChoice(OptionKind.STABILIZE)
-        trace.append(TraceRecord(step, observation, NOOP, option, False))
-    return trace
+        records.append(TraceRecord(step, observation, NOOP, option, False))
+    return records
 
 
 def _trace_without_landmarks():
-    trace = Trace()
     evidence = (LatentEvidence("compliance", -0.1, 0.02),)
-    trace.append(TraceRecord(0, Observation({"error": -0.0, "error_rate": 0.0}, evidence),
-                             Action("launch", {"offset": 0.5, "impulse": 0.38}),
-                             OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}),
-                             False))
-    for step in (1, 2):
-        trace.append(_record(step))
-    return trace
+    launch = TraceRecord(0, Observation({"error": -0.0, "error_rate": 0.0}, evidence),
+                         Action("launch", {"offset": 0.5, "impulse": 0.38}),
+                         OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}),
+                         False)
+    return [launch, _record(1), _record(2)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_traces())
 @example(_signed_zero_trace())
 @example(_trace_without_landmarks())
-def test_json_line_is_byte_identical_to_json_dumps(trace):
-    expected = [_reference_line(r) for r in trace.records]
-    assert [r.to_json_line() for r in trace.records] == expected
-    assert trace.to_jsonl() == "".join(line + "\n" for line in expected)
+def test_json_line_is_byte_identical_to_json_dumps(records):
+    expected = [_reference_line(r) for r in records]
+    assert [r.to_json_line() for r in records] == expected
+    assert _trace_of(records).to_jsonl() == "".join(line + "\n" for line in expected)
+
+
+# Compact traces: `Trace.to_jsonl` against the brute-force oracle, each
+# record's own `TraceRecord.to_json_line`.
+
+_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0)
+_STR_KEYS = ("error", "x", "y", "%", "%s", "%d%%", '"', 'a"b', "é", "")
+
+
+@st.composite
+def _value(draw):
+    """Mostly finite floats, then the special ones, ints and bools."""
+    pick = draw(st.integers(0, 9))
+    if pick == 0:
+        return draw(st.sampled_from(_SPECIAL_FLOATS))
+    if pick == 1:
+        return draw(st.integers(-3, 12))
+    if pick == 2:
+        return draw(st.booleans())
+    return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+_key_sets = st.one_of(
+    st.lists(st.sampled_from(_STR_KEYS) | st.text(max_size=3), max_size=4, unique=True),
+    st.lists(st.integers(0, 15), max_size=4, unique=True),
+)
+
+
+@st.composite
+def _mixed_records(draw):
+    # A few shapes that records come back to, with kinds drawn from a small
+    # set, so shapes share kinds and take turns.
+    shapes = draw(st.lists(
+        st.tuples(
+            _key_sets,
+            st.sampled_from(["force", "dig", "%s"]),
+            _key_sets,
+            st.sampled_from([OptionKind.STABILIZE, OptionKind.CACHE]),
+            _key_sets,
+            st.booleans(),
+        ),
+        min_size=1, max_size=4,
+    ))
+    records = []
+    for step in range(draw(st.integers(0, 12))):
+        obs_keys, kind, action_keys, option_kind, option_keys, visible = draw(
+            st.sampled_from(shapes)
+        )
+        extras = draw(st.integers(0, 5))
+        observation = Observation(
+            {k: draw(_value()) for k in obs_keys},
+            (LatentEvidence("compliance", 0.5, -0.25),) if extras == 0 else (),
+            ((0, 0.1, 0.2), (3, -0.0, 1)) if extras == 1 else (),
+        )
+        action = Action(kind, {k: draw(_value()) for k in action_keys})
+        option = OptionChoice(option_kind, {k: draw(_value()) for k in option_keys})
+        records.append(TraceRecord(step, observation, action, option, visible))
+    return records
+
+
+def _plan_records():
+    # Family D's plan actions: int keys 0..11, which sort numerically.
+    return [
+        TraceRecord(step, Observation({"round": float(step)}),
+                    Action("plan", {k: float(k % 5) for k in range(12)}),
+                    OptionChoice(OptionKind.PROPOSE), False)
+        for step in range(2)
+    ]
+
+
+def _look_alike_records():
+    # Same kinds and flag, so each record first tries the shape of the one
+    # before: one more key; bool and float keys equal to an int key, which
+    # JSON writes as "true" and "1.0"; and a visible flag that equals True
+    # but is an int, which JSON writes as 1.
+    option = OptionChoice(OptionKind.CACHE)
+    params = ({}, {}, {1: 0.5}, {True: 0.5}, {1.0: 0.5}, {1: 0.5}, {})
+    records = [
+        TraceRecord(step, Observation({"x": 0.5}), Action("dig", p), option, True)
+        for step, p in enumerate(params)
+    ]
+    records[1] = TraceRecord(1, Observation({"x": 0.5, "y": 0.25}), Action("dig", {}), option, True)
+    records.append(TraceRecord(len(records), Observation({"x": 0.5}), Action("dig", {}), option, 1))
+    # Bool and float keys in a record of kinds not seen before.
+    for kind, key in (("flag", False), ("real", 2.5)):
+        records.append(TraceRecord(len(records), Observation({}), Action(kind, {key: 0.25}),
+                                   option, False))
+    return records
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mixed_records())
+@example(_plan_records())
+@example(_look_alike_records())
+def test_compact_trace_writes_each_records_own_json_line(records):
+    expected = "".join(r.to_json_line() + "\n" for r in records)
+    trace = _trace_of(records)
+    assert len(trace) == len(records)
+    assert trace.to_jsonl() == expected
+    # The records rebuilt from the compact form, and a trace shipped back
+    # from a pool worker, write the same lines.
+    assert "".join(r.to_json_line() + "\n" for r in trace.records) == expected
+    assert pickle.loads(pickle.dumps(trace)).to_jsonl() == expected
+
+
+def test_plan_action_int_keys_are_written_as_json_strings_in_numeric_order():
+    line = _trace_of(_plan_records()).to_jsonl().splitlines()[0]
+    params = json.loads(line)["action"]["params"]
+    assert list(params) == [str(k) for k in range(12)]
+    assert '"params":{"0":0.0,"1":1.0,' in line and ',"10":0.0,"11":1.0}' in line
+
+
+def test_compact_records_keep_no_per_step_object():
+    trace = Trace()
+    plain = _record(0)
+    evidence = Observation({"error": 0.0}, (LatentEvidence("compliance", 1.0, 0.5),))
+    launch = TraceRecord(1, evidence, NOOP, OptionChoice(OptionKind.LAUNCH), False)
+    for record in (plain, launch):
+        _append(trace, record)
+    refs = [weakref.ref(r.observation) for r in (plain, launch)]
+    del plain, launch, evidence
+    # The float-only record was taken apart; the one with latent evidence
+    # is kept whole.
+    assert [ref() is None for ref in refs] == [True, False]

@@ -345,7 +345,7 @@ def test_every_accepted_config_runs_without_failed_cells(document):
     except ConfigurationError:
         return
     assert parse_config(json.dumps(resolved_document(config))) == config
-    line, _ = _run_cell((config, "baseline", config.agent, None, 0))
+    line, _, _ = _run_cell((config, "baseline", config.agent, None, 0))
     assert json.loads(line)["status"] != "failed", line
 
 
@@ -367,8 +367,8 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
 
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
-    # One seed lists every cell, so `--jobs 1` records all three traces in
-    # the grid; the `--jobs 2` run replays them and is the oracle.
+    # One seed lists every cell, so every trace the grid records is written;
+    # `report --in` replays them and is the oracle.
     outputs = outputs_by_jobs({
         "family": "A",
         "seeds": "5..5",
@@ -376,7 +376,7 @@ def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
                 "verifier_fp": 0.1, "verifier_fn": 0.1},
         "agent": {"rls": True},
         "ablations": ["no_feedback", "no_compensator"],
-    }, grid_records_traces=True)
+    })
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 3
     assert outputs[1] == outputs[2]

@@ -158,14 +158,14 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
     # The b_archive shape: one seed, both variants, traces of landmark
-    # snapshots. `--jobs 1` records both traces in the grid; `--jobs 2`
-    # replays them and is the oracle.
+    # snapshots. The grid records both traces; `report --in` replays them
+    # and is the oracle.
     outputs = outputs_by_jobs({
         "family": "B",
         "seeds": "1..1",
         "env": {"n_events": 48, "landmark_drift": 0.02, "conflict_rate": 0.5},
         "ablations": ["flat_archive"],
-    }, grid_records_traces=True)
+    })
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 2
     assert outputs[1] == outputs[2]

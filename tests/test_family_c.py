@@ -205,14 +205,14 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
 
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
-    # One seed lists every cell, so `--jobs 1` records all three traces in
-    # the grid; the `--jobs 2` run replays them and is the oracle.
+    # One seed lists every cell, so every trace the grid records is written;
+    # `report --in` replays them and is the oracle.
     outputs = outputs_by_jobs({
         "family": "C",
         "seeds": "4..4",
         "env": {"caches": 12, "visibility": 0.7, "verifier_fp": 0.1, "verifier_fn": 0.1},
         "ablations": ["no_observer_model", "end_only_checking"],
-    }, grid_records_traces=True)
+    })
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 3
     assert outputs[1] == outputs[2]

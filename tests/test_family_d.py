@@ -178,14 +178,14 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
 
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
-    # Three seeds of one variant: every cell is listed, so `--jobs 1`
-    # records all three traces in the grid; `--jobs 2` replays them.
+    # Three seeds of one variant: every cell is listed, so every trace the
+    # grid records is written; `report --in` replays them and is the oracle.
     outputs = outputs_by_jobs({
         "family": "D",
         "seeds": "4..6",
         "env": {"n_constraints": 16},
         "agent": {"checker_fp": 0.1, "checker_fn": 0.2},
-    }, grid_records_traces=True)
+    })
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 3
     assert outputs[1] == outputs[2]

@@ -187,17 +187,62 @@ D_TWO_SEEDS = {"family": "D", "seeds": "0..1", "env": {"n_constraints": 8},
                "ablations": ["single_agent"]}
 
 
-def test_grid_keeps_at_most_the_listed_cap_of_traces(outputs_by_jobs):
-    # Two seeds list all four cells, but the grid keeps only the first
-    # WORST_RUNS_LISTED traces; the report replays the fourth. The `--jobs 2`
-    # run replays all four and is the oracle.
+def test_grid_keeps_the_listed_cells_traces(outputs_by_jobs):
+    # Two seeds list all four cells, so the grid keeps all four traces and
+    # the report writes each without re-running a cell.
     config = parse_config(json.dumps(D_TWO_SEEDS))
-    kept = [c.trace is not None for c in run_grid(config).cells]
-    assert kept == [True] * WORST_RUNS_LISTED + [False]
+    assert all(c.trace is not None for c in run_grid(config).cells)
     outputs = outputs_by_jobs(D_TWO_SEEDS)
     files, _ = outputs[1]
     assert sum(name.startswith("traces/") for name in files) == 4
     assert outputs[1] == outputs[2]
+
+
+def _listed_seeds(failures_md: str) -> dict[str, list[int]]:
+    """Variant label -> the seeds failures.md lists with a trace."""
+    listed: dict[str, list[int]] = {}
+    for line in failures_md.splitlines():
+        if line.startswith("## "):
+            label = listed.setdefault(line[3:], [])
+        elif line.startswith("- seed "):
+            label.append(int(line.split()[2].rstrip(":")))
+    return listed
+
+
+def test_grid_keeps_exactly_the_traces_failures_md_lists(tmp_path, monkeypatch):
+    # More seeds than are listed, tied objectives that seeds must order, a
+    # failing cell and a sweep: the grid's bounded keep
+    # and failures.md rank with the one rule.
+    original = family_d.run_family_d
+
+    def tied(env, mode, ledger, seed, *rest):
+        if seed == 4 and env.plan_length == 8:
+            raise RuntimeError("checker crashed")
+        record = original(env, mode, ledger, seed, *rest)
+        record.objective = float(seed // 2 % 3)
+        return record
+
+    monkeypatch.setattr(family_d, "run_family_d", tied)
+    document = {**D_TWO_SEEDS, "seeds": "0..8",
+                "sweep": {"key": "plan_length", "values": [8, 9]}}
+    result = run_grid(parse_config(json.dumps(document)))
+    write_report(result, tmp_path)
+    kept: dict[str, list[int]] = {}
+    for cell in result.cells:
+        if cell.trace is not None:
+            assert cell.record.status != "failed"
+            kept.setdefault(cell.variant, []).append(cell.seed)
+    failures_md = (tmp_path / "failures.md").read_text()
+    listed = _listed_seeds(failures_md)
+    assert {label: sorted(seeds) for label, seeds in listed.items()} == kept
+    assert all(len(seeds) == WORST_RUNS_LISTED for seeds in kept.values())
+    # Objective 2 (seeds 4, 5) ranks first, then objective 1 (seeds 2, 3
+    # and 8) by seed. At plan length 8, seed 4 failed and seed 3 moves up.
+    assert listed["baseline@plan_length=8"] == [5, 2, 3]
+    assert listed["baseline@plan_length=9"] == [4, 5, 2]
+    assert "- failed seed 4: RuntimeError: checker crashed" in failures_md
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    assert timing["trace_replay_seconds"] == 0.0
 
 
 def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
@@ -208,11 +253,14 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     before = _result_files(out)
     grid_timing = json.loads((out / "timing.json").read_text())
     assert set(grid_timing["cell_seconds"]) == {"baseline", "single_agent"}
+    assert grid_timing["trace_replay_seconds"] == 0.0
+    assert 0.0 < grid_timing["trace_write_seconds"] <= grid_timing["report_seconds"]
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
     assert calls == []
     timing = json.loads((out / "timing.json").read_text())
     assert timing["trace_replay_seconds"] == 0.0
+    assert timing["trace_write_seconds"] == 0.0
     # The grid's wall clock and cell seconds survive the re-report.
     for key in ("total_seconds", "jobs", "cell_seconds"):
         assert timing[key] == grid_timing[key]
@@ -221,7 +269,9 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
     assert main(["report", "--in", str(out)]) == 0
     assert calls == [1]
-    assert json.loads((out / "timing.json").read_text())["trace_replay_seconds"] > 0.0
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["trace_replay_seconds"] > 0.0
+    assert 0.0 < timing["trace_write_seconds"] <= timing["report_seconds"]
     assert _result_files(out) == before
 
 
@@ -237,7 +287,9 @@ def test_report_without_a_readable_timing_file_keeps_only_its_own(tmp_path, timi
         (out / "timing.json").write_text(timing)
     assert main(["report", "--in", str(out)]) == 0
     rewritten = json.loads((out / "timing.json").read_text())
-    assert set(rewritten) == {"report_seconds", "trace_replay_seconds", "cell_seconds"}
+    assert set(rewritten) == {
+        "report_seconds", "trace_replay_seconds", "trace_write_seconds", "cell_seconds",
+    }
     assert rewritten["cell_seconds"] == {}
 
 
@@ -297,8 +349,9 @@ def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, m
 
 
 def test_grid_cells_that_record_are_not_passed_as_replays(tmp_path, monkeypatch):
-    # Only a re-run in the report carries `trace`; a grid cell that records
-    # its steps passes `record_into`.
+    # Every grid cell records its steps and passes `record_into`; only a
+    # re-run in the report would carry `trace`, and `hoardbench run`'s
+    # report re-runs nothing.
     calls = []
 
     def spying(*args, **kwargs):
@@ -306,11 +359,11 @@ def test_grid_cells_that_record_are_not_passed_as_replays(tmp_path, monkeypatch)
         return run_one(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_one", spying)
-    result = run_grid(parse_config(json.dumps(D_TWO_SEEDS)))
-    assert calls == [(False, True)] * WORST_RUNS_LISTED + [(False, False)]
+    result = run_grid(parse_config(json.dumps({**D_TWO_SEEDS, "seeds": "0..4"})))
+    assert calls == [(False, True)] * 10
     calls.clear()
     write_report(result, tmp_path)
-    assert calls == [(True, False)]
+    assert calls == []
 
 
 def _result_files(out) -> dict:
