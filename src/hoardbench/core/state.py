@@ -182,16 +182,6 @@ class Observation:
                 raise InputError(f"observation value {k!r} is not finite")
         return self
 
-    def _json_obj_without_landmarks(self) -> dict:
-        """The observation's trace object, less the landmark snapshot that
-        `TraceRecord.to_json_line` appends as its last key."""
-        obj: dict = {"values": {k: self.values[k] for k in sorted(self.values)}}
-        if self.latent_evidence:
-            obj["latent_evidence"] = [
-                [e.name, e.regressor, e.response] for e in self.latent_evidence
-            ]
-        return obj
-
 
 @trusted
 @dataclass(frozen=True)
@@ -224,7 +214,7 @@ class TraceRecord:
     option_active: OptionChoice
     observed_by_adversary: bool
 
-    def to_json_line(self, landmarks_json: dict | None = None) -> str:
+    def to_json_line(self) -> str:
         """The record as one compact JSON object.
 
         Invariant: the line equals, byte for byte, ``json.dumps(obj,
@@ -232,33 +222,24 @@ class TraceRecord:
         action, option_active and observed_by_adversary, in that order; the
         field order is part of the wire format. The observation object holds
         values (sorted by key), then latent_evidence and landmarks (lists of
-        lists) when non-empty. A record without landmarks is encoded in one
-        pass. A landmark snapshot is encoded on its own and spliced in.
-        `landmarks_json` maps ``id`` of a snapshot to (snapshot, its JSON),
-        so a caller encoding many records encodes each snapshot object once;
-        holding the snapshot keeps its id from being reused.
+        lists) when non-empty. `Trace` writes each line it holds compactly
+        equal to this one.
         """
-        observation = self.observation
-        head = {"step": self.step, "observation": observation._json_obj_without_landmarks()}
-        tail = {
+        obs = self.observation
+        observation: dict = {"values": {k: obs.values[k] for k in sorted(obs.values)}}
+        if obs.latent_evidence:
+            observation["latent_evidence"] = [
+                [e.name, e.regressor, e.response] for e in obs.latent_evidence
+            ]
+        if obs.landmarks:
+            observation["landmarks"] = [list(t) for t in obs.landmarks]
+        return _ENCODER.encode({
+            "step": self.step,
+            "observation": observation,
             "action": self.action.to_json_obj(),
             "option_active": self.option_active.to_json_obj(),
             "observed_by_adversary": self.observed_by_adversary,
-        }
-        snapshot = observation.landmarks
-        if not snapshot:
-            head.update(tail)
-            return _ENCODER.encode(head)
-        memo = {} if landmarks_json is None else landmarks_json
-        hit = memo.get(id(snapshot))
-        if hit is None:
-            hit = memo[id(snapshot)] = (snapshot, _ENCODER.encode([list(t) for t in snapshot]))
-        # head ends by closing the observation and the record; tail opens a
-        # record of the remaining fields.
-        return (
-            _ENCODER.encode(head)[:-2] + ',"landmarks":' + hit[1] + "},"
-            + _ENCODER.encode(tail)[1:]
-        )
+        })
 
 
 class Trace:
@@ -266,23 +247,29 @@ class Trace:
 
     A trace is kept compactly: it takes each record apart as it is appended,
     so no per-step object outlives its step. A record's shape is its
-    observation's value keys, its action's kind and param keys, its
-    option's kind and param keys and its visible flag. The trace stores a
-    record as its shape id followed by its floats, in sorted key order, in
-    one flat `array('d')`, and writes it through the shape's `%`-template.
+    observation's value keys and landmarks flag, its action's kind and param
+    keys, its option's kind and param keys and its visible flag. The trace
+    stores a record as its shape id followed by its floats, in sorted key
+    order, in one flat `array('d')`, and writes it through the shape's
+    `%`-template. A landmark snapshot is held once per trace with its JSON,
+    encoded once, in a table found by identity (equal tuples can differ in
+    a zero's sign); a record stores its place there after its values.
     A record is kept whole instead, and written by `to_json_line`, when it
-    carries latent evidence or landmarks, when one dict's keys are not all
-    str or all int, or when a value is not a float (an int or a bool prints
-    otherwise); the array marks each run of such records with `_WHOLE` and
-    its length. Either way each line is byte-identical to
-    `TraceRecord.to_json_line`'s. `records` rebuilds the records for readers
-    that want objects.
+    carries latent evidence, when one dict's keys are not all str or all
+    int, or when a value is not a float (an int or a bool prints otherwise);
+    the array marks each run of such records with `_WHOLE` and its length.
+    Either way each line is byte-identical to `TraceRecord.to_json_line`'s.
+    `records` rebuilds the records for readers that want objects.
     """
 
     def __init__(self):
         self._floats = array("d")
         self._shapes: list[_Shape] = []
         self._whole: list[TraceRecord] = []
+        # (snapshot, its JSON) per snapshot; holding it keeps its id, the
+        # key of `_snapshot_at`, from being reused.
+        self._snapshots: list[tuple[tuple, str]] = []
+        self._snapshot_at: dict[int, float] = {}
         self._count = 0
         # The array's length after the last record kept whole: while it
         # stands, the next such record extends that run.
@@ -302,19 +289,20 @@ class Trace:
         if step != self._count:
             raise InputError(f"trace step {step} != expected {self._count}")
         self._count = step + 1
-        if not (observation.latent_evidence or observation.landmarks):
+        if not observation.latent_evidence:
+            at = self._place(observation.landmarks) if observation.landmarks else None
             recent = self._recent.get((action.kind, option_active.kind, observed_by_adversary))
             packed = None
             if recent is not None:
                 try:
                     packed = recent[0](
-                        recent[1], observation.values, action.params, option_active.params,
+                        recent[1], observation.values, at, action.params, option_active.params,
                         observed_by_adversary,
                     )
                 except KeyError:
                     pass
             if packed is None:
-                packed = self._compact(observation, action, option_active, observed_by_adversary)
+                packed = self._compact(observation, at, action, option_active, observed_by_adversary)
             if packed is not None:
                 self._floats.frombytes(packed)
                 return
@@ -328,13 +316,21 @@ class Trace:
             TraceRecord(step, observation, action, option_active, observed_by_adversary)
         )
 
-    def _compact(self, observation, action, option_active, visible) -> bytes | None:
+    def _place(self, snapshot: tuple) -> float:
+        """The snapshot's place in the table, where its first append puts it."""
+        at = self._snapshot_at.get(id(snapshot))
+        if at is None:
+            at = self._snapshot_at[id(snapshot)] = float(len(self._snapshots))
+            self._snapshots.append((snapshot, _ENCODER.encode([list(t) for t in snapshot])))
+        return at
+
+    def _compact(self, observation, at, action, option_active, visible) -> bytes | None:
         """The record's floats, its shape id first, packed as doubles, or
-        None when it must be kept whole. Remembers the shape for the next
-        record of the same kinds."""
+        None when it must be kept whole; `at` is its snapshot's place or
+        None. Remembers the shape for the next record of the same kinds."""
         shape = _Shape.of(
-            observation.values, action.kind, action.params, option_active.kind,
-            option_active.params, visible,
+            observation.values, at is not None, action.kind, action.params,
+            option_active.kind, option_active.params, visible,
         )
         if shape is None:
             return None
@@ -343,13 +339,14 @@ class Trace:
         shape_id = float(self._shapes.index(shape))
         self._recent[(action.kind, option_active.kind, visible)] = (shape.gather, shape_id)
         return shape.gather(
-            shape_id, observation.values, action.params, option_active.params, visible
+            shape_id, observation.values, at, action.params, option_active.params, visible
         )
 
     def __getstate__(self) -> dict:
         # Pickle cannot carry generated gather functions; shapes pickle by
-        # key, and the next append finds them again.
-        return {**self.__dict__, "_recent": {}}
+        # key, and the next append finds them again. Ids mean nothing in
+        # another process, so the snapshot table travels without its index.
+        return {**self.__dict__, "_recent": {}, "_snapshot_at": {}}
 
     def __len__(self) -> int:
         return self._count
@@ -376,29 +373,30 @@ class Trace:
     @property
     def records(self) -> list[TraceRecord]:
         """The records, rebuilt as objects."""
+        snapshots = [snapshot for snapshot, _ in self._snapshots]
         return [
-            item if shape is None else shape.record(step, item)
+            item if shape is None else shape.record(step, item, snapshots)
             for step, (shape, item) in enumerate(self._walk())
         ]
 
-    def segment(self, start: int, end: int) -> "TraceSegment":
-        if not (0 <= start <= end):
-            raise InputError("invalid segment bounds")
-        recs = tuple(r for r in self.records if start <= r.step <= end)
-        return TraceSegment(start, end, recs)
-
     def jsonl_lines(self) -> Iterator[str]:
         """The records as JSON lines, each ending in a newline."""
-        landmarks_json: dict = {}
+        texts = [text for _, text in self._snapshots]
         total = sum(self._floats)
         # Unless the sum is not finite, no float is, and `repr` writes each
         # as JSON does.
         number = _FLOAT_REPR if total - total == 0.0 else _json_number
         for step, (shape, item) in enumerate(self._walk()):
             if shape is None:
-                yield item.to_json_line(landmarks_json) + "\n"
-            else:
+                yield item.to_json_line() + "\n"
+            elif shape.landmarks_at is None:
                 yield shape.template % (step, *map(number, item))
+            else:
+                at = shape.landmarks_at
+                yield shape.template % (
+                    step, *map(number, item[:at]), texts[int(item[at])],
+                    *map(number, item[at + 1:]),
+                )
 
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
@@ -446,30 +444,35 @@ def _json_keys(keys) -> bool:
 
 class _Shape:
     """The fixed part of a compact record: `key` is its sorted observation
-    keys, action kind, sorted action keys, option kind, sorted option keys
-    and visible flag, and `width` the number of its floats.
+    keys, landmarks flag, action kind, sorted action keys, option kind,
+    sorted option keys and visible flag, and `width` the number of its
+    floats. With landmarks, the float at `landmarks_at` is the snapshot's
+    place in the trace's table; else `landmarks_at` is None.
 
-    `template` takes the step and then the floats, as text, and writes the
-    record's JSON line. `gather(shape_id, values, action_params,
-    option_params, visible)` returns the shape id and the floats in key
-    order, packed as doubles for `array.frombytes`, which costs a third of
+    `template` takes the step and then the floats as text, the snapshot's
+    JSON in place of its place, and writes the record's JSON line.
+    `gather(shape_id, values, at, action_params, option_params, visible)`
+    returns the shape id and the floats in key order, `at` after the values,
+    packed as doubles for `array.frombytes`, which costs a third of
     `array.extend`. It returns None when a value is not a float or the flag
-    is not the shape's, and raises KeyError or returns None when the dicts'
-    keys are not the shape's. `gather` is generated code, as `trusted`'s
-    builders are, so one shape per key is built and shared by every trace:
-    building one per trace would cost each cell its compile time.
+    or whether `at` is None is not the shape's, and raises KeyError or
+    returns None when the dicts' keys are not the shape's. `gather` is
+    generated code, as each class's `_trusted` is, so one shape per key is
+    built and shared by every trace: building one per trace would cost each
+    cell its compile time.
     """
 
-    __slots__ = ("key", "width", "template", "gather")
+    __slots__ = ("key", "width", "landmarks_at", "template", "gather")
     _cache: dict[tuple, "_Shape"] = {}
 
     def __reduce__(self):
         return _Shape.for_key, (self.key,)
 
     @classmethod
-    def of(cls, values, action_kind, action_params, option_kind, option_params, visible):
-        """The shape of a record without landmarks or latent evidence, or
-        None when such records are kept whole."""
+    def of(cls, values, landmarks, action_kind, action_params, option_kind, option_params,
+           visible):
+        """The shape of a record without latent evidence, or None when such
+        records are kept whole."""
         if not (
             all(_json_keys(keys) for keys in (values, action_params, option_params))
             and type(action_kind) is str
@@ -478,7 +481,7 @@ class _Shape:
         ):
             return None
         return cls.for_key((
-            tuple(sorted(values)), action_kind, tuple(sorted(action_params)),
+            tuple(sorted(values)), landmarks, action_kind, tuple(sorted(action_params)),
             option_kind, tuple(sorted(option_params)), visible,
         ))
 
@@ -490,22 +493,25 @@ class _Shape:
         return shape
 
     def __init__(self, key: tuple):
-        obs_keys, action_kind, action_keys, option_kind, option_keys, visible = key
+        obs_keys, landmarks, action_kind, action_keys, option_kind, option_keys, visible = key
         self.key = key
-        self.width = len(obs_keys) + len(action_keys) + len(option_keys)
+        self.width = len(obs_keys) + landmarks + len(action_keys) + len(option_keys)
+        self.landmarks_at = len(obs_keys) if landmarks else None
 
         def params(keys):
             return "{" + ",".join(_template_text(k) + ":%s" for k in keys) + "}"
 
         self.template = (
-            '{"step":%d,"observation":{"values":' + params(obs_keys) + "}"
+            '{"step":%d,"observation":{"values":' + params(obs_keys)
+            + (',"landmarks":%s' if landmarks else "") + "}"
             + ',"action":{"kind":' + _template_text(action_kind)
             + ',"params":' + params(action_keys) + "}"
             + ',"option_active":{"kind":' + _template_text(option_kind.value)
             + ',"params":' + params(option_keys) + "}"
             + ',"observed_by_adversary":' + ("true" if visible else "false") + "}\n"
         )
-        names, fetch, checks = [], [], [f"visible is {visible}"]
+        names, fetch = [], []
+        checks = [f"visible is {visible}", f"at is {'not ' if landmarks else ''}None"]
         for group, keys in (("values", obs_keys), ("action_params", action_keys),
                             ("option_params", option_keys)):
             checks.append(f"len({group}) == {len(keys)}")
@@ -516,8 +522,10 @@ class _Shape:
                 names.append(f"v{len(names)}")
                 fetch.append(f"    {names[-1]} = {group}[{k!r}]\n")
                 checks.append(f"type({names[-1]}) is float")
+            if group == "values" and landmarks:
+                names.append("at")
         source = (
-            "def gather(shape_id, values, action_params, option_params, visible):\n"
+            "def gather(shape_id, values, at, action_params, option_params, visible):\n"
             + "".join(fetch)
             + f"    if {' and '.join(checks)}:\n"
             + f"        return pack(shape_id, {''.join(n + ', ' for n in names)})\n"
@@ -527,15 +535,17 @@ class _Shape:
         exec(compile(source, "<trace shape>", "exec"), namespace)
         self.gather = namespace["gather"]
 
-    def record(self, step: int, values: array) -> TraceRecord:
-        obs_keys, action_kind, action_keys, option_kind, option_keys, visible = self.key
+    def record(self, step: int, values: array, snapshots: list[tuple]) -> TraceRecord:
+        obs_keys, landmarks, action_kind, action_keys, option_kind, option_keys, visible = self.key
         a = len(obs_keys)
-        b = a + len(action_keys)
+        b = a + landmarks
+        c = b + len(action_keys)
         return TraceRecord(
             step,
-            Observation(dict(zip(obs_keys, values[:a]))),
-            Action(action_kind, dict(zip(action_keys, values[a:b]))),
-            OptionChoice(option_kind, dict(zip(option_keys, values[b:]))),
+            Observation(dict(zip(obs_keys, values[:a])),
+                        landmarks=snapshots[int(values[a])] if landmarks else ()),
+            Action(action_kind, dict(zip(action_keys, values[b:c]))),
+            OptionChoice(option_kind, dict(zip(option_keys, values[c:]))),
             visible,
         )
 
@@ -546,4 +556,3 @@ class TraceSegment:
 
     start: int
     end: int
-    records: tuple[TraceRecord, ...] = ()

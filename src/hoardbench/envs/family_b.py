@@ -147,8 +147,8 @@ def run_family_b(
     conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
     # One observation per phase: every write sees the original landmarks and
-    # every query the drifted ones, so each snapshot is built (and, in the
-    # store and the trace, parsed and encoded) once.
+    # every query the drifted ones, so each snapshot is built once, parsed
+    # once by the store and held and encoded once in the trace's table.
     write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
     query_obs = Observation({"phase": 1.0}, landmarks=drifted.as_obs_tuples())
     step = 0

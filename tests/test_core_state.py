@@ -22,6 +22,8 @@ from hoardbench.core.state import (
     TraceRecord,
     validate_option,
 )
+from hoardbench.envs.family_b import FamilyBConfig, run_family_b
+from hoardbench.ledger import CostLedger
 
 
 def _record(step):
@@ -100,13 +102,6 @@ def test_trace_json_field_order():
         "option_active",
         "observed_by_adversary",
     ]
-
-
-def test_segment_bounds():
-    trace = _trace_of([_record(i) for i in range(5)])
-    seg = trace.segment(1, 3)
-    assert seg.start == 1 and seg.end == 3
-    assert [r.step for r in seg.records] == [1, 2, 3]
 
 
 def _reference_line(record):
@@ -218,10 +213,31 @@ _key_sets = st.one_of(
 )
 
 
+_coordinates = st.sampled_from((0.0, -0.0, 0.5, 1, math.inf)) | st.floats(allow_nan=False)
+
+
+@st.composite
+def _snapshot_pool(draw):
+    """A few landmark snapshots, each with an equal copy that is another
+    object and a signed-zero twin: equal too, but its zeros carry the other
+    sign, which JSON writes."""
+    pool = draw(st.lists(
+        st.lists(st.tuples(st.integers(0, 30), _coordinates, _coordinates),
+                 min_size=1, max_size=3).map(tuple),
+        min_size=1, max_size=2,
+    ))
+    copies = [tuple(tuple(t) for t in s) for s in pool]
+    twins = [tuple((i, x if x else -x, y if y else -y) for i, x, y in s) for s in pool]
+    return pool + copies + twins
+
+
 @st.composite
 def _mixed_records(draw):
     # A few shapes that records come back to, with kinds drawn from a small
-    # set, so shapes share kinds and take turns.
+    # set, so shapes share kinds and take turns. Landmark records draw their
+    # snapshot object from a small pool, so they share one, alternate
+    # between two, and meet equal objects that are not the same one.
+    snapshots = draw(_snapshot_pool())
     shapes = draw(st.lists(
         st.tuples(
             _key_sets,
@@ -238,11 +254,10 @@ def _mixed_records(draw):
         obs_keys, kind, action_keys, option_kind, option_keys, visible = draw(
             st.sampled_from(shapes)
         )
-        extras = draw(st.integers(0, 5))
         observation = Observation(
             {k: draw(_value()) for k in obs_keys},
-            (LatentEvidence("compliance", 0.5, -0.25),) if extras == 0 else (),
-            ((0, 0.1, 0.2), (3, -0.0, 1)) if extras == 1 else (),
+            (LatentEvidence("compliance", 0.5, -0.25),) if draw(st.integers(0, 5)) == 0 else (),
+            draw(st.sampled_from(snapshots)) if draw(st.booleans()) else (),
         )
         action = Action(kind, {k: draw(_value()) for k in action_keys})
         option = OptionChoice(option_kind, {k: draw(_value()) for k in option_keys})
@@ -280,10 +295,35 @@ def _look_alike_records():
     return records
 
 
+def _landmark_records():
+    # Family B's records: one snapshot object per phase, shared by every
+    # record of the phase; then a copy of the first, equal but another
+    # object, and its signed-zero twin.
+    write = ((0, 0.25, -0.0), (1, 0.5, 0.75))
+    query = ((0, 0.25, 0.0), (1, 0.5, 0.5))
+    records = []
+    for step, snapshot in enumerate((write, write, query, write, query, query,
+                                     tuple(tuple(t) for t in write), query[:1] + write[1:])):
+        records.append(TraceRecord(
+            step, Observation({"phase": float(step > 1)}, landmarks=snapshot),
+            Action("dig", {"x": 0.5, "y": -0.0}),
+            OptionChoice(OptionKind.RETRIEVE, {"item_type": 1.0, "x": 0.5, "y": 0.25}), False,
+        ))
+    # An int value and latent evidence: these records stay whole.
+    option = OptionChoice(OptionKind.CACHE)
+    records.append(TraceRecord(len(records), Observation({"phase": 1}, landmarks=write),
+                               NOOP, option, False))
+    evidence = (LatentEvidence("drift", 1.0, 0.5),)
+    records.append(TraceRecord(len(records), Observation({"phase": 0.0}, evidence, write),
+                               NOOP, option, False))
+    return records
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_mixed_records())
 @example(_plan_records())
 @example(_look_alike_records())
+@example(_landmark_records())
 def test_compact_trace_writes_each_records_own_json_line(records):
     expected = "".join(r.to_json_line() + "\n" for r in records)
     trace = _trace_of(records)
@@ -314,3 +354,40 @@ def test_compact_records_keep_no_per_step_object():
     # The float-only record was taken apart; the one with latent evidence
     # is kept whole.
     assert [ref() is None for ref in refs] == [True, False]
+    # A family B cell: every record carries a landmark snapshot, and none
+    # is kept whole.
+    trace = _family_b_trace()
+    assert len(trace) > 0 and trace._whole == []
+    assert len(trace._snapshots) == 2
+
+
+def _family_b_trace():
+    trace = Trace()
+    run_family_b(FamilyBConfig(n_events=64, landmark_drift=0.01, conflict_rate=0.5),
+                 "clustered", CostLedger(), 0, trace=trace)
+    return trace
+
+
+def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
+    trace = _family_b_trace()
+    expected = trace.to_jsonl()
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored.to_jsonl() == expected
+    assert restored.records == trace.records
+    # Ids mean nothing in another process. Free the snapshots the pickled
+    # trace held, then append snapshots of their size, which CPython often
+    # puts at a freed one's address and so gives its id: each gets its own
+    # entry, and every line is still the record's own.
+    held = {id(snapshot) for snapshot, _ in trace._snapshots}
+    size = len(trace._snapshots[0][0])
+    del trace
+    fresh = [tuple((i, float(j), -0.0) for i in range(size)) for j in range(50)]
+    reused = [s for s in fresh if id(s) in held] or fresh[:1]
+    records = list(restored.records)
+    for snapshot in reused + reused:
+        record = TraceRecord(len(records), Observation({"phase": 1.0}, landmarks=snapshot),
+                             NOOP, OptionChoice(OptionKind.CACHE), False)
+        _append(restored, record)
+        records.append(record)
+    assert len(restored._snapshots) == 2 + len(reused)
+    assert restored.to_jsonl() == "".join(r.to_json_line() + "\n" for r in records)

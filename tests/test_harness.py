@@ -305,7 +305,7 @@ def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
     trace_file.unlink()
 
     def cut_short(self):
-        yield next(iter(self.records)).to_json_line({}) + "\n"
+        yield next(iter(self.records)).to_json_line() + "\n"
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:

@@ -1,0 +1,113 @@
+"""Check that two checkouts of hoardbench write the same outputs.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+Runs `hoardbench run` from each checkout's `src` on the four benchmark
+workloads of `perfbench/workloads.py` (this checkout's, imported and not
+run) at seeds 0-2, under `--jobs 1` and `--jobs 2`. It then compares every
+output file except timing.json, traces included, byte for byte: CHANGE's
+against PARENT's for the same workload, seed and jobs, and CHANGE's
+`--jobs 2` against its `--jobs 1`. resolved_config.json is compared up to
+its `output_dir`, which names the run's own directory.
+
+Every difference is printed; the exit code is 0 when there is none, 1 when
+there is one, and 2 when a run fails to start or crashes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+SEEDS = (0, 1, 2)
+JOBS = (1, 2)
+SKIPPED = {"timing.json"}
+
+
+def run(checkout: Path, config: dict, jobs: int, out: Path) -> None:
+    """`hoardbench run --jobs JOBS` of `config` into `out` with the code of
+    `checkout`."""
+    out.mkdir(parents=True)
+    config_path = out.parent / f"{out.name}.json"
+    config_path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "hoardbench.cli", "run", "--config", str(config_path),
+         "--out", str(out), "--jobs", str(jobs)],
+        env=env, capture_output=True, text=True,
+    )
+    # Exit 2 reports failed cells, which are outputs like any other.
+    if done.returncode not in (0, 2):
+        raise RuntimeError(f"{checkout}: hoardbench run into {out} exited "
+                           f"{done.returncode}\n{done.stderr}")
+
+
+def outputs(out: Path) -> dict[str, bytes]:
+    """Every output file under `out` but timing.json, by relative path, with
+    resolved_config.json's `output_dir` value blanked."""
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name not in SKIPPED
+    }
+    if "resolved_config.json" in files:
+        own = json.dumps(str(out)).encode()
+        files["resolved_config.json"] = files["resolved_config.json"].replace(own, b'""')
+    return files
+
+
+def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
+    """The relative paths whose bytes differ or that only one side has."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        if not (checkout / "src" / "hoardbench").is_dir():
+            print(f"{side} {checkout} has no src/hoardbench", file=sys.stderr)
+            return 2
+
+    found = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
+        for name, workload in WORKLOADS.items():
+            for seed in SEEDS:
+                config = workload.config(seed)
+                got = {}
+                for jobs in JOBS:
+                    for side, checkout in sides.items():
+                        out = Path(work) / f"{name}_{seed}_{side}_{jobs}"
+                        try:
+                            run(checkout, config, jobs, out)
+                        except RuntimeError as exc:
+                            print(exc, file=sys.stderr)
+                            return 2
+                        got[side, jobs] = outputs(out)
+                pairs = [(f"--jobs {j}: change vs parent", ("change", j), ("parent", j))
+                         for j in JOBS]
+                pairs.append(("change: --jobs 2 vs --jobs 1", ("change", 2), ("change", 1)))
+                for label, a, b in pairs:
+                    diff = differences(got[a], got[b])
+                    found += bool(diff)
+                    status = "same" if not diff else "DIFFER: " + ", ".join(diff)
+                    print(f"{name} seed {seed} {label}: {len(got[a])} files {status}")
+    print("all outputs identical" if not found else f"{found} comparisons differ")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
