@@ -9,7 +9,7 @@ from .ledger import CostLedger, StepCosts, accrue, constraint_check, objective_v
 from .memory import MemoryStore, Query, Retrieval, StoreVariant, decode_location, retrieve, write
 from .observer import ObserverBelief, leakage_score, observer_update, pilfer_select
 from .rng import RunStreams, Substream
-from .verifier import SignalSink, VerifierSpec, evaluate, score_verifier
+from .verifier import SignalSink, VerifierSpec, evaluate
 
 __all__ = [
     "ControllerConfig",
@@ -38,6 +38,5 @@ __all__ = [
     "predictive_compensate",
     "retrieve",
     "rls_update",
-    "score_verifier",
     "write",
 ]

@@ -548,11 +548,3 @@ class _Shape:
             OptionChoice(option_kind, dict(zip(option_keys, values[c:]))),
             visible,
         )
-
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """A contiguous slice of a trace, addressed by inclusive step bounds."""
-
-    start: int
-    end: int

@@ -47,7 +47,7 @@ from ..core.state import (
 from ..errors import check_int_fields, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from ..verifier import Placement, SignalSink, VerifierSpec
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 INTERVENTION_EPS = 1e-12
@@ -56,14 +56,6 @@ OPTION_SCHEMA = {
     OptionKind.LAUNCH: ("offset", "impulse"),
     OptionKind.STABILIZE: (),
 }
-
-PREDICATES = {
-    # Launch parameters inside their physical ranges.
-    "launch_in_range": lambda seg, truth: bool(truth["launch_ok"]),
-    # Final-goal predicate: the trial reached and held the tolerance window.
-    "stabilized": lambda seg, truth: bool(truth["success"]),
-}
-
 
 @dataclass(frozen=True)
 class FamilyAConfig:
@@ -183,14 +175,11 @@ def run_family_a(
         rls_forgetting=agent.forgetting,
         dynamics=dynamics,
     )
-    launch_spec = VerifierSpec(
-        VerifierKind.PRECONDITION, "launch_in_range", env.verifier_fp, env.verifier_fn, 0
-    )
-    goal_spec = VerifierSpec(
-        VerifierKind.POSTCONDITION, "stabilized", env.verifier_fp, env.verifier_fn,
-        env.verifier_delay,
-    )
-    sink = SignalSink(placement, streams.verifier, PREDICATES)
+    # Precondition: launch parameters inside their physical ranges.
+    launch_spec = VerifierSpec("launch_in_range", env.verifier_fp, env.verifier_fn, 0)
+    # Goal: the trial reached and held the tolerance window.
+    goal_spec = VerifierSpec("stabilized", env.verifier_fp, env.verifier_fn, env.verifier_delay)
+    sink = SignalSink(placement, streams.verifier)
     latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
     planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
@@ -209,7 +198,6 @@ def run_family_a(
     scan_kappa = 0.0
     comp_kappa = 0.0
     global_step = 0
-    final_step = env.trials * (env.horizon + 1) - 1
     z = 0.0
 
     for trial in range(env.trials):
@@ -253,7 +241,7 @@ def run_family_a(
             trace.append(global_step, landing_obs, launch_action, launch, False)
         global_step += 1
 
-        sink.check(launch_spec, trial_start, trial_start, {"launch_ok": launch_ok})
+        sink.check(launch_spec, trial_start, trial_start, launch_ok)
 
         # Open-loop agents commit a correction schedule now and never revise.
         plan: list[float] = []
@@ -331,12 +319,12 @@ def run_family_a(
         successes += int(success)
         stab_times.append(float(first_hold_step if first_hold_step is not None else env.horizon))
 
-        sink.check(goal_spec, trial_start, global_step - 1, {"success": success})
+        sink.check(goal_spec, trial_start, global_step - 1, success)
 
         if ledger.exhausted:
             break
 
-    sink.flush(final_step)
+    sink.flush()
     record.goal_verdict = sink.goal_verdict("stabilized")
     record.metrics = {
         "success_rate": successes / env.trials,

@@ -45,7 +45,7 @@ from ..memory import (
     write,
 )
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from ..verifier import Placement, SignalSink, VerifierSpec
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 # Distractors land within this radius of a true cache: near enough to share
@@ -53,11 +53,6 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
 PROVENANCE_SAMPLE_STRIDE = 256
-
-PREDICATES = {
-    "retrieval_cites_written_episode": lambda seg, truth: bool(truth["cited_ok"]),
-    "precision_target": lambda seg, truth: bool(truth["precision_ok"]),
-}
 
 OPTION_SCHEMA = {
     OptionKind.RETRIEVE: ("item_type", "x", "y"),
@@ -213,11 +208,9 @@ def run_family_b(
     )
 
     fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.verifier_delay)
-    cite_spec = VerifierSpec(
-        VerifierKind.RUNTIME_MONITOR, "retrieval_cites_written_episode", *fp_fn_delay
-    )
-    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "precision_target", *fp_fn_delay)
-    sink = SignalSink(placement, streams.verifier, PREDICATES)
+    cite_spec = VerifierSpec("retrieval_cites_written_episode", *fp_fn_delay)
+    goal_spec = VerifierSpec("precision_target", *fp_fn_delay)
+    sink = SignalSink(placement, streams.verifier)
 
     hits = 0
     confusions = 0
@@ -266,14 +259,14 @@ def run_family_b(
         if qi % PROVENANCE_SAMPLE_STRIDE == 0:
             if not cited_ok:
                 provenance_failures += 1
-            sink.check(cite_spec, step, step, {"cited_ok": cited_ok})
+            sink.check(cite_spec, step, step, cited_ok)
         step += 1
 
     precision = hits / n
     confusion_rate = confusions / n
     precision_ok = precision >= env.precision_target
-    sink.check(goal_spec, 0, step, {"precision_ok": precision_ok})
-    sink.flush(step + env.verifier_delay)
+    sink.check(goal_spec, 0, step, precision_ok)
+    sink.flush()
 
     accrue(ledger, StepCosts(task=0.0 if precision_ok else 1.0))
 

@@ -48,18 +48,12 @@ from ..observer import (
     pilfer_select,
 )
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec, score_verifier
+from ..verifier import Placement, SignalSink, VerifierSpec, miss_rate
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 CANDIDATE_CELLS = 8
 MAX_DEFERS_PER_CACHE = 3
 OPENING_DECOYS = 2
-
-PREDICATES = {
-    "cache_while_observed": lambda seg, truth: not bool(truth["violation"]),
-    "no_cache_in_forbidden_zone": lambda seg, truth: not bool(truth["in_zone"]),
-    "recovered_target": lambda seg, truth: bool(truth["recovered_ok"]),
-}
 
 OPTION_SCHEMA = {
     OptionKind.CACHE: ("row", "col"),
@@ -198,10 +192,10 @@ def run_family_c(
     adversary = ObserverBelief.uniform(env.diffusion_rate)
 
     fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.monitor_delay)
-    monitor_spec = VerifierSpec(VerifierKind.RUNTIME_MONITOR, "cache_while_observed", *fp_fn_delay)
-    zone_spec = VerifierSpec(VerifierKind.POSTCONDITION, "no_cache_in_forbidden_zone", *fp_fn_delay)
-    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "recovered_target", *fp_fn_delay)
-    sink = SignalSink(placement, streams.verifier, PREDICATES)
+    monitor_spec = VerifierSpec("cache_while_observed", *fp_fn_delay)
+    zone_spec = VerifierSpec("no_cache_in_forbidden_zone", *fp_fn_delay)
+    goal_spec = VerifierSpec("recovered_target", *fp_fn_delay)
+    sink = SignalSink(placement, streams.verifier)
 
     # Item values and the unaware agent's cell plan are drawn up front so
     # awareness toggles cannot shift the environment stream.
@@ -255,7 +249,7 @@ def run_family_c(
         inbox = [m for m in inbox if m[0] > step]
         if flags.observer_aware:
             for _, view in arrived:
-                if view is not None and view.verdict is False:
+                if view.verdict is False:
                     for i, cache in enumerate(placed):
                         if cache["placed_step"] == view.segment_start and not cache["moved"]:
                             if i not in compromised:
@@ -390,7 +384,7 @@ def run_family_c(
 
         violation = is_real_cache and visible
         violations += int(violation)
-        sig = sink.check(monitor_spec, step, step, {"violation": violation})
+        sig = sink.check(monitor_spec, step, step, not violation)
         if sig is not None:
             inbox.append((sig.emitted_at, sig.agent_view()))
 
@@ -459,14 +453,13 @@ def run_family_c(
     recovered_fraction = recovered_value / total_value if total_value else 0.0
 
     in_zone = any(_in_zone(c["cell"], env.forbidden_zone) for c in placed)
-    sink.check(zone_spec, 0, step, {"in_zone": in_zone})
-    sink.check(goal_spec, 0, step, {"recovered_ok": recovered_fraction >= env.recovered_target})
-    sink.flush(step + env.monitor_delay)
+    sink.check(zone_spec, 0, step, not in_zone)
+    sink.check(goal_spec, 0, step, recovered_fraction >= env.recovered_target)
+    sink.flush()
 
     accrue(ledger, StepCosts(task=max(0.0, 1.0 - recovered_fraction)))
 
     monitor_signals = [s for s in sink.signals if s.predicate_id == "cache_while_observed"]
-    vmetrics = score_verifier(monitor_signals, deadline=pilfer_step)
 
     record = RunRecord(family="C", variant="", seed=seed, status=STATUS_COMPLETED)
     record.goal_verdict = sink.goal_verdict("recovered_target")
@@ -474,7 +467,7 @@ def run_family_c(
         "recovered_value": recovered_value,
         "recovered_fraction": recovered_fraction,
         "leakage": leakage,
-        "verifier_miss_rate": vmetrics.miss_rate,
+        "verifier_miss_rate": miss_rate(monitor_signals, pilfer_step),
         "violations": float(violations),
         "decoys_used": float(decoys_used),
         "recache_moves": float(recache_moves),

@@ -43,7 +43,7 @@ from ..core.state import (
 from ..errors import check_int_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams, Substream
-from ..verifier import Placement, SignalSink, VerifierKind, VerifierSpec
+from ..verifier import Placement, SignalSink, VerifierSpec
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 HILLCLIMB_ITERATIONS = 200
@@ -312,14 +312,7 @@ def run_family_d(
     else:
         checker_coverage = set(k_checker)
 
-    registry = {
-        f"c{c.cid}": (lambda seg, truth, c=c: c.satisfied(truth["plan"]))
-        for c in universe
-    }
-    registry["plan_satisfies_universe"] = lambda seg, truth: len(
-        _violations(truth["plan"], truth["universe"])
-    ) == 0
-    sink = SignalSink(Placement.IN_LOOP, streams.verifier, registry)
+    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
 
     proposer_known_ids = set(k_proposer)
     plan = tuple(int(v) for v in streams.agent.integers(0, env.alphabet_size, size=env.plan_length))
@@ -357,12 +350,9 @@ def run_family_d(
             continue
 
         checker_bad: list[int] = []
-        truth = {"plan": plan, "universe": universe}
         for cid in sorted(checker_coverage):
-            spec = VerifierSpec(
-                VerifierKind.RUNTIME_MONITOR, f"c{cid}", verifier_fp, verifier_fn
-            )
-            sig = sink.check(spec, step, step, truth)
+            spec = VerifierSpec(f"c{cid}", verifier_fp, verifier_fn)
+            sig = sink.check(spec, step, step, by_id[cid].satisfied(plan))
             checker_evals += 1
             if sig.verdict is False:
                 checker_bad.append(cid)
@@ -400,8 +390,8 @@ def run_family_d(
     ]
     correlated_error_rate = len(correlated_blind) / n if n else 0.0
 
-    goal_spec = VerifierSpec(VerifierKind.POSTCONDITION, "plan_satisfies_universe")
-    sink.check(goal_spec, 0, step, {"plan": plan, "universe": universe})
+    goal_spec = VerifierSpec("plan_satisfies_universe")
+    sink.check(goal_spec, 0, step, not released_violations)
 
     accrue(ledger, StepCosts(task=float(len(released_violations))))
 

@@ -27,7 +27,6 @@ landmark index, which tests pin to the rule through `brute_force_retrieve`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -50,12 +49,6 @@ DEGENERATE_CONFIDENCE = 0.5
 # Clustered retrieval stops expanding its cell search once a candidate this
 # strong has been seen; an uncorrupted cue scores 1.0.
 EARLY_STOP_SCORE = 0.5
-
-
-class VerifyStatus(str, Enum):
-    UNVERIFIED = "unverified"
-    PASSED = "passed"
-    FAILED = "failed"
 
 
 class StoreVariant(str, Enum):
@@ -129,21 +122,6 @@ class CueVector:
     def __post_init__(self):
         if len(set(self.landmark_ids)) != CUE_LANDMARKS:
             raise InputError("cue must reference three distinct landmarks")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "landmark_ids": list(self.landmark_ids),
-            "distances": list(self.distances),
-            "bearings": list(self.bearings),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CueVector":
-        return cls(
-            tuple(obj["landmark_ids"]),
-            tuple(obj["distances"]),
-            tuple(obj["bearings"]),
-        )
 
 
 def encode_cue(location: tuple[float, float], landmarks: LandmarkSet) -> CueVector:
@@ -255,39 +233,12 @@ class EpisodeRecord:
     item_value: float
     location: tuple[float, float]
     cue: CueVector
-    provenance: tuple[int, ...] = ()
-    verify_status: VerifyStatus = VerifyStatus.UNVERIFIED
 
     def __post_init__(self):
         if self.item_type < 1:
             raise InputError("item_type must be >= 1")
         if self.item_value < 0:
             raise InputError("item_value must be non-negative")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "written_at": self.written_at,
-            "item_type": self.item_type,
-            "item_value": self.item_value,
-            "location": list(self.location),
-            "cue": self.cue.to_json_obj(),
-            "provenance": list(self.provenance),
-            "verify_status": self.verify_status.value,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EpisodeRecord":
-        return cls(
-            id=int(obj["id"]),
-            written_at=int(obj["written_at"]),
-            item_type=int(obj["item_type"]),
-            item_value=float(obj["item_value"]),
-            location=tuple(obj["location"]),
-            cue=CueVector.from_json_obj(obj["cue"]),
-            provenance=tuple(obj["provenance"]),
-            verify_status=VerifyStatus(obj["verify_status"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -399,30 +350,12 @@ class MemoryStore:
 # ---------------------------------------------------------------------------
 
 
-def write(
-    store: MemoryStore,
-    observation: Observation,
-    action: Action,
-    verifier_feedback=None,
-) -> MemoryStore:
-    """Record a completed cache action, or apply delayed verifier feedback.
+def write(store: MemoryStore, observation: Observation, action: Action) -> MemoryStore:
+    """Record a completed cache action.
 
-    When `verifier_feedback` targets an existing episode id, only that
-    record's verify status changes; nothing is appended. Otherwise the action
-    must be a dig with a concrete location and item payload, and the cue is
-    encoded from the observation's landmark snapshot.
+    The action must be a dig with a concrete location and item payload, and
+    the cue is encoded from the observation's landmark snapshot.
     """
-    if verifier_feedback is not None and verifier_feedback.target is not None:
-        episode = store.episode_by_id(verifier_feedback.target)
-        if episode is None:
-            raise InputError(f"feedback targets unknown episode {verifier_feedback.target}")
-        if episode.verify_status is not VerifyStatus.UNVERIFIED:
-            raise InputError("verify status may only move out of unverified once")
-        episode.verify_status = (
-            VerifyStatus.PASSED if verifier_feedback.verdict else VerifyStatus.FAILED
-        )
-        return store
-
     if action.kind != "dig":
         raise InputError("memory writes require a completed dig action")
     if not observation.landmarks:
@@ -436,7 +369,6 @@ def write(
         item_value=float(action.params["item_value"]),
         location=location,
         cue=encode_cue(location, landmarks),
-        provenance=(int(action.params.get("step", 0)),),
     )
     store.append(record)
     return store
@@ -689,38 +621,3 @@ def brute_force_retrieve(
     if degenerate:
         confidence = min(confidence, DEGENERATE_CONFIDENCE)
     return Retrieval(episode, decoded, 0, confidence)
-
-
-# ---------------------------------------------------------------------------
-# Fixture serialization
-# ---------------------------------------------------------------------------
-
-
-def dump_store(store: MemoryStore) -> str:
-    return json.dumps([e.to_json_obj() for e in store.episodes], separators=(",", ":"))
-
-
-def load_store(text: str, variant: StoreVariant | str = StoreVariant.CLUSTERED) -> MemoryStore:
-    store = MemoryStore(variant)
-    for obj in json.loads(text):
-        store.append(EpisodeRecord.from_json_obj(obj))
-    return store
-
-
-def index_partition(store: MemoryStore) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
-    """Flatten the clustered index for comparison against a reference partition."""
-    out: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {}
-    for item_type, cells in store.index.items():
-        for cell, ids in cells.items():
-            out[(item_type, cell)] = tuple(ids)
-    return out
-
-
-def reference_partition(
-    episodes: list[EpisodeRecord],
-) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
-    """Brute-force (type, grid cell) partition of an episode list."""
-    out: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    for e in episodes:
-        out.setdefault((e.item_type, grid_cell(e.location)), []).append(e.id)
-    return {k: tuple(v) for k, v in out.items()}

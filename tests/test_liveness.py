@@ -1,11 +1,11 @@
 """Liveness: every number a grid reports can move.
 
-A metric, cost, objective, goal verdict or predicate ground truth that reads
-the same in every cell of a stress grid cannot test the hypothesis it stands
-for. Over its family's grid below, each one must take at least two values or
-be named in ALLOWED_CONSTANT with the reason it cannot. An allowed entry that
-does move fails too, so the list stays current: the fix that brings a known
-dead number to life removes its entry.
+A metric, cost, objective, goal verdict, predicate ground truth or signal
+field that reads the same in every cell of a stress grid cannot test the
+hypothesis it stands for. Over its family's grid below, each one must take
+at least two values or be named in ALLOWED_CONSTANT with the reason it
+cannot. An allowed entry that does move fails too, so the list stays
+current: the fix that brings a known dead number to life removes its entry.
 """
 
 import json
@@ -73,7 +73,9 @@ ALLOWED_CONSTANT = {
 def _reported_values(grid: dict) -> dict[str, set]:
     """Every reported name -> the set of values it took over the grid.
     Family D names its constraint predicates c0, c1, ... per seed's
-    universe, so they count as one predicate."""
+    universe, so they count as one predicate. A signal field but the
+    predicate id counts over all of the family's predicates, JSON-encoded
+    because `segment` is a list."""
     values: dict[str, set] = {}
     for cell in run_grid(parse_config(json.dumps(grid))).cells:
         record = cell.record
@@ -86,6 +88,9 @@ def _reported_values(grid: dict) -> dict[str, set]:
         for signal in record.signals:
             predicate = re.sub(r"^c\d+$", "c<k>", signal["predicate_id"])
             values.setdefault(f"truth:{predicate}", set()).add(signal["ground_truth_verdict"])
+            for field, value in signal.items():
+                if field != "predicate_id":
+                    values.setdefault(f"signal:{field}", set()).add(json.dumps(value))
     return values
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -21,25 +20,19 @@ from hoardbench.memory import (
     MemoryStore,
     Query,
     StoreVariant,
-    VerifyStatus,
     _cue_anchor_positions,
     _decode,
     _ring_cells,
     brute_force_retrieve,
     cue_similarity,
     decode_location,
-    dump_store,
     encode_cue,
     grid_cell,
-    index_partition,
-    load_store,
-    reference_partition,
     retrieve,
     trilaterate,
     write,
 )
 from hoardbench.rng import RunStreams, Substream
-from hoardbench.verifier import VerifierSignal
 
 
 def _landmarks(seed=0, count=25):
@@ -62,6 +55,25 @@ def _episode(i, item_type, loc, landmarks, value=1.0):
         location=loc,
         cue=encode_cue(loc, landmarks),
     )
+
+
+def index_partition(store: MemoryStore) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
+    """Flatten the clustered index for comparison against a reference partition."""
+    out: dict[tuple[int, tuple[int, int]], tuple[int, ...]] = {}
+    for item_type, cells in store.index.items():
+        for cell, ids in cells.items():
+            out[(item_type, cell)] = tuple(ids)
+    return out
+
+
+def reference_partition(
+    episodes: list[EpisodeRecord],
+) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
+    """Brute-force (type, grid cell) partition of an episode list."""
+    out: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for e in episodes:
+        out.setdefault((e.item_type, grid_cell(e.location)), []).append(e.id)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def _random_episodes(n, landmarks, stream, types=4):
@@ -174,21 +186,6 @@ def test_single_write_builds_cue_from_three_nearest():
     assert ep.cue == encode_cue((0.25, 0.75), lm)
 
 
-def test_verifier_feedback_updates_status_without_appending():
-    lm = _landmarks()
-    store = MemoryStore(StoreVariant.CLUSTERED)
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
-    for i in range(8):
-        write(store, obs, _dig(0.1 + 0.1 * i, 0.5, step=i))
-    signal = VerifierSignal(9, 7, 7, True, True, "cache_ok", target=7)
-    write(store, obs, _dig(0, 0), verifier_feedback=signal)
-    assert len(store) == 8
-    assert store.episode_by_id(7).verify_status is VerifyStatus.PASSED
-    # The status transition is one-way.
-    with pytest.raises(InputError):
-        write(store, obs, _dig(0, 0), verifier_feedback=signal)
-
-
 def test_duplicate_episode_id_aborts():
     lm = _landmarks()
     store = MemoryStore(StoreVariant.FLAT)
@@ -209,20 +206,6 @@ def test_thousand_writes_match_brute_force_partition():
     partition = index_partition(store)
     assert sum(len(v) for v in partition.values()) == 1000
     assert partition == reference_partition(store.episodes)
-
-
-def test_index_integrity_under_interleaved_feedback():
-    lm = _landmarks(6)
-    store = MemoryStore(StoreVariant.CLUSTERED)
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
-    stream = Substream(12, "env")
-    locs = stream.uniform(0.0, 1.0, size=(60, 2))
-    for i in range(60):
-        write(store, obs, _dig(float(locs[i, 0]), float(locs[i, 1]), 1 + i % 3, step=i))
-        if i % 7 == 0:
-            sig = VerifierSignal(i + 2, i, i, i % 2 == 0, True, "p", target=i)
-            write(store, obs, _dig(0, 0), verifier_feedback=sig)
-    assert index_partition(store) == reference_partition(store.episodes)
 
 
 # --- Retrieval ---------------------------------------------------------------
@@ -518,18 +501,7 @@ def test_storage_parity_between_variants():
     episodes = _random_episodes(40, lm, stream)
     flat = _store_with(episodes, StoreVariant.FLAT)
     clustered = _store_with(episodes, StoreVariant.CLUSTERED)
-    assert dump_store(flat) == dump_store(clustered)
-
-
-def test_dump_load_round_trip():
-    lm = _landmarks()
-    stream = Substream(52, "env")
-    store = _store_with(_random_episodes(12, lm, stream))
-    text = dump_store(store)
-    loaded = load_store(text, StoreVariant.CLUSTERED)
-    assert dump_store(loaded) == text
-    assert index_partition(loaded) == index_partition(store)
-    assert json.loads(text)[0]["verify_status"] == "unverified"
+    assert flat.episodes == clustered.episodes
 
 
 def test_probe_counter_monotone_and_consistent():

@@ -42,6 +42,27 @@ def test_differences_name_changed_and_missing_files(tmp_path):
     ]
 
 
+def test_key_paths_name_what_differs_inside_runs_jsonl():
+    parent = (
+        b'{"seed":0,"signals":[{"emitted_at":3,"target":null},{"emitted_at":4,"target":null}]}\n'
+        b'{"seed":1,"signals":[],"x":0.0}\n'
+        b'{"seed":2,"signals":[{"emitted_at":1,"target":null}]}\n'
+    )
+    change = (
+        b'{"seed":0,"signals":[{"emitted_at":3},{"emitted_at":5}]}\n'
+        b'{"seed":1,"signals":[],"x":-0.0}\n'
+        b'{"seed":2,"signals":[{"emitted_at":1}],"extra":{}}\n'
+        b'{"seed":3}\n'
+    )
+    assert _tool().key_path_differences(change, parent, ("change", "parent")) == [
+        "extra: only in change, 1 records",
+        "signals[].emitted_at: differs, 1 records",
+        "signals[].target: only in parent, 2 records",
+        "x: differs, 1 records",
+        "(record count): 4 in change, 3 in parent",
+    ]
+
+
 def test_a_checkout_without_source_is_refused(tmp_path, capsys):
     assert _tool().main([str(tmp_path), str(tmp_path)]) == 2
     assert "has no src/hoardbench" in capsys.readouterr().err

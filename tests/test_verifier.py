@@ -5,29 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoardbench.controller import ControllerConfig
-from hoardbench.core.state import ConfigurationError, TraceSegment
+from hoardbench.core.state import ConfigurationError
 from hoardbench.envs.family_a import FamilyAConfig, run_family_a
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.ledger import CostLedger
 from hoardbench.rng import Substream
-from hoardbench.verifier import (
-    SignalSink,
-    VerifierKind,
-    VerifierSignal,
-    VerifierSpec,
-    evaluate,
-    score_verifier,
-)
-
-REGISTRY = {
-    "always_pass": lambda seg, truth: True,
-    "always_fail": lambda seg, truth: False,
-    "from_truth": lambda seg, truth: bool(truth["ok"]),
-}
+from hoardbench.verifier import SignalSink, VerifierSignal, VerifierSpec, evaluate, miss_rate
 
 
 def _spec(**kw):
-    defaults = dict(kind=VerifierKind.POSTCONDITION, predicate_id="from_truth")
+    defaults = dict(predicate_id="p")
     defaults.update(kw)
     return VerifierSpec(**defaults)
 
@@ -37,9 +24,9 @@ def _stream():
 
 
 def test_noiseless_verdict_matches_ground_truth():
-    sig = evaluate(_spec(), TraceSegment(0, 10), {"ok": True}, _stream(), REGISTRY)
+    sig = evaluate(_spec(), 0, 10, True, _stream())
     assert sig.verdict is True and sig.ground_truth_verdict is True
-    sig = evaluate(_spec(), TraceSegment(0, 10), {"ok": False}, _stream(), REGISTRY)
+    sig = evaluate(_spec(), 0, 10, False, _stream())
     assert sig.verdict is False and sig.ground_truth_verdict is False
 
 
@@ -52,7 +39,7 @@ def test_uninformative_noise_rates_rejected():
 
 def test_emission_respects_delay():
     spec = _spec(delay=7)
-    sig = evaluate(spec, TraceSegment(3, 12), {"ok": True}, _stream(), REGISTRY)
+    sig = evaluate(spec, 3, 12, True, _stream())
     assert sig.emitted_at == 12 + 7
 
 
@@ -64,43 +51,35 @@ def test_signal_cannot_precede_segment_end():
 def test_fp_rate_calibration_binomial():
     # 10^4 true-pass evaluations at fp=0.1: the flipped fraction must land
     # within the 3-sigma binomial band 0.1 +/- 0.009.
-    spec = _spec(predicate_id="always_pass", fp_rate=0.1)
+    spec = _spec(fp_rate=0.1)
     stream = _stream()
     flips = 0
     n = 10_000
     for k in range(n):
-        sig = evaluate(spec, TraceSegment(k, k), {}, stream, REGISTRY)
+        sig = evaluate(spec, k, k, True, stream)
         flips += sig.verdict is False
     assert abs(flips / n - 0.1) <= 0.01
 
 
 def test_fn_rate_calibration_binomial():
-    spec = _spec(predicate_id="always_fail", fn_rate=0.2)
+    spec = _spec(fn_rate=0.2)
     stream = _stream()
     flips = sum(
-        evaluate(spec, TraceSegment(k, k), {}, stream, REGISTRY).verdict is True
+        evaluate(spec, k, k, False, stream).verdict is True
         for k in range(10_000)
     )
     assert abs(flips / 10_000 - 0.2) <= 0.012  # 3 sigma
 
 
-def test_coverage_hole_withholds_signal():
-    spec = _spec(coverage=frozenset({"something_else"}))
-    sig = evaluate(spec, TraceSegment(0, 5), {"ok": False}, _stream(), REGISTRY)
-    assert sig.withheld and sig.verdict is None
-    assert sig.ground_truth_verdict is False
-    assert sig.agent_view() is None
-
-
 SEGMENTS = [(0, 4, True), (5, 9, True), (10, 14, False), (15, 19, True), (20, 24, False)]
 
 
-def _sink_run(placement, spec, flush_at):
+def _sink_run(placement, spec):
     """Send SEGMENTS through a sink; return what `check` returned and the
     signals after the flush."""
-    sink = SignalSink(placement, Substream(33, "verifier"), REGISTRY)
-    returned = [sink.check(spec, start, end, {"ok": ok}) for start, end, ok in SEGMENTS]
-    sink.flush(flush_at)
+    sink = SignalSink(placement, Substream(33, "verifier"))
+    returned = [sink.check(spec, start, end, ok) for start, end, ok in SEGMENTS]
+    sink.flush()
     return returned, sink.signals
 
 
@@ -108,8 +87,8 @@ def test_placement_changes_timing_not_truth():
     # Same checks, same seed: both placements draw the noise stream in the
     # same order, so verdicts and ground truths agree signal by signal.
     spec = _spec(fp_rate=0.3, fn_rate=0.3)
-    returned, in_loop = _sink_run("in_loop", spec, 30)
-    queued, end_only = _sink_run("end_only", spec, 30)
+    returned, in_loop = _sink_run("in_loop", spec)
+    queued, end_only = _sink_run("end_only", spec)
     assert returned == in_loop and queued == [None] * len(SEGMENTS)
     assert [s.verdict for s in in_loop] == [s.verdict for s in end_only]
     assert [s.ground_truth_verdict for s in in_loop] == [s.ground_truth_verdict for s in end_only]
@@ -118,32 +97,33 @@ def test_placement_changes_timing_not_truth():
     assert [s.verdict for s in in_loop] != [ok for _, _, ok in SEGMENTS]
 
 
-def test_end_only_emits_at_flush_or_natural_time():
-    # Flush times before, among and after the natural emission times
-    # (segment end + delay: 7, 12, 17, 22, 27).
-    spec = _spec(delay=3)
-    for flush_at in (0, 10, 19, 100):
-        _, signals = _sink_run("end_only", spec, flush_at)
-        assert [s.emitted_at for s in signals] == [
-            max(flush_at, end + spec.delay) for _, end, _ in SEGMENTS
-        ]
-        _, in_loop = _sink_run("in_loop", spec, flush_at)
-        assert [s.emitted_at for s in in_loop] == [end + spec.delay for _, end, _ in SEGMENTS]
+def test_end_only_emits_every_signal_at_the_latest_natural_time():
+    # Natural emission times are segment end + delay. With one delay they
+    # are 7, 12, 17, 22, 27; with the delays below, 5, 16, 14, 27, 25.
+    for delays in ((3,) * 5, (1, 7, 0, 8, 1)):
+        specs = [_spec(delay=d) for d in delays]
+        natural = [end + d for (_, end, _), d in zip(SEGMENTS, delays)]
+        in_loop = SignalSink("in_loop", _stream())
+        end_only = SignalSink("end_only", _stream())
+        for spec, (start, end, ok) in zip(specs, SEGMENTS):
+            in_loop.check(spec, start, end, ok)
+            end_only.check(spec, start, end, ok)
+        in_loop.flush()  # an in-loop sink's queue is empty
+        end_only.flush()
+        assert [s.emitted_at for s in in_loop.signals] == natural
+        assert [s.emitted_at for s in end_only.signals] == [max(natural)] * len(SEGMENTS)
 
 
 def test_goal_verdict_needs_every_signal_passed():
-    sink = SignalSink("in_loop", _stream(), REGISTRY)
-    assert sink.goal_verdict("from_truth") == 0
-    sink.check(_spec(), 0, 1, {"ok": True})
-    sink.check(_spec(predicate_id="always_fail"), 0, 1, {})
-    assert sink.goal_verdict("from_truth") == 1
-    sink.check(_spec(), 2, 3, {"ok": True})
-    assert sink.goal_verdict("from_truth") == 1
-    sink.check(_spec(), 4, 5, {"ok": False})
-    assert sink.goal_verdict("from_truth") == 0
-    withheld = SignalSink("in_loop", _stream(), REGISTRY)
-    withheld.check(_spec(coverage=frozenset({"other"})), 0, 1, {"ok": True})
-    assert withheld.goal_verdict("from_truth") == 0
+    sink = SignalSink("in_loop", _stream())
+    assert sink.goal_verdict("p") == 0
+    sink.check(_spec(), 0, 1, True)
+    sink.check(_spec(predicate_id="other"), 0, 1, False)
+    assert sink.goal_verdict("p") == 1
+    sink.check(_spec(), 2, 3, True)
+    assert sink.goal_verdict("p") == 1
+    sink.check(_spec(), 4, 5, False)
+    assert sink.goal_verdict("p") == 0
 
 
 def _without_emission_times(record):
@@ -175,48 +155,10 @@ def test_placement_moves_only_emission_times(run, seed):
     assert _without_emission_times(in_loop) == _without_emission_times(end_only)
 
 
-def test_score_verifier_all_correct():
-    stream = _stream()
-    signals = [
-        evaluate(_spec(), TraceSegment(k, k), {"ok": k % 2 == 0}, stream, REGISTRY)
-        for k in range(50)
-    ]
-    m = score_verifier(signals)
-    assert m.fp_rate == 0.0 and m.fn_rate == 0.0 and m.miss_rate == 0.0
-    assert m.samples == 50
-
-
-def test_score_verifier_counts_injected_flips_exactly():
-    # Constructed fixture: 100 signals, 4 false positives and 3 false
-    # negatives injected by hand.
-    signals = []
-    for k in range(50):  # ground truth pass
-        verdict = False if k < 4 else True
-        signals.append(VerifierSignal(k, k, k, verdict, True, "p"))
-    for k in range(50):  # ground truth fail
-        verdict = True if k < 3 else False
-        signals.append(VerifierSignal(100 + k, 100 + k, 100 + k, verdict, False, "p"))
-    m = score_verifier(signals)
-    assert m.fp_rate == pytest.approx(4 / 50)
-    assert m.fn_rate == pytest.approx(3 / 50)
-    assert m.miss_rate == 0.0
-
-
-def test_miss_rate_counts_coverage_withholding():
-    spec = _spec(coverage=frozenset({"other"}))
-    sig = evaluate(spec, TraceSegment(0, 0), {"ok": False}, _stream(), REGISTRY)
-    m = score_verifier([sig])
-    assert m.miss_rate == 1.0
-
-
 def test_miss_rate_with_deadline():
     early = VerifierSignal(6, 5, 5, False, False, "p")
     late = VerifierSignal(50, 7, 7, False, False, "p")
-    m = score_verifier([early, late], deadline=10)
-    assert m.miss_rate == pytest.approx(0.5)
-    assert m.mean_detection_latency == pytest.approx(((6 - 5) + (50 - 7)) / 2)
-
-
-def test_empty_signal_set_scores_zero():
-    m = score_verifier([])
-    assert m.samples == 0 and m.fp_rate == 0.0
+    passed_late = VerifierSignal(60, 8, 8, True, True, "p")
+    assert miss_rate([early, late, passed_late], deadline=10) == pytest.approx(0.5)
+    assert miss_rate([passed_late], deadline=10) == 0.0
+    assert miss_rate([], deadline=10) == 0.0

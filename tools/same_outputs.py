@@ -10,8 +10,11 @@ against PARENT's for the same workload, seed and jobs, and CHANGE's
 `--jobs 2` against its `--jobs 1`. resolved_config.json is compared up to
 its `output_dir`, which names the run's own directory.
 
-Every difference is printed; the exit code is 0 when there is none, 1 when
-there is one, and 2 when a run fails to start or crashes.
+Every difference is printed. When runs.jsonl differs, so is each key path
+that differs inside its records, with list indices collapsed
+(`signals[].emitted_at`): whether one side only has it or its values
+differ, and in how many records. The exit code is 0 when there is no
+difference, 1 when there is one, and 2 when a run fails to start or crashes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +75,50 @@ def differences(a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def _leaves(line: bytes) -> dict[str, list[str]]:
+    """Every leaf of one JSON record, as its source text, by key path with
+    list indices collapsed to `[]`. An empty list or object is a leaf."""
+    out: dict[str, list[str]] = {}
+
+    def walk(value, path: str) -> None:
+        if isinstance(value, dict) and value:
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list) and value:
+            for item in value:
+                walk(item, path + "[]")
+        else:
+            out.setdefault(path, []).append(json.dumps(value))
+
+    walk(json.loads(line, parse_float=str, parse_int=str, parse_constant=str), "")
+    return out
+
+
+def key_path_differences(a: bytes, b: bytes, names: tuple[str, str]) -> list[str]:
+    """What differs between two runs.jsonl files, record by record: each key
+    path that only one side has or whose values differ, with the number of
+    records in which it does. `names` names the sides a and b. Records that
+    differ only in key order or spacing name no path."""
+    counts: Counter[tuple[str, str]] = Counter()
+    records_a, records_b = a.splitlines(), b.splitlines()
+    for line_a, line_b in zip(records_a, records_b):
+        if line_a == line_b:
+            continue
+        leaves_a, leaves_b = _leaves(line_a), _leaves(line_b)
+        for path in leaves_a.keys() | leaves_b.keys():
+            if path not in leaves_b:
+                counts[path, f"only in {names[0]}"] += 1
+            elif path not in leaves_a:
+                counts[path, f"only in {names[1]}"] += 1
+            elif leaves_a[path] != leaves_b[path]:
+                counts[path, "differs"] += 1
+    lines = [f"{path}: {how}, {n} records" for (path, how), n in sorted(counts.items())]
+    if len(records_a) != len(records_b):
+        lines.append(f"(record count): {len(records_a)} in {names[0]}, "
+                     f"{len(records_b)} in {names[1]}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -97,14 +145,20 @@ def main(argv: list[str] | None = None) -> int:
                             print(exc, file=sys.stderr)
                             return 2
                         got[side, jobs] = outputs(out)
-                pairs = [(f"--jobs {j}: change vs parent", ("change", j), ("parent", j))
-                         for j in JOBS]
-                pairs.append(("change: --jobs 2 vs --jobs 1", ("change", 2), ("change", 1)))
-                for label, a, b in pairs:
+                pairs = [(f"--jobs {j}: change vs parent", ("change", j), ("parent", j),
+                          ("change", "parent")) for j in JOBS]
+                pairs.append(("change: --jobs 2 vs --jobs 1", ("change", 2), ("change", 1),
+                              ("--jobs 2", "--jobs 1")))
+                for label, a, b, names in pairs:
                     diff = differences(got[a], got[b])
                     found += bool(diff)
                     status = "same" if not diff else "DIFFER: " + ", ".join(diff)
                     print(f"{name} seed {seed} {label}: {len(got[a])} files {status}")
+                    if "runs.jsonl" in diff and "runs.jsonl" in got[a] and "runs.jsonl" in got[b]:
+                        for line in key_path_differences(
+                            got[a]["runs.jsonl"], got[b]["runs.jsonl"], names
+                        ):
+                            print(f"  runs.jsonl {line}")
     print("all outputs identical" if not found else f"{found} comparisons differ")
     return 1 if found else 0
 
