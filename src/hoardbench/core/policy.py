@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from ..controller import ControllerConfig, pd_feedback
-from ..memory import EMPTY_QUERY, LandmarkSet, Query, Retrieval, encode_cue
+from ..memory import (
+    EMPTY_QUERY,
+    CueVector,
+    LandmarkSet,
+    Query,
+    Retrieval,
+    encode_cue,
+    encode_cues,
+)
 from ..rng import Substream
 from ..trusted import trusted
 from .belief import Belief
@@ -94,19 +102,38 @@ def select_option(
     return validate_option(option, ctx.option_schema)
 
 
-def form_query(belief: Belief | None, option: OptionChoice, ctx: PolicyContext) -> Query:
+def form_query(
+    belief: Belief | None, option: OptionChoice, ctx: PolicyContext, cue: CueVector | None = None
+) -> Query:
     """Derive the retrieval query induced by the current belief and option.
 
     Only cache and retrieve options touch memory; every other option kind
-    maps to the distinguished empty query.
+    maps to the distinguished empty query. A caller that has encoded the
+    option's location already, as `form_queries` does for a batch, passes
+    the cue as `cue`.
     """
     if option.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE):
         return EMPTY_QUERY
     landmarks = ctx.landmark_estimates
     if landmarks is None:
         raise ConfigurationError("query formation requires landmark estimates")
-    location = (option.params["x"], option.params["y"])
-    return Query(item_type=int(option.params["item_type"]), cue=encode_cue(location, landmarks))
+    if cue is None:
+        cue = encode_cue((option.params["x"], option.params["y"]), landmarks)
+    return Query(item_type=int(option.params["item_type"]), cue=cue)
+
+
+def form_queries(
+    belief: Belief | None, options: list[OptionChoice], ctx: PolicyContext
+) -> list[Query]:
+    """`form_query` of each cache or retrieve option, with all their cues
+    encoded in one pass."""
+    if any(o.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE) for o in options):
+        raise ConfigurationError("batched query formation takes cache and retrieve options only")
+    landmarks = ctx.landmark_estimates
+    if landmarks is None:
+        raise ConfigurationError("query formation requires landmark estimates")
+    cues = encode_cues([(o.params["x"], o.params["y"]) for o in options], landmarks)
+    return [form_query(belief, o, ctx, cue) for o, cue in zip(options, cues)]
 
 
 def act(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from ..core.policy import (
     OptionPolicy,
     PolicyContext,
     check_policy,
-    form_query,
+    form_queries,
     select_option,
 )
 from ..core.state import (
@@ -42,7 +43,7 @@ from ..memory import (
     MemoryStore,
     StoreVariant,
     retrieve,
-    write,
+    write_many,
 )
 from ..rng import RunStreams
 from ..verifier import Placement, SignalSink, VerifierSpec
@@ -53,11 +54,23 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
 PROVENANCE_SAMPLE_STRIDE = 256
+# Writes are stored, and queries formed, this many at a time, with one cue
+# encoding pass per chunk. Nothing in one chunk depends on another's result,
+# so the chunk size changes no output; larger chunks cost more peak memory
+# for less per-call set-up.
+CHUNK = 64
 
 OPTION_SCHEMA = {
     OptionKind.RETRIEVE: ("item_type", "x", "y"),
     OptionKind.CACHE: ("x", "y", "item_type", "item_value"),
 }
+
+
+def _chunks(items):
+    """Consecutive lists of up to `CHUNK` items."""
+    it = iter(items)
+    while chunk := list(islice(it, CHUNK)):
+        yield chunk
 
 
 class RetrievalGoalPolicy:
@@ -149,47 +162,54 @@ def run_family_b(
     step = 0
     write_kappa = 0.0
 
-    def cache_write(item_type: int, value: float, loc: tuple[float, float]) -> None:
-        nonlocal step, write_kappa
-        action = Action(
-            "dig",
-            {
-                "x": float(loc[0]),
-                "y": float(loc[1]),
-                "item_type": float(item_type),
-                "item_value": float(value),
-                "step": float(step),
-            },
-        )
-        write(store, write_obs, action)
+    def cache_events():
+        """(item_type, value, x, y) of every write: the true caches, then
+        the distractors."""
+        for i in range(n):
+            yield int(types[i]), float(values[i]), float(locs[i, 0]), float(locs[i, 1])
+        for j in range(n_conflict):
+            b = int(base_idx[j])
+            dx = float(radii[j] * np.cos(angles[j]))
+            dy = float(radii[j] * np.sin(angles[j]))
+            yield (
+                int(types[b]),
+                float(conflict_values[j]),
+                min(1.0, max(0.0, float(locs[b, 0]) + dx)),
+                min(1.0, max(0.0, float(locs[b, 1]) + dy)),
+            )
+
+    def written():
+        """Every write's (step, event) and action, in order, stored a chunk
+        at a time; the writes are the steps from 0."""
+        for events in _chunks(enumerate(cache_events())):
+            actions = [
+                Action(
+                    "dig",
+                    {
+                        "x": x,
+                        "y": y,
+                        "item_type": float(item_type),
+                        "item_value": value,
+                        "step": float(k),
+                    },
+                )
+                for k, (item_type, value, x, y) in events
+            ]
+            write_many(store, write_obs, actions)
+            yield from zip(events, actions)
+
+    for (_, (item_type, value, x, y)), action in written():
         accrue(ledger, StepCosts(latency=1.0, compute=1.0))
         write_kappa += 1.0
         if trace is not None:
             option = OptionChoice(
                 OptionKind.CACHE,
-                {
-                    "x": float(loc[0]),
-                    "y": float(loc[1]),
-                    "item_type": float(item_type),
-                    "item_value": float(value),
-                },
+                {"x": x, "y": y, "item_type": float(item_type), "item_value": value},
             )
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
             trace.append(len(trace), write_obs, action, option, False)
         step += 1
-
-    for i in range(n):
-        cache_write(int(types[i]), float(values[i]), (float(locs[i, 0]), float(locs[i, 1])))
-    for j in range(n_conflict):
-        b = int(base_idx[j])
-        dx = float(radii[j] * np.cos(angles[j]))
-        dy = float(radii[j] * np.sin(angles[j]))
-        loc = (
-            min(1.0, max(0.0, float(locs[b, 0]) + dx)),
-            min(1.0, max(0.0, float(locs[b, 1]) + dy)),
-        )
-        cache_write(int(types[b]), float(conflict_values[j]), loc)
 
     # Delay between storage and recall is structural: nothing decays, but the
     # world moves underneath the cues.
@@ -218,10 +238,15 @@ def run_family_b(
     probe_kappa = 0.0
     provenance_failures = 0
 
-    for qi, idx in enumerate(int(k) for k in order):
+    def queried():
+        """(query index, event index) and the query of every retrieval, in
+        query order, formed a chunk at a time."""
+        for batch in _chunks(enumerate(int(k) for k in order)):
+            options = [select_option(policy, None, ctx) for _ in batch]
+            yield from zip(batch, form_queries(None, options, ctx))
+
+    for (qi, idx), query in queried():
         true_loc = (float(locs[idx, 0]), float(locs[idx, 1]))
-        option = select_option(policy, None, ctx)
-        query = form_query(None, option, ctx)
         result = retrieve(store, query, drifted)
         probes.append(result.probes_used)
         probe_kappa += result.probes_used

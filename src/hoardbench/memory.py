@@ -21,8 +21,12 @@ least-squares trilateration.
 `cue_similarity` is the one scoring rule. The clustered path folds it over
 the few episodes it probes (about 4 per query), where numpy's per-call set-up
 would cost more than the arithmetic; the flat path scores every same-type
-episode at once with `_slot_scores`, its vectorized form over an inverted
+episode at once with `_flat_scores`, its vectorized form over an inverted
 landmark index, which tests pin to the rule through `brute_force_retrieve`.
+
+Writes that need no result of one another go through `write_many`, which
+encodes their cues in one `encode_cues` pass and stores each through
+`write`; the records are bit-identical to one `write` per action.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +75,11 @@ class LandmarkSet:
     # id -> (x, y) as Python floats, built once; the first of duplicate ids
     # wins, as with `ids.index`.
     _xy: dict = field(init=False, repr=False, compare=False)
+    # The ids as an array and the x and y columns, contiguous, built once
+    # for cue encoding.
+    _id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _xs: np.ndarray = field(init=False, repr=False, compare=False)
+    _ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.positions.shape != (len(self.ids), 2):
@@ -78,6 +88,9 @@ class LandmarkSet:
         for i, (x, y) in zip(self.ids, self.positions.tolist()):
             xy.setdefault(i, (float(x), float(y)))
         object.__setattr__(self, "_xy", xy)
+        object.__setattr__(self, "_id_array", np.asarray(self.ids))
+        object.__setattr__(self, "_xs", np.ascontiguousarray(self.positions[:, 0], dtype=float))
+        object.__setattr__(self, "_ys", np.ascontiguousarray(self.positions[:, 1], dtype=float))
 
     @classmethod
     def sample(cls, count: int, stream: Substream) -> "LandmarkSet":
@@ -124,18 +137,55 @@ class CueVector:
             raise InputError("cue must reference three distinct landmarks")
 
 
-def encode_cue(location: tuple[float, float], landmarks: LandmarkSet) -> CueVector:
-    """Encode a point against its three nearest landmarks (ties by id)."""
+def _check_landmark_count(landmarks: LandmarkSet) -> None:
     if len(landmarks.ids) < CUE_LANDMARKS:
         raise InputError("need at least three landmarks to encode a cue")
-    p = np.asarray(location, dtype=float)
-    deltas = landmarks.positions - p
-    dist = np.hypot(deltas[:, 0], deltas[:, 1])
-    order = np.lexsort((np.asarray(landmarks.ids), dist))[:CUE_LANDMARKS]
-    ids = tuple(int(landmarks.ids[i]) for i in order)
-    ds = tuple(float(dist[i]) for i in order)
-    bearings = tuple(float(math.atan2(deltas[i, 1], deltas[i, 0])) for i in order)
-    return CueVector(ids, ds, bearings)
+
+
+def encode_cue(location: tuple[float, float], landmarks: LandmarkSet) -> CueVector:
+    """Encode a point against its three nearest landmarks (ties by id).
+
+    The one-point form of `encode_cues`, bit for bit, without its batch
+    set-up, for callers that encode one point between steps.
+    """
+    _check_landmark_count(landmarks)
+    dx = landmarks._xs - location[0]
+    dy = landmarks._ys - location[1]
+    dist = np.hypot(dx, dy)
+    a, b, c = np.lexsort((landmarks._id_array, dist))[:CUE_LANDMARKS].tolist()
+    ids = landmarks.ids
+    atan2 = math.atan2
+    return CueVector(
+        (int(ids[a]), int(ids[b]), int(ids[c])),
+        (float(dist[a]), float(dist[b]), float(dist[c])),
+        (atan2(dy[a], dx[a]), atan2(dy[b], dx[b]), atan2(dy[c], dx[c])),
+    )
+
+
+def encode_cues(
+    locations: list[tuple[float, float]], landmarks: LandmarkSet
+) -> list[CueVector]:
+    """`encode_cue` of every point, in order, with one distance matrix and
+    one row-wise sort by (distance, id) for all of them. The bearings stay
+    `math.atan2` on Python floats, as in the one-point form."""
+    _check_landmark_count(landmarks)
+    points = np.asarray(locations, dtype=float).reshape(-1, 2)
+    dx = landmarks._xs - points[:, :1]
+    dy = landmarks._ys - points[:, 1:]
+    dist = np.hypot(dx, dy)
+    ids = np.broadcast_to(landmarks._id_array, dist.shape)
+    order = np.lexsort((ids, dist))[:, :CUE_LANDMARKS]
+    rows = np.arange(len(points))[:, None]
+    atan2 = math.atan2
+    return [
+        CueVector(tuple(i), tuple(d), (atan2(y0, x0), atan2(y1, x1), atan2(y2, x2)))
+        for i, d, (x0, x1, x2), (y0, y1, y2) in zip(
+            landmarks._id_array[order].tolist(),
+            dist[rows, order].tolist(),
+            dx[rows, order].tolist(),
+            dy[rows, order].tolist(),
+        )
+    ]
 
 
 def cue_similarity(a: CueVector, b: CueVector) -> float:
@@ -157,26 +207,49 @@ def cue_similarity(a: CueVector, b: CueVector) -> float:
     return total / CUE_LANDMARKS
 
 
-def _slot_scores(count: int, slots: dict, query: CueVector) -> np.ndarray:
-    """`cue_similarity` of one query against `count` episodes at once,
-    through their inverted landmark index (see `MemoryStore._type_index`).
+class _TypeIndex(NamedTuple):
+    """The episodes of one item type and their inverted landmark index.
 
-    The vectorized form of the scalar rule: the same terms, summed in the
-    same order, but with numpy's `cos` and `exp`, which may differ from the
-    `math` functions in the last bit.
+    A row is a position in `episodes` (store indices, in insertion order).
+    Column k of `table` is one landmark of one row's cue: its distance and
+    the cosine and sine of its bearing; `rows[k]` is that row. The columns
+    of one landmark id lie together; `spans` maps the id to their slice.
     """
-    total = np.zeros(count)
-    for j in range(CUE_LANDMARKS):
-        hit = slots.get(query.landmark_ids[j])
-        if hit is None:
-            continue
-        rows, dist, bcos, bsin = hit
-        qc, qs = math.cos(query.bearings[j]), math.sin(query.bearings[j])
-        dd = (dist - query.distances[j]) / DIST_SCALE
-        dc = bcos - qc
-        ds = bsin - qs
-        total[rows] += np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE2))
-    return total / CUE_LANDMARKS
+
+    episodes: list[int]
+    spans: dict[int, slice]
+    rows: np.ndarray
+    table: np.ndarray
+
+
+_NO_SPAN = slice(0, 0)
+
+
+def _flat_scores(index: _TypeIndex, cue: CueVector) -> np.ndarray:
+    """`cue_similarity` of one cue against every episode of one item type,
+    through the type's inverted index.
+
+    The vectorized form of the scalar rule: it gathers the columns of the
+    landmark the cue names in slot 0, then slot 1, then slot 2, and
+    `bincount` adds each column's term to its row in that order, so every
+    score is the same terms summed in the same order. A row appears at most
+    once per slot, since a cue names distinct landmarks. The terms use
+    numpy's `cos` and `exp`, which may differ from the `math` functions in
+    the last bit.
+    """
+    spans = [index.spans.get(lid, _NO_SPAN) for lid in cue.landmark_ids]
+    block = np.concatenate([index.table[:, span] for span in spans], axis=1)
+    rows = np.concatenate([index.rows[span] for span in spans])
+    query = np.repeat(
+        [cue.distances, [math.cos(b) for b in cue.bearings], [math.sin(b) for b in cue.bearings]],
+        [span.stop - span.start for span in spans],
+        axis=1,
+    )
+    diff = block - query
+    dd = diff[0] / DIST_SCALE
+    dc, ds = diff[1], diff[2]
+    terms = np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE2))
+    return np.bincount(rows, terms, minlength=len(index.episodes)) / CUE_LANDMARKS
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +354,16 @@ class MemoryStore:
         self.index: dict[int, dict[tuple[int, int], list[int]]] = {}
         self.probe_counter = 0
         self._id_to_index: dict[int, int] = {}
-        # item type -> (episode indices, inverted landmark index), built on
-        # the first flat scan of the type and dropped by a write of it.
-        self._by_type: dict[int, tuple[list[int], dict]] = {}
+        # item type -> its `_TypeIndex`, built on the first flat scan of the
+        # type and dropped by a write of it.
+        self._by_type: dict[int, _TypeIndex] = {}
         # The landmark snapshot the last write was encoded against, parsed.
         self._snapshot: tuple[tuple, LandmarkSet] | None = None
 
     def __len__(self) -> int:
         return len(self.episodes)
 
-    def _type_index(self, item_type: int) -> tuple[list[int], dict]:
-        """Episode indices of one item type, in insertion order, and their
-        inverted landmark index: id -> (rows, distances, cos b, sin b), where
-        a row is a position in the index list."""
+    def _type_index(self, item_type: int) -> _TypeIndex:
         hit = self._by_type.get(item_type)
         if hit is not None:
             return hit
@@ -303,13 +373,18 @@ class MemoryStore:
             cue = self.episodes[i].cue
             for k, lid in enumerate(cue.landmark_ids):
                 grouped.setdefault(lid, []).append((row, cue.distances[k], cue.bearings[k]))
-        slots = {}
-        for lid, entries in grouped.items():
-            rows = np.array([e[0] for e in entries], dtype=int)
-            dist = np.array([e[1] for e in entries])
-            bear = np.array([e[2] for e in entries])
-            slots[lid] = (rows, dist, np.cos(bear), np.sin(bear))
-        hit = self._by_type[item_type] = (idx, slots)
+        spans = {}
+        entries: list[tuple[int, float, float]] = []
+        for lid, group in grouped.items():
+            spans[lid] = slice(len(entries), len(entries) + len(group))
+            entries += group
+        bear = np.array([e[2] for e in entries])
+        hit = self._by_type[item_type] = _TypeIndex(
+            idx,
+            spans,
+            np.array([e[0] for e in entries], dtype=np.intp),
+            np.array([[e[1] for e in entries], np.cos(bear), np.sin(bear)]),
+        )
         return hit
 
     def append(self, record: EpisodeRecord) -> None:
@@ -350,27 +425,55 @@ class MemoryStore:
 # ---------------------------------------------------------------------------
 
 
-def write(store: MemoryStore, observation: Observation, action: Action) -> MemoryStore:
+def _check_dig(action: Action) -> None:
+    if action.kind != "dig":
+        raise InputError("memory writes require a completed dig action")
+
+
+def _write_landmarks(store: MemoryStore, observation: Observation) -> LandmarkSet:
+    if not observation.landmarks:
+        raise InputError("cache write requires a landmark snapshot")
+    return store.landmarks_of(observation.landmarks)
+
+
+def write(
+    store: MemoryStore, observation: Observation, action: Action, cue: CueVector | None = None
+) -> MemoryStore:
     """Record a completed cache action.
 
     The action must be a dig with a concrete location and item payload, and
-    the cue is encoded from the observation's landmark snapshot.
+    the cue is encoded from the observation's landmark snapshot. A caller
+    that has encoded it already, as `write_many` does for a batch, passes
+    it as `cue`.
     """
-    if action.kind != "dig":
-        raise InputError("memory writes require a completed dig action")
-    if not observation.landmarks:
-        raise InputError("cache write requires a landmark snapshot")
+    _check_dig(action)
+    landmarks = _write_landmarks(store, observation)
     location = (action.params["x"], action.params["y"])
-    landmarks = store.landmarks_of(observation.landmarks)
     record = EpisodeRecord(
         id=store.next_id(),
         written_at=int(action.params.get("step", 0)),
         item_type=int(action.params["item_type"]),
         item_value=float(action.params["item_value"]),
         location=location,
-        cue=encode_cue(location, landmarks),
+        cue=encode_cue(location, landmarks) if cue is None else cue,
     )
     store.append(record)
+    return store
+
+
+def write_many(
+    store: MemoryStore, observation: Observation, actions: list[Action]
+) -> MemoryStore:
+    """`write` of every action, in order, against one observation, with all
+    cues encoded in one pass. Every action's kind, and the snapshot, are
+    checked before the first is stored; a bad payload raises at its own
+    action, as it would in one `write` per action."""
+    for action in actions:
+        _check_dig(action)
+    landmarks = _write_landmarks(store, observation)
+    locations = [(action.params["x"], action.params["y"]) for action in actions]
+    for action, cue in zip(actions, encode_cues(locations, landmarks)):
+        write(store, observation, action, cue)
     return store
 
 
@@ -419,14 +522,15 @@ def retrieve(
         raise InputError("query must carry an item type and a cue")
 
     if store.variant is StoreVariant.FLAT:
-        idx, slots = store._type_index(query.item_type)
-        if not idx:
+        index = store._type_index(query.item_type)
+        count = len(index.episodes)
+        if not count:
             return Retrieval(None, None, 0, 0.0)
-        scores = _slot_scores(len(idx), slots, query.cue)
+        scores = _flat_scores(index, query.cue)
         best_pos = int(np.argmax(scores))
-        second = float(np.partition(scores, -2)[-2]) if len(scores) > 1 else 0.0
-        picked = (idx[best_pos], float(scores[best_pos]), second)
-        return _finish(store, picked, len(idx), current_landmarks)
+        second = float(np.partition(scores, -2)[-2]) if count > 1 else 0.0
+        picked = (index.episodes[best_pos], float(scores[best_pos]), second)
+        return _finish(store, picked, count, current_landmarks)
 
     # Clustered: predict the target location from the query cue, then probe
     # grid cells outward by Chebyshev ring until candidates appear.

@@ -1,13 +1,18 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hoardbench.core.state import ConfigurationError, Trace
+from hoardbench.core.policy import PolicyContext, form_queries, form_query
+from hoardbench.core.state import ConfigurationError, OptionChoice, OptionKind, Trace
+from hoardbench.envs import family_b
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.harness import parse_config
 from hoardbench.ledger import CostLedger
+from hoardbench.memory import LandmarkSet, StoreVariant, brute_force_retrieve
+from hoardbench.rng import RunStreams
 
 
 def _ledger():
@@ -99,6 +104,133 @@ def test_reproducible_including_trace():
     r2 = run_family_b(env, "clustered", _ledger(), 5, trace=t2)
     assert r1.to_json_line() == r2.to_json_line()
     assert t1.to_jsonl() == t2.to_jsonl()
+
+
+# sha256 of `run_family_b`'s record JSON line and trace JSONL at landmark
+# drift 0.02, seed 7, recorded when family B made one memory call per write
+# and per query. 63, 64 and 65 events straddle the chunk size of 64. At one
+# event, conflict 0.5 writes no distractor and both variants give the same
+# bytes, so one case stands for all four.
+GOLDEN = {
+    (1, "flat", 0.0): (
+        "787482e8f984b3da28506054a050a7538a569e6ee5fa53c50063b2339db70350",
+        "4ce9762e292235bbbb780b5d2039e9c0da2b5e2b84180b6cae11ecd102488ea8",
+    ),
+    (63, "flat", 0.0): (
+        "59253ea59707945f4af37b6b8ab79849ffbfaf9138c9f4f6d330beef28055dbc",
+        "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
+    ),
+    (63, "flat", 0.5): (
+        "bd34331c43c7f5fb12824e9dc42c3881242303c7b6fa797260abe54b27de3d7e",
+        "22e328e50c464281a2f04cf19480d0d1cd7c2590e726e6a3bca296382595f50e",
+    ),
+    (63, "clustered", 0.0): (
+        "fd807116eff1154375403ea555fe6e36404fd5b779a5b2ee7d822863a6d10507",
+        "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
+    ),
+    (63, "clustered", 0.5): (
+        "94eb8f63b290a6ff444560a56e09116bd802c4307d50eacca82bb05c2b4d72e1",
+        "e02d54166584f2adf18f4dc5a4955f920e6022223c7267563da3d3c17b6bc365",
+    ),
+    (64, "flat", 0.0): (
+        "7711c0fde4d1efb57cbd67b6437a699a4d36da67270145e11d7f66cf6ac68c5e",
+        "fb6a50cec9775d0c98f3f2e39cb768afd4c3271b6250b69288a88277e08ce4d5",
+    ),
+    (64, "flat", 0.5): (
+        "77fffffd2beafd70b409b12b72bd72a7de8d282cab72e58f40afec6d962481ad",
+        "dbf052991d65c8db1a9de296bdbb127eda6b458a18b2806b546309b10087e384",
+    ),
+    (64, "clustered", 0.0): (
+        "a11e6c45e956e13fd6dea9b0583aa210b2169277a3755d5a099c89b26488d420",
+        "9ee0e83dd50aaab9d540981576cbe328978e2e0bad7083dea8816dca93d01779",
+    ),
+    (64, "clustered", 0.5): (
+        "f4053cd4dd82f05ef07c643eb6e2774d988e00cc519db689df082cdfb675e17d",
+        "502d3b53f039385fc314e8c8df6ae3705f98afb805f617facb338df03edca320",
+    ),
+    (65, "flat", 0.0): (
+        "e34e3f0e8dcf443ff28fa41bfe5f01f71974b53946ec8ff4911b15a4de2b3e55",
+        "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
+    ),
+    (65, "flat", 0.5): (
+        "0f6cfbd78408c2b2f1955892eabf7b8a2f35f141486ebace2da667cd321e6c2c",
+        "66437b9a4f466ba253b9bb041227528ecd2be4e48e7747bd80f72acd3d9f7909",
+    ),
+    (65, "clustered", 0.0): (
+        "cd7d2d27a8e2ce64ed4e9d22f05c50e84c5864e507c72c124e637bcd30bfa12f",
+        "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
+    ),
+    (65, "clustered", 0.5): (
+        "fd6a9e50c4c66c48921bb2d583f440e88254ca83233df50db1f69bf5066c7a7a",
+        "7045353264aff1ca5e5641cb4adecf3e827e02e23299096492865437ac35ef29",
+    ),
+}
+
+
+def _run_bytes(n_events, variant, conflict, seed=7):
+    env = FamilyBConfig(n_events=n_events, landmark_drift=0.02, conflict_rate=conflict)
+    trace = Trace()
+    record = run_family_b(env, variant, _ledger(), seed, trace=trace)
+    return record.to_json_line(), trace.to_jsonl()
+
+
+@pytest.mark.parametrize("n_events, variant, conflict", sorted(GOLDEN))
+def test_output_bytes_match_one_memory_call_per_item(n_events, variant, conflict):
+    got = _run_bytes(n_events, variant, conflict)
+    sha = tuple(hashlib.sha256(text.encode()).hexdigest() for text in got)
+    assert sha == GOLDEN[n_events, variant, conflict]
+
+
+def test_chunk_size_changes_no_output(monkeypatch):
+    expected = {v: _run_bytes(40, v, 0.5, seed=3) for v in ("flat", "clustered")}
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(family_b, "CHUNK", chunk)
+        for variant, want in expected.items():
+            assert _run_bytes(40, variant, 0.5, seed=3) == want
+
+
+def test_form_queries_matches_form_query_per_option():
+    streams = RunStreams(5)
+    landmarks = LandmarkSet.sample(25, streams.env)
+    ctx = PolicyContext(rng=streams.agent, landmark_estimates=landmarks)
+    locs = streams.env.uniform(0.0, 1.0, size=(20, 2))
+    options = [
+        OptionChoice(OptionKind.RETRIEVE, {"item_type": 1.0 + k % 4, "x": float(x), "y": float(y)})
+        for k, (x, y) in enumerate(locs)
+    ]
+    batch = form_queries(None, options, ctx)
+    assert [(q.item_type, q.cue) for q in batch] == [
+        (q.item_type, q.cue) for q in (form_query(None, o, ctx) for o in options)
+    ]
+    with pytest.raises(ConfigurationError, match="cache and retrieve"):
+        form_queries(None, options + [OptionChoice(OptionKind.CONCEAL, {})], ctx)
+    with pytest.raises(ConfigurationError, match="landmark estimates"):
+        form_queries(None, options, PolicyContext(rng=streams.agent))
+
+
+def test_flat_queries_agree_with_brute_force(monkeypatch):
+    # Every 16th query of a real flat cell, through the reference scan.
+    answered = []
+    mismatches = []
+    original = family_b.retrieve
+
+    def checked(store, query, landmarks):
+        assert store.variant is StoreVariant.FLAT
+        result = original(store, query, landmarks)
+        if len(answered) % 16 == 0:
+            expected = brute_force_retrieve(store, query, landmarks)
+            if (result.episode.id, result.decoded_location) != (
+                expected.episode.id, expected.decoded_location
+            ):
+                mismatches.append(len(answered))
+        answered.append(query)
+        return result
+
+    monkeypatch.setattr(family_b, "retrieve", checked)
+    env = FamilyBConfig(n_events=512, landmark_drift=0.01, conflict_rate=0.5)
+    run_family_b(env, "flat", _ledger(), 0)
+    assert len(answered) == 512
+    assert mismatches == []
 
 
 def test_config_validation():

@@ -23,14 +23,17 @@ from hoardbench.memory import (
     _cue_anchor_positions,
     _decode,
     _ring_cells,
+    _flat_scores,
     brute_force_retrieve,
     cue_similarity,
     decode_location,
     encode_cue,
+    encode_cues,
     grid_cell,
     retrieve,
     trilaterate,
     write,
+    write_many,
 )
 from hoardbench.rng import RunStreams, Substream
 
@@ -106,6 +109,82 @@ def test_cue_self_similarity_is_one():
 def test_cue_requires_distinct_landmarks():
     with pytest.raises(InputError):
         CueVector((1, 1, 2), (0.1, 0.2, 0.3), (0.0, 0.1, 0.2))
+
+
+def _scalar_encode_cue(location, landmarks):
+    """Frozen copy of `encode_cue` as it was before `encode_cues`: one point,
+    the ids wrapped in an array on every call. The oracle for both forms."""
+    if len(landmarks.ids) < 3:
+        raise InputError("need at least three landmarks to encode a cue")
+    p = np.asarray(location, dtype=float)
+    deltas = landmarks.positions - p
+    dist = np.hypot(deltas[:, 0], deltas[:, 1])
+    order = np.lexsort((np.asarray(landmarks.ids), dist))[:3]
+    ids = tuple(int(landmarks.ids[i]) for i in order)
+    ds = tuple(float(dist[i]) for i in order)
+    bearings = tuple(float(math.atan2(deltas[i, 1], deltas[i, 0])) for i in order)
+    return CueVector(ids, ds, bearings)
+
+
+def _cue_bits(cue):
+    return (
+        cue.landmark_ids,
+        tuple(v.hex() for v in cue.distances),
+        tuple(v.hex() for v in cue.bearings),
+    )
+
+
+@st.composite
+def _encode_cases(draw):
+    """A landmark set and 1-40 points. Ids are 0..L-1 or shuffled and
+    non-contiguous; on a 1/8 lattice, landmarks and points sit at exactly
+    equal distances (and landmarks may coincide). Points may sit exactly on a
+    landmark or outside the unit square."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    count = draw(st.integers(3, 30))
+    if draw(st.booleans()):
+        ids = tuple(int(i) for i in rng.permutation(rng.choice(1000, size=count, replace=False)))
+    else:
+        ids = tuple(range(count))
+    lattice = draw(st.booleans())
+    if lattice:
+        positions = rng.integers(0, 9, size=(count, 2)) / 8.0
+    else:
+        positions = rng.uniform(0.0, 1.0, size=(count, 2))
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            point = positions[int(rng.integers(count))]
+        elif kind == 1 and lattice:
+            point = rng.integers(0, 9, size=2) / 8.0
+        else:
+            point = rng.uniform(-0.2, 1.2, size=2)
+        points.append((float(point[0]), float(point[1])))
+    return LandmarkSet(ids, positions), points
+
+
+_TIE = LandmarkSet((7, 3, 5, 1), np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.5, 0.75]]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_encode_cases())
+@example((_TIE, [(0.5, 0.5)]))  # four landmarks at exactly 0.25: ties by id
+@example((_TIE, [(0.25, 0.5), (0.5, 0.5), (0.9, 0.1)]))  # on a landmark, tie, plain
+def test_cue_encoders_are_bit_identical_to_the_scalar_form(case):
+    landmarks, points = case
+    expected = [_cue_bits(_scalar_encode_cue(p, landmarks)) for p in points]
+    assert [_cue_bits(c) for c in encode_cues(points, landmarks)] == expected
+    assert [_cue_bits(encode_cue(p, landmarks)) for p in points] == expected
+    assert [_cue_bits(c) for c in encode_cues(points[-1:], landmarks)] == expected[-1:]
+
+
+def test_cue_encoders_need_three_landmarks():
+    two = LandmarkSet((0, 1), np.array([[0.1, 0.1], [0.9, 0.9]]))
+    for encode in (lambda: encode_cue((0.5, 0.5), two), lambda: encode_cues([(0.5, 0.5)], two)):
+        with pytest.raises(InputError, match="three landmarks"):
+            encode()
+    assert encode_cues([], _landmarks()) == []
 
 
 # --- Trilateration -----------------------------------------------------------
@@ -206,6 +285,47 @@ def test_thousand_writes_match_brute_force_partition():
     partition = index_partition(store)
     assert sum(len(v) for v in partition.values()) == 1000
     assert partition == reference_partition(store.episodes)
+
+
+def test_write_many_stores_what_one_write_per_action_stores():
+    lm = _landmarks(6)
+    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
+    stream = Substream(12, "env")
+    locs = stream.uniform(0.0, 1.0, size=(70, 2))
+    actions = [
+        _dig(float(x), float(y), 1 + k % 3, value=0.5 + k, step=2 * k)
+        for k, (x, y) in enumerate(locs)
+    ]
+    for variant in StoreVariant:
+        one, many = MemoryStore(variant), MemoryStore(variant)
+        for action in actions:
+            write(one, obs, action)
+        write_many(many, obs, actions[:5])
+        write_many(many, obs, actions[5:])
+        assert [
+            (e.id, e.written_at, e.item_type, e.item_value, e.location, _cue_bits(e.cue))
+            for e in many.episodes
+        ] == [
+            (e.id, e.written_at, e.item_type, e.item_value, e.location, _cue_bits(e.cue))
+            for e in one.episodes
+        ]
+        assert index_partition(many) == index_partition(one)
+
+
+def test_write_many_rejects_what_write_rejects():
+    lm = _landmarks()
+    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
+    store = MemoryStore(StoreVariant.FLAT)
+    # The kind and the snapshot are checked before anything is stored.
+    with pytest.raises(InputError, match="dig"):
+        write_many(store, obs, [_dig(0.1, 0.2), Action("noop", {}), _dig(0.3, 0.4)])
+    with pytest.raises(InputError, match="landmark snapshot"):
+        write_many(store, Observation({"phase": 0.0}), [_dig(0.1, 0.2)])
+    assert len(store) == 0
+    # A bad payload stops the batch at its own action, as a loop of `write` does.
+    with pytest.raises(InputError, match="item_type"):
+        write_many(store, obs, [_dig(0.1, 0.2), _dig(0.3, 0.4, item_type=0)])
+    assert len(store) == 1
 
 
 # --- Retrieval ---------------------------------------------------------------
@@ -329,6 +449,63 @@ def test_retrieval_under_landmark_drift_matches_brute_force(
         same_type = sum(1 for e in episodes if e.item_type == item_type)
         if result.probes_used == same_type:
             assert _agrees(result, reference)
+
+
+def _frozen_slot_scores(store, item_type, query):
+    """Frozen copy of `_slot_scores`, the flat scorer before its index kept
+    every landmark's entries in one table: one array of (rows, distances,
+    cos, sin) per landmark id, and one `exp` and one indexed add per slot."""
+    idx = [i for i, e in enumerate(store.episodes) if e.item_type == item_type]
+    grouped = {}
+    for row, i in enumerate(idx):
+        cue = store.episodes[i].cue
+        for k, lid in enumerate(cue.landmark_ids):
+            grouped.setdefault(lid, []).append((row, cue.distances[k], cue.bearings[k]))
+    slots = {}
+    for lid, entries in grouped.items():
+        bear = np.array([e[2] for e in entries])
+        slots[lid] = (np.array([e[0] for e in entries], dtype=int),
+                      np.array([e[1] for e in entries]), np.cos(bear), np.sin(bear))
+    total = np.zeros(len(idx))
+    for j in range(3):
+        hit = slots.get(query.landmark_ids[j])
+        if hit is None:
+            continue
+        rows, dist, bcos, bsin = hit
+        qc, qs = math.cos(query.bearings[j]), math.sin(query.bearings[j])
+        dd = (dist - query.distances[j]) / DIST_SCALE
+        dc = bcos - qc
+        ds = bsin - qs
+        total[rows] += np.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE**2))
+    return total / 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 120),
+    landmark_count=st.integers(3, 25),
+    queries=st.integers(1, 12),
+    drift=st.sampled_from([0.0, 0.01, 0.2]),
+)
+def test_flat_kernel_is_bit_identical_to_the_per_slot_scorer(
+    seed, n, landmark_count, queries, drift
+):
+    stream = Substream(seed, "env")
+    written = LandmarkSet.sample(landmark_count, stream)
+    store = _store_with(_random_episodes(n, written, stream, types=2), StoreVariant.FLAT)
+    current = written.drifted(drift, stream)
+    cues = [
+        encode_cue(tuple(float(v) for v in stream.uniform(0.0, 1.0, size=2)), current)
+        for _ in range(queries)
+    ]
+    for item_type in (1, 2):
+        if not any(e.item_type == item_type for e in store.episodes):
+            continue
+        index = store._type_index(item_type)
+        for cue in cues:
+            expected = _frozen_slot_scores(store, item_type, cue)
+            assert _flat_scores(index, cue).tobytes() == expected.tobytes()
 
 
 # --- Clustered retrieval against its former numpy scoring ---------------------

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
 
 
@@ -66,3 +68,20 @@ def test_key_paths_name_what_differs_inside_runs_jsonl():
 def test_a_checkout_without_source_is_refused(tmp_path, capsys):
     assert _tool().main([str(tmp_path), str(tmp_path)]) == 2
     assert "has no src/hoardbench" in capsys.readouterr().err
+
+
+def test_seeds_and_workloads_default_to_all_workloads_at_seeds_0_to_2(capsys):
+    tool = _tool()
+    args = tool.parse_args(["p", "c"])
+    assert args.seeds == (0, 1, 2)
+    assert args.workloads == list(tool.WORKLOADS) and len(args.workloads) == 4
+    args = tool.parse_args(["p", "c", "--seeds", "0..9", "--workloads", "b_archive", "d_verify"])
+    assert args.seeds == tuple(range(10))
+    assert args.workloads == ["b_archive", "d_verify"]
+    assert tool.parse_args(["p", "c", "--seeds", "3,5"]).seeds == (3, 5)
+    assert tool.parse_args(["p", "c", "--seeds", "4"]).seeds == (4,)
+    for bad in (["--seeds", "5..2"], ["--seeds", "-1"], ["--seeds", "a..b"], ["--seeds", "1,"],
+                ["--workloads", "e_none"], ["--workloads"]):
+        with pytest.raises(SystemExit):
+            tool.parse_args(["p", "c", *bad])
+    capsys.readouterr()

@@ -1,14 +1,15 @@
 """Check that two checkouts of hoardbench write the same outputs.
 
-    python3 tools/same_outputs.py PARENT CHANGE
+    python3 tools/same_outputs.py PARENT CHANGE [--seeds 0..9] [--workloads b_archive ...]
 
-Runs `hoardbench run` from each checkout's `src` on the four benchmark
-workloads of `perfbench/workloads.py` (this checkout's, imported and not
-run) at seeds 0-2, under `--jobs 1` and `--jobs 2`. It then compares every
-output file except timing.json, traces included, byte for byte: CHANGE's
-against PARENT's for the same workload, seed and jobs, and CHANGE's
-`--jobs 2` against its `--jobs 1`. resolved_config.json is compared up to
-its `output_dir`, which names the run's own directory.
+Runs `hoardbench run` from each checkout's `src` on the benchmark workloads
+of `perfbench/workloads.py` (this checkout's, imported and not run), all
+four unless `--workloads` names some, at seeds 0..2 unless `--seeds` gives a
+range (`0..9`) or a list (`3,5`), under `--jobs 1` and `--jobs 2`. It then
+compares every output file except timing.json, traces included, byte for
+byte: CHANGE's against PARENT's for the same workload, seed and jobs, and
+CHANGE's `--jobs 2` against its `--jobs 1`. resolved_config.json is compared
+up to its `output_dir`, which names the run's own directory.
 
 Every difference is printed. When runs.jsonl differs, so is each key path
 that differs inside its records, with list indices collapsed
@@ -33,7 +34,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-SEEDS = (0, 1, 2)
+SEEDS = "0..2"
 JOBS = (1, 2)
 SKIPPED = {"timing.json"}
 
@@ -119,11 +120,33 @@ def key_path_differences(a: bytes, b: bytes, names: tuple[str, str]) -> list[str
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
+def seed_list(text: str) -> tuple[int, ...]:
+    """Seeds from `A..B` (inclusive) or `A,B,...`, all non-negative."""
+    try:
+        if ".." in text:
+            low, high = (int(v) for v in text.split(".."))
+            seeds = tuple(range(low, high + 1))
+        else:
+            seeds = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        seeds = ()
+    if not seeds or min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"not a seed range or list: {text!r}")
+    return seeds
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    args = parser.parse_args(argv)
+    parser.add_argument("--seeds", type=seed_list, default=SEEDS)
+    parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS),
+                        default=list(WORKLOADS))
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in sides.items():
         if not (checkout / "src" / "hoardbench").is_dir():
@@ -132,9 +155,9 @@ def main(argv: list[str] | None = None) -> int:
 
     found = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
-        for name, workload in WORKLOADS.items():
-            for seed in SEEDS:
-                config = workload.config(seed)
+        for name in args.workloads:
+            for seed in args.seeds:
+                config = WORKLOADS[name].config(seed)
                 got = {}
                 for jobs in JOBS:
                     for side, checkout in sides.items():
