@@ -44,13 +44,16 @@ from ..core.state import (
     OptionKind,
     Trace,
 )
-from ..errors import check_int_fields, check_number_fields
+from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams
 from ..verifier import Placement, SignalSink, VerifierSpec
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 INTERVENTION_EPS = 1e-12
+# Only sets the goal signals' emitted_at, which no metric reads; kept so that
+# runs.jsonl stays byte-identical.
+VERIFIER_DELAY = 2
 
 OPTION_SCHEMA = {
     OptionKind.LAUNCH: ("offset", "impulse"),
@@ -76,7 +79,6 @@ class FamilyAConfig:
     z_drift: float = 0.0
     z_prior_mean: float = 0.5
     z_prior_variance: float = 1e12
-    verifier_delay: int = 2
     verifier_fp: float = 0.0
     verifier_fn: float = 0.0
 
@@ -86,7 +88,6 @@ class FamilyAConfig:
             ("horizon", 1, math.inf),
             ("obs_delay", 0, math.inf),
             ("launch_grid", 2, math.inf),
-            ("verifier_delay", 0, math.inf),
         ))
         # Both count steps of a trial: past the horizon a trial can never
         # succeed, or is never perturbed.
@@ -104,16 +105,11 @@ class FamilyAConfig:
             ("z_drift", 0.0, math.inf),
             ("z_prior_mean", -math.inf, math.inf),
             ("z_prior_variance", 0.0, math.inf),
-            ("verifier_fp", 0.0, 1.0),
-            ("verifier_fn", 0.0, 1.0),
         ))
+        check_noise_rates("verifier_fp", self.verifier_fp, "verifier_fn", self.verifier_fn)
         for name in ("gap_scale", "pos_tol", "vel_tol", "dt"):
             if getattr(self, name) == 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.verifier_fp + self.verifier_fn >= 1.0:
-            raise ConfigurationError(
-                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
-            )
         z_range = self.z_range
         if (
             not isinstance(z_range, tuple)
@@ -159,7 +155,6 @@ def run_family_a(
     agent: ControllerConfig,
     ledger: CostLedger,
     seed: int,
-    placement: Placement | str = Placement.IN_LOOP,
     trace: Trace | None = None,
 ) -> RunRecord:
     streams = RunStreams(seed)
@@ -178,8 +173,8 @@ def run_family_a(
     # Precondition: launch parameters inside their physical ranges.
     launch_spec = VerifierSpec("launch_in_range", env.verifier_fp, env.verifier_fn, 0)
     # Goal: the trial reached and held the tolerance window.
-    goal_spec = VerifierSpec("stabilized", env.verifier_fp, env.verifier_fn, env.verifier_delay)
-    sink = SignalSink(placement, streams.verifier)
+    goal_spec = VerifierSpec("stabilized", env.verifier_fp, env.verifier_fn, VERIFIER_DELAY)
+    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
     latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
     planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
@@ -324,7 +319,6 @@ def run_family_a(
         if ledger.exhausted:
             break
 
-    sink.flush()
     record.goal_verdict = sink.goal_verdict("stabilized")
     record.metrics = {
         "success_rate": successes / env.trials,
@@ -351,9 +345,7 @@ def _controller(agent: dict) -> ControllerConfig:
 
 
 def _run(env, agent, ledger, seed, trace):
-    return run_family_a(
-        env, _controller(agent), ledger, seed, agent["verifier_placement"], trace
-    )
+    return run_family_a(env, _controller(agent), ledger, seed, trace)
 
 
 FAMILY = Family(
@@ -366,9 +358,8 @@ FAMILY = Family(
         "kd": 2.5,
         "action_bound": 10.0,
         "forgetting": 0.98,
-        "verifier_placement": "in_loop",
     },
-    choices={"verifier_placement": ("in_loop", "end_only")},
+    choices={},
     ablations={"no_feedback": ("feedback", False), "no_compensator": ("compensator", False)},
     run=_run,
     check_agent=_controller,

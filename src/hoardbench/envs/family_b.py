@@ -10,6 +10,10 @@ fixes, and ask the store for the best-matching episode of that item type.
 Retrieval latency is the probe count; precision is the fraction of queries
 whose decoded dig point lands within the dig radius of the true location;
 confusion is returning the wrong episode.
+
+One noisy verifier checks the goal, precision at or above `precision_target`,
+once at the end of the run. No agent reads its signal, so the family takes no
+verifier placement.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ..core.state import (
     OptionKind,
     Trace,
 )
-from ..errors import check_int_fields, check_number_fields
+from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..memory import (
     LandmarkSet,
@@ -53,7 +57,9 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 # landmark context and confuse cue matching, far enough that digging at a
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
-PROVENANCE_SAMPLE_STRIDE = 256
+# Only sets the goal signal's emitted_at, which no metric reads; kept so that
+# runs.jsonl stays byte-identical.
+VERIFIER_DELAY = 1
 # Writes are stored, and queries formed, this many at a time, with one cue
 # encoding pass per chunk. Nothing in one chunk depends on another's result,
 # so the chunk size changes no output; larger chunks cost more peak memory
@@ -99,7 +105,6 @@ class FamilyBConfig:
     precision_target: float = 0.9
     verifier_fp: float = 0.0
     verifier_fn: float = 0.0
-    verifier_delay: int = 1
 
     def __post_init__(self):
         check_int_fields(self, (
@@ -107,22 +112,16 @@ class FamilyBConfig:
             ("item_types", 1, math.inf),
             ("landmark_count", 3, math.inf),
             ("query_delay", 0, math.inf),
-            ("verifier_delay", 0, math.inf),
         ))
         check_number_fields(self, (
             ("landmark_drift", 0.0, math.inf),
             ("conflict_rate", 0.0, math.inf),
             ("dig_radius", 0.0, math.inf),
             ("precision_target", 0.0, 1.0),
-            ("verifier_fp", 0.0, 1.0),
-            ("verifier_fn", 0.0, 1.0),
         ))
+        check_noise_rates("verifier_fp", self.verifier_fp, "verifier_fn", self.verifier_fn)
         if self.dig_radius == 0:
             raise ConfigurationError("dig_radius must be positive")
-        if self.verifier_fp + self.verifier_fn >= 1.0:
-            raise ConfigurationError(
-                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
-            )
 
 
 def run_family_b(
@@ -130,7 +129,6 @@ def run_family_b(
     variant: StoreVariant | str,
     ledger: CostLedger,
     seed: int,
-    placement: Placement | str = Placement.IN_LOOP,
     trace: Trace | None = None,
 ) -> RunRecord:
     streams = RunStreams(seed)
@@ -227,25 +225,24 @@ def run_family_b(
         option_schema=OPTION_SCHEMA,
     )
 
-    fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.verifier_delay)
-    cite_spec = VerifierSpec("retrieval_cites_written_episode", *fp_fn_delay)
-    goal_spec = VerifierSpec("precision_target", *fp_fn_delay)
-    sink = SignalSink(placement, streams.verifier)
+    goal_spec = VerifierSpec(
+        "precision_target", env.verifier_fp, env.verifier_fn, VERIFIER_DELAY
+    )
+    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
 
     hits = 0
     confusions = 0
     probes: list[int] = []
     probe_kappa = 0.0
-    provenance_failures = 0
 
     def queried():
-        """(query index, event index) and the query of every retrieval, in
-        query order, formed a chunk at a time."""
-        for batch in _chunks(enumerate(int(k) for k in order)):
+        """The event index and the query of every retrieval, in query
+        order, formed a chunk at a time."""
+        for batch in _chunks(int(k) for k in order):
             options = [select_option(policy, None, ctx) for _ in batch]
             yield from zip(batch, form_queries(None, options, ctx))
 
-    for (qi, idx), query in queried():
+    for idx, query in queried():
         true_loc = (float(locs[idx, 0]), float(locs[idx, 1]))
         result = retrieve(store, query, drifted)
         probes.append(result.probes_used)
@@ -276,22 +273,14 @@ def run_family_b(
                 hits += 1
             if result.episode.id != idx:
                 confusions += 1
-            cited_ok = store.episode_by_id(result.episode.id) is not None
         else:
-            cited_ok = True  # nothing was cited
             confusions += 1
-
-        if qi % PROVENANCE_SAMPLE_STRIDE == 0:
-            if not cited_ok:
-                provenance_failures += 1
-            sink.check(cite_spec, step, step, cited_ok)
         step += 1
 
     precision = hits / n
     confusion_rate = confusions / n
     precision_ok = precision >= env.precision_target
     sink.check(goal_spec, 0, step, precision_ok)
-    sink.flush()
 
     accrue(ledger, StepCosts(task=0.0 if precision_ok else 1.0))
 
@@ -304,7 +293,6 @@ def run_family_b(
         "probes_mean": float(probe_arr.mean()),
         "probes_median": float(np.median(probe_arr)),
         "probes_p95": float(np.percentile(probe_arr, 95)),
-        "provenance_failures": float(provenance_failures),
         "episodes_stored": float(len(store)),
     }
     record.kappa_by_source = {"writes": write_kappa, "retrieval_probes": probe_kappa}
@@ -313,18 +301,13 @@ def run_family_b(
 
 
 def _run(env, agent, ledger, seed, trace):
-    return run_family_b(
-        env, agent["memory_variant"], ledger, seed, agent["verifier_placement"], trace
-    )
+    return run_family_b(env, agent["memory_variant"], ledger, seed, trace)
 
 
 FAMILY = Family(
     env_config=FamilyBConfig,
-    agent={"memory_variant": "clustered", "verifier_placement": "in_loop"},
-    choices={
-        "memory_variant": ("flat", "clustered"),
-        "verifier_placement": ("in_loop", "end_only"),
-    },
+    agent={"memory_variant": "clustered"},
+    choices={"memory_variant": ("flat", "clustered")},
     ablations={"flat_archive": ("memory_variant", "flat")},
     run=_run,
 )

@@ -34,7 +34,7 @@ from ..core.state import (
     OptionKind,
     Trace,
 )
-from ..errors import check_int_fields, check_number_fields
+from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
 from ..observer import (
@@ -103,15 +103,10 @@ class FamilyCConfig:
             ("diffusion_rate", 0.0, 1.0),
             ("theta_obs", 0.0, 1.0),
             ("recovered_target", 0.0, 1.0),
-            ("verifier_fp", 0.0, 1.0),
-            ("verifier_fn", 0.0, 1.0),
         ))
+        check_noise_rates("verifier_fp", self.verifier_fp, "verifier_fn", self.verifier_fn)
         if self.dig_radius == 0:
             raise ConfigurationError("dig_radius must be positive")
-        if self.verifier_fp + self.verifier_fn >= 1.0:
-            raise ConfigurationError(
-                "verifier_fp + verifier_fn must stay below 1 (verifier must be informative)"
-            )
         zone = self.forbidden_zone
         if (
             not isinstance(zone, tuple)

@@ -40,7 +40,7 @@ from ..core.state import (
     OptionKind,
     Trace,
 )
-from ..errors import check_int_fields
+from ..errors import check_int_fields, check_noise_rates
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams, Substream
 from ..verifier import Placement, SignalSink, VerifierSpec
@@ -416,11 +416,9 @@ def run_family_d(
 
 
 def _check_agent(agent: dict) -> None:
-    for key in ("checker_fp", "checker_fn"):
-        if not 0.0 <= agent[key] < 1.0:
-            raise ConfigurationError(f"agent.{key} must lie in [0, 1)")
-    if agent["checker_fp"] + agent["checker_fn"] >= 1.0:
-        raise ConfigurationError("agent.checker_fp + agent.checker_fn must stay below 1")
+    check_noise_rates(
+        "agent.checker_fp", agent["checker_fp"], "agent.checker_fn", agent["checker_fn"]
+    )
 
 
 def _run(env, agent, ledger, seed, trace):

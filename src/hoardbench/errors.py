@@ -51,3 +51,16 @@ def check_number_fields(config, fields) -> None:
             raise ConfigurationError(
                 f"{name} must be a finite number{_bounds(low, high)}, got {value!r}"
             )
+
+
+def check_noise_rates(fp_name: str, fp, fn_name: str, fn) -> None:
+    """Reject, by name, a verifier's false-positive and false-negative rates
+    unless each is a finite number in [0, 1) and they sum below 1, so that
+    the verifier stays informative."""
+    for name, value in ((fp_name, fp), (fn_name, fn)):
+        if not is_finite_number(value) or not 0.0 <= value < 1.0:
+            raise ConfigurationError(f"{name} must be a finite number in [0, 1), got {value!r}")
+    if fp + fn >= 1.0:
+        raise ConfigurationError(
+            f"{fp_name} + {fn_name} must stay below 1 (verifier must be informative)"
+        )

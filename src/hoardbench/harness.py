@@ -329,10 +329,10 @@ def run_one(
 
 def _run_cell(
     payload: tuple[ExperimentConfig, str, dict, object, int],
-) -> tuple[str, float, Trace | None]:
+) -> tuple[RunRecord, float, Trace | None]:
     """Worker entry point: runs one cell, recording its steps. Returns the
-    finished record as a JSON line, the cell's wall seconds and its trace,
-    None for a failed cell: a partial trace is never kept."""
+    finished record, the cell's wall seconds and its trace, None for a
+    failed cell: a partial trace is never kept."""
     started = time.monotonic()
     config, variant, agent, sweep_value, seed = payload
     label = _variant_label(variant, config.sweep_key, sweep_value)
@@ -346,7 +346,7 @@ def _run_cell(
             status=STATUS_FAILED, error=f"{type(exc).__name__}: {exc}",
         )
         trace = None
-    return record.to_json_line(), time.monotonic() - started, trace
+    return record, time.monotonic() - started, trace
 
 
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
@@ -390,8 +390,7 @@ def _keeping_listed_traces(outputs) -> list[CellResult]:
     cells so far."""
     cells = []
     listed: dict[str, list[CellResult]] = {}
-    for line, seconds, trace in outputs:
-        record = RunRecord.from_json_obj(json.loads(line))
+    for record, seconds, trace in outputs:
         cell = CellResult(record.variant, record.seed, record, trace, seconds)
         cells.append(cell)
         if trace is not None:

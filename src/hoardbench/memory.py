@@ -258,36 +258,29 @@ def _flat_scores(index: _TypeIndex, cue: CueVector) -> np.ndarray:
 
 
 def trilaterate(
-    anchors: np.ndarray, distances: np.ndarray
+    anchors: tuple[tuple[float, float], ...], distances: tuple[float, float, float]
 ) -> tuple[tuple[float, float] | None, bool]:
     """Least-squares intersection of three distance constraints.
 
     Linearizes by subtracting the first circle equation from the others,
     which is exact when the constraints are consistent. Returns
     (point, degenerate); degenerate means the anchors are collinear within
-    tolerance and no reliable solution exists.
+    tolerance and no reliable solution exists. Takes Python floats, as
+    `_cue_anchor_positions` and `CueVector` hold them. `**2` on a float is libm
+    `pow`, which can differ from `x * x` in the last bit; keep it, or
+    runs.jsonl bytes change.
     """
-    a = np.asarray(anchors, dtype=float)
-    d = np.asarray(distances, dtype=float)
-    cross = (a[1, 0] - a[0, 0]) * (a[2, 1] - a[0, 1]) - (a[1, 1] - a[0, 1]) * (
-        a[2, 0] - a[0, 0]
-    )
+    (x0, y0), (x1, y1), (x2, y2) = anchors
+    d0, d1, d2 = distances
+    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if abs(cross) < COLLINEAR_TOL:
         return None, True
-    rows = []
-    rhs = []
-    for j in (1, 2):
-        rows.append([2.0 * (a[j, 0] - a[0, 0]), 2.0 * (a[j, 1] - a[0, 1])])
-        rhs.append(
-            (a[j, 0] ** 2 - a[0, 0] ** 2)
-            + (a[j, 1] ** 2 - a[0, 1] ** 2)
-            - (d[j] ** 2 - d[0] ** 2)
-        )
-    m = np.asarray(rows)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    x = (rhs[0] * m[1, 1] - rhs[1] * m[0, 1]) / det
-    y = (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det
-    return (float(x), float(y)), False
+    m00, m01 = 2.0 * (x1 - x0), 2.0 * (y1 - y0)
+    m10, m11 = 2.0 * (x2 - x0), 2.0 * (y2 - y0)
+    r0 = (x1 ** 2 - x0 ** 2) + (y1 ** 2 - y0 ** 2) - (d1 ** 2 - d0 ** 2)
+    r1 = (x2 ** 2 - x0 ** 2) + (y2 ** 2 - y0 ** 2) - (d2 ** 2 - d0 ** 2)
+    det = m00 * m11 - m01 * m10
+    return ((r0 * m11 - r1 * m01) / det, (m00 * r1 - m10 * r0) / det), False
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +404,6 @@ class MemoryStore:
         if memo is None or memo[0] is not snapshot:
             memo = self._snapshot = (snapshot, LandmarkSet.from_obs_tuples(snapshot))
         return memo[1]
-
-    def episode_by_id(self, episode_id: int) -> EpisodeRecord | None:
-        idx = self._id_to_index.get(episode_id)
-        return None if idx is None else self.episodes[idx]
 
     def next_id(self) -> int:
         return len(self.episodes)
@@ -541,7 +530,7 @@ def retrieve(
     anchors, ok = _cue_anchor_positions(query.cue, current_landmarks)
     predicted = None
     if ok:
-        predicted, degenerate = trilaterate(anchors, np.asarray(query.cue.distances))
+        predicted, degenerate = trilaterate(anchors, query.cue.distances)
         if degenerate:
             predicted = None
     if predicted is None:

@@ -11,6 +11,8 @@ yields a signal; a verifier has no blind spot other than its noise.
 
 Placement is the in-loop vs end-only ablation: a run sends every check to a
 `SignalSink`, which evaluates it at once or queues it until the run ends.
+Only family C's agent reads verifier signals, so only C takes a placement;
+the other families check in-loop.
 """
 
 from __future__ import annotations

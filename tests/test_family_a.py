@@ -243,7 +243,7 @@ def test_observation_noise_follows_per_step_draw_order():
         ("perturb_step", 2.5),
         ("perturb_step", 0),
         ("perturb_step", 241),
-        ("verifier_delay", -1),
+        ("obs_delay", -1),
         ("impulse", True),
         ("impulse", -0.1),
         ("obs_noise", -0.1),
@@ -309,7 +309,7 @@ _ENV_KEYS = {
     "gap_scale": _REAL, "obs_delay": _COUNT, "obs_noise": _REAL, "perturb_step": _COUNT,
     "perturb_magnitude": _REAL, "pos_tol": _REAL, "vel_tol": _REAL, "dt": _REAL,
     "impulse": _REAL, "hold_steps": _COUNT, "launch_grid": _COUNT, "z_drift": _REAL,
-    "z_prior_mean": _REAL, "z_prior_variance": _REAL, "verifier_delay": _COUNT,
+    "z_prior_mean": _REAL, "z_prior_variance": _REAL,
     "verifier_fp": _RATE, "verifier_fn": _RATE,
     "z_range": st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=2),
 }
@@ -318,7 +318,6 @@ _AGENT_KEYS = {
     "kp": _mostly(st.floats(-1.0, 20.0)), "kd": _mostly(st.floats(-1.0, 20.0)),
     "action_bound": _mostly(st.floats(-1.0, 20.0)),
     "forgetting": _mostly(st.floats(0.85, 1.05)),
-    "verifier_placement": st.sampled_from(["in_loop", "end_only"]),
 }
 
 
@@ -345,8 +344,8 @@ def test_every_accepted_config_runs_without_failed_cells(document):
     except ConfigurationError:
         return
     assert parse_config(json.dumps(resolved_document(config))) == config
-    line, _, _ = _run_cell((config, "baseline", config.agent, None, 0))
-    assert json.loads(line)["status"] != "failed", line
+    record, _, _ = _run_cell((config, "baseline", config.agent, None, 0))
+    assert record.status != "failed", record.error
 
 
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):

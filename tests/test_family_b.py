@@ -113,55 +113,55 @@ def test_reproducible_including_trace():
 # bytes, so one case stands for all four.
 GOLDEN = {
     (1, "flat", 0.0): (
-        "787482e8f984b3da28506054a050a7538a569e6ee5fa53c50063b2339db70350",
+        "f31e49cfa42120f783d914575eb2ecc8ba7bb0085749c40ea12d669639f64139",
         "4ce9762e292235bbbb780b5d2039e9c0da2b5e2b84180b6cae11ecd102488ea8",
     ),
     (63, "flat", 0.0): (
-        "59253ea59707945f4af37b6b8ab79849ffbfaf9138c9f4f6d330beef28055dbc",
+        "07eddc09d27c2f582bfa9fcfc2a42de26c482d63059dbefc615361d8f9ae9d11",
         "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
     ),
     (63, "flat", 0.5): (
-        "bd34331c43c7f5fb12824e9dc42c3881242303c7b6fa797260abe54b27de3d7e",
+        "f0412695d1fe28c5b34c2b51a78fffad25e47c6de78c1d6c5a5dfd7758468d65",
         "22e328e50c464281a2f04cf19480d0d1cd7c2590e726e6a3bca296382595f50e",
     ),
     (63, "clustered", 0.0): (
-        "fd807116eff1154375403ea555fe6e36404fd5b779a5b2ee7d822863a6d10507",
+        "a1bff48c4c87dc4859143089ca138a7be79285991e30240babc4005c44e75632",
         "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
     ),
     (63, "clustered", 0.5): (
-        "94eb8f63b290a6ff444560a56e09116bd802c4307d50eacca82bb05c2b4d72e1",
+        "953fe0fe50927070c06fa411f08f40004f4b90181b64dbfb5397a2d035485dad",
         "e02d54166584f2adf18f4dc5a4955f920e6022223c7267563da3d3c17b6bc365",
     ),
     (64, "flat", 0.0): (
-        "7711c0fde4d1efb57cbd67b6437a699a4d36da67270145e11d7f66cf6ac68c5e",
+        "11e40fc10c65333a2c50f1d4c56febaa86eac66beb6cdbb54f1cd7603e768aa8",
         "fb6a50cec9775d0c98f3f2e39cb768afd4c3271b6250b69288a88277e08ce4d5",
     ),
     (64, "flat", 0.5): (
-        "77fffffd2beafd70b409b12b72bd72a7de8d282cab72e58f40afec6d962481ad",
+        "195131785930553f7b59dd4fc141c9f6c1bd187d02fb39f172e30b62e151420e",
         "dbf052991d65c8db1a9de296bdbb127eda6b458a18b2806b546309b10087e384",
     ),
     (64, "clustered", 0.0): (
-        "a11e6c45e956e13fd6dea9b0583aa210b2169277a3755d5a099c89b26488d420",
+        "b8f6494b519ca7c167a50a28795ac84a09b0e32913f271ee63284675ea26db75",
         "9ee0e83dd50aaab9d540981576cbe328978e2e0bad7083dea8816dca93d01779",
     ),
     (64, "clustered", 0.5): (
-        "f4053cd4dd82f05ef07c643eb6e2774d988e00cc519db689df082cdfb675e17d",
+        "7b5a00e0c05a4df26f215544b1d3e6057c01b3faff2327fa0d40d76ff81d6c90",
         "502d3b53f039385fc314e8c8df6ae3705f98afb805f617facb338df03edca320",
     ),
     (65, "flat", 0.0): (
-        "e34e3f0e8dcf443ff28fa41bfe5f01f71974b53946ec8ff4911b15a4de2b3e55",
+        "8900832d925c695585b16c79d23f5d8049fb5e4a5f955bfb5b018214330d804a",
         "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
     ),
     (65, "flat", 0.5): (
-        "0f6cfbd78408c2b2f1955892eabf7b8a2f35f141486ebace2da667cd321e6c2c",
+        "a8bd406acc86a01b0229748c5c4d70d95c6e2360f9d894bb0bfdeea173baca32",
         "66437b9a4f466ba253b9bb041227528ecd2be4e48e7747bd80f72acd3d9f7909",
     ),
     (65, "clustered", 0.0): (
-        "cd7d2d27a8e2ce64ed4e9d22f05c50e84c5864e507c72c124e637bcd30bfa12f",
+        "3e07bbbc9cc26c3d83bf054a2fd4b75dd3cfb4e2c9833cd8c6a2f2c1ad6e3ecd",
         "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
     ),
     (65, "clustered", 0.5): (
-        "fd6a9e50c4c66c48921bb2d583f440e88254ca83233df50db1f69bf5066c7a7a",
+        "a7618d222bc9d7bea8906a894a5e691eaa7b6bd04ade65ba996fe8a1c1b51452",
         "7045353264aff1ca5e5641cb4adecf3e827e02e23299096492865437ac35ef29",
     ),
 }
@@ -254,7 +254,6 @@ def test_config_validation():
         ("landmark_count", 4.0),
         ("query_delay", -5),
         ("query_delay", 1.5),
-        ("verifier_delay", -1),
         ("landmark_drift", math.nan),
         ("landmark_drift", -0.01),
         ("landmark_drift", True),

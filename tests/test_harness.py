@@ -46,6 +46,10 @@ from hoardbench.harness import (
         ("ablations.no_feedback", {"ablations": ["no_feedback", "no_compensator", "no_feedback"]}),
         ("sweep.values", {"family": "D", "sweep": {"key": "plan_length", "values": [8, 8]}}),
         ("sweep.values", {"sweep": {"key": "trials", "values": [1, 2, 1]}}),
+        ("agent.verifier_placement", {"agent": {"verifier_placement": "in_loop"}}),
+        ("env.verifier_delay", {"env": {"verifier_delay": 2}}),
+        ("agent.verifier_placement", {"family": "B", "agent": {"verifier_placement": "in_loop"}}),
+        ("env.verifier_delay", {"family": "B", "env": {"verifier_delay": 1}}),
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):

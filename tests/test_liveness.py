@@ -6,6 +6,10 @@ hypothesis it stands for. Over its family's grid below, each one must take
 at least two values or be named in ALLOWED_CONSTANT with the reason it
 cannot. An allowed entry that does move fails too, so the list stays
 current: the fix that brings a known dead number to life removes its entry.
+
+Likewise every agent switch must move a record: each bool agent key
+flipped, and each other value of a string key, must change some record of
+the family's grid beyond its variant label and signal emission times.
 """
 
 import json
@@ -13,7 +17,7 @@ import re
 
 import pytest
 
-from hoardbench.envs import STATUS_FAILED
+from hoardbench.envs import FAMILIES, STATUS_FAILED
 from hoardbench.harness import parse_config, run_grid
 
 NOISY = {"verifier_fp": 0.2, "verifier_fn": 0.2}
@@ -49,13 +53,13 @@ ALLOWED_CONSTANT = {
     "in [0, 1] at the configured impulse, so no launch is out of range",
     ("B", "objective"): "known dead: task_cost and latency_cost do not move, "
     "and compute is not in the objective",
-    ("B", "goal_verdict"): "known dead: the precision_target verdict, never met under drift",
+    # B's goal_verdict moves on this grid only through the verifier's
+    # fn flips; its ground truth is truth:precision_target, below.
     ("B", "task_cost"): "known dead: a 0/1 step on precision >= 0.9, which "
     "drifted landmarks never reach",
     ("B", "truth:precision_target"): "known dead: as task_cost",
-    ("B", "provenance_failures"): "known dead: retrieval_cites_written_episode "
-    "only checks that the cited id exists",
-    ("B", "truth:retrieval_cites_written_episode"): "known dead: as provenance_failures",
+    ("B", "signal:ground_truth_verdict"): "known dead: as truth:precision_target, "
+    "B's only check",
     # Structural: fixed by the family's design or echoing the config.
     ("A", "leak_cost"): "structural: nothing in family A is watched",
     ("B", "leak_cost"): "structural: nothing in family B is watched",
@@ -66,6 +70,9 @@ ALLOWED_CONSTANT = {
     "fixed by n_events and conflict_rate",
     ("B", "episodes_stored"): "structural: every write is stored, "
     "fixed by n_events and conflict_rate",
+    ("B", "signal:segment"): "structural: one whole-run check, "
+    "whose length n_events, conflict_rate and query_delay fix",
+    ("B", "signal:emitted_at"): "structural: as signal:segment",
     ("C", "latency_cost"): "structural: the caching phase always runs its full horizon",
 }
 
@@ -101,3 +108,40 @@ def test_every_reported_number_moves_or_is_allowed_constant(family):
     constant = {name for name, seen in values.items() if len(seen) < 2}
     assert constant - allowed == set(), "constant over the grid, not allow-listed"
     assert allowed - constant == set(), "allow-listed, yet it moves or is gone"
+
+
+def _switches(family: str):
+    """(agent key, value) for every bool agent key flipped, and for every
+    other value of each choices key."""
+    entry = FAMILIES[family]
+    for key, default in entry.agent.items():
+        if isinstance(default, bool):
+            yield key, not default
+    for key, values in entry.choices.items():
+        yield from ((key, value) for value in values if value != entry.agent[key])
+
+
+def _comparable(record) -> dict:
+    """A record as JSON, without its variant label and signal emission
+    times, which move without moving anything a metric reads."""
+    obj = json.loads(record.to_json_line())
+    del obj["variant"]
+    for signal in obj["signals"]:
+        del signal["emitted_at"]
+    return obj
+
+
+@pytest.mark.parametrize("family", sorted(GRIDS))
+def test_every_switch_moves_a_record(family):
+    # Baseline only, and without the ledger block: A's budget of 400 ends
+    # its runs before RLS can move anything.
+    grid = {k: v for k, v in GRIDS[family].items() if k not in ("ablations", "ledger")}
+    agent = grid.pop("agent", {})
+
+    def records(overrides: dict) -> list[dict]:
+        config = parse_config(json.dumps({**grid, "agent": {**agent, **overrides}}))
+        return [_comparable(cell.record) for cell in run_grid(config).cells]
+
+    baseline = records({})
+    still = [f"{key}={value}" for key, value in _switches(family) if records({key: value}) == baseline]
+    assert still == [], "an agent switch that moves no record"

@@ -242,6 +242,65 @@ def test_trilateration_rejects_collinear():
     assert degenerate and point is None
 
 
+def _numpy_scalar_trilaterate(anchors, distances):
+    """Frozen copy of the trilateration that worked on numpy scalars."""
+    a = np.asarray(anchors, dtype=float)
+    d = np.asarray(distances, dtype=float)
+    cross = (a[1, 0] - a[0, 0]) * (a[2, 1] - a[0, 1]) - (a[1, 1] - a[0, 1]) * (
+        a[2, 0] - a[0, 0]
+    )
+    if abs(cross) < COLLINEAR_TOL:
+        return None, True
+    rows = []
+    rhs = []
+    for j in (1, 2):
+        rows.append([2.0 * (a[j, 0] - a[0, 0]), 2.0 * (a[j, 1] - a[0, 1])])
+        rhs.append(
+            (a[j, 0] ** 2 - a[0, 0] ** 2)
+            + (a[j, 1] ** 2 - a[0, 1] ** 2)
+            - (d[j] ** 2 - d[0] ** 2)
+        )
+    m = np.asarray(rows)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    x = (rhs[0] * m[1, 1] - rhs[1] * m[0, 1]) / det
+    y = (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det
+    return (float(x), float(y)), False
+
+
+def _hex(result):
+    point, degenerate = result
+    return None if point is None else tuple(v.hex() for v in point), degenerate
+
+
+_coord = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def _trilateration_cases(draw):
+    """(anchors, distances); near_collinear puts the third anchor within a
+    few COLLINEAR_TOL of the line through the first two."""
+    if draw(st.booleans()):
+        anchors = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3))
+    else:
+        (x0, y0), (dx, dy) = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=2))
+        t, u = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        eps = draw(st.floats(-4 * COLLINEAR_TOL, 4 * COLLINEAR_TOL))
+        anchors = [(x0, y0), (x0 + t * dx, y0 + t * dy), (x0 + u * dx - eps, y0 + u * dy + eps)]
+    distances = draw(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3))
+    return anchors, distances
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trilateration_cases())
+@example(([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], [0.1, 0.1, 0.1]))  # exactly collinear
+@example(([(0.0, 0.0), (1.0, 0.0), (0.0, 1e-6)], [0.5, 0.6, 0.7]))  # cross == COLLINEAR_TOL
+def test_trilaterate_is_bit_identical_to_numpy_scalar_form(case):
+    anchors, distances = case
+    assert _hex(trilaterate(anchors, distances)) == _hex(
+        _numpy_scalar_trilaterate(anchors, distances)
+    )
+
+
 # --- Writes ------------------------------------------------------------------
 
 
