@@ -9,7 +9,7 @@ from .ledger import CostLedger, StepCosts, accrue, constraint_check, objective_v
 from .memory import MemoryStore, Query, Retrieval, StoreVariant, decode_location, retrieve, write
 from .observer import ObserverBelief, leakage_score, observer_update, pilfer_select
 from .rng import RunStreams, Substream
-from .verifier import SignalSink, VerifierSpec, evaluate
+from .verifier import SignalSink, evaluate
 
 __all__ = [
     "ControllerConfig",
@@ -24,7 +24,6 @@ __all__ = [
     "StepCosts",
     "StoreVariant",
     "Substream",
-    "VerifierSpec",
     "__version__",
     "accrue",
     "constraint_check",

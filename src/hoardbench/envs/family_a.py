@@ -47,13 +47,10 @@ from ..core.state import (
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierSpec
+from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 INTERVENTION_EPS = 1e-12
-# Only sets the goal signals' emitted_at, which no metric reads; kept so that
-# runs.jsonl stays byte-identical.
-VERIFIER_DELAY = 2
 
 OPTION_SCHEMA = {
     OptionKind.LAUNCH: ("offset", "impulse"),
@@ -170,11 +167,8 @@ def run_family_a(
         rls_forgetting=agent.forgetting,
         dynamics=dynamics,
     )
-    # Precondition: launch parameters inside their physical ranges.
-    launch_spec = VerifierSpec("launch_in_range", env.verifier_fp, env.verifier_fn, 0)
-    # Goal: the trial reached and held the tolerance window.
-    goal_spec = VerifierSpec("stabilized", env.verifier_fp, env.verifier_fn, VERIFIER_DELAY)
-    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
+    # Checks the goal: the trial reached and held the tolerance window.
+    sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
     latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
     planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
@@ -210,7 +204,6 @@ def run_family_a(
         speed = impulse * (1.0 - truth_latent.get("compliance") * offset * offset)
         e = speed - env.gap_scale * (1.0 - offset)
         edot = 0.0
-        launch_ok = 0.0 <= offset <= 1.0 and impulse >= 0.0
 
         trial_start = global_step
         e_pred = predicted_landing_error(env, float(belief.latent_mean[0]), offset)
@@ -235,8 +228,6 @@ def run_family_a(
         if trace is not None:
             trace.append(global_step, landing_obs, launch_action, launch, False)
         global_step += 1
-
-        sink.check(launch_spec, trial_start, trial_start, launch_ok)
 
         # Open-loop agents commit a correction schedule now and never revise.
         plan: list[float] = []
@@ -314,7 +305,7 @@ def run_family_a(
         successes += int(success)
         stab_times.append(float(first_hold_step if first_hold_step is not None else env.horizon))
 
-        sink.check(goal_spec, trial_start, global_step - 1, success)
+        sink.check("stabilized", trial_start, global_step - 1, success)
 
         if ledger.exhausted:
             break

@@ -7,9 +7,10 @@ random order. A query is formed the way a returning agent would form it:
 re-encode the remembered location against the current, drifted landmark
 fixes, and ask the store for the best-matching episode of that item type.
 
-Retrieval latency is the probe count; precision is the fraction of queries
-whose decoded dig point lands within the dig radius of the true location;
-confusion is returning the wrong episode.
+Every write and every query costs one latency unit, and a query's probe
+count is its compute; precision is the fraction of queries whose decoded dig
+point lands within the dig radius of the true location; confusion is
+returning the wrong episode.
 
 One noisy verifier checks the goal, precision at or above `precision_target`,
 once at the end of the run. No agent reads its signal, so the family takes no
@@ -50,16 +51,13 @@ from ..memory import (
     write_many,
 )
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierSpec
+from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 # Distractors land within this radius of a true cache: near enough to share
 # landmark context and confuse cue matching, far enough that digging at a
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
-# Only sets the goal signal's emitted_at, which no metric reads; kept so that
-# runs.jsonl stays byte-identical.
-VERIFIER_DELAY = 1
 # Writes are stored, and queries formed, this many at a time, with one cue
 # encoding pass per chunk. Nothing in one chunk depends on another's result,
 # so the chunk size changes no output; larger chunks cost more peak memory
@@ -225,10 +223,7 @@ def run_family_b(
         option_schema=OPTION_SCHEMA,
     )
 
-    goal_spec = VerifierSpec(
-        "precision_target", env.verifier_fp, env.verifier_fn, VERIFIER_DELAY
-    )
-    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
+    sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
 
     hits = 0
     confusions = 0
@@ -280,7 +275,7 @@ def run_family_b(
     precision = hits / n
     confusion_rate = confusions / n
     precision_ok = precision >= env.precision_target
-    sink.check(goal_spec, 0, step, precision_ok)
+    sink.check("precision_target", 0, step, precision_ok)
 
     accrue(ledger, StepCosts(task=0.0 if precision_ok else 1.0))
 

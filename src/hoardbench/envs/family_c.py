@@ -48,7 +48,7 @@ from ..observer import (
     pilfer_select,
 )
 from ..rng import RunStreams
-from ..verifier import Placement, SignalSink, VerifierSpec, miss_rate
+from ..verifier import SignalSink, miss_rate
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 CANDIDATE_CELLS = 8
@@ -176,7 +176,7 @@ def run_family_c(
     flags: AgentFlags,
     ledger: CostLedger,
     seed: int,
-    placement: Placement | str = Placement.IN_LOOP,
+    end_only: bool = False,
     trace: Trace | None = None,
 ) -> RunRecord:
     streams = RunStreams(seed)
@@ -186,11 +186,9 @@ def run_family_c(
 
     adversary = ObserverBelief.uniform(env.diffusion_rate)
 
-    fp_fn_delay = (env.verifier_fp, env.verifier_fn, env.monitor_delay)
-    monitor_spec = VerifierSpec("cache_while_observed", *fp_fn_delay)
-    zone_spec = VerifierSpec("no_cache_in_forbidden_zone", *fp_fn_delay)
-    goal_spec = VerifierSpec("recovered_target", *fp_fn_delay)
-    sink = SignalSink(placement, streams.verifier)
+    sink = SignalSink(
+        streams.verifier, env.verifier_fp, env.verifier_fn, env.monitor_delay, end_only
+    )
 
     # Item values and the unaware agent's cell plan are drawn up front so
     # awareness toggles cannot shift the environment stream.
@@ -379,7 +377,7 @@ def run_family_c(
 
         violation = is_real_cache and visible
         violations += int(violation)
-        sig = sink.check(monitor_spec, step, step, not violation)
+        sig = sink.check("cache_while_observed", step, step, not violation)
         if sig is not None:
             inbox.append((sig.emitted_at, sig.agent_view()))
 
@@ -448,8 +446,8 @@ def run_family_c(
     recovered_fraction = recovered_value / total_value if total_value else 0.0
 
     in_zone = any(_in_zone(c["cell"], env.forbidden_zone) for c in placed)
-    sink.check(zone_spec, 0, step, not in_zone)
-    sink.check(goal_spec, 0, step, recovered_fraction >= env.recovered_target)
+    sink.check("no_cache_in_forbidden_zone", 0, step, not in_zone)
+    sink.check("recovered_target", 0, step, recovered_fraction >= env.recovered_target)
     sink.flush()
 
     accrue(ledger, StepCosts(task=max(0.0, 1.0 - recovered_fraction)))
@@ -478,7 +476,8 @@ def run_family_c(
 
 def _run(env, agent, ledger, seed, trace):
     flags = AgentFlags(agent["observer_aware"], agent["decoys"])
-    return run_family_c(env, flags, ledger, seed, agent["verifier_placement"], trace)
+    end_only = agent["verifier_placement"] == "end_only"
+    return run_family_c(env, flags, ledger, seed, end_only, trace)
 
 
 FAMILY = Family(

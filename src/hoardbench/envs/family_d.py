@@ -40,10 +40,10 @@ from ..core.state import (
     OptionKind,
     Trace,
 )
-from ..errors import check_int_fields, check_noise_rates
+from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, StepCosts, accrue
 from ..rng import RunStreams, Substream
-from ..verifier import Placement, SignalSink, VerifierSpec
+from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 HILLCLIMB_ITERATIONS = 200
@@ -96,10 +96,11 @@ class FamilyDConfig:
             ("alphabet_size", 2, math.inf),
             ("adversary_probes", 0, math.inf),
         ))
-        if not (0.0 < self.knowledge_fraction <= 1.0):
+        check_number_fields(self, (("knowledge_fraction", 0.0, 1.0),))
+        if self.knowledge_fraction == 0:
             raise ConfigurationError("knowledge_fraction must lie in (0, 1]")
-        if self.coverage is not None and not (0.0 <= self.coverage <= 1.0):
-            raise ConfigurationError("coverage must lie in [0, 1]")
+        if self.coverage is not None:
+            check_number_fields(self, (("coverage", 0.0, 1.0),))
 
 
 def _sample_universe(config: FamilyDConfig, stream: Substream) -> list[Constraint]:
@@ -312,7 +313,7 @@ def run_family_d(
     else:
         checker_coverage = set(k_checker)
 
-    sink = SignalSink(Placement.IN_LOOP, streams.verifier)
+    checker = SignalSink(streams.verifier, verifier_fp, verifier_fn)
 
     proposer_known_ids = set(k_proposer)
     plan = tuple(int(v) for v in streams.agent.integers(0, env.alphabet_size, size=env.plan_length))
@@ -351,8 +352,7 @@ def run_family_d(
 
         checker_bad: list[int] = []
         for cid in sorted(checker_coverage):
-            spec = VerifierSpec(f"c{cid}", verifier_fp, verifier_fn)
-            sig = sink.check(spec, step, step, by_id[cid].satisfied(plan))
+            sig = checker.check(f"c{cid}", step, step, by_id[cid].satisfied(plan))
             checker_evals += 1
             if sig.verdict is False:
                 checker_bad.append(cid)
@@ -390,13 +390,14 @@ def run_family_d(
     ]
     correlated_error_rate = len(correlated_blind) / n if n else 0.0
 
-    goal_spec = VerifierSpec("plan_satisfies_universe")
-    sink.check(goal_spec, 0, step, not released_violations)
+    # The exact goal verifier, drawn after every checker signal.
+    goal = SignalSink(streams.verifier)
+    goal.check("plan_satisfies_universe", 0, step, not released_violations)
 
     accrue(ledger, StepCosts(task=float(len(released_violations))))
 
     record = RunRecord(family="D", variant="", seed=seed, status=STATUS_COMPLETED)
-    record.goal_verdict = sink.goal_verdict("plan_satisfies_universe")
+    record.goal_verdict = goal.goal_verdict("plan_satisfies_universe")
     record.metrics = {
         "silent_failure": float(silent_failure),
         "correlated_error_rate": correlated_error_rate,
@@ -411,7 +412,7 @@ def run_family_d(
         "executor_evals": float(executor_evals),
         "checker_evals": float(checker_evals),
     }
-    record.signals = [s.to_json_obj() for s in sink.signals[-20:]]
+    record.signals = [s.to_json_obj() for s in (checker.signals + goal.signals)[-20:]]
     return finish_record(record, ledger)
 
 

@@ -39,10 +39,6 @@ LEDGER_DEFAULTS: dict[str, float] = {
     "delta": 0.1,
 }
 
-# Environment fields stored as tuples but written as JSON lists.
-_TUPLE_FIELDS = {"z_range", "forbidden_zone"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
@@ -89,8 +85,11 @@ def _object_block(raw: dict, key: str) -> dict:
     return block
 
 
-def _env_value(key: str, value):
-    return tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
+def _env_value(cls, key: str, value):
+    """`value` for env field `key` of `cls`, a JSON list turned back into a
+    tuple where the field's default is one."""
+    default = getattr(cls.__dataclass_fields__.get(key), "default", None)
+    return tuple(value) if isinstance(value, list) and isinstance(default, tuple) else value
 
 
 def _build_env(family: str, block: dict):
@@ -100,7 +99,7 @@ def _build_env(family: str, block: dict):
     for key, value in block.items():
         if key not in names:
             raise _fail(f"env.{key}", f"unknown key for family {family}")
-        kwargs[key] = _env_value(key, value)
+        kwargs[key] = _env_value(cls, key, value)
     try:
         return cls(**kwargs)
     except (ConfigurationError, TypeError, ValueError) as exc:
@@ -320,7 +319,7 @@ def run_one(
     env = config.env
     if config.sweep_key is not None:
         env = dataclasses.replace(
-            env, **{config.sweep_key: _env_value(config.sweep_key, sweep_value)}
+            env, **{config.sweep_key: _env_value(type(env), config.sweep_key, sweep_value)}
         )
     if trace is None:
         trace = record_into

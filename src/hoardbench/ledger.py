@@ -57,13 +57,12 @@ class StepCosts:
 
 @dataclass
 class CostLedger:
-    """Running per-run cost sums with weights, horizon, and a compute budget."""
+    """Running per-run cost sums with weights and a compute budget."""
 
     lambda_latency: float = 0.01
     lambda_leak: float = 1.0
     lambda_repair: float = 0.1
     budget: float = 1e9
-    horizon: int = 0
     delta: float = 0.1
 
     task_cost: float = 0.0

@@ -93,11 +93,6 @@ class ObserverBelief:
     def mass_at(self, cell: Cell) -> float:
         return float(self.grid[cell[0], cell[1]])
 
-    def argmax_cells(self) -> list[Cell]:
-        top = self.grid.max()
-        rows, cols = np.where(self.grid == top)
-        return [(int(r), int(c)) for r, c in zip(rows, cols)]
-
     def dump_row_major(self) -> list[float]:
         return [float(v) for v in self.grid.reshape(-1)]
 

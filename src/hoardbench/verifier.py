@@ -9,44 +9,19 @@ verdict, which exists for offline metric computation only: agent-facing code
 receives `AgentSignal` views with the ground truth stripped. Every check
 yields a signal; a verifier has no blind spot other than its noise.
 
-Placement is the in-loop vs end-only ablation: a run sends every check to a
-`SignalSink`, which evaluates it at once or queues it until the run ends.
-Only family C's agent reads verifier signals, so only C takes a placement;
-the other families check in-loop.
+A `SignalSink` is one verifier: it holds the noise rates, the delay and the
+placement, and every check a run sends to it is evaluated at once (in-loop)
+or queued until the run ends (end-only). Only family C's agent reads
+verifier signals, so only C sets `end_only`; the other families check
+in-loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
-from .core.state import ConfigurationError, InputError
+from .errors import InputError, check_noise_rates
 from .rng import Substream
-
-
-class Placement(str, Enum):
-    IN_LOOP = "in_loop"
-    END_ONLY = "end_only"
-
-
-@dataclass(frozen=True)
-class VerifierSpec:
-    """One checker: which predicate it reports on, how noisy and how late."""
-
-    predicate_id: str
-    fp_rate: float = 0.0
-    fn_rate: float = 0.0
-    delay: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.fp_rate < 1.0 and 0.0 <= self.fn_rate < 1.0):
-            raise ConfigurationError("fp and fn rates must lie in [0, 1)")
-        if self.fp_rate + self.fn_rate >= 1.0:
-            raise ConfigurationError(
-                "fp_rate + fn_rate must stay below 1 (verifier must be informative)"
-            )
-        if self.delay < 0:
-            raise ConfigurationError("delay must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,69 +70,83 @@ class VerifierSignal:
 
 
 def evaluate(
-    spec: VerifierSpec,
+    predicate_id: str,
     start: int,
     end: int,
     truth: bool,
     noise_stream: Substream,
-    emitted_at: int | None = None,
+    fp_rate: float,
+    fn_rate: float,
+    emitted_at: int,
 ) -> VerifierSignal:
-    """Check the ground truth `truth` of steps `start`..`end`.
+    """Check the ground truth `truth` of steps `start`..`end` and emit the
+    result at `emitted_at`.
 
-    `emitted_at` defaults to segment end plus the spec's delay; an end-only
-    flush passes its flush time instead (never earlier than the natural
-    emission time). One noise draw is consumed per evaluation regardless of
-    the configured rates, so noise settings do not shift the stream.
+    One noise draw is consumed per evaluation regardless of the rates, so
+    noise settings do not shift the stream.
     """
-    natural = end + spec.delay
-    when = natural if emitted_at is None else max(int(emitted_at), natural)
     ground = bool(truth)
     u = float(noise_stream.random())
     verdict = ground
-    if ground and u < spec.fp_rate:
+    if ground and u < fp_rate:
         verdict = False
-    elif not ground and u < spec.fn_rate:
+    elif not ground and u < fn_rate:
         verdict = True
-    return VerifierSignal(when, start, end, verdict, ground, spec.predicate_id)
+    return VerifierSignal(emitted_at, start, end, verdict, ground, predicate_id)
 
 
 class SignalSink:
-    """Where a run's verifier checks go, and the one owner of its placement.
+    """One verifier: its noise rates, its delay and its placement.
 
     In-loop, `check` evaluates at once: the signal is emitted at segment end
-    plus the verifier's delay and is returned, so the run can deliver it to
-    the agent. End-only, `check` queues the check and returns None, and
-    `flush()` evaluates the queue in order and emits every signal at the
-    latest natural time in the queue, the maximum of segment end + delay:
-    the time the last in-loop signal would have arrived. Checks are evaluated
-    in the order they were made under either placement, so the noise stream
-    is drawn identically and only emission times differ.
+    plus `delay` and is returned, so the run can deliver it to the agent.
+    End-only, `check` queues the check and returns None, and `flush()`
+    evaluates the queue in order and emits every signal at the latest queued
+    segment end plus `delay`: the time the last in-loop signal would have
+    arrived. Checks are evaluated in the order they were made under either
+    placement, so the noise stream is drawn identically and only emission
+    times differ.
     """
 
-    def __init__(self, placement: Placement | str, noise_stream: Substream):
-        self.in_loop = Placement(placement) is Placement.IN_LOOP
+    def __init__(
+        self,
+        noise_stream: Substream,
+        fp_rate: float = 0.0,
+        fn_rate: float = 0.0,
+        delay: int = 0,
+        end_only: bool = False,
+    ):
+        check_noise_rates("fp_rate", fp_rate, "fn_rate", fn_rate)
         self.noise_stream = noise_stream
+        self.fp_rate = fp_rate
+        self.fn_rate = fn_rate
+        self.delay = delay
+        self.end_only = end_only
         self.signals: list[VerifierSignal] = []
-        self._queue: list[tuple[VerifierSpec, int, int, bool]] = []
+        self._queue: list[tuple[str, int, int, bool]] = []
 
     def check(
-        self, spec: VerifierSpec, start: int, end: int, truth: bool
+        self, predicate_id: str, start: int, end: int, truth: bool
     ) -> VerifierSignal | None:
-        if not self.in_loop:
-            self._queue.append((spec, start, end, truth))
+        if self.end_only:
+            self._queue.append((predicate_id, start, end, truth))
             return None
-        signal = evaluate(spec, start, end, truth, self.noise_stream)
+        signal = evaluate(
+            predicate_id, start, end, truth, self.noise_stream,
+            self.fp_rate, self.fn_rate, end + self.delay,
+        )
         self.signals.append(signal)
         return signal
 
     def flush(self) -> None:
         if not self._queue:
             return
-        at = max(end + spec.delay for spec, _, end, _ in self._queue)
-        for spec, start, end, truth in self._queue:
-            self.signals.append(
-                evaluate(spec, start, end, truth, self.noise_stream, emitted_at=at)
-            )
+        at = max(end for _, _, end, _ in self._queue) + self.delay
+        for predicate_id, start, end, truth in self._queue:
+            self.signals.append(evaluate(
+                predicate_id, start, end, truth, self.noise_stream,
+                self.fp_rate, self.fn_rate, at,
+            ))
         self._queue.clear()
 
     def goal_verdict(self, predicate_id: str) -> int:

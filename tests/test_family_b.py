@@ -107,61 +107,63 @@ def test_reproducible_including_trace():
 
 
 # sha256 of `run_family_b`'s record JSON line and trace JSONL at landmark
-# drift 0.02, seed 7, recorded when family B made one memory call per write
-# and per query. 63, 64 and 65 events straddle the chunk size of 64. At one
+# drift 0.02, seed 7. The trace digests were recorded when family B made one
+# memory call per write and per query; the record digests were re-recorded
+# when the goal signal's emission moved from segment end + 1 to segment end,
+# its only change. 63, 64 and 65 events straddle the chunk size of 64. At one
 # event, conflict 0.5 writes no distractor and both variants give the same
 # bytes, so one case stands for all four.
 GOLDEN = {
     (1, "flat", 0.0): (
-        "f31e49cfa42120f783d914575eb2ecc8ba7bb0085749c40ea12d669639f64139",
+        "69244add4c32dc2c6ef5a7307bb170b8e6815402d1df512c10f288414631b87e",
         "4ce9762e292235bbbb780b5d2039e9c0da2b5e2b84180b6cae11ecd102488ea8",
     ),
     (63, "flat", 0.0): (
-        "07eddc09d27c2f582bfa9fcfc2a42de26c482d63059dbefc615361d8f9ae9d11",
+        "097948b546971e468998bc0da91222c2324f7cbdce8a9866a4c9db15826805af",
         "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
     ),
     (63, "flat", 0.5): (
-        "f0412695d1fe28c5b34c2b51a78fffad25e47c6de78c1d6c5a5dfd7758468d65",
+        "dbd0d422706caa8b70205bf239fc3492237c97ccd401dc5c04074a3674f0130c",
         "22e328e50c464281a2f04cf19480d0d1cd7c2590e726e6a3bca296382595f50e",
     ),
     (63, "clustered", 0.0): (
-        "a1bff48c4c87dc4859143089ca138a7be79285991e30240babc4005c44e75632",
+        "c2b66f26c3b9d48b350e3cbee64362c63305ea477dc9550e419a5aebc7e40a27",
         "75d0d2e26ad52ecac864a29edf349503faf850743f7101d5b985f2fa77f11090",
     ),
     (63, "clustered", 0.5): (
-        "953fe0fe50927070c06fa411f08f40004f4b90181b64dbfb5397a2d035485dad",
+        "86423e3cce380604ecccf292393e2b8112f9695731730bc583cd4f19fda3b92b",
         "e02d54166584f2adf18f4dc5a4955f920e6022223c7267563da3d3c17b6bc365",
     ),
     (64, "flat", 0.0): (
-        "11e40fc10c65333a2c50f1d4c56febaa86eac66beb6cdbb54f1cd7603e768aa8",
+        "0deba309fd15d06952fa5a91d42cb0b31e8ec43629fb5d964d07daca8aa2c7b6",
         "fb6a50cec9775d0c98f3f2e39cb768afd4c3271b6250b69288a88277e08ce4d5",
     ),
     (64, "flat", 0.5): (
-        "195131785930553f7b59dd4fc141c9f6c1bd187d02fb39f172e30b62e151420e",
+        "1eb6396682f843446c9c10435ae506d954222d7ab58b2e7d303b67d90b5355f2",
         "dbf052991d65c8db1a9de296bdbb127eda6b458a18b2806b546309b10087e384",
     ),
     (64, "clustered", 0.0): (
-        "b8f6494b519ca7c167a50a28795ac84a09b0e32913f271ee63284675ea26db75",
+        "ef5460700eca017f0c95109353cb3d30d967847caccb1d3801c6a48838ea1e43",
         "9ee0e83dd50aaab9d540981576cbe328978e2e0bad7083dea8816dca93d01779",
     ),
     (64, "clustered", 0.5): (
-        "7b5a00e0c05a4df26f215544b1d3e6057c01b3faff2327fa0d40d76ff81d6c90",
+        "792025132b4d6b92e60360aa32dd1cdcd597973e6980b2d617956b5e671d8584",
         "502d3b53f039385fc314e8c8df6ae3705f98afb805f617facb338df03edca320",
     ),
     (65, "flat", 0.0): (
-        "8900832d925c695585b16c79d23f5d8049fb5e4a5f955bfb5b018214330d804a",
+        "d4c8e08031bb7128d2b51b597556e34da65abb51f356ca1c08cc89d67a0f4f40",
         "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
     ),
     (65, "flat", 0.5): (
-        "a8bd406acc86a01b0229748c5c4d70d95c6e2360f9d894bb0bfdeea173baca32",
+        "02a782e6bbaddc59b7658403ff4b41e3ee642e78075611451a1a4af11eb6bc1d",
         "66437b9a4f466ba253b9bb041227528ecd2be4e48e7747bd80f72acd3d9f7909",
     ),
     (65, "clustered", 0.0): (
-        "3e07bbbc9cc26c3d83bf054a2fd4b75dd3cfb4e2c9833cd8c6a2f2c1ad6e3ecd",
+        "cf73d6741cd7b7d9b8f5339288a1ee2f3854d9c5c103773c7b9288332a43ced6",
         "ae602afa446577f4fbb0140faf73f7ddca2207322a449184a324e3f7569a9a10",
     ),
     (65, "clustered", 0.5): (
-        "a7618d222bc9d7bea8906a894a5e691eaa7b6bd04ade65ba996fe8a1c1b51452",
+        "d1a3611e2fb6d6c7133130904544e21e13d3009824144547a2d25991ddd17503",
         "7045353264aff1ca5e5641cb4adecf3e827e02e23299096492865437ac35ef29",
     ),
 }

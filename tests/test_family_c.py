@@ -48,8 +48,8 @@ def test_aware_agent_beats_unaware_on_leakage_and_misses():
     aware_leak, unaware_leak, aware_miss, unaware_miss = [], [], [], []
     env = FamilyCConfig()
     for s in seeds:
-        a = run_family_c(env, AWARE, _ledger(), s, "in_loop")
-        u = run_family_c(env, UNAWARE, _ledger(), s, "end_only")
+        a = run_family_c(env, AWARE, _ledger(), s, end_only=False)
+        u = run_family_c(env, UNAWARE, _ledger(), s, end_only=True)
         aware_leak.append(a.costs["leak_cost"])
         unaware_leak.append(u.costs["leak_cost"])
         aware_miss.append(a.metrics["verifier_miss_rate"])
@@ -76,14 +76,14 @@ def test_each_caching_step_updates_one_observer_belief(monkeypatch):
 
 def test_end_only_monitor_misses_everything_before_the_pilfer():
     env = FamilyCConfig(visibility=0.8)
-    record = run_family_c(env, UNAWARE, _ledger(), seed=3, placement="end_only")
+    record = run_family_c(env, UNAWARE, _ledger(), seed=3, end_only=True)
     assert record.metrics["violations"] > 0
     assert record.metrics["verifier_miss_rate"] == 1.0
 
 
 def test_in_loop_monitor_catches_in_time():
     env = FamilyCConfig(visibility=0.8)
-    record = run_family_c(env, UNAWARE, _ledger(), seed=3, placement="in_loop")
+    record = run_family_c(env, UNAWARE, _ledger(), seed=3, end_only=False)
     assert record.metrics["verifier_miss_rate"] == 0.0
 
 

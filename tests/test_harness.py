@@ -50,6 +50,10 @@ from hoardbench.harness import (
         ("env.verifier_delay", {"env": {"verifier_delay": 2}}),
         ("agent.verifier_placement", {"family": "B", "agent": {"verifier_placement": "in_loop"}}),
         ("env.verifier_delay", {"family": "B", "env": {"verifier_delay": 1}}),
+        ("knowledge_fraction", {"family": "D", "env": {"knowledge_fraction": True}}),
+        ("knowledge_fraction", {"family": "D", "env": {"knowledge_fraction": 0.0}}),
+        ("coverage", {"family": "D", "env": {"coverage": True}}),
+        ("coverage", {"family": "D", "env": {"coverage": "x"}}),
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):

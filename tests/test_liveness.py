@@ -49,8 +49,6 @@ GRIDS = {
 
 ALLOWED_CONSTANT = {
     # Known dead: each needs a model fix that changes runs.jsonl bytes.
-    ("A", "truth:launch_in_range"): "known dead: the planner only scans offsets "
-    "in [0, 1] at the configured impulse, so no launch is out of range",
     ("B", "objective"): "known dead: task_cost and latency_cost do not move, "
     "and compute is not in the objective",
     # B's goal_verdict moves on this grid only through the verifier's
