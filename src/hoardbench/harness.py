@@ -351,9 +351,10 @@ def _run_cell(
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     """Run baseline and ablation variants over the full seed range.
 
-    Cells are independent; results are ordered by (variant, sweep value,
-    seed) regardless of completion order, so worker count never changes the
-    output bytes.
+    Cells are independent. They run seed-major, so a seed's variants, which
+    draw the same env stream, run back to back and can share what they build
+    from it (D's universe); results are ordered by (variant, sweep value,
+    seed), so worker count never changes the output bytes.
 
     Every cell records its step trace as it runs, in this process or in a
     pool worker that ships it back compactly, so `write_report` re-runs
@@ -363,11 +364,12 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     bounds the memory traces hold.
     """
     sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
+    variants = variant_agents(config)
     payloads = [
         (config, variant, agent, sweep_value, seed)
-        for variant, agent in variant_agents(config)
         for sweep_value in sweep_values
         for seed in config.seeds()
+        for variant, agent in variants
     ]
 
     started = time.monotonic()
@@ -378,6 +380,8 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
             cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=4))
     elapsed = time.monotonic() - started
 
+    # cells[v::len(variants)] are variant v's, in (sweep value, seed) order.
+    cells = [cell for v in range(len(variants)) for cell in cells[v::len(variants)]]
     result = ResultSet(config=config, cells=cells)
     result.wallclock = {"total_seconds": elapsed, "jobs": float(jobs)}
     return result
@@ -441,7 +445,8 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     re-report of the directory the results were loaded from that finds every
     listed trace file there. `cell_seconds` maps variant, then seed, to the
     wall seconds each cell took in the grid, measured inside the worker
-    that ran it. Results read back from a directory carry the grid's wall
+    that ran it; a seed's first variant there carries what its variants share
+    (D's universe). Results read back from a directory carry the grid's wall
     clock and cell seconds from its timing.json, so a re-report keeps them.
     """
     started = time.monotonic()

@@ -5,21 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hoardbench.core.state import ConfigurationError
+from hoardbench.core.state import ConfigurationError, Trace
+from hoardbench.envs import family_d
 from hoardbench.envs.family_d import (
+    CONSTRAINT_KINDS as KINDS,
     Constraint,
     FamilyDConfig,
     RoleMode,
     _hill_climb,
     _sample_universe,
+    _solvable_universe,
     _violations,
     run_family_d,
 )
-from hoardbench.harness import parse_config
+from hoardbench.harness import parse_config, run_grid
 from hoardbench.ledger import CostLedger
 from hoardbench.rng import Substream
-
-KINDS = ("forbid_symbol", "require_symbol", "forbid_adjacent", "parity_ban")
 
 
 def _ledger():
@@ -37,6 +38,41 @@ def test_constraint_templates_evaluate():
     # parity: symbol 0 occupies positions 0 and 4 (even)
     assert not Constraint(0, "parity_ban", 0, 0).satisfied(plan)
     assert Constraint(0, "parity_ban", 0, 1).satisfied(plan)
+
+
+@pytest.mark.parametrize(
+    "kind, b, message",
+    [("forbid_symbols", 0, "unknown constraint kind"), ("parity_ban", 2, "parity"),
+     ("parity_ban", -1, "parity")],
+)
+def test_constraint_rejects_what_it_cannot_mean_when_built(kind, b, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Constraint(0, kind, 1, b)
+
+
+def _generator_satisfied(c, plan):
+    """The generator forms `Constraint.satisfied` used to have: its oracle."""
+    if c.kind == "forbid_symbol":
+        return c.a not in plan
+    if c.kind == "require_symbol":
+        return c.a in plan
+    if c.kind == "forbid_adjacent":
+        return all(
+            not (plan[i] == c.a and plan[i + 1] == c.b) for i in range(len(plan) - 1)
+        )
+    return all(plan[i] != c.a for i in range(c.b, len(plan), 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_satisfied_matches_its_generator_forms(data):
+    alphabet = data.draw(st.integers(1, 5))
+    symbol = st.integers(0, alphabet - 1)
+    plan = tuple(data.draw(st.lists(symbol, max_size=10)))
+    kind = data.draw(st.sampled_from(KINDS))
+    b = data.draw(st.integers(0, 1) if kind == "parity_ban" else symbol)
+    constraint = Constraint(0, kind, data.draw(symbol), b)
+    assert constraint.satisfied(plan) is _generator_satisfied(constraint, plan)
 
 
 def test_universe_sampler_avoids_direct_contradictions():
@@ -266,3 +302,41 @@ def test_climb_with_huge_alphabet_keeps_memory_per_feature():
         Constraint(3, "parity_ban", plan[5], 1),
     ]
     _assert_climb_matches_reference(plan, known, alphabet, 2000, 12)
+
+
+def test_grid_builds_each_seeds_universe_once(monkeypatch):
+    seeds = []
+
+    def counting(config, stream):
+        seeds.append(stream.seed)
+        return _sample_universe(config, stream)
+
+    monkeypatch.setattr(family_d, "_sample_universe", counting)
+    _solvable_universe.cache_clear()
+    config = parse_config(json.dumps({
+        "family": "D", "seeds": "0..2", "ablations": ["single_agent"],
+    }))
+    result = run_grid(config, jobs=1)
+    assert [c.record.status for c in result.cells] == ["completed"] * 6
+    assert seeds == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mode, other", [
+    ("differentiated", "single_agent"), ("single_agent", "differentiated"),
+])
+def test_cell_on_a_cold_memo_matches_one_after_another_variant(mode, other, tmp_path):
+    env = FamilyDConfig()
+
+    def cell(name):
+        trace = Trace()
+        record = run_family_d(env, mode, _ledger(), 5, 0.1, 0.2, trace)
+        trace.write_jsonl(tmp_path / name)
+        return record.to_json_line(), (tmp_path / name).read_bytes()
+
+    _solvable_universe.cache_clear()
+    cold = cell("cold.jsonl")
+    run_family_d(env, other, _ledger(), 5, 0.1, 0.2)
+    hits = _solvable_universe.cache_info().hits
+    warm = cell("warm.jsonl")
+    assert _solvable_universe.cache_info().hits == hits + 1
+    assert warm == cold

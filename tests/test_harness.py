@@ -113,6 +113,37 @@ def test_sweep_over_tuple_field_runs(family, env, key, values):
     ]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_run_seed_major_and_come_back_variant_major(jobs, monkeypatch):
+    ran = []
+
+    def recording(config, agent, seed, sweep_value=None, trace=None, **kwargs):
+        ran.append((sweep_value, seed, agent["feedback"], agent["compensator"]))
+        return run_one(config, agent, seed, sweep_value, trace, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one", recording)
+    config = parse_config(json.dumps({
+        "family": "A", "seeds": "0..2", "env": {"trials": 1, "horizon": 20},
+        "ablations": ["no_feedback", "no_compensator"],
+        "sweep": {"key": "horizon", "values": [20, 25]},
+    }))
+    result = run_grid(config, jobs=jobs)
+    assert [(c.variant, c.seed) for c in result.cells] == [
+        (f"{variant}@horizon={horizon}", seed)
+        for variant in ("baseline", "no_feedback", "no_compensator")
+        for horizon in (20, 25)
+        for seed in range(3)
+    ]
+    assert all(c.record.status == STATUS_COMPLETED for c in result.cells)
+    if jobs == 1:  # pool workers record into their own copy of `ran`
+        assert ran == [
+            (horizon, seed, *switches)
+            for horizon in (20, 25)
+            for seed in range(3)
+            for switches in ((True, True), (False, True), (True, False))
+        ]
+
+
 def test_null_sweep_value_unsets_the_env_key():
     # A null sweep value replaces the env block's value like any other.
     swept = run_grid(parse_config(json.dumps({
