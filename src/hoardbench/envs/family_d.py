@@ -4,8 +4,8 @@ A universe of boolean constraints over short symbol plans is sampled from
 four templates (forbidden symbol, required symbol, forbidden adjacent pair,
 positional parity ban). A hill climb with full knowledge then searches for a
 witness plan, and the constraints the witness still violates are dropped, so
-every instance is solvable in principle. The universe depends on the env
-config and seed alone: a seed's variants share one, built once.
+every instance is solvable in principle. The universe depends on the seed
+and three env keys alone: a seed's variants and sweeps share one, built once.
 
 Roles sample partial knowledge of the universe. The proposer hill-climbs a
 plan against what it knows; the executor vetoes plans violating its own
@@ -264,11 +264,14 @@ def _feature_counts(weights: dict, features) -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _solvable_universe(env: FamilyDConfig, seed: int) -> tuple[Constraint, ...]:
+def _solvable_universe(
+    n_constraints: int, plan_length: int, alphabet_size: int, seed: int
+) -> tuple[Constraint, ...]:
     """`seed`'s universe less what its witness plan, climbed with full
     knowledge, violates (a median of 3 dropped over seeds 0-199 of the default
-    config). Only this draws from the seed's env stream, so every variant of
-    a seed shares it: run back to back, they build it once."""
+    config). Only this draws from the seed's env stream and it reads no other
+    env key, so a seed's variants and sweep values of other keys share it."""
+    env = FamilyDConfig(n_constraints, plan_length, alphabet_size)
     stream = Substream(seed, "env")
     universe = _sample_universe(env, stream)
     witness = tuple(int(v) for v in stream.integers(0, env.alphabet_size, size=env.plan_length))
@@ -298,7 +301,7 @@ def run_family_d(
 ) -> RunRecord:
     mode = RoleMode(mode)
     streams = RunStreams(seed)
-    universe = _solvable_universe(env, seed)
+    universe = _solvable_universe(env.n_constraints, env.plan_length, env.alphabet_size, seed)
     by_id = {c.cid: c for c in universe}
     n = len(universe)
 

@@ -351,10 +351,10 @@ def _run_cell(
 def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     """Run baseline and ablation variants over the full seed range.
 
-    Cells are independent. They run seed-major, so a seed's variants, which
-    draw the same env stream, run back to back and can share what they build
-    from it (D's universe); results are ordered by (variant, sweep value,
-    seed), so worker count never changes the output bytes.
+    Cells are independent. They run seed-major (seed, sweep value, variant),
+    so a seed's cells, which draw the same env stream, run back to back and
+    can share what they build from it (D's universe); results are ordered by
+    (variant, sweep value, seed), so worker count never changes the bytes.
 
     Every cell records its step trace as it runs, in this process or in a
     pool worker that ships it back compactly, so `write_report` re-runs
@@ -367,8 +367,8 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     variants = variant_agents(config)
     payloads = [
         (config, variant, agent, sweep_value, seed)
-        for sweep_value in sweep_values
         for seed in config.seeds()
+        for sweep_value in sweep_values
         for variant, agent in variants
     ]
 
@@ -380,8 +380,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
             cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=4))
     elapsed = time.monotonic() - started
 
-    # cells[v::len(variants)] are variant v's, in (sweep value, seed) order.
-    cells = [cell for v in range(len(variants)) for cell in cells[v::len(variants)]]
+    # cells[v + j * nv::ns * nv] are variant v's at sweep value j, by seed.
+    ns, nv = len(sweep_values), len(variants)
+    cells = [c for v in range(nv) for j in range(ns) for c in cells[v + j * nv :: ns * nv]]
     result = ResultSet(config=config, cells=cells)
     result.wallclock = {"total_seconds": elapsed, "jobs": float(jobs)}
     return result

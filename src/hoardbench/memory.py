@@ -18,7 +18,8 @@ references adds nothing. Decoding re-derives a stored cue's location against
 the current, possibly drifted, landmark positions of its three ids by
 least-squares trilateration.
 
-`cue_similarity` is the one scoring rule. The clustered path folds it over
+`cue_similarity` is the one scoring rule: the query's terms, computed once
+per query, scored against each stored cue. The clustered path folds it over
 the few episodes it probes (about 4 per query), where numpy's per-call set-up
 would cost more than the arithmetic; the flat path scores every same-type
 episode at once with `_flat_scores`, its vectorized form over an inverted
@@ -192,18 +193,29 @@ def cue_similarity(a: CueVector, b: CueVector) -> float:
     """Similarity in [0, 1]: landmark ids align the comparison, mismatched
     distance and bearing accumulate as Gaussian penalties, and a landmark the
     other cue never saw contributes nothing. The bearing mismatch uses the
-    chord 2*sin(db/2), which is wrap-free and matches db for small angles."""
+    chord 2*sin(db/2), which is wrap-free and matches db for small angles.
+    It is `_similarity` of `a`'s `_query_terms` and `b`: a fold over many
+    stored cues computes the query's terms once."""
+    return _similarity(_query_terms(a), b)
+
+
+def _query_terms(cue: CueVector) -> tuple[tuple[int, float, float, float], ...]:
+    """(landmark id, distance, cos and sin of the bearing) of each slot."""
+    b = cue.bearings
+    return tuple(zip(cue.landmark_ids, cue.distances, map(math.cos, b), map(math.sin, b)))
+
+
+def _similarity(terms: tuple, cue: CueVector) -> float:
+    """`cue_similarity` of a query, given as its `_query_terms`, and `cue`."""
+    ids = cue.landmark_ids
     total = 0.0
-    for j, qid in enumerate(a.landmark_ids):
-        qc, qs = math.cos(a.bearings[j]), math.sin(a.bearings[j])
-        for k, eid in enumerate(b.landmark_ids):
-            if qid != eid:
-                continue
-            dd = (b.distances[k] - a.distances[j]) / DIST_SCALE
-            dc = math.cos(b.bearings[k]) - qc
-            ds = math.sin(b.bearings[k]) - qs
+    for qid, qd, qc, qs in terms:
+        if qid in ids:
+            k = ids.index(qid)
+            dd = (cue.distances[k] - qd) / DIST_SCALE
+            dc = math.cos(cue.bearings[k]) - qc
+            ds = math.sin(cue.bearings[k]) - qs
             total += math.exp(-0.5 * (dd * dd + (dc * dc + ds * ds) / BEARING_SCALE2))
-            break
     return total / CUE_LANDMARKS
 
 
@@ -240,11 +252,8 @@ def _flat_scores(index: _TypeIndex, cue: CueVector) -> np.ndarray:
     spans = [index.spans.get(lid, _NO_SPAN) for lid in cue.landmark_ids]
     block = np.concatenate([index.table[:, span] for span in spans], axis=1)
     rows = np.concatenate([index.rows[span] for span in spans])
-    query = np.repeat(
-        [cue.distances, [math.cos(b) for b in cue.bearings], [math.sin(b) for b in cue.bearings]],
-        [span.stop - span.start for span in spans],
-        axis=1,
-    )
+    _, dists, coss, sins = zip(*_query_terms(cue))
+    query = np.repeat([dists, coss, sins], [span.stop - span.start for span in spans], axis=1)
     diff = block - query
     dd = diff[0] / DIST_SCALE
     dc, ds = diff[1], diff[2]
@@ -475,11 +484,12 @@ def _fold_best_two(
 ) -> tuple[int | None, float, float]:
     """Fold `cue_similarity` over episode indices, in probe order, into the
     running `picked` (best index, best score, second score); the first of
-    equal scores wins."""
+    equal scores wins. The query's terms are computed once per fold."""
     best_idx, best, second = picked
     episodes = store.episodes
+    terms = _query_terms(cue)
     for i in rows:
-        s = cue_similarity(cue, episodes[i].cue)
+        s = _similarity(terms, episodes[i].cue)
         if s > best:
             best_idx, second, best = i, best, s
         elif s > second:
@@ -603,42 +613,41 @@ def _range_least_squares(
     The bearing-fix initialization keeps the poorly determined direction of
     near-collinear anchor triples anchored to a sane estimate; along
     well-determined directions the iteration converges to the least-squares
-    intersection of the stored distance constraints.
+    intersection of the stored distance constraints. It stops after 30
+    iterations, on `det <= 0`, when the line search accepts no trial point
+    or accepts the current one, or on a step shorter than 1e-12.
 
     Invariant: everything runs on Python floats, with the operations of the
     numpy-scalar form this replaced in the same order (accumulators start
-    at 0.0, so signed zeros match too). The result is therefore
-    bit-identical to it, and `runs.jsonl` does not depend on which of the
-    two ran; a test keeps the numpy-scalar form as the oracle.
+    at 0.0, so signed zeros match too). An accepted trial point's offsets,
+    distances and residuals carry over to the next Jacobian, which would
+    recompute the same values. The result is therefore bit-identical to
+    that form, and `runs.jsonl` does not depend on which of the two ran; a
+    test keeps the numpy-scalar form as the oracle.
     """
     (x0, y0), (x1, y1), (x2, y2) = anchors
     d0, d1, d2 = cue.distances
     hypot = math.hypot
     x, y = init
-
-    def cost_at(px: float, py: float) -> tuple[float, tuple[float, float, float]]:
-        f0 = hypot(px - x0, py - y0) - d0
-        f1 = hypot(px - x1, py - y1) - d1
-        f2 = hypot(px - x2, py - y2) - d2
-        # A sum started at 0.0 would equal this bit for bit: a square is
-        # never -0.0.
-        return f0 * f0 + f1 * f1 + f2 * f2, (f0, f1, f2)
-
-    cost, res = cost_at(x, y)
+    dx0, dy0, dx1, dy1, dx2, dy2 = x - x0, y - y0, x - x1, y - y1, x - x2, y - y2
+    r0, r1, r2 = hypot(dx0, dy0), hypot(dx1, dy1), hypot(dx2, dy2)
+    f0, f1, f2 = r0 - d0, r1 - d1, r2 - d2
+    # Equal bit for bit to a sum started at 0.0: a square is never -0.0.
+    cost = f0 * f0 + f1 * f1 + f2 * f2
     for _ in range(30):
         gx = gy = hxx = hxy = hyy = 0.0
-        for (ax, ay), f in zip(anchors, res):
-            dx = x - ax
-            dy = y - ay
-            r = hypot(dx, dy)
-            if r < 1e-12:
-                continue
-            jx, jy = dx / r, dy / r
-            gx += jx * f
-            gy += jy * f
-            hxx += jx * jx
-            hxy += jx * jy
-            hyy += jy * jy
+        if not r0 < 1e-12:
+            jx, jy = dx0 / r0, dy0 / r0
+            gx, gy = gx + jx * f0, gy + jy * f0
+            hxx, hxy, hyy = hxx + jx * jx, hxy + jx * jy, hyy + jy * jy
+        if not r1 < 1e-12:
+            jx, jy = dx1 / r1, dy1 / r1
+            gx, gy = gx + jx * f1, gy + jy * f1
+            hxx, hxy, hyy = hxx + jx * jx, hxy + jx * jy, hyy + jy * jy
+        if not r2 < 1e-12:
+            jx, jy = dx2 / r2, dy2 / r2
+            gx, gy = gx + jx * f2, gy + jy * f2
+            hxx, hxy, hyy = hxx + jx * jx, hxy + jx * jy, hyy + jy * jy
         hxx += 1e-8
         hyy += 1e-8
         det = hxx * hyy - hxy * hxy
@@ -647,18 +656,21 @@ def _range_least_squares(
         sx = (gx * hyy - gy * hxy) / det
         sy = (hxx * gy - hxy * gx) / det
         t = 1.0
-        new_cost, new_res, nx, ny = cost, res, x, y
         for _ in range(20):
             cx, cy = x - t * sx, y - t * sy
-            c, rr = cost_at(cx, cy)
+            dx0, dy0, dx1, dy1, dx2, dy2 = cx - x0, cy - y0, cx - x1, cy - y1, cx - x2, cy - y2
+            r0, r1, r2 = hypot(dx0, dy0), hypot(dx1, dy1), hypot(dx2, dy2)
+            f0, f1, f2 = r0 - d0, r1 - d1, r2 - d2
+            c = f0 * f0 + f1 * f1 + f2 * f2
             if c <= cost:
-                new_cost, new_res, nx, ny = c, rr, cx, cy
                 break
             t *= 0.5
-        if new_cost > cost or (nx == x and ny == y):
+        else:
             break
-        moved = math.hypot(nx - x, ny - y)
-        x, y, cost, res = nx, ny, new_cost, new_res
+        if cx == x and cy == y:
+            break
+        moved = hypot(cx - x, cy - y)
+        x, y, cost = cx, cy, c
         if moved < 1e-12:
             break
     return x, y
@@ -698,10 +710,11 @@ def brute_force_retrieve(
     if query.empty or query.cue is None:
         raise InputError("retrieve requires a non-empty query")
     best_idx, best, second = None, -1.0, 0.0
+    terms = _query_terms(query.cue)
     for i, e in enumerate(store.episodes):
         if e.item_type != query.item_type:
             continue
-        s = cue_similarity(query.cue, e.cue)
+        s = _similarity(terms, e.cue)
         if s > best:
             best_idx, second, best = i, best, s
         elif s > second:

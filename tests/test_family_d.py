@@ -1,3 +1,4 @@
+import hashlib
 import json
 import statistics
 
@@ -18,7 +19,7 @@ from hoardbench.envs.family_d import (
     _violations,
     run_family_d,
 )
-from hoardbench.harness import parse_config, run_grid
+from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.rng import Substream
 
@@ -304,7 +305,10 @@ def test_climb_with_huge_alphabet_keeps_memory_per_feature():
     _assert_climb_matches_reference(plan, known, alphabet, 2000, 12)
 
 
-def test_grid_builds_each_seeds_universe_once(monkeypatch):
+@pytest.fixture
+def universe_seeds(monkeypatch):
+    """The seed of every `_sample_universe` call in this process, from a
+    cold universe memo on."""
     seeds = []
 
     def counting(config, stream):
@@ -313,12 +317,43 @@ def test_grid_builds_each_seeds_universe_once(monkeypatch):
 
     monkeypatch.setattr(family_d, "_sample_universe", counting)
     _solvable_universe.cache_clear()
+    return seeds
+
+
+def test_grid_builds_each_seeds_universe_once(universe_seeds):
     config = parse_config(json.dumps({
         "family": "D", "seeds": "0..2", "ablations": ["single_agent"],
     }))
     result = run_grid(config, jobs=1)
     assert [c.record.status for c in result.cells] == ["completed"] * 6
-    assert seeds == [0, 1, 2]
+    assert universe_seeds == [0, 1, 2]
+
+
+# runs.jsonl of the coverage sweep below, recorded from the code that keyed
+# the universe memo on the whole env config and so built it per sweep value.
+COVERAGE_SWEEP_RUNS_SHA256 = "43e1170a3d9f56a1cfbbd219dff4f579664d1810b3262cfe5160bc51fcf3d394"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_over_a_key_the_universe_ignores_builds_it_once_per_seed(
+    jobs, universe_seeds, tmp_path
+):
+    config = parse_config(json.dumps({
+        "family": "D", "seeds": "0..2", "ablations": ["single_agent"],
+        "sweep": {"key": "coverage", "values": [0.3, 0.6]},
+    }))
+    result = run_grid(config, jobs=jobs)
+    assert [(c.variant, c.seed) for c in result.cells] == [
+        (f"{variant}@coverage={coverage}", seed)
+        for variant in ("baseline", "single_agent")
+        for coverage in (0.3, 0.6)
+        for seed in range(3)
+    ]
+    if jobs == 1:  # pool workers count into their own copy of the list
+        assert universe_seeds == [0, 1, 2]
+    write_report(result, tmp_path)
+    digest = hashlib.sha256((tmp_path / "runs.jsonl").read_bytes()).hexdigest()
+    assert digest == COVERAGE_SWEEP_RUNS_SHA256
 
 
 @pytest.mark.parametrize("mode, other", [

@@ -138,8 +138,8 @@ def test_cells_run_seed_major_and_come_back_variant_major(jobs, monkeypatch):
     if jobs == 1:  # pool workers record into their own copy of `ran`
         assert ran == [
             (horizon, seed, *switches)
-            for horizon in (20, 25)
             for seed in range(3)
+            for horizon in (20, 25)
             for switches in ((True, True), (False, True), (True, False))
         ]
 

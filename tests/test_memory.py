@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoardbench import memory
 from hoardbench.core.state import Action, InputError, Observation
+from hoardbench.envs.family_b import FamilyBConfig, run_family_b
+from hoardbench.ledger import CostLedger
 from hoardbench.memory import (
     BEARING_SCALE,
     COLLINEAR_TOL,
@@ -20,8 +23,10 @@ from hoardbench.memory import (
     MemoryStore,
     Query,
     StoreVariant,
+    _NO_PICK,
     _cue_anchor_positions,
     _decode,
+    _fold_best_two,
     _ring_cells,
     _flat_scores,
     brute_force_retrieve,
@@ -761,9 +766,10 @@ def test_grid_cell_clipping():
 # --- Python-float decode against the numpy-scalar form ------------------------
 
 
-def _numpy_scalar_decode(record, landmarks):
+def _numpy_scalar_decode(record, landmarks, stops=None):
     """Frozen copy of the decode that indexed numpy arrays: anchors as an
-    (3, 2) float64 array, ids looked up with `tuple.index`."""
+    (3, 2) float64 array, ids looked up with `tuple.index`. `stops`, when
+    given, collects why each solve that ended on its line search ended."""
     try:
         anchors = np.asarray(
             [
@@ -821,18 +827,24 @@ def _numpy_scalar_decode(record, landmarks):
         sy = (hxx * gy - hxy * gx) / det
         t = 1.0
         new_cost, new_res, nx, ny = cost, res, x, y
+        accepted = False
         for _ in range(20):
             cx, cy = x - t * sx, y - t * sy
             c, rr = cost_at(cx, cy)
             if c <= cost:
                 new_cost, new_res, nx, ny = c, rr, cx, cy
+                accepted = True
                 break
             t *= 0.5
         if new_cost > cost or (nx == x and ny == y):
+            if stops is not None:
+                stops.append("same point" if accepted else "no trial accepted")
             break
         moved = math.hypot(nx - x, ny - y)
         x, y, cost, res = nx, ny, new_cost, new_res
         if moved < 1e-12:
+            if stops is not None:
+                stops.append("moved")
             break
     return (x, y), False
 
@@ -886,7 +898,29 @@ _ON_ANCHOR = LandmarkSet((0, 1, 2, 3), np.array([[0.2, 0.3], [0.6, 0.1], [0.5, 0
 @example((_episode(0, 1, (0.2, 0.3), _ON_ANCHOR), _ON_ANCHOR))  # starts on an anchor
 def test_decode_is_bit_identical_to_numpy_scalar_form(case):
     record, current = case
-    assert _decode(record, current) == _numpy_scalar_decode(record, current)
+    assert _hex(_decode(record, current)) == _hex(_numpy_scalar_decode(record, current))
+
+
+def test_decode_of_a_real_query_phase_is_bit_identical(monkeypatch):
+    # Every decode of a 512-event B cell of each variant. Its converged
+    # solves end on line searches in which every trial point costs more, or
+    # the accepted one is the current point, which random cases rarely reach.
+    calls = []
+
+    def recording(record, landmarks):
+        calls.append((record, landmarks))
+        return _decode(record, landmarks)
+
+    monkeypatch.setattr(memory, "_decode", recording)
+    env = FamilyBConfig(n_events=512, landmark_drift=0.01, conflict_rate=0.5)
+    for variant in ("clustered", "flat"):
+        run_family_b(env, variant, CostLedger(), 0)
+    assert len(calls) == 1024
+    stops = []
+    for record, landmarks in calls:
+        expected = _numpy_scalar_decode(record, landmarks, stops)
+        assert _hex(_decode(record, landmarks)) == _hex(expected)
+    assert {"no trial accepted", "same point", "moved"} <= set(stops)
 
 
 def test_position_of_matches_index_lookup():
@@ -928,3 +962,102 @@ def test_memoized_snapshot_parse_matches_fresh_parse(picks, locations):
         assert memo.ids == fresh.ids
         assert memo.positions.tobytes() == fresh.positions.tobytes()
         assert store.episodes[-1].cue == encode_cue(loc, fresh)
+
+
+# --- The similarity rule, split into query terms and a scorer ------------------
+
+
+def _frozen_cue_similarity(a, b):
+    """Frozen copy of `cue_similarity` before it was split into the query's
+    terms and a scorer of one stored cue against them."""
+    total = 0.0
+    for j, qid in enumerate(a.landmark_ids):
+        qc, qs = math.cos(a.bearings[j]), math.sin(a.bearings[j])
+        for k, eid in enumerate(b.landmark_ids):
+            if qid != eid:
+                continue
+            dd = (b.distances[k] - a.distances[j]) / DIST_SCALE
+            dc = math.cos(b.bearings[k]) - qc
+            ds = math.sin(b.bearings[k]) - qs
+            total += math.exp(
+                -0.5 * (dd * dd + (dc * dc + ds * ds) / (BEARING_SCALE * BEARING_SCALE))
+            )
+            break
+    return total / 3
+
+
+_bearing = st.floats(-math.pi, math.pi) | st.sampled_from((0.0, -0.0, math.pi, -math.pi))
+_ID_POOL = tuple(range(7))
+
+
+@st.composite
+def _query_cue(draw):
+    ids = tuple(draw(st.permutations(_ID_POOL))[:3])
+    return CueVector(ids, tuple(draw(st.floats(0.0, 1.5)) for _ in ids),
+                     tuple(draw(_bearing) for _ in ids))
+
+
+@st.composite
+def _stored_cue(draw, query):
+    """A cue that shares 0 to 3 landmark ids with `query`, each shared id in
+    any slot; a shared landmark's distance and bearing are near the query's
+    or anywhere."""
+    shared = draw(st.integers(0, 3))
+    others = [i for i in _ID_POOL if i not in query.landmark_ids]
+    picked = list(draw(st.permutations(range(3)))[:shared])
+    ids = [query.landmark_ids[j] for j in picked] + others[: 3 - shared]
+    order = draw(st.permutations(range(3)))
+    distances, bearings = [], []
+    for slot in order:
+        if slot < shared and draw(st.booleans()):
+            j = picked[slot]
+            distances.append(query.distances[j] + draw(st.floats(-0.1, 0.1)))
+            bearings.append(query.bearings[j] + draw(st.floats(-0.5, 0.5)))
+        else:
+            distances.append(draw(st.floats(0.0, 1.5)))
+            bearings.append(draw(_bearing))
+    return CueVector(tuple(ids[slot] for slot in order), tuple(distances), tuple(bearings))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_cue_similarity_is_bit_identical_to_the_unsplit_rule(data):
+    query = data.draw(_query_cue())
+    stored = data.draw(_stored_cue(query))
+    for a, b in ((query, stored), (stored, query), (query, query)):
+        assert cue_similarity(a, b).hex() == _frozen_cue_similarity(a, b).hex()
+
+
+def _frozen_fold(store, cue, rows, picked):
+    best_idx, best, second = picked
+    for i in rows:
+        s = _frozen_cue_similarity(cue, store.episodes[i].cue)
+        if s > best:
+            best_idx, second, best = i, best, s
+        elif s > second:
+            second = s
+    return best_idx, best, second
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_fold_matches_the_unsplit_rule_and_keeps_the_first_of_equal_scores(data):
+    # Episodes repeat a few cues, so many scores are equal; the rows come in
+    # a shuffled order and in two folds, as ring after ring of a retrieve.
+    query = data.draw(_query_cue())
+    cues = data.draw(st.lists(_stored_cue(query), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(cues) - 1), min_size=1, max_size=12))
+    store = _store_with(
+        [EpisodeRecord(i, i, 1, 1.0, (0.5, 0.5), cues[k]) for i, k in enumerate(picks)]
+    )
+    rows = data.draw(st.permutations(range(len(picks))))
+    cut = data.draw(st.integers(0, len(rows)))
+    picked = _fold_best_two(store, query, rows[:cut], _NO_PICK)
+    picked = _fold_best_two(store, query, rows[cut:], picked)
+    expected = _frozen_fold(store, query, rows[:cut], _NO_PICK)
+    expected = _frozen_fold(store, query, rows[cut:], expected)
+    assert [v if isinstance(v, int) else v.hex() for v in picked] == [
+        v if isinstance(v, int) else v.hex() for v in expected
+    ]
+    scores = [_frozen_cue_similarity(query, store.episodes[i].cue) for i in rows]
+    assert picked[0] == rows[scores.index(max(scores))]

@@ -78,10 +78,15 @@ def test_seeds_and_workloads_default_to_all_workloads_at_seeds_0_to_2(capsys):
     args = tool.parse_args(["p", "c", "--seeds", "0..9", "--workloads", "b_archive", "d_verify"])
     assert args.seeds == tuple(range(10))
     assert args.workloads == ["b_archive", "d_verify"]
+    args = tool.parse_args(["p", "c", "--workloads", "b_archive,c_watched", "a_control"])
+    assert args.workloads == ["b_archive", "c_watched", "a_control"]
     assert tool.parse_args(["p", "c", "--seeds", "3,5"]).seeds == (3, 5)
     assert tool.parse_args(["p", "c", "--seeds", "4"]).seeds == (4,)
     for bad in (["--seeds", "5..2"], ["--seeds", "-1"], ["--seeds", "a..b"], ["--seeds", "1,"],
-                ["--workloads", "e_none"], ["--workloads"]):
+                ["--workloads", "e_none"], ["--workloads"], ["--workloads", "b_archive,"]):
         with pytest.raises(SystemExit):
             tool.parse_args(["p", "c", *bad])
     capsys.readouterr()
+    with pytest.raises(SystemExit):
+        tool.parse_args(["p", "c", "--workloads", "b_archive,e_none"])
+    assert "unknown workload 'e_none'" in capsys.readouterr().err

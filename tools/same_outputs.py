@@ -1,15 +1,16 @@
 """Check that two checkouts of hoardbench write the same outputs.
 
-    python3 tools/same_outputs.py PARENT CHANGE [--seeds 0..9] [--workloads b_archive ...]
+    python3 tools/same_outputs.py PARENT CHANGE [--seeds 0..9] [--workloads b_archive,c_watched]
 
 Runs `hoardbench run` from each checkout's `src` on the benchmark workloads
 of `perfbench/workloads.py` (this checkout's, imported and not run), all
-four unless `--workloads` names some, at seeds 0..2 unless `--seeds` gives a
-range (`0..9`) or a list (`3,5`), under `--jobs 1` and `--jobs 2`. It then
-compares every output file except timing.json, traces included, byte for
-byte: CHANGE's against PARENT's for the same workload, seed and jobs, and
-CHANGE's `--jobs 2` against its `--jobs 1`. resolved_config.json is compared
-up to its `output_dir`, which names the run's own directory.
+four unless `--workloads` names some (space- or comma-separated), at seeds
+0..2 unless `--seeds` gives a range (`0..9`) or a list (`3,5`), under
+`--jobs 1` and `--jobs 2`. It then compares every output file except
+timing.json, traces included, byte for byte: CHANGE's against PARENT's for
+the same workload, seed and jobs, and CHANGE's `--jobs 2` against its
+`--jobs 1`. resolved_config.json is compared up to its `output_dir`, which
+names the run's own directory.
 
 Every difference is printed. When runs.jsonl differs, so is each key path
 that differs inside its records, with list indices collapsed
@@ -135,14 +136,28 @@ def seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def workload_list(text: str) -> list[str]:
+    """Workload names from `A` or `A,B,...`, each one of `WORKLOADS`."""
+    names = text.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(map(repr, unknown))} "
+            f"(choose from {', '.join(WORKLOADS)})"
+        )
+    return names
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=seed_list, default=SEEDS)
-    parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS),
-                        default=list(WORKLOADS))
-    return parser.parse_args(argv)
+    parser.add_argument("--workloads", nargs="+", type=workload_list,
+                        default=[list(WORKLOADS)])
+    args = parser.parse_args(argv)
+    args.workloads = [name for names in args.workloads for name in names]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
