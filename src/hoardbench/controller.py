@@ -78,21 +78,19 @@ def predictive_compensate(
     delayed_vel: float,
     logged_actions: tuple[float, ...],
     delay: int,
-) -> tuple[float, float, int, bool]:
-    """Roll the delayed observation forward through the actions issued since.
+) -> tuple[float, float, int]:
+    """Roll the delayed observation forward through the last `delay` logged
+    actions, the ones issued since it was taken.
 
-    Returns (pos_now, vel_now, compute_cost, flagged). The compute cost is one
-    unit per simulated step. If the log does not cover the full delay window
-    the function falls back to the raw delayed state and flags the step.
+    Returns (pos_now, vel_now, compute_cost); the cost is one unit per
+    simulated step. A log shorter than the delay raises InputError.
     """
-    if delay == 0:
-        return delayed_pos, delayed_vel, 0, False
     if len(logged_actions) < delay:
-        return delayed_pos, delayed_vel, 0, True
+        raise InputError(f"action log of {len(logged_actions)} cannot cover a delay of {delay}")
     pos, vel = delayed_pos, delayed_vel
-    for a in logged_actions[-delay:]:
+    for a in logged_actions[len(logged_actions) - delay:]:
         pos, vel = dynamics(pos, vel, a)
-    return pos, vel, delay, False
+    return pos, vel, delay
 
 
 def open_loop_plan(

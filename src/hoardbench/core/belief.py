@@ -57,13 +57,7 @@ class Belief:
     action_log: tuple[float, ...]
     reconstructed_embodied: EmbodiedState
     delayed_embodied: EmbodiedState
-    step: int
     last_compute: int = 0
-    flagged: bool = False
-
-    def latent(self, config: BeliefConfig, name: str) -> tuple[float, float]:
-        i = config.latent_names.index(name)
-        return float(self.latent_mean[i]), float(self.latent_variance[i])
 
 
 def initial_belief(config: BeliefConfig, start: EmbodiedState) -> Belief:
@@ -77,7 +71,6 @@ def initial_belief(config: BeliefConfig, start: EmbodiedState) -> Belief:
         action_log=(),
         reconstructed_embodied=start,
         delayed_embodied=start,
-        step=0,
     )
 
 
@@ -125,13 +118,12 @@ def update_belief(
         delayed_embodied = EmbodiedState._trusted((p,), (v,))
 
     kappa = 0
-    flagged = False
     reconstructed = delayed_embodied
     if config.compensate and delivered is not None:
+        # A delivery means more than `delay` updates so far, one log entry
+        # each, so the log covers the delay window.
         p0, v0 = delayed_embodied.scalar()
-        p, v, kappa, flagged = predictive_compensate(
-            config.dynamics, p0, v0, log, config.delay
-        )
+        p, v, kappa = predictive_compensate(config.dynamics, p0, v0, log, config.delay)
         reconstructed = EmbodiedState._trusted((p,), (v,))
 
     # Evidence rides the sensor stream: the posterior moves when an
@@ -153,7 +145,4 @@ def update_belief(
             mean[i] = est.mean
             var[i] = est.variance
 
-    return Belief._trusted(
-        mean, var, buffer, log, reconstructed, delayed_embodied,
-        belief.step + 1, kappa, flagged,
-    )
+    return Belief._trusted(mean, var, buffer, log, reconstructed, delayed_embodied, kappa)

@@ -8,19 +8,11 @@ that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from ..controller import ControllerConfig, pd_feedback
-from ..memory import (
-    EMPTY_QUERY,
-    CueVector,
-    LandmarkSet,
-    Query,
-    Retrieval,
-    encode_cue,
-    encode_cues,
-)
+from ..memory import CueVector, LandmarkSet, Query, Retrieval, encode_cue, encode_cues
 from ..rng import Substream
 from ..trusted import trusted
 from .belief import Belief
@@ -39,14 +31,15 @@ class PolicyContext:
 
     `observer_estimate` is the adversary belief an observer-aware agent reads
     (None for observer-unaware agents); `landmark_estimates` are the agent's
-    current landmark fixes used for cue formation.
+    current landmark fixes used for cue formation; `option_schema` is the
+    environment's option schema, which admits no option until it is given.
     """
 
     rng: Substream
     controller: ControllerConfig | None = None
     observer_estimate: object | None = None
     landmark_estimates: LandmarkSet | None = None
-    option_schema: dict | None = None
+    option_schema: dict = field(default_factory=dict)
 
 
 @runtime_checkable
@@ -72,10 +65,9 @@ class PrimitivePolicy(Protocol):
 @trusted
 @dataclass(frozen=True)
 class ActOutcome:
-    """Primitive action plus its reported compute burden."""
+    """Primitive action, and whether its force was clamped to the bound."""
 
     action: Action
-    compute: float = 0.0
     clamped: bool = False
 
 
@@ -102,21 +94,25 @@ def select_option(
     return validate_option(option, ctx.option_schema)
 
 
+def _query_landmarks(options: list[OptionChoice], ctx: PolicyContext) -> LandmarkSet:
+    """The landmarks to encode the options' cues against, once every option
+    is shown to be one that touches memory."""
+    if any(o.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE) for o in options):
+        raise ConfigurationError("query formation takes cache and retrieve options only")
+    if ctx.landmark_estimates is None:
+        raise ConfigurationError("query formation requires landmark estimates")
+    return ctx.landmark_estimates
+
+
 def form_query(
     belief: Belief | None, option: OptionChoice, ctx: PolicyContext, cue: CueVector | None = None
 ) -> Query:
-    """Derive the retrieval query induced by the current belief and option.
-
-    Only cache and retrieve options touch memory; every other option kind
-    maps to the distinguished empty query. A caller that has encoded the
+    """Derive the retrieval query of a cache or retrieve option; any other
+    option kind raises ConfigurationError. A caller that has encoded the
     option's location already, as `form_queries` does for a batch, passes
     the cue as `cue`.
     """
-    if option.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE):
-        return EMPTY_QUERY
-    landmarks = ctx.landmark_estimates
-    if landmarks is None:
-        raise ConfigurationError("query formation requires landmark estimates")
+    landmarks = _query_landmarks([option], ctx)
     if cue is None:
         cue = encode_cue((option.params["x"], option.params["y"]), landmarks)
     return Query(item_type=int(option.params["item_type"]), cue=cue)
@@ -127,11 +123,7 @@ def form_queries(
 ) -> list[Query]:
     """`form_query` of each cache or retrieve option, with all their cues
     encoded in one pass."""
-    if any(o.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE) for o in options):
-        raise ConfigurationError("batched query formation takes cache and retrieve options only")
-    landmarks = ctx.landmark_estimates
-    if landmarks is None:
-        raise ConfigurationError("query formation requires landmark estimates")
+    landmarks = _query_landmarks(options, ctx)
     cues = encode_cues([(o.params["x"], o.params["y"]) for o in options], landmarks)
     return [form_query(belief, o, ctx, cue) for o, cue in zip(options, cues)]
 
@@ -181,11 +173,11 @@ class StabilizingController:
                 est = belief.delayed_embodied
             err, err_rate = est.scalar()
             force, clamped = pd_feedback(cfg, err, err_rate)
-            return ActOutcome._trusted(Action._trusted("force", {"force": force}), 0.0, clamped)
+            return ActOutcome._trusted(Action._trusted("force", {"force": force}), clamped)
         if self.schedule:
             force = self.schedule.pop(0)
             bounded = max(-cfg.action_bound, min(cfg.action_bound, force))
             return ActOutcome._trusted(
-                Action._trusted("force", {"force": bounded}), 0.0, bounded != force
+                Action._trusted("force", {"force": bounded}), bounded != force
             )
-        return ActOutcome._trusted(Action._trusted("force", {"force": 0.0}), 0.0, False)
+        return ActOutcome._trusted(Action._trusted("force", {"force": 0.0}), False)

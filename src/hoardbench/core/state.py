@@ -3,7 +3,7 @@
 This file is the contract between the agent side (beliefs, policies) and the
 environment side (ground truth, physics). The split is deliberate: policies
 are handed `Belief`, `Retrieval`, and `OptionChoice` objects only, never the
-ground-truth `LatentParams` an environment keeps.
+ground-truth latents an environment keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..trusted import trusted
 
 
 # ---------------------------------------------------------------------------
-# Embodied / latent / task state
+# Embodied state
 # ---------------------------------------------------------------------------
 
 
@@ -43,45 +43,6 @@ class EmbodiedState:
         return self.position[0], self.velocity[0]
 
 
-@dataclass(frozen=True)
-class LatentSpec:
-    """Declared names and closed ranges for hidden environment parameters."""
-
-    names: tuple[str, ...]
-    lows: tuple[float, ...]
-    highs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not (len(self.names) == len(self.lows) == len(self.highs)):
-            raise ConfigurationError("latent spec fields must have equal length")
-        for name, lo, hi in zip(self.names, self.lows, self.highs):
-            if not lo <= hi:
-                raise ConfigurationError(f"latent {name!r}: empty range [{lo}, {hi}]")
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-
-@dataclass(frozen=True)
-class LatentParams:
-    """Ground-truth hidden values. Environment-side only; policies never see this."""
-
-    spec: LatentSpec
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.spec.names):
-            raise InputError("latent value count does not match spec")
-        for name, lo, hi, v in zip(
-            self.spec.names, self.spec.lows, self.spec.highs, self.values
-        ):
-            if not (lo <= v <= hi):
-                raise InputError(f"latent {name!r}={v} outside [{lo}, {hi}]")
-
-    def get(self, name: str) -> float:
-        return self.values[self.spec.index(name)]
-
-
 # ---------------------------------------------------------------------------
 # Options
 # ---------------------------------------------------------------------------
@@ -94,24 +55,7 @@ class OptionKind(str, Enum):
     RETRIEVE = "retrieve"
     CONCEAL = "conceal"
     PROPOSE = "propose"
-    EXECUTE = "execute"
-    CHECK = "check"
-    PROBE = "probe"
 
-
-# Parameter keys each option kind carries by default. Environments may narrow
-# or extend this via their own schema; validation always uses exact key sets.
-DEFAULT_OPTION_SCHEMA: dict[OptionKind, tuple[str, ...]] = {
-    OptionKind.LAUNCH: ("offset", "impulse"),
-    OptionKind.STABILIZE: (),
-    OptionKind.CACHE: ("x", "y", "item_type", "item_value"),
-    OptionKind.RETRIEVE: ("item_type", "x", "y"),
-    OptionKind.CONCEAL: ("steps",),
-    OptionKind.PROPOSE: (),
-    OptionKind.EXECUTE: (),
-    OptionKind.CHECK: (),
-    OptionKind.PROBE: ("count",),
-}
 
 @dataclass(frozen=True)
 class OptionChoice:
@@ -125,10 +69,10 @@ class OptionChoice:
 
 
 def validate_option(
-    option: OptionChoice, schema: dict[OptionKind, tuple[str, ...]] | None = None
+    option: OptionChoice, schema: dict[OptionKind, tuple[str, ...]]
 ) -> OptionChoice:
-    """Check the option kind and its exact parameter key set against a schema."""
-    schema = schema or DEFAULT_OPTION_SCHEMA
+    """Check the option kind and its exact parameter key set against an
+    environment's schema, which maps each admitted kind to its keys."""
     if option.kind not in schema:
         raise ConfigurationError(f"option kind {option.kind} not in environment schema")
     expected = set(schema[option.kind])

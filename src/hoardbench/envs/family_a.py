@@ -37,8 +37,6 @@ from ..core.state import (
     ConfigurationError,
     EmbodiedState,
     LatentEvidence,
-    LatentParams,
-    LatentSpec,
     Observation,
     OptionChoice,
     OptionKind,
@@ -130,7 +128,6 @@ class LaunchPlanner:
 
     def __init__(self, config: FamilyAConfig):
         self._config = config
-        self.last_scan_cost = 0
 
     def select(self, belief: Belief, ctx: PolicyContext) -> OptionChoice:
         cfg = self._config
@@ -141,7 +138,6 @@ class LaunchPlanner:
             err = abs(predicted_landing_error(cfg, z_hat, offset))
             if err < best_err:
                 best_offset, best_err = offset, err
-        self.last_scan_cost = cfg.launch_grid
         return OptionChoice(
             OptionKind.LAUNCH, {"offset": best_offset, "impulse": cfg.impulse}
         )
@@ -169,7 +165,6 @@ def run_family_a(
     )
     # Checks the goal: the trial reached and held the tolerance window.
     sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
-    latent_spec = LatentSpec(("compliance",), (0.0,), (1.0,))
     planner = check_policy(LaunchPlanner(env), OptionPolicy)
     ctx = PolicyContext(
         rng=streams.agent,
@@ -194,14 +189,14 @@ def run_family_a(
             z = min(env.z_range[1], max(env.z_range[0], z + env.z_drift * float(streams.env.normal())))
         else:
             z = float(streams.env.uniform(env.z_range[0], env.z_range[1]))
-        truth_latent = LatentParams(latent_spec, (z,))
 
-        # Launch: one macro-decision, then physics fixes the landing error.
+        # Launch: one macro-decision, scanning the whole offset grid, then
+        # physics fixes the landing error.
         launch = select_option(planner, belief, ctx)
-        scan_kappa += planner.last_scan_cost
+        scan_kappa += env.launch_grid
         offset = launch.params["offset"]
         impulse = launch.params["impulse"]
-        speed = impulse * (1.0 - truth_latent.get("compliance") * offset * offset)
+        speed = impulse * (1.0 - z * offset * offset)
         e = speed - env.gap_scale * (1.0 - offset)
         edot = 0.0
 

@@ -264,6 +264,17 @@ def _variant_label(name: str, sweep_key: str | None, sweep_value) -> str:
     return f"{name}@{sweep_key}={sweep_value}"
 
 
+def _variant_table(config: ExperimentConfig) -> dict[str, tuple[str, dict, object]]:
+    """Every variant label of the grid, in report order (variant, then sweep
+    value), mapped to its variant name, agent and sweep value."""
+    sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
+    return {
+        _variant_label(name, config.sweep_key, value): (name, agent, value)
+        for name, agent in variant_agents(config)
+        for value in sweep_values
+    }
+
+
 @dataclass
 class CellResult:
     """One finished cell. `trace` is its step trace while it is one of the
@@ -459,8 +470,8 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(resolved_document(config), indent=2, sort_keys=True) + "\n"
     )
 
-    variant_order = _variant_order(config)
-    position = {label: i for i, label in enumerate(variant_order)}
+    variants = _variant_table(config)
+    position = {label: i for i, label in enumerate(variants)}
     ordered = sorted(result.cells, key=lambda c: (position[c.variant], c.seed))
     by_variant = {}
     for cell in ordered:
@@ -480,15 +491,15 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         for cell in ordered:
             fh.write(cell.record.to_json_line() + "\n")
 
-    baseline_key = variant_order[0].split("@")[0]
-
     rows = []
     for variant, records in by_variant.items():
         completed = [r for r in records if r.status != STATUS_FAILED]
         if len(completed) < 2:
             continue
-        base_label = variant.replace(variant.split("@")[0], baseline_key, 1)
-        baseline = by_variant.get(base_label) if variant != base_label else None
+        name, _, sweep_value = variants[variant]
+        baseline = None
+        if name != "baseline":
+            baseline = by_variant.get(_variant_label("baseline", config.sweep_key, sweep_value))
         for metric in _numeric_metrics(completed):
             values = [_metric_or_nan(r, metric) for r in completed]
             values = [v for v in values if v == v]
@@ -536,7 +547,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds, write_seconds = _write_failures(result, by_variant, out, reuse)
+    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, out, reuse)
 
     cell_seconds: dict[str, dict[str, float]] = {}
     for cell in ordered:
@@ -560,15 +571,6 @@ def _metric_or_nan(record: RunRecord, metric: str) -> float:
         return float("nan")
 
 
-def _variant_order(config: ExperimentConfig) -> list[str]:
-    sweep_values = config.sweep_values if config.sweep_key is not None else (None,)
-    order = []
-    for variant, _ in variant_agents(config):
-        for sweep_value in sweep_values:
-            order.append(_variant_label(variant, config.sweep_key, sweep_value))
-    return order
-
-
 def _rank(record: RunRecord) -> tuple[float, int]:
     """Where a completed run stands among its variant's in failures.md:
     highest objective first, then lowest seed. Seeds are unique within a
@@ -588,18 +590,18 @@ def _trace_path(variant: str, seed: int) -> Path:
 
 
 def _write_failures(
-    result: ResultSet, by_variant: dict, out: Path, reuse: bool
+    result: ResultSet, variants: dict, by_variant: dict, out: Path, reuse: bool
 ) -> tuple[float, float]:
     """List the worst completed runs per variant, by `_rank`, each with a
     trace file, and the error of every failed cell. A listed cell's trace is
     the one the grid kept or, with `reuse`, the file already there. Results
     read back by `load_result_set` carry no traces, so for them a missing
     file is recorded by re-running the cell (determinism makes the replay
-    exact). Returns the seconds spent on re-runs, their trace files
-    included, and the seconds spent encoding and writing trace files."""
+    exact); `variants` is `_variant_table` of the config. Returns the
+    seconds spent on re-runs, their trace files included, and the seconds
+    spent encoding and writing trace files."""
     config = result.config
     lines = ["# Representative failures", ""]
-    agents = dict(variant_agents(config))
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
     replay_seconds = write_seconds = 0.0
     for variant, records in by_variant.items():
@@ -617,11 +619,7 @@ def _write_failures(
             lines.append("(no completed runs)")
             lines.append("")
             continue
-        base_name = variant.split("@")[0]
-        sweep_value = None
-        if "@" in variant:
-            raw_value = variant.split("=", 1)[1]
-            sweep_value = _coerce_sweep_value(config, raw_value)
+        _, agent, sweep_value = variants[variant]
         for record in worst:
             rel = _trace_path(variant, record.seed)
             path = out / rel
@@ -632,7 +630,7 @@ def _write_failures(
             try:
                 if replay:
                     trace = Trace()
-                    run_one(config, agents[base_name], record.seed, sweep_value, trace)
+                    run_one(config, agent, record.seed, sweep_value, trace)
                 if trace is not None:
                     write_started = time.monotonic()
                     path.parent.mkdir(parents=True, exist_ok=True)
@@ -652,13 +650,6 @@ def _write_failures(
         lines.append("")
     (out / "failures.md").write_text("\n".join(lines) + "\n")
     return replay_seconds, write_seconds
-
-
-def _coerce_sweep_value(config: ExperimentConfig, raw: str):
-    for v in config.sweep_values or ():
-        if str(v) == raw:
-            return v
-    return raw
 
 
 def _safe(name: str) -> str:

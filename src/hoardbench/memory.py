@@ -19,11 +19,14 @@ the current, possibly drifted, landmark positions of its three ids by
 least-squares trilateration.
 
 `cue_similarity` is the one scoring rule: the query's terms, computed once
-per query, scored against each stored cue. The clustered path folds it over
-the few episodes it probes (about 4 per query), where numpy's per-call set-up
-would cost more than the arithmetic; the flat path scores every same-type
-episode at once with `_flat_scores`, its vectorized form over an inverted
-landmark index, which tests pin to the rule through `brute_force_retrieve`.
+per query, scored against each stored cue. A retrieval answers with the
+best-scoring episode of the query's type (the first of equal scores), its
+decoded location and the probes spent. The clustered path folds the rule
+over the few episodes it probes (about 4 per query), keeping the running
+best, where numpy's per-call set-up would cost more than the arithmetic; the
+flat path scores every same-type episode at once with `_flat_scores`, its
+vectorized form over an inverted landmark index, which tests pin to the rule
+through `brute_force_retrieve`.
 
 Writes that need no result of one another go through `write_many`, which
 encodes their cues in one `encode_cues` pass and stores each through
@@ -51,7 +54,6 @@ DIST_SCALE = 0.05
 BEARING_SCALE = 0.5
 BEARING_SCALE2 = BEARING_SCALE * BEARING_SCALE
 COLLINEAR_TOL = 1e-6
-DEGENERATE_CONFIDENCE = 0.5
 # Clustered retrieval stops expanding its cell search once a candidate this
 # strong has been seen; an uncorrupted cue scores 1.0.
 EARLY_STOP_SCORE = 0.5
@@ -320,25 +322,19 @@ class EpisodeRecord:
 class Query:
     """Retrieval probe: item type and a cue."""
 
-    item_type: int | None = None
-    cue: CueVector | None = None
-
-    @property
-    def empty(self) -> bool:
-        return self.item_type is None and self.cue is None
-
-
-EMPTY_QUERY = Query()
+    item_type: int
+    cue: CueVector
 
 
 @dataclass(frozen=True)
 class Retrieval:
-    """Result of a memory probe, with structural latency accounting."""
+    """Result of a memory probe: the best episode of the query's type and its
+    decoded location, both None when the store holds none of that type, and
+    the probes spent finding it."""
 
     episode: EpisodeRecord | None
     decoded_location: tuple[float, float] | None
     probes_used: int
-    confidence: float
 
 
 def grid_cell(location: tuple[float, float]) -> tuple[int, int]:
@@ -475,67 +471,58 @@ def write_many(
     return store
 
 
-# (best episode index, best score, second score) before any candidate.
-_NO_PICK: tuple[int | None, float, float] = (None, -1.0, 0.0)
+# (best episode index, best score) before any candidate.
+_NO_PICK: tuple[int | None, float] = (None, -1.0)
 
 
-def _fold_best_two(
+def _fold_best(
     store: MemoryStore, cue: CueVector, rows: list[int], picked: tuple
-) -> tuple[int | None, float, float]:
+) -> tuple[int | None, float]:
     """Fold `cue_similarity` over episode indices, in probe order, into the
-    running `picked` (best index, best score, second score); the first of
-    equal scores wins. The query's terms are computed once per fold."""
-    best_idx, best, second = picked
+    running `picked` (best index, best score); the first of equal scores
+    wins. The query's terms are computed once per fold."""
+    best_idx, best = picked
     episodes = store.episodes
     terms = _query_terms(cue)
     for i in rows:
         s = _similarity(terms, episodes[i].cue)
         if s > best:
-            best_idx, second, best = i, best, s
-        elif s > second:
-            second = s
-    return best_idx, best, second
+            best_idx, best = i, s
+    return best_idx, best
 
 
 def _finish(
-    store: MemoryStore, picked: tuple, probes: int, current_landmarks: LandmarkSet
+    store: MemoryStore, best_idx: int, probes: int, current_landmarks: LandmarkSet
 ) -> Retrieval:
     store.probe_counter += probes
-    best_idx, best, second = picked
-    second = max(second, 0.0)
     episode = store.episodes[best_idx]
-    confidence = 1.0 if best <= 0.0 else max(0.0, min(1.0, (best - second) / best))
-    decoded, degenerate = _decode(episode, current_landmarks)
-    if degenerate:
-        confidence = min(confidence, DEGENERATE_CONFIDENCE)
-    return Retrieval(episode, decoded, probes, confidence)
+    return Retrieval(episode, _decode(episode, current_landmarks), probes)
+
+
+def _check_query(query: Query) -> None:
+    if query.item_type is None or query.cue is None:
+        raise InputError("query must carry an item type and a cue")
 
 
 def retrieve(
     store: MemoryStore, query: Query, current_landmarks: LandmarkSet
 ) -> Retrieval:
-    """Answer a non-empty query against the store's access structure."""
-    if query.empty:
-        raise InputError("retrieve requires a non-empty query")
-    if query.cue is None or query.item_type is None:
-        raise InputError("query must carry an item type and a cue")
+    """Answer a query against the store's access structure."""
+    _check_query(query)
 
     if store.variant is StoreVariant.FLAT:
         index = store._type_index(query.item_type)
         count = len(index.episodes)
         if not count:
-            return Retrieval(None, None, 0, 0.0)
-        scores = _flat_scores(index, query.cue)
-        best_pos = int(np.argmax(scores))
-        second = float(np.partition(scores, -2)[-2]) if count > 1 else 0.0
-        picked = (index.episodes[best_pos], float(scores[best_pos]), second)
-        return _finish(store, picked, count, current_landmarks)
+            return Retrieval(None, None, 0)
+        best_pos = int(np.argmax(_flat_scores(index, query.cue)))
+        return _finish(store, index.episodes[best_pos], count, current_landmarks)
 
     # Clustered: predict the target location from the query cue, then probe
     # grid cells outward by Chebyshev ring until candidates appear.
     bucket = store.index.get(query.item_type, {})
     if not bucket:
-        return Retrieval(None, None, 0, 0.0)
+        return Retrieval(None, None, 0)
     rank = store._id_to_index
     anchors, ok = _cue_anchor_positions(query.cue, current_landmarks)
     predicted = None
@@ -547,9 +534,8 @@ def retrieve(
         # No usable geometry: fall back to scanning the type bucket in
         # deterministic row-major cell order.
         rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
-        picked = _fold_best_two(store, query.cue, rows, _NO_PICK)
-        ret = _finish(store, picked, len(rows), current_landmarks)
-        return replace(ret, confidence=min(ret.confidence, DEGENERATE_CONFIDENCE))
+        best_idx, _ = _fold_best(store, query.cue, rows, _NO_PICK)
+        return _finish(store, best_idx, len(rows), current_landmarks)
 
     # Probe cells outward from the predicted location, nearest ring first.
     # Stop as soon as a strong match appears (the predicted cell almost
@@ -560,11 +546,11 @@ def retrieve(
     picked, probes = _NO_PICK, 0
     for ring in range(GRID_DIV + 1):
         rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
-        picked = _fold_best_two(store, query.cue, rows, picked)
+        picked = _fold_best(store, query.cue, rows, picked)
         probes += len(rows)
         if picked[1] >= EARLY_STOP_SCORE or (ring >= 1 and probes > 0):
             break
-    return _finish(store, picked, probes, current_landmarks)
+    return _finish(store, picked[0], probes, current_landmarks)
 
 
 def _ring_cells(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:
@@ -676,27 +662,22 @@ def _range_least_squares(
     return x, y
 
 
-def _decode(
-    record: EpisodeRecord, current_landmarks: LandmarkSet
-) -> tuple[tuple[float, float], bool]:
+def _decode(record: EpisodeRecord, current_landmarks: LandmarkSet) -> tuple[float, float]:
+    """Re-derive a stored location from its cue under current landmarks; the
+    stored location itself when the set lacks one of the cue's landmarks or
+    they are collinear."""
     anchors, ok = _cue_anchor_positions(record.cue, current_landmarks)
     if not ok:
-        return record.location, True
+        return record.location
     (x0, y0), (x1, y1), (x2, y2) = anchors
     cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
     if abs(cross) < COLLINEAR_TOL:
-        # Collinear anchors: fall back to the stored absolute location.
-        return record.location, True
+        return record.location
     init = _bearing_fix(record.cue, anchors)
-    return _range_least_squares(record.cue, anchors, init), False
+    return _range_least_squares(record.cue, anchors, init)
 
 
-def decode_location(
-    record: EpisodeRecord, current_landmarks: LandmarkSet
-) -> tuple[float, float]:
-    """Re-derive a stored location from its cue under current landmarks."""
-    point, _ = _decode(record, current_landmarks)
-    return point
+decode_location = _decode
 
 
 def brute_force_retrieve(
@@ -707,23 +688,16 @@ def brute_force_retrieve(
     Shares only the scoring rule with the production paths; used as the
     oracle for equivalence checks. Does not touch the probe counter.
     """
-    if query.empty or query.cue is None:
-        raise InputError("retrieve requires a non-empty query")
-    best_idx, best, second = None, -1.0, 0.0
+    _check_query(query)
+    best_idx, best = None, -1.0
     terms = _query_terms(query.cue)
     for i, e in enumerate(store.episodes):
         if e.item_type != query.item_type:
             continue
         s = _similarity(terms, e.cue)
         if s > best:
-            best_idx, second, best = i, best, s
-        elif s > second:
-            second = s
+            best_idx, best = i, s
     if best_idx is None:
-        return Retrieval(None, None, 0, 0.0)
+        return Retrieval(None, None, 0)
     episode = store.episodes[best_idx]
-    confidence = max(0.0, min(1.0, (best - max(second, 0.0)) / best)) if best > 0 else 1.0
-    decoded, degenerate = _decode(episode, current_landmarks)
-    if degenerate:
-        confidence = min(confidence, DEGENERATE_CONFIDENCE)
-    return Retrieval(episode, decoded, 0, confidence)
+    return Retrieval(episode, _decode(episode, current_landmarks), 0)

@@ -63,11 +63,10 @@ ObservedEvent = SawCache | SawPresence | SawNothing
 @trusted
 @dataclass(frozen=True)
 class ObserverBelief:
-    """Probability mass over grid cells; sums to one once evidence or a prior
-    exists, zero before initialization."""
+    """Probability mass over grid cells, summing to one, and the rate at
+    which quiet steps diffuse it toward uniform."""
 
     grid: np.ndarray
-    observations_seen: int = 0
     diffusion_rate: float = 0.0
 
     def __post_init__(self):
@@ -81,14 +80,7 @@ class ObserverBelief:
     @classmethod
     def uniform(cls, diffusion_rate: float = 0.0) -> "ObserverBelief":
         n = OBSERVER_GRID * OBSERVER_GRID
-        return cls(np.full((OBSERVER_GRID, OBSERVER_GRID), 1.0 / n), 0, diffusion_rate)
-
-    @classmethod
-    def empty(cls, diffusion_rate: float = 0.0) -> "ObserverBelief":
-        return cls(np.zeros((OBSERVER_GRID, OBSERVER_GRID)), 0, diffusion_rate)
-
-    def total_mass(self) -> float:
-        return float(self.grid.sum())
+        return cls(np.full((OBSERVER_GRID, OBSERVER_GRID), 1.0 / n), diffusion_rate)
 
     def mass_at(self, cell: Cell) -> float:
         return float(self.grid[cell[0], cell[1]])
@@ -125,14 +117,11 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     """Condition the belief on one sighting event and renormalize.
 
     The result is built without `ObserverBelief`'s checks: its grid is the
-    checked 20x20 grid of `belief` (or a uniform one) times non-negative
-    factors, divided by a positive total, and the rate is `belief`'s.
+    checked 20x20 grid of `belief` times non-negative factors, divided by a
+    positive total, and the rate is `belief`'s. With rate 0 a quiet step
+    returns `belief` itself.
     """
     grid = belief.grid
-    if belief.total_mass() == 0.0:
-        # No prior yet: initialize to uniform before conditioning.
-        grid = np.full_like(grid, 1.0 / grid.size)
-
     if isinstance(event, SawCache):
         cell = _check_cell(event.cell)
         grid = _sighting_update(grid, cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
@@ -143,7 +132,7 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
         rate = belief.diffusion_rate
         if rate == 0.0:
             # Exact identity; skip the renormalization round-off.
-            return ObserverBelief._trusted(belief.grid, belief.observations_seen + 1, rate)
+            return belief
         grid = (1.0 - rate) * grid + rate / grid.size
     else:
         raise InputError(f"unknown observed event {event!r}")
@@ -151,9 +140,7 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     total = grid.sum()
     if total <= 0:
         raise InputError("observer update produced zero total mass")
-    return ObserverBelief._trusted(
-        grid / total, belief.observations_seen + 1, belief.diffusion_rate
-    )
+    return ObserverBelief._trusted(grid / total, belief.diffusion_rate)
 
 
 @functools.lru_cache(maxsize=1)

@@ -63,7 +63,8 @@ class Substream:
 
 
 class RunStreams:
-    """The full substream bundle for one run."""
+    """The substreams one run draws from. The report's bootstrap draws from
+    its own `Substream(seed, "bootstrap")`."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
@@ -71,11 +72,10 @@ class RunStreams:
         self.agent = Substream(seed, "agent")
         self.adversary = Substream(seed, "adversary")
         self.verifier = Substream(seed, "verifier")
-        self.bootstrap = Substream(seed, "bootstrap")
 
     def draw_counts(self) -> dict[str, int]:
         """Snapshot of per-stream draw-call counts, for ablation-purity checks."""
         return {
             name: getattr(self, name).draws
-            for name in ("env", "agent", "adversary", "verifier", "bootstrap")
+            for name in ("env", "agent", "adversary", "verifier")
         }

@@ -1,6 +1,7 @@
 import pytest
 
-from hoardbench.controller import double_integrator
+from hoardbench.controller import double_integrator, predictive_compensate
+from hoardbench.core import belief as belief_module
 from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
 from hoardbench.core.state import (
     Action,
@@ -11,6 +12,7 @@ from hoardbench.core.state import (
     Observation,
     SchemaError,
 )
+from hoardbench.rng import Substream
 
 KEYS = ("error", "error_rate")
 
@@ -150,3 +152,30 @@ def test_compensation_cost_reported():
     for t in range(6):
         belief = update_belief(belief, _obs(0.0, 0.0), NOOP, cfg_off)
     assert belief.last_compute == 0
+
+
+@pytest.mark.parametrize("delay", range(9))
+def test_compensation_runs_once_an_observation_is_delivered(delay, monkeypatch):
+    # The observation of update t is delivered at update t + delay, and the
+    # action log gains one entry per update, so by the first delivery the
+    # log covers the delay window and compensation never meets a short log.
+    logs = []
+
+    def recording(dynamics, pos, vel, log, d):
+        logs.append(len(log))
+        return predictive_compensate(dynamics, pos, vel, log, d)
+
+    monkeypatch.setattr(belief_module, "predictive_compensate", recording)
+    cfg = _config(delay=delay)
+    stream = Substream(delay, "agent")
+    belief = initial_belief(cfg, EmbodiedState((0.1,), (0.0,)))
+    for t in range(1, 3 * (delay + 1) + 1):
+        e, v, force = (float(x) for x in stream.normal(0.0, 1.0, size=3))
+        belief = update_belief(belief, _obs(e, v), Action("force", {"force": force}), cfg)
+        delivered = t > delay
+        assert len(logs) == max(0, t - delay)
+        assert belief.last_compute == (delay if delivered else 0)
+        if delivered:
+            assert logs[-1] >= delay
+        else:
+            assert belief.reconstructed_embodied == belief.delayed_embodied

@@ -12,7 +12,7 @@ from hoardbench.controller import (
     predictive_compensate,
     rls_update,
 )
-from hoardbench.core.state import ConfigurationError
+from hoardbench.core.state import ConfigurationError, InputError
 from hoardbench.rng import Substream
 
 
@@ -66,9 +66,10 @@ def test_non_finite_gains_rejected_by_name(key, value):
 
 def test_compensate_identity_at_zero_delay():
     dyn = double_integrator(0.05)
-    pos, vel, cost, flagged = predictive_compensate(dyn, 0.3, -0.1, (), 0)
+    pos, vel, cost = predictive_compensate(dyn, 0.3, -0.1, (), 0)
     assert (pos, vel) == (0.3, -0.1)
-    assert cost == 0 and not flagged
+    assert cost == 0
+    assert predictive_compensate(dyn, 0.3, -0.1, (5.0,), 0) == (0.3, -0.1, 0)
 
 
 def test_compensate_matches_stepwise_simulation():
@@ -77,17 +78,18 @@ def test_compensate_matches_stepwise_simulation():
     e, v = 0.4, 0.2
     for a in actions:
         e, v = dyn(e, v, a)
-    pos, vel, cost, flagged = predictive_compensate(dyn, 0.4, 0.2, actions, 5)
+    pos, vel, cost = predictive_compensate(dyn, 0.4, 0.2, actions, 5)
     assert pos == pytest.approx(e, abs=1e-9)
     assert vel == pytest.approx(v, abs=1e-9)
-    assert cost == 5 and not flagged
+    assert cost == 5
+    # Only the last `delay` actions are rolled through.
+    assert predictive_compensate(dyn, 0.4, 0.2, (9.0,) + actions, 5) == (pos, vel, 5)
 
 
-def test_compensate_insufficient_log_falls_back_and_flags():
+def test_compensate_rejects_a_log_shorter_than_the_delay():
     dyn = double_integrator(0.05)
-    pos, vel, cost, flagged = predictive_compensate(dyn, 0.4, 0.2, (1.0,), 3)
-    assert (pos, vel) == (0.4, 0.2)
-    assert cost == 0 and flagged
+    with pytest.raises(InputError, match="delay of 3"):
+        predictive_compensate(dyn, 0.4, 0.2, (1.0,), 3)
 
 
 def test_compensate_bias_matches_analytic_propagation():
@@ -108,7 +110,7 @@ def test_compensate_bias_matches_analytic_propagation():
     e, v = 0.1, 0.0
     for a in actions:
         e, v = true_dyn(e, v, a)
-    est_p, est_v, cost, _ = predictive_compensate(belief_dyn, 0.1, 0.0, actions, d)
+    est_p, est_v, _ = predictive_compensate(belief_dyn, 0.1, 0.0, actions, d)
     assert est_v - v == pytest.approx(d * dz * dt, abs=1e-12)
     assert est_p - e == pytest.approx(dz * dt * dt * sum(range(d)), abs=1e-12)
 

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from hoardbench.core.state import (
     Action,
+    ConfigurationError,
     InputError,
     LatentEvidence,
-    LatentParams,
-    LatentSpec,
     NOOP,
     Observation,
     OptionChoice,
@@ -48,22 +47,19 @@ def _trace_of(records):
     return trace
 
 
-def test_latent_values_validated_against_ranges():
-    spec = LatentSpec(("compliance",), (0.0,), (1.0,))
-    LatentParams(spec, (0.5,))
-    with pytest.raises(InputError):
-        LatentParams(spec, (1.5,))
-
-
 def test_option_schema_exact_keys():
+    schema = {OptionKind.LAUNCH: ("offset", "impulse")}
     ok = OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.4})
-    validate_option(ok)
+    assert validate_option(ok, schema) is ok
     with pytest.raises(SchemaError):
-        validate_option(OptionChoice(OptionKind.LAUNCH, {"offset": 0.5}))
+        validate_option(OptionChoice(OptionKind.LAUNCH, {"offset": 0.5}), schema)
     with pytest.raises(SchemaError):
         validate_option(
-            OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.4, "extra": 1.0})
+            OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.4, "extra": 1.0}),
+            schema,
         )
+    with pytest.raises(ConfigurationError, match="not in environment schema"):
+        validate_option(OptionChoice(OptionKind.STABILIZE), schema)
 
 
 def test_observation_schema_and_finiteness():

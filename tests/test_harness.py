@@ -314,6 +314,33 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     assert _result_files(out) == before
 
 
+def test_report_replays_a_missing_trace_of_a_swept_ablation(tmp_path, monkeypatch):
+    # The replay must find the cell's agent and its sweep value, a tuple
+    # field written as a JSON list, from the variant label alone.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "family": "A", "seeds": "0..1", "env": {"trials": 1, "horizon": 20},
+        "ablations": ["no_feedback"],
+        "sweep": {"key": "z_range", "values": [[0.2, 0.4], [0.5, 0.8]]},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    before = _result_files(out)
+    section = (out / "failures.md").read_text().split("## no_feedback@z_range=[0.5, 0.8]\n")[1]
+    listed = section.split("\n- seed 1: ")[1].split("\n")[0]
+    (out / listed.split("trace: ")[1]).unlink()
+    calls = []
+
+    def recording(config, agent, seed, sweep_value=None, trace=None, **kwargs):
+        calls.append((agent["feedback"], sweep_value, seed))
+        return run_one(config, agent, seed, sweep_value, trace, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one", recording)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [(False, [0.5, 0.8], 1)]
+    assert _result_files(out) == before
+
+
 @pytest.mark.parametrize("timing", [None, "not json", '{"cell_seconds": [1]}'])
 def test_report_without_a_readable_timing_file_keeps_only_its_own(tmp_path, timing):
     config = tmp_path / "config.json"

@@ -13,7 +13,6 @@ from hoardbench.ledger import CostLedger
 from hoardbench.memory import (
     BEARING_SCALE,
     COLLINEAR_TOL,
-    DEGENERATE_CONFIDENCE,
     DIST_SCALE,
     EARLY_STOP_SCORE,
     GRID_DIV,
@@ -26,7 +25,7 @@ from hoardbench.memory import (
     _NO_PICK,
     _cue_anchor_positions,
     _decode,
-    _fold_best_two,
+    _fold_best,
     _ring_cells,
     _flat_scores,
     brute_force_retrieve,
@@ -272,9 +271,13 @@ def _numpy_scalar_trilaterate(anchors, distances):
     return (float(x), float(y)), False
 
 
+def _hex_point(point):
+    return None if point is None else tuple(v.hex() for v in point)
+
+
 def _hex(result):
     point, degenerate = result
-    return None if point is None else tuple(v.hex() for v in point), degenerate
+    return _hex_point(point), degenerate
 
 
 _coord = st.floats(-1.5, 1.5, allow_nan=False)
@@ -406,19 +409,26 @@ def test_singleton_store_probes_one_for_both_variants():
         assert store.probe_counter == 1
 
 
-def test_absent_type_returns_empty_with_zero_confidence():
+def test_absent_type_returns_empty():
     lm = _landmarks()
     for variant in StoreVariant:
         store = _store_with([_episode(0, 2, (0.3, 0.3), lm)], variant)
-        r = retrieve(store, Query(5, encode_cue((0.3, 0.3), lm)), lm)
-        assert r.episode is None and r.confidence == 0.0
+        query = Query(5, encode_cue((0.3, 0.3), lm))
+        for search in (retrieve, brute_force_retrieve):
+            r = search(store, query, lm)
+            assert (r.episode, r.decoded_location, r.probes_used) == (None, None, 0)
+        assert store.probe_counter == 0
 
 
 def test_empty_query_rejected():
     lm = _landmarks()
-    store = _store_with([_episode(0, 2, (0.3, 0.3), lm)])
-    with pytest.raises(InputError):
-        retrieve(store, Query(), lm)
+    cue = encode_cue((0.3, 0.3), lm)
+    for variant in StoreVariant:
+        store = _store_with([_episode(0, 2, (0.3, 0.3), lm)], variant)
+        for query in (Query(None, cue), Query(2, None), Query(None, None)):
+            for search in (retrieve, brute_force_retrieve):
+                with pytest.raises(InputError, match="item type and a cue"):
+                    search(store, query, lm)
 
 
 def test_probe_counts_at_n1024_match_reference():
@@ -464,17 +474,12 @@ def test_equal_content_equivalence_up_to_64_episodes():
             assert ids == {e.id}
 
 
-def _agrees(result, reference, tolerance=0.0):
-    """Same episode, same decoded location, and confidence within
-    `tolerance`."""
+def _agrees(result, reference):
+    """Same episode and same decoded location."""
     same_episode = (result.episode is None) == (reference.episode is None) and (
         result.episode is None or result.episode.id == reference.episode.id
     )
-    return (
-        same_episode
-        and result.decoded_location == reference.decoded_location
-        and abs(result.confidence - reference.confidence) <= tolerance
-    )
+    return same_episode and result.decoded_location == reference.decoded_location
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -505,10 +510,7 @@ def test_retrieval_under_landmark_drift_matches_brute_force(
             item_type = int(stream.integers(1, types + 2))  # may be absent
         query = Query(item_type, encode_cue(location, current))
         reference = brute_force_retrieve(flat, query, current)
-        # Flat scoring uses numpy's exp and the reference `math.exp`, which
-        # can differ in the last bit; clustered scoring is the reference's
-        # own `cue_similarity`, so its confidence must match exactly.
-        assert _agrees(retrieve(flat, query, current), reference, 1e-12)
+        assert _agrees(retrieve(flat, query, current), reference)
         result = retrieve(clustered, query, current)
         same_type = sum(1 for e in episodes if e.item_type == item_type)
         if result.probes_used == same_type:
@@ -603,12 +605,12 @@ def _frozen_batch_scores(store, rows, query):
 
 def _frozen_clustered_retrieve(store, query, current):
     """Frozen copy of the former clustered path: (episode id, probes,
-    decoded location, confidence). Each ring is scored as one batch and
-    folded in probe order; without usable geometry the whole type bucket is
-    scored in sorted cell order and picked by argmax and partition."""
+    decoded location). Each ring is scored as one batch and folded in probe
+    order; without usable geometry the whole type bucket is scored in sorted
+    cell order and picked by argmax."""
     bucket = store.index.get(query.item_type, {})
     if not bucket:
-        return None, 0, None, 0.0
+        return None, 0, None
     rank = store._id_to_index
     anchors, ok = _cue_anchor_positions(query.cue, current)
     predicted = None
@@ -616,17 +618,14 @@ def _frozen_clustered_retrieve(store, query, current):
         predicted, degenerate = trilaterate(anchors, np.asarray(query.cue.distances))
         if degenerate:
             predicted = None
-    cap = 1.0
     if predicted is None:
         rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
         scores = _frozen_batch_scores(store, rows, query.cue)
-        best_pos = int(np.argmax(scores))
-        best_idx, best = rows[best_pos], float(scores[best_pos])
-        second = float(np.partition(scores, -2)[-2]) if len(scores) > 1 else 0.0
-        probes, cap = len(rows), DEGENERATE_CONFIDENCE
+        best_idx = rows[int(np.argmax(scores))]
+        probes = len(rows)
     else:
         center = grid_cell(predicted)
-        best_idx, best, second, probes = None, -1.0, 0.0, 0
+        best_idx, best, probes = None, -1.0, 0
         for ring in range(GRID_DIV + 1):
             rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
             if rows:
@@ -635,18 +634,11 @@ def _frozen_clustered_retrieve(store, query, current):
                 for pos, row in enumerate(rows):
                     s = float(scores[pos])
                     if s > best:
-                        best_idx, second, best = row, best, s
-                    elif s > second:
-                        second = s
+                        best_idx, best = row, s
             if best >= EARLY_STOP_SCORE or (ring >= 1 and probes > 0):
                 break
-        second = max(second, 0.0)
     episode = store.episodes[best_idx]
-    confidence = 1.0 if best <= 0.0 else max(0.0, min(1.0, (best - second) / best))
-    decoded, degenerate = _decode(episode, current)
-    if degenerate:
-        confidence = min(confidence, DEGENERATE_CONFIDENCE)
-    return episode.id, probes, decoded, min(confidence, cap)
+    return episode.id, probes, _decode(episode, current)
 
 
 def _collinear_landmarks(count, stream):
@@ -698,14 +690,11 @@ def test_clustered_retrieval_matches_its_former_numpy_scoring(
             location = tuple(float(v) for v in stream.uniform(0.0, 1.0, size=2))
             item_type = int(stream.integers(1, types + 2))  # may be absent
         query = Query(item_type, encode_cue(location, current))
-        episode_id, probes, decoded, confidence = _frozen_clustered_retrieve(
-            store, query, current
-        )
+        episode_id, probes, decoded = _frozen_clustered_retrieve(store, query, current)
         result = retrieve(store, query, current)
         assert (None if result.episode is None else result.episode.id) == episode_id
         assert result.probes_used == probes
         assert result.decoded_location == decoded
-        assert abs(result.confidence - confidence) <= 1e-12
 
 
 def test_probe_scaling_ladder():
@@ -781,13 +770,13 @@ def _numpy_scalar_decode(record, landmarks, stops=None):
             ]
         )
     except ValueError:
-        return record.location, True
+        return record.location
     cue = record.cue
     cross = (anchors[1, 0] - anchors[0, 0]) * (anchors[2, 1] - anchors[0, 1]) - (
         anchors[1, 1] - anchors[0, 1]
     ) * (anchors[2, 0] - anchors[0, 0])
     if abs(cross) < COLLINEAR_TOL:
-        return record.location, True
+        return record.location
     x = y = 0.0
     for k in range(3):
         x += anchors[k, 0] - cue.distances[k] * math.cos(cue.bearings[k])
@@ -846,7 +835,7 @@ def _numpy_scalar_decode(record, landmarks, stops=None):
             if stops is not None:
                 stops.append("moved")
             break
-    return (x, y), False
+    return x, y
 
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -898,7 +887,7 @@ _ON_ANCHOR = LandmarkSet((0, 1, 2, 3), np.array([[0.2, 0.3], [0.6, 0.1], [0.5, 0
 @example((_episode(0, 1, (0.2, 0.3), _ON_ANCHOR), _ON_ANCHOR))  # starts on an anchor
 def test_decode_is_bit_identical_to_numpy_scalar_form(case):
     record, current = case
-    assert _hex(_decode(record, current)) == _hex(_numpy_scalar_decode(record, current))
+    assert _hex_point(_decode(record, current)) == _hex_point(_numpy_scalar_decode(record, current))
 
 
 def test_decode_of_a_real_query_phase_is_bit_identical(monkeypatch):
@@ -919,7 +908,7 @@ def test_decode_of_a_real_query_phase_is_bit_identical(monkeypatch):
     stops = []
     for record, landmarks in calls:
         expected = _numpy_scalar_decode(record, landmarks, stops)
-        assert _hex(_decode(record, landmarks)) == _hex(expected)
+        assert _hex_point(_decode(record, landmarks)) == _hex_point(expected)
     assert {"no trial accepted", "same point", "moved"} <= set(stops)
 
 
@@ -1029,14 +1018,12 @@ def test_cue_similarity_is_bit_identical_to_the_unsplit_rule(data):
 
 
 def _frozen_fold(store, cue, rows, picked):
-    best_idx, best, second = picked
+    best_idx, best = picked
     for i in rows:
         s = _frozen_cue_similarity(cue, store.episodes[i].cue)
         if s > best:
-            best_idx, second, best = i, best, s
-        elif s > second:
-            second = s
-    return best_idx, best, second
+            best_idx, best = i, s
+    return best_idx, best
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1052,8 +1039,8 @@ def test_fold_matches_the_unsplit_rule_and_keeps_the_first_of_equal_scores(data)
     )
     rows = data.draw(st.permutations(range(len(picks))))
     cut = data.draw(st.integers(0, len(rows)))
-    picked = _fold_best_two(store, query, rows[:cut], _NO_PICK)
-    picked = _fold_best_two(store, query, rows[cut:], picked)
+    picked = _fold_best(store, query, rows[:cut], _NO_PICK)
+    picked = _fold_best(store, query, rows[cut:], picked)
     expected = _frozen_fold(store, query, rows[:cut], _NO_PICK)
     expected = _frozen_fold(store, query, rows[cut:], expected)
     assert [v if isinstance(v, int) else v.hex() for v in picked] == [

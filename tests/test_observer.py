@@ -34,7 +34,7 @@ def test_saw_cache_puts_maximum_at_the_cell():
 def test_saw_nothing_with_zero_diffusion_is_identity():
     belief = observer_update(ObserverBelief.uniform(0.0), SawCache((3, 7)))
     after = observer_update(belief, SawNothing())
-    assert np.array_equal(after.grid, belief.grid)
+    assert after is belief
 
 
 def test_two_disjoint_sightings_leave_equal_modes():
@@ -58,7 +58,7 @@ def test_normalization_preserved_by_every_update():
             belief = observer_update(belief, SawPresence(cell))
         else:
             belief = observer_update(belief, SawNothing())
-        assert abs(belief.total_mass() - 1.0) < 1e-12
+        assert abs(belief.grid.sum() - 1.0) < 1e-12
 
 
 def test_cell_outside_grid_rejected():
@@ -170,16 +170,9 @@ def test_agent_and_adversary_updates_are_bit_identical():
     assert np.array_equal(a.grid, b.grid)
 
 
-def test_empty_belief_initializes_on_first_evidence():
-    belief = ObserverBelief.empty()
-    assert belief.total_mass() == 0.0
-    belief = observer_update(belief, SawCache((4, 4)))
-    assert abs(belief.total_mass() - 1.0) < 1e-12
-
-
 def test_edge_kernel_clips_and_renormalizes():
     belief = observer_update(ObserverBelief.uniform(), SawCache((0, 0)))
-    assert abs(belief.total_mass() - 1.0) < 1e-12
+    assert abs(belief.grid.sum() - 1.0) < 1e-12
     # Clipped kernel spreads over 4 cells instead of 9.
     assert belief.mass_at((0, 0)) > 0.2
 
@@ -205,8 +198,6 @@ def _ref_likelihood(cell, width, weight):
 def _ref_update(grid, rate, event):
     """Next grid, or None where the update must raise for zero total mass."""
     prior = grid
-    if float(grid.sum()) == 0.0:
-        grid = np.full_like(grid, 1.0 / grid.size)
     if isinstance(event, SawCache):
         grid = grid * _ref_likelihood(event.cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
     elif isinstance(event, SawPresence):
@@ -238,12 +229,11 @@ def _non_uniform_grid(seed):
 def test_sighting_update_matches_array_form_on_every_cell():
     priors = {
         "uniform": ObserverBelief.uniform().grid,
-        "empty": ObserverBelief.empty().grid,
         "non_uniform": _non_uniform_grid(5),
         "float32": _non_uniform_grid(6).astype(np.float32),
     }
     for name, prior in priors.items():
-        belief = ObserverBelief(prior, 7, 0.02)
+        belief = ObserverBelief(prior, 0.02)
         for r in range(OBSERVER_GRID):
             for c in range(OBSERVER_GRID):
                 for event in (SawCache((r, c)), SawPresence((r, c))):
@@ -251,12 +241,11 @@ def test_sighting_update_matches_array_form_on_every_cell():
                     expected = _ref_update(prior, 0.02, event)
                     assert after.grid.dtype == expected.dtype, (name, event)
                     assert after.grid.tobytes() == expected.tobytes(), (name, event)
-                    assert after.observations_seen == 8
                     assert after.diffusion_rate == 0.02
 
 
 _GRIDS = st.one_of(
-    st.just(ObserverBelief.empty().grid),
+    st.just(np.zeros((OBSERVER_GRID, OBSERVER_GRID))),
     st.just(ObserverBelief.uniform().grid),
     arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1e3)),
 )
@@ -270,7 +259,7 @@ _EVENTS = st.one_of(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_GRIDS, st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.lists(_EVENTS, max_size=12))
 def test_update_sequences_match_array_form(prior, rate, events):
-    belief = ObserverBelief(prior, 0, rate)
+    belief = ObserverBelief(prior, rate)
     grid = prior
     for event in events:
         grid = _ref_update(grid, rate, event)
@@ -284,27 +273,22 @@ def test_update_sequences_match_array_form(prior, rate, events):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.sampled_from([ObserverBelief.uniform, ObserverBelief.empty]),
     st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
     st.lists(_EVENTS, max_size=40),
 )
-def test_mass_stays_one_and_cells_non_negative(prior, rate, events):
-    belief = prior(rate)
-    # An empty prior holds no mass until an update that is not the identity
-    # (a quiet step without diffusion) initializes it.
-    initialized = belief.total_mass() > 0.0
-    for seen, event in enumerate(events, start=1):
+def test_mass_stays_one_and_cells_non_negative(rate, events):
+    belief = ObserverBelief.uniform(rate)
+    for event in events:
+        before = belief
         belief = observer_update(belief, event)
-        initialized = initialized or not (isinstance(event, SawNothing) and rate == 0.0)
-        if initialized:
-            assert abs(belief.total_mass() - 1.0) <= NORMALIZATION_TOL
-        else:
-            assert belief.total_mass() == 0.0
+        if isinstance(event, SawNothing) and rate == 0.0:
+            assert belief is before
+        assert abs(belief.grid.sum() - 1.0) <= NORMALIZATION_TOL
         assert np.all(belief.grid >= 0.0)
-        assert (belief.observations_seen, belief.diffusion_rate) == (seen, rate)
+        assert belief.diffusion_rate == rate
         # The update skips ObserverBelief's checks; the public constructor
         # re-runs them on its result.
-        ObserverBelief(belief.grid, belief.observations_seen, belief.diffusion_rate)
+        ObserverBelief(belief.grid, belief.diffusion_rate)
 
 
 def _as(kind, v):

@@ -114,5 +114,4 @@ def test_retrieval_carries_no_truth():
         "episode",
         "decoded_location",
         "probes_used",
-        "confidence",
     }

@@ -90,3 +90,30 @@ def test_seeds_and_workloads_default_to_all_workloads_at_seeds_0_to_2(capsys):
     with pytest.raises(SystemExit):
         tool.parse_args(["p", "c", "--workloads", "b_archive,e_none"])
     assert "unknown workload 'e_none'" in capsys.readouterr().err
+
+
+def _checkout(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        path = root / "src" / "hoardbench" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_source_lines_count_as_wc_does_and_end_every_comparison(tmp_path, capsys):
+    # Newlines of *.py and */*.py under src/hoardbench, as `cat | wc -l`
+    # counts them: a last line without a newline is not counted, and
+    # deeper files and other suffixes are not read.
+    parent = _checkout(tmp_path / "parent", {
+        "__init__.py": "a\nb\n", "memory.py": "x\ny", "core/state.py": "1\n2\n3\n",
+        "core/deep/skip.py": "no\n", "notes.txt": "no\n",
+    })
+    change = _checkout(tmp_path / "change", {"__init__.py": "a\n", "core/state.py": ""})
+    tool = _tool()
+    assert tool.source_lines(parent) == 6
+    assert tool.source_lines(change) == 1
+    # These checkouts cannot run hoardbench, so the comparison stops at its
+    # first run; the counts still come last.
+    assert tool.main([str(parent), str(change), "--workloads", "d_verify", "--seeds", "0"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "source lines: parent 6, change 1, difference -5"

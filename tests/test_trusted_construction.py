@@ -82,7 +82,7 @@ def _field_values(cls, draw):
             draw(st.dictionaries(st.sampled_from(["force", "offset", "x", "y"]), _FINITE)),
         ]
     if cls is ActOutcome:
-        return [Action("force", {"force": draw(_FINITE)}), draw(_COST), draw(st.booleans())]
+        return [Action("force", {"force": draw(_FINITE)}), draw(st.booleans())]
     if cls is StepCosts:
         return [draw(_COST) for _ in range(5)]
     if cls is Belief:
@@ -93,14 +93,11 @@ def _field_values(cls, draw):
             tuple(draw(st.lists(_FINITE, max_size=3))),
             draw(_STATES),
             draw(_STATES),
-            draw(st.integers(0, 10_000)),
             draw(st.integers(0, 10)),
-            draw(st.booleans()),
         ]
     if cls is ObserverBelief:
         return [
             draw(arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1.0))),
-            draw(st.integers(0, 10_000)),
             draw(st.floats(0.0, 1.0)),
         ]
     raise AssertionError(f"no strategy for {cls.__name__}")
@@ -150,7 +147,7 @@ def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
         lambda: ObserverBelief(np.full((OBSERVER_GRID, OBSERVER_GRID), -1.0 / 400)),
         lambda: ObserverBelief(np.where(np.eye(OBSERVER_GRID) > 0, -1e-9, 0.01)),
         lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID - 1))),
-        lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID)), 0, 1.5),
+        lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID)), 1.5),
         lambda: initial_belief(
             BeliefConfig(("error",), latent_names=("z",), latent_prior_mean=(0.0,),
                          latent_prior_variance=(-1.0,)),

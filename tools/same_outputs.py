@@ -17,6 +17,10 @@ that differs inside its records, with list indices collapsed
 (`signals[].emitted_at`): whether one side only has it or its values
 differ, and in how many records. The exit code is 0 when there is no
 difference, 1 when there is one, and 2 when a run fails to start or crashes.
+
+Whenever both checkouts hold a `src/hoardbench`, the last line printed
+gives their source line counts and the difference, counted as
+`cat src/hoardbench/*.py src/hoardbench/*/*.py | wc -l` counts them.
 """
 
 from __future__ import annotations
@@ -121,6 +125,14 @@ def key_path_differences(a: bytes, b: bytes, names: tuple[str, str]) -> list[str
     return lines
 
 
+def source_lines(checkout: Path) -> int:
+    """Newlines in `src/hoardbench/*.py` and `src/hoardbench/*/*.py`, which is
+    what `wc -l` counts in their concatenation."""
+    package = checkout / "src" / "hoardbench"
+    files = [*package.glob("*.py"), *package.glob("*/*.py")]
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
 def seed_list(text: str) -> tuple[int, ...]:
     """Seeds from `A..B` (inclusive) or `A,B,...`, all non-negative."""
     try:
@@ -167,7 +179,15 @@ def main(argv: list[str] | None = None) -> int:
         if not (checkout / "src" / "hoardbench").is_dir():
             print(f"{side} {checkout} has no src/hoardbench", file=sys.stderr)
             return 2
+    try:
+        return compare(args, sides)
+    finally:
+        parent, change = (source_lines(checkout) for checkout in sides.values())
+        print(f"source lines: parent {parent}, change {change}, difference {change - parent:+d}")
 
+
+def compare(args: argparse.Namespace, sides: dict[str, Path]) -> int:
+    """Run and compare every workload and seed; the exit code of `main`."""
     found = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
         for name in args.workloads:
