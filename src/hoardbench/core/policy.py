@@ -148,8 +148,8 @@ def act(
 class StabilizingController:
     """PD regulation toward zero error while a stabilize option is active.
 
-    Uses the compensated state estimate when the compensator is enabled,
-    otherwise the raw delayed estimate. With feedback disabled it pops the
+    Reads the belief's present estimate, which is the delayed estimate
+    itself when the compensator is off. With feedback disabled it pops the
     pre-committed open-loop schedule (if any) and then stays silent. Every
     force it emits is clamped to the checked `action_bound`, so its actions
     and outcomes are built unchecked.
@@ -167,12 +167,7 @@ class StabilizingController:
     ) -> ActOutcome:
         cfg = ctx.controller
         if cfg.feedback_enabled:
-            if cfg.compensator_enabled:
-                est = belief.reconstructed_embodied
-            else:
-                est = belief.delayed_embodied
-            err, err_rate = est.scalar()
-            force, clamped = pd_feedback(cfg, err, err_rate)
+            force, clamped = pd_feedback(cfg, belief.position, belief.velocity)
             return ActOutcome._trusted(Action._trusted("force", {"force": force}), clamped)
         if self.schedule:
             force = self.schedule.pop(0)

@@ -22,28 +22,6 @@ from ..trusted import trusted
 
 
 # ---------------------------------------------------------------------------
-# Embodied state
-# ---------------------------------------------------------------------------
-
-
-@trusted
-@dataclass(frozen=True)
-class EmbodiedState:
-    """Plant state: position-like and velocity-like coordinates.
-
-    Stored as tuples so environments of any dimensionality share one type;
-    the hidden-dynamics control family uses a single error coordinate.
-    """
-
-    position: tuple[float, ...]
-    velocity: tuple[float, ...]
-
-    def scalar(self) -> tuple[float, float]:
-        """Convenience accessor for 1-D environments."""
-        return self.position[0], self.velocity[0]
-
-
-# ---------------------------------------------------------------------------
 # Options
 # ---------------------------------------------------------------------------
 
@@ -116,7 +94,7 @@ class Observation:
     latent_evidence: tuple[LatentEvidence, ...] = ()
     landmarks: tuple[tuple[int, float, float], ...] = ()
 
-    def validate(self, keys: tuple[str, ...]) -> "Observation":
+    def validate(self, keys: tuple[str, ...]) -> None:
         if self.values.keys() != set(keys):
             raise SchemaError(
                 f"observation keys {sorted(self.values)} != schema {sorted(keys)}"
@@ -124,7 +102,6 @@ class Observation:
         for k, v in self.values.items():
             if not math.isfinite(v):
                 raise InputError(f"observation value {k!r} is not finite")
-        return self
 
 
 @trusted

@@ -35,7 +35,6 @@ from ..core.policy import (
 from ..core.state import (
     Action,
     ConfigurationError,
-    EmbodiedState,
     LatentEvidence,
     Observation,
     OptionChoice,
@@ -131,7 +130,7 @@ class LaunchPlanner:
 
     def select(self, belief: Belief, ctx: PolicyContext) -> OptionChoice:
         cfg = self._config
-        z_hat = float(belief.latent_mean[0])
+        z_hat = belief.latent_mean
         best_offset, best_err = 0.0, float("inf")
         for i in range(cfg.launch_grid):
             offset = i / (cfg.launch_grid - 1)
@@ -151,17 +150,12 @@ def run_family_a(
     trace: Trace | None = None,
 ) -> RunRecord:
     streams = RunStreams(seed)
-    dynamics = double_integrator(env.dt)
     belief_cfg = BeliefConfig(
-        observation_keys=("error", "error_rate"),
+        controller=agent,
         delay=env.obs_delay,
-        compensate=agent.compensator_enabled,
-        adapt_latents=agent.rls_enabled,
-        latent_names=("compliance",),
-        latent_prior_mean=(env.z_prior_mean,),
-        latent_prior_variance=(env.z_prior_variance,),
-        rls_forgetting=agent.forgetting,
-        dynamics=dynamics,
+        latent_prior_mean=env.z_prior_mean,
+        latent_prior_variance=env.z_prior_variance,
+        dynamics=double_integrator(env.dt),
     )
     # Checks the goal: the trial reached and held the tolerance window.
     sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
@@ -172,7 +166,7 @@ def run_family_a(
         option_schema=OPTION_SCHEMA,
     )
 
-    belief = initial_belief(belief_cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(belief_cfg, 0.0, 0.0)
     record = RunRecord(family="A", variant="", seed=seed, status=STATUS_COMPLETED)
 
     successes = 0
@@ -182,7 +176,6 @@ def run_family_a(
     scan_kappa = 0.0
     comp_kappa = 0.0
     global_step = 0
-    z = 0.0
 
     for trial in range(env.trials):
         if env.z_drift > 0.0 and trial > 0:
@@ -201,8 +194,8 @@ def run_family_a(
         edot = 0.0
 
         trial_start = global_step
-        e_pred = predicted_landing_error(env, float(belief.latent_mean[0]), offset)
-        belief = initial_belief(belief_cfg, EmbodiedState((e_pred,), (0.0,)))
+        e_pred = predicted_landing_error(env, belief.latent_mean, offset)
+        belief = initial_belief(belief_cfg, e_pred, 0.0)
 
         # Landing measurement: noisy and, being a contact event, informative
         # about the hidden compliance.

@@ -74,6 +74,9 @@ class ObserverBelief:
             raise InputError("observer grid must be 20x20")
         if np.any(self.grid < 0):
             raise InputError("observer mass must be non-negative")
+        total = self.grid.sum()
+        if not total > 0.0:
+            raise InputError(f"observer grid must hold some mass, total is {float(total)}")
         if not (0.0 <= self.diffusion_rate <= 1.0):
             raise InputError("diffusion_rate must lie in [0, 1]")
 

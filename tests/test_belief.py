@@ -1,11 +1,10 @@
 import pytest
 
-from hoardbench.controller import double_integrator, predictive_compensate
+from hoardbench.controller import ControllerConfig, double_integrator, predictive_compensate
 from hoardbench.core import belief as belief_module
-from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
+from hoardbench.core.belief import BeliefConfig, initial_belief, update_belief
 from hoardbench.core.state import (
     Action,
-    EmbodiedState,
     InputError,
     LatentEvidence,
     NOOP,
@@ -14,19 +13,11 @@ from hoardbench.core.state import (
 )
 from hoardbench.rng import Substream
 
-KEYS = ("error", "error_rate")
 
-
-def _config(**kw):
-    defaults = dict(
-        observation_keys=KEYS,
-        latent_names=("compliance",),
-        latent_prior_mean=(0.5,),
-        latent_prior_variance=(1e12,),
-        dynamics=double_integrator(0.05),
-    )
-    defaults.update(kw)
-    return BeliefConfig(**defaults)
+def _config(delay, **switches):
+    """Compensator and RLS on unless `switches` says otherwise."""
+    controller = ControllerConfig(**{"rls_enabled": True, **switches})
+    return BeliefConfig(controller, delay, 0.5, 1e12, double_integrator(0.05))
 
 
 def _obs(e, v, evidence=()):
@@ -35,7 +26,7 @@ def _obs(e, v, evidence=()):
 
 def test_buffer_law_length_is_min_t_d():
     cfg = _config(delay=3)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(cfg, 0.0, 0.0)
     for t in range(1, 10):
         belief = update_belief(belief, _obs(float(t), 0.0), NOOP, cfg)
         assert len(belief.delayed_obs_buffer) == min(t, 3)
@@ -45,7 +36,7 @@ def test_queue_semantics_oldest_delivered():
     # Buffer [o1, o2], new o3 arrives with delay 2: o1 is delivered and the
     # buffer advances to [o2, o3].
     cfg = _config(delay=2)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(cfg, 0.0, 0.0)
     o1, o2, o3 = _obs(1.0, 0.0), _obs(2.0, 0.0), _obs(3.0, 0.0)
     belief = update_belief(belief, o1, NOOP, cfg)
     belief = update_belief(belief, o2, NOOP, cfg)
@@ -53,14 +44,14 @@ def test_queue_semantics_oldest_delivered():
     belief = update_belief(belief, o3, NOOP, cfg)
     assert belief.delayed_obs_buffer == (o2, o3)
     # Delivered o1 plus forward simulation of logged (zero) actions.
-    assert belief.delayed_embodied.position[0] == 1.0
-    assert belief.reconstructed_embodied.position[0] == 1.0
+    assert belief.delayed_position == 1.0
+    assert belief.position == 1.0
 
 
 def test_zero_delay_zero_noise_reconstruction_exact():
     cfg = _config(delay=0)
     dyn = double_integrator(0.05)
-    belief = initial_belief(cfg, EmbodiedState((0.3,), (0.0,)))
+    belief = initial_belief(cfg, 0.3, 0.0)
     e, v = 0.3, 0.0
     for step in range(40):
         force = -1.2 * e - 0.8 * v
@@ -68,8 +59,8 @@ def test_zero_delay_zero_noise_reconstruction_exact():
         belief = update_belief(
             belief, _obs(e, v), Action("force", {"force": force}), cfg
         )
-        assert belief.reconstructed_embodied.position[0] == e
-        assert belief.reconstructed_embodied.velocity[0] == v
+        assert belief.position == e
+        assert belief.velocity == v
 
 
 def test_delayed_reconstruction_matches_truth_with_compensation():
@@ -77,7 +68,7 @@ def test_delayed_reconstruction_matches_truth_with_compensation():
     # true present state to 1e-9 despite the delay.
     cfg = _config(delay=4)
     dyn = double_integrator(0.05)
-    belief = initial_belief(cfg, EmbodiedState((0.5,), (0.0,)))
+    belief = initial_belief(cfg, 0.5, 0.0)
     e, v = 0.5, 0.0
     for step in range(30):
         force = -2.0 * e - 1.0 * v
@@ -86,8 +77,8 @@ def test_delayed_reconstruction_matches_truth_with_compensation():
             belief, _obs(e, v), Action("force", {"force": force}), cfg
         )
         if step >= 4:
-            assert belief.reconstructed_embodied.position[0] == pytest.approx(e, abs=1e-9)
-            assert belief.reconstructed_embodied.velocity[0] == pytest.approx(v, abs=1e-9)
+            assert belief.position == pytest.approx(e, abs=1e-9)
+            assert belief.velocity == pytest.approx(v, abs=1e-9)
 
 
 def test_one_noiseless_informative_observation_recovers_latent():
@@ -102,34 +93,33 @@ def test_one_noiseless_informative_observation_recovers_latent():
     )
 
     cfg = _config(delay=0)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(cfg, 0.0, 0.0)
     evidence = (LatentEvidence("compliance", regressor, response),)
     belief = update_belief(belief, _obs(0.0, 0.0, evidence), NOOP, cfg)
-    assert belief.latent_mean[0] == pytest.approx(oracle, abs=1e-12)
-    assert belief.latent_mean[0] == pytest.approx(z_true, abs=1e-9)
-    assert belief.latent_variance[0] < 1e12  # strictly tightened by the update
+    assert belief.latent_mean == pytest.approx(oracle, abs=1e-12)
+    assert belief.latent_mean == pytest.approx(z_true, abs=1e-9)
+    assert belief.latent_variance < 1e12  # strictly tightened by the update
 
 
 def test_latent_updates_only_on_informative_steps():
     cfg = _config(delay=0)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
-    before = belief.latent_mean.copy()
+    belief = initial_belief(cfg, 0.0, 0.0)
     belief = update_belief(belief, _obs(0.2, 0.1), NOOP, cfg)
-    assert belief.latent_mean[0] == before[0]
-    assert belief.latent_variance[0] == 1e12
+    assert belief.latent_mean == 0.5
+    assert belief.latent_variance == 1e12
 
 
 def test_adapt_latents_off_ignores_evidence():
-    cfg = _config(delay=0, adapt_latents=False)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    cfg = _config(delay=0, rls_enabled=False)
+    belief = initial_belief(cfg, 0.0, 0.0)
     evidence = (LatentEvidence("compliance", 1.0, 0.9),)
     belief = update_belief(belief, _obs(0.0, 0.0, evidence), NOOP, cfg)
-    assert belief.latent_mean[0] == 0.5
+    assert belief.latent_mean == 0.5
 
 
 def test_schema_and_finite_errors():
     cfg = _config(delay=0)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(cfg, 0.0, 0.0)
     with pytest.raises(SchemaError):
         update_belief(belief, Observation({"error": 0.0}), NOOP, cfg)
     with pytest.raises(InputError):
@@ -143,12 +133,12 @@ def test_schema_and_finite_errors():
 
 def test_compensation_cost_reported():
     cfg = _config(delay=3)
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    belief = initial_belief(cfg, 0.0, 0.0)
     for t in range(6):
         belief = update_belief(belief, _obs(0.0, 0.0), NOOP, cfg)
     assert belief.last_compute == 3
-    cfg_off = _config(delay=3, compensate=False)
-    belief = initial_belief(cfg_off, EmbodiedState((0.0,), (0.0,)))
+    cfg_off = _config(delay=3, compensator_enabled=False)
+    belief = initial_belief(cfg_off, 0.0, 0.0)
     for t in range(6):
         belief = update_belief(belief, _obs(0.0, 0.0), NOOP, cfg_off)
     assert belief.last_compute == 0
@@ -168,7 +158,7 @@ def test_compensation_runs_once_an_observation_is_delivered(delay, monkeypatch):
     monkeypatch.setattr(belief_module, "predictive_compensate", recording)
     cfg = _config(delay=delay)
     stream = Substream(delay, "agent")
-    belief = initial_belief(cfg, EmbodiedState((0.1,), (0.0,)))
+    belief = initial_belief(cfg, 0.1, 0.0)
     for t in range(1, 3 * (delay + 1) + 1):
         e, v, force = (float(x) for x in stream.normal(0.0, 1.0, size=3))
         belief = update_belief(belief, _obs(e, v), Action("force", {"force": force}), cfg)
@@ -178,4 +168,33 @@ def test_compensation_runs_once_an_observation_is_delivered(delay, monkeypatch):
         if delivered:
             assert logs[-1] >= delay
         else:
-            assert belief.reconstructed_embodied == belief.delayed_embodied
+            assert (belief.position, belief.velocity) == (
+                belief.delayed_position, belief.delayed_velocity
+            )
+
+
+@pytest.mark.parametrize("delay", range(9))
+@pytest.mark.parametrize("compensate", [False, True])
+def test_present_estimate_is_the_delayed_one_unless_compensated(delay, compensate):
+    # The controller reads the present estimate whatever its switches: with
+    # the compensator off that estimate must be the delayed one, at no cost.
+    cfg = _config(delay=delay, compensator_enabled=compensate)
+    stream = Substream(delay, "agent")
+    belief = initial_belief(cfg, 0.1, 0.0)
+    for t in range(1, 3 * (delay + 1) + 1):
+        e, v, force = (float(x) for x in stream.normal(0.0, 1.0, size=3))
+        belief = update_belief(belief, _obs(e, v), Action("force", {"force": force}), cfg)
+        present = (belief.position, belief.velocity)
+        delayed = (belief.delayed_position, belief.delayed_velocity)
+        if compensate and delay > 0 and t > delay:
+            # Delivered, and rolled forward through `delay` non-zero forces.
+            assert present != delayed
+        else:
+            assert present == delayed
+            assert belief.last_compute == 0
+
+
+def test_an_int_prior_mean_becomes_a_float():
+    belief = initial_belief(BeliefConfig(latent_prior_mean=1, latent_prior_variance=2), 0.0, 0.0)
+    assert type(belief.latent_mean) is float and belief.latent_mean == 1.0
+    assert type(belief.latent_variance) is float and belief.latent_variance == 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -16,8 +17,7 @@ from hoardbench.envs.family_a import (
 )
 from hoardbench.core.belief import BeliefConfig, initial_belief
 from hoardbench.core.policy import PolicyContext
-from hoardbench.core.state import EmbodiedState
-from hoardbench.harness import _run_cell, parse_config, resolved_document
+from hoardbench.harness import _run_cell, parse_config, resolved_document, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.rng import RunStreams, Substream
 
@@ -39,13 +39,8 @@ def test_open_loop_succeeds_at_prior_compliance_with_zero_interventions():
 def test_launch_grid_argmin_matches_brute_force_oracle():
     env = FamilyAConfig()
     planner = LaunchPlanner(env)
-    cfg = BeliefConfig(
-        observation_keys=("error", "error_rate"),
-        latent_names=("compliance",),
-        latent_prior_mean=(0.5,),
-        latent_prior_variance=(1e12,),
-    )
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
+    cfg = BeliefConfig(latent_prior_mean=0.5, latent_prior_variance=1e12)
+    belief = initial_belief(cfg, 0.0, 0.0)
     ctx = PolicyContext(rng=RunStreams(0).agent)
     option = planner.select(belief, ctx)
     # Oracle: independent brute-force scan of the physics formula.
@@ -400,3 +395,50 @@ def test_predicted_landing_error_formula():
     assert predicted_landing_error(env, 1.0, 1.0) == pytest.approx(0.0 * env.gap_scale
         + env.impulse * (1.0 - 1.0)
     )
+
+
+# sha256 of runs.jsonl and of each trace file the report writes for the grid
+# below, recorded from the code whose belief kept its latents in arrays and
+# its states as `EmbodiedState` tuples, with its own copy of the controller's
+# compensator, RLS and forgetting settings.
+SWITCHES_GRID_SHA256 = {
+    "runs.jsonl": "0f20f14a915fa0c2d9d13e6265430ab0b4db6abb16d3a8ef0e487f0497501d15",
+    "traces/baseline_obs_delay_0/seed_0.jsonl": "2bfed13120f73d7cec23810a2097d6d15b7e4ff81fc88a12a6ae1d1f8dab0df2",
+    "traces/baseline_obs_delay_0/seed_1.jsonl": "2670e86ec634046c1151fec6b92a81f9ccdc39e91e88cddb6ace039f6498962f",
+    "traces/baseline_obs_delay_10/seed_0.jsonl": "40f96af3c514c5ea2a8ebc43767c627963b21ec77cbbaf3440629495efc76d11",
+    "traces/baseline_obs_delay_10/seed_1.jsonl": "f8f11c8c5c9ef227af3a1439239198732c34941c52e7a7e67830c0f5ceaf89ca",
+    "traces/baseline_obs_delay_2/seed_0.jsonl": "c8c2d0197ed97ee01bbba3c3e6177a894f96704b710e1a0e85d27f76f22340c4",
+    "traces/baseline_obs_delay_2/seed_1.jsonl": "950773bc4b13a09a234c705b73716abd6e00bf465865a8100cebf354bd0355a4",
+    "traces/no_compensator_obs_delay_0/seed_0.jsonl": "2bfed13120f73d7cec23810a2097d6d15b7e4ff81fc88a12a6ae1d1f8dab0df2",
+    "traces/no_compensator_obs_delay_0/seed_1.jsonl": "2670e86ec634046c1151fec6b92a81f9ccdc39e91e88cddb6ace039f6498962f",
+    "traces/no_compensator_obs_delay_10/seed_0.jsonl": "419eee4ca4704515bfa584d233275cf593f7b4504bcea98ef4fc05f44502fc0e",
+    "traces/no_compensator_obs_delay_10/seed_1.jsonl": "0aceda9b5bb13c401d1eab5662fd1140570020b9178b162e9f0038bbde16bf57",
+    "traces/no_compensator_obs_delay_2/seed_0.jsonl": "220f88eec6403aeb7729174ef75bf784404cea4b5d3263d5e6d158bcbc39ff68",
+    "traces/no_compensator_obs_delay_2/seed_1.jsonl": "b4f6cd30b7c403662e6d3be649037c2192b6aa6669ce362fb54452908a015d62",
+    "traces/no_feedback_obs_delay_0/seed_0.jsonl": "29528014b596c717eecdc92ee48e31e2d9d3a8bc82e9f3164edb574d34c3cdfc",
+    "traces/no_feedback_obs_delay_0/seed_1.jsonl": "f945029ca8b1730e66e4a7cdcff2f80c20649d6eac8c3de011bcf57d0c53b82c",
+    "traces/no_feedback_obs_delay_10/seed_0.jsonl": "29528014b596c717eecdc92ee48e31e2d9d3a8bc82e9f3164edb574d34c3cdfc",
+    "traces/no_feedback_obs_delay_10/seed_1.jsonl": "f945029ca8b1730e66e4a7cdcff2f80c20649d6eac8c3de011bcf57d0c53b82c",
+    "traces/no_feedback_obs_delay_2/seed_0.jsonl": "29528014b596c717eecdc92ee48e31e2d9d3a8bc82e9f3164edb574d34c3cdfc",
+    "traces/no_feedback_obs_delay_2/seed_1.jsonl": "f945029ca8b1730e66e4a7cdcff2f80c20649d6eac8c3de011bcf57d0c53b82c",
+}
+
+
+def test_output_bytes_across_delay_and_controller_switches(tmp_path):
+    # Delays 0, 2 and 10 under feedback with and without the compensator and
+    # open loop, RLS on, with drifting compliance and a perturbation.
+    config = parse_config(json.dumps({
+        "family": "A", "seeds": "0..1",
+        "env": {"trials": 2, "z_drift": 0.05, "perturb_step": 60, "perturb_magnitude": 0.2},
+        "agent": {"rls": True},
+        "ablations": ["no_feedback", "no_compensator"],
+        "sweep": {"key": "obs_delay", "values": [0, 2, 10]},
+    }))
+    write_report(run_grid(config, jobs=1), tmp_path)
+    written = ["runs.jsonl"] + [
+        path.relative_to(tmp_path).as_posix() for path in (tmp_path / "traces").rglob("*.jsonl")
+    ]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
+    }
+    assert digests == SWITCHES_GRID_SHA256

@@ -11,9 +11,8 @@ from hoardbench.envs.family_c import (
     FamilyCConfig,
     run_family_c,
 )
-from hoardbench.core.belief import BeliefConfig, initial_belief
 from hoardbench.core.policy import PolicyContext
-from hoardbench.core.state import EmbodiedState, OptionKind
+from hoardbench.core.state import OptionKind
 from hoardbench.harness import parse_config
 from hoardbench.ledger import CostLedger
 from hoardbench.observer import ObserverBelief, SawCache, observer_update
@@ -94,9 +93,6 @@ def test_conceal_option_thresholds_on_observer_mass():
     import numpy as np
 
     policy = CacheSitePolicy(theta=0.02, wait_steps=2, avoid=set())
-    cfg = BeliefConfig(observation_keys=("phase",), embodied_keys=("phase", "phase"))
-    belief = initial_belief(cfg, EmbodiedState((0.0,), (0.0,)))
-
     # Pre-draw the candidate cells the seeded stream will produce, then put
     # heavy mass exactly there.
     preview = RunStreams(0).agent.integers(0, 400, size=8)
@@ -105,13 +101,13 @@ def test_conceal_option_thresholds_on_observer_mass():
         grid[int(k) // 20, int(k) % 20] = 0.05
     hot = ObserverBelief(grid / grid.sum())
     ctx = PolicyContext(rng=RunStreams(0).agent, observer_estimate=hot)
-    choice = policy.select(belief, ctx)
+    choice = policy.select(None, ctx)
     assert choice.kind is OptionKind.CONCEAL
     assert choice.params["steps"] == 2.0
 
     quiet = ObserverBelief.uniform()
     ctx = PolicyContext(rng=RunStreams(0).agent, observer_estimate=quiet)
-    choice = policy.select(belief, ctx)
+    choice = policy.select(None, ctx)
     assert choice.kind is OptionKind.CACHE
     cell = (int(choice.params["row"]), int(choice.params["col"]))
     assert cell in {(int(k) // 20, int(k) % 20) for k in preview}

@@ -61,6 +61,11 @@ def test_normalization_preserved_by_every_update():
         assert abs(belief.grid.sum() - 1.0) < 1e-12
 
 
+def test_constructor_refuses_a_grid_with_no_mass():
+    with pytest.raises(InputError, match="total is 0.0"):
+        ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID)))
+
+
 def test_cell_outside_grid_rejected():
     with pytest.raises(InputError):
         observer_update(ObserverBelief.uniform(), SawCache((20, 0)))
@@ -245,9 +250,10 @@ def test_sighting_update_matches_array_form_on_every_cell():
 
 
 _GRIDS = st.one_of(
-    st.just(np.zeros((OBSERVER_GRID, OBSERVER_GRID))),
     st.just(ObserverBelief.uniform().grid),
-    arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1e3)),
+    arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1e3)).filter(
+        lambda grid: grid.sum() > 0.0
+    ),
 )
 _COORD = st.integers(-2, OBSERVER_GRID + 1)
 _IN_GRID = st.tuples(st.integers(0, OBSERVER_GRID - 1), st.integers(0, OBSERVER_GRID - 1))

@@ -16,23 +16,24 @@ from hoardbench.core.policy import (
     PolicyContext,
     PrimitivePolicy,
     StabilizingController,
+    act,
     check_policy,
+    form_queries,
+    form_query,
+    select_option,
 )
 from hoardbench.core.state import ConfigurationError
 from hoardbench.envs.family_a import LaunchPlanner, FamilyAConfig
 from hoardbench.envs.family_b import RetrievalGoalPolicy
 from hoardbench.envs.family_c import CacheSitePolicy
-from hoardbench.memory import Retrieval
+from hoardbench.ledger import CostLedger
+from hoardbench.memory import MemoryStore, Retrieval
+from hoardbench.rng import RunStreams
 from hoardbench.verifier import AgentSignal, VerifierSignal
 
-FORBIDDEN_TYPE_NAMES = {
-    "LatentParams",
-    "LatentSpec",
-    "AgentState",
-    "EmbodiedState",
-    "VerifierSignal",
-    "MemoryStore",
-}
+# Compared by identity, so a type that is deleted breaks this import rather
+# than leaving a name that can never match.
+FORBIDDEN_TYPES = (VerifierSignal, MemoryStore, CostLedger, RunStreams)
 
 OPTION_POLICIES = [
     LaunchPlanner(FamilyAConfig()),
@@ -40,14 +41,42 @@ OPTION_POLICIES = [
     CacheSitePolicy(0.02, 2, set()),
 ]
 PRIMITIVE_POLICIES = [StabilizingController()]
+ENTRY_POINTS = [
+    *(policy.select for policy in OPTION_POLICIES),
+    *(policy.act for policy in PRIMITIVE_POLICIES),
+    OptionPolicy.select,
+    PrimitivePolicy.act,
+    select_option,
+    act,
+    form_query,
+    form_queries,
+    PolicyContext,
+]
 
 
-def _annotation_names(func) -> set[str]:
-    hints = typing.get_type_hints(func)
-    names = set()
-    for hint in hints.values():
-        names.update(t.strip() for t in str(hint).replace("|", ",").split(","))
-    return {n.rsplit(".", 1)[-1].rstrip("]") for n in names}
+def _hint_types(obj) -> set:
+    """Every type named in `obj`'s resolved annotations, unions and generic
+    arguments flattened."""
+    found = set()
+    pending = list(typing.get_type_hints(obj).values())
+    while pending:
+        hint = pending.pop()
+        found.add(hint)
+        found.add(typing.get_origin(hint))
+        pending.extend(typing.get_args(hint))
+    return found
+
+
+def _forbidden(obj) -> list:
+    types = _hint_types(obj)
+    return [t for t in FORBIDDEN_TYPES if any(t is u for u in types)]
+
+
+def test_audit_sees_a_forbidden_type_inside_a_union_or_generic():
+    def leaky(belief: Belief, ledger: "CostLedger | None", stores: "list[MemoryStore]"):
+        pass
+
+    assert _forbidden(leaky) == [MemoryStore, CostLedger]
 
 
 def test_option_policies_conform_to_protocol():
@@ -72,14 +101,12 @@ def test_non_conforming_policy_is_rejected_when_built():
 
 
 def test_policy_signatures_expose_no_ground_truth():
+    for entry in ENTRY_POINTS:
+        assert _forbidden(entry) == [], entry
     for policy in OPTION_POLICIES:
-        names = _annotation_names(policy.select)
-        assert not (names & FORBIDDEN_TYPE_NAMES), names
         params = list(inspect.signature(policy.select).parameters)
         assert params == ["belief", "ctx"]
     for policy in PRIMITIVE_POLICIES:
-        names = _annotation_names(policy.act)
-        assert not (names & FORBIDDEN_TYPE_NAMES), names
         params = list(inspect.signature(policy.act).parameters)
         assert params == ["belief", "retrieved", "option", "ctx"]
 

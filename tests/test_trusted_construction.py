@@ -25,7 +25,6 @@ from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_
 from hoardbench.core.policy import ActOutcome
 from hoardbench.core.state import (
     Action,
-    EmbodiedState,
     InputError,
     LatentEvidence,
     Observation,
@@ -35,13 +34,12 @@ from hoardbench.ledger import StepCosts
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
 from hoardbench.trusted import trusted
 
-COVERED = (Action, ActOutcome, Belief, EmbodiedState, Observation, ObserverBelief, StepCosts)
+COVERED = (Action, ActOutcome, Belief, Observation, ObserverBelief, StepCosts)
 
 # Every function that may touch `_trusted`, as "module:qualname". Each builds
 # only from values that were checked on the way in or derived from them in a
 # way that keeps them valid; see the comment or docstring at each one.
 ALLOWED_CALLERS = {
-    "hoardbench.core.belief:_embodied_from_obs",
     "hoardbench.core.belief:update_belief",
     "hoardbench.core.policy:StabilizingController.act",
     "hoardbench.envs.family_a:run_family_a",
@@ -53,11 +51,6 @@ SRC = Path(hoardbench.__file__).resolve().parent
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 _COST = st.floats(0.0, 1e6, allow_nan=False)
-_STATES = st.builds(
-    EmbodiedState,
-    st.lists(_FINITE, min_size=1, max_size=3).map(tuple),
-    st.lists(_FINITE, min_size=1, max_size=3).map(tuple),
-)
 _OBSERVATIONS = st.builds(
     Observation,
     st.dictionaries(st.sampled_from(["error", "error_rate", "phase", "round"]), _FINITE),
@@ -65,14 +58,10 @@ _OBSERVATIONS = st.builds(
     .map(tuple),
     st.lists(st.tuples(st.integers(0, 30), _FINITE, _FINITE), max_size=3).map(tuple),
 )
-_LATENTS = arrays(np.float64, st.integers(0, 3), elements=st.floats(0.0, 1e12))
 
 
 def _field_values(cls, draw):
     """One valid value per field of `cls`, in declaration order."""
-    if cls is EmbodiedState:
-        state = draw(_STATES)
-        return [state.position, state.velocity]
     if cls is Observation:
         obs = draw(_OBSERVATIONS)
         return [obs.values, obs.latent_evidence, obs.landmarks]
@@ -87,17 +76,19 @@ def _field_values(cls, draw):
         return [draw(_COST) for _ in range(5)]
     if cls is Belief:
         return [
-            draw(_LATENTS),
-            draw(_LATENTS),
+            draw(_FINITE),
+            draw(st.floats(0.0, 1e12)),
             tuple(draw(st.lists(_OBSERVATIONS, max_size=3))),
             tuple(draw(st.lists(_FINITE, max_size=3))),
-            draw(_STATES),
-            draw(_STATES),
+            *(draw(_FINITE) for _ in range(4)),
             draw(st.integers(0, 10)),
         ]
     if cls is ObserverBelief:
         return [
-            draw(arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1.0))),
+            draw(
+                arrays(np.float64, (OBSERVER_GRID, OBSERVER_GRID), elements=st.floats(0.0, 1.0))
+                .filter(lambda grid: grid.sum() > 0.0)
+            ),
             draw(st.floats(0.0, 1.0)),
         ]
     raise AssertionError(f"no strategy for {cls.__name__}")
@@ -147,12 +138,8 @@ def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
         lambda: ObserverBelief(np.full((OBSERVER_GRID, OBSERVER_GRID), -1.0 / 400)),
         lambda: ObserverBelief(np.where(np.eye(OBSERVER_GRID) > 0, -1e-9, 0.01)),
         lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID - 1))),
-        lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID)), 1.5),
-        lambda: initial_belief(
-            BeliefConfig(("error",), latent_names=("z",), latent_prior_mean=(0.0,),
-                         latent_prior_variance=(-1.0,)),
-            EmbodiedState((0.0,), (0.0,)),
-        ),
+        lambda: ObserverBelief(np.ones((OBSERVER_GRID, OBSERVER_GRID)), 1.5),
+        lambda: initial_belief(BeliefConfig(latent_prior_variance=-1.0), 0.0, 0.0),
     ],
 )
 def test_public_constructors_still_reject_invalid_input(build):
@@ -170,8 +157,8 @@ def test_public_constructors_still_reject_invalid_input(build):
     ],
 )
 def test_update_belief_validates_an_observation_built_unchecked(values, error):
-    config = BeliefConfig(("error", "error_rate"), delay=1)
-    belief = initial_belief(config, EmbodiedState((0.0,), (0.0,)))
+    config = BeliefConfig(delay=1)
+    belief = initial_belief(config, 0.0, 0.0)
     with pytest.raises(error):
         update_belief(belief, Observation._trusted(values, (), ()), Action("noop"), config)
 
