@@ -5,7 +5,7 @@ strategic observation, and pass delayed, noisy verification."""
 __version__ = "0.1.0"
 
 from .controller import ControllerConfig, RlsState, pd_feedback, predictive_compensate, rls_update
-from .ledger import CostLedger, StepCosts, accrue, constraint_check, objective_value
+from .ledger import CostLedger, accrue, constraint_check, objective_value
 from .memory import MemoryStore, Query, Retrieval, StoreVariant, decode_location, retrieve, write
 from .observer import ObserverBelief, leakage_score, observer_update, pilfer_select
 from .rng import RunStreams, Substream
@@ -21,7 +21,6 @@ __all__ = [
     "RlsState",
     "RunStreams",
     "SignalSink",
-    "StepCosts",
     "StoreVariant",
     "Substream",
     "__version__",

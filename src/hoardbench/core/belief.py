@@ -1,23 +1,23 @@
 """Belief state under observation delay and a hidden parameter.
 
 The belief carries three things: a scalar posterior (mean and variance) over
-the hidden compliance, a fixed-length queue of in-flight raw observations
-modelling sensor delay, and a log of recently issued actions used to roll the
-delayed observation of the error coordinate forward to the present
-(Smith-predictor style).
+the hidden compliance; a fixed-length queue modelling sensor delay, of one
+`(error, error_rate, evidence)` float reading per update in flight, whose
+`LatentEvidence` is empty but on informative steps (family A's landing);
+and a log of recently issued forces used to roll the delayed reading
+forward to the present (Smith-predictor style).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from ..controller import (
     ControllerConfig, RlsState, StepDynamics, double_integrator, predictive_compensate, rls_update,
 )
 from ..trusted import trusted
-from .state import Action, InputError, Observation
-
-_OBSERVATION_KEYS = ("error", "error_rate")
+from .state import InputError, LatentEvidence
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,13 @@ class Belief:
     """Agent-side posterior summary. Policies read this, never ground truth.
 
     `position` and `velocity` estimate the error coordinate now; the delayed
-    pair is what the delayed observations give.
+    pair is what the delayed readings give. `delayed_obs_buffer` holds the
+    in-flight `(error, error_rate, evidence)` readings, oldest first.
     """
 
     latent_mean: float
     latent_variance: float
-    delayed_obs_buffer: tuple[Observation, ...]
+    delayed_obs_buffer: tuple[tuple[float, float, tuple[LatentEvidence, ...]], ...]
     action_log: tuple[float, ...]
     position: float
     velocity: float
@@ -71,49 +72,50 @@ def initial_belief(config: BeliefConfig, position: float, velocity: float) -> Be
 
 
 def update_belief(
-    belief: Belief, observation: Observation, action: Action, config: BeliefConfig
+    belief: Belief, error: float, error_rate: float, force: float, config: BeliefConfig,
+    evidence: tuple[LatentEvidence, ...] = (),
 ) -> Belief:
-    """Advance the belief by one step.
+    """Advance the belief by one step of readings `error` and `error_rate`,
+    taken after `force` was issued, and carrying `evidence`.
 
-    The new raw observation enters the delay queue; once the queue holds more
-    than `delay` entries the oldest one is delivered and becomes the delayed
+    The new reading enters the delay queue; once the queue holds more than
+    `delay` entries the oldest one is delivered and becomes the delayed
     state estimate. The present-time estimate is that delayed state pushed
-    through the logged actions. The latent posterior moves only when the
-    observation carries evidence (an informative step). The observation is
-    validated here; the new belief is built unchecked from it and from
-    `belief`.
+    through the logged forces. The latent posterior moves only when the
+    delivered reading carries evidence (an informative step). A reading
+    that is not finite raises InputError; the new belief is built unchecked
+    from the readings and from `belief`.
     """
-    observation.validate(_OBSERVATION_KEYS)
+    if not (-inf < error < inf and -inf < error_rate < inf):
+        name = "error_rate" if -inf < error < inf else "error"
+        raise InputError(f"observation value {name!r} is not finite")
     controller = config.controller
     delay = config.delay
 
-    buffer = belief.delayed_obs_buffer + (observation,)
-    force = float(action.params.get("force", 0.0))
+    buffer = belief.delayed_obs_buffer + ((error, error_rate, evidence),)
     log = (belief.action_log + (force,))[-max(delay, 1):]
     mean = belief.latent_mean
     var = belief.latent_variance
     kappa = 0
 
     if len(buffer) > delay:
-        delivered, buffer = buffer[0], buffer[1:]
-        delayed_p = delivered.values["error"]
-        delayed_v = delivered.values["error_rate"]
+        (delayed_p, delayed_v, delivered), buffer = buffer[0], buffer[1:]
         p, v = delayed_p, delayed_v
         if controller.compensator_enabled:
             # A delivery means more than `delay` updates so far, one log
             # entry each, so the log covers the delay window.
             p, v, kappa = predictive_compensate(config.dynamics, p, v, log, delay)
         # Evidence rides the sensor stream: the posterior moves when an
-        # informative observation is delivered, not when it is emitted.
+        # informative reading is delivered, not when it is taken.
         if controller.rls_enabled:
-            for ev in delivered.latent_evidence:
+            for ev in delivered:
                 est = rls_update(
                     RlsState(mean, var, controller.forgetting), ev.regressor, ev.response
                 )
                 mean, var = est.mean, est.variance
     else:
         # Nothing delivered yet (early steps): dead-reckon the previous
-        # delayed estimate through the action just issued.
+        # delayed estimate through the force just issued.
         delayed_p, delayed_v = config.dynamics(
             belief.delayed_position, belief.delayed_velocity, force
         )

@@ -14,10 +14,8 @@ from typing import Protocol, runtime_checkable
 from ..controller import ControllerConfig, pd_feedback
 from ..memory import CueVector, LandmarkSet, Query, Retrieval, encode_cue, encode_cues
 from ..rng import Substream
-from ..trusted import trusted
 from .belief import Belief
 from .state import (
-    Action,
     ConfigurationError,
     OptionChoice,
     OptionKind,
@@ -51,7 +49,8 @@ class OptionPolicy(Protocol):
 
 @runtime_checkable
 class PrimitivePolicy(Protocol):
-    """Low-level policy emitting one primitive action per step."""
+    """Low-level policy emitting one force per step, and whether the bound
+    clamped it."""
 
     def act(
         self,
@@ -59,16 +58,7 @@ class PrimitivePolicy(Protocol):
         retrieved: Retrieval | None,
         option: OptionChoice,
         ctx: PolicyContext,
-    ) -> "ActOutcome": ...
-
-
-@trusted
-@dataclass(frozen=True)
-class ActOutcome:
-    """Primitive action, and whether its force was clamped to the bound."""
-
-    action: Action
-    clamped: bool = False
+    ) -> tuple[float, bool]: ...
 
 
 def check_policy(policy, protocol: type):
@@ -134,9 +124,10 @@ def act(
     retrieved: Retrieval | None,
     option: OptionChoice,
     ctx: PolicyContext,
-) -> ActOutcome:
-    """Run the low-level policy for the active option. The policy was checked
-    against `PrimitivePolicy` when it was built."""
+) -> tuple[float, bool]:
+    """Run the low-level policy for the active option: the step's force and
+    whether it was clamped. The policy was checked against `PrimitivePolicy`
+    when it was built."""
     return policy.act(belief, retrieved, option, ctx)
 
 
@@ -150,9 +141,9 @@ class StabilizingController:
 
     Reads the belief's present estimate, which is the delayed estimate
     itself when the compensator is off. With feedback disabled it pops the
-    pre-committed open-loop schedule (if any) and then stays silent. Every
-    force it emits is clamped to the checked `action_bound`, so its actions
-    and outcomes are built unchecked.
+    pre-committed open-loop schedule (if any) and then stays silent. `act`
+    returns the force, clamped to the checked `action_bound`, and whether
+    the clamp changed it.
     """
 
     def __init__(self, schedule: list[float] | None = None):
@@ -164,15 +155,12 @@ class StabilizingController:
         retrieved: Retrieval | None,
         option: OptionChoice,
         ctx: PolicyContext,
-    ) -> ActOutcome:
+    ) -> tuple[float, bool]:
         cfg = ctx.controller
         if cfg.feedback_enabled:
-            force, clamped = pd_feedback(cfg, belief.position, belief.velocity)
-            return ActOutcome._trusted(Action._trusted("force", {"force": force}), clamped)
+            return pd_feedback(cfg, belief.position, belief.velocity)
         if self.schedule:
             force = self.schedule.pop(0)
             bounded = max(-cfg.action_bound, min(cfg.action_bound, force))
-            return ActOutcome._trusted(
-                Action._trusted("force", {"force": bounded}), bounded != force
-            )
-        return ActOutcome._trusted(Action._trusted("force", {"force": 0.0}), False)
+            return bounded, bounded != force
+        return 0.0, False

@@ -79,7 +79,6 @@ class LatentEvidence:
     response: float
 
 
-@trusted
 @dataclass(frozen=True)
 class Observation:
     """Raw per-step sensor payload.
@@ -93,15 +92,6 @@ class Observation:
     values: dict[str, float]
     latent_evidence: tuple[LatentEvidence, ...] = ()
     landmarks: tuple[tuple[int, float, float], ...] = ()
-
-    def validate(self, keys: tuple[str, ...]) -> None:
-        if self.values.keys() != set(keys):
-            raise SchemaError(
-                f"observation keys {sorted(self.values)} != schema {sorted(keys)}"
-            )
-        for k, v in self.values.items():
-            if not math.isfinite(v):
-                raise InputError(f"observation value {k!r} is not finite")
 
 
 @trusted
@@ -181,6 +171,8 @@ class Trace:
     the array marks each run of such records with `_WHOLE` and its length.
     Either way each line is byte-identical to `TraceRecord.to_json_line`'s.
     `records` rebuilds the records for readers that want objects.
+    `append_floats` takes a record as its shape's key and floats instead,
+    for a loop that builds no objects; a trace may mix both entry points.
     """
 
     def __init__(self):
@@ -198,6 +190,8 @@ class Trace:
         # (action kind, option kind, visible) -> the gather function and id
         # of the shape last appended with them.
         self._recent: dict[tuple, tuple] = {}
+        # Shape key -> its put function, id and shape, for `append_floats`.
+        self._by_key: dict[tuple, tuple] = {}
 
     def append(
         self,
@@ -237,6 +231,34 @@ class Trace:
             TraceRecord(step, observation, action, option_active, observed_by_adversary)
         )
 
+    def append_floats(self, step: int, key: tuple, *floats: float) -> None:
+        """Append the record of `_Shape` key `key`, which has no landmarks,
+        from its floats in key order: the observation's values, the
+        action's params, the option's params. A record that cannot be
+        written from `floats` (a value is not a float) or that is out of
+        step goes through `append`, which keeps it whole or refuses it."""
+        found = self._by_key.get(key) or self._register(key)
+        packed = found[0](found[1], *floats)
+        if packed is None or step != self._count:
+            record = found[2].record(step, floats, [])
+            self.append(step, record.observation, record.action, record.option_active,
+                        record.observed_by_adversary)
+        else:
+            self._count = step + 1
+            self._floats.frombytes(packed)
+
+    def _register(self, key: tuple) -> tuple:
+        """`key`'s put function, id and shape; InputError unless `key` is
+        the one `_Shape.of` gives a record without landmarks."""
+        obs_keys, _, action_kind, action_keys, option_kind, option_keys, visible = key
+        shape = _Shape.of(dict.fromkeys(obs_keys), False, action_kind, dict.fromkeys(action_keys),
+                          option_kind, dict.fromkeys(option_keys), visible)
+        if shape is None or shape.key != key:
+            raise InputError(f"not a trace shape key without landmarks: {key!r}")
+        if shape not in self._shapes:
+            self._shapes.append(shape)
+        return self._by_key.setdefault(key, (shape.put, float(self._shapes.index(shape)), shape))
+
     def _place(self, snapshot: tuple) -> float:
         """The snapshot's place in the table, where its first append puts it."""
         at = self._snapshot_at.get(id(snapshot))
@@ -267,7 +289,7 @@ class Trace:
         # Pickle cannot carry generated gather functions; shapes pickle by
         # key, and the next append finds them again. Ids mean nothing in
         # another process, so the snapshot table travels without its index.
-        return {**self.__dict__, "_recent": {}, "_snapshot_at": {}}
+        return {**self.__dict__, "_recent": {}, "_by_key": {}, "_snapshot_at": {}}
 
     def __len__(self) -> int:
         return self._count
@@ -377,13 +399,15 @@ class _Shape:
     packed as doubles for `array.frombytes`, which costs a third of
     `array.extend`. It returns None when a value is not a float or the flag
     or whether `at` is None is not the shape's, and raises KeyError or
-    returns None when the dicts' keys are not the shape's. `gather` is
+    returns None when the dicts' keys are not the shape's. `put(shape_id,
+    *floats)` packs the same way from the floats themselves, for a shape
+    without landmarks, and returns None when one is not a float. Both are
     generated code, as each class's `_trusted` is, so one shape per key is
-    built and shared by every trace: building one per trace would cost each
-    cell its compile time.
+    built, when a trace first meets the key, and shared by every trace:
+    building one per trace would cost each cell its compile time.
     """
 
-    __slots__ = ("key", "width", "landmarks_at", "template", "gather")
+    __slots__ = ("key", "width", "landmarks_at", "template", "gather", "put")
     _cache: dict[tuple, "_Shape"] = {}
 
     def __reduce__(self):
@@ -445,16 +469,23 @@ class _Shape:
                 checks.append(f"type({names[-1]}) is float")
             if group == "values" and landmarks:
                 names.append("at")
+        args = "".join(f", v{i}" for i in range(self.width))
+        put_checks = [f"type(v{i}) is float" for i in range(self.width)]
         source = (
             "def gather(shape_id, values, at, action_params, option_params, visible):\n"
             + "".join(fetch)
             + f"    if {' and '.join(checks)}:\n"
             + f"        return pack(shape_id, {''.join(n + ', ' for n in names)})\n"
             + "    return None\n"
+            + f"def put(shape_id{args}):\n"
+            + f"    if {' and '.join(put_checks) or 'True'}:\n"
+            + f"        return pack(shape_id{args})\n"
+            + "    return None\n"
         )
         namespace: dict = {"pack": Struct(f"{self.width + 1}d").pack}
         exec(compile(source, "<trace shape>", "exec"), namespace)
         self.gather = namespace["gather"]
+        self.put = namespace["put"]
 
     def record(self, step: int, values: array, snapshots: list[tuple]) -> TraceRecord:
         obs_keys, landmarks, action_kind, action_keys, option_kind, option_keys, visible = self.key

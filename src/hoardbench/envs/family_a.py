@@ -42,7 +42,7 @@ from ..core.state import (
     Trace,
 )
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
-from ..ledger import CostLedger, StepCosts, accrue
+from ..ledger import CostLedger, accrue
 from ..rng import RunStreams
 from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
@@ -53,6 +53,11 @@ OPTION_SCHEMA = {
     OptionKind.LAUNCH: ("offset", "impulse"),
     OptionKind.STABILIZE: (),
 }
+
+# A stabilize step's trace shape: its floats are the observed error and
+# error rate, then the force.
+_STABILIZE_RECORD = (
+    ("error", "error_rate"), False, "force", ("force",), OptionKind.STABILIZE, (), False)
 
 @dataclass(frozen=True)
 class FamilyAConfig:
@@ -202,19 +207,17 @@ def run_family_a(
         noise = streams.env.normal(0.0, 1.0, size=2)
         e_obs = e + env.obs_noise * float(noise[0])
         r_obs = edot + env.obs_noise * float(noise[1])
-        evidence = LatentEvidence(
+        evidence = (LatentEvidence(
             "compliance",
             regressor=-(impulse * offset * offset),
             response=e_obs - (impulse - env.gap_scale * (1.0 - offset)),
-        )
-        landing_obs = Observation(
-            {"error": e_obs, "error_rate": r_obs}, latent_evidence=(evidence,)
-        )
-        launch_action = Action("launch", {"offset": offset, "impulse": impulse})
-        belief = update_belief(belief, landing_obs, launch_action, belief_cfg)
+        ),)
+        belief = update_belief(belief, e_obs, r_obs, 0.0, belief_cfg, evidence)
         comp_kappa += belief.last_compute
         if trace is not None:
-            trace.append(global_step, landing_obs, launch_action, launch, False)
+            landing = Observation({"error": e_obs, "error_rate": r_obs}, evidence)
+            launch_action = Action("launch", {"offset": offset, "impulse": impulse})
+            trace.append(global_step, landing, launch_action, launch, False)
         global_step += 1
 
         # Open-loop agents commit a correction schedule now and never revise.
@@ -235,9 +238,8 @@ def run_family_a(
         step_noise = streams.env.normal(0.0, 1.0, size=(env.horizon, 2)).tolist()
 
         for step in range(1, env.horizon + 1):
-            outcome = act(stabilizer, belief, None, option, ctx)
-            force = outcome.action.params.get("force", 0.0)
-            if outcome.clamped:
+            force, clamped = act(stabilizer, belief, None, option, ctx)
+            if clamped:
                 clamp_events += 1
             if abs(force) > INTERVENTION_EPS:
                 interventions += 1
@@ -249,19 +251,12 @@ def run_family_a(
             e, edot = e + edot * env.dt, edot + (force + w) * env.dt
 
             noise = step_noise[step - 1]
-            # update_belief validates this observation.
-            obs = Observation._trusted(
-                {
-                    "error": e + env.obs_noise * noise[0],
-                    "error_rate": edot + env.obs_noise * noise[1],
-                },
-                (),
-                (),
-            )
-            belief = update_belief(belief, obs, outcome.action, belief_cfg)
+            e_obs = e + env.obs_noise * noise[0]
+            r_obs = edot + env.obs_noise * noise[1]
+            belief = update_belief(belief, e_obs, r_obs, force, belief_cfg)
             comp_kappa += belief.last_compute
             if trace is not None:
-                trace.append(global_step, obs, outcome.action, option, False)
+                trace.append_floats(global_step, _STABILIZE_RECORD, e_obs, r_obs, force)
             global_step += 1
 
             if abs(e) < env.pos_tol and abs(edot) < env.vel_tol:
@@ -271,17 +266,9 @@ def run_family_a(
             if first_hold_step is None and hold >= env.hold_steps:
                 first_hold_step = step
 
-            # Unchecked: latency is 0/1, repair |force| of a clamped force, compute a count >= 0.
-            accrue(
-                ledger,
-                StepCosts._trusted(
-                    0.0,  # task
-                    0.0 if first_hold_step is not None else 1.0,  # latency
-                    0.0,  # leak
-                    abs(force) if perturbed else 0.0,  # repair
-                    float(belief.last_compute),  # compute
-                ),
-            )
+            # Positional, in `accrue`'s order: task, latency, leak, repair, compute.
+            accrue(ledger, 0.0, 0.0 if first_hold_step is not None else 1.0, 0.0,
+                   abs(force) if perturbed else 0.0, float(belief.last_compute))
             if ledger.exhausted:
                 break
 
@@ -289,7 +276,7 @@ def run_family_a(
         # end of the trial, so a late perturbation an agent cannot correct
         # turns the trial into a failure.
         success = hold >= env.hold_steps
-        accrue(ledger, StepCosts(task=0.0 if success else 1.0, compute=env.launch_grid))
+        accrue(ledger, task=0.0 if success else 1.0, compute=env.launch_grid)
         successes += int(success)
         stab_times.append(float(first_hold_step if first_hold_step is not None else env.horizon))
 

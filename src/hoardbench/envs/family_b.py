@@ -42,7 +42,7 @@ from ..core.state import (
     Trace,
 )
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
-from ..ledger import CostLedger, StepCosts, accrue
+from ..ledger import CostLedger, accrue
 from ..memory import (
     LandmarkSet,
     MemoryStore,
@@ -195,7 +195,7 @@ def run_family_b(
             yield from zip(events, actions)
 
     for (_, (item_type, value, x, y)), action in written():
-        accrue(ledger, StepCosts(latency=1.0, compute=1.0))
+        accrue(ledger, latency=1.0, compute=1.0)
         write_kappa += 1.0
         if trace is not None:
             option = OptionChoice(
@@ -242,7 +242,7 @@ def run_family_b(
         result = retrieve(store, query, drifted)
         probes.append(result.probes_used)
         probe_kappa += result.probes_used
-        accrue(ledger, StepCosts(latency=1.0, compute=float(result.probes_used)))
+        accrue(ledger, latency=1.0, compute=float(result.probes_used))
         if trace is not None:
             option = OptionChoice(
                 OptionKind.RETRIEVE,
@@ -277,7 +277,7 @@ def run_family_b(
     precision_ok = precision >= env.precision_target
     sink.check("precision_target", 0, step, precision_ok)
 
-    accrue(ledger, StepCosts(task=0.0 if precision_ok else 1.0))
+    accrue(ledger, task=0.0 if precision_ok else 1.0)
 
     probe_arr = np.asarray(probes, dtype=float)
     record = RunRecord(family="B", variant="", seed=seed, status=STATUS_COMPLETED)

@@ -35,7 +35,7 @@ from ..core.state import (
     Trace,
 )
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
-from ..ledger import CostLedger, StepCosts, accrue
+from ..ledger import CostLedger, accrue
 from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
 from ..observer import (
     OBSERVER_GRID,
@@ -363,16 +363,12 @@ def run_family_c(
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
         exposure = leakage_score(adversary, true_cells) if true_cells else 0.0
-        # Unchecked: latency and repair are 0/1, leak in [0, 1], compute 0, 1 or decoy_cost.
         accrue(
             ledger,
-            StepCosts._trusted(
-                0.0,  # task
-                step_costs["latency"],
-                exposure,  # leak
-                step_costs["repair"],
-                step_costs["compute"],
-            ),
+            latency=step_costs["latency"],
+            leak=exposure,
+            repair=step_costs["repair"],
+            compute=step_costs["compute"],
         )
 
         violation = is_real_cache and visible
@@ -439,7 +435,7 @@ def run_family_c(
             )
             if ok:
                 recovered_value += cache["value"]
-        accrue(ledger, StepCosts(repair=repair, compute=step_compute))
+        accrue(ledger, repair=repair, compute=step_compute)
         step += 1
 
     total_value = float(sum(c["value"] for c in placed)) if placed else 1.0
@@ -450,7 +446,7 @@ def run_family_c(
     sink.check("recovered_target", 0, step, recovered_fraction >= env.recovered_target)
     sink.flush()
 
-    accrue(ledger, StepCosts(task=max(0.0, 1.0 - recovered_fraction)))
+    accrue(ledger, task=max(0.0, 1.0 - recovered_fraction))
 
     monitor_signals = [s for s in sink.signals if s.predicate_id == "cache_while_observed"]
 

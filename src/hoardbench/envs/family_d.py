@@ -44,7 +44,7 @@ from ..core.state import (
     Trace,
 )
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
-from ..ledger import CostLedger, StepCosts, accrue
+from ..ledger import CostLedger, accrue
 from ..rng import RunStreams, Substream
 from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
@@ -333,7 +333,7 @@ def run_family_d(
         known = [by_id[cid] for cid in sorted(proposer_known_ids)]
         plan, evals = _hill_climb(plan, known, env.alphabet_size, streams.agent, HILLCLIMB_ITERATIONS)
         proposer_evals += evals
-        accrue(ledger, StepCosts(latency=1.0, compute=float(evals)))
+        accrue(ledger, latency=1.0, compute=float(evals))
         if trace is not None:
             trace.append(
                 len(trace),
@@ -346,11 +346,11 @@ def run_family_d(
 
         exec_bad = [cid for cid in sorted(k_executor) if not by_id[cid].satisfied(plan)]
         executor_evals += len(k_executor)
-        accrue(ledger, StepCosts(compute=float(len(k_executor))))
+        accrue(ledger, compute=float(len(k_executor)))
         if exec_bad and repair_rounds < MAX_REPAIR_ROUNDS:
             proposer_known_ids.update(exec_bad)
             repair_rounds += 1
-            accrue(ledger, StepCosts(repair=1.0))
+            accrue(ledger, repair=1.0)
             continue
 
         checker_bad: list[int] = []
@@ -361,12 +361,12 @@ def run_family_d(
                 checker_bad.append(cid)
                 if not sig.ground_truth_verdict:
                     caught_by_checker.add(cid)
-        accrue(ledger, StepCosts(compute=float(len(checker_coverage))))
+        accrue(ledger, compute=float(len(checker_coverage)))
         step += 1
         if checker_bad and repair_rounds < MAX_REPAIR_ROUNDS:
             proposer_known_ids.update(checker_bad)
             repair_rounds += 1
-            accrue(ledger, StepCosts(repair=1.0))
+            accrue(ledger, repair=1.0)
             continue
         break
 
@@ -392,7 +392,7 @@ def run_family_d(
     goal = SignalSink(streams.verifier)
     goal.check("plan_satisfies_universe", 0, step, not released_violations)
 
-    accrue(ledger, StepCosts(task=float(len(released_violations))))
+    accrue(ledger, task=float(len(released_violations)))
 
     record = RunRecord(family="D", variant="", seed=seed, status=STATUS_COMPLETED)
     record.goal_verdict = goal.goal_verdict("plan_satisfies_universe")

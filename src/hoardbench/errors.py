@@ -4,7 +4,7 @@ import math
 
 
 class SchemaError(ValueError):
-    """Observation or option payload does not match the declared schema."""
+    """An option payload does not match the declared schema."""
 
 
 class InputError(ValueError):

@@ -16,43 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
 from .core.state import InputError
 from .rng import Substream
-from .trusted import trusted
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 BOOTSTRAP_RESAMPLES = 2000
-
-
-@trusted
-@dataclass(frozen=True)
-class StepCosts:
-    """Per-step, non-negative cost increments."""
-
-    task: float = 0.0
-    latency: float = 0.0
-    leak: float = 0.0
-    repair: float = 0.0
-    compute: float = 0.0
-
-    def __post_init__(self):
-        # One chained test first: for floats it holds exactly when every
-        # field passes the per-field check below (NaN fails it, -0.0 passes).
-        if (
-            0.0 <= self.task < math.inf
-            and 0.0 <= self.latency < math.inf
-            and 0.0 <= self.leak < math.inf
-            and 0.0 <= self.repair < math.inf
-            and 0.0 <= self.compute < math.inf
-        ):
-            return
-        for name in ("task", "latency", "leak", "repair", "compute"):
-            v = getattr(self, name)
-            if v < 0 or not math.isfinite(v):
-                raise InputError(f"step cost {name!r}={v} must be finite and >= 0")
+_CHANNELS = ("task", "latency", "leak", "repair", "compute")  # `accrue`'s order
 
 
 @dataclass
@@ -81,19 +54,30 @@ class CostLedger:
             raise InputError("delta must lie in (0, 1)")
 
 
-def accrue(ledger: CostLedger, costs: StepCosts) -> CostLedger:
-    """Add one step's costs. Crossing the compute budget marks the ledger
-    exhausted (the run loop turns that into a budget-exhausted outcome)."""
-    ledger.task_cost += costs.task
-    ledger.latency_cost += costs.latency
-    ledger.leak_cost += costs.leak
-    ledger.repair_cost += costs.repair
+def accrue(
+    ledger: CostLedger, task=0.0, latency=0.0, leak=0.0, repair=0.0, compute=0.0
+) -> CostLedger:
+    """Add one step's costs, each finite and non-negative, or InputError
+    names the first channel that is not. Crossing the compute budget marks
+    the ledger exhausted (the run loop turns that into a budget-exhausted
+    outcome)."""
+    # One chained test (NaN fails it, -0.0 passes); only a failure looks
+    # for the channel to name.
+    if not (0.0 <= task < inf and 0.0 <= latency < inf and 0.0 <= leak < inf
+            and 0.0 <= repair < inf and 0.0 <= compute < inf):
+        for name, v in zip(_CHANNELS, (task, latency, leak, repair, compute)):
+            if not 0.0 <= v < inf:
+                raise InputError(f"step cost {name!r}={v} must be finite and >= 0")
+    ledger.task_cost += task
+    ledger.latency_cost += latency
+    ledger.leak_cost += leak
+    ledger.repair_cost += repair
     remaining = ledger.budget - ledger.compute_used
-    if costs.compute > remaining:
+    if compute > remaining:
         ledger.compute_used = ledger.budget
         ledger.exhausted = True
     else:
-        ledger.compute_used += costs.compute
+        ledger.compute_used += compute
     return ledger
 
 

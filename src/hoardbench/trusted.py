@@ -1,6 +1,6 @@
 """Trusted construction: build a frozen dataclass from values already checked.
 
-A public constructor checks what it is given. Inside a step loop most
+A public constructor checks what it is given. Inside a step loop some
 objects are built from values that were checked when they entered the
 program, or that the loop derived from such values in a way that keeps them
 valid. There, `__init__`'s argument handling, the frozen `__setattr__` and
@@ -13,7 +13,12 @@ once per class, as the dataclass `__init__` is, because a generic loop over
 the fields costs more than the `__init__` it would replace. Fields are set
 one at a time, in declaration order, so the instance keeps CPython's
 key-sharing dict; assigning a whole `__dict__` costs about 150 bytes more
-per object, and traces hold one `Observation` and one `Action` per step.
+per object.
+
+Three classes remain, each built at every step of a family: `Belief` by
+`update_belief` for family A's policies, `ObserverBelief` by
+`observer_update` in family C, and `Action` by family C for its caching
+phase's trace. Family A's step passes the rest of its values as floats.
 
 Call `_trusted` only where every value comes from an already-checked object.
 `tests/test_trusted_construction.py` lists the functions that do.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -60,22 +61,6 @@ def test_option_schema_exact_keys():
         )
     with pytest.raises(ConfigurationError, match="not in environment schema"):
         validate_option(OptionChoice(OptionKind.STABILIZE), schema)
-
-
-def test_observation_schema_and_finiteness():
-    obs = Observation({"error": 0.0, "error_rate": 1.0})
-    obs.validate(("error", "error_rate"))
-    obs.validate(("error_rate", "error", "error"))
-    with pytest.raises(SchemaError):
-        obs.validate(("error",))
-    # Same size, other keys: the message lists both sorted key sets.
-    with pytest.raises(SchemaError) as info:
-        obs.validate(("rate", "error"))
-    assert str(info.value) == "observation keys ['error', 'error_rate'] != schema ['error', 'rate']"
-    with pytest.raises(InputError):
-        Observation({"error": float("nan"), "error_rate": 0.0}).validate(
-            ("error", "error_rate")
-        )
 
 
 def test_trace_steps_gap_free():
@@ -387,3 +372,158 @@ def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
         records.append(record)
     assert len(restored._snapshots) == 2 + len(reused)
     assert restored.to_jsonl() == "".join(r.to_json_line() + "\n" for r in records)
+
+
+# The float entry point: `Trace.append_floats` against the same oracle, each
+# record's own `TraceRecord.to_json_line`, in traces that mix it with
+# `append`.
+
+_EDGE_FLOATS = (-0.0, 5e-324, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _float_value(draw):
+    """The edge floats, finite floats, and now and then an int or a bool,
+    which the float entry point must keep whole."""
+    pick = draw(st.integers(0, 11))
+    if pick < 3:
+        return draw(st.sampled_from(_EDGE_FLOATS))
+    if pick == 3:
+        return draw(st.integers(-3, 12) | st.booleans())
+    return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible):
+    return (tuple(sorted(obs_keys)), False, kind, tuple(sorted(action_keys)), option_kind,
+            tuple(sorted(option_keys)), visible)
+
+
+def _record_of(step, key, values):
+    """The record `append_floats(step, key, *values)` stands for."""
+    obs_keys, _, kind, action_keys, option_kind, option_keys, visible = key
+    a, b = len(obs_keys), len(obs_keys) + len(action_keys)
+    return TraceRecord(step, Observation(dict(zip(obs_keys, values[:a]))),
+                       Action(kind, dict(zip(action_keys, values[a:b]))),
+                       OptionChoice(option_kind, dict(zip(option_keys, values[b:]))), visible)
+
+
+@st.composite
+def _float_steps(draw):
+    """(key, values) for a float append, or a record for `append`, per step."""
+    keys = draw(st.lists(
+        st.builds(_shape_key, _key_sets, st.sampled_from(["force", "%s"]), _key_sets,
+                  st.sampled_from([OptionKind.STABILIZE, OptionKind.CACHE]), _key_sets,
+                  st.booleans()),
+        min_size=1, max_size=3,
+    ))
+    steps = []
+    for step in range(draw(st.integers(0, 14))):
+        key = draw(st.sampled_from(keys))
+        width = len(key[0]) + len(key[3]) + len(key[5])
+        values = tuple(draw(_float_value()) for _ in range(width))
+        if draw(st.integers(0, 3)) == 0:
+            record = _record_of(step, key, values)
+            if draw(st.booleans()):
+                evidence = (LatentEvidence("compliance", draw(_float_value()), 0.5),)
+                record = TraceRecord(step, Observation(record.observation.values, evidence),
+                                     record.action, record.option_active,
+                                     record.observed_by_adversary)
+            steps.append(record)
+        else:
+            steps.append((key, values))
+    return steps
+
+
+def _feed(trace, steps, start=0):
+    """Append `steps` from step `start` on; the records they stand for."""
+    records = []
+    for step, item in enumerate(steps, start):
+        if isinstance(item, TraceRecord):
+            record = dataclasses.replace(item, step=step)
+            _append(trace, record)
+        else:
+            key, values = item
+            trace.append_floats(step, key, *values)
+            record = _record_of(step, key, values)
+        records.append(record)
+    return records
+
+
+def _lines(records):
+    return "".join(r.to_json_line() + "\n" for r in records)
+
+
+def _stabilize_steps():
+    # Family A's stabilize records, with every edge float in each place,
+    # after a launch record that carries latent evidence.
+    key = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE, (),
+                     False)
+    launch = TraceRecord(0, Observation({"error": 0.1, "error_rate": -0.0},
+                                        (LatentEvidence("compliance", -0.1, 0.02),)),
+                         Action("launch", {"offset": 0.5, "impulse": 0.38}),
+                         OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}), False)
+    steps = [launch]
+    for x in _EDGE_FLOATS:
+        steps += [(key, (x, 0.25, -1.5)), (key, (0.25, x, 1.0)), (key, (1.0, 2.0, x))]
+    steps.append((key, (1, 0.5, 0.5)))
+    return steps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_float_steps(), _float_steps())
+@example(_stabilize_steps(), _stabilize_steps())
+def test_float_entry_point_writes_each_records_own_json_line(steps, more):
+    trace = Trace()
+    records = _feed(trace, steps)
+    assert len(trace) == len(records)
+    assert trace.to_jsonl() == _lines(records)
+    # `records` rebuilds every record: the same line, the same value types.
+    rebuilt = trace.records
+    assert _lines(rebuilt) == _lines(records)
+    for got, want in zip(rebuilt, records):
+        assert [type(v) for v in got.observation.values.values()] == [
+            type(v) for v in want.observation.values.values()]
+    # A trace shipped back from a pool worker writes the same lines and
+    # takes further records by either entry point.
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored.to_jsonl() == _lines(records)
+    records += _feed(restored, more, len(records))
+    assert restored.to_jsonl() == _lines(records)
+    assert _lines(restored.records) == _lines(records)
+
+
+def test_float_entry_point_shares_the_compact_form_with_append():
+    key = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE, (),
+                     False)
+    by_floats, by_objects = Trace(), Trace()
+    for step in range(3):
+        by_floats.append_floats(step, key, 0.1, 0.0, -0.5)
+        _append(by_objects, _record(step))
+    assert by_floats._floats == by_objects._floats and by_floats._whole == []
+    assert by_floats._shapes == by_objects._shapes
+
+
+@pytest.mark.parametrize("key", [
+    (("error_rate", "error"), False, "force", ("force",), OptionKind.STABILIZE, (), False),
+    (("error",), True, "force", ("force",), OptionKind.STABILIZE, (), False),
+    (("error",), False, "force", ("force",), "stabilize", (), False),
+    (("error",), False, "force", ("force",), OptionKind.STABILIZE, (), 0),
+    (("error", "error"), False, "force", (), OptionKind.STABILIZE, (), False),
+], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key"])
+def test_float_entry_point_refuses_a_key_no_record_has(key):
+    trace = Trace()
+    with pytest.raises(InputError, match="not a trace shape key"):
+        trace.append_floats(0, key, *[0.0] * 3)
+    assert len(trace) == 0
+
+
+def test_float_entry_point_keeps_steps_gap_free():
+    key = _shape_key(("error",), "force", (), OptionKind.STABILIZE, (), False)
+    trace = Trace()
+    trace.append_floats(0, key, 0.5)
+    with pytest.raises(InputError, match="trace step 2 != expected 1"):
+        trace.append_floats(2, key, 0.5)
+    with pytest.raises(TypeError):
+        trace.append_floats(1, key, 0.5, 0.5)
+    trace.append_floats(1, key, 0.25)
+    assert len(trace) == 2

@@ -1,9 +1,14 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hoardbench
 from hoardbench import __version__, harness
 from hoardbench.cli import main
 from hoardbench.core.state import ConfigurationError, Trace
@@ -85,6 +90,21 @@ def test_int_too_large_for_a_float_rejected_by_name(key, block):
     document = '{"family": "A", "%s": {"%s": %s}}' % (block, key, "9" * 400)
     with pytest.raises(ConfigurationError, match=key):
         parse_config(document)
+
+
+def test_package_runs_as_a_module(tmp_path):
+    # `python -m hoardbench` is the `hoardbench` command.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": "A", "seeds": "0..1"}))
+    src = str(Path(hoardbench.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-m", "hoardbench", "validate", "--config", str(config)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["family"] == "A"
 
 
 def test_version_echo_round_trips():

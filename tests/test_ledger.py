@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hoardbench.core.state import InputError
 from hoardbench.ledger import (
     CostLedger,
-    StepCosts,
     accrue,
     aggregate,
     bootstrap_ci,
@@ -22,7 +21,7 @@ from hoardbench.rng import Substream
 
 def test_zero_costs_leave_ledger_unchanged():
     ledger = CostLedger()
-    accrue(ledger, StepCosts())
+    accrue(ledger)
     assert (ledger.task_cost, ledger.latency_cost, ledger.leak_cost,
             ledger.repair_cost, ledger.compute_used) == (0, 0, 0, 0, 0)
 
@@ -30,22 +29,55 @@ def test_zero_costs_leave_ledger_unchanged():
 def test_accrual_arithmetic():
     ledger = CostLedger()
     for _ in range(3):
-        accrue(ledger, StepCosts(task=1, latency=2, leak=0, repair=0, compute=5))
+        accrue(ledger, task=1, latency=2, leak=0, repair=0, compute=5)
     assert ledger.task_cost == 3
     assert ledger.latency_cost == 6
     assert ledger.compute_used == 15
 
 
 def test_negative_costs_rejected():
+    ledger = CostLedger()
     with pytest.raises(InputError):
-        StepCosts(task=-0.1)
+        accrue(ledger, task=-0.1)
+    assert ledger == CostLedger()
 
 
 _COST_FIELDS = ("task", "latency", "leak", "repair", "compute")
+_SUMS = ("task_cost", "latency_cost", "leak_cost", "repair_cost", "compute_used")
+
+
+def _sums(ledger):
+    return tuple(getattr(ledger, name) for name in _SUMS)
+
+
+@pytest.mark.parametrize("value", [-1e-300, math.nan, math.inf], ids=["tiny_negative", "nan", "inf"])
+@pytest.mark.parametrize("channel", _COST_FIELDS)
+def test_each_channel_refuses_a_bad_cost_by_name(channel, value):
+    ledger = CostLedger()
+    accrue(ledger, 1.0, 1.0, 1.0, 1.0, 1.0)
+    before = _sums(ledger)
+    with pytest.raises(InputError, match=f"step cost {channel!r}="):
+        accrue(ledger, **{channel: value})
+    # Nothing is added before the check passes.
+    assert _sums(ledger) == before and not ledger.exhausted
+
+
+_GOOD_COST = st.floats(0.0, 1e6) | st.integers(0, 10**6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[_GOOD_COST] * 5), min_size=1, max_size=8))
+def test_keyword_and_positional_calls_accrue_the_same_sums(steps):
+    by_name, by_place = CostLedger(budget=100.0), CostLedger(budget=100.0)
+    for costs in steps:
+        accrue(by_name, **dict(zip(_COST_FIELDS, costs)))
+        accrue(by_place, *costs)
+        assert _sums(by_name) == _sums(by_place)
+        assert by_name.exhausted == by_place.exhausted
 
 
 def _reference_step_cost_check(values):
-    """The per-field check alone: the message StepCosts must raise, or None."""
+    """The per-field check alone: the message `accrue` must raise, or None."""
     for name, v in zip(_COST_FIELDS, values):
         if v < 0 or not math.isfinite(v):
             return f"step cost {name!r}={v} must be finite and >= 0"
@@ -71,38 +103,42 @@ _cost_values = st.one_of(
 @example((-0.0, -1, 0.0, math.nan, -1.0))
 def test_step_cost_check_matches_per_field_oracle(values):
     expected = _reference_step_cost_check(values)
+    # No budget to clamp at, so every channel's sum is 0.0 plus its cost.
+    ledger = CostLedger(budget=math.inf)
     if expected is None:
-        assert tuple(getattr(StepCosts(*values), n) for n in _COST_FIELDS) == values
+        accrue(ledger, *values)
+        assert _sums(ledger) == tuple(0.0 + v for v in values)
     else:
         with pytest.raises(InputError) as info:
-            StepCosts(*values)
+            accrue(ledger, *values)
         assert str(info.value) == expected
+        assert _sums(ledger) == (0.0,) * 5
 
 
 def test_budget_exhaustion_marks_ledger():
     ledger = CostLedger(budget=10)
-    accrue(ledger, StepCosts(compute=6))
+    accrue(ledger, compute=6)
     assert not ledger.exhausted
-    accrue(ledger, StepCosts(compute=6))
+    accrue(ledger, compute=6)
     assert ledger.exhausted
     assert ledger.compute_used == 10  # clamped at the budget
 
 
 def test_objective_weight_degeneracy():
     ledger = CostLedger(lambda_latency=0, lambda_leak=0, lambda_repair=0)
-    accrue(ledger, StepCosts(task=2, latency=7, leak=3, repair=5))
+    accrue(ledger, task=2, latency=7, leak=3, repair=5)
     assert objective_value(ledger) == 2.0
 
 
 def test_objective_single_channel():
     ledger = CostLedger(lambda_leak=1.0)
-    accrue(ledger, StepCosts(leak=0.3))
+    accrue(ledger, leak=0.3)
     assert objective_value(ledger) == pytest.approx(0.3)
 
 
 def test_objective_hand_computed_fixture():
     ledger = CostLedger(lambda_latency=0.5, lambda_leak=2.0, lambda_repair=0.25)
-    accrue(ledger, StepCosts(task=1.5, latency=4.0, leak=0.2, repair=8.0))
+    accrue(ledger, task=1.5, latency=4.0, leak=0.2, repair=8.0)
     expected = 1.5 + 0.5 * 4.0 + 2.0 * 0.2 + 0.25 * 8.0
     assert objective_value(ledger) == pytest.approx(expected, abs=1e-15)
 
@@ -119,7 +155,7 @@ def test_objective_linear_in_each_weight():
         values = []
         for eps in (0.5, 1.0):
             ledger = CostLedger(**{name: eps})
-            accrue(ledger, StepCosts(**base))
+            accrue(ledger, **base)
             values.append(objective_value(ledger))
         slope = (values[1] - values[0]) / 0.5
         assert abs(slope - getattr(ledger, channel)) < 1e-12

@@ -3,9 +3,9 @@
 A covered frozen dataclass has a public constructor, which keeps every
 check, and `_trusted`, which sets the fields and checks nothing. These tests
 pin three things: both paths build the same object from valid input; the
-public constructors still reject invalid input; and only an allow-listed set
-of internal functions, each building from already-checked values, reaches
-`_trusted` at all.
+public entry points (constructors, and `accrue` for step costs) still reject
+invalid input; and only an allow-listed set of internal functions, each
+building from already-checked values, reaches `_trusted` at all.
 """
 
 import ast
@@ -21,28 +21,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hoardbench
-from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from hoardbench.core.policy import ActOutcome
-from hoardbench.core.state import (
-    Action,
-    InputError,
-    LatentEvidence,
-    Observation,
-    SchemaError,
-)
-from hoardbench.ledger import StepCosts
+from hoardbench.core.belief import Belief, BeliefConfig, initial_belief
+from hoardbench.core.state import Action, InputError, LatentEvidence
+from hoardbench.ledger import CostLedger, accrue
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
 from hoardbench.trusted import trusted
 
-COVERED = (Action, ActOutcome, Belief, Observation, ObserverBelief, StepCosts)
+COVERED = (Action, Belief, ObserverBelief)
 
 # Every function that may touch `_trusted`, as "module:qualname". Each builds
 # only from values that were checked on the way in or derived from them in a
 # way that keeps them valid; see the comment or docstring at each one.
 ALLOWED_CALLERS = {
     "hoardbench.core.belief:update_belief",
-    "hoardbench.core.policy:StabilizingController.act",
-    "hoardbench.envs.family_a:run_family_a",
     "hoardbench.envs.family_c:run_family_c",
     "hoardbench.observer:observer_update",
 }
@@ -50,35 +41,27 @@ ALLOWED_CALLERS = {
 SRC = Path(hoardbench.__file__).resolve().parent
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
-_COST = st.floats(0.0, 1e6, allow_nan=False)
-_OBSERVATIONS = st.builds(
-    Observation,
-    st.dictionaries(st.sampled_from(["error", "error_rate", "phase", "round"]), _FINITE),
+# One in-flight reading of a belief's delay queue.
+_READINGS = st.tuples(
+    _FINITE,
+    _FINITE,
     st.lists(st.builds(LatentEvidence, st.just("compliance"), _FINITE, _FINITE), max_size=2)
     .map(tuple),
-    st.lists(st.tuples(st.integers(0, 30), _FINITE, _FINITE), max_size=3).map(tuple),
 )
 
 
 def _field_values(cls, draw):
     """One valid value per field of `cls`, in declaration order."""
-    if cls is Observation:
-        obs = draw(_OBSERVATIONS)
-        return [obs.values, obs.latent_evidence, obs.landmarks]
     if cls is Action:
         return [
             draw(st.sampled_from(["force", "launch", "dig", "noop"])),
             draw(st.dictionaries(st.sampled_from(["force", "offset", "x", "y"]), _FINITE)),
         ]
-    if cls is ActOutcome:
-        return [Action("force", {"force": draw(_FINITE)}), draw(st.booleans())]
-    if cls is StepCosts:
-        return [draw(_COST) for _ in range(5)]
     if cls is Belief:
         return [
             draw(_FINITE),
             draw(st.floats(0.0, 1e12)),
-            tuple(draw(st.lists(_OBSERVATIONS, max_size=3))),
+            tuple(draw(st.lists(_READINGS, max_size=3))),
             tuple(draw(st.lists(_FINITE, max_size=3))),
             *(draw(_FINITE) for _ in range(4)),
             draw(st.integers(0, 10)),
@@ -130,11 +113,11 @@ def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: StepCosts(task=-1.0),
-        lambda: StepCosts(latency=math.nan),
-        lambda: StepCosts(leak=math.inf),
-        lambda: StepCosts(repair=-1e-300),
-        lambda: StepCosts(compute=-0.5),
+        lambda: accrue(CostLedger(), task=-1.0),
+        lambda: accrue(CostLedger(), latency=math.nan),
+        lambda: accrue(CostLedger(), leak=math.inf),
+        lambda: accrue(CostLedger(), repair=-1e-300),
+        lambda: accrue(CostLedger(), compute=-0.5),
         lambda: ObserverBelief(np.full((OBSERVER_GRID, OBSERVER_GRID), -1.0 / 400)),
         lambda: ObserverBelief(np.where(np.eye(OBSERVER_GRID) > 0, -1e-9, 0.01)),
         lambda: ObserverBelief(np.zeros((OBSERVER_GRID, OBSERVER_GRID - 1))),
@@ -145,22 +128,6 @@ def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
 def test_public_constructors_still_reject_invalid_input(build):
     with pytest.raises(InputError):
         build()
-
-
-@pytest.mark.parametrize(
-    "values, error",
-    [
-        ({"error": math.nan, "error_rate": 0.0}, InputError),
-        ({"error": 0.0, "error_rate": math.inf}, InputError),
-        ({"error": 0.0}, SchemaError),
-        ({"error": 0.0, "error_rate": 0.0, "extra": 0.0}, SchemaError),
-    ],
-)
-def test_update_belief_validates_an_observation_built_unchecked(values, error):
-    config = BeliefConfig(delay=1)
-    belief = initial_belief(config, 0.0, 0.0)
-    with pytest.raises(error):
-        update_belief(belief, Observation._trusted(values, (), ()), Action("noop"), config)
 
 
 def test_trusted_rejects_a_class_that_is_not_a_frozen_dataclass():
@@ -226,6 +193,6 @@ def test_scan_sees_calls_in_methods_and_at_module_level():
         "class K:\n"
         "    def f(self):\n"
         "        return Action._trusted('a', {})\n"
-        "build = StepCosts._trusted\n"
+        "build = Belief._trusted\n"
     )
     assert _trusted_users(tree, "m") == {"m:K.f", "m:<module>"}
