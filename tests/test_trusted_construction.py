@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hoardbench
-from hoardbench.core.belief import Belief, BeliefConfig, initial_belief
+from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
 from hoardbench.core.state import Action, InputError, LatentEvidence
 from hoardbench.ledger import CostLedger, accrue
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
@@ -128,6 +128,22 @@ def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
 def test_public_constructors_still_reject_invalid_input(build):
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"error": math.nan, "error_rate": 0.0},
+        {"error": 0.0, "error_rate": math.inf},
+    ],
+)
+def test_update_belief_validates_an_observation_built_unchecked(values):
+    # update_belief builds its new Belief unchecked, so it must refuse a
+    # reading that is not finite before the reading reaches the queue.
+    config = BeliefConfig(delay=1)
+    belief = initial_belief(config, 0.0, 0.0)
+    with pytest.raises(InputError, match="is not finite"):
+        update_belief(belief, values["error"], values["error_rate"], 0.0, config)
 
 
 def test_trusted_rejects_a_class_that_is_not_a_frozen_dataclass():
