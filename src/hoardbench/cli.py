@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 from .core.state import ConfigurationError
 from .harness import (
@@ -43,24 +44,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Unusable(Exception):
+    """A path given on the command line that cannot serve its purpose."""
+
+
+def _read_config(path: str):
+    """The experiment config in the UTF-8 JSON file at `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unusable(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            with open(args.config) as fh:
-                config = parse_config(fh.read())
+            config = _read_config(args.config)
             print(json.dumps(resolved_document(config), indent=2, sort_keys=True))
             return 0
 
         if args.command == "run":
-            with open(args.config) as fh:
-                config = parse_config(fh.read())
+            config = _read_config(args.config)
             if args.seeds is not None:
                 document = resolved_document(config)
                 document["seeds"] = args.seeds
                 config = parse_config(json.dumps(document))
             if args.out is not None:
                 config = dataclasses.replace(config, output_dir=args.out)
+            # Before the grid, so that an unusable path costs no run.
+            try:
+                Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _Unusable(f"cannot use output directory {config.output_dir}: {exc}") from exc
             result = run_grid(config, jobs=max(1, args.jobs))
             out = write_report(result, config.output_dir)
             failed = sum(1 for c in result.cells if c.record.status == "failed")
@@ -68,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2 if failed else 0
 
         if args.command == "report":
+            if not Path(args.input_dir).is_dir():
+                raise _Unusable(f"{args.input_dir} is not a results directory")
             result = load_result_set(args.input_dir)
             write_report(result, args.input_dir)
             print(f"rebuilt reports in {args.input_dir}")
@@ -75,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _Unusable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

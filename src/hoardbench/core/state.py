@@ -18,7 +18,6 @@ from enum import Enum
 from struct import Struct
 
 from ..errors import ConfigurationError, InputError, SchemaError
-from ..trusted import trusted
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,6 @@ class Observation:
     landmarks: tuple[tuple[int, float, float], ...] = ()
 
 
-@trusted
 @dataclass(frozen=True)
 class Action:
     """Primitive action. `kind` names the actuator, `params` its arguments."""

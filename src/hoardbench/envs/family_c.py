@@ -39,6 +39,7 @@ from ..ledger import CostLedger, accrue
 from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
 from ..observer import (
     OBSERVER_GRID,
+    CacheLayout,
     ObserverBelief,
     SawCache,
     SawNothing,
@@ -60,10 +61,20 @@ OPTION_SCHEMA = {
     OptionKind.CONCEAL: ("steps", "row", "col"),
 }
 
-# The observation of every caching-step trace record, and the option of each
-# one that is not a real cache. Records share them; a trace only reads them.
-_TRACE_OBSERVATION = Observation({"phase": 0.0})
-_TRACE_CONCEAL = OptionChoice(OptionKind.CONCEAL, {"steps": 1.0, "row": 0.0, "col": 0.0})
+# The trace shape key of each caching step, by action kind and visibility.
+# Every record observes {"phase": 0.0} and acts at the {"x", "y"} centre of
+# its cell. A real cache's option is the cache at (row, col); every other
+# step's is a placeholder conceal at (0, 0) for 1 step.
+_CACHING_RECORD = {
+    (kind, visible): (
+        ("phase",), False, kind, ("x", "y"),
+        *((OptionKind.CACHE, ("col", "row")) if kind in ("cache", "recache")
+          else (OptionKind.CONCEAL, ("col", "row", "steps"))),
+        visible,
+    )
+    for kind in ("wait", "conceal", "decoy", "cache", "recache")
+    for visible in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,8 @@ def run_family_c(
 ) -> RunRecord:
     streams = RunStreams(seed)
     landmarks = LandmarkSet.sample(env.landmark_count, streams.env)
-    landmark_obs = landmarks.as_obs_tuples()
+    # What every cache write observes.
+    write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
     store = MemoryStore(StoreVariant.CLUSTERED)
 
     adversary = ObserverBelief.uniform(env.diffusion_rate)
@@ -204,11 +216,15 @@ def run_family_c(
     defer_budget = dict.fromkeys(range(env.caches), MAX_DEFERS_PER_CACHE)
     decoys_owed = OPENING_DECOYS if (flags.observer_aware and flags.decoys_enabled) else 0
     used_cells: set[tuple[int, int]] = set()
-    # Cells hiding something, rebuilt only when a cache is placed or moved,
-    # so leakage_score sees one tuple per layout and reuses its indices.
-    true_cells: tuple[tuple[int, int], ...] = ()
+    # Cells hiding something: a placed cache adds its cell, a moved one
+    # rebuilds the layout, and leakage_score reads its indices every step.
+    layout = CacheLayout()
 
     caching_horizon = 8 * env.caches
+    # One visibility draw per step, all drawn at once: the same values as a
+    # draw at each step, since nothing else in the run draws on this stream.
+    # It keeps the adversary stream aligned across agent variants.
+    visibility_draws = streams.adversary.random(size=caching_horizon).tolist()
     step = 0
     wait_remaining = 0
     decoys_used = 0
@@ -289,14 +305,13 @@ def run_family_c(
                 action_kind = "cache"
                 is_real_cache = True
 
-        # One visibility draw per step keeps the adversary stream aligned
-        # across agent variants; only physical digs can actually be seen.
-        u = float(streams.adversary.random())
+        # Only physical digs can actually be seen.
+        u = visibility_draws[step]
         physical = action_kind in ("cache", "recache", "decoy")
         visible = physical and u < env.visibility
         present_visible = action_kind == "conceal" and u < env.visibility
 
-        step_costs = {"latency": 1.0, "compute": 0.0, "repair": 0.0}
+        repair = compute = 0.0
         if action_kind in ("cache", "recache"):
             cell = action_cell
             assert cell is not None and item_idx is not None
@@ -310,7 +325,8 @@ def run_family_c(
                 item_type = cache["type"]
                 item_value = cache["value"]
                 recache_moves += 1
-                step_costs["repair"] = 1.0
+                repair = 1.0
+                layout = CacheLayout(c["cell"] for c in placed)
             else:
                 item_type = 1 + item_idx % env.item_types
                 item_value = float(values[item_idx])
@@ -324,8 +340,8 @@ def run_family_c(
                         "stolen": False,
                     }
                 )
+                layout.add(cell)
             used_cells.add(cell)
-            true_cells = tuple(c["cell"] for c in placed)
             dig = Action(
                 "dig",
                 {
@@ -336,12 +352,12 @@ def run_family_c(
                     "step": float(step),
                 },
             )
-            write(store, Observation({"phase": 0.0}, landmarks=landmark_obs), dig)
-            step_costs["compute"] = 1.0
+            write(store, write_obs, dig)
+            compute = 1.0
             kappa["cache_writes"] += 1.0
         elif action_kind == "decoy":
             decoys_used += 1
-            step_costs["compute"] = env.decoy_cost
+            compute = env.decoy_cost
             kappa["decoys"] += env.decoy_cost
 
         if action_kind == "cache" and flags.observer_aware and flags.decoys_enabled:
@@ -362,14 +378,9 @@ def run_family_c(
         adversary = observer_update(adversary, event)
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
-        exposure = leakage_score(adversary, true_cells) if true_cells else 0.0
-        accrue(
-            ledger,
-            latency=step_costs["latency"],
-            leak=exposure,
-            repair=step_costs["repair"],
-            compute=step_costs["compute"],
-        )
+        exposure = leakage_score(adversary, layout) if placed else 0.0
+        # Positional, in `accrue`'s order: task, latency, leak, repair, compute.
+        accrue(ledger, 0.0, 1.0, exposure, repair, compute)
 
         violation = is_real_cache and visible
         violations += int(violation)
@@ -378,21 +389,19 @@ def run_family_c(
             inbox.append((sig.emitted_at, sig.agent_view()))
 
         if trace is not None:
+            # Floats in key order: phase, x, y, then col, row (and steps).
+            key = _CACHING_RECORD[action_kind, visible]
             px, py = _cell_center(action_cell) if action_cell else (0.0, 0.0)
             if is_real_cache:
-                r, c = action_cell
-                opt = OptionChoice(OptionKind.CACHE, {"row": float(r), "col": float(c)})
+                trace.append_floats(step, key, 0.0, px, py,
+                                    float(action_cell[1]), float(action_cell[0]))
             else:
-                opt = _TRACE_CONCEAL
-            # Unchecked: the kind is one of this loop's literals, the
-            # coordinates are cell centres.
-            action = Action._trusted(action_kind, {"x": px, "y": py})
-            trace.append(len(trace), _TRACE_OBSERVATION, action, opt, visible)
+                trace.append_floats(step, key, 0.0, px, py, 0.0, 0.0, 1.0)
         step += 1
 
     # Pilfer phase: the adversary digs its best guesses.
     pilfer_step = step
-    leakage = leakage_score(adversary, true_cells) if true_cells else 0.0
+    leakage = leakage_score(adversary, layout) if placed else 0.0
     # Remembered sightings are dug first; belief mass guides what is left of
     # the budget. Decoy and stale sightings waste digs, which is the point.
     chosen: list[tuple[int, int]] = list(sighted_cells[: env.pilfer_budget])

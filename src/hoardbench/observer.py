@@ -24,8 +24,8 @@ family C therefore keeps one belief per run and lets the aware agent read it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -146,33 +146,50 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     return ObserverBelief._trusted(grid / total, belief.diffusion_rate)
 
 
-@functools.lru_cache(maxsize=1)
-def _cell_indices(cells: tuple[Cell, ...]) -> np.ndarray:
-    """Row-major flat indices of the distinct cells, in the iteration order
-    of the set of int cells. Memoised on the tuple: equal tuples convert to
-    equal int cells, so they share one result; an invalid tuple raises and
-    is not cached. The result is read-only because every caller shares it."""
-    distinct = {(int(r), int(c)) for r, c in cells}
-    for cell in distinct:
-        _check_cell(cell)
-    idx = np.array([r * OBSERVER_GRID + c for r, c in distinct], dtype=np.intp)
-    idx.flags.writeable = False
-    return idx
+class CacheLayout:
+    """The distinct cells that hide something and their row-major flat
+    indices, in the iteration order of the set of int cells.
+
+    `add` adds one cell to the set as a set built from the whole sequence
+    adds it in turn, so the order, and with it `leakage_score`'s sum, is
+    that of a layout built from the same cells at once. A set that lost a
+    cell can iterate in another order, so a layout never drops one: when a
+    cache moves, build a new layout from the cells in order. Each cell is
+    checked as it comes in.
+    """
+
+    __slots__ = ("cells", "flat")
+
+    def __init__(self, cells: Iterable[Cell] = ()):
+        self.cells = {(int(r), int(c)) for r, c in cells}
+        for cell in self.cells:
+            _check_cell(cell)
+        self._index()
+
+    def add(self, cell: Cell) -> None:
+        cell = _check_cell((int(cell[0]), int(cell[1])))
+        if cell not in self.cells:
+            self.cells.add(cell)
+            self._index()
+
+    def _index(self) -> None:
+        self.flat = np.array([r * OBSERVER_GRID + c for r, c in self.cells], dtype=np.intp)
 
 
-def leakage_score(belief: ObserverBelief, true_caches: list[Cell]) -> float:
+def leakage_score(belief: ObserverBelief, true_caches: Sequence[Cell] | CacheLayout) -> float:
     """Observer mass sitting on ground-truth cache cells, clipped to [0, 1].
 
     A uniform belief over G cells scores len(true_caches)/G (the no-information
     baseline); a belief concentrated on the true cells scores near one.
-    Duplicate cells count once. Cells must be hashable (r, c) pairs; repeat
-    calls with an equal cell sequence reuse its compiled flat indices. The
-    masses are added as Python floats in the set order of the distinct cells.
+    Duplicate cells count once. Cells are (r, c) pairs; a caller that scores
+    one layout at many steps passes its `CacheLayout`. The masses are added
+    as Python floats in the set order of the distinct cells.
     """
-    if not true_caches:
+    if not isinstance(true_caches, CacheLayout):
+        true_caches = CacheLayout(true_caches)
+    if not true_caches.cells:
         raise InputError("leakage_score requires a non-empty cache list")
-    idx = _cell_indices(tuple(true_caches))
-    total = sum(belief.grid.ravel()[idx].tolist())
+    total = sum(belief.grid.ravel()[true_caches.flat].tolist())
     return max(0.0, min(1.0, total))
 
 

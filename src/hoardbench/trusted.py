@@ -15,10 +15,10 @@ one at a time, in declaration order, so the instance keeps CPython's
 key-sharing dict; assigning a whole `__dict__` costs about 150 bytes more
 per object.
 
-Three classes remain, each built at every step of a family: `Belief` by
-`update_belief` for family A's policies, `ObserverBelief` by
-`observer_update` in family C, and `Action` by family C for its caching
-phase's trace. Family A's step passes the rest of its values as floats.
+Two classes remain, each built at every step of a family: `Belief` by
+`update_belief` for family A's policies and `ObserverBelief` by
+`observer_update` in family C. The rest of both families' steps pass floats,
+and their traces record through `Trace.append_floats`.
 
 Call `_trusted` only where every value comes from an already-checked object.
 `tests/test_trusted_construction.py` lists the functions that do.

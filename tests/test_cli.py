@@ -1,0 +1,62 @@
+import json
+
+import pytest
+
+from hoardbench import cli
+from hoardbench.cli import main
+
+CONFIG = {"family": "D", "seeds": "0..0", "env": {"n_constraints": 3}}
+
+
+@pytest.fixture
+def non_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    text = json.dumps({"family": "D", "env": {"caf\xe9": 1}}, ensure_ascii=False)
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+def _refused(capsys, argv) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_path_naming_a_directory_is_refused(tmp_path, capsys, command):
+    err = _refused(capsys, [command, "--config", str(tmp_path)])
+    assert "Is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_file_that_is_not_utf8_is_refused(non_utf8, capsys, command):
+    err = _refused(capsys, [command, "--config", str(non_utf8)])
+    assert "utf-8" in err
+
+
+def test_report_of_a_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "runs.jsonl"
+    path.write_text("")
+    err = _refused(capsys, ["report", "--in", str(path)])
+    assert "is not a results directory" in err
+
+
+def test_run_into_a_file_is_refused_before_the_grid(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out"
+    out.write_text("taken")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "run_grid", no_grid)
+    err = _refused(capsys, ["run", "--config", str(config), "--out", str(out)])
+    assert "cannot use output directory" in err
+    assert out.read_text() == "taken"
+
+
+def test_missing_paths_are_refused(tmp_path, capsys):
+    _refused(capsys, ["validate", "--config", str(tmp_path / "none.json")])
+    _refused(capsys, ["report", "--in", str(tmp_path / "none")])

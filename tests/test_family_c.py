@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs import family_c
@@ -13,10 +16,10 @@ from hoardbench.envs.family_c import (
 )
 from hoardbench.core.policy import PolicyContext
 from hoardbench.core.state import OptionKind
-from hoardbench.harness import parse_config
+from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.observer import ObserverBelief, SawCache, observer_update
-from hoardbench.rng import RunStreams
+from hoardbench.rng import RunStreams, Substream
 
 AWARE = AgentFlags(observer_aware=True, decoys_enabled=True)
 UNAWARE = AgentFlags(observer_aware=False, decoys_enabled=False)
@@ -71,6 +74,34 @@ def test_each_caching_step_updates_one_observer_belief(monkeypatch):
         calls.clear()
         run_family_c(env, flags, _ledger(), seed=4)
         assert len(calls) == 8 * env.caches
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3200))
+def test_one_call_visibility_draws_equal_per_step_draws(seed, steps):
+    # Family C draws a phase's visibility values in one call; one draw per
+    # step gives the same values in the same order.
+    one_call = Substream(seed, "adversary").random(size=steps).tolist()
+    stream = Substream(seed, "adversary")
+    per_step = [float(stream.random()) for _ in range(steps)]
+    assert one_call == per_step
+
+
+def test_the_visibility_draws_are_the_runs_only_adversary_draws(monkeypatch):
+    # The one-call draw equals per-step draws only while nothing else in the
+    # run draws on the adversary stream between them.
+    made = []
+
+    def recording(seed):
+        made.append(RunStreams(seed))
+        return made[-1]
+
+    monkeypatch.setattr(family_c, "RunStreams", recording)
+    for flags in (AWARE, UNAWARE):
+        for end_only in (False, True):
+            made.clear()
+            run_family_c(FamilyCConfig(caches=5), flags, _ledger(), 4, end_only)
+            assert made[0].adversary.draws == 1
 
 
 def test_end_only_monitor_misses_everything_before_the_pilfer():
@@ -223,3 +254,63 @@ def test_hidden_zone_postcondition_reported():
         s["predicate_id"] == "no_cache_in_forbidden_zone" and not s["ground_truth_verdict"]
         for s in record.signals
     )
+
+
+# sha256 of runs.jsonl and of each trace file the report writes for the grids
+# below, recorded from the code that looked each layout's flat indices up in
+# a memo on every step, drew visibility once per step and built an `Action`
+# per trace record.
+LOOP_GRID_SHA256 = {
+    "decoys_False/runs.jsonl": "cb3337c6b6d47b77feb758b551470a8b72975526345f3fc4abfd770f561b898c",
+    "decoys_False/traces/baseline_diffusion_rate_0.0/seed_0.jsonl": "d9dbbe728b3dc2e5a83873cdf1ecaa8940b884550e8cdd4dc72b0180225334a3",
+    "decoys_False/traces/baseline_diffusion_rate_0.0/seed_1.jsonl": "6857c70588ba554433dc7f720a0984a4442c8b498aadb8017044439e0388c917",
+    "decoys_False/traces/baseline_diffusion_rate_0.05/seed_0.jsonl": "d9dbbe728b3dc2e5a83873cdf1ecaa8940b884550e8cdd4dc72b0180225334a3",
+    "decoys_False/traces/baseline_diffusion_rate_0.05/seed_1.jsonl": "6857c70588ba554433dc7f720a0984a4442c8b498aadb8017044439e0388c917",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.0/seed_0.jsonl": "44dc602945007cec7d2a4bae2a3a401f09f1565f77811d91b47bc59b54c3d887",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.0/seed_1.jsonl": "a8ab9a84021da54b1762b664ae8750689e8b61b426803b2f47d0c838db4a858f",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.05/seed_0.jsonl": "44dc602945007cec7d2a4bae2a3a401f09f1565f77811d91b47bc59b54c3d887",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.05/seed_1.jsonl": "a8ab9a84021da54b1762b664ae8750689e8b61b426803b2f47d0c838db4a858f",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.0/seed_0.jsonl": "01033fd30c2272f9136784de07456da902ab909a63bea71241cf99feea4358d5",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.0/seed_1.jsonl": "62db7cda8ebb0c7a1eec95ac6db5582654f9e60f4a911d21eab503e4c7cac88c",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.05/seed_0.jsonl": "01033fd30c2272f9136784de07456da902ab909a63bea71241cf99feea4358d5",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.05/seed_1.jsonl": "62db7cda8ebb0c7a1eec95ac6db5582654f9e60f4a911d21eab503e4c7cac88c",
+    "decoys_True/runs.jsonl": "2957e27453decdad550764efd51c76e9f7fbde0365b6d6260fdfa6e06b57b84f",
+    "decoys_True/traces/baseline_diffusion_rate_0.0/seed_0.jsonl": "0b85d07ff5c45c5abd2854a1f9c05fd49b3c7d2111d5fd9da24938b1c5cbd83a",
+    "decoys_True/traces/baseline_diffusion_rate_0.0/seed_1.jsonl": "f97318300779d27165d5c77786e8593296af9f8d31babfbc6c99fc5a5d605f61",
+    "decoys_True/traces/baseline_diffusion_rate_0.05/seed_0.jsonl": "0b85d07ff5c45c5abd2854a1f9c05fd49b3c7d2111d5fd9da24938b1c5cbd83a",
+    "decoys_True/traces/baseline_diffusion_rate_0.05/seed_1.jsonl": "157ce8f19ace4b996cdca0635ba0b4283b90fe8f44e6b8a657dabc8cdbf3c59a",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.0/seed_0.jsonl": "93ab1a980c6f00f67c6cf621d7c69b046f2a31e009aea4c1b686d1cf333bdad1",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.0/seed_1.jsonl": "bcb383bece54073ed0ddce44ea18d447dccee3c42e1e0a3173903f1eebc2994f",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.05/seed_0.jsonl": "93ab1a980c6f00f67c6cf621d7c69b046f2a31e009aea4c1b686d1cf333bdad1",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.05/seed_1.jsonl": "bcb383bece54073ed0ddce44ea18d447dccee3c42e1e0a3173903f1eebc2994f",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.0/seed_0.jsonl": "01033fd30c2272f9136784de07456da902ab909a63bea71241cf99feea4358d5",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.0/seed_1.jsonl": "62db7cda8ebb0c7a1eec95ac6db5582654f9e60f4a911d21eab503e4c7cac88c",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.05/seed_0.jsonl": "01033fd30c2272f9136784de07456da902ab909a63bea71241cf99feea4358d5",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.05/seed_1.jsonl": "62db7cda8ebb0c7a1eec95ac6db5582654f9e60f4a911d21eab503e4c7cac88c",
+}
+
+
+def test_output_bytes_across_awareness_placement_decoys_and_diffusion(tmp_path):
+    # Aware and unaware agents, in-loop and end-only monitors with a delay of
+    # 3, with and without decoys, at diffusion 0 and 0.05. The threshold sits
+    # just under the uniform mass, so the aware agent conceals until the
+    # first sighting; its monitored caches are seen and recached.
+    digests = {}
+    for decoys in (True, False):
+        config = parse_config(json.dumps({
+            "family": "C", "seeds": "0..1",
+            "env": {"caches": 6, "visibility": 0.6, "theta_obs": 0.0024, "monitor_delay": 3,
+                    "verifier_fp": 0.1, "verifier_fn": 0.1},
+            "agent": {"decoys": decoys},
+            "ablations": ["no_observer_model", "end_only_checking"],
+            "sweep": {"key": "diffusion_rate", "values": [0.0, 0.05]},
+        }))
+        out = tmp_path / f"decoys_{decoys}"
+        write_report(run_grid(config, jobs=1), out)
+        written = ["runs.jsonl"] + [
+            path.relative_to(out).as_posix() for path in (out / "traces").rglob("*.jsonl")
+        ]
+        for name in written:
+            text = (out / name).read_bytes()
+            digests[f"decoys_{decoys}/{name}"] = hashlib.sha256(text).hexdigest()
+    assert digests == LOOP_GRID_SHA256

@@ -12,11 +12,11 @@ from hoardbench.observer import (
     OBSERVER_GRID,
     PRESENCE_KERNEL_WIDTH,
     PRESENCE_KERNEL_WEIGHT,
+    CacheLayout,
     ObserverBelief,
     SawCache,
     SawNothing,
     SawPresence,
-    _cell_indices,
     leakage_score,
     observer_update,
     pilfer_select,
@@ -321,14 +321,20 @@ def test_leakage_matches_set_order_sum(grid, cells):
         expected = _ref_leakage(grid, cells)
     except InputError:
         expected = None
-    # The list, an equal tuple, and a second equal but distinct tuple (a
-    # memo hit) all score alike; an invalid list raises every time.
+    # The list, an equal tuple, a second equal but distinct tuple and a
+    # layout built from the list all score alike; an invalid list raises
+    # every time.
     for arg in (cells, tuple(cells), tuple(list(cells))):
         if expected is None:
             with pytest.raises(InputError):
                 leakage_score(belief, arg)
         else:
             assert leakage_score(belief, arg) == expected
+    if expected is None:
+        with pytest.raises(InputError):
+            CacheLayout(cells)
+    else:
+        assert leakage_score(belief, CacheLayout(cells)) == expected
 
 
 def test_leakage_adds_masses_in_set_order():
@@ -354,8 +360,54 @@ def test_leakage_memo_never_admits_out_of_grid_cells():
             with pytest.raises(InputError):
                 leakage_score(belief, bad)
         assert leakage_score(belief, valid) == 2 / N_CELLS
-    # Equal cells in another representation share the compiled indices.
-    hits = _cell_indices.cache_info().hits
+    # Equal cells in another representation score alike.
     assert leakage_score(belief, ((np.int64(1), 1.0), (5.0, np.int64(9)))) == 2 / N_CELLS
     assert leakage_score(belief, tuple(list(valid))) == 2 / N_CELLS
-    assert _cell_indices.cache_info().hits == hits + 2
+
+
+# A few cells, so that placements and moves repeat them.
+_FEW_CELLS = st.sampled_from([(0, 0), (0, 1), (3, 7), (7, 3), (12, 12), (19, 19), (19, 0)])
+# ("place", cell) appends a cache; ("move", k, cell) moves the cache k-th
+# from the end of the placed list, if there is one.
+_LAYOUT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("place"), _FEW_CELLS),
+        st.tuples(st.just("move"), st.integers(1, 8), _FEW_CELLS),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_GRIDS, _LAYOUT_OPS)
+def test_a_kept_layout_scores_as_the_layout_rebuilt_from_scratch(grid, ops):
+    # As family C keeps it: a placed cache adds its cell, a moved one
+    # rebuilds the layout from the placed cells in order.
+    belief = ObserverBelief(grid)
+    placed = []
+    layout = CacheLayout()
+    for op in ops:
+        if op[0] == "place":
+            placed.append(op[1])
+            layout.add(op[1])
+        elif len(placed) >= op[1]:
+            placed[-op[1]] = op[2]
+            layout = CacheLayout(placed)
+        if not placed:
+            assert not layout.cells
+            continue
+        fresh = CacheLayout(tuple(placed))
+        assert list(layout.cells) == list(fresh.cells) == list(set(placed))
+        assert layout.flat.tobytes() == fresh.flat.tobytes()
+        assert leakage_score(belief, layout) == leakage_score(belief, tuple(placed))
+        assert leakage_score(belief, layout) == _ref_leakage(grid, placed)
+
+
+def test_a_layout_refuses_an_out_of_grid_cell_and_keeps_its_cells():
+    layout = CacheLayout([(1, 1)])
+    for bad in ((20, 0), (0, -1), (np.int64(20), 3)):
+        with pytest.raises(InputError):
+            layout.add(bad)
+    assert list(layout.cells) == [(1, 1)]
+    assert leakage_score(ObserverBelief.uniform(), layout) == 1 / N_CELLS

@@ -22,19 +22,18 @@ from hypothesis.extra.numpy import arrays
 
 import hoardbench
 from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from hoardbench.core.state import Action, InputError, LatentEvidence
+from hoardbench.core.state import InputError, LatentEvidence
 from hoardbench.ledger import CostLedger, accrue
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
 from hoardbench.trusted import trusted
 
-COVERED = (Action, Belief, ObserverBelief)
+COVERED = (Belief, ObserverBelief)
 
 # Every function that may touch `_trusted`, as "module:qualname". Each builds
 # only from values that were checked on the way in or derived from them in a
 # way that keeps them valid; see the comment or docstring at each one.
 ALLOWED_CALLERS = {
     "hoardbench.core.belief:update_belief",
-    "hoardbench.envs.family_c:run_family_c",
     "hoardbench.observer:observer_update",
 }
 
@@ -52,11 +51,6 @@ _READINGS = st.tuples(
 
 def _field_values(cls, draw):
     """One valid value per field of `cls`, in declaration order."""
-    if cls is Action:
-        return [
-            draw(st.sampled_from(["force", "launch", "dig", "noop"])),
-            draw(st.dictionaries(st.sampled_from(["force", "offset", "x", "y"]), _FINITE)),
-        ]
     if cls is Belief:
         return [
             draw(_FINITE),
