@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Unusable(Exception):
-    """A path given on the command line that cannot serve its purpose."""
+    """A command-line argument, such as a path, that cannot serve its purpose."""
 
 
 def _read_config(path: str):
@@ -67,6 +67,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
+            if args.jobs < 1:
+                raise _Unusable("--jobs must be at least 1")
             config = _read_config(args.config)
             if args.seeds is not None:
                 document = resolved_document(config)
@@ -79,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(config.output_dir).mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise _Unusable(f"cannot use output directory {config.output_dir}: {exc}") from exc
-            result = run_grid(config, jobs=max(1, args.jobs))
+            result = run_grid(config, jobs=args.jobs)
             out = write_report(result, config.output_dir)
             failed = sum(1 for c in result.cells if c.record.status == "failed")
             print(f"wrote {len(result.cells)} run cells to {out} ({failed} failed)")

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
+from typing import NamedTuple
 
 from ..controller import (
     ControllerConfig, RlsState, StepDynamics, double_integrator, predictive_compensate, rls_update,
 )
-from ..trusted import trusted
 from .state import InputError, LatentEvidence
 
 
@@ -45,14 +45,14 @@ class BeliefConfig:
             raise InputError("latent prior variance must be finite and non-negative")
 
 
-@trusted
-@dataclass(frozen=True)
-class Belief:
+class Belief(NamedTuple):
     """Agent-side posterior summary. Policies read this, never ground truth.
 
     `position` and `velocity` estimate the error coordinate now; the delayed
     pair is what the delayed readings give. `delayed_obs_buffer` holds the
-    in-flight `(error, error_rate, evidence)` readings, oldest first.
+    in-flight `(error, error_rate, evidence)` readings, oldest first. A
+    tuple, since it has nothing to check: `update_belief` builds one per
+    step from values it checked or derived.
     """
 
     latent_mean: float
@@ -64,6 +64,11 @@ class Belief:
     delayed_position: float
     delayed_velocity: float
     last_compute: int = 0
+
+
+# Builds a `Belief` from the tuple of its fields, without the generated
+# `__new__`'s argument handling; `update_belief` calls it every step.
+_new_belief = tuple.__new__
 
 
 def initial_belief(config: BeliefConfig, position: float, velocity: float) -> Belief:
@@ -83,8 +88,7 @@ def update_belief(
     state estimate. The present-time estimate is that delayed state pushed
     through the logged forces. The latent posterior moves only when the
     delivered reading carries evidence (an informative step). A reading
-    that is not finite raises InputError; the new belief is built unchecked
-    from the readings and from `belief`.
+    that is not finite raises InputError.
     """
     if not (-inf < error < inf and -inf < error_rate < inf):
         name = "error_rate" if -inf < error < inf else "error"
@@ -121,4 +125,4 @@ def update_belief(
         )
         p, v = delayed_p, delayed_v
 
-    return Belief._trusted(mean, var, buffer, log, p, v, delayed_p, delayed_v, kappa)
+    return _new_belief(Belief, (mean, var, buffer, log, p, v, delayed_p, delayed_v, kappa))

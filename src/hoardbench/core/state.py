@@ -169,8 +169,9 @@ class Trace:
     the array marks each run of such records with `_WHOLE` and its length.
     Either way each line is byte-identical to `TraceRecord.to_json_line`'s.
     `records` rebuilds the records for readers that want objects.
-    `append_floats` takes a record as its shape's key and floats instead,
-    for a loop that builds no objects; a trace may mix both entry points.
+    `append_floats` takes a record, or a run of records of one shape, as
+    the shape's key and floats instead, for a loop that builds no objects;
+    a trace may mix both entry points.
     """
 
     def __init__(self):
@@ -234,9 +235,17 @@ class Trace:
         from its floats in key order: the observation's values, the
         action's params, the option's params. A record that cannot be
         written from `floats` (a value is not a float) or that is out of
-        step goes through `append`, which keeps it whole or refuses it."""
+        step goes through `append`, which keeps it whole or refuses it.
+
+        `floats` may hold several records of the key, one after another,
+        for steps `step`, `step + 1`, …; see `_append_rows`."""
         found = self._by_key.get(key) or self._register(key)
-        packed = found[0](found[1], *floats)
+        try:
+            packed = found[0](found[1], *floats)
+        except TypeError:
+            # `put` takes exactly one record's floats.
+            self._append_rows(step, key, found, floats)
+            return
         if packed is None or step != self._count:
             record = found[2].record(step, floats, [])
             self.append(step, record.observation, record.action, record.option_active,
@@ -244,6 +253,34 @@ class Trace:
         else:
             self._count = step + 1
             self._floats.frombytes(packed)
+
+    def _append_rows(self, step: int, key: tuple, found: tuple, floats: tuple) -> None:
+        """Append the records of `key` whose floats `floats` holds row after
+        row, the first at `step`. InputError, with nothing appended, unless
+        there is at least one row, a whole number of them, and `step` is the
+        next one. Rows holding a value that is not a float go one at a time
+        through `append_floats`, which keeps such records whole."""
+        _, shape_id, shape = found
+        width = shape.width
+        if not width or not floats or len(floats) % width:
+            raise InputError(
+                f"{len(floats)} floats are not whole records of width {width} for {key!r}")
+        if step != self._count:
+            raise InputError(f"trace step {step} != expected {self._count}")
+        rows = len(floats) // width
+        if set(map(type, floats)) != {float}:
+            for row in range(rows):
+                self.append_floats(step + row, key, *floats[row * width:(row + 1) * width])
+            return
+        # Shape ids throughout, then each column of floats in its place.
+        kept = self._floats
+        start = len(kept)
+        stride = width + 1
+        kept.extend(array("d", (shape_id,)) * (rows * stride))
+        values = array("d", floats)
+        for column in range(width):
+            kept[start + 1 + column::stride] = values[column::width]
+        self._count = step + rows
 
     def _register(self, key: tuple) -> tuple:
         """`key`'s put function, id and shape; InputError unless `key` is

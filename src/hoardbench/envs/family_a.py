@@ -236,6 +236,9 @@ def run_family_a(
         # The whole trial's sensor noise in one draw: the same values, in the
         # same order, as one size-2 draw per step.
         step_noise = streams.env.normal(0.0, 1.0, size=(env.horizon, 2)).tolist()
+        # The trial's stabilize records, row after row, for one trace call.
+        first_stabilize_step = global_step
+        rows: list[float] = []
 
         for step in range(1, env.horizon + 1):
             force, clamped = act(stabilizer, belief, None, option, ctx)
@@ -256,7 +259,7 @@ def run_family_a(
             belief = update_belief(belief, e_obs, r_obs, force, belief_cfg)
             comp_kappa += belief.last_compute
             if trace is not None:
-                trace.append_floats(global_step, _STABILIZE_RECORD, e_obs, r_obs, force)
+                rows += (e_obs, r_obs, force)
             global_step += 1
 
             if abs(e) < env.pos_tol and abs(edot) < env.vel_tol:
@@ -271,6 +274,9 @@ def run_family_a(
                    abs(force) if perturbed else 0.0, float(belief.last_compute))
             if ledger.exhausted:
                 break
+
+        if trace is not None:
+            trace.append_floats(first_stabilize_step, _STABILIZE_RECORD, *rows)
 
         # Success is terminal: the tolerance window must be held through the
         # end of the trial, so a late perturbation an agent cannot correct

@@ -15,10 +15,10 @@ one at a time, in declaration order, so the instance keeps CPython's
 key-sharing dict; assigning a whole `__dict__` costs about 150 bytes more
 per object.
 
-Two classes remain, each built at every step of a family: `Belief` by
-`update_belief` for family A's policies and `ObserverBelief` by
-`observer_update` in family C. The rest of both families' steps pass floats,
-and their traces record through `Trace.append_floats`.
+One class remains: `ObserverBelief`, built by `observer_update` at every
+step of family C. Family A's `Belief` is a `NamedTuple`, which has no checks
+to skip, and the rest of both families' steps pass floats, their traces
+recording through `Trace.append_floats`.
 
 Call `_trusted` only where every value comes from an already-checked object.
 `tests/test_trusted_construction.py` lists the functions that do.

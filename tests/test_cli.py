@@ -60,3 +60,20 @@ def test_run_into_a_file_is_refused_before_the_grid(tmp_path, capsys, monkeypatc
 def test_missing_paths_are_refused(tmp_path, capsys):
     _refused(capsys, ["validate", "--config", str(tmp_path / "none.json")])
     _refused(capsys, ["report", "--in", str(tmp_path / "none")])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_with_fewer_than_one_worker_is_refused_before_the_grid(
+    tmp_path, capsys, monkeypatch, jobs
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out"
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "run_grid", no_grid)
+    err = _refused(capsys, ["run", "--config", str(config), "--out", str(out), "--jobs", jobs])
+    assert err == "error: --jobs must be at least 1\n"
+    assert not out.exists()

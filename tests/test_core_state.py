@@ -518,12 +518,78 @@ def test_float_entry_point_refuses_a_key_no_record_has(key):
 
 
 def test_float_entry_point_keeps_steps_gap_free():
-    key = _shape_key(("error",), "force", (), OptionKind.STABILIZE, (), False)
+    key = _shape_key(("error", "error_rate"), "force", (), OptionKind.STABILIZE, (), False)
     trace = Trace()
-    trace.append_floats(0, key, 0.5)
+    trace.append_floats(0, key, 0.5, 0.5)
     with pytest.raises(InputError, match="trace step 2 != expected 1"):
-        trace.append_floats(2, key, 0.5)
-    with pytest.raises(TypeError):
-        trace.append_floats(1, key, 0.5, 0.5)
-    trace.append_floats(1, key, 0.25)
+        trace.append_floats(2, key, 0.5, 0.5)
+    with pytest.raises(InputError, match="not whole records of width 2"):
+        trace.append_floats(1, key, 0.5, 0.5, 0.5)
+    trace.append_floats(1, key, 0.25, 0.25)
     assert len(trace) == 2
+
+
+# Several records in one `append_floats` call against the same records
+# appended one call each.
+
+_STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE,
+                            (), False)
+
+
+def _state(trace):
+    """Everything a trace shows of what it holds."""
+    return trace.to_jsonl(), _lines(trace.records), len(trace)
+
+
+def _prefixed(prefix):
+    """A trace holding `prefix`'s one-record appends, from step 0."""
+    trace = Trace()
+    for step, values in enumerate(prefix):
+        trace.append_floats(step, _STABILIZE_KEY, *values)
+    return trace
+
+
+_ROW = st.tuples(_float_value(), _float_value(), _float_value())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(_ROW, max_size=3), st.lists(_ROW, min_size=1, max_size=12), st.lists(_ROW, max_size=3))
+@example([], [(x, -0.0, 5e-324) for x in _EDGE_FLOATS], [])
+@example([(0.5, 0.5, 0.5)], [(0.1, 0.2, 0.3), (0.4, 1, 0.6), (0.7, 0.8, True), (-0.0, 1.0, 2.0)],
+         [(1.0, 2.0, 3.0)])
+def test_one_call_of_several_records_equals_one_call_each(prefix, rows, suffix):
+    together, apart = _prefixed(prefix), _prefixed(prefix)
+    start = len(prefix)
+    together.append_floats(start, _STABILIZE_KEY, *[v for row in rows for v in row])
+    for step, row in enumerate(rows, start):
+        apart.append_floats(step, _STABILIZE_KEY, *row)
+    assert _state(together) == _state(apart)
+    assert together._floats.tobytes() == apart._floats.tobytes()
+    assert together._whole == apart._whole and together._shapes == apart._shapes
+    # Both go on alike after the run, and after a trip through pickle.
+    record = _record_of(0, _STABILIZE_KEY, (0.0,) * 3)
+    for trace in (together, apart):
+        _append(trace, dataclasses.replace(record, step=len(trace)))
+        for step, row in enumerate(suffix, len(trace)):
+            trace.append_floats(step, _STABILIZE_KEY, *row)
+    assert _state(together) == _state(apart)
+    restored = [pickle.loads(pickle.dumps(t)) for t in (together, apart)]
+    assert _state(restored[0]) == _state(restored[1]) == _state(apart)
+    assert restored[0]._floats.tobytes() == restored[1]._floats.tobytes()
+
+
+@pytest.mark.parametrize("step, floats, match", [
+    (1, (), "0 floats are not whole records of width 3"),
+    (1, (0.5,) * 4, "4 floats are not whole records of width 3"),
+    (1, (0.5,) * 8, "8 floats are not whole records of width 3"),
+    (0, (0.5,) * 6, "trace step 0 != expected 1"),
+    (2, (0.5,) * 6, "trace step 2 != expected 1"),
+    (2, (0.5, 1, True) * 2, "trace step 2 != expected 1"),
+], ids=["no_rows", "width_plus_one", "partial_row", "step_behind", "step_ahead",
+        "step_ahead_not_floats"])
+def test_a_bad_run_of_records_is_refused_with_nothing_appended(step, floats, match):
+    trace = _prefixed([(0.1, -0.0, math.nan)])
+    before = _state(trace), trace._floats.tobytes(), list(trace._whole)
+    with pytest.raises(InputError, match=match):
+        trace.append_floats(step, _STABILIZE_KEY, *floats)
+    assert (_state(trace), trace._floats.tobytes(), list(trace._whole)) == before

@@ -442,3 +442,43 @@ def test_output_bytes_across_delay_and_controller_switches(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
     }
     assert digests == SWITCHES_GRID_SHA256
+
+
+# sha256 of runs.jsonl and of each trace file the report writes for the grid
+# below, recorded from the code whose stabilize steps each went to the trace
+# as they ran: the baseline and open-loop cells run out of budget 113 steps
+# into their second trial, the compensator-free cells finish all three.
+BUDGET_GRID_SHA256 = {
+    "runs.jsonl": "50955f4d98f5f0b46571b307960bb74ad2d7ef3039ae5461fb5a55f9790d105b",
+    "traces/baseline/seed_0.jsonl": "db9ad14a6bfe77a9f20f68dd52bb881f91a3f7de3d3f86a767d16ce908e33cc3",
+    "traces/baseline/seed_1.jsonl": "414b1f650249a21159d90e52cccf8cbb67bbeb5426d7c253c35524fe07731530",
+    "traces/baseline/seed_2.jsonl": "98aa57328d4a625750a11cdfd547ebe9a5f91f0f7251003e3e33b4d111256b45",
+    "traces/no_compensator/seed_0.jsonl": "41cc3e9ed9e0cb14e462523b454c22718c09fee9a7f8156094f4b4d3603d1e3f",
+    "traces/no_compensator/seed_1.jsonl": "a63815eb29f26ddcbc32d2095ede6bb5de681592b256c3cce74ed8469e168357",
+    "traces/no_compensator/seed_2.jsonl": "78f75336423cb6f751c0113e47de56f008adcb376a59dc3f5fb461075e850001",
+    "traces/no_feedback/seed_0.jsonl": "ec907574c0fd1f3adc04df576d86271160460d51b048a9f5dafb156a9bc073ad",
+    "traces/no_feedback/seed_1.jsonl": "3128e3de047116b66502e1663d97df5f44d6540aad461fdb3d3298a0ed07bc92",
+    "traces/no_feedback/seed_2.jsonl": "ed79667991048309633f5b76afd704293197d58dc0137c7af9c598db62e55b8f",
+}
+
+
+def test_output_bytes_where_the_budget_ends_a_trial_early(tmp_path):
+    # Three trials under a compute budget of 800: delay 2 with the
+    # compensator costs 2 units a step, so the budget runs out mid-trial.
+    config = parse_config(json.dumps({
+        "family": "A", "seeds": "0..2",
+        "env": {"trials": 3, "perturb_step": 60, "perturb_magnitude": 0.2},
+        "agent": {"rls": True},
+        "ledger": {"budget": 800},
+        "ablations": ["no_feedback", "no_compensator"],
+    }))
+    write_report(run_grid(config, jobs=1), tmp_path)
+    runs = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in runs] == ["budget_exhausted"] * 6 + ["completed"] * 3
+    written = ["runs.jsonl"] + [
+        path.relative_to(tmp_path).as_posix() for path in (tmp_path / "traces").rglob("*.jsonl")
+    ]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
+    }
+    assert digests == BUDGET_GRID_SHA256

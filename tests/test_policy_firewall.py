@@ -123,7 +123,7 @@ def test_policy_context_carries_no_truth_fields():
 
 
 def test_belief_has_no_ground_truth_fields():
-    field_names = set(Belief.__dataclass_fields__)
+    field_names = set(Belief._fields)
     assert "latent_truth" not in field_names
     assert all("truth" not in name for name in field_names)
 

@@ -21,45 +21,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hoardbench
-from hoardbench.core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from hoardbench.core.state import InputError, LatentEvidence
+from hoardbench.core.belief import BeliefConfig, initial_belief, update_belief
+from hoardbench.core.state import InputError
 from hoardbench.ledger import CostLedger, accrue
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
 from hoardbench.trusted import trusted
 
-COVERED = (Belief, ObserverBelief)
+COVERED = (ObserverBelief,)
 
 # Every function that may touch `_trusted`, as "module:qualname". Each builds
 # only from values that were checked on the way in or derived from them in a
 # way that keeps them valid; see the comment or docstring at each one.
 ALLOWED_CALLERS = {
-    "hoardbench.core.belief:update_belief",
     "hoardbench.observer:observer_update",
 }
 
 SRC = Path(hoardbench.__file__).resolve().parent
 
-_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
-# One in-flight reading of a belief's delay queue.
-_READINGS = st.tuples(
-    _FINITE,
-    _FINITE,
-    st.lists(st.builds(LatentEvidence, st.just("compliance"), _FINITE, _FINITE), max_size=2)
-    .map(tuple),
-)
-
 
 def _field_values(cls, draw):
     """One valid value per field of `cls`, in declaration order."""
-    if cls is Belief:
-        return [
-            draw(_FINITE),
-            draw(st.floats(0.0, 1e12)),
-            tuple(draw(st.lists(_READINGS, max_size=3))),
-            tuple(draw(st.lists(_FINITE, max_size=3))),
-            *(draw(_FINITE) for _ in range(4)),
-            draw(st.integers(0, 10)),
-        ]
     if cls is ObserverBelief:
         return [
             draw(
@@ -132,8 +113,9 @@ def test_public_constructors_still_reject_invalid_input(build):
     ],
 )
 def test_update_belief_validates_an_observation_built_unchecked(values):
-    # update_belief builds its new Belief unchecked, so it must refuse a
-    # reading that is not finite before the reading reaches the queue.
+    # update_belief builds its new Belief, a tuple, with no checks, so it
+    # must refuse a reading that is not finite before the reading reaches
+    # the queue.
     config = BeliefConfig(delay=1)
     belief = initial_belief(config, 0.0, 0.0)
     with pytest.raises(InputError, match="is not finite"):
