@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core.state import ConfigurationError
+from .core.state import ConfigurationError, InputError
 from .harness import (
     load_result_set,
     parse_config,
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, _Unusable) as exc:
+    except (FileNotFoundError, InputError, _Unusable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -154,24 +154,20 @@ class TraceRecord:
 class Trace:
     """Append-only step log with strictly increasing, gap-free step indices.
 
-    A trace is kept compactly: it takes each record apart as it is appended,
-    so no per-step object outlives its step. A record's shape is its
-    observation's value keys and landmarks flag, its action's kind and param
-    keys, its option's kind and param keys and its visible flag. The trace
-    stores a record as its shape id followed by its floats, in sorted key
-    order, in one flat `array('d')`, and writes it through the shape's
-    `%`-template. A landmark snapshot is held once per trace with its JSON,
-    encoded once, in a table found by identity (equal tuples can differ in
-    a zero's sign); a record stores its place there after its values.
-    A record is kept whole instead, and written by `to_json_line`, when it
-    carries latent evidence, when one dict's keys are not all str or all
-    int, or when a value is not a float (an int or a bool prints otherwise);
-    the array marks each run of such records with `_WHOLE` and its length.
-    Either way each line is byte-identical to `TraceRecord.to_json_line`'s.
-    `records` rebuilds the records for readers that want objects.
-    `append_floats` takes a record, or a run of records of one shape, as
-    the shape's key and floats instead, for a loop that builds no objects;
-    a trace may mix both entry points.
+    A trace has two entry points. `append_floats` takes a record as its
+    `_Shape` key and its floats, and keeps it compactly: its shape id and
+    floats, in key order, in one flat `array('d')`, written through the
+    shape's `%`-template, so no per-step object outlives its step. A
+    record's landmark snapshot is passed whole; the trace holds each
+    snapshot once, with its JSON encoded once, in a table found by identity
+    (equal tuples can differ in a zero's sign), and the record stores its
+    place there. `append` takes a record as objects and keeps it whole,
+    written by `to_json_line`: a record carrying latent evidence, or one
+    `append_floats` cannot write because a value is not a float (an int or
+    a bool prints otherwise). The array marks each run of whole records
+    with `_WHOLE` and its length. Either way each line is byte-identical
+    to `TraceRecord.to_json_line`'s; `records` rebuilds the records for
+    readers that want objects.
     """
 
     def __init__(self):
@@ -186,10 +182,7 @@ class Trace:
         # The array's length after the last record kept whole: while it
         # stands, the next such record extends that run.
         self._whole_run_end = -1
-        # (action kind, option kind, visible) -> the gather function and id
-        # of the shape last appended with them.
-        self._recent: dict[tuple, tuple] = {}
-        # Shape key -> its put function, id and shape, for `append_floats`.
+        # Shape key -> its put function, id and shape.
         self._by_key: dict[tuple, tuple] = {}
 
     def append(
@@ -200,26 +193,10 @@ class Trace:
         option_active: OptionChoice,
         observed_by_adversary: bool,
     ) -> None:
+        """Append a record kept whole."""
         if step != self._count:
             raise InputError(f"trace step {step} != expected {self._count}")
         self._count = step + 1
-        if not observation.latent_evidence:
-            at = self._place(observation.landmarks) if observation.landmarks else None
-            recent = self._recent.get((action.kind, option_active.kind, observed_by_adversary))
-            packed = None
-            if recent is not None:
-                try:
-                    packed = recent[0](
-                        recent[1], observation.values, at, action.params, option_active.params,
-                        observed_by_adversary,
-                    )
-                except KeyError:
-                    pass
-            if packed is None:
-                packed = self._compact(observation, at, action, option_active, observed_by_adversary)
-            if packed is not None:
-                self._floats.frombytes(packed)
-                return
         floats = self._floats
         if self._whole_run_end == len(floats):
             floats[-1] += 1.0
@@ -230,24 +207,34 @@ class Trace:
             TraceRecord(step, observation, action, option_active, observed_by_adversary)
         )
 
-    def append_floats(self, step: int, key: tuple, *floats: float) -> None:
-        """Append the record of `_Shape` key `key`, which has no landmarks,
-        from its floats in key order: the observation's values, the
-        action's params, the option's params. A record that cannot be
+    def append_floats(self, step: int, key: tuple, *floats: float, landmarks=None) -> None:
+        """Append the record of `_Shape` key `key` from its floats in key
+        order: the observation's values, the action's params, the option's
+        params. `landmarks` is its snapshot, not empty, when the key has
+        landmarks, and must be None otherwise. A record that cannot be
         written from `floats` (a value is not a float) or that is out of
         step goes through `append`, which keeps it whole or refuses it.
 
-        `floats` may hold several records of the key, one after another,
-        for steps `step`, `step + 1`, …; see `_append_rows`."""
+        `floats` may hold several records of a key without landmarks, one
+        after another, for steps `step`, `step + 1`, …; see `_append_rows`."""
         found = self._by_key.get(key) or self._register(key)
+        put, shape_id, shape = found
+        at = shape.landmarks_at
+        if (at is None) == bool(landmarks):
+            raise InputError(f"landmarks {landmarks!r} do not fit trace shape key {key!r}")
         try:
-            packed = found[0](found[1], *floats)
+            if at is None:
+                packed = put(shape_id, *floats)
+            else:
+                packed = put(shape_id, self._place(landmarks), *floats)
         except TypeError:
             # `put` takes exactly one record's floats.
             self._append_rows(step, key, found, floats)
             return
         if packed is None or step != self._count:
-            record = found[2].record(step, floats, [])
+            if at is not None:
+                floats = (*floats[:at], 0.0, *floats[at:])
+            record = shape.record(step, floats, [landmarks])
             self.append(step, record.observation, record.action, record.option_active,
                         record.observed_by_adversary)
         else:
@@ -257,11 +244,14 @@ class Trace:
     def _append_rows(self, step: int, key: tuple, found: tuple, floats: tuple) -> None:
         """Append the records of `key` whose floats `floats` holds row after
         row, the first at `step`. InputError, with nothing appended, unless
-        there is at least one row, a whole number of them, and `step` is the
-        next one. Rows holding a value that is not a float go one at a time
-        through `append_floats`, which keeps such records whole."""
+        the key has no landmarks, there is at least one row, a whole number
+        of them, and `step` is the next one. Rows holding a value that is
+        not a float go one at a time through `append_floats`, which keeps
+        such records whole."""
         _, shape_id, shape = found
         width = shape.width
+        if shape.landmarks_at is not None:
+            raise InputError(f"{len(floats)} floats are not one record of {key!r}")
         if not width or not floats or len(floats) % width:
             raise InputError(
                 f"{len(floats)} floats are not whole records of width {width} for {key!r}")
@@ -283,13 +273,21 @@ class Trace:
         self._count = step + rows
 
     def _register(self, key: tuple) -> tuple:
-        """`key`'s put function, id and shape; InputError unless `key` is
-        the one `_Shape.of` gives a record without landmarks."""
-        obs_keys, _, action_kind, action_keys, option_kind, option_keys, visible = key
-        shape = _Shape.of(dict.fromkeys(obs_keys), False, action_kind, dict.fromkeys(action_keys),
-                          option_kind, dict.fromkeys(option_keys), visible)
-        if shape is None or shape.key != key:
-            raise InputError(f"not a trace shape key without landmarks: {key!r}")
+        """`key`'s put function, id and shape; InputError unless `key` is a
+        record's shape key: its observation keys, landmarks flag, action
+        kind, action keys, option kind, option keys and visible flag, each
+        group of keys sorted, without repeats, and all str or all int."""
+        obs_keys, landmarks, action_kind, action_keys, option_kind, option_keys, visible = key
+        if not (
+            all(type(keys) is tuple and _json_keys(keys) and keys == tuple(sorted(set(keys)))
+                for keys in (obs_keys, action_keys, option_keys))
+            and type(landmarks) is bool
+            and type(action_kind) is str
+            and isinstance(option_kind, OptionKind)
+            and type(visible) is bool
+        ):
+            raise InputError(f"not a trace shape key: {key!r}")
+        shape = _Shape.for_key(key)
         if shape not in self._shapes:
             self._shapes.append(shape)
         return self._by_key.setdefault(key, (shape.put, float(self._shapes.index(shape)), shape))
@@ -302,29 +300,11 @@ class Trace:
             self._snapshots.append((snapshot, _ENCODER.encode([list(t) for t in snapshot])))
         return at
 
-    def _compact(self, observation, at, action, option_active, visible) -> bytes | None:
-        """The record's floats, its shape id first, packed as doubles, or
-        None when it must be kept whole; `at` is its snapshot's place or
-        None. Remembers the shape for the next record of the same kinds."""
-        shape = _Shape.of(
-            observation.values, at is not None, action.kind, action.params,
-            option_active.kind, option_active.params, visible,
-        )
-        if shape is None:
-            return None
-        if shape not in self._shapes:
-            self._shapes.append(shape)
-        shape_id = float(self._shapes.index(shape))
-        self._recent[(action.kind, option_active.kind, visible)] = (shape.gather, shape_id)
-        return shape.gather(
-            shape_id, observation.values, at, action.params, option_active.params, visible
-        )
-
     def __getstate__(self) -> dict:
-        # Pickle cannot carry generated gather functions; shapes pickle by
-        # key, and the next append finds them again. Ids mean nothing in
-        # another process, so the snapshot table travels without its index.
-        return {**self.__dict__, "_recent": {}, "_by_key": {}, "_snapshot_at": {}}
+        # Pickle cannot carry generated put functions; shapes pickle by key,
+        # and the next append finds them again. Ids mean nothing in another
+        # process, so the snapshot table travels without its index.
+        return {**self.__dict__, "_by_key": {}, "_snapshot_at": {}}
 
     def __len__(self) -> int:
         return self._count
@@ -429,41 +409,19 @@ class _Shape:
 
     `template` takes the step and then the floats as text, the snapshot's
     JSON in place of its place, and writes the record's JSON line.
-    `gather(shape_id, values, at, action_params, option_params, visible)`
-    returns the shape id and the floats in key order, `at` after the values,
-    packed as doubles for `array.frombytes`, which costs a third of
-    `array.extend`. It returns None when a value is not a float or the flag
-    or whether `at` is None is not the shape's, and raises KeyError or
-    returns None when the dicts' keys are not the shape's. `put(shape_id,
-    *floats)` packs the same way from the floats themselves, for a shape
-    without landmarks, and returns None when one is not a float. Both are
-    generated code, as each class's `_trusted` is, so one shape per key is
+    `put(shape_id, [place,] *floats)` returns the shape id and the floats
+    in key order, the place at `landmarks_at`, packed as doubles for
+    `array.frombytes`, which costs a third of `array.extend`, or None when
+    a value is not a float. It is generated code, so one shape per key is
     built, when a trace first meets the key, and shared by every trace:
     building one per trace would cost each cell its compile time.
     """
 
-    __slots__ = ("key", "width", "landmarks_at", "template", "gather", "put")
+    __slots__ = ("key", "width", "landmarks_at", "template", "put")
     _cache: dict[tuple, "_Shape"] = {}
 
     def __reduce__(self):
         return _Shape.for_key, (self.key,)
-
-    @classmethod
-    def of(cls, values, landmarks, action_kind, action_params, option_kind, option_params,
-           visible):
-        """The shape of a record without latent evidence, or None when such
-        records are kept whole."""
-        if not (
-            all(_json_keys(keys) for keys in (values, action_params, option_params))
-            and type(action_kind) is str
-            and isinstance(option_kind, OptionKind)
-            and type(visible) is bool
-        ):
-            return None
-        return cls.for_key((
-            tuple(sorted(values)), landmarks, action_kind, tuple(sorted(action_params)),
-            option_kind, tuple(sorted(option_params)), visible,
-        ))
 
     @classmethod
     def for_key(cls, key: tuple) -> "_Shape":
@@ -490,36 +448,19 @@ class _Shape:
             + ',"params":' + params(option_keys) + "}"
             + ',"observed_by_adversary":' + ("true" if visible else "false") + "}\n"
         )
-        names, fetch = [], []
-        checks = [f"visible is {visible}", f"at is {'not ' if landmarks else ''}None"]
-        for group, keys in (("values", obs_keys), ("action_params", action_keys),
-                            ("option_params", option_keys)):
-            checks.append(f"len({group}) == {len(keys)}")
-            if keys and type(keys[0]) is int:
-                # A bool or float key would find an equal int's slot.
-                checks.append(f"all(type(k) is int for k in {group})")
-            for k in keys:
-                names.append(f"v{len(names)}")
-                fetch.append(f"    {names[-1]} = {group}[{k!r}]\n")
-                checks.append(f"type({names[-1]}) is float")
-            if group == "values" and landmarks:
-                names.append("at")
-        args = "".join(f", v{i}" for i in range(self.width))
-        put_checks = [f"type(v{i}) is float" for i in range(self.width)]
+        names = [f"v{i}" for i in range(self.width - landmarks)]
+        checks = " and ".join(f"type({name}) is float" for name in names) or "True"
+        args = ["place"] * landmarks + names
+        if landmarks:
+            names.insert(self.landmarks_at, "place")
         source = (
-            "def gather(shape_id, values, at, action_params, option_params, visible):\n"
-            + "".join(fetch)
-            + f"    if {' and '.join(checks)}:\n"
-            + f"        return pack(shape_id, {''.join(n + ', ' for n in names)})\n"
-            + "    return None\n"
-            + f"def put(shape_id{args}):\n"
-            + f"    if {' and '.join(put_checks) or 'True'}:\n"
-            + f"        return pack(shape_id{args})\n"
-            + "    return None\n"
+            f"def put(shape_id, {', '.join(args)}):\n"
+            f"    if {checks}:\n"
+            f"        return pack(shape_id, {', '.join(names)})\n"
+            "    return None\n"
         )
         namespace: dict = {"pack": Struct(f"{self.width + 1}d").pack}
         exec(compile(source, "<trace shape>", "exec"), namespace)
-        self.gather = namespace["gather"]
         self.put = namespace["put"]
 
     def record(self, step: int, values: array, snapshots: list[tuple]) -> TraceRecord:

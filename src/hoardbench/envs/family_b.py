@@ -70,6 +70,18 @@ OPTION_SCHEMA = {
 }
 
 
+# The trace shape keys of a write and of a query. Each observes its phase
+# and that phase's landmark snapshot; a write digs at the cached item and
+# caches it, a query digs where the store's episode decodes to and
+# retrieves the queried item.
+_WRITE_RECORD = (
+    ("phase",), True, "dig", ("item_type", "item_value", "step", "x", "y"),
+    OptionKind.CACHE, ("item_type", "item_value", "x", "y"), False,
+)
+_QUERY_RECORD = (
+    ("phase",), True, "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type", "x", "y"), False)
+
+
 def _chunks(items):
     """Consecutive lists of up to `CHUNK` items."""
     it = iter(items)
@@ -150,11 +162,11 @@ def run_family_b(
     angles = streams.env.uniform(0.0, 2.0 * np.pi, size=n_conflict) if n_conflict else np.zeros(0)
     conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
-    # One observation per phase: every write sees the original landmarks and
+    # One snapshot per phase: every write sees the original landmarks and
     # every query the drifted ones, so each snapshot is built once, parsed
     # once by the store and held and encoded once in the trace's table.
     write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
-    query_obs = Observation({"phase": 1.0}, landmarks=drifted.as_obs_tuples())
+    query_landmarks = drifted.as_obs_tuples()
     step = 0
     write_kappa = 0.0
 
@@ -175,8 +187,8 @@ def run_family_b(
             )
 
     def written():
-        """Every write's (step, event) and action, in order, stored a chunk
-        at a time; the writes are the steps from 0."""
+        """Every write's step and event, in order, stored a chunk at a
+        time; the writes are the steps from 0."""
         for events in _chunks(enumerate(cache_events())):
             actions = [
                 Action(
@@ -192,19 +204,18 @@ def run_family_b(
                 for k, (item_type, value, x, y) in events
             ]
             write_many(store, write_obs, actions)
-            yield from zip(events, actions)
+            yield from events
 
-    for (_, (item_type, value, x, y)), action in written():
+    for k, (item_type, value, x, y) in written():
         accrue(ledger, latency=1.0, compute=1.0)
         write_kappa += 1.0
         if trace is not None:
-            option = OptionChoice(
-                OptionKind.CACHE,
-                {"x": x, "y": y, "item_type": float(item_type), "item_value": value},
-            )
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
-            trace.append(len(trace), write_obs, action, option, False)
+            # Floats in key order: the phase, the dig's params, the cache's.
+            item = float(item_type)
+            trace.append_floats(len(trace), _WRITE_RECORD, 0.0, item, value, float(k), x, y,
+                                item, value, x, y, landmarks=write_obs.landmarks)
         step += 1
 
     # Delay between storage and recall is structural: nothing decays, but the
@@ -244,22 +255,9 @@ def run_family_b(
         probe_kappa += result.probes_used
         accrue(ledger, latency=1.0, compute=float(result.probes_used))
         if trace is not None:
-            option = OptionChoice(
-                OptionKind.RETRIEVE,
-                {
-                    "item_type": float(types[idx]),
-                    "x": true_loc[0],
-                    "y": true_loc[1],
-                },
-            )
             dig = result.decoded_location or (0.0, 0.0)
-            trace.append(
-                len(trace),
-                query_obs,
-                Action("dig", {"x": float(dig[0]), "y": float(dig[1])}),
-                option,
-                False,
-            )
+            trace.append_floats(len(trace), _QUERY_RECORD, 1.0, float(dig[0]), float(dig[1]),
+                                float(types[idx]), *true_loc, landmarks=query_landmarks)
 
         if result.episode is not None and result.decoded_location is not None:
             dx = result.decoded_location[0] - true_loc[0]

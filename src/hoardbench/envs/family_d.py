@@ -35,14 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from ..core.state import (
-    Action,
-    ConfigurationError,
-    Observation,
-    OptionChoice,
-    OptionKind,
-    Trace,
-)
+from ..core.state import ConfigurationError, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
 from ..rng import RunStreams, Substream
@@ -328,6 +321,10 @@ def run_family_d(
     checker_evals = 0
     caught_by_checker: set[int] = set()
     step = 0
+    # The trace shape key of a proposal: the repair round it is proposed
+    # in, and the plan's symbols keyed by position.
+    plan_record = (("round",), False, "plan", tuple(range(env.plan_length)),
+                   OptionKind.PROPOSE, (), False)
 
     while True:
         known = [by_id[cid] for cid in sorted(proposer_known_ids)]
@@ -335,13 +332,7 @@ def run_family_d(
         proposer_evals += evals
         accrue(ledger, latency=1.0, compute=float(evals))
         if trace is not None:
-            trace.append(
-                len(trace),
-                Observation({"round": float(repair_rounds)}),
-                Action("plan", {k: float(v) for k, v in enumerate(plan)}),
-                OptionChoice(OptionKind.PROPOSE),
-                False,
-            )
+            trace.append_floats(len(trace), plan_record, float(repair_rounds), *map(float, plan))
         step += 1
 
         exec_bad = [cid for cid in sorted(k_executor) if not by_id[cid].satisfied(plan)]

@@ -657,16 +657,31 @@ def _safe(name: str) -> str:
 
 
 def load_result_set(directory: str | Path) -> ResultSet:
-    """Rebuild a ResultSet from a results directory (for re-reporting)."""
+    """Rebuild a ResultSet from a results directory (for re-reporting).
+    InputError, naming the file and line, when resolved_config.json is not
+    UTF-8 or a line of runs.jsonl is not a run record, in UTF-8 JSON, of a
+    variant the config has."""
     directory = Path(directory)
-    config = parse_config((directory / "resolved_config.json").read_text())
-    result = ResultSet(config=config, loaded_from=directory)
+    path = directory / "resolved_config.json"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    result = ResultSet(config=parse_config(text), loaded_from=directory)
+    variants = _variant_table(result.config)
     result.wallclock, cell_seconds = _read_timing(directory)
-    with open(directory / "runs.jsonl") as fh:
-        for line in fh:
+    path = directory / "runs.jsonl"
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            record = RunRecord.from_json_obj(json.loads(line))
+            try:
+                record = RunRecord.from_json_obj(json.loads(line.decode("utf-8")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InputError(f"{path} line {number}: not a run record: {exc!r}") from exc
+            if record.variant not in variants:
+                raise InputError(f"{path} line {number}: variant {record.variant!r} is not "
+                                 f"one of the config's {sorted(variants)}")
             seconds = cell_seconds.get((record.variant, record.seed))
             result.cells.append(CellResult(record.variant, record.seed, record, seconds=seconds))
     return result

@@ -25,12 +25,11 @@ family C therefore keeps one belief per run and lets the aware agent read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core.state import InputError
-from .trusted import trusted
 
 OBSERVER_GRID = 20
 CACHE_KERNEL_WIDTH = 3
@@ -60,25 +59,26 @@ class SawNothing:
 ObservedEvent = SawCache | SawPresence | SawNothing
 
 
-@trusted
-@dataclass(frozen=True)
-class ObserverBelief:
+class ObserverBelief(NamedTuple("ObserverBelief", (("grid", np.ndarray),
+                                                    ("diffusion_rate", float)))):
     """Probability mass over grid cells, summing to one, and the rate at
-    which quiet steps diffuse it toward uniform."""
+    which quiet steps diffuse it toward uniform. The constructor checks
+    both; `observer_update` builds its results with `tuple.__new__`, which
+    checks nothing."""
 
-    grid: np.ndarray
-    diffusion_rate: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.grid.shape != (OBSERVER_GRID, OBSERVER_GRID):
+    def __new__(cls, grid: np.ndarray, diffusion_rate: float = 0.0) -> "ObserverBelief":
+        if grid.shape != (OBSERVER_GRID, OBSERVER_GRID):
             raise InputError("observer grid must be 20x20")
-        if np.any(self.grid < 0):
+        if np.any(grid < 0):
             raise InputError("observer mass must be non-negative")
-        total = self.grid.sum()
+        total = grid.sum()
         if not total > 0.0:
             raise InputError(f"observer grid must hold some mass, total is {float(total)}")
-        if not (0.0 <= self.diffusion_rate <= 1.0):
+        if not (0.0 <= diffusion_rate <= 1.0):
             raise InputError("diffusion_rate must lie in [0, 1]")
+        return tuple.__new__(cls, (grid, diffusion_rate))
 
     @classmethod
     def uniform(cls, diffusion_rate: float = 0.0) -> "ObserverBelief":
@@ -119,10 +119,11 @@ def _sighting_update(grid: np.ndarray, cell: Cell, width: int, weight: float) ->
 def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBelief:
     """Condition the belief on one sighting event and renormalize.
 
-    The result is built without `ObserverBelief`'s checks: its grid is the
-    checked 20x20 grid of `belief` times non-negative factors, divided by a
-    positive total, and the rate is `belief`'s. With rate 0 a quiet step
-    returns `belief` itself.
+    The result is built without `ObserverBelief`'s checks, which would
+    cost more than the update: its grid is the checked 20x20 grid of
+    `belief` times non-negative factors, divided by a positive total, and
+    the rate is `belief`'s. With rate 0 a quiet step returns `belief`
+    itself.
     """
     grid = belief.grid
     if isinstance(event, SawCache):
@@ -143,7 +144,7 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     total = grid.sum()
     if total <= 0:
         raise InputError("observer update produced zero total mass")
-    return ObserverBelief._trusted(grid / total, belief.diffusion_rate)
+    return tuple.__new__(ObserverBelief, (grid / total, belief.diffusion_rate))
 
 
 class CacheLayout:

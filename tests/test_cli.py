@@ -77,3 +77,34 @@ def test_run_with_fewer_than_one_worker_is_refused_before_the_grid(
     err = _refused(capsys, ["run", "--config", str(config), "--out", str(out), "--jobs", jobs])
     assert err == "error: --jobs must be at least 1\n"
     assert not out.exists()
+
+
+@pytest.fixture
+def results(tmp_path):
+    """A results directory written by `hoardbench run` of `CONFIG`."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name, damage, message", [
+    ("runs.jsonl", lambda text: text + b"{not json\n", "runs.jsonl line 2: not a run record"),
+    ("runs.jsonl", lambda text: b"\n" + text + b"\xff\xfe\n", "runs.jsonl line 3: not a run record"),
+    ("runs.jsonl", lambda text: text.replace(b'"family":"D",', b"", 1),
+     "runs.jsonl line 1: not a run record: KeyError('family')"),
+    ("runs.jsonl", lambda text: b"[1, 2]\n" + text, "runs.jsonl line 1: not a run record"),
+    ("runs.jsonl", lambda text: text.replace(b'"variant":"baseline"', b'"variant":"other"'),
+     "runs.jsonl line 1: variant 'other' is not one of the config's ['baseline']"),
+    ("resolved_config.json", lambda text: text.replace(b'"D"', b'"\xe9"'),
+     "resolved_config.json: 'utf-8' codec can't decode"),
+], ids=["not_json", "not_utf8", "missing_key", "not_an_object", "unknown_variant",
+        "config_not_utf8"])
+def test_report_of_a_damaged_results_file_is_refused(results, capsys, name, damage, message):
+    path = results / name
+    path.write_bytes(damage(path.read_bytes()))
+    capsys.readouterr()
+    err = _refused(capsys, ["report", "--in", str(results)])
+    assert message in err and str(path) in err
+    assert "Traceback" not in err

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import pickle
-import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,8 +167,8 @@ def test_json_line_is_byte_identical_to_json_dumps(records):
     assert _trace_of(records).to_jsonl() == "".join(line + "\n" for line in expected)
 
 
-# Compact traces: `Trace.to_jsonl` against the brute-force oracle, each
-# record's own `TraceRecord.to_json_line`.
+# Records kept whole: `Trace.to_jsonl` of records given to `append` against
+# the brute-force oracle, each record's own `TraceRecord.to_json_line`.
 
 _SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0)
 _STR_KEYS = ("error", "x", "y", "%", "%s", "%d%%", '"', 'a"b', "é", "")
@@ -256,30 +255,10 @@ def _plan_records():
     ]
 
 
-def _look_alike_records():
-    # Same kinds and flag, so each record first tries the shape of the one
-    # before: one more key; bool and float keys equal to an int key, which
-    # JSON writes as "true" and "1.0"; and a visible flag that equals True
-    # but is an int, which JSON writes as 1.
-    option = OptionChoice(OptionKind.CACHE)
-    params = ({}, {}, {1: 0.5}, {True: 0.5}, {1.0: 0.5}, {1: 0.5}, {})
-    records = [
-        TraceRecord(step, Observation({"x": 0.5}), Action("dig", p), option, True)
-        for step, p in enumerate(params)
-    ]
-    records[1] = TraceRecord(1, Observation({"x": 0.5, "y": 0.25}), Action("dig", {}), option, True)
-    records.append(TraceRecord(len(records), Observation({"x": 0.5}), Action("dig", {}), option, 1))
-    # Bool and float keys in a record of kinds not seen before.
-    for kind, key in (("flag", False), ("real", 2.5)):
-        records.append(TraceRecord(len(records), Observation({}), Action(kind, {key: 0.25}),
-                                   option, False))
-    return records
-
-
 def _landmark_records():
-    # Family B's records: one snapshot object per phase, shared by every
-    # record of the phase; then a copy of the first, equal but another
-    # object, and its signed-zero twin.
+    # One snapshot object per phase, shared by every record of the phase;
+    # then a copy of the first, equal but another object, and its
+    # signed-zero twin.
     write = ((0, 0.25, -0.0), (1, 0.5, 0.75))
     query = ((0, 0.25, 0.0), (1, 0.5, 0.5))
     records = []
@@ -290,7 +269,7 @@ def _landmark_records():
             Action("dig", {"x": 0.5, "y": -0.0}),
             OptionChoice(OptionKind.RETRIEVE, {"item_type": 1.0, "x": 0.5, "y": 0.25}), False,
         ))
-    # An int value and latent evidence: these records stay whole.
+    # An int value, and latent evidence.
     option = OptionChoice(OptionKind.CACHE)
     records.append(TraceRecord(len(records), Observation({"phase": 1}, landmarks=write),
                                NOOP, option, False))
@@ -303,7 +282,6 @@ def _landmark_records():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_mixed_records())
 @example(_plan_records())
-@example(_look_alike_records())
 @example(_landmark_records())
 def test_compact_trace_writes_each_records_own_json_line(records):
     expected = "".join(r.to_json_line() + "\n" for r in records)
@@ -317,29 +295,27 @@ def test_compact_trace_writes_each_records_own_json_line(records):
 
 
 def test_plan_action_int_keys_are_written_as_json_strings_in_numeric_order():
-    line = _trace_of(_plan_records()).to_jsonl().splitlines()[0]
+    key = (("round",), False, "plan", tuple(range(12)), OptionKind.PROPOSE, (), False)
+    trace = Trace()
+    trace.append_floats(0, key, 0.0, *(float(k % 5) for k in range(12)))
+    line = trace.to_jsonl().splitlines()[0]
+    assert line == _plan_records()[0].to_json_line()
     params = json.loads(line)["action"]["params"]
     assert list(params) == [str(k) for k in range(12)]
     assert '"params":{"0":0.0,"1":1.0,' in line and ',"10":0.0,"11":1.0}' in line
 
 
 def test_compact_records_keep_no_per_step_object():
-    trace = Trace()
-    plain = _record(0)
-    evidence = Observation({"error": 0.0}, (LatentEvidence("compliance", 1.0, 0.5),))
-    launch = TraceRecord(1, evidence, NOOP, OptionChoice(OptionKind.LAUNCH), False)
-    for record in (plain, launch):
-        _append(trace, record)
-    refs = [weakref.ref(r.observation) for r in (plain, launch)]
-    del plain, launch, evidence
-    # The float-only record was taken apart; the one with latent evidence
-    # is kept whole.
-    assert [ref() is None for ref in refs] == [True, False]
-    # A family B cell: every record carries a landmark snapshot, and none
-    # is kept whole.
+    # A family B cell records every step by its floats and its phase's
+    # snapshot: nothing is kept whole, and the trace holds each snapshot
+    # once.
     trace = _family_b_trace()
     assert len(trace) > 0 and trace._whole == []
     assert len(trace._snapshots) == 2
+    # `append` keeps its record whole, with the objects it was given.
+    launch = Observation({"error": 0.0}, (LatentEvidence("compliance", 1.0, 0.5),))
+    trace.append(len(trace), launch, NOOP, OptionChoice(OptionKind.LAUNCH), False)
+    assert len(trace._whole) == 1 and trace._whole[0].observation is launch
 
 
 def _family_b_trace():
@@ -365,11 +341,11 @@ def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
     fresh = [tuple((i, float(j), -0.0) for i in range(size)) for j in range(50)]
     reused = [s for s in fresh if id(s) in held] or fresh[:1]
     records = list(restored.records)
+    key = (("phase",), True, "noop", (), OptionKind.CACHE, (), False)
     for snapshot in reused + reused:
-        record = TraceRecord(len(records), Observation({"phase": 1.0}, landmarks=snapshot),
-                             NOOP, OptionChoice(OptionKind.CACHE), False)
-        _append(restored, record)
-        records.append(record)
+        restored.append_floats(len(records), key, 1.0, landmarks=snapshot)
+        records.append(TraceRecord(len(records), Observation({"phase": 1.0}, landmarks=snapshot),
+                                   NOOP, OptionChoice(OptionKind.CACHE), False))
     assert len(restored._snapshots) == 2 + len(reused)
     assert restored.to_jsonl() == "".join(r.to_json_line() + "\n" for r in records)
 
@@ -393,27 +369,37 @@ def _float_value(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible):
-    return (tuple(sorted(obs_keys)), False, kind, tuple(sorted(action_keys)), option_kind,
+def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible, landmarks=False):
+    return (tuple(sorted(obs_keys)), landmarks, kind, tuple(sorted(action_keys)), option_kind,
             tuple(sorted(option_keys)), visible)
 
 
-def _record_of(step, key, values):
-    """The record `append_floats(step, key, *values)` stands for."""
+_STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE,
+                            (), False)
+
+
+def _record_of(step, key, values, landmarks=None):
+    """The record `append_floats(step, key, *values, landmarks=landmarks)`
+    stands for."""
     obs_keys, _, kind, action_keys, option_kind, option_keys, visible = key
     a, b = len(obs_keys), len(obs_keys) + len(action_keys)
-    return TraceRecord(step, Observation(dict(zip(obs_keys, values[:a]))),
+    return TraceRecord(step, Observation(dict(zip(obs_keys, values[:a])),
+                                         landmarks=landmarks or ()),
                        Action(kind, dict(zip(action_keys, values[a:b]))),
                        OptionChoice(option_kind, dict(zip(option_keys, values[b:]))), visible)
 
 
 @st.composite
 def _float_steps(draw):
-    """(key, values) for a float append, or a record for `append`, per step."""
+    """(key, values, snapshot) for a float append, or a record for
+    `append`, per step. A key with landmarks takes a snapshot from a small
+    pool that holds equal copies and signed-zero twins; other keys take
+    None."""
+    snapshots = draw(_snapshot_pool())
     keys = draw(st.lists(
         st.builds(_shape_key, _key_sets, st.sampled_from(["force", "%s"]), _key_sets,
                   st.sampled_from([OptionKind.STABILIZE, OptionKind.CACHE]), _key_sets,
-                  st.booleans()),
+                  st.booleans(), st.booleans()),
         min_size=1, max_size=3,
     ))
     steps = []
@@ -421,16 +407,17 @@ def _float_steps(draw):
         key = draw(st.sampled_from(keys))
         width = len(key[0]) + len(key[3]) + len(key[5])
         values = tuple(draw(_float_value()) for _ in range(width))
+        snapshot = draw(st.sampled_from(snapshots)) if key[1] else None
         if draw(st.integers(0, 3)) == 0:
-            record = _record_of(step, key, values)
+            record = _record_of(step, key, values, snapshot)
             if draw(st.booleans()):
                 evidence = (LatentEvidence("compliance", draw(_float_value()), 0.5),)
-                record = TraceRecord(step, Observation(record.observation.values, evidence),
-                                     record.action, record.option_active,
-                                     record.observed_by_adversary)
+                record = dataclasses.replace(
+                    record, observation=dataclasses.replace(record.observation,
+                                                            latent_evidence=evidence))
             steps.append(record)
         else:
-            steps.append((key, values))
+            steps.append((key, values, snapshot))
     return steps
 
 
@@ -442,9 +429,9 @@ def _feed(trace, steps, start=0):
             record = dataclasses.replace(item, step=step)
             _append(trace, record)
         else:
-            key, values = item
-            trace.append_floats(step, key, *values)
-            record = _record_of(step, key, values)
+            key, values, snapshot = item
+            trace.append_floats(step, key, *values, landmarks=snapshot)
+            record = _record_of(step, key, values, snapshot)
         records.append(record)
     return records
 
@@ -464,8 +451,9 @@ def _stabilize_steps():
                          OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}), False)
     steps = [launch]
     for x in _EDGE_FLOATS:
-        steps += [(key, (x, 0.25, -1.5)), (key, (0.25, x, 1.0)), (key, (1.0, 2.0, x))]
-    steps.append((key, (1, 0.5, 0.5)))
+        steps += [(key, (x, 0.25, -1.5), None), (key, (0.25, x, 1.0), None),
+                  (key, (1.0, 2.0, x), None)]
+    steps.append((key, (1, 0.5, 0.5), None))
     return steps
 
 
@@ -493,28 +481,42 @@ def test_float_entry_point_writes_each_records_own_json_line(steps, more):
 
 
 def test_float_entry_point_shares_the_compact_form_with_append():
-    key = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE, (),
-                     False)
+    # Only the float entry point keeps records compactly: `append` keeps
+    # each record whole, in one run, and both write the same lines.
     by_floats, by_objects = Trace(), Trace()
     for step in range(3):
-        by_floats.append_floats(step, key, 0.1, 0.0, -0.5)
+        by_floats.append_floats(step, _STABILIZE_KEY, 0.1, 0.0, -0.5)
         _append(by_objects, _record(step))
-    assert by_floats._floats == by_objects._floats and by_floats._whole == []
-    assert by_floats._shapes == by_objects._shapes
+    assert by_floats._whole == [] and len(by_floats._floats) == 3 * 4
+    assert by_objects._whole == [_record(step) for step in range(3)]
+    assert list(by_objects._floats) == [-1.0, 3.0] and by_objects._shapes == []
+    assert by_floats.to_jsonl() == by_objects.to_jsonl()
 
 
-@pytest.mark.parametrize("key", [
-    (("error_rate", "error"), False, "force", ("force",), OptionKind.STABILIZE, (), False),
-    (("error",), True, "force", ("force",), OptionKind.STABILIZE, (), False),
-    (("error",), False, "force", ("force",), "stabilize", (), False),
-    (("error",), False, "force", ("force",), OptionKind.STABILIZE, (), 0),
-    (("error", "error"), False, "force", (), OptionKind.STABILIZE, (), False),
-], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key"])
-def test_float_entry_point_refuses_a_key_no_record_has(key):
+_FORCE_KEY = (("error",), False, "force", ("force",), OptionKind.STABILIZE, (), False)
+_FORCE_KEY_WITH_LANDMARKS = (("error",), True, "force", ("force",), OptionKind.STABILIZE, (),
+                             False)
+
+
+@pytest.mark.parametrize("calls", [
+    [((("error_rate", "error"), False, "force", ("force",), OptionKind.STABILIZE, (), False),
+      None)],
+    # A key with landmarks and no snapshot or an empty one; a snapshot with
+    # a key without landmarks.
+    [(_FORCE_KEY_WITH_LANDMARKS, None), (_FORCE_KEY_WITH_LANDMARKS, ()),
+     (_FORCE_KEY, ((0, 0.5, 0.5),))],
+    [((("error",), False, "force", ("force",), "stabilize", (), False), None)],
+    [((("error",), False, "force", ("force",), OptionKind.STABILIZE, (), 0), None)],
+    [((("error", "error"), False, "force", (), OptionKind.STABILIZE, (), False), None)],
+    [((("error",), False, "force", (True,), OptionKind.STABILIZE, (), False), None),
+     ((("error",), False, "force", (1.0,), OptionKind.STABILIZE, (), False), None)],
+], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key", "bool_key"])
+def test_float_entry_point_refuses_a_key_no_record_has(calls):
     trace = Trace()
-    with pytest.raises(InputError, match="not a trace shape key"):
-        trace.append_floats(0, key, *[0.0] * 3)
-    assert len(trace) == 0
+    for key, snapshot in calls:
+        with pytest.raises(InputError, match="trace shape key"):
+            trace.append_floats(0, key, 0.0, 0.0, landmarks=snapshot)
+    assert len(trace) == 0 and trace._snapshots == [] and len(trace._floats) == 0
 
 
 def test_float_entry_point_keeps_steps_gap_free():
@@ -531,9 +533,6 @@ def test_float_entry_point_keeps_steps_gap_free():
 
 # Several records in one `append_floats` call against the same records
 # appended one call each.
-
-_STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE,
-                            (), False)
 
 
 def _state(trace):
@@ -592,4 +591,18 @@ def test_a_bad_run_of_records_is_refused_with_nothing_appended(step, floats, mat
     before = _state(trace), trace._floats.tobytes(), list(trace._whole)
     with pytest.raises(InputError, match=match):
         trace.append_floats(step, _STABILIZE_KEY, *floats)
+    assert (_state(trace), trace._floats.tobytes(), list(trace._whole)) == before
+
+
+@pytest.mark.parametrize("floats", [(), (0.5,), (0.5,) * 3, (0.5,) * 8, (0.5,) * 10],
+                         ids=["none", "one", "three", "two_records", "two_rows_with_place"])
+def test_a_landmark_record_is_appended_one_at_a_time(floats):
+    # Four floats make one record of the key; ten would be two whole rows
+    # of its width with the snapshot's place, and are refused all the same.
+    key = _shape_key(("phase",), "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type",), False,
+                     landmarks=True)
+    trace = _prefixed([(0.1, -0.0, math.nan)])
+    before = _state(trace), trace._floats.tobytes(), list(trace._whole)
+    with pytest.raises(InputError, match="not one record"):
+        trace.append_floats(1, key, *floats, landmarks=((0, 0.5, -0.0),))
     assert (_state(trace), trace._floats.tobytes(), list(trace._whole)) == before

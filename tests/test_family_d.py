@@ -375,3 +375,48 @@ def test_cell_on_a_cold_memo_matches_one_after_another_variant(mode, other, tmp_
     warm = cell("warm.jsonl")
     assert _solvable_universe.cache_info().hits == hits + 1
     assert warm == cold
+
+
+# sha256 of runs.jsonl and of each trace file the report writes for the grid
+# below, recorded from the code that kept each plan record's action params as
+# a dict of int keys and wrote them through a shape found per record.
+PLAN_GRID_SHA256 = {
+    "runs.jsonl": "a456fc07c7b058ec216307e5896cc8228679cb3a044c515e4c03a553f4d0e811",
+    "traces/baseline_plan_length_12/seed_0.jsonl": "9f24b9e2ffaabf0eab20d8c76536a92ab59501429bac7143454249ca3b7d0f22",
+    "traces/baseline_plan_length_12/seed_2.jsonl": "fdc98d718d6d74fe5a41e3c200051ea5fa755aadda13a1b0eaf53339a23ba115",
+    "traces/baseline_plan_length_12/seed_3.jsonl": "11f05d9c89a3b0aa013a32bfeb5b54cc4432096323087a4d4d5d6136beca455c",
+    "traces/baseline_plan_length_16/seed_0.jsonl": "4b8e62d9ab582c61ac1584726b80a402fb2633657749755e945aa63fbe17e336",
+    "traces/baseline_plan_length_16/seed_1.jsonl": "79c78f592c613af0a72ca762fa56710fa0f8211a2abbf89a8c64f793aec21fae",
+    "traces/baseline_plan_length_16/seed_3.jsonl": "fd4e158167ab4efdf8f6ae33e857bed2d56dc9a372ebb8414dc5e22758f0fad9",
+    "traces/single_agent_plan_length_12/seed_0.jsonl": "17eed26a80592d99227d23dc50137ffee776c7ee4dd58bd8aad1e2c444e39f18",
+    "traces/single_agent_plan_length_12/seed_1.jsonl": "88d0cc90dc825ed1967c3e903e81257f86ea3a05d41927d2792eb034f25d9a16",
+    "traces/single_agent_plan_length_12/seed_2.jsonl": "4c632ddd0d403e0f95c2bf76f512095f1991f72c3a402ee944c41c3b9fe13aa8",
+    "traces/single_agent_plan_length_16/seed_0.jsonl": "b57d6c69c95d3e5aad52e9341cffcd2e5eaf7389edb35cb86174182f737d244a",
+    "traces/single_agent_plan_length_16/seed_1.jsonl": "41f61c6d4932b1c961d8427bf4e7539a62ca91371d15a895eb926bfd891c5ead",
+    "traces/single_agent_plan_length_16/seed_2.jsonl": "5fc48572257a829c919afe145400c7b1e630f173613e41ced657047a8a10b96d",
+}
+
+
+def test_output_bytes_across_modes_plan_lengths_and_repair_rounds(tmp_path):
+    # Both modes at plan lengths 12 and 16, whose action keys run past "9"
+    # and must be written in numeric order; a noisy checker makes the
+    # listed cells take from 0 to the full 5 repair rounds.
+    config = parse_config(json.dumps({
+        "family": "D", "seeds": "0..3",
+        "env": {"n_constraints": 30},
+        "agent": {"checker_fp": 0.02, "checker_fn": 0.1},
+        "ablations": ["single_agent"],
+        "sweep": {"key": "plan_length", "values": [12, 16]},
+    }))
+    write_report(run_grid(config, jobs=1), tmp_path)
+    runs = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    assert {r["metrics"]["repair_rounds"] for r in runs} == {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
+    first = (tmp_path / "traces/baseline_plan_length_12/seed_0.jsonl").open().readline()
+    assert '"9":1.0,"10":3.0,"11":0.0}' in first
+    written = ["runs.jsonl"] + [
+        path.relative_to(tmp_path).as_posix() for path in (tmp_path / "traces").rglob("*.jsonl")
+    ]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
+    }
+    assert digests == PLAN_GRID_SHA256

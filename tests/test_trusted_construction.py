@@ -1,17 +1,18 @@
-"""Guards for trusted construction (`hoardbench.trusted`).
+"""Guards for unchecked construction of the per-step tuples.
 
-A covered frozen dataclass has a public constructor, which keeps every
-check, and `_trusted`, which sets the fields and checks nothing. These tests
-pin three things: both paths build the same object from valid input; the
-public entry points (constructors, and `accrue` for step costs) still reject
-invalid input; and only an allow-listed set of internal functions, each
-building from already-checked values, reaches `_trusted` at all.
+`Belief` and `ObserverBelief` are tuples. A public constructor checks what
+it is given (`Belief` has nothing to check); inside a step loop,
+`update_belief` and `observer_update` build their results with
+`tuple.__new__`, which checks nothing, from values that were checked on
+the way in or derived from them in a way that keeps them valid. These
+tests pin three things: both paths build the same object from valid
+input; the public entry points (constructors, and `accrue` for step costs)
+still reject invalid input; and only an allow-listed set of internal
+functions builds one of these classes unchecked at all.
 """
 
 import ast
-import dataclasses
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,14 +26,17 @@ from hoardbench.core.belief import BeliefConfig, initial_belief, update_belief
 from hoardbench.core.state import InputError
 from hoardbench.ledger import CostLedger, accrue
 from hoardbench.observer import OBSERVER_GRID, ObserverBelief
-from hoardbench.trusted import trusted
 
 COVERED = (ObserverBelief,)
+# The classes whose unchecked builds the scan below looks for.
+UNCHECKED = {"Belief", "ObserverBelief"}
 
-# Every function that may touch `_trusted`, as "module:qualname". Each builds
-# only from values that were checked on the way in or derived from them in a
-# way that keeps them valid; see the comment or docstring at each one.
+# Every function that may build one of `UNCHECKED` unchecked, as
+# "module:qualname". Each builds only from values that were checked on the
+# way in or derived from them in a way that keeps them valid; see the
+# docstring at each one.
 ALLOWED_CALLERS = {
+    "hoardbench.core.belief:update_belief",
     "hoardbench.observer:observer_update",
 }
 
@@ -68,21 +72,17 @@ def _same(a, b) -> bool:
 @given(data=st.data())
 def test_trusted_path_builds_what_the_public_constructor_builds(cls, data):
     values = _field_values(cls, data.draw)
-    names = [f.name for f in dataclasses.fields(cls)]
     public = cls(*values)
-    built = cls._trusted(*values)
+    built = tuple.__new__(cls, values)
     assert type(built) is cls
-    # Exactly the dataclass's fields, in declaration order, each holding
-    # the value passed in.
-    assert list(vars(built)) == names
-    for name, value in zip(names, values):
+    # Exactly the fields, in declaration order, each holding the value
+    # passed in.
+    assert len(built) == len(cls._fields)
+    for name, value in zip(cls._fields, values):
         assert getattr(built, name) is value
         assert _same(getattr(built, name), getattr(public, name)), name
-    # Equal sizes mean the trusted object shares its class's dict keys as
-    # the public one does; a dict assigned whole would not.
-    assert sys.getsizeof(vars(built)) == sys.getsizeof(vars(public))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(built, names[0], values[0])
+    with pytest.raises(AttributeError):
+        setattr(built, cls._fields[0], values[0])
 
 
 @pytest.mark.parametrize(
@@ -122,19 +122,6 @@ def test_update_belief_validates_an_observation_built_unchecked(values):
         update_belief(belief, values["error"], values["error_rate"], 0.0, config)
 
 
-def test_trusted_rejects_a_class_that_is_not_a_frozen_dataclass():
-    @dataclasses.dataclass
-    class Mutable:
-        x: int
-
-    class Plain:
-        pass
-
-    for cls in (Mutable, Plain):
-        with pytest.raises(TypeError, match="frozen dataclass"):
-            trusted(cls)
-
-
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC.parent).with_suffix("")
@@ -142,15 +129,18 @@ def _modules():
         yield ".".join(parts), ast.parse(path.read_text())
 
 
-def _trusted_users(tree: ast.AST, module: str) -> set[str]:
-    """module:qualname of each function that mentions `<anything>._trusted`;
-    a mention outside any function reads as module:<module>."""
+def _unchecked_builders(tree: ast.AST, module: str) -> set[str]:
+    """module:qualname of each function with a call that takes one of
+    `UNCHECKED` as its first argument, as `tuple.__new__(Belief, ...)` or
+    an alias of it does; a call outside any function reads as
+    module:<module>."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+        if (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in UNCHECKED):
             found.add(f"{module}:{'.'.join(scope) or '<module>'}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -159,32 +149,20 @@ def _trusted_users(tree: ast.AST, module: str) -> set[str]:
     return found
 
 
-def _decorated_classes(tree: ast.AST) -> set[str]:
-    return {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(d, ast.Name) and d.id == "trusted" for d in node.decorator_list)
-    }
-
-
 def test_only_allow_listed_functions_reach_the_trusted_path():
     users = set()
-    covered = set()
     for module, tree in _modules():
-        if module == "hoardbench.trusted":
-            continue
-        users |= _trusted_users(tree, module)
-        covered |= _decorated_classes(tree)
+        users |= _unchecked_builders(tree, module)
     assert users == ALLOWED_CALLERS
-    assert covered == {cls.__name__ for cls in COVERED}
 
 
 def test_scan_sees_calls_in_methods_and_at_module_level():
     tree = ast.parse(
         "class K:\n"
         "    def f(self):\n"
-        "        return Action._trusted('a', {})\n"
-        "build = Belief._trusted\n"
+        "        return tuple.__new__(ObserverBelief, (grid, 0.0))\n"
+        "    def g(self):\n"
+        "        return ObserverBelief(grid), isinstance(self, Belief)\n"
+        "build = _new_belief(Belief, fields)\n"
     )
-    assert _trusted_users(tree, "m") == {"m:K.f", "m:<module>"}
+    assert _unchecked_builders(tree, "m") == {"m:K.f", "m:<module>"}
