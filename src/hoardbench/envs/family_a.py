@@ -33,10 +33,8 @@ from ..core.policy import (
     select_option,
 )
 from ..core.state import (
-    Action,
     ConfigurationError,
     LatentEvidence,
-    Observation,
     OptionChoice,
     OptionKind,
     Trace,
@@ -54,10 +52,17 @@ OPTION_SCHEMA = {
     OptionKind.STABILIZE: (),
 }
 
-# A stabilize step's trace shape: its floats are the observed error and
+# The trace shape keys of a trial's landing and of a stabilize step. The
+# landing's values are the observed error and error rate, the compliance
+# evidence's regressor and response, then the launch's impulse and offset
+# as action and as option; a stabilize step's are the observed error and
 # error rate, then the force.
+_LAUNCH_RECORD = (
+    ("error", "error_rate"), ("compliance",), False, "launch", ("impulse", "offset"),
+    OptionKind.LAUNCH, ("impulse", "offset"), False,
+)
 _STABILIZE_RECORD = (
-    ("error", "error_rate"), False, "force", ("force",), OptionKind.STABILIZE, (), False)
+    ("error", "error_rate"), (), False, "force", ("force",), OptionKind.STABILIZE, (), False)
 
 @dataclass(frozen=True)
 class FamilyAConfig:
@@ -207,17 +212,14 @@ def run_family_a(
         noise = streams.env.normal(0.0, 1.0, size=2)
         e_obs = e + env.obs_noise * float(noise[0])
         r_obs = edot + env.obs_noise * float(noise[1])
-        evidence = (LatentEvidence(
-            "compliance",
-            regressor=-(impulse * offset * offset),
-            response=e_obs - (impulse - env.gap_scale * (1.0 - offset)),
-        ),)
+        regressor = -(impulse * offset * offset)
+        response = e_obs - (impulse - env.gap_scale * (1.0 - offset))
+        evidence = (LatentEvidence("compliance", regressor, response),)
         belief = update_belief(belief, e_obs, r_obs, 0.0, belief_cfg, evidence)
         comp_kappa += belief.last_compute
         if trace is not None:
-            landing = Observation({"error": e_obs, "error_rate": r_obs}, evidence)
-            launch_action = Action("launch", {"offset": offset, "impulse": impulse})
-            trace.append(global_step, landing, launch_action, launch, False)
+            trace.append(global_step, _LAUNCH_RECORD, e_obs, r_obs, regressor, response,
+                         impulse, offset, impulse, offset)
         global_step += 1
 
         # Open-loop agents commit a correction schedule now and never revise.
@@ -276,7 +278,7 @@ def run_family_a(
                 break
 
         if trace is not None:
-            trace.append_floats(first_stabilize_step, _STABILIZE_RECORD, *rows)
+            trace.append(first_stabilize_step, _STABILIZE_RECORD, *rows)
 
         # Success is terminal: the tolerance window must be held through the
         # end of the trial, so a late perturbation an agent cannot correct

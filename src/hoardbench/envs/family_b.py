@@ -75,11 +75,13 @@ OPTION_SCHEMA = {
 # caches it, a query digs where the store's episode decodes to and
 # retrieves the queried item.
 _WRITE_RECORD = (
-    ("phase",), True, "dig", ("item_type", "item_value", "step", "x", "y"),
+    ("phase",), (), True, "dig", ("item_type", "item_value", "step", "x", "y"),
     OptionKind.CACHE, ("item_type", "item_value", "x", "y"), False,
 )
 _QUERY_RECORD = (
-    ("phase",), True, "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type", "x", "y"), False)
+    ("phase",), (), True, "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type", "x", "y"),
+    False,
+)
 
 
 def _chunks(items):
@@ -212,10 +214,9 @@ def run_family_b(
         if trace is not None:
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
-            # Floats in key order: the phase, the dig's params, the cache's.
-            item = float(item_type)
-            trace.append_floats(len(trace), _WRITE_RECORD, 0.0, item, value, float(k), x, y,
-                                item, value, x, y, landmarks=write_obs.landmarks)
+            # Values in key order: the phase, the dig's params, the cache's.
+            trace.append(len(trace), _WRITE_RECORD, 0.0, item_type, value, k, x, y,
+                         item_type, value, x, y, landmarks=write_obs.landmarks)
         step += 1
 
     # Delay between storage and recall is structural: nothing decays, but the
@@ -256,8 +257,8 @@ def run_family_b(
         accrue(ledger, latency=1.0, compute=float(result.probes_used))
         if trace is not None:
             dig = result.decoded_location or (0.0, 0.0)
-            trace.append_floats(len(trace), _QUERY_RECORD, 1.0, float(dig[0]), float(dig[1]),
-                                float(types[idx]), *true_loc, landmarks=query_landmarks)
+            trace.append(len(trace), _QUERY_RECORD, 1.0, *dig, types[idx], *true_loc,
+                         landmarks=query_landmarks)
 
         if result.episode is not None and result.decoded_location is not None:
             dx = result.decoded_location[0] - true_loc[0]

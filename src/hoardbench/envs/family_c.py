@@ -67,7 +67,7 @@ OPTION_SCHEMA = {
 # step's is a placeholder conceal at (0, 0) for 1 step.
 _CACHING_RECORD = {
     (kind, visible): (
-        ("phase",), False, kind, ("x", "y"),
+        ("phase",), (), False, kind, ("x", "y"),
         *((OptionKind.CACHE, ("col", "row")) if kind in ("cache", "recache")
           else (OptionKind.CONCEAL, ("col", "row", "steps"))),
         visible,
@@ -389,14 +389,13 @@ def run_family_c(
             inbox.append((sig.emitted_at, sig.agent_view()))
 
         if trace is not None:
-            # Floats in key order: phase, x, y, then col, row (and steps).
+            # Values in key order: phase, x, y, then col, row (and steps).
             key = _CACHING_RECORD[action_kind, visible]
             px, py = _cell_center(action_cell) if action_cell else (0.0, 0.0)
             if is_real_cache:
-                trace.append_floats(step, key, 0.0, px, py,
-                                    float(action_cell[1]), float(action_cell[0]))
+                trace.append(step, key, 0.0, px, py, action_cell[1], action_cell[0])
             else:
-                trace.append_floats(step, key, 0.0, px, py, 0.0, 0.0, 1.0)
+                trace.append(step, key, 0.0, px, py, 0.0, 0.0, 1.0)
         step += 1
 
     # Pilfer phase: the adversary digs its best guesses.

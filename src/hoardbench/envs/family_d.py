@@ -323,7 +323,7 @@ def run_family_d(
     step = 0
     # The trace shape key of a proposal: the repair round it is proposed
     # in, and the plan's symbols keyed by position.
-    plan_record = (("round",), False, "plan", tuple(range(env.plan_length)),
+    plan_record = (("round",), (), False, "plan", tuple(range(env.plan_length)),
                    OptionKind.PROPOSE, (), False)
 
     while True:
@@ -332,7 +332,7 @@ def run_family_d(
         proposer_evals += evals
         accrue(ledger, latency=1.0, compute=float(evals))
         if trace is not None:
-            trace.append_floats(len(trace), plan_record, float(repair_rounds), *map(float, plan))
+            trace.append(len(trace), plan_record, repair_rounds, *plan)
         step += 1
 
         exec_bad = [cid for cid in sorted(k_executor) if not by_id[cid].satisfied(plan)]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pickle
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from hoardbench.core.state import (
     ConfigurationError,
     InputError,
     LatentEvidence,
-    NOOP,
     Observation,
     OptionChoice,
     OptionKind,
@@ -21,6 +21,8 @@ from hoardbench.core.state import (
     TraceRecord,
     validate_option,
 )
+from hoardbench.controller import ControllerConfig
+from hoardbench.envs.family_a import FamilyAConfig, run_family_a
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.ledger import CostLedger
 
@@ -36,8 +38,38 @@ def _record(step):
 
 
 def _append(trace, record):
-    trace.append(record.step, record.observation, record.action, record.option_active,
-                 record.observed_by_adversary)
+    """Append `record` through its shape key and its values in key order."""
+    obs, action, option = record.observation, record.action, record.option_active
+    obs_keys, action_keys, option_keys = (
+        tuple(sorted(params)) for params in (obs.values, action.params, option.params))
+    key = (obs_keys, tuple(e.name for e in obs.latent_evidence), bool(obs.landmarks),
+           action.kind, action_keys, option.kind, option_keys, record.observed_by_adversary)
+    values = ([obs.values[k] for k in obs_keys]
+              + [v for e in obs.latent_evidence for v in (e.regressor, e.response)]
+              + [action.params[k] for k in action_keys]
+              + [option.params[k] for k in option_keys])
+    trace.append(record.step, key, *values, landmarks=obs.landmarks or None)
+
+
+def _float_line(record):
+    """The oracle: the record's own `to_json_line`, with every value passed
+    through `float()`, as the trace keeps it."""
+    def floats(params):
+        return {k: float(v) for k, v in params.items()}
+
+    obs = record.observation
+    evidence = tuple(LatentEvidence(e.name, float(e.regressor), float(e.response))
+                     for e in obs.latent_evidence)
+    return dataclasses.replace(
+        record,
+        observation=Observation(floats(obs.values), evidence, obs.landmarks),
+        action=Action(record.action.kind, floats(record.action.params)),
+        option_active=OptionChoice(record.option_active.kind, floats(record.option_active.params)),
+    ).to_json_line() + "\n"
+
+
+def _lines(records):
+    return "".join(map(_float_line, records))
 
 
 def _trace_of(records):
@@ -144,17 +176,20 @@ def _signed_zero_trace():
     for step, x in enumerate((0.0, -0.0, 0.0)):
         observation = Observation({"phase": 0.0}, landmarks=((0, x, 0.5), (1, 0.25, 1)))
         option = OptionChoice(OptionKind.STABILIZE)
-        records.append(TraceRecord(step, observation, NOOP, option, False))
+        records.append(TraceRecord(step, observation, Action("noop"), option, False))
     return records
 
 
+def _launch(step, error=-0.0):
+    """Family A's landing record, which carries latent evidence."""
+    return TraceRecord(step, Observation({"error": error, "error_rate": 0.0},
+                                         (LatentEvidence("compliance", -0.1, 0.02),)),
+                       Action("launch", {"offset": 0.5, "impulse": 0.38}),
+                       OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}), False)
+
+
 def _trace_without_landmarks():
-    evidence = (LatentEvidence("compliance", -0.1, 0.02),)
-    launch = TraceRecord(0, Observation({"error": -0.0, "error_rate": 0.0}, evidence),
-                         Action("launch", {"offset": 0.5, "impulse": 0.38}),
-                         OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}),
-                         False)
-    return [launch, _record(1), _record(2)]
+    return [_launch(0), _record(1), _record(2)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -167,8 +202,8 @@ def test_json_line_is_byte_identical_to_json_dumps(records):
     assert _trace_of(records).to_jsonl() == "".join(line + "\n" for line in expected)
 
 
-# Records kept whole: `Trace.to_jsonl` of records given to `append` against
-# the brute-force oracle, each record's own `TraceRecord.to_json_line`.
+# `Trace.to_jsonl` against the brute-force oracle, each record's own
+# `TraceRecord.to_json_line` with every value passed through `float()`.
 
 _SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0)
 _STR_KEYS = ("error", "x", "y", "%", "%s", "%d%%", '"', 'a"b', "é", "")
@@ -272,10 +307,10 @@ def _landmark_records():
     # An int value, and latent evidence.
     option = OptionChoice(OptionKind.CACHE)
     records.append(TraceRecord(len(records), Observation({"phase": 1}, landmarks=write),
-                               NOOP, option, False))
-    evidence = (LatentEvidence("drift", 1.0, 0.5),)
+                               Action("noop"), option, False))
+    evidence = (LatentEvidence("drift", 1, 0.5), LatentEvidence("%s", -0.0, True))
     records.append(TraceRecord(len(records), Observation({"phase": 0.0}, evidence, write),
-                               NOOP, option, False))
+                               Action("noop"), option, False))
     return records
 
 
@@ -284,20 +319,18 @@ def _landmark_records():
 @example(_plan_records())
 @example(_landmark_records())
 def test_compact_trace_writes_each_records_own_json_line(records):
-    expected = "".join(r.to_json_line() + "\n" for r in records)
+    expected = _lines(records)
     trace = _trace_of(records)
     assert len(trace) == len(records)
     assert trace.to_jsonl() == expected
-    # The records rebuilt from the compact form, and a trace shipped back
-    # from a pool worker, write the same lines.
-    assert "".join(r.to_json_line() + "\n" for r in trace.records) == expected
+    # A trace shipped back from a pool worker writes the same lines.
     assert pickle.loads(pickle.dumps(trace)).to_jsonl() == expected
 
 
 def test_plan_action_int_keys_are_written_as_json_strings_in_numeric_order():
-    key = (("round",), False, "plan", tuple(range(12)), OptionKind.PROPOSE, (), False)
+    key = (("round",), (), False, "plan", tuple(range(12)), OptionKind.PROPOSE, (), False)
     trace = Trace()
-    trace.append_floats(0, key, 0.0, *(float(k % 5) for k in range(12)))
+    trace.append(0, key, 0, *(k % 5 for k in range(12)))
     line = trace.to_jsonl().splitlines()[0]
     assert line == _plan_records()[0].to_json_line()
     params = json.loads(line)["action"]["params"]
@@ -306,16 +339,20 @@ def test_plan_action_int_keys_are_written_as_json_strings_in_numeric_order():
 
 
 def test_compact_records_keep_no_per_step_object():
-    # A family B cell records every step by its floats and its phase's
-    # snapshot: nothing is kept whole, and the trace holds each snapshot
-    # once.
-    trace = _family_b_trace()
-    assert len(trace) > 0 and trace._whole == []
-    assert len(trace._snapshots) == 2
-    # `append` keeps its record whole, with the objects it was given.
-    launch = Observation({"error": 0.0}, (LatentEvidence("compliance", 1.0, 0.5),))
-    trace.append(len(trace), launch, NOOP, OptionChoice(OptionKind.LAUNCH), False)
-    assert len(trace._whole) == 1 and trace._whole[0].observation is launch
+    # A family A cell records its landings, which carry latent evidence, and
+    # its stabilize steps: the trace holds its two shapes and, per record,
+    # only its shape id and its values as floats.
+    trials = 3
+    trace = Trace()
+    run_family_a(FamilyAConfig(trials=trials, horizon=40), ControllerConfig(), CostLedger(), 0,
+                 trace=trace)
+    launch, stabilize = trace._shapes.values()
+    assert (launch.width, stabilize.width) == (8, 3)
+    assert len(trace._floats) == trials * (1 + 8) + (len(trace) - trials) * (1 + 3)
+    assert len(trace) > 2 * trials and trace._snapshots == []
+    assert {name: type(value) for name, value in vars(trace).items()} == {
+        "_floats": array, "_shapes": dict, "_snapshots": list, "_snapshot_at": dict,
+        "_count": int}
 
 
 def _family_b_trace():
@@ -330,7 +367,6 @@ def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
     expected = trace.to_jsonl()
     restored = pickle.loads(pickle.dumps(trace))
     assert restored.to_jsonl() == expected
-    assert restored.records == trace.records
     # Ids mean nothing in another process. Free the snapshots the pickled
     # trace held, then append snapshots of their size, which CPython often
     # puts at a freed one's address and so gives its id: each gets its own
@@ -340,19 +376,18 @@ def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
     del trace
     fresh = [tuple((i, float(j), -0.0) for i in range(size)) for j in range(50)]
     reused = [s for s in fresh if id(s) in held] or fresh[:1]
-    records = list(restored.records)
-    key = (("phase",), True, "noop", (), OptionKind.CACHE, (), False)
+    key = (("phase",), (), True, "noop", (), OptionKind.CACHE, (), False)
     for snapshot in reused + reused:
-        restored.append_floats(len(records), key, 1.0, landmarks=snapshot)
-        records.append(TraceRecord(len(records), Observation({"phase": 1.0}, landmarks=snapshot),
-                                   NOOP, OptionChoice(OptionKind.CACHE), False))
+        step = len(restored)
+        restored.append(step, key, 1.0, landmarks=snapshot)
+        expected += _float_line(TraceRecord(step, Observation({"phase": 1.0}, landmarks=snapshot),
+                                            Action("noop"), OptionChoice(OptionKind.CACHE), False))
     assert len(restored._snapshots) == 2 + len(reused)
-    assert restored.to_jsonl() == "".join(r.to_json_line() + "\n" for r in records)
+    assert restored.to_jsonl() == expected
 
 
-# The float entry point: `Trace.append_floats` against the same oracle, each
-# record's own `TraceRecord.to_json_line`, in traces that mix it with
-# `append`.
+# Records given as a shape key and values against the same oracle, in
+# traces that mix them with records given by `_append`.
 
 _EDGE_FLOATS = (-0.0, 5e-324, math.nan, math.inf, -math.inf)
 
@@ -360,7 +395,7 @@ _EDGE_FLOATS = (-0.0, 5e-324, math.nan, math.inf, -math.inf)
 @st.composite
 def _float_value(draw):
     """The edge floats, finite floats, and now and then an int or a bool,
-    which the float entry point must keep whole."""
+    which the trace keeps as a float."""
     pick = draw(st.integers(0, 11))
     if pick < 3:
         return draw(st.sampled_from(_EDGE_FLOATS))
@@ -369,9 +404,10 @@ def _float_value(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible, landmarks=False):
-    return (tuple(sorted(obs_keys)), landmarks, kind, tuple(sorted(action_keys)), option_kind,
-            tuple(sorted(option_keys)), visible)
+def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible, landmarks=False,
+               evidence=()):
+    return (tuple(sorted(obs_keys)), evidence, landmarks, kind, tuple(sorted(action_keys)),
+            option_kind, tuple(sorted(option_keys)), visible)
 
 
 _STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE,
@@ -379,43 +415,44 @@ _STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), Option
 
 
 def _record_of(step, key, values, landmarks=None):
-    """The record `append_floats(step, key, *values, landmarks=landmarks)`
-    stands for."""
-    obs_keys, _, kind, action_keys, option_kind, option_keys, visible = key
-    a, b = len(obs_keys), len(obs_keys) + len(action_keys)
-    return TraceRecord(step, Observation(dict(zip(obs_keys, values[:a])),
-                                         landmarks=landmarks or ()),
-                       Action(kind, dict(zip(action_keys, values[a:b]))),
-                       OptionChoice(option_kind, dict(zip(option_keys, values[b:]))), visible)
+    """The record `append(step, key, *values, landmarks=landmarks)` stands
+    for."""
+    obs_keys, evidence, _, kind, action_keys, option_kind, option_keys, visible = key
+    a = len(obs_keys)
+    b = a + 2 * len(evidence)
+    c = b + len(action_keys)
+    return TraceRecord(
+        step,
+        Observation(dict(zip(obs_keys, values[:a])),
+                    tuple(LatentEvidence(name, *values[a + 2 * i:a + 2 * i + 2])
+                          for i, name in enumerate(evidence)),
+                    landmarks or ()),
+        Action(kind, dict(zip(action_keys, values[b:c]))),
+        OptionChoice(option_kind, dict(zip(option_keys, values[c:]))), visible,
+    )
 
 
 @st.composite
 def _float_steps(draw):
-    """(key, values, snapshot) for a float append, or a record for
-    `append`, per step. A key with landmarks takes a snapshot from a small
-    pool that holds equal copies and signed-zero twins; other keys take
-    None."""
+    """(key, values, snapshot) to append, or a record for `_append`, per
+    step. A key with landmarks takes a snapshot from a small pool that holds
+    equal copies and signed-zero twins; other keys take None."""
     snapshots = draw(_snapshot_pool())
     keys = draw(st.lists(
         st.builds(_shape_key, _key_sets, st.sampled_from(["force", "%s"]), _key_sets,
                   st.sampled_from([OptionKind.STABILIZE, OptionKind.CACHE]), _key_sets,
-                  st.booleans(), st.booleans()),
+                  st.booleans(), st.booleans(),
+                  st.sampled_from([(), ("compliance",), ("%s", '"')])),
         min_size=1, max_size=3,
     ))
     steps = []
     for step in range(draw(st.integers(0, 14))):
         key = draw(st.sampled_from(keys))
-        width = len(key[0]) + len(key[3]) + len(key[5])
+        width = len(key[0]) + 2 * len(key[1]) + len(key[4]) + len(key[6])
         values = tuple(draw(_float_value()) for _ in range(width))
-        snapshot = draw(st.sampled_from(snapshots)) if key[1] else None
+        snapshot = draw(st.sampled_from(snapshots)) if key[2] else None
         if draw(st.integers(0, 3)) == 0:
-            record = _record_of(step, key, values, snapshot)
-            if draw(st.booleans()):
-                evidence = (LatentEvidence("compliance", draw(_float_value()), 0.5),)
-                record = dataclasses.replace(
-                    record, observation=dataclasses.replace(record.observation,
-                                                            latent_evidence=evidence))
-            steps.append(record)
+            steps.append(_record_of(step, key, values, snapshot))
         else:
             steps.append((key, values, snapshot))
     return steps
@@ -430,30 +467,20 @@ def _feed(trace, steps, start=0):
             _append(trace, record)
         else:
             key, values, snapshot = item
-            trace.append_floats(step, key, *values, landmarks=snapshot)
+            trace.append(step, key, *values, landmarks=snapshot)
             record = _record_of(step, key, values, snapshot)
         records.append(record)
     return records
 
 
-def _lines(records):
-    return "".join(r.to_json_line() + "\n" for r in records)
-
-
 def _stabilize_steps():
     # Family A's stabilize records, with every edge float in each place,
-    # after a launch record that carries latent evidence.
-    key = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE, (),
-                     False)
-    launch = TraceRecord(0, Observation({"error": 0.1, "error_rate": -0.0},
-                                        (LatentEvidence("compliance", -0.1, 0.02),)),
-                         Action("launch", {"offset": 0.5, "impulse": 0.38}),
-                         OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.38}), False)
-    steps = [launch]
+    # after a landing record that carries latent evidence.
+    steps = [_launch(0, error=0.1)]
     for x in _EDGE_FLOATS:
-        steps += [(key, (x, 0.25, -1.5), None), (key, (0.25, x, 1.0), None),
-                  (key, (1.0, 2.0, x), None)]
-    steps.append((key, (1, 0.5, 0.5), None))
+        steps += [(_STABILIZE_KEY, (x, 0.25, -1.5), None), (_STABILIZE_KEY, (0.25, x, 1.0), None),
+                  (_STABILIZE_KEY, (1.0, 2.0, x), None)]
+    steps.append((_STABILIZE_KEY, (1, 0.5, True), None))
     return steps
 
 
@@ -465,86 +492,72 @@ def test_float_entry_point_writes_each_records_own_json_line(steps, more):
     records = _feed(trace, steps)
     assert len(trace) == len(records)
     assert trace.to_jsonl() == _lines(records)
-    # `records` rebuilds every record: the same line, the same value types.
-    rebuilt = trace.records
-    assert _lines(rebuilt) == _lines(records)
-    for got, want in zip(rebuilt, records):
-        assert [type(v) for v in got.observation.values.values()] == [
-            type(v) for v in want.observation.values.values()]
     # A trace shipped back from a pool worker writes the same lines and
-    # takes further records by either entry point.
+    # takes further records.
     restored = pickle.loads(pickle.dumps(trace))
     assert restored.to_jsonl() == _lines(records)
     records += _feed(restored, more, len(records))
     assert restored.to_jsonl() == _lines(records)
-    assert _lines(restored.records) == _lines(records)
 
 
-def test_float_entry_point_shares_the_compact_form_with_append():
-    # Only the float entry point keeps records compactly: `append` keeps
-    # each record whole, in one run, and both write the same lines.
-    by_floats, by_objects = Trace(), Trace()
-    for step in range(3):
-        by_floats.append_floats(step, _STABILIZE_KEY, 0.1, 0.0, -0.5)
-        _append(by_objects, _record(step))
-    assert by_floats._whole == [] and len(by_floats._floats) == 3 * 4
-    assert by_objects._whole == [_record(step) for step in range(3)]
-    assert list(by_objects._floats) == [-1.0, 3.0] and by_objects._shapes == []
-    assert by_floats.to_jsonl() == by_objects.to_jsonl()
-
-
-_FORCE_KEY = (("error",), False, "force", ("force",), OptionKind.STABILIZE, (), False)
-_FORCE_KEY_WITH_LANDMARKS = (("error",), True, "force", ("force",), OptionKind.STABILIZE, (),
+_FORCE_KEY = (("error",), (), False, "force", ("force",), OptionKind.STABILIZE, (), False)
+_FORCE_KEY_WITH_LANDMARKS = (("error",), (), True, "force", ("force",), OptionKind.STABILIZE, (),
                              False)
 
 
 @pytest.mark.parametrize("calls", [
-    [((("error_rate", "error"), False, "force", ("force",), OptionKind.STABILIZE, (), False),
+    [((("error_rate", "error"), (), False, "force", ("force",), OptionKind.STABILIZE, (), False),
       None)],
     # A key with landmarks and no snapshot or an empty one; a snapshot with
     # a key without landmarks.
     [(_FORCE_KEY_WITH_LANDMARKS, None), (_FORCE_KEY_WITH_LANDMARKS, ()),
      (_FORCE_KEY, ((0, 0.5, 0.5),))],
-    [((("error",), False, "force", ("force",), "stabilize", (), False), None)],
-    [((("error",), False, "force", ("force",), OptionKind.STABILIZE, (), 0), None)],
-    [((("error", "error"), False, "force", (), OptionKind.STABILIZE, (), False), None)],
-    [((("error",), False, "force", (True,), OptionKind.STABILIZE, (), False), None),
-     ((("error",), False, "force", (1.0,), OptionKind.STABILIZE, (), False), None)],
-], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key", "bool_key"])
+    [((("error",), (), False, "force", ("force",), "stabilize", (), False), None)],
+    [((("error",), (), False, "force", ("force",), OptionKind.STABILIZE, (), 0), None)],
+    [((("error", "error"), (), False, "force", (), OptionKind.STABILIZE, (), False), None)],
+    [((("error",), (), False, "force", (True,), OptionKind.STABILIZE, (), False), None),
+     ((("error",), (), False, "force", (1.0,), OptionKind.STABILIZE, (), False), None)],
+    [((("error",), (1,), False, "force", (), OptionKind.STABILIZE, (), False), None),
+     ((("error",), (("compliance",),), False, "force", (), OptionKind.STABILIZE, (), False),
+      None)],
+    # A key without its evidence names.
+    [((("error",), False, "force", ("force",), OptionKind.STABILIZE, (), False), None)],
+], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key", "bool_key",
+        "evidence_names", "seven_groups"])
 def test_float_entry_point_refuses_a_key_no_record_has(calls):
     trace = Trace()
     for key, snapshot in calls:
         with pytest.raises(InputError, match="trace shape key"):
-            trace.append_floats(0, key, 0.0, 0.0, landmarks=snapshot)
+            trace.append(0, key, 0.0, 0.0, landmarks=snapshot)
     assert len(trace) == 0 and trace._snapshots == [] and len(trace._floats) == 0
 
 
 def test_float_entry_point_keeps_steps_gap_free():
     key = _shape_key(("error", "error_rate"), "force", (), OptionKind.STABILIZE, (), False)
     trace = Trace()
-    trace.append_floats(0, key, 0.5, 0.5)
+    trace.append(0, key, 0.5, 0.5)
     with pytest.raises(InputError, match="trace step 2 != expected 1"):
-        trace.append_floats(2, key, 0.5, 0.5)
+        trace.append(2, key, 0.5, 0.5)
     with pytest.raises(InputError, match="not whole records of width 2"):
-        trace.append_floats(1, key, 0.5, 0.5, 0.5)
-    trace.append_floats(1, key, 0.25, 0.25)
+        trace.append(1, key, 0.5, 0.5, 0.5)
+    trace.append(1, key, 0.25, 0.25)
     assert len(trace) == 2
 
 
-# Several records in one `append_floats` call against the same records
-# appended one call each.
+# Several records in one `append` call against the same records appended
+# one call each.
 
 
 def _state(trace):
     """Everything a trace shows of what it holds."""
-    return trace.to_jsonl(), _lines(trace.records), len(trace)
+    return trace.to_jsonl(), len(trace), trace._floats.tobytes()
 
 
 def _prefixed(prefix):
     """A trace holding `prefix`'s one-record appends, from step 0."""
     trace = Trace()
     for step, values in enumerate(prefix):
-        trace.append_floats(step, _STABILIZE_KEY, *values)
+        trace.append(step, _STABILIZE_KEY, *values)
     return trace
 
 
@@ -559,50 +572,57 @@ _ROW = st.tuples(_float_value(), _float_value(), _float_value())
 def test_one_call_of_several_records_equals_one_call_each(prefix, rows, suffix):
     together, apart = _prefixed(prefix), _prefixed(prefix)
     start = len(prefix)
-    together.append_floats(start, _STABILIZE_KEY, *[v for row in rows for v in row])
+    together.append(start, _STABILIZE_KEY, *[v for row in rows for v in row])
     for step, row in enumerate(rows, start):
-        apart.append_floats(step, _STABILIZE_KEY, *row)
+        apart.append(step, _STABILIZE_KEY, *row)
     assert _state(together) == _state(apart)
-    assert together._floats.tobytes() == apart._floats.tobytes()
-    assert together._whole == apart._whole and together._shapes == apart._shapes
-    # Both go on alike after the run, and after a trip through pickle.
-    record = _record_of(0, _STABILIZE_KEY, (0.0,) * 3)
+    assert list(together._shapes) == list(apart._shapes)
+    # Both go on alike after the run, with another shape, and after a trip
+    # through pickle.
     for trace in (together, apart):
-        _append(trace, dataclasses.replace(record, step=len(trace)))
+        _append(trace, _launch(len(trace)))
         for step, row in enumerate(suffix, len(trace)):
-            trace.append_floats(step, _STABILIZE_KEY, *row)
+            trace.append(step, _STABILIZE_KEY, *row)
     assert _state(together) == _state(apart)
     restored = [pickle.loads(pickle.dumps(t)) for t in (together, apart)]
     assert _state(restored[0]) == _state(restored[1]) == _state(apart)
-    assert restored[0]._floats.tobytes() == restored[1]._floats.tobytes()
 
 
-@pytest.mark.parametrize("step, floats, match", [
-    (1, (), "0 floats are not whole records of width 3"),
-    (1, (0.5,) * 4, "4 floats are not whole records of width 3"),
-    (1, (0.5,) * 8, "8 floats are not whole records of width 3"),
+@pytest.mark.parametrize("step, values, match", [
+    (1, (), "0 values are not whole records of width 3"),
+    (1, (0.5,) * 4, "4 values are not whole records of width 3"),
+    (1, (0.5,) * 8, "8 values are not whole records of width 3"),
     (0, (0.5,) * 6, "trace step 0 != expected 1"),
     (2, (0.5,) * 6, "trace step 2 != expected 1"),
     (2, (0.5, 1, True) * 2, "trace step 2 != expected 1"),
+    (1, (0.5, "0.5", 0.5), "trace values"),
+    (1, (0.5, 0.5, 0.5, 0.5, None, 0.5), "trace values"),
 ], ids=["no_rows", "width_plus_one", "partial_row", "step_behind", "step_ahead",
-        "step_ahead_not_floats"])
-def test_a_bad_run_of_records_is_refused_with_nothing_appended(step, floats, match):
+        "step_ahead_not_floats", "str_value", "none_value_in_rows"])
+def test_a_bad_run_of_records_is_refused_with_nothing_appended(step, values, match):
     trace = _prefixed([(0.1, -0.0, math.nan)])
-    before = _state(trace), trace._floats.tobytes(), list(trace._whole)
+    before = _state(trace)
     with pytest.raises(InputError, match=match):
-        trace.append_floats(step, _STABILIZE_KEY, *floats)
-    assert (_state(trace), trace._floats.tobytes(), list(trace._whole)) == before
+        trace.append(step, _STABILIZE_KEY, *values)
+    assert _state(trace) == before
 
 
-@pytest.mark.parametrize("floats", [(), (0.5,), (0.5,) * 3, (0.5,) * 8, (0.5,) * 10],
-                         ids=["none", "one", "three", "two_records", "two_rows_with_place"])
-def test_a_landmark_record_is_appended_one_at_a_time(floats):
-    # Four floats make one record of the key; ten would be two whole rows
+@pytest.mark.parametrize("values, match", [
+    ((), "not one record"),
+    ((0.5,), "not one record"),
+    ((0.5,) * 3, "not one record"),
+    ((0.5,) * 8, "not one record"),
+    ((0.5,) * 10, "not one record"),
+    ((0.5, 0.5, "0.5", 0.5), "trace values"),
+], ids=["none", "one", "three", "two_records", "two_rows_with_place", "str_value"])
+def test_a_landmark_record_is_appended_one_at_a_time(values, match):
+    # Four values make one record of the key; ten would be two whole rows
     # of its width with the snapshot's place, and are refused all the same.
+    # A refused record leaves its new snapshot out of the table.
     key = _shape_key(("phase",), "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type",), False,
                      landmarks=True)
     trace = _prefixed([(0.1, -0.0, math.nan)])
-    before = _state(trace), trace._floats.tobytes(), list(trace._whole)
-    with pytest.raises(InputError, match="not one record"):
-        trace.append_floats(1, key, *floats, landmarks=((0, 0.5, -0.0),))
-    assert (_state(trace), trace._floats.tobytes(), list(trace._whole)) == before
+    before = _state(trace)
+    with pytest.raises(InputError, match=match):
+        trace.append(1, key, *values, landmarks=((0, 0.5, -0.0),))
+    assert _state(trace) == before and trace._snapshots == []

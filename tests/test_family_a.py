@@ -29,6 +29,11 @@ def _ledger():
     return CostLedger()
 
 
+def _records(trace):
+    """The trace's records, read back from its JSON lines."""
+    return [json.loads(line) for line in trace.jsonl_lines()]
+
+
 def test_open_loop_succeeds_at_prior_compliance_with_zero_interventions():
     env = FamilyAConfig(z_range=(0.5, 0.5), obs_noise=0.0, obs_delay=0)
     record = run_family_a(env, OPEN_LOOP, _ledger(), seed=3)
@@ -81,7 +86,7 @@ def test_velocity_constant_after_perturbation_without_control():
     trace = Trace()
     run_family_a(env, OPEN_LOOP, _ledger(), seed=5, trace=trace)
     # Velocity reconstructed from consecutive noiseless observations.
-    errs = [r.observation.values["error_rate"] for r in trace.records]
+    errs = [r["observation"]["values"]["error_rate"] for r in _records(trace)]
     assert errs[0] == 0.0
     assert errs[29] == pytest.approx(0.0, abs=1e-12)
     for k in range(31, 120):
@@ -176,6 +181,22 @@ def test_reproducibility_and_trace_determinism():
     assert t1.to_jsonl() == t2.to_jsonl()
 
 
+def test_int_impulse_and_action_bound_are_traced_as_floats():
+    # A config may give an int for a float field. The landing's impulse is
+    # then an int, and so is a clamped force, which is the bound itself;
+    # the trace writes both as floats, the bytes of the float config.
+    env = dict(horizon=60, perturb_step=10, perturb_magnitude=0.5)
+    traces = []
+    for number in (1, 1.0):
+        trace = Trace()
+        record = run_family_a(FamilyAConfig(impulse=number, **env),
+                              ControllerConfig(action_bound=number), _ledger(), 0, trace=trace)
+        assert record.metrics["clamp_events"] > 0
+        traces.append(trace.to_jsonl())
+    assert traces[0] == traces[1]
+    assert '"impulse":1.0,' in traces[0] and '"force":-1.0}' in traces[0]
+
+
 def test_kappa_conservation():
     record = run_family_a(FamilyAConfig(trials=2), FEEDBACK, _ledger(), seed=4)
     assert sum(record.kappa_by_source.values()) == pytest.approx(
@@ -213,8 +234,9 @@ def test_observation_noise_follows_per_step_draw_order():
         for _ in range(env["horizon"] + 1):
             expected.append(reference.normal(0.0, 1.0, size=2).tolist())
     observed = [
-        [n.observation.values[key] - c.observation.values[key] for key in ("error", "error_rate")]
-        for c, n in zip(clean.records, noisy.records)
+        [n["observation"]["values"][key] - c["observation"]["values"][key]
+         for key in ("error", "error_rate")]
+        for c, n in zip(_records(clean), _records(noisy))
     ]
     assert len(observed) == len(expected)
     assert np.allclose(observed, expected, rtol=0.0, atol=1e-12)

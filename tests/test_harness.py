@@ -390,8 +390,10 @@ def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
     trace_file = out / "traces" / "single_agent" / "seed_1.jsonl"
     trace_file.unlink()
 
+    lines = Trace.jsonl_lines
+
     def cut_short(self):
-        yield next(iter(self.records)).to_json_line() + "\n"
+        yield next(lines(self))
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:
