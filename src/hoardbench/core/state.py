@@ -1,9 +1,10 @@
-"""Shared state, option, action, and trace types.
+"""Shared option, latent evidence, and trace types.
 
 This file is the contract between the agent side (beliefs, policies) and the
 environment side (ground truth, physics). The split is deliberate: policies
 are handed `Belief`, `Retrieval`, and `OptionChoice` objects only, never the
-ground-truth latents an environment keeps.
+ground-truth latents an environment keeps. An environment records each step
+in a `Trace` as a shape key and that step's values, not as a per-step object.
 """
 
 from __future__ import annotations
@@ -41,9 +42,6 @@ class OptionChoice:
     kind: OptionKind
     params: dict[str, float] = field(default_factory=dict)
 
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind.value, "params": dict(sorted(self.params.items()))}
-
 
 def validate_option(
     option: OptionChoice, schema: dict[OptionKind, tuple[str, ...]]
@@ -65,7 +63,7 @@ def validate_option(
 
 
 # ---------------------------------------------------------------------------
-# Observations and actions
+# Latent evidence and traces
 # ---------------------------------------------------------------------------
 
 
@@ -78,74 +76,8 @@ class LatentEvidence:
     response: float
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Raw per-step sensor payload.
-
-    `values` follows the environment's declared key layout. `latent_evidence`
-    is non-empty only on informative steps (contact, landmark, or
-    constraint-evaluation events). `landmarks` carries (id, x, y) triples for
-    spatial-memory environments.
-    """
-
-    values: dict[str, float]
-    latent_evidence: tuple[LatentEvidence, ...] = ()
-    landmarks: tuple[tuple[int, float, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class Action:
-    """Primitive action. `kind` names the actuator, `params` its arguments."""
-
-    kind: str
-    params: dict[str, float] = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "params": {k: self.params[k] for k in sorted(self.params)}}
-
-
-# ---------------------------------------------------------------------------
-# Traces
-# ---------------------------------------------------------------------------
-
 # `json.dumps(obj, separators=(",", ":"))` without building an encoder per call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
-    observation: Observation
-    action: Action
-    option_active: OptionChoice
-    observed_by_adversary: bool
-
-    def to_json_line(self) -> str:
-        """The record as one compact JSON object.
-
-        Invariant: the line equals, byte for byte, ``json.dumps(obj,
-        separators=(",", ":"))`` of the dict with keys step, observation,
-        action, option_active and observed_by_adversary, in that order; the
-        field order is part of the wire format. The observation object holds
-        values (sorted by key), then latent_evidence and landmarks (lists of
-        lists) when non-empty. `Trace` writes each record it holds equal to
-        this line of the record with every value passed through `float()`.
-        """
-        obs = self.observation
-        observation: dict = {"values": {k: obs.values[k] for k in sorted(obs.values)}}
-        if obs.latent_evidence:
-            observation["latent_evidence"] = [
-                [e.name, e.regressor, e.response] for e in obs.latent_evidence
-            ]
-        if obs.landmarks:
-            observation["landmarks"] = [list(t) for t in obs.landmarks]
-        return _ENCODER.encode({
-            "step": self.step,
-            "observation": observation,
-            "action": self.action.to_json_obj(),
-            "option_active": self.option_active.to_json_obj(),
-            "observed_by_adversary": self.observed_by_adversary,
-        })
 
 
 class Trace:
@@ -157,9 +89,15 @@ class Trace:
     `array('d')`, written through the shape's `%`-template, so no per-step
     object outlives its step. A record's landmark snapshot is passed whole;
     the trace holds each snapshot once, with its JSON encoded once, in a
-    table found by identity (equal tuples can differ in a zero's sign). Each
-    line is byte-identical to `TraceRecord.to_json_line`'s for the record
-    with every value passed through `float()`.
+    table found by identity (equal tuples can differ in a zero's sign).
+
+    Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record
+    with every value passed through `float()`: the dict with keys step,
+    observation, action, option_active and observed_by_adversary, in that
+    order. The observation holds values (sorted by key), then
+    latent_evidence and landmarks (lists of lists) when non-empty; the
+    action and the option each hold their kind and params (sorted by key).
+    tests/test_core_state.py keeps that record type as the lines' oracle.
     """
 
     def __init__(self):
@@ -342,7 +280,8 @@ class _Shape:
     None.
 
     `template` takes the step and then the values as text, the snapshot's
-    JSON at `landmarks_at`, and writes the record's JSON line.
+    JSON at `landmarks_at`, and writes the record's JSON line, the line
+    `Trace` describes and the tests' record oracle writes.
     `pack(id, [place,] *values)` packs the shape id, the snapshot's place
     and the values as doubles for `array.frombytes`, which costs a third of
     `array.extend`.

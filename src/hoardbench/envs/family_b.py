@@ -33,14 +33,7 @@ from ..core.policy import (
     form_queries,
     select_option,
 )
-from ..core.state import (
-    Action,
-    ConfigurationError,
-    Observation,
-    OptionChoice,
-    OptionKind,
-    Trace,
-)
+from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
 from ..memory import (
@@ -164,10 +157,10 @@ def run_family_b(
     angles = streams.env.uniform(0.0, 2.0 * np.pi, size=n_conflict) if n_conflict else np.zeros(0)
     conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
-    # One snapshot per phase: every write sees the original landmarks and
-    # every query the drifted ones, so each snapshot is built once, parsed
-    # once by the store and held and encoded once in the trace's table.
-    write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
+    # The trace's landmark snapshot of each phase: every write sees the
+    # original landmarks and every query the drifted ones, so each snapshot
+    # is built once and held and encoded once in the trace's table.
+    write_landmarks = landmarks.as_obs_tuples()
     query_landmarks = drifted.as_obs_tuples()
     step = 0
     write_kappa = 0.0
@@ -192,20 +185,8 @@ def run_family_b(
         """Every write's step and event, in order, stored a chunk at a
         time; the writes are the steps from 0."""
         for events in _chunks(enumerate(cache_events())):
-            actions = [
-                Action(
-                    "dig",
-                    {
-                        "x": x,
-                        "y": y,
-                        "item_type": float(item_type),
-                        "item_value": value,
-                        "step": float(k),
-                    },
-                )
-                for k, (item_type, value, x, y) in events
-            ]
-            write_many(store, write_obs, actions)
+            write_many(store, landmarks,
+                       [(item_type, (x, y)) for _, (item_type, _, x, y) in events])
             yield from events
 
     for k, (item_type, value, x, y) in written():
@@ -216,7 +197,7 @@ def run_family_b(
             # the structural query delay) lives in the store records.
             # Values in key order: the phase, the dig's params, the cache's.
             trace.append(len(trace), _WRITE_RECORD, 0.0, item_type, value, k, x, y,
-                         item_type, value, x, y, landmarks=write_obs.landmarks)
+                         item_type, value, x, y, landmarks=write_landmarks)
         step += 1
 
     # Delay between storage and recall is structural: nothing decays, but the

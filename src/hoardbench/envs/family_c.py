@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 from ..core.belief import Belief
 from ..core.policy import OptionPolicy, PolicyContext, check_policy, select_option
-from ..core.state import (
-    Action,
-    ConfigurationError,
-    Observation,
-    OptionChoice,
-    OptionKind,
-    Trace,
-)
+from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
 from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
@@ -192,8 +185,6 @@ def run_family_c(
 ) -> RunRecord:
     streams = RunStreams(seed)
     landmarks = LandmarkSet.sample(env.landmark_count, streams.env)
-    # What every cache write observes.
-    write_obs = Observation({"phase": 0.0}, landmarks=landmarks.as_obs_tuples())
     store = MemoryStore(StoreVariant.CLUSTERED)
 
     adversary = ObserverBelief.uniform(env.diffusion_rate)
@@ -315,7 +306,6 @@ def run_family_c(
         if action_kind in ("cache", "recache"):
             cell = action_cell
             assert cell is not None and item_idx is not None
-            x, y = _cell_center(cell)
             if action_kind == "recache":
                 cache = placed[item_idx]
                 used_cells.discard(cache["cell"])
@@ -323,17 +313,15 @@ def run_family_c(
                 cache["moved"] = True
                 cache["placed_step"] = step
                 item_type = cache["type"]
-                item_value = cache["value"]
                 recache_moves += 1
                 repair = 1.0
                 layout = CacheLayout(c["cell"] for c in placed)
             else:
                 item_type = 1 + item_idx % env.item_types
-                item_value = float(values[item_idx])
                 placed.append(
                     {
                         "cell": cell,
-                        "value": item_value,
+                        "value": float(values[item_idx]),
                         "type": item_type,
                         "placed_step": step,
                         "moved": False,
@@ -342,17 +330,7 @@ def run_family_c(
                 )
                 layout.add(cell)
             used_cells.add(cell)
-            dig = Action(
-                "dig",
-                {
-                    "x": x,
-                    "y": y,
-                    "item_type": float(item_type),
-                    "item_value": float(item_value),
-                    "step": float(step),
-                },
-            )
-            write(store, write_obs, dig)
+            write(store, landmarks, item_type, _cell_center(cell))
             compute = 1.0
             kappa["cache_writes"] += 1.0
         elif action_kind == "decoy":

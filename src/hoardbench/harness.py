@@ -660,7 +660,8 @@ def load_result_set(directory: str | Path) -> ResultSet:
     """Rebuild a ResultSet from a results directory (for re-reporting).
     InputError, naming the file and line, when resolved_config.json is not
     UTF-8 or a line of runs.jsonl is not a run record, in UTF-8 JSON, of a
-    variant the config has."""
+    variant the config has and a seed in its range, or repeats a record's
+    (variant, seed)."""
     directory = Path(directory)
     path = directory / "resolved_config.json"
     try:
@@ -669,6 +670,8 @@ def load_result_set(directory: str | Path) -> ResultSet:
         raise InputError(f"{path}: {exc}") from exc
     result = ResultSet(config=parse_config(text), loaded_from=directory)
     variants = _variant_table(result.config)
+    seeds = result.config.seeds()
+    seen: set[tuple[str, int]] = set()
     result.wallclock, cell_seconds = _read_timing(directory)
     path = directory / "runs.jsonl"
     with open(path, "rb") as fh:
@@ -682,7 +685,15 @@ def load_result_set(directory: str | Path) -> ResultSet:
             if record.variant not in variants:
                 raise InputError(f"{path} line {number}: variant {record.variant!r} is not "
                                  f"one of the config's {sorted(variants)}")
-            seconds = cell_seconds.get((record.variant, record.seed))
+            if record.seed not in seeds:
+                raise InputError(f"{path} line {number}: seed {record.seed!r} is outside the "
+                                 f"config's seeds {seeds.start}..{seeds.stop - 1}")
+            cell = (record.variant, record.seed)
+            if cell in seen:
+                raise InputError(f"{path} line {number}: repeats the record of variant "
+                                 f"{record.variant!r}, seed {record.seed}")
+            seen.add(cell)
+            seconds = cell_seconds.get(cell)
             result.cells.append(CellResult(record.variant, record.seed, record, seconds=seconds))
     return result
 

@@ -46,10 +46,13 @@ class CostLedger:
     exhausted: bool = False
 
     def __post_init__(self):
-        if min(self.lambda_latency, self.lambda_leak, self.lambda_repair) < 0:
-            raise InputError("cost weights must be non-negative")
-        if self.budget <= 0:
-            raise InputError("compute budget must be positive")
+        # Each test fails on NaN; an infinite budget is no budget.
+        for name in ("lambda_latency", "lambda_leak", "lambda_repair"):
+            weight = getattr(self, name)
+            if not 0.0 <= weight < inf:
+                raise InputError(f"cost weight {name} must be finite and >= 0, got {weight!r}")
+        if not self.budget > 0:
+            raise InputError(f"compute budget must be positive, got {self.budget!r}")
         if not (0.0 < self.delta < 1.0):
             raise InputError("delta must lie in (0, 1)")
 

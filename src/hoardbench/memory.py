@@ -28,9 +28,10 @@ flat path scores every same-type episode at once with `_flat_scores`, its
 vectorized form over an inverted landmark index, which tests pin to the rule
 through `brute_force_retrieve`.
 
-Writes that need no result of one another go through `write_many`, which
-encodes their cues in one `encode_cues` pass and stores each through
-`write`; the records are bit-identical to one `write` per action.
+A write takes the landmark set the item was cached against, the item's
+type and its (x, y). Writes that need no result of one another go through
+`write_many`, which encodes their cues in one `encode_cues` pass and stores
+each through `write`; the records are bit-identical to one `write` per item.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core.state import Action, InputError, Observation
+from .core.state import InputError
 from .rng import Substream
 
 CUE_LANDMARKS = 3
@@ -118,12 +119,6 @@ class LandmarkSet:
         return tuple(
             (i, float(x), float(y)) for i, (x, y) in zip(self.ids, self.positions)
         )
-
-    @classmethod
-    def from_obs_tuples(cls, tuples) -> "LandmarkSet":
-        ids = tuple(int(t[0]) for t in tuples)
-        pos = np.asarray([[t[1], t[2]] for t in tuples], dtype=float)
-        return cls(ids, pos)
 
 
 @dataclass(frozen=True)
@@ -301,21 +296,17 @@ def trilaterate(
 
 @dataclass
 class EpisodeRecord:
-    """One cached item: what, how valuable, where, and how the where was
-    encoded at write time."""
+    """One cached item: what, where, and how the where was encoded at write
+    time."""
 
     id: int
-    written_at: int
     item_type: int
-    item_value: float
     location: tuple[float, float]
     cue: CueVector
 
     def __post_init__(self):
         if self.item_type < 1:
             raise InputError("item_type must be >= 1")
-        if self.item_value < 0:
-            raise InputError("item_value must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -355,8 +346,6 @@ class MemoryStore:
         # item type -> its `_TypeIndex`, built on the first flat scan of the
         # type and dropped by a write of it.
         self._by_type: dict[int, _TypeIndex] = {}
-        # The landmark snapshot the last write was encoded against, parsed.
-        self._snapshot: tuple[tuple, LandmarkSet] | None = None
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -397,19 +386,6 @@ class MemoryStore:
             )
         self._by_type.pop(record.item_type, None)
 
-    def landmarks_of(self, snapshot: tuple) -> LandmarkSet:
-        """`LandmarkSet.from_obs_tuples(snapshot)`, parsed once per run of
-        writes against the same snapshot object.
-
-        The memo holds one entry and is keyed by identity, not equality:
-        equal tuples may still differ in the sign of a zero coordinate,
-        which can change a bearing.
-        """
-        memo = self._snapshot
-        if memo is None or memo[0] is not snapshot:
-            memo = self._snapshot = (snapshot, LandmarkSet.from_obs_tuples(snapshot))
-        return memo[1]
-
     def next_id(self) -> int:
         return len(self.episodes)
 
@@ -419,35 +395,19 @@ class MemoryStore:
 # ---------------------------------------------------------------------------
 
 
-def _check_dig(action: Action) -> None:
-    if action.kind != "dig":
-        raise InputError("memory writes require a completed dig action")
-
-
-def _write_landmarks(store: MemoryStore, observation: Observation) -> LandmarkSet:
-    if not observation.landmarks:
-        raise InputError("cache write requires a landmark snapshot")
-    return store.landmarks_of(observation.landmarks)
-
-
 def write(
-    store: MemoryStore, observation: Observation, action: Action, cue: CueVector | None = None
+    store: MemoryStore,
+    landmarks: LandmarkSet,
+    item_type: int,
+    location: tuple[float, float],
+    cue: CueVector | None = None,
 ) -> MemoryStore:
-    """Record a completed cache action.
-
-    The action must be a dig with a concrete location and item payload, and
-    the cue is encoded from the observation's landmark snapshot. A caller
-    that has encoded it already, as `write_many` does for a batch, passes
-    it as `cue`.
-    """
-    _check_dig(action)
-    landmarks = _write_landmarks(store, observation)
-    location = (action.params["x"], action.params["y"])
+    """Record an item of `item_type` cached at `location`, its cue encoded
+    against `landmarks`. A caller that has encoded it already, as
+    `write_many` does for a batch, passes it as `cue`."""
     record = EpisodeRecord(
         id=store.next_id(),
-        written_at=int(action.params.get("step", 0)),
-        item_type=int(action.params["item_type"]),
-        item_value=float(action.params["item_value"]),
+        item_type=item_type,
         location=location,
         cue=encode_cue(location, landmarks) if cue is None else cue,
     )
@@ -456,18 +416,14 @@ def write(
 
 
 def write_many(
-    store: MemoryStore, observation: Observation, actions: list[Action]
+    store: MemoryStore, landmarks: LandmarkSet, items: list[tuple[int, tuple[float, float]]]
 ) -> MemoryStore:
-    """`write` of every action, in order, against one observation, with all
-    cues encoded in one pass. Every action's kind, and the snapshot, are
-    checked before the first is stored; a bad payload raises at its own
-    action, as it would in one `write` per action."""
-    for action in actions:
-        _check_dig(action)
-    landmarks = _write_landmarks(store, observation)
-    locations = [(action.params["x"], action.params["y"]) for action in actions]
-    for action, cue in zip(actions, encode_cues(locations, landmarks)):
-        write(store, observation, action, cue)
+    """`write` of every (item type, location) pair, in order, against one
+    landmark set, with all cues encoded in one pass. A bad item type raises
+    at its own item, as it would in one `write` per item."""
+    cues = encode_cues([location for _, location in items], landmarks)
+    for (item_type, location), cue in zip(items, cues):
+        write(store, landmarks, item_type, location, cue)
     return store
 
 

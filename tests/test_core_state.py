@@ -3,28 +3,97 @@ import json
 import math
 import pickle
 from array import array
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoardbench.core.state import (
-    Action,
     ConfigurationError,
     InputError,
     LatentEvidence,
-    Observation,
     OptionChoice,
     OptionKind,
     SchemaError,
     Trace,
-    TraceRecord,
     validate_option,
 )
 from hoardbench.controller import ControllerConfig
 from hoardbench.envs.family_a import FamilyAConfig, run_family_a
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.ledger import CostLedger
+
+
+# The frozen record oracle: one trace record as an object, and its own JSON
+# line, which every line `Trace` writes is checked against.
+
+
+@dataclass(frozen=True)
+class Observation:
+    """Raw per-step sensor payload.
+
+    `values` follows the environment's declared key layout. `latent_evidence`
+    is non-empty only on informative steps (contact, landmark, or
+    constraint-evaluation events). `landmarks` carries (id, x, y) triples for
+    spatial-memory environments.
+    """
+
+    values: dict[str, float]
+    latent_evidence: tuple[LatentEvidence, ...] = ()
+    landmarks: tuple[tuple[int, float, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class Action:
+    """Primitive action. `kind` names the actuator, `params` its arguments."""
+
+    kind: str
+    params: dict[str, float] = field(default_factory=dict)
+
+    def to_json_obj(self) -> dict:
+        return {"kind": self.kind, "params": {k: self.params[k] for k in sorted(self.params)}}
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    step: int
+    observation: Observation
+    action: Action
+    option_active: OptionChoice
+    observed_by_adversary: bool
+
+    def to_json_line(self) -> str:
+        """The record as one compact JSON object.
+
+        Invariant: the line equals, byte for byte, ``json.dumps(obj,
+        separators=(",", ":"))`` of the dict with keys step, observation,
+        action, option_active and observed_by_adversary, in that order; the
+        field order is part of the wire format. The observation object holds
+        values (sorted by key), then latent_evidence and landmarks (lists of
+        lists) when non-empty. `Trace` writes each record it holds equal to
+        this line of the record with every value passed through `float()`.
+        """
+        obs = self.observation
+        observation: dict = {"values": {k: obs.values[k] for k in sorted(obs.values)}}
+        if obs.latent_evidence:
+            observation["latent_evidence"] = [
+                [e.name, e.regressor, e.response] for e in obs.latent_evidence
+            ]
+        if obs.landmarks:
+            observation["landmarks"] = [list(t) for t in obs.landmarks]
+        option = self.option_active
+        return _ENCODER.encode({
+            "step": self.step,
+            "observation": observation,
+            "action": self.action.to_json_obj(),
+            "option_active": {"kind": option.kind.value,
+                              "params": dict(sorted(option.params.items()))},
+            "observed_by_adversary": self.observed_by_adversary,
+        })
 
 
 def _record(step):

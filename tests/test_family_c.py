@@ -258,8 +258,9 @@ def test_hidden_zone_postcondition_reported():
 
 # sha256 of runs.jsonl and of each trace file the report writes for the grids
 # below, recorded from the code that looked each layout's flat indices up in
-# a memo on every step, drew visibility once per step and built an `Action`
-# per trace record.
+# a memo on every step, drew visibility once per step, and built a per-step
+# action object for every trace record and every cache write. The writes
+# now take the landmark set, the item type and the location directly.
 LOOP_GRID_SHA256 = {
     "decoys_False/runs.jsonl": "cb3337c6b6d47b77feb758b551470a8b72975526345f3fc4abfd770f561b898c",
     "decoys_False/traces/baseline_diffusion_rate_0.0/seed_0.jsonl": "d9dbbe728b3dc2e5a83873cdf1ecaa8940b884550e8cdd4dc72b0180225334a3",

@@ -454,6 +454,31 @@ def test_grid_cells_that_record_are_not_passed_as_replays(tmp_path, monkeypatch)
     assert calls == []
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines: lines + lines[1:2],
+     "line 4: repeats the record of variant 'baseline', seed 1"),
+    (lambda lines: [lines[0], lines[1].replace(b'"seed":1,', b'"seed":3,'), lines[2]],
+     "line 2: seed 3 is outside the config's seeds 0..2"),
+], ids=["repeated_cell", "seed_out_of_range"])
+def test_report_of_runs_that_repeat_a_cell_or_leave_the_seed_range_is_refused(
+    tmp_path, capsys, damage, message
+):
+    # Re-reporting such a file would count a seed twice, or one the config
+    # never ran, in summary.csv's n_seeds and every statistic.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": "D", "seeds": "0..2", "env": {"n_constraints": 3}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    runs = out / "runs.jsonl"
+    runs.write_bytes(b"".join(damage(runs.read_bytes().splitlines(keepends=True))))
+    summary = (out / "summary.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["report", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{runs} {message}" in err
+    assert (out / "summary.csv").read_bytes() == summary
+
+
 def _result_files(out) -> dict:
     """Every output file except timing.json, relative path -> bytes."""
     return {

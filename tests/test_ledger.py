@@ -237,3 +237,11 @@ def test_ledger_validation():
         CostLedger(delta=1.5)
     with pytest.raises(InputError):
         CostLedger(lambda_leak=-1)
+    # NaN fails every range test, so it names its field like any bad value.
+    for name in ("lambda_latency", "lambda_leak", "lambda_repair", "budget", "delta"):
+        with pytest.raises(InputError, match=name):
+            CostLedger(**{name: math.nan})
+    with pytest.raises(InputError, match="lambda_repair"):
+        CostLedger(lambda_repair=math.inf)
+    # No budget at all stays valid.
+    assert not accrue(CostLedger(budget=math.inf), compute=1e300).exhausted

@@ -9,9 +9,12 @@ current: the fix that brings a known dead number to life removes its entry.
 
 Likewise every agent switch must move a record: each bool agent key
 flipped, and each other value of a string key, must change some record of
-the family's grid beyond its variant label and signal emission times.
+the family's grid beyond its variant label and signal emission times. So
+must every env key set to its value in ENV_PROBES, or it is named in
+ALLOWED_STILL with the reason it cannot, under the same two-sided rule.
 """
 
+import dataclasses
 import json
 import re
 
@@ -143,3 +146,68 @@ def test_every_switch_moves_a_record(family):
     baseline = records({})
     still = [f"{key}={value}" for key, value in _switches(family) if records({key: value}) == baseline]
     assert still == [], "an agent switch that moves no record"
+
+
+# One alternative value per env key of each family. Set over the family's
+# grid env, it must move some record of the grid.
+ENV_PROBES = {
+    "A": {
+        "gap_scale": 1.5, "z_range": (0.3, 0.7), "obs_delay": 3, "obs_noise": 0.03,
+        "perturb_step": 10, "perturb_magnitude": 4.5, "trials": 3, "pos_tol": 0.03,
+        "vel_tol": 0.05, "horizon": 241, "dt": 0.075, "impulse": 0.5, "hold_steps": 6,
+        "launch_grid": 102, "z_drift": 0.075, "z_prior_mean": 0.75, "z_prior_variance": 1.0,
+        "verifier_fp": 0.3, "verifier_fn": 0.3,
+    },
+    "B": {
+        "n_events": 257, "item_types": 9, "landmark_count": 26, "query_delay": 51,
+        "landmark_drift": 0.075, "conflict_rate": 0.75, "dig_radius": 0.075,
+        "precision_target": 0.45, "verifier_fp": 0.3, "verifier_fn": 0.3,
+    },
+    "C": {
+        "caches": 11, "pilfer_budget": 7, "visibility": 0.5, "decoy_cost": 1.5,
+        "conceal_wait_cost": 5, "recovery_horizon": 1, "landmark_count": 26, "item_types": 5,
+        "dig_radius": 0.3, "diffusion_rate": 0.03, "theta_obs": 0.0,
+        "forbidden_zone": (5, 5, 9, 9), "recovered_target": 0.75, "monitor_delay": 11,
+        "verifier_fp": 0.3, "verifier_fn": 0.3,
+    },
+    "D": {
+        "n_constraints": 21, "plan_length": 13, "alphabet_size": 7, "coverage": 0.3,
+        "knowledge_fraction": 0.9, "adversary_probes": 10,
+    },
+}
+
+# Env keys a probe is compared under, on both sides, where the probed key
+# acts only once another lets it: only a deferring agent waits, and at the
+# grid's theta_obs of 0.02 the aware agent never defers.
+PROBE_CONTEXT = {("C", "conceal_wait_cost"): {"theta_obs": 0.0}}
+
+ALLOWED_STILL = {
+    ("A", "z_prior_variance"): "only RLS reads it, and the grid's agent runs without rls",
+    ("B", "verifier_fp"): "known dead: it acts only on a check whose ground truth "
+    "passes, and B's one check never passes",
+    ("C", "dig_radius"): "C's landmarks never drift, so a recovery's decode is exact "
+    "unless retrieval returns another cache's episode",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GRIDS))
+def test_every_env_key_moves_a_record_or_is_allowed_still(family):
+    defaults = {f.name: f.default for f in dataclasses.fields(FAMILIES[family].env_config)}
+    assert set(ENV_PROBES[family]) == set(defaults), "every env key has one probe value"
+    grid = GRIDS[family]
+    env = {**defaults, **grid["env"]}
+
+    def records(overrides: dict) -> list[dict]:
+        config = parse_config(json.dumps({**grid, "env": {**grid["env"], **overrides}}))
+        return [_comparable(cell.record) for cell in run_grid(config).cells]
+
+    baseline = records({})
+    still = set()
+    for key, value in ENV_PROBES[family].items():
+        context = PROBE_CONTEXT.get((family, key), {})
+        assert value != env[key] and key not in context
+        if records({**context, key: value}) == (records(context) if context else baseline):
+            still.add(key)
+    allowed = {key for fam, key in ALLOWED_STILL if fam == family}
+    assert still - allowed == set(), "an env key that moves no record"
+    assert allowed - still == set(), "allow-listed, yet it moves a record"

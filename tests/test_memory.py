@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoardbench import memory
-from hoardbench.core.state import Action, InputError, Observation
+from hoardbench.core.state import InputError
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import (
@@ -53,15 +53,8 @@ def _store_with(episodes, variant=StoreVariant.CLUSTERED):
     return store
 
 
-def _episode(i, item_type, loc, landmarks, value=1.0):
-    return EpisodeRecord(
-        id=i,
-        written_at=i,
-        item_type=item_type,
-        item_value=value,
-        location=loc,
-        cue=encode_cue(loc, landmarks),
-    )
+def _episode(i, item_type, loc, landmarks):
+    return EpisodeRecord(id=i, item_type=item_type, location=loc, cue=encode_cue(loc, landmarks))
 
 
 def index_partition(store: MemoryStore) -> dict[tuple[int, tuple[int, int]], tuple[int, ...]]:
@@ -220,7 +213,7 @@ def test_decode_collinear_falls_back_to_stored_location():
     # Cue built by hand against the collinear anchors.
     d = [math.hypot(loc[0] - x, loc[1] - y) for x, y in lm.positions]
     b = [math.atan2(y - loc[1], x - loc[0]) for x, y in lm.positions]
-    rec = EpisodeRecord(0, 0, 1, 1.0, loc, CueVector((0, 1, 2), tuple(d), tuple(b)))
+    rec = EpisodeRecord(0, 1, loc, CueVector((0, 1, 2), tuple(d), tuple(b)))
     assert decode_location(rec, lm) == loc
 
 
@@ -312,22 +305,13 @@ def test_trilaterate_is_bit_identical_to_numpy_scalar_form(case):
 # --- Writes ------------------------------------------------------------------
 
 
-def _dig(x, y, item_type=1, value=2.0, step=0):
-    return Action(
-        "dig",
-        {"x": x, "y": y, "item_type": float(item_type), "item_value": value,
-         "step": float(step)},
-    )
-
-
 def test_single_write_builds_cue_from_three_nearest():
     lm = _landmarks()
     store = MemoryStore(StoreVariant.CLUSTERED)
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
-    write(store, obs, _dig(0.25, 0.75))
+    write(store, lm, 1, (0.25, 0.75))
     assert len(store) == 1
     ep = store.episodes[0]
-    assert ep.item_type == 1 and ep.item_value == 2.0
+    assert ep.item_type == 1
     assert ep.location == (0.25, 0.75)
     assert ep.cue == encode_cue((0.25, 0.75), lm)
 
@@ -344,54 +328,40 @@ def test_thousand_writes_match_brute_force_partition():
     lm = _landmarks(5)
     store = MemoryStore(StoreVariant.CLUSTERED)
     stream = Substream(11, "env")
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
     types = stream.integers(1, 5, size=1000)
     locs = stream.uniform(0.0, 1.0, size=(1000, 2))
     for i in range(1000):
-        write(store, obs, _dig(float(locs[i, 0]), float(locs[i, 1]), int(types[i]), step=i))
+        write(store, lm, int(types[i]), (float(locs[i, 0]), float(locs[i, 1])))
     partition = index_partition(store)
     assert sum(len(v) for v in partition.values()) == 1000
     assert partition == reference_partition(store.episodes)
 
 
-def test_write_many_stores_what_one_write_per_action_stores():
+def test_write_many_stores_what_one_write_per_item_stores():
     lm = _landmarks(6)
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
     stream = Substream(12, "env")
     locs = stream.uniform(0.0, 1.0, size=(70, 2))
-    actions = [
-        _dig(float(x), float(y), 1 + k % 3, value=0.5 + k, step=2 * k)
-        for k, (x, y) in enumerate(locs)
-    ]
+    items = [(1 + k % 3, (float(x), float(y))) for k, (x, y) in enumerate(locs)]
     for variant in StoreVariant:
         one, many = MemoryStore(variant), MemoryStore(variant)
-        for action in actions:
-            write(one, obs, action)
-        write_many(many, obs, actions[:5])
-        write_many(many, obs, actions[5:])
+        for item_type, location in items:
+            write(one, lm, item_type, location)
+        write_many(many, lm, items[:5])
+        write_many(many, lm, items[5:])
         assert [
-            (e.id, e.written_at, e.item_type, e.item_value, e.location, _cue_bits(e.cue))
-            for e in many.episodes
+            (e.id, e.item_type, e.location, _cue_bits(e.cue)) for e in many.episodes
         ] == [
-            (e.id, e.written_at, e.item_type, e.item_value, e.location, _cue_bits(e.cue))
-            for e in one.episodes
+            (e.id, e.item_type, e.location, _cue_bits(e.cue)) for e in one.episodes
         ]
         assert index_partition(many) == index_partition(one)
 
 
 def test_write_many_rejects_what_write_rejects():
     lm = _landmarks()
-    obs = Observation({"phase": 0.0}, landmarks=lm.as_obs_tuples())
     store = MemoryStore(StoreVariant.FLAT)
-    # The kind and the snapshot are checked before anything is stored.
-    with pytest.raises(InputError, match="dig"):
-        write_many(store, obs, [_dig(0.1, 0.2), Action("noop", {}), _dig(0.3, 0.4)])
-    with pytest.raises(InputError, match="landmark snapshot"):
-        write_many(store, Observation({"phase": 0.0}), [_dig(0.1, 0.2)])
-    assert len(store) == 0
-    # A bad payload stops the batch at its own action, as a loop of `write` does.
+    # A bad item type stops the batch at its own item, as a loop of `write` does.
     with pytest.raises(InputError, match="item_type"):
-        write_many(store, obs, [_dig(0.1, 0.2), _dig(0.3, 0.4, item_type=0)])
+        write_many(store, lm, [(1, (0.1, 0.2)), (0, (0.3, 0.4))])
     assert len(store) == 1
 
 
@@ -870,12 +840,12 @@ def _decode_cases(draw):
     if shape == "unknown_id":
         ids = tuple(i + 100 if i == cue.landmark_ids[1] else i for i in ids)
     current = LandmarkSet(ids, written.positions + drift * noise)
-    return EpisodeRecord(0, 0, 1, 1.0, location, cue), current
+    return EpisodeRecord(0, 1, location, cue), current
 
 
 _COLLINEAR = LandmarkSet((0, 1, 2), np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]))
 _HAND_CUE = EpisodeRecord(
-    0, 0, 1, 1.0, (0.3, 0.7), CueVector((0, 1, 2), (0.1, 0.2, 0.3), (0.0, 1.0, 2.0))
+    0, 1, (0.3, 0.7), CueVector((0, 1, 2), (0.1, 0.2, 0.3), (0.0, 1.0, 2.0))
 )
 _ON_ANCHOR = LandmarkSet((0, 1, 2, 3), np.array([[0.2, 0.3], [0.6, 0.1], [0.5, 0.9], [0.9, 0.8]]))
 
@@ -921,36 +891,6 @@ def test_position_of_matches_index_lookup():
         lm.position_of(5)
     moved = lm.drifted(0.1, Substream(1, "env"))
     assert moved.position_of(9) == tuple(float(v) for v in moved.positions[3])
-
-
-# --- Memoized snapshot parse ---------------------------------------------------
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.lists(st.integers(0, 4), min_size=1, max_size=12),
-    st.lists(st.tuples(_unit, _unit), min_size=12, max_size=12),
-)
-def test_memoized_snapshot_parse_matches_fresh_parse(picks, locations):
-    base = _landmarks(21, 6).as_obs_tuples()
-    zeroed = tuple((i, 0.0 if i == 2 else x, y) for i, x, y in base)
-    snapshots = [
-        base,
-        _landmarks(22, 6).as_obs_tuples(),
-        tuple(tuple(t) for t in base),  # equal to `base`, another object
-        zeroed,
-        # Equal to `zeroed` as a tuple, yet it parses to a -0.0 coordinate.
-        tuple((i, -0.0 if i == 2 else x, y) for i, x, y in base),
-    ]
-    store = MemoryStore(StoreVariant.FLAT)
-    for step, (pick, loc) in enumerate(zip(picks, locations)):
-        snapshot = snapshots[pick]
-        write(store, Observation({"phase": 0.0}, landmarks=snapshot), _dig(*loc, step=step))
-        fresh = LandmarkSet.from_obs_tuples(snapshot)
-        memo = store.landmarks_of(snapshot)
-        assert memo.ids == fresh.ids
-        assert memo.positions.tobytes() == fresh.positions.tobytes()
-        assert store.episodes[-1].cue == encode_cue(loc, fresh)
 
 
 # --- The similarity rule, split into query terms and a scorer ------------------
@@ -1035,7 +975,7 @@ def test_fold_matches_the_unsplit_rule_and_keeps_the_first_of_equal_scores(data)
     cues = data.draw(st.lists(_stored_cue(query), min_size=1, max_size=4))
     picks = data.draw(st.lists(st.integers(0, len(cues) - 1), min_size=1, max_size=12))
     store = _store_with(
-        [EpisodeRecord(i, i, 1, 1.0, (0.5, 0.5), cues[k]) for i, k in enumerate(picks)]
+        [EpisodeRecord(i, 1, (0.5, 0.5), cues[k]) for i, k in enumerate(picks)]
     )
     rows = data.draw(st.permutations(range(len(picks))))
     cut = data.draw(st.integers(0, len(rows)))
