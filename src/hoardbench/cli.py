@@ -4,6 +4,9 @@
     hoardbench report --in DIR
     hoardbench validate --config experiment.json
 
+`run` and `validate` print `warning: config key ...` on stderr for each env
+key the config sets to no effect, and go on.
+
 Exit codes: 0 on success, 1 on a configuration error, 2 when at least one
 run cell failed at runtime.
 """
@@ -18,6 +21,7 @@ from pathlib import Path
 
 from .core.state import ConfigurationError, InputError
 from .harness import (
+    config_warnings,
     load_result_set,
     parse_config,
     resolved_document,
@@ -55,7 +59,10 @@ def _read_config(path: str):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Unusable(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    config = parse_config(text)
+    for message in config_warnings(config):
+        print(f"warning: {message}", file=sys.stderr)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -98,6 +98,10 @@ class Trace:
     latent_evidence and landmarks (lists of lists) when non-empty; the
     action and the option each hold their kind and params (sorted by key).
     tests/test_core_state.py keeps that record type as the lines' oracle.
+
+    `jsonl_lines(start, stop)` and `write_jsonl(path, start, stop)` give a
+    window of those lines, steps `start` up to `stop`, without formatting
+    the records before it; with no bounds, the whole trace.
     """
 
     def __init__(self):
@@ -198,8 +202,14 @@ class Trace:
     def __len__(self) -> int:
         return self._count
 
-    def jsonl_lines(self) -> Iterator[str]:
-        """The records as JSON lines, each ending in a newline."""
+    def jsonl_lines(self, start: int = 0, stop: int | None = None) -> Iterator[str]:
+        """The records of steps `start` up to `stop` (the end when None) as
+        JSON lines, each ending in a newline: the lines of
+        `to_jsonl().splitlines(keepends=True)[start:stop]`. A window past
+        the end is cut at the end. Records before `start` are stepped over
+        by their size, never formatted. InputError for a negative bound."""
+        if start < 0 or (stop is not None and stop < 0):
+            raise InputError(f"trace window {start}..{stop} has a negative bound")
         floats = self._floats
         shapes = list(self._shapes.values())
         texts = [text for _, text in self._snapshots]
@@ -207,20 +217,27 @@ class Trace:
         # Unless the sum is not finite, no float is, and `repr` writes each
         # as JSON does.
         number = _FLOAT_REPR if total - total == 0.0 else _json_number
+        stop = self._count if stop is None else min(stop, self._count)
+        # Step over the records before `start`: each is its shape id, its
+        # snapshot's place when it has one, and its values.
         step = i = 0
-        while i < len(floats):
+        while step < min(start, stop):
             shape = shapes[int(floats[i])]
-            start = i + 1
+            i += 1 + (shape.landmarks_at is not None) + shape.width
+            step += 1
+        while step < stop:
+            shape = shapes[int(floats[i])]
+            first = i + 1
             at = shape.landmarks_at
             if at is None:
-                i = start + shape.width
-                yield shape.template % (step, *map(number, floats[start:i]))
+                i = first + shape.width
+                yield shape.template % (step, *map(number, floats[first:i]))
             else:
                 # The snapshot's place, then the values.
-                i = start + 1 + shape.width
-                split = start + 1 + at
+                i = first + 1 + shape.width
+                split = first + 1 + at
                 yield shape.template % (
-                    step, *map(number, floats[start + 1:split]), texts[int(floats[start])],
+                    step, *map(number, floats[first + 1:split]), texts[int(floats[first])],
                     *map(number, floats[split:i]),
                 )
             step += 1
@@ -228,15 +245,16 @@ class Trace:
     def to_jsonl(self) -> str:
         return "".join(self.jsonl_lines())
 
-    def write_jsonl(self, path) -> None:
-        """Stream the records to the file at `path` one line at a time, so
-        the whole JSONL text never exists in memory at once. The lines go to
-        a file beside `path` that then replaces it, so a file at `path` is
-        always a whole trace, even after a write cut short."""
+    def write_jsonl(self, path, start: int = 0, stop: int | None = None) -> None:
+        """Stream the records of steps `start` up to `stop`, as
+        `jsonl_lines` gives them, to the file at `path` one line at a time,
+        so the whole JSONL text never exists in memory at once. The lines go
+        to a file beside `path` that then replaces it, so a file at `path`
+        always holds the whole window, even after a write cut short."""
         partial = f"{os.fspath(path)}.partial"
         try:
             with open(partial, "w") as fh:
-                fh.writelines(self.jsonl_lines())
+                fh.writelines(self.jsonl_lines(start, stop))
             os.replace(partial, path)
         except BaseException:
             if os.path.exists(partial):

@@ -322,6 +322,13 @@ def _run(env, agent, ledger, seed, trace):
     return run_family_a(env, _controller(agent), ledger, seed, trace)
 
 
+def _unread(env: FamilyAConfig, agent: dict) -> list[tuple[str, str]]:
+    # The prior mean is read without RLS too: the launch planner aims with it.
+    if not agent["rls"] and env.z_prior_variance != FamilyAConfig.z_prior_variance:
+        return [("env.z_prior_variance", "only RLS reads it, and agent.rls is false")]
+    return []
+
+
 FAMILY = Family(
     env_config=FamilyAConfig,
     agent={
@@ -337,4 +344,5 @@ FAMILY = Family(
     ablations={"no_feedback": ("feedback", False), "no_compensator": ("compensator", False)},
     run=_run,
     check_agent=_controller,
+    unread=_unread,
 )

@@ -411,6 +411,17 @@ def _check_agent(agent: dict) -> None:
     )
 
 
+def _unread(env: FamilyDConfig, agent: dict) -> list[tuple[str, str]]:
+    # Off its default only: the default probes every constraint of a small
+    # universe by design.
+    probes = env.adversary_probes
+    if probes != FamilyDConfig.adversary_probes and probes > env.n_constraints:
+        return [("env.adversary_probes",
+                 f"{probes} exceeds env.n_constraints {env.n_constraints}; "
+                 "the adversary probes each constraint at most once")]
+    return []
+
+
 def _run(env, agent, ledger, seed, trace):
     return run_family_d(
         env, agent["mode"], ledger, seed, float(agent["checker_fp"]),
@@ -425,4 +436,5 @@ FAMILY = Family(
     ablations={"single_agent": ("mode", "single_agent")},
     run=_run,
     check_agent=_check_agent,
+    unread=_unread,
 )

@@ -109,6 +109,9 @@ class Family:
     its name to the (agent key, value) it sets. `run(env, agent, ledger,
     seed, trace)` runs one cell, and `check_agent` raises
     `ConfigurationError` for an agent block the family cannot run.
+    `unread(env, agent)` lists, as (key, reason) pairs, the env keys set off
+    their defaults to no effect in that cell: read by nothing the agent
+    runs, or clamped.
     """
 
     env_config: type
@@ -117,3 +120,4 @@ class Family:
     ablations: dict[str, tuple[str, object]]
     run: Callable[..., RunRecord]
     check_agent: Callable[[dict], object] = lambda agent: None
+    unread: Callable[[object, dict], list[tuple[str, str]]] = lambda env, agent: []

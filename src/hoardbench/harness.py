@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from .ledger import CostLedger, aggregate, constraint_check
 from .rng import Substream
 
 WORST_RUNS_LISTED = 3
+# The steps a trace window holds before its signal's segment starts.
+LEAD_IN = 20
 
 LEDGER_DEFAULTS: dict[str, float] = {
     "lambda_latency": 0.01,
@@ -242,6 +245,17 @@ def resolved_document(config: ExperimentConfig) -> dict:
     return doc
 
 
+def config_warnings(config: ExperimentConfig) -> list[str]:
+    """One message per env key that some cell of the grid sets to no
+    effect (`Family.unread`), naming the key as a config error does."""
+    entry = FAMILIES[config.family]
+    messages: dict[str, None] = {}
+    for _, agent, value in _variant_table(config).values():
+        for key, reason in entry.unread(_cell_env(config, value), agent):
+            messages[f"config key {key!r}: {reason}"] = None
+    return list(messages)
+
+
 # ---------------------------------------------------------------------------
 # Grid execution
 # ---------------------------------------------------------------------------
@@ -278,8 +292,10 @@ def _variant_table(config: ExperimentConfig) -> dict[str, tuple[str, dict, objec
 @dataclass
 class CellResult:
     """One finished cell. `trace` is its step trace while it is one of the
-    cells failures.md lists (see `run_grid`), else None. `seconds` is the
-    wall time the cell took in the grid, None when it is not known."""
+    cells failures.md lists and it has a failing signal (`_window_signal`),
+    the cells failures.md writes a trace window for (see `run_grid`); else
+    None. `seconds` is the wall time the cell took in the grid, None when it
+    is not known."""
 
     variant: str
     seed: int
@@ -322,27 +338,38 @@ def run_one(
     In a sweep, `sweep_value` replaces the swept env key, None included.
     `record_into` records the steps of a grid cell, as every grid cell does.
     `trace` is for a failure-trace replay: re-running a cell only to record
-    its steps, which `report --in` does when a listed trace file is missing.
+    its steps, which `report --in` does when a listed trace window's file is
+    missing, and which gives any cell's whole trace.
     Both fill the Trace the same way; they stay apart because a call with
     `trace` is a replay, and perfbench's span tracer (`perfbench/tracing.py`)
     counts it as one rather than as a grid cell.
     """
-    env = config.env
-    if config.sweep_key is not None:
-        env = dataclasses.replace(
-            env, **{config.sweep_key: _env_value(type(env), config.sweep_key, sweep_value)}
-        )
     if trace is None:
         trace = record_into
-    return FAMILIES[config.family].run(env, agent, CostLedger(**config.ledger), seed, trace)
+    return FAMILIES[config.family].run(
+        _cell_env(config, sweep_value), agent, CostLedger(**config.ledger), seed, trace
+    )
+
+
+def _cell_env(config: ExperimentConfig, sweep_value):
+    """The env of a cell at `sweep_value`: in a sweep it replaces the swept
+    key, None included."""
+    env = config.env
+    if config.sweep_key is None:
+        return env
+    return dataclasses.replace(
+        env, **{config.sweep_key: _env_value(type(env), config.sweep_key, sweep_value)}
+    )
 
 
 def _run_cell(
     payload: tuple[ExperimentConfig, str, dict, object, int],
 ) -> tuple[RunRecord, float, Trace | None]:
     """Worker entry point: runs one cell, recording its steps. Returns the
-    finished record, the cell's wall seconds and its trace, None for a
-    failed cell: a partial trace is never kept."""
+    finished record, the cell's wall seconds and its trace when it has a
+    failing signal (`_window_signal`), else None, so a pool worker ships no
+    other trace back. A failed cell has no signal: a partial trace is never
+    kept."""
     started = time.monotonic()
     config, variant, agent, sweep_value, seed = payload
     label = _variant_label(variant, config.sweep_key, sweep_value)
@@ -356,6 +383,8 @@ def _run_cell(
             status=STATUS_FAILED, error=f"{type(exc).__name__}: {exc}",
         )
         trace = None
+    if _window_signal(record.signals) is None:
+        trace = None
     return record, time.monotonic() - started, trace
 
 
@@ -367,10 +396,11 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     can share what they build from it (D's universe); results are ordered by
     (variant, sweep value, seed), so worker count never changes the bytes.
 
-    Every cell records its step trace as it runs, in this process or in a
-    pool worker that ships it back compactly, so `write_report` re-runs
-    nothing. Per variant, the grid keeps the traces of the cells failures.md
-    will list, its `WORST_RUNS_LISTED` worst completed cells so far by
+    Every cell records its step trace as it runs, so `write_report` re-runs
+    nothing, but keeps it only when it has a failing signal: failures.md
+    writes a window of no other trace, and a pool worker ships no other
+    back. Per variant, the grid keeps the traces of the cells failures.md
+    will list, its first `WORST_RUNS_LISTED` completed cells so far by
     `_rank`, and drops every other trace as soon as it is ranked out, which
     bounds the memory traces hold.
     """
@@ -401,19 +431,19 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
 
 def _keeping_listed_traces(outputs) -> list[CellResult]:
     """The cells of `_run_cell` outputs, in order, each holding its trace
-    while it ranks among its variant's `WORST_RUNS_LISTED` worst completed
-    cells so far."""
+    while it ranks among its variant's first `WORST_RUNS_LISTED` completed
+    cells so far by `_rank`, the cells failures.md lists."""
     cells = []
     listed: dict[str, list[CellResult]] = {}
     for record, seconds, trace in outputs:
         cell = CellResult(record.variant, record.seed, record, trace, seconds)
         cells.append(cell)
-        if trace is not None:
-            worst = listed.setdefault(cell.variant, [])
-            worst.append(cell)
-            if len(worst) > WORST_RUNS_LISTED:
-                worst.sort(key=lambda c: _rank(c.record))
-                worst.pop().trace = None
+        if record.status != STATUS_FAILED:
+            top = listed.setdefault(cell.variant, [])
+            top.append(cell)
+            if len(top) > WORST_RUNS_LISTED:
+                top.sort(key=lambda c: _rank(c.record))
+                top.pop().trace = None
     return cells
 
 
@@ -443,19 +473,22 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     """Emit the full report bundle into `output_dir`.
 
     Files: resolved_config.json, runs.jsonl, summary.csv,
-    constraint_report.json, failures.md, traces/ for the listed failures,
-    and timing.json (the only file allowed to differ between identical
-    runs). The report encodes the traces the grid kept for the listed cells
-    and runs no cell again, except under `report --in` for a listed trace
-    whose file is missing.
+    constraint_report.json, failures.md, traces/ with a window of each
+    listed cell's trace around its first failing signal (see
+    `_write_failures`), and timing.json (the only file allowed to differ
+    between identical runs). The report encodes windows of the traces the
+    grid kept and runs no cell again, except under `report --in` for a
+    listed window whose file is missing. A whole trace stays one
+    deterministic replay away: `run_one(config, agent, seed, sweep_value,
+    Trace())`.
 
     timing.json holds the grid's wall clock plus `report_seconds` for this
     call; `trace_write_seconds`, the part of it spent encoding and writing
-    listed traces; and `trace_replay_seconds`, the part spent re-running
+    trace windows; and `trace_replay_seconds`, the part spent re-running
     listed cells to record their traces, their files included. The replay
     seconds are 0.0 after `hoardbench run`, and both are 0.0 for a
     re-report of the directory the results were loaded from that finds every
-    listed trace file there. `cell_seconds` maps variant, then seed, to the
+    listed window file there. `cell_seconds` maps variant, then seed, to the
     wall seconds each cell took in the grid, measured inside the worker
     that ran it; a seed's first variant there carries what its variants share
     (D's universe). Results read back from a directory carry the grid's wall
@@ -478,14 +511,15 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         by_variant.setdefault(cell.variant, []).append(cell.record)
 
     # Only a re-report of the directory the results came from may reuse the
-    # trace files there. Otherwise the listed paths are cleared before
-    # runs.jsonl is written, so that a report cut short cannot leave an
-    # older run's traces where a later `report --in` would take them.
+    # window files there. Otherwise every window file of the grid's variants
+    # is cleared before runs.jsonl is written, so that a report cut short
+    # cannot leave an older run's windows where a later `report --in` would
+    # take them.
     reuse = result.loaded_from is not None and result.loaded_from.resolve() == out.resolve()
     if not reuse:
-        for variant, records in by_variant.items():
-            for record in _worst_completed(records):
-                (out / _trace_path(variant, record.seed)).unlink(missing_ok=True)
+        for variant in by_variant:
+            for path in (out / "traces" / _safe(variant)).glob("seed_*_steps_*_*.jsonl"):
+                path.unlink()
 
     with open(out / "runs.jsonl", "w") as fh:
         for cell in ordered:
@@ -571,41 +605,111 @@ def _metric_or_nan(record: RunRecord, metric: str) -> float:
         return float("nan")
 
 
-def _rank(record: RunRecord) -> tuple[float, int]:
+def _rank(record: RunRecord) -> tuple[bool, float, int]:
     """Where a completed run stands among its variant's in failures.md:
-    highest objective first, then lowest seed. Seeds are unique within a
-    variant, so no two runs tie."""
-    return (-record.objective, record.seed)
+    goal verdict 0 first, then highest objective, then lowest seed. Seeds
+    are unique within a variant, so no two runs tie."""
+    return (record.goal_verdict != 0, -record.objective, record.seed)
 
 
-def _worst_completed(records: list[RunRecord]) -> list[RunRecord]:
+def _listed_runs(records: list[RunRecord]) -> list[RunRecord]:
     """The completed runs failures.md lists for one variant."""
     completed = [r for r in records if r.status != STATUS_FAILED]
     return sorted(completed, key=_rank)[:WORST_RUNS_LISTED]
 
 
-def _trace_path(variant: str, seed: int) -> Path:
-    """A listed run's trace file, relative to the results directory."""
-    return Path("traces") / _safe(variant) / f"seed_{seed}.jsonl"
+def _failed_check(signal: dict) -> bool:
+    return not signal["ground_truth_verdict"]
+
+
+def _wrong_verdict(signal: dict) -> bool:
+    return signal["verdict"] != signal["ground_truth_verdict"]
+
+
+def _first(signals: list[dict], test) -> dict | None:
+    return next((s for s in signals if test(s)), None)
+
+
+def _window_signal(signals: list[dict]) -> dict | None:
+    """The signal a cell's trace window is cut around: its first whose
+    ground truth failed or whose verdict disagrees with it; None when it has
+    none."""
+    return _first(signals, lambda s: _failed_check(s) or _wrong_verdict(s))
+
+
+def _window(signal: dict, length: int) -> tuple[int, int]:
+    """The first and last step of `signal`'s window in a trace of `length`
+    steps: its segment, clipped to the trace, after `LEAD_IN` steps more.
+    Segments can reach past the trace: B counts `query_delay`, C its
+    recovery steps and D two steps per repair round, none of them traced."""
+    start, end = signal["segment"]
+    end = min(end, length - 1)
+    return max(0, min(start, end) - LEAD_IN), end
+
+
+def _window_path(variant: str, seed: int, first: int, last: int) -> Path:
+    """A trace window's file, relative to the results directory."""
+    return Path("traces") / _safe(variant) / f"seed_{seed}_steps_{first}_{last}.jsonl"
+
+
+_WINDOW_NAME = re.compile(r"seed_\d+_steps_(\d+)_(\d+)\.jsonl")
+
+
+def _window_on_disk(out: Path, variant: str, seed: int, signal: dict) -> tuple[int, int] | None:
+    """The window of `signal` that a file in `out` holds for the cell, by
+    the range its name gives; None when no file's range is one `_window`
+    gives for `signal`, whatever the trace's length."""
+    for path in (out / "traces" / _safe(variant)).glob(f"seed_{seed}_steps_*.jsonl"):
+        match = _WINDOW_NAME.fullmatch(path.name)
+        if match:
+            first, last = int(match[1]), int(match[2])
+            if last <= signal["segment"][1] and _window(signal, last + 1) == (first, last):
+                return first, last
+    return None
+
+
+def _describe(signal: dict | None) -> str:
+    if signal is None:
+        return "none"
+    start, end = signal["segment"]
+    verdicts = ("fail", "pass")
+    return (f"{signal['predicate_id']}, segment {start}..{end}, "
+            f"verdict {verdicts[bool(signal['verdict'])]}, "
+            f"ground truth {verdicts[bool(signal['ground_truth_verdict'])]}")
 
 
 def _write_failures(
     result: ResultSet, variants: dict, by_variant: dict, out: Path, reuse: bool
 ) -> tuple[float, float]:
-    """List the worst completed runs per variant, by `_rank`, each with a
-    trace file, and the error of every failed cell. A listed cell's trace is
-    the one the grid kept or, with `reuse`, the file already there. Results
-    read back by `load_result_set` carry no traces, so for them a missing
-    file is recorded by re-running the cell (determinism makes the replay
-    exact); `variants` is `_variant_table` of the config. Returns the
-    seconds spent on re-runs, their trace files included, and the seconds
-    spent encoding and writing trace files."""
+    """Write failures.md: per variant, the error of every failed cell, then
+    the first `WORST_RUNS_LISTED` completed runs by `_rank`. Each listed run
+    gives its goal verdict, its costs, its first signal whose ground truth
+    failed and its first whose verdict disagrees with the ground truth, each
+    with its predicate and segment.
+
+    A listed run with either signal gets a trace window around the earlier
+    one (`_window_signal`, `_window`), and failures.md gives the steps the
+    file holds; a run with neither gets no file. The window is cut from the
+    trace the grid kept or, with `reuse`, is the file already there.
+    Results read back by `load_result_set` carry no traces, so for them a
+    missing window is recorded by re-running the cell (determinism makes the
+    replay exact); `variants` is `_variant_table` of the config. Returns the
+    seconds spent on re-runs, their window files included, and the seconds
+    spent encoding and writing window files."""
     config = result.config
-    lines = ["# Representative failures", ""]
+    lines = [
+        "# Representative failures",
+        "",
+        f"Per variant: each failed cell, then up to {WORST_RUNS_LISTED} completed cells, "
+        "goal verdict 0 first, then highest objective. A listed cell's trace file holds the "
+        f"steps from {LEAD_IN} before the segment of its first failed check or wrong verdict "
+        "to the segment's end, within the trace.",
+        "",
+    ]
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
     replay_seconds = write_seconds = 0.0
     for variant, records in by_variant.items():
-        worst = _worst_completed(records)
+        listed = _listed_runs(records)
         failed = [r for r in records if r.status == STATUS_FAILED]
         lines.append(f"## {variant}")
         if failed:
@@ -613,43 +717,65 @@ def _write_failures(
                 f"({len(failed)} failed cells; "
                 "aggregate is low-confidence)"
             )
-            # Not "- seed ...": that prefix marks a listed run with a trace.
+            # Not "- seed ...": that prefix marks a listed run.
             lines.extend(f"- failed seed {r.seed}: {' '.join(r.error.split())}" for r in failed)
-        if not worst:
+        if not listed:
             lines.append("(no completed runs)")
             lines.append("")
             continue
         _, agent, sweep_value = variants[variant]
-        for record in worst:
-            rel = _trace_path(variant, record.seed)
-            path = out / rel
-            trace = recorded.get((variant, record.seed))
-            replay = trace is None and not (reuse and path.is_file())
-            replay_started = time.monotonic()
-            write_started = None
-            try:
-                if replay:
-                    trace = Trace()
-                    run_one(config, agent, record.seed, sweep_value, trace)
-                if trace is not None:
-                    write_started = time.monotonic()
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    trace.write_jsonl(path)
-                where = str(rel)
-            except Exception as exc:  # a trace must never sink the report
-                where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
-            finished = time.monotonic()
-            if replay:
-                replay_seconds += finished - replay_started
-            if write_started is not None:
-                write_seconds += finished - write_started
+        for record in listed:
+            signal = _window_signal(record.signals)
+            where = "none"
+            if signal is not None:
+                where, replayed, written = _write_window(
+                    config, agent, sweep_value, variant, record.seed, signal,
+                    recorded.get((variant, record.seed)), out, reuse,
+                )
+                replay_seconds += replayed
+                write_seconds += written
             lines.append(
                 f"- seed {record.seed}: objective {record.objective:.6g}, "
-                f"status {record.status}, trace: {where}"
+                f"status {record.status}, goal_verdict {record.goal_verdict}, trace: {where}"
             )
+            costs = ", ".join(f"{k} {v:.6g}" for k, v in sorted(record.costs.items()))
+            lines.append(f"  - costs: {costs or 'none'}")
+            lines.append(f"  - first failed check: {_describe(_first(record.signals, _failed_check))}")
+            lines.append(f"  - first wrong verdict: {_describe(_first(record.signals, _wrong_verdict))}")
         lines.append("")
     (out / "failures.md").write_text("\n".join(lines) + "\n")
     return replay_seconds, write_seconds
+
+
+def _write_window(
+    config: ExperimentConfig, agent: dict, sweep_value, variant: str, seed: int, signal: dict,
+    trace: Trace | None, out: Path, reuse: bool,
+) -> tuple[str, float, float]:
+    """Write, or with `reuse` find, one listed cell's window around
+    `signal`, replaying the cell when there is neither `trace` nor a file.
+    Returns what failures.md says of it, the replay seconds and the write
+    seconds."""
+    window = _window_on_disk(out, variant, seed, signal) if trace is None and reuse else None
+    replay = trace is None and window is None
+    started = time.monotonic()
+    write_started = None
+    try:
+        if replay:
+            trace = Trace()
+            run_one(config, agent, seed, sweep_value, trace)
+        if trace is not None:
+            window = _window(signal, len(trace))
+            write_started = time.monotonic()
+            path = out / _window_path(variant, seed, *window)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            trace.write_jsonl(path, window[0], window[1] + 1)
+        where = f"{_window_path(variant, seed, *window)} (steps {window[0]}..{window[1]})"
+    except Exception as exc:  # a trace must never sink the report
+        where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
+    finished = time.monotonic()
+    replayed = finished - started if replay else 0.0
+    written = finished - write_started if write_started is not None else 0.0
+    return where, replayed, written
 
 
 def _safe(name: str) -> str:

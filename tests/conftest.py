@@ -1,9 +1,13 @@
+import hashlib
 import json
 import shutil
 
 import pytest
 
+from hoardbench import harness
 from hoardbench.cli import main
+from hoardbench.core.state import Trace
+from hoardbench.harness import run_one
 
 
 def _output_files(directory):
@@ -24,9 +28,9 @@ def outputs_by_jobs(tmp_path):
 
     Every grid cell records its trace, in the pool as in one process, so
     neither report re-runs a cell. The replay is the oracle: with the
-    `--jobs 1` run's trace files deleted, `report --in` re-runs the listed
-    cells and must write the same files. Either run's timing.json must give
-    the seconds of every cell in runs.jsonl."""
+    `--jobs 1` run's trace windows deleted, `report --in` re-runs the cells
+    they came from and must write the same files. Either run's timing.json
+    must give the seconds of every cell in runs.jsonl."""
 
     def run(document: dict) -> dict:
         config = tmp_path / "config.json"
@@ -48,10 +52,46 @@ def outputs_by_jobs(tmp_path):
             assert sorted(timed) == sorted((r["variant"], str(r["seed"])) for r in runs)
             assert all(seconds > 0.0 for seconds in timed.values())
         replayed = tmp_path / "jobs1"
-        shutil.rmtree(replayed / "traces")
+        windows = any(name.startswith("traces/") for name in outputs[1][0])
+        shutil.rmtree(replayed / "traces", ignore_errors=True)
         assert main(["report", "--in", str(replayed)]) == 0
-        assert json.loads((replayed / "timing.json").read_text())["trace_replay_seconds"] > 0.0
+        replay_seconds = json.loads((replayed / "timing.json").read_text())["trace_replay_seconds"]
+        assert (replay_seconds > 0.0) == windows
         assert _output_files(replayed) == outputs[1]
         return outputs
 
     return run
+
+
+@pytest.fixture
+def report_sha256():
+    """sha256 of runs.jsonl, failures.md and every trace window a report
+    wrote into a directory, by relative path."""
+
+    def digests(out) -> dict[str, str]:
+        names = ["runs.jsonl", "failures.md"] + sorted(
+            path.relative_to(out).as_posix() for path in out.glob("traces/*/*.jsonl")
+        )
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+    return digests
+
+
+@pytest.fixture
+def replayed_sha256():
+    """sha256 of a grid cell's whole trace, replayed through `run_one`. The
+    cell is named as the report named its whole-trace file before it wrote
+    windows: traces/<variant>/seed_<seed>.jsonl."""
+
+    def digest(config, name: str) -> str:
+        _, folder, file = name.split("/")
+        seed = int(file.removeprefix("seed_").removesuffix(".jsonl"))
+        (agent, value), = [
+            (agent, value) for label, (_, agent, value) in harness._variant_table(config).items()
+            if harness._safe(label) == folder
+        ]
+        trace = Trace()
+        run_one(config, agent, seed, value, trace)
+        return hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+
+    return digest

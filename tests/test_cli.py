@@ -108,3 +108,35 @@ def test_report_of_a_damaged_results_file_is_refused(results, capsys, name, dama
     err = _refused(capsys, ["report", "--in", str(results)])
     assert message in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("document, warning", [
+    ({"family": "A", "env": {"z_prior_variance": 1.0}},
+     "warning: config key 'env.z_prior_variance': only RLS reads it, and agent.rls is false\n"),
+    ({"family": "D", "env": {"n_constraints": 20, "adversary_probes": 30}},
+     "warning: config key 'env.adversary_probes': 30 exceeds env.n_constraints 20; "
+     "the adversary probes each constraint at most once\n"),
+    ({"family": "D", "env": {"n_constraints": 20},
+      "sweep": {"key": "adversary_probes", "values": [10, 21]}},
+     "warning: config key 'env.adversary_probes': 21 exceeds env.n_constraints 20; "
+     "the adversary probes each constraint at most once\n"),
+    # RLS reads the variance; the launch planner aims with the prior mean
+    # whether RLS runs or not; D's default probes cover a small universe by
+    # design.
+    ({"family": "A", "env": {"z_prior_variance": 1.0}, "agent": {"rls": True}}, ""),
+    ({"family": "A", "env": {"z_prior_mean": 0.75}}, ""),
+    ({"family": "D", "env": {"n_constraints": 3}}, ""),
+], ids=["a_variance_without_rls", "d_probes_clamped", "d_probes_clamped_in_a_sweep",
+        "a_variance_with_rls", "a_mean_without_rls", "d_default_probes"])
+def test_a_key_set_to_no_effect_is_warned_of_on_stderr(tmp_path, capsys, document, warning):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**document, "seeds": "0..0"}))
+    assert main(["validate", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out == json.dumps(
+        cli.resolved_document(cli.parse_config(path.read_text())), indent=2, sort_keys=True) + "\n"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    assert captured.out.startswith("wrote ")

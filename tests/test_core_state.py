@@ -695,3 +695,33 @@ def test_a_landmark_record_is_appended_one_at_a_time(values, match):
     with pytest.raises(InputError, match=match):
         trace.append(1, key, *values, landmarks=((0, 0.5, -0.0),))
     assert _state(trace) == before and trace._snapshots == []
+
+
+# A window of a trace against the same slice of its whole JSONL.
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_float_steps(), st.lists(_ROW, max_size=6), st.integers(0, 24),
+       st.none() | st.integers(0, 24))
+@example(_stabilize_steps(), [(0.5, 1, True)] * 3, 3, 30)
+@example([], [], 0, None)
+def test_a_window_is_the_slice_of_the_whole_trace(steps, rows, start, stop):
+    # Mixed shapes, landmark records and a run of rows in one call; windows
+    # cut at the end or wholly past it, and empty ones.
+    trace = Trace()
+    _feed(trace, steps)
+    if rows:
+        trace.append(len(trace), _STABILIZE_KEY, *[v for row in rows for v in row])
+    lines = trace.to_jsonl().splitlines(keepends=True)
+    assert list(trace.jsonl_lines(start, stop)) == lines[start:stop]
+    assert list(pickle.loads(pickle.dumps(trace)).jsonl_lines(start, stop)) == lines[start:stop]
+
+
+def test_a_window_is_written_to_its_file_and_a_negative_bound_is_refused(tmp_path):
+    trace = _prefixed([(0.1, -0.0, math.nan), (0.5, 1, True), (2.0, 3.0, 4.0)])
+    lines = trace.to_jsonl().splitlines(keepends=True)
+    trace.write_jsonl(tmp_path / "window.jsonl", 1, 9)
+    assert (tmp_path / "window.jsonl").read_text() == "".join(lines[1:])
+    for start, stop in ((-1, None), (0, -1)):
+        with pytest.raises(InputError, match="negative bound"):
+            list(trace.jsonl_lines(start, stop))

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 
@@ -367,7 +366,7 @@ def test_every_accepted_config_runs_without_failed_cells(document):
 
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     # All three variants with RLS on, noisy in-loop verifiers, a perturbation,
-    # and failure traces recorded.
+    # and trace windows written for the listed cells with a failing signal.
     outputs = outputs_by_jobs({
         "family": "A",
         "seeds": "0..3",
@@ -378,13 +377,13 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     })
     files, _ = outputs[1]
     assert files["runs.jsonl"].count(b"\n") == 12
-    assert sum(name.startswith("traces/") for name in files) == 9
+    assert sum(name.startswith("traces/") for name in files) == 3
     assert outputs[1] == outputs[2]
 
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
-    # One seed lists every cell, so every trace the grid records is written;
-    # `report --in` replays them and is the oracle.
+    # One seed lists every cell; the open-loop one fails to stabilize and
+    # gets a window. `report --in` replays it and is the oracle.
     outputs = outputs_by_jobs({
         "family": "A",
         "seeds": "5..5",
@@ -394,7 +393,8 @@ def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
         "ablations": ["no_feedback", "no_compensator"],
     })
     files, _ = outputs[1]
-    assert sum(name.startswith("traces/") for name in files) == 3
+    assert [name for name in files if name.startswith("traces/")] == [
+        "traces/no_feedback/seed_5_steps_0_240.jsonl"]
     assert outputs[1] == outputs[2]
 
 
@@ -419,10 +419,11 @@ def test_predicted_landing_error_formula():
     )
 
 
-# sha256 of runs.jsonl and of each trace file the report writes for the grid
-# below, recorded from the code whose belief kept its latents in arrays and
-# its states as `EmbodiedState` tuples, with its own copy of the controller's
-# compensator, RLS and forgetting settings.
+# sha256 of runs.jsonl and of the whole trace of each cell the report listed
+# for the grid below, recorded from the code whose belief kept its latents in
+# arrays and its states as `EmbodiedState` tuples, with its own copy of the
+# controller's compensator, RLS and forgetting settings. The report wrote
+# each listed trace whole then; the traces are now replayed.
 SWITCHES_GRID_SHA256 = {
     "runs.jsonl": "0f20f14a915fa0c2d9d13e6265430ab0b4db6abb16d3a8ef0e487f0497501d15",
     "traces/baseline_obs_delay_0/seed_0.jsonl": "2bfed13120f73d7cec23810a2097d6d15b7e4ff81fc88a12a6ae1d1f8dab0df2",
@@ -446,7 +447,23 @@ SWITCHES_GRID_SHA256 = {
 }
 
 
-def test_output_bytes_across_delay_and_controller_switches(tmp_path):
+# sha256 of failures.md and of each trace window the report writes for the
+# grid below: the open-loop cells fail to stabilize.
+SWITCHES_REPORT_SHA256 = {
+    "failures.md": "32f919b9fddf00e9b3a408d5db502af901404590af30b51409833a665b68b4ea",
+    "traces/no_compensator_obs_delay_10/seed_0_steps_0_240.jsonl": "6eb1e50740ac3610caea8de3c34c4fc3d2fb4c414a6484513e329ee8c59a2cae",
+    "traces/no_compensator_obs_delay_10/seed_1_steps_0_240.jsonl": "5f28abd5f7fdcce694a6239d90f27d132795ea84e0f3a8cd80f7ba433e59e1a8",
+    "traces/no_feedback_obs_delay_0/seed_0_steps_0_240.jsonl": "0d6d0bfe1e1a32bf27dc647ea345cf33532461726e1e1af9eccf42a39f3f2e5d",
+    "traces/no_feedback_obs_delay_0/seed_1_steps_0_240.jsonl": "0b71e7bb1d6154a4a2b1698545bb372187612122bab49ea828e9be2de1b4f748",
+    "traces/no_feedback_obs_delay_10/seed_0_steps_0_240.jsonl": "0d6d0bfe1e1a32bf27dc647ea345cf33532461726e1e1af9eccf42a39f3f2e5d",
+    "traces/no_feedback_obs_delay_10/seed_1_steps_0_240.jsonl": "0b71e7bb1d6154a4a2b1698545bb372187612122bab49ea828e9be2de1b4f748",
+    "traces/no_feedback_obs_delay_2/seed_0_steps_0_240.jsonl": "0d6d0bfe1e1a32bf27dc647ea345cf33532461726e1e1af9eccf42a39f3f2e5d",
+    "traces/no_feedback_obs_delay_2/seed_1_steps_0_240.jsonl": "0b71e7bb1d6154a4a2b1698545bb372187612122bab49ea828e9be2de1b4f748",
+}
+
+
+def test_output_bytes_across_delay_and_controller_switches(tmp_path, report_sha256,
+                                                            replayed_sha256):
     # Delays 0, 2 and 10 under feedback with and without the compensator and
     # open loop, RLS on, with drifting compliance and a perturbation.
     config = parse_config(json.dumps({
@@ -457,19 +474,18 @@ def test_output_bytes_across_delay_and_controller_switches(tmp_path):
         "sweep": {"key": "obs_delay", "values": [0, 2, 10]},
     }))
     write_report(run_grid(config, jobs=1), tmp_path)
-    written = ["runs.jsonl"] + [
-        path.relative_to(tmp_path).as_posix() for path in (tmp_path / "traces").rglob("*.jsonl")
-    ]
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
-    }
-    assert digests == SWITCHES_GRID_SHA256
+    written = report_sha256(tmp_path)
+    whole = {name: replayed_sha256(config, name) for name in SWITCHES_GRID_SHA256
+             if name.startswith("traces/")}
+    assert {"runs.jsonl": written.pop("runs.jsonl"), **whole} == SWITCHES_GRID_SHA256
+    assert written == SWITCHES_REPORT_SHA256
 
 
-# sha256 of runs.jsonl and of each trace file the report writes for the grid
-# below, recorded from the code whose stabilize steps each went to the trace
-# as they ran: the baseline and open-loop cells run out of budget 113 steps
-# into their second trial, the compensator-free cells finish all three.
+# sha256 of runs.jsonl and of the whole trace of each cell the report listed
+# for the grid below, recorded from the code whose stabilize steps each went
+# to the trace as they ran: the baseline and open-loop cells run out of
+# budget 113 steps into their second trial, the compensator-free cells
+# finish all three. The traces are now replayed.
 BUDGET_GRID_SHA256 = {
     "runs.jsonl": "50955f4d98f5f0b46571b307960bb74ad2d7ef3039ae5461fb5a55f9790d105b",
     "traces/baseline/seed_0.jsonl": "db9ad14a6bfe77a9f20f68dd52bb881f91a3f7de3d3f86a767d16ce908e33cc3",
@@ -484,7 +500,18 @@ BUDGET_GRID_SHA256 = {
 }
 
 
-def test_output_bytes_where_the_budget_ends_a_trial_early(tmp_path):
+# sha256 of failures.md and of each trace window the report writes for the
+# grid below.
+BUDGET_REPORT_SHA256 = {
+    "failures.md": "3af5f8e7ff9c372aa41b927df6bf2cc3068c565635a1cdc1626fa46a1ceda80b",
+    "traces/no_feedback/seed_0_steps_0_240.jsonl": "0d6d0bfe1e1a32bf27dc647ea345cf33532461726e1e1af9eccf42a39f3f2e5d",
+    "traces/no_feedback/seed_1_steps_0_240.jsonl": "0b71e7bb1d6154a4a2b1698545bb372187612122bab49ea828e9be2de1b4f748",
+    "traces/no_feedback/seed_2_steps_0_240.jsonl": "1e0cdb73a5190b748d7bd8b8e3a536874e8f00880322fa9543bccc58ac35b0e2",
+}
+
+
+def test_output_bytes_where_the_budget_ends_a_trial_early(tmp_path, report_sha256,
+                                                          replayed_sha256):
     # Three trials under a compute budget of 800: delay 2 with the
     # compensator costs 2 units a step, so the budget runs out mid-trial.
     config = parse_config(json.dumps({
@@ -497,10 +524,8 @@ def test_output_bytes_where_the_budget_ends_a_trial_early(tmp_path):
     write_report(run_grid(config, jobs=1), tmp_path)
     runs = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
     assert [r["status"] for r in runs] == ["budget_exhausted"] * 6 + ["completed"] * 3
-    written = ["runs.jsonl"] + [
-        path.relative_to(tmp_path).as_posix() for path in (tmp_path / "traces").rglob("*.jsonl")
-    ]
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in written
-    }
-    assert digests == BUDGET_GRID_SHA256
+    written = report_sha256(tmp_path)
+    whole = {name: replayed_sha256(config, name) for name in BUDGET_GRID_SHA256
+             if name.startswith("traces/")}
+    assert {"runs.jsonl": written.pop("runs.jsonl"), **whole} == BUDGET_GRID_SHA256
+    assert written == BUDGET_REPORT_SHA256

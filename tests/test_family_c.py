@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 
@@ -218,7 +217,8 @@ def test_config_rejects_bad_values_by_field_name(field, value):
 
 
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
-    # All three variants, noisy monitors, with failure traces recorded.
+    # All three variants, noisy monitors; every listed cell has a failing
+    # signal and gets a trace window.
     outputs = outputs_by_jobs({
         "family": "C",
         "seeds": "0..3",
@@ -232,8 +232,8 @@ def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
 
 
 def test_traces_recorded_in_the_grid_match_the_replay(outputs_by_jobs):
-    # One seed lists every cell, so every trace the grid records is written;
-    # `report --in` replays them and is the oracle.
+    # One seed lists every cell, and each has a failing signal, so each gets
+    # a window; `report --in` replays them and is the oracle.
     outputs = outputs_by_jobs({
         "family": "C",
         "seeds": "4..4",
@@ -256,11 +256,13 @@ def test_hidden_zone_postcondition_reported():
     )
 
 
-# sha256 of runs.jsonl and of each trace file the report writes for the grids
-# below, recorded from the code that looked each layout's flat indices up in
-# a memo on every step, drew visibility once per step, and built a per-step
-# action object for every trace record and every cache write. The writes
-# now take the landmark set, the item type and the location directly.
+# sha256 of runs.jsonl and of the whole trace of each cell the report listed
+# for the grids below, recorded from the code that looked each layout's flat
+# indices up in a memo on every step, drew visibility once per step, and
+# built a per-step action object for every trace record and every cache
+# write. The writes now take the landmark set, the item type and the
+# location directly. The report wrote each listed trace whole then; the
+# traces are now replayed.
 LOOP_GRID_SHA256 = {
     "decoys_False/runs.jsonl": "cb3337c6b6d47b77feb758b551470a8b72975526345f3fc4abfd770f561b898c",
     "decoys_False/traces/baseline_diffusion_rate_0.0/seed_0.jsonl": "d9dbbe728b3dc2e5a83873cdf1ecaa8940b884550e8cdd4dc72b0180225334a3",
@@ -291,12 +293,45 @@ LOOP_GRID_SHA256 = {
 }
 
 
-def test_output_bytes_across_awareness_placement_decoys_and_diffusion(tmp_path):
+# sha256 of failures.md and of each trace window the report writes for the
+# grids below.
+LOOP_REPORT_SHA256 = {
+    "decoys_False/failures.md": "09972f472f47de8cef0bc793c4e2ce080ebcdafff8e0b7e1239a12d8241e7d35",
+    "decoys_False/traces/baseline_diffusion_rate_0.0/seed_0_steps_0_8.jsonl": "81353484bfd125ac75b31e14612a711ba6bfc6a7a487530b219f19a8c8e41d42",
+    "decoys_False/traces/baseline_diffusion_rate_0.0/seed_1_steps_0_2.jsonl": "6ea6364cb36f7c93dd525400ed4983683c7879a1491e996c01ba6fa8fb14dcec",
+    "decoys_False/traces/baseline_diffusion_rate_0.05/seed_0_steps_0_8.jsonl": "81353484bfd125ac75b31e14612a711ba6bfc6a7a487530b219f19a8c8e41d42",
+    "decoys_False/traces/baseline_diffusion_rate_0.05/seed_1_steps_0_2.jsonl": "6ea6364cb36f7c93dd525400ed4983683c7879a1491e996c01ba6fa8fb14dcec",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.0/seed_0_steps_0_8.jsonl": "81353484bfd125ac75b31e14612a711ba6bfc6a7a487530b219f19a8c8e41d42",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.0/seed_1_steps_0_2.jsonl": "6ea6364cb36f7c93dd525400ed4983683c7879a1491e996c01ba6fa8fb14dcec",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.05/seed_0_steps_0_8.jsonl": "81353484bfd125ac75b31e14612a711ba6bfc6a7a487530b219f19a8c8e41d42",
+    "decoys_False/traces/end_only_checking_diffusion_rate_0.05/seed_1_steps_0_2.jsonl": "6ea6364cb36f7c93dd525400ed4983683c7879a1491e996c01ba6fa8fb14dcec",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.0/seed_0_steps_0_1.jsonl": "b6d99a1fc5b56173102b7c214a6ceaedb11583b3a329e3334f62b2be6939b7eb",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.0/seed_1_steps_0_0.jsonl": "52e7cbe7bc24a23a525ad10efd7cc59be3d6bf572d3c41c8bfed56474506c5f0",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.05/seed_0_steps_0_1.jsonl": "b6d99a1fc5b56173102b7c214a6ceaedb11583b3a329e3334f62b2be6939b7eb",
+    "decoys_False/traces/no_observer_model_diffusion_rate_0.05/seed_1_steps_0_0.jsonl": "52e7cbe7bc24a23a525ad10efd7cc59be3d6bf572d3c41c8bfed56474506c5f0",
+    "decoys_True/failures.md": "5cef6fdc68e0864536b9cd8fa8978e7896570aba238a54bc609e9fa9face1170",
+    "decoys_True/traces/baseline_diffusion_rate_0.0/seed_0_steps_0_4.jsonl": "adb0cb01d4827807b47d6bd16331c9e2d6a8b5a3125e36ceb11bbe8c939596c2",
+    "decoys_True/traces/baseline_diffusion_rate_0.0/seed_1_steps_0_2.jsonl": "ea34dd790f67253f973b56dbaaf26606c1d4d1a7d89ccc3341555691ed3778df",
+    "decoys_True/traces/baseline_diffusion_rate_0.05/seed_0_steps_0_4.jsonl": "adb0cb01d4827807b47d6bd16331c9e2d6a8b5a3125e36ceb11bbe8c939596c2",
+    "decoys_True/traces/baseline_diffusion_rate_0.05/seed_1_steps_0_2.jsonl": "ea34dd790f67253f973b56dbaaf26606c1d4d1a7d89ccc3341555691ed3778df",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.0/seed_0_steps_0_4.jsonl": "adb0cb01d4827807b47d6bd16331c9e2d6a8b5a3125e36ceb11bbe8c939596c2",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.0/seed_1_steps_0_2.jsonl": "ea34dd790f67253f973b56dbaaf26606c1d4d1a7d89ccc3341555691ed3778df",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.05/seed_0_steps_0_4.jsonl": "adb0cb01d4827807b47d6bd16331c9e2d6a8b5a3125e36ceb11bbe8c939596c2",
+    "decoys_True/traces/end_only_checking_diffusion_rate_0.05/seed_1_steps_0_2.jsonl": "ea34dd790f67253f973b56dbaaf26606c1d4d1a7d89ccc3341555691ed3778df",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.0/seed_0_steps_0_1.jsonl": "b6d99a1fc5b56173102b7c214a6ceaedb11583b3a329e3334f62b2be6939b7eb",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.0/seed_1_steps_0_0.jsonl": "52e7cbe7bc24a23a525ad10efd7cc59be3d6bf572d3c41c8bfed56474506c5f0",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.05/seed_0_steps_0_1.jsonl": "b6d99a1fc5b56173102b7c214a6ceaedb11583b3a329e3334f62b2be6939b7eb",
+    "decoys_True/traces/no_observer_model_diffusion_rate_0.05/seed_1_steps_0_0.jsonl": "52e7cbe7bc24a23a525ad10efd7cc59be3d6bf572d3c41c8bfed56474506c5f0",
+}
+
+
+def test_output_bytes_across_awareness_placement_decoys_and_diffusion(tmp_path, report_sha256,
+                                                                      replayed_sha256):
     # Aware and unaware agents, in-loop and end-only monitors with a delay of
     # 3, with and without decoys, at diffusion 0 and 0.05. The threshold sits
     # just under the uniform mass, so the aware agent conceals until the
     # first sighting; its monitored caches are seen and recached.
-    digests = {}
+    grid, report = {}, {}
     for decoys in (True, False):
         config = parse_config(json.dumps({
             "family": "C", "seeds": "0..1",
@@ -308,10 +343,12 @@ def test_output_bytes_across_awareness_placement_decoys_and_diffusion(tmp_path):
         }))
         out = tmp_path / f"decoys_{decoys}"
         write_report(run_grid(config, jobs=1), out)
-        written = ["runs.jsonl"] + [
-            path.relative_to(out).as_posix() for path in (out / "traces").rglob("*.jsonl")
-        ]
-        for name in written:
-            text = (out / name).read_bytes()
-            digests[f"decoys_{decoys}/{name}"] = hashlib.sha256(text).hexdigest()
-    assert digests == LOOP_GRID_SHA256
+        prefix = f"decoys_{decoys}/"
+        written = report_sha256(out)
+        grid[prefix + "runs.jsonl"] = written.pop("runs.jsonl")
+        report.update({prefix + name: digest for name, digest in written.items()})
+        for name in LOOP_GRID_SHA256:
+            if name.startswith(prefix + "traces/"):
+                grid[name] = replayed_sha256(config, name.removeprefix(prefix))
+    assert grid == LOOP_GRID_SHA256
+    assert report == LOOP_REPORT_SHA256

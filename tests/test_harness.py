@@ -247,31 +247,41 @@ D_TWO_SEEDS = {"family": "D", "seeds": "0..1", "env": {"n_constraints": 8},
 
 
 def test_grid_keeps_the_listed_cells_traces(outputs_by_jobs):
-    # Two seeds list all four cells, so the grid keeps all four traces and
-    # the report writes each without re-running a cell.
+    # Two seeds list all four cells. Baseline seed 0 passes every check, so
+    # the grid drops its trace and the report gives it no window; the other
+    # three each get one, written without re-running a cell. A D checker
+    # segment ends past the trace, which records one step per proposal.
     config = parse_config(json.dumps(D_TWO_SEEDS))
-    assert all(c.trace is not None for c in run_grid(config).cells)
+    assert [c.trace is not None for c in run_grid(config).cells] == [False, True, True, True]
     outputs = outputs_by_jobs(D_TWO_SEEDS)
     files, _ = outputs[1]
-    assert sum(name.startswith("traces/") for name in files) == 4
+    assert [name for name in files if name.startswith("traces/")] == [
+        "traces/baseline/seed_1_steps_0_1.jsonl",
+        "traces/single_agent/seed_0_steps_0_0.jsonl",
+        "traces/single_agent/seed_1_steps_0_0.jsonl",
+    ]
     assert outputs[1] == outputs[2]
 
 
-def _listed_seeds(failures_md: str) -> dict[str, list[int]]:
-    """Variant label -> the seeds failures.md lists with a trace."""
-    listed: dict[str, list[int]] = {}
+def _listed(failures_md: str) -> dict[str, dict[int, str | None]]:
+    """Variant label -> each seed failures.md lists, in its order, with the
+    window file it gives the seed, None for none."""
+    listed: dict[str, dict[int, str | None]] = {}
     for line in failures_md.splitlines():
         if line.startswith("## "):
-            label = listed.setdefault(line[3:], [])
+            label = listed.setdefault(line[3:], {})
         elif line.startswith("- seed "):
-            label.append(int(line.split()[2].rstrip(":")))
+            where = line.split(", trace: ")[1]
+            label[int(line.split()[2].rstrip(":"))] = (
+                None if where == "none" else where.split(" (steps ")[0])
     return listed
 
 
 def test_grid_keeps_exactly_the_traces_failures_md_lists(tmp_path, monkeypatch):
-    # More seeds than are listed, tied objectives that seeds must order, a
-    # failing cell and a sweep: the grid's bounded keep
-    # and failures.md rank with the one rule.
+    # More seeds than are listed, a failed goal, tied objectives that seeds
+    # must order, a failing cell and a sweep: the grid's bounded keep and
+    # failures.md rank with the one rule. Odd seeds fail a check, so only
+    # they get a window.
     original = family_d.run_family_d
 
     def tied(env, mode, ledger, seed, *rest):
@@ -279,6 +289,10 @@ def test_grid_keeps_exactly_the_traces_failures_md_lists(tmp_path, monkeypatch):
             raise RuntimeError("checker crashed")
         record = original(env, mode, ledger, seed, *rest)
         record.objective = float(seed // 2 % 3)
+        record.goal_verdict = int(seed != 7)
+        passed = seed % 2 == 0
+        record.signals = [{"emitted_at": 1, "segment": [0, 1], "verdict": passed,
+                           "ground_truth_verdict": passed, "predicate_id": "even"}]
         return record
 
     monkeypatch.setattr(family_d, "run_family_d", tied)
@@ -292,16 +306,109 @@ def test_grid_keeps_exactly_the_traces_failures_md_lists(tmp_path, monkeypatch):
             assert cell.record.status != "failed"
             kept.setdefault(cell.variant, []).append(cell.seed)
     failures_md = (tmp_path / "failures.md").read_text()
-    listed = _listed_seeds(failures_md)
-    assert {label: sorted(seeds) for label, seeds in listed.items()} == kept
-    assert all(len(seeds) == WORST_RUNS_LISTED for seeds in kept.values())
-    # Objective 2 (seeds 4, 5) ranks first, then objective 1 (seeds 2, 3
-    # and 8) by seed. At plan length 8, seed 4 failed and seed 3 moves up.
-    assert listed["baseline@plan_length=8"] == [5, 2, 3]
-    assert listed["baseline@plan_length=9"] == [4, 5, 2]
+    listed = _listed(failures_md)
+    assert all(len(seeds) == WORST_RUNS_LISTED for seeds in listed.values())
+    # Seed 7 failed its goal and ranks first. Then objective 2 (seeds 4, 5),
+    # then objective 1 (seeds 2, 3 and 8) by seed. At plan length 8, seed 4
+    # failed and seed 2 moves up.
+    assert list(listed["baseline@plan_length=8"]) == [7, 5, 2]
+    assert list(listed["baseline@plan_length=9"]) == [7, 4, 5]
+    windows = {label: sorted(seed for seed, where in seeds.items() if where)
+               for label, seeds in listed.items()}
+    assert windows == kept == {label: [5, 7] for label in listed}
+    assert sorted(where for seeds in listed.values() for where in seeds.values() if where) == \
+        sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.glob("traces/*/*"))
     assert "- failed seed 4: RuntimeError: checker crashed" in failures_md
+    assert "  - first failed check: even, segment 0..1, verdict fail, ground truth fail" \
+        in failures_md
     timing = json.loads((tmp_path / "timing.json").read_text())
     assert timing["trace_replay_seconds"] == 0.0
+
+
+A_NO_FEEDBACK = {"family": "A", "seeds": "2..3", "env": {"trials": 2, "horizon": 60},
+                 "ablations": ["no_feedback"]}
+
+
+def _run_into(tmp_path, document, name="out", jobs=1):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / name
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", str(jobs)]) == 0
+    return out
+
+
+def test_failures_md_names_the_failed_check_and_writes_its_window(tmp_path, monkeypatch):
+    # The open-loop agent fails to stabilize, seed 2 in its first trial and
+    # seed 3 only in its second, whose window starts LEAD_IN steps before
+    # it. Every baseline cell passes, so none gets a file.
+    out = _run_into(tmp_path, A_NO_FEEDBACK)
+    files = _result_files(out)
+    pooled = _result_files(_run_into(tmp_path, A_NO_FEEDBACK, "jobs2", jobs=2))
+    del pooled["resolved_config.json"]  # differs by its output_dir only
+    assert pooled == {name: data for name, data in files.items() if name != "resolved_config.json"}
+    assert harness.LEAD_IN == 20
+    windows = {2: (0, 60), 3: (41, 121)}
+    assert [name for name in files if name.startswith("traces/")] == [
+        f"traces/no_feedback/seed_{seed}_steps_{first}_{last}.jsonl"
+        for seed, (first, last) in windows.items()
+    ]
+    failures_md = (out / "failures.md").read_text()
+    section = failures_md.split("## no_feedback\n")[1]
+    assert "goal_verdict 0, trace: traces/no_feedback/seed_3_steps_41_121.jsonl " \
+        "(steps 41..121)\n  - costs: " in section
+    assert "  - first failed check: stabilized, segment 61..121, verdict fail, " \
+        "ground truth fail\n  - first wrong verdict: none\n" in section
+    baseline = _listed(failures_md)["baseline"]
+    assert list(baseline) == [2, 3] and set(baseline.values()) == {None}
+    # A window is those lines of the whole trace, replayed.
+    config = parse_config(json.dumps(A_NO_FEEDBACK))
+    agent = dict(variant_agents(config))["no_feedback"]
+    for seed, (first, last) in windows.items():
+        trace = Trace()
+        run_one(config, agent, seed, None, trace)
+        whole = trace.to_jsonl().splitlines(keepends=True)
+        window = files[f"traces/no_feedback/seed_{seed}_steps_{first}_{last}.jsonl"]
+        assert window.decode() == "".join(whole[first:last + 1])
+    # `report --in` replays only the cell whose window is gone.
+    (out / "traces/no_feedback/seed_3_steps_41_121.jsonl").unlink()
+    calls = _count_run_one(monkeypatch)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [3]
+    assert _result_files(out) == files
+
+
+L = harness.LEAD_IN
+
+
+@pytest.mark.parametrize("segment, length, window", [
+    ((3 * L, 5 * L), 10 * L, (2 * L, 5 * L)),
+    ((L // 2, L), 10 * L, (0, L)),
+    # B's query_delay and D's two steps per repair round put segment ends,
+    # or whole segments, past the last traced step.
+    ((0, 10290), 10240, (0, 10239)),
+    ((6, 6), 6, (0, 5)),
+    ((5 * L, 5 * L), 2 * L, (L - 1, 2 * L - 1)),
+])
+def test_a_window_is_the_segment_clipped_to_the_trace_after_its_lead_in(segment, length, window):
+    assert harness._window({"segment": list(segment)}, length) == window
+
+
+def test_report_takes_no_whole_trace_or_other_range_for_a_window(tmp_path, monkeypatch):
+    # A directory written before windows holds each listed cell's whole
+    # trace at traces/<variant>/seed_<s>.jsonl. That file, and a window file
+    # whose range the cell's signal cannot give, are never taken for the
+    # window: `report --in` replays the cell.
+    out = _run_into(tmp_path, A_NO_FEEDBACK)
+    files = _result_files(out)
+    window = out / "traces/no_feedback/seed_3_steps_41_121.jsonl"
+    window.unlink()
+    (out / "traces/no_feedback/seed_3.jsonl").write_text("a whole trace\n")
+    (out / "traces/no_feedback/seed_3_steps_40_121.jsonl").write_text("another range\n")
+    calls = _count_run_one(monkeypatch)
+    assert main(["report", "--in", str(out)]) == 0
+    assert calls == [3]
+    assert window.read_bytes() == files[str(window.relative_to(out))]
+    assert (out / "failures.md").read_bytes() == files["failures.md"]
 
 
 def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
@@ -325,7 +432,7 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
         assert timing[key] == grid_timing[key]
     assert _result_files(out) == before
 
-    (out / "traces" / "single_agent" / "seed_1.jsonl").unlink()
+    (out / "traces" / "single_agent" / "seed_1_steps_0_0.jsonl").unlink()
     assert main(["report", "--in", str(out)]) == 0
     assert calls == [1]
     timing = json.loads((out / "timing.json").read_text())
@@ -348,7 +455,7 @@ def test_report_replays_a_missing_trace_of_a_swept_ablation(tmp_path, monkeypatc
     before = _result_files(out)
     section = (out / "failures.md").read_text().split("## no_feedback@z_range=[0.5, 0.8]\n")[1]
     listed = section.split("\n- seed 1: ")[1].split("\n")[0]
-    (out / listed.split("trace: ")[1]).unlink()
+    (out / listed.split("trace: ")[1].split(" (steps ")[0]).unlink()
     calls = []
 
     def recording(config, agent, seed, sweep_value=None, trace=None, **kwargs):
@@ -387,13 +494,13 @@ def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
     before = _result_files(out)
-    trace_file = out / "traces" / "single_agent" / "seed_1.jsonl"
+    trace_file = out / "traces" / "baseline" / "seed_1_steps_0_1.jsonl"
     trace_file.unlink()
 
     lines = Trace.jsonl_lines
 
-    def cut_short(self):
-        yield next(lines(self))
+    def cut_short(self, *window):
+        yield next(lines(self, *window))
         raise KeyboardInterrupt
 
     with monkeypatch.context() as m:
@@ -410,9 +517,9 @@ def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
 
 
 def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, monkeypatch):
-    # An older run with other results left traces at the same paths. A new
-    # run whose report stops after runs.jsonl must not let `report --in`
-    # take those traces for its own.
+    # An older run with other results left windows, some at the same paths.
+    # A new run whose report stops after runs.jsonl must not let `report
+    # --in` take those windows for its own.
     reference = tmp_path / "reference"
     write_report(run_grid(parse_config(json.dumps(D_TWO_SEEDS))), reference)
     out = tmp_path / "out"
@@ -420,8 +527,8 @@ def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, m
     write_report(run_grid(parse_config(json.dumps(older))), out)
     stale = _result_files(out)
     traces = [name for name in _result_files(reference) if name.startswith("traces/")]
-    assert len(traces) == 4
-    assert all(stale[name] != _result_files(reference)[name] for name in traces)
+    assert len(traces) == 3 and any(name in stale for name in traces)
+    assert all(stale.get(name) != _result_files(reference)[name] for name in traces)
 
     def interrupted(*args):
         raise KeyboardInterrupt
@@ -432,7 +539,7 @@ def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, m
             write_report(run_grid(parse_config(json.dumps(D_TWO_SEEDS))), out)
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
-    assert sorted(calls) == [0, 0, 1, 1]
+    assert sorted(calls) == [0, 1, 1]
     assert _result_files(out) == _result_files(reference)
 
 
@@ -511,15 +618,20 @@ def test_failures_md_lists_failed_cells_with_their_error(tmp_path, monkeypatch):
     monkeypatch.setattr(family_d, "run_family_d", failing)
     config = parse_config(json.dumps({"family": "D", "seeds": "0..1", "env": {"n_constraints": 8}}))
     result = run_grid(config)
-    # The failed cell's trace is dropped; the completed one is kept.
-    assert [c.trace is not None for c in result.cells] == [True, False]
+    # The failed cell has no trace; the completed one passes every check,
+    # so it keeps none either.
+    assert [c.trace is not None for c in result.cells] == [False, False]
     write_report(result, tmp_path)
     lines = (tmp_path / "failures.md").read_text().splitlines()
+    record = result.cells[0].record
     assert lines[lines.index("## baseline") + 1:] == [
         "(1 failed cells; aggregate is low-confidence)",
         "- failed seed 1: RuntimeError: checker crashed - seed 9: not a listed run",
-        "- seed 0: objective %s, status completed, trace: traces/baseline/seed_0.jsonl"
-        % format(result.cells[0].record.objective, ".6g"),
+        "- seed 0: objective %s, status completed, goal_verdict 1, trace: none"
+        % format(record.objective, ".6g"),
+        "  - costs: " + ", ".join(f"{k} {record.costs[k]:.6g}" for k in sorted(record.costs)),
+        "  - first failed check: none",
+        "  - first wrong verdict: none",
         "",
     ]
     assert json.loads((tmp_path / "timing.json").read_text())["trace_replay_seconds"] == 0.0
