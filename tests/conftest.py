@@ -65,11 +65,12 @@ def outputs_by_jobs(tmp_path):
 
 @pytest.fixture
 def report_sha256():
-    """sha256 of runs.jsonl, failures.md and every trace window a report
-    wrote into a directory, by relative path."""
+    """sha256 of runs.jsonl, summary.csv, constraint_report.json,
+    failures.md and every trace window a report wrote into a directory, by
+    relative path."""
 
     def digests(out) -> dict[str, str]:
-        names = ["runs.jsonl", "failures.md"] + sorted(
+        names = ["runs.jsonl", "summary.csv", "constraint_report.json", "failures.md"] + sorted(
             path.relative_to(out).as_posix() for path in out.glob("traces/*/*.jsonl")
         )
         return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}

@@ -447,9 +447,12 @@ SWITCHES_GRID_SHA256 = {
 }
 
 
-# sha256 of failures.md and of each trace window the report writes for the
-# grid below: the open-loop cells fail to stabilize.
+# sha256 of summary.csv, constraint_report.json, failures.md and each trace
+# window the report writes for the grid below: the open-loop cells fail to
+# stabilize.
 SWITCHES_REPORT_SHA256 = {
+    "summary.csv": "815cb38109039667ade3dabdd8942f62070e1dc9992bfd2b2d7d0f7a1cd600ee",
+    "constraint_report.json": "5a1ac3d5de2a026299076792b1e0ed8197278438fa11599351b46124b6d913a4",
     "failures.md": "32f919b9fddf00e9b3a408d5db502af901404590af30b51409833a665b68b4ea",
     "traces/no_compensator_obs_delay_10/seed_0_steps_0_240.jsonl": "6eb1e50740ac3610caea8de3c34c4fc3d2fb4c414a6484513e329ee8c59a2cae",
     "traces/no_compensator_obs_delay_10/seed_1_steps_0_240.jsonl": "5f28abd5f7fdcce694a6239d90f27d132795ea84e0f3a8cd80f7ba433e59e1a8",
@@ -500,9 +503,11 @@ BUDGET_GRID_SHA256 = {
 }
 
 
-# sha256 of failures.md and of each trace window the report writes for the
-# grid below.
+# sha256 of summary.csv, constraint_report.json, failures.md and each trace
+# window the report writes for the grid below.
 BUDGET_REPORT_SHA256 = {
+    "summary.csv": "5e55f279ded36a57e884e18f4aae3801281b73da6290c5414f3a7afe7da67ac9",
+    "constraint_report.json": "004809e92b388dc070e9fe16328227d3bb132c5ba773e1a03b0888076ee332a9",
     "failures.md": "3af5f8e7ff9c372aa41b927df6bf2cc3068c565635a1cdc1626fa46a1ceda80b",
     "traces/no_feedback/seed_0_steps_0_240.jsonl": "0d6d0bfe1e1a32bf27dc647ea345cf33532461726e1e1af9eccf42a39f3f2e5d",
     "traces/no_feedback/seed_1_steps_0_240.jsonl": "0b71e7bb1d6154a4a2b1698545bb372187612122bab49ea828e9be2de1b4f748",

@@ -9,7 +9,7 @@ from hoardbench.core.policy import PolicyContext, form_queries, form_query
 from hoardbench.core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from hoardbench.envs import family_b
 from hoardbench.envs.family_b import FamilyBConfig, run_family_b
-from hoardbench.harness import parse_config
+from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import LandmarkSet, StoreVariant, brute_force_retrieve
 from hoardbench.rng import RunStreams
@@ -181,6 +181,33 @@ def test_output_bytes_match_one_memory_call_per_item(n_events, variant, conflict
     got = _run_bytes(n_events, variant, conflict)
     sha = tuple(hashlib.sha256(text.encode()).hexdigest() for text in got)
     assert sha == GOLDEN[n_events, variant, conflict]
+
+
+# sha256 of every file the report writes for the grid below, but timing.json
+# and resolved_config.json: two seeds make summary.csv rows, the per-cell
+# quantiles `probes_median` and `probes_p95` among them.
+ARCHIVE_REPORT_SHA256 = {
+    "runs.jsonl": "e3e8f5f489074efabf617177bfc4e66f20420830503a6caba1aa9d07d739011f",
+    "summary.csv": "657fb59f9c6e423968feaa35c250b55a459ea15d53d75a8966448872ad3e1e30",
+    "constraint_report.json": "90b70459772cf684e533d7787f3b11496c4f5ac2f8fc489d8b2215aa1c45f199",
+    "failures.md": "de2c378125844a0f67867554c01bb604f84c144b08b3902e4bfbaa9acf13aacf",
+    "traces/baseline/seed_0_steps_0_119.jsonl": "f10e187c1fe6d59d5c8dc04a69b17ac28d29acdb85652cd284f3a7f5ee721320",
+    "traces/baseline/seed_1_steps_0_119.jsonl": "4e53010a309fe3f9e58134f23ae33dd7696d3c68d42940505090d751c5647fad",
+    "traces/flat_archive/seed_0_steps_0_119.jsonl": "e08568a33d16941db9e1f8e1704606ae202222d2d30c1ea9494f4f26d1ea169a",
+    "traces/flat_archive/seed_1_steps_0_119.jsonl": "4e53010a309fe3f9e58134f23ae33dd7696d3c68d42940505090d751c5647fad",
+}
+
+
+def test_output_bytes_of_a_two_seed_archive_grid(tmp_path, report_sha256):
+    config = parse_config(json.dumps({
+        "family": "B", "seeds": "0..1",
+        "env": {"n_events": 48, "landmark_drift": 0.02, "conflict_rate": 0.5},
+        "ablations": ["flat_archive"],
+    }))
+    write_report(run_grid(config, jobs=1), tmp_path)
+    summary = (tmp_path / "summary.csv").read_text()
+    assert "flat_archive/probes_median," in summary and "baseline/probes_p95," in summary
+    assert report_sha256(tmp_path) == ARCHIVE_REPORT_SHA256
 
 
 def test_chunk_size_changes_no_output(monkeypatch):

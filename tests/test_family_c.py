@@ -293,9 +293,13 @@ LOOP_GRID_SHA256 = {
 }
 
 
-# sha256 of failures.md and of each trace window the report writes for the
-# grids below.
+# sha256 of summary.csv, constraint_report.json, failures.md and each trace
+# window the report writes for the grids below.
 LOOP_REPORT_SHA256 = {
+    "decoys_False/summary.csv": "07b825977b2221000ecc7acead3040095dc5de1276cbe78ff58197b543a27c80",
+    "decoys_False/constraint_report.json": "2197af901cf3f3982a2ec2f00014d590284f1a9c065078495f8d04cd1f3f6142",
+    "decoys_True/summary.csv": "1afd40049eb6758effe42c1e9bed5574f1f181585d651253e5a6a455e1fcfe83",
+    "decoys_True/constraint_report.json": "2197af901cf3f3982a2ec2f00014d590284f1a9c065078495f8d04cd1f3f6142",
     "decoys_False/failures.md": "09972f472f47de8cef0bc793c4e2ce080ebcdafff8e0b7e1239a12d8241e7d35",
     "decoys_False/traces/baseline_diffusion_rate_0.0/seed_0_steps_0_8.jsonl": "81353484bfd125ac75b31e14612a711ba6bfc6a7a487530b219f19a8c8e41d42",
     "decoys_False/traces/baseline_diffusion_rate_0.0/seed_1_steps_0_2.jsonl": "6ea6364cb36f7c93dd525400ed4983683c7879a1491e996c01ba6fa8fb14dcec",

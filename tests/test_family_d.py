@@ -400,9 +400,11 @@ PLAN_GRID_SHA256 = {
 }
 
 
-# sha256 of failures.md and of each trace window the report writes for the
-# grid below.
+# sha256 of summary.csv, constraint_report.json, failures.md and each trace
+# window the report writes for the grid below.
 PLAN_REPORT_SHA256 = {
+    "summary.csv": "4cfe00118b63af0004985dc270f5b3bfc2db45095dd1dd21297d413b367826f4",
+    "constraint_report.json": "7e1f77705d04384bc2fd07fdc4ddf9e03f584bdc5c84adf52acdcbdef6a22b24",
     "failures.md": "7980b1c0fb461400a5a150ee736b7fe2deae39eb9095c462765788e498392a13",
     "traces/baseline_plan_length_12/seed_0_steps_0_5.jsonl": "9f24b9e2ffaabf0eab20d8c76536a92ab59501429bac7143454249ca3b7d0f22",
     "traces/baseline_plan_length_12/seed_2_steps_0_5.jsonl": "fdc98d718d6d74fe5a41e3c200051ea5fa755aadda13a1b0eaf53339a23ba115",
