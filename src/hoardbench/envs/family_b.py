@@ -35,7 +35,7 @@ from ..core.policy import (
 )
 from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
-from ..ledger import CostLedger, accrue
+from ..ledger import CostLedger, accrue, median, percentile
 from ..memory import (
     LandmarkSet,
     MemoryStore,
@@ -266,8 +266,8 @@ def run_family_b(
         "precision": precision,
         "confusion_rate": confusion_rate,
         "probes_mean": float(probe_arr.mean()),
-        "probes_median": float(np.median(probe_arr)),
-        "probes_p95": float(np.percentile(probe_arr, 95)),
+        "probes_median": median(probe_arr),
+        "probes_p95": percentile(probe_arr, 95),
         "episodes_stored": float(len(store)),
     }
     record.kappa_by_source = {"writes": write_kappa, "retrieval_probes": probe_kappa}

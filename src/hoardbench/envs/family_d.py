@@ -153,7 +153,8 @@ def _hill_climb(
 
     - a symbol: +1 per forbid_symbol, -1 per require_symbol, so that the
       presence of the symbol adds its weight to the violation count;
-    - an adjacent pair: +1 per forbid_adjacent;
+    - an adjacent pair (a, b), keyed by the int `a * alphabet + b`: +1 per
+      forbid_adjacent;
     - a symbol in one parity class of positions: +1 per parity_ban.
 
     The climb keeps the plan and, for each mentioned feature, how often the
@@ -161,7 +162,8 @@ def _hill_climb(
     feature is non-zero (for require_symbol: zero). Mutating `pos` from `old`
     to `new` touches only the counts of `old` and `new`, their counts in the
     parity class of `pos`, and the adjacent pairs through `pos` (at most two
-    leave and two arrive, and a leaving pair may equal an arriving one).
+    leave and two arrive, and a leaving pair may equal an arriving one); a
+    trial collects pair steps only when one of those pairs is a feature.
     Counts change only when the move is accepted. Features are dict keys, so
     memory grows with the constraints, not with `alphabet`.
 
@@ -175,7 +177,7 @@ def _hill_climb(
     evals = 1
 
     presence_w: dict[int, int] = {}
-    pair_w: dict[tuple[int, int], int] = {}
+    pair_w: dict[int, int] = {}
     parity_w: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for c in known:
         if c.kind == "forbid_symbol":
@@ -183,11 +185,12 @@ def _hill_climb(
         elif c.kind == "require_symbol":
             presence_w[c.a] = presence_w.get(c.a, 0) - 1
         elif c.kind == "forbid_adjacent":
-            pair_w[(c.a, c.b)] = pair_w.get((c.a, c.b), 0) + 1
+            key = c.a * alphabet + c.b
+            pair_w[key] = pair_w.get(key, 0) + 1
         else:
             parity_w[c.b][c.a] = parity_w[c.b].get(c.a, 0) + 1
     symbol_n = _feature_counts(presence_w, current)
-    pair_n = _feature_counts(pair_w, zip(current, current[1:]))
+    pair_n = _feature_counts(pair_w, (a * alphabet + b for a, b in zip(current, current[1:])))
     parity_n = (
         _feature_counts(parity_w[0], current[0::2]),
         _feature_counts(parity_w[1], current[1::2]),
@@ -211,28 +214,30 @@ def _hill_climb(
             delta -= class_w[old]
         if class_n.get(new) == 0:
             delta += class_w[new]
-        pair_steps = {}
+        pair_steps = None
         if pos:
-            left = current[pos - 1]
-            key = (left, old)
-            if key in pair_w:
-                pair_steps[key] = -1
-            key = (left, new)
-            if key in pair_w:
-                pair_steps[key] = 1
+            left = current[pos - 1] * alphabet
+            if left + old in pair_w:
+                pair_steps = {left + old: -1}
+            if left + new in pair_w:
+                pair_steps = pair_steps or {}
+                pair_steps[left + new] = 1
         if pos < last:
             # A pair through the right neighbour may equal one through
             # the left neighbour, so these steps add to the ones above.
             right = current[pos + 1]
-            key = (old, right)
+            key = old * alphabet + right
             if key in pair_w:
+                pair_steps = pair_steps or {}
                 pair_steps[key] = pair_steps.get(key, 0) - 1
-            key = (new, right)
+            key = new * alphabet + right
             if key in pair_w:
+                pair_steps = pair_steps or {}
                 pair_steps[key] = pair_steps.get(key, 0) + 1
-        for key, step in pair_steps.items():
-            n = pair_n[key]
-            delta += pair_w[key] * ((n + step > 0) - (n > 0))
+        if pair_steps:
+            for key, step in pair_steps.items():
+                n = pair_n[key]
+                delta += pair_w[key] * ((n + step > 0) - (n > 0))
         if delta > 0:
             continue
         current[pos] = new
@@ -242,8 +247,9 @@ def _hill_climb(
                 counts[old] -= 1
             if new in counts:
                 counts[new] += 1
-        for key, step in pair_steps.items():
-            pair_n[key] += step
+        if pair_steps:
+            for key, step in pair_steps.items():
+                pair_n[key] += step
     return tuple(current), evals
 
 

@@ -27,7 +27,7 @@ from . import __version__
 from .core.state import ConfigurationError, InputError, Trace
 from .envs import FAMILIES, RunRecord, STATUS_FAILED
 from .errors import is_finite_number
-from .ledger import CostLedger, aggregate, constraint_check
+from .ledger import BOOTSTRAP_RESAMPLES, CostLedger, aggregate, constraint_check, resampled
 from .rng import Substream
 
 WORST_RUNS_LISTED = 3
@@ -482,6 +482,11 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     deterministic replay away: `run_one(config, agent, seed, sweep_value,
     Trace())`.
 
+    summary.csv gives each variant's metrics over its completed seeds: mean,
+    median, p95 and a bootstrap 95% interval of the mean (`ledger.aggregate`,
+    one call per row). The bootstrap's index matrix is drawn once per seed
+    count, so every metric with that many seeds resamples the same seeds.
+
     timing.json holds the grid's wall clock plus `report_seconds` for this
     call; `trace_write_seconds`, the part of it spent encoding and writing
     trace windows; and `trace_replay_seconds`, the part spent re-running
@@ -526,6 +531,10 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
             fh.write(cell.record.to_json_line() + "\n")
 
     rows = []
+    # Seed count -> the bootstrap index matrix, drawn the first time a metric
+    # with that many seeds is resampled: the matrix a fresh
+    # `Substream(seed_start, "bootstrap")` would draw for each such metric.
+    resamples = {}
     for variant, records in by_variant.items():
         completed = [r for r in records if r.status != STATUS_FAILED]
         if len(completed) < 2:
@@ -547,8 +556,12 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
                     if r.status != STATUS_FAILED
                 ]
                 base_values = [v for v in base_values if v == v] or None
-            stream = Substream(config.seed_start, "bootstrap")
-            summary = aggregate(values, metric, stream, base_values)
+            n = len(values)
+            if n not in resamples and resampled(values):
+                resamples[n] = Substream(config.seed_start, "bootstrap").integers(
+                    0, n, size=(BOOTSTRAP_RESAMPLES, n)
+                )
+            summary = aggregate(values, metric, resamples.get(n), base_values)
             effect = summary.effect_size_vs_baseline
             rows.append(
                 (

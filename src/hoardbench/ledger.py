@@ -10,6 +10,13 @@ Compute burden (kappa) is accounted separately against a hard budget; runs
 that exhaust it end with a budget-exhausted outcome rather than an error.
 The goal-verdict constraint is judged with a Wilson 95% interval on the
 empirical success frequency.
+
+The report's statistics (median, percentiles, the bootstrap interval) go
+through `percentile` and `median`, which give `np.percentile` (linear) and
+`np.median` bit for bit, the sign of a zero included, without numpy's
+`np.unique` path and the `numpy.ma` import its first call costs. The
+bootstrap takes its index matrix from the caller, so one matrix per seed
+count serves every metric.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from math import inf
 import numpy as np
 
 from .core.state import InputError
-from .rng import Substream
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 BOOTSTRAP_RESAMPLES = 2000
@@ -167,17 +173,63 @@ class Summary:
     effect_size_vs_baseline: float | None = None
 
 
-def bootstrap_ci(
-    values: np.ndarray, stream: Substream, resamples: int = BOOTSTRAP_RESAMPLES
-) -> tuple[float, float]:
-    """Percentile bootstrap 95% interval for the mean."""
+def percentile(values, q: float) -> float:
+    """`np.percentile(values, q)` (linear method), bit for bit.
+
+    It partitions a copy at numpy's index set, sorted {0, -1, below, above},
+    so that of equal values (0.0 and -0.0) the same one lands at each index,
+    and interpolates the way numpy's `_lerp` does."""
+    a = np.array(values, dtype=float)
+    n = len(a)
+    virtual = (n - 1) * (q / 100)
+    if virtual >= n - 1:
+        below = above = -1
+    elif virtual < 0:
+        below = above = 0
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    a.partition(sorted({0, -1, below, above}))
+    if a[-1] != a[-1]:
+        return float(a[-1])  # NaN sorts last, and numpy returns it
+    lo, hi = float(a[below]), float(a[above])
+    t = virtual - below
+    d = hi - lo
+    return hi - d * (1 - t) if t >= 0.5 else lo + d * t
+
+
+def median(values) -> float:
+    """`np.median(values)`, bit for bit: the same partition, then a mean
+    summed from 0.0, so that the median of [-0.0] is 0.0 as numpy's is."""
+    a = np.array(values, dtype=float)
+    h = len(a) // 2
+    if len(a) % 2:
+        a.partition([h, -1])
+        mid = (0.0 + float(a[h])) / 1
+    else:
+        a.partition([h - 1, h, -1])
+        mid = (0.0 + float(a[h - 1]) + float(a[h])) / 2
+    return float(a[-1]) if a[-1] != a[-1] else mid
+
+
+def resampled(values) -> bool:
+    """Whether `bootstrap_ci` resamples `values`, so needs an index matrix:
+    two or more values, not all equal."""
+    return len(values) > 1 and np.ptp(values) != 0.0
+
+
+def bootstrap_ci(values, resamples: np.ndarray | None) -> tuple[float, float]:
+    """Percentile bootstrap 95% interval for the mean.
+
+    `resamples` is the bootstrap's index matrix, one row of `len(values)`
+    indices into `values` per resample (the report draws
+    BOOTSTRAP_RESAMPLES rows once per seed count). Values that are not
+    `resampled` need none: their interval is their mean."""
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n < 2 or np.ptp(values) == 0.0:
+    if not resampled(values):
         return float(values.mean()), float(values.mean())
-    idx = stream.integers(0, n, size=(resamples, n))
-    means = values[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+    means = values[resamples].mean(axis=1)
+    return percentile(means, 2.5), percentile(means, 97.5)
 
 
 def cohens_d(values: np.ndarray, baseline: np.ndarray) -> float:
@@ -199,20 +251,22 @@ def cohens_d(values: np.ndarray, baseline: np.ndarray) -> float:
 def aggregate(
     values: list[float],
     metric: str,
-    bootstrap_stream: Substream,
+    resamples: np.ndarray | None,
     baseline: list[float] | None = None,
 ) -> Summary:
-    """Mean, median, p95, bootstrap 95% CI, and effect size for one metric."""
+    """Mean, median, p95, bootstrap 95% CI, and effect size for one metric.
+    `resamples` is `bootstrap_ci`'s index matrix for `len(values)` seeds,
+    or None when the values are not `resampled`."""
     if len(values) < 2:
         raise InputError("aggregate requires at least two records")
     arr = np.asarray(values, dtype=float)
-    lo, hi = bootstrap_ci(arr, bootstrap_stream)
+    lo, hi = bootstrap_ci(arr, resamples)
     effect = cohens_d(arr, np.asarray(baseline, dtype=float)) if baseline else None
     return Summary(
         metric=metric,
         mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        p95=float(np.percentile(arr, 95)),
+        median=median(arr),
+        p95=percentile(arr, 95),
         ci_low=lo,
         ci_high=hi,
         n_seeds=len(values),

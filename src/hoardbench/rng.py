@@ -64,7 +64,8 @@ class Substream:
 
 class RunStreams:
     """The substreams one run draws from. The report's bootstrap draws from
-    its own `Substream(seed, "bootstrap")`."""
+    its own `Substream(seed_start, "bootstrap")`: one index matrix per seed
+    count, which every metric with that many seeds resamples with."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +144,32 @@ def test_a_key_set_to_no_effect_is_warned_of_on_stderr(tmp_path, capsys, documen
     captured = capsys.readouterr()
     assert captured.err == warning
     assert captured.out.startswith("wrote ")
+
+
+# Run a config through `cli.main` in a fresh interpreter, then print whether
+# numpy.ma was imported: numpy's quantile functions import it on first use.
+_NUMPY_MA_PROBE = """
+import sys
+from hoardbench import cli
+config, out = sys.argv[1:]
+assert cli.main(["run", "--config", config, "--out", out]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("document", [
+    {"family": "A", "env": {"trials": 1}, "ablations": ["no_feedback"]},
+    {"family": "B", "env": {"n_events": 16}, "ablations": ["flat_archive"]},
+    {"family": "C", "env": {"caches": 3}, "ablations": ["no_observer_model"]},
+    {"family": "D", "env": {"n_constraints": 8}, "ablations": ["single_agent"]},
+], ids=["A", "B", "C", "D"])
+def test_a_run_and_its_report_leave_numpy_ma_unimported(tmp_path, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**document, "seeds": "0..1"}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_PROBE, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "summary.csv").read_text().count("\n") > 1

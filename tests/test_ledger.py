@@ -7,16 +7,24 @@ from hypothesis import strategies as st
 
 from hoardbench.core.state import InputError
 from hoardbench.ledger import (
+    BOOTSTRAP_RESAMPLES,
     CostLedger,
     accrue,
     aggregate,
     bootstrap_ci,
     cohens_d,
     constraint_check,
+    median,
     objective_value,
+    percentile,
     wilson_interval,
 )
 from hoardbench.rng import Substream
+
+
+def _resamples(seed, n):
+    """The bootstrap index matrix the report draws for `n` seeds."""
+    return Substream(seed, "bootstrap").integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
 
 
 def test_zero_costs_leave_ledger_unchanged():
@@ -195,27 +203,91 @@ def test_constraint_check_requires_outcomes():
 
 
 def test_aggregate_identical_records_zero_width_ci():
-    s = aggregate([3.0] * 10, "m", Substream(0, "bootstrap"))
+    # Constant values are not resampled, so they need no index matrix.
+    s = aggregate([3.0] * 10, "m", None)
     assert s.ci_low == s.ci_high == s.mean == 3.0
 
 
 def test_aggregate_two_point_mean():
-    s = aggregate([0.0, 1.0], "m", Substream(0, "bootstrap"))
+    s = aggregate([0.0, 1.0], "m", _resamples(0, 2))
     assert s.mean == 0.5
 
 
 def test_bootstrap_matches_independent_reimplementation():
-    # Oracle: an independent bootstrap fed the same substream must agree to
-    # within 0.005.
+    # Oracle: an independent bootstrap fed the same index matrix must agree
+    # to within 0.005.
     values = np.asarray(Substream(5, "env").normal(0.0, 1.0, size=50))
-    lo, hi = bootstrap_ci(values, Substream(9, "bootstrap"))
+    lo, hi = bootstrap_ci(values, _resamples(9, 50))
 
-    stream = Substream(9, "bootstrap")
-    idx = stream.integers(0, 50, size=(2000, 50))
+    idx = Substream(9, "bootstrap").integers(0, 50, size=(2000, 50))
     means = sorted(values[idx[k]].mean() for k in range(2000))
     lo2 = float(np.percentile(np.asarray(means), 2.5))
     hi2 = float(np.percentile(np.asarray(means), 97.5))
     assert abs(lo - lo2) < 0.005 and abs(hi - hi2) < 0.005
+
+
+def _same(x, y):
+    """Equal floats of the same sign, a zero's included; NaN equals NaN."""
+    if x != x or y != y:
+        return x != x and y != y
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+_SIGNED = st.sampled_from([-0.0, 0.0, 1.0, -1.0, math.inf, -math.inf])
+_NORMAL = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(_SIGNED, min_size=1, max_size=60),
+                 st.lists(_NORMAL, min_size=1, max_size=60),
+                 st.lists(st.one_of(_SIGNED, _NORMAL, st.just(math.nan)), min_size=1,
+                          max_size=60)))
+@example([-0.0, 0.0])
+@example([0.0, -0.0, -0.0])
+@example([-0.0])
+@example([1.0, math.inf])
+def test_quantile_helpers_equal_numpy_bit_for_bit(values):
+    # The report writes "-0" for a negative zero, so the sign counts too.
+    arr = np.array(values)
+    with np.errstate(invalid="ignore"):  # numpy's inf - inf
+        for q in (0, 2.5, 50, 95, 97.5, 100):
+            assert _same(percentile(arr, q), float(np.percentile(values, q))), q
+        assert _same(median(arr), float(np.median(values)))
+    assert arr.tobytes() == np.array(values).tobytes()  # the helpers partition a copy
+
+
+def _stream_bootstrap_ci(values, stream, resamples=BOOTSTRAP_RESAMPLES):
+    """`bootstrap_ci` as it was when each metric drew its own index matrix
+    from a fresh bootstrap stream."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if n < 2 or np.ptp(values) == 0.0:
+        return float(values.mean()), float(values.mean())
+    idx = stream.integers(0, n, size=(resamples, n))
+    means = values[idx].mean(axis=1)
+    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+
+
+def test_one_index_matrix_per_seed_count_gives_every_metric_its_old_interval():
+    # The metrics of one report: per seed count, one shared matrix against
+    # a fresh stream per metric, for normal, tied, signed-zero, constant
+    # and infinite values.
+    draws = Substream(3, "env")
+    for n in (2, 3, 7, 40):
+        shared = _resamples(11, n)
+        metrics = [
+            draws.normal(0.0, 1.0, size=n),
+            draws.integers(0, 3, size=n).astype(float),
+            np.resize([-0.0, 0.0, -1.0], n),
+            np.full(n, -0.0),
+            np.resize([1.0, math.inf], n),
+        ]
+        for values in metrics:
+            with np.errstate(invalid="ignore"):
+                want = _stream_bootstrap_ci(values, Substream(11, "bootstrap"))
+                got = bootstrap_ci(values, shared)
+            assert all(map(_same, got, want)), (n, values)
+        assert shared.tobytes() == _resamples(11, n).tobytes()  # only read
 
 
 def test_cohens_d_sign_and_scale():
@@ -227,7 +299,7 @@ def test_cohens_d_sign_and_scale():
 
 def test_aggregate_requires_two_records():
     with pytest.raises(InputError):
-        aggregate([1.0], "m", Substream(0, "bootstrap"))
+        aggregate([1.0], "m", None)
 
 
 def test_ledger_validation():
