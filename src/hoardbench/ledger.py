@@ -174,7 +174,8 @@ class Summary:
 
 
 def percentile(values, q: float) -> float:
-    """`np.percentile(values, q)` (linear method), bit for bit.
+    """`np.percentile(values, q)` (linear method) of values that hold no
+    NaN, bit for bit.
 
     It partitions a copy at numpy's index set, sorted {0, -1, below, above},
     so that of equal values (0.0 and -0.0) the same one lands at each index,
@@ -190,8 +191,6 @@ def percentile(values, q: float) -> float:
         below = math.floor(virtual)
         above = below + 1
     a.partition(sorted({0, -1, below, above}))
-    if a[-1] != a[-1]:
-        return float(a[-1])  # NaN sorts last, and numpy returns it
     lo, hi = float(a[below]), float(a[above])
     t = virtual - below
     d = hi - lo
@@ -199,17 +198,16 @@ def percentile(values, q: float) -> float:
 
 
 def median(values) -> float:
-    """`np.median(values)`, bit for bit: the same partition, then a mean
-    summed from 0.0, so that the median of [-0.0] is 0.0 as numpy's is."""
+    """`np.median(values)` of values that hold no NaN, bit for bit: the
+    same partition, then a mean summed from 0.0, so that the median of
+    [-0.0] is 0.0 as numpy's is."""
     a = np.array(values, dtype=float)
     h = len(a) // 2
     if len(a) % 2:
         a.partition([h, -1])
-        mid = (0.0 + float(a[h])) / 1
-    else:
-        a.partition([h - 1, h, -1])
-        mid = (0.0 + float(a[h - 1]) + float(a[h])) / 2
-    return float(a[-1]) if a[-1] != a[-1] else mid
+        return (0.0 + float(a[h])) / 1
+    a.partition([h - 1, h, -1])
+    return (0.0 + float(a[h - 1]) + float(a[h])) / 2
 
 
 def resampled(values) -> bool:
