@@ -219,7 +219,8 @@ def test_bootstrap_matches_independent_reimplementation():
     values = np.asarray(Substream(5, "env").normal(0.0, 1.0, size=50))
     lo, hi = bootstrap_ci(values, _resamples(9, 50))
 
-    idx = Substream(9, "bootstrap").integers(0, 50, size=(2000, 50))
+    stream = Substream(9, "bootstrap")
+    idx = stream.integers(0, 50, size=(2000, 50))
     means = sorted(values[idx[k]].mean() for k in range(2000))
     lo2 = float(np.percentile(np.asarray(means), 2.5))
     hi2 = float(np.percentile(np.asarray(means), 97.5))
