@@ -5,7 +5,9 @@
     hoardbench validate --config experiment.json
 
 `run` and `validate` print `warning: config key ...` on stderr for each env
-key the config sets to no effect, and go on.
+key the config sets to no effect, and go on. `report --in` rewrites a
+results directory's reports from its runs.jsonl and resolved_config.json; it
+re-runs each listed cell that gets a trace window in failures.md.
 
 Exit codes: 0 on success, 1 on a configuration error, 2 when at least one
 run cell failed at runtime.
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .core.state import ConfigurationError, InputError
+from .envs import STATUS_FAILED
 from .harness import (
     config_warnings,
     load_result_set,
@@ -40,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="override output directory")
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
-    report = sub.add_parser("report", help="rebuild reports from a results directory")
+    report = sub.add_parser(
+        "report", help="rebuild reports from a results directory, re-running each listed "
+        "cell that gets a trace window")
     report.add_argument("--in", dest="input_dir", required=True)
 
     validate = sub.add_parser("validate", help="validate a config and echo it resolved")
@@ -90,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise _Unusable(f"cannot use output directory {config.output_dir}: {exc}") from exc
             result = run_grid(config, jobs=args.jobs)
             out = write_report(result, config.output_dir)
-            failed = sum(1 for c in result.cells if c.record.status == "failed")
+            failed = sum(1 for c in result.cells if c.record.status == STATUS_FAILED)
             print(f"wrote {len(result.cells)} run cells to {out} ({failed} failed)")
             return 2 if failed else 0
 

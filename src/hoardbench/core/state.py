@@ -84,12 +84,11 @@ class Trace:
     """Append-only step log with strictly increasing, gap-free step indices.
 
     `append` takes a record as its `_Shape` key and its values, and keeps
-    it compactly: its shape id, its snapshot's place when the key has
-    landmarks, and its values as floats, in key order, in one flat
-    `array('d')`, written through the shape's `%`-template, so no per-step
-    object outlives its step. A record's landmark snapshot is passed whole;
-    the trace holds each snapshot once, with its JSON encoded once, in a
-    table found by identity (equal tuples can differ in a zero's sign).
+    it compactly: its shape id and its values as floats, in key order, in
+    one flat `array('d')`, written through the shape's `%`-template, so no
+    per-step object outlives its step. A record's landmark snapshot is part
+    of its key, as the snapshot's JSON text, which the shape's template
+    holds.
 
     Each line is ``json.dumps(obj, separators=(",", ":"))`` of the record
     with every value passed through `float()`: the dict with keys step,
@@ -108,40 +107,25 @@ class Trace:
         self._floats = array("d")
         # Shape key -> its shape, in the order of their ids.
         self._shapes: dict[tuple, _Shape] = {}
-        # (snapshot, its JSON) per snapshot; holding it keeps its id, the
-        # key of `_snapshot_at`, from being reused.
-        self._snapshots: list[tuple[tuple, str]] = []
-        self._snapshot_at: dict[int, int] = {}
         self._count = 0
 
-    def append(self, step: int, key: tuple, *values: float, landmarks=None) -> None:
+    def append(self, step: int, key: tuple, *values: float) -> None:
         """Append the record of `_Shape` key `key` from its values in key
         order: the observation's values, each latent evidence's regressor
-        and response, the action's params, the option's params. `landmarks`
-        is its snapshot, not empty, when the key has landmarks, and must be
-        None otherwise. InputError, with nothing appended, for a record out
-        of step or holding a value that is not a number.
+        and response, the action's params, the option's params. InputError,
+        with nothing appended, for a record out of step or holding a value
+        that is not a number.
 
-        `values` may hold several records of a key without landmarks, one
-        after another, for steps `step`, `step + 1`, …; see `_append_rows`."""
+        `values` may hold several records of the key, one after another,
+        for steps `step`, `step + 1`, …; see `_append_rows`."""
         shape = self._shapes.get(key) or self._register(key)
-        if (shape.landmarks_at is None) == bool(landmarks):
-            raise InputError(f"landmarks {landmarks!r} do not fit trace shape key {key!r}")
         if step != self._count:
             raise InputError(f"trace step {step} != expected {self._count}")
         if len(values) != shape.width:
             self._append_rows(step, shape, values)
             return
         try:
-            if landmarks is None:
-                packed = shape.pack(shape.id, *values)
-            else:
-                place = self._snapshot_at.get(id(landmarks), len(self._snapshots))
-                packed = shape.pack(shape.id, place, *values)
-                if place == len(self._snapshots):
-                    text = _ENCODER.encode([list(t) for t in landmarks])
-                    self._snapshot_at[id(landmarks)] = place
-                    self._snapshots.append((landmarks, text))
+            packed = shape.pack(shape.id, *values)
         except _NOT_NUMBERS as error:
             raise InputError(f"trace values {values!r} of {key!r}: {error}") from None
         self._floats.frombytes(packed)
@@ -150,11 +134,9 @@ class Trace:
     def _append_rows(self, step: int, shape: "_Shape", values: tuple) -> None:
         """Append the records of `shape` whose values `values` holds row
         after row, the first at `step`, the next step. InputError, with
-        nothing appended, unless the shape has no landmarks and there is at
-        least one row, a whole number of them, all numbers."""
+        nothing appended, unless there is at least one row, a whole number
+        of them, all numbers."""
         width = shape.width
-        if shape.landmarks_at is not None:
-            raise InputError(f"{len(values)} values are not one record of {shape.key!r}")
         if not width or not values or len(values) % width:
             raise InputError(
                 f"{len(values)} values are not whole records of width {width} for {shape.key!r}")
@@ -174,9 +156,10 @@ class Trace:
 
     def _register(self, key: tuple) -> "_Shape":
         """`key`'s shape; InputError unless `key` is a record's shape key:
-        its observation keys, latent evidence names, landmarks flag, action
-        kind, action keys, option kind, option keys and visible flag, each
-        group of keys sorted, without repeats, and all str or all int."""
+        its observation keys, latent evidence names, landmark snapshot (its
+        JSON text, not empty, or None), action kind, action keys, option
+        kind, option keys and visible flag, each group of keys sorted,
+        without repeats, and all str or all int."""
         if type(key) is not tuple or len(key) != 8:
             raise InputError(f"not a trace shape key: {key!r}")
         obs_keys, evidence, landmarks, action_kind, action_keys, option_kind, option_keys, \
@@ -185,7 +168,7 @@ class Trace:
             all(type(keys) is tuple and _json_keys(keys) and keys == tuple(sorted(set(keys)))
                 for keys in (obs_keys, action_keys, option_keys))
             and type(evidence) is tuple and set(map(type, evidence)) <= {str}
-            and type(landmarks) is bool
+            and (landmarks is None or type(landmarks) is str and landmarks != "")
             and type(action_kind) is str
             and isinstance(option_kind, OptionKind)
             and type(visible) is bool
@@ -193,11 +176,6 @@ class Trace:
             raise InputError(f"not a trace shape key: {key!r}")
         shape = self._shapes[key] = _Shape(key, len(self._shapes))
         return shape
-
-    def __getstate__(self) -> dict:
-        # Ids mean nothing in another process, so the snapshot table travels
-        # without its index.
-        return {**self.__dict__, "_snapshot_at": {}}
 
     def __len__(self) -> int:
         return self._count
@@ -212,34 +190,22 @@ class Trace:
             raise InputError(f"trace window {start}..{stop} has a negative bound")
         floats = self._floats
         shapes = list(self._shapes.values())
-        texts = [text for _, text in self._snapshots]
         total = sum(floats)
         # Unless the sum is not finite, no float is, and `repr` writes each
         # as JSON does.
         number = _FLOAT_REPR if total - total == 0.0 else _json_number
         stop = self._count if stop is None else min(stop, self._count)
-        # Step over the records before `start`: each is its shape id, its
-        # snapshot's place when it has one, and its values.
+        # Step over the records before `start`: each is its shape id and its
+        # values.
         step = i = 0
         while step < min(start, stop):
-            shape = shapes[int(floats[i])]
-            i += 1 + (shape.landmarks_at is not None) + shape.width
+            i += 1 + shapes[int(floats[i])].width
             step += 1
         while step < stop:
             shape = shapes[int(floats[i])]
             first = i + 1
-            at = shape.landmarks_at
-            if at is None:
-                i = first + shape.width
-                yield shape.template % (step, *map(number, floats[first:i]))
-            else:
-                # The snapshot's place, then the values.
-                i = first + 1 + shape.width
-                split = first + 1 + at
-                yield shape.template % (
-                    step, *map(number, floats[first + 1:split]), texts[int(floats[first])],
-                    *map(number, floats[split:i]),
-                )
+            i = first + shape.width
+            yield shape.template % (step, *map(number, floats[first:i]))
             step += 1
 
     def to_jsonl(self) -> str:
@@ -290,22 +256,19 @@ def _json_keys(keys) -> bool:
 
 class _Shape:
     """The fixed part of a compact record. `key` is its sorted observation
-    keys, latent evidence names, landmarks flag, action kind, sorted action
-    keys, option kind, sorted option keys and visible flag; `id` its place
-    in its trace's shapes; `width` the number of its values, two per
-    evidence name (regressor, response). With landmarks, the snapshot's JSON
-    goes after the first `landmarks_at` values; else `landmarks_at` is
-    None.
+    keys, latent evidence names, landmark snapshot's JSON text (None for
+    none), action kind, sorted action keys, option kind, sorted option keys
+    and visible flag; `id` its place in its trace's shapes; `width` the
+    number of its values, two per evidence name (regressor, response).
 
-    `template` takes the step and then the values as text, the snapshot's
-    JSON at `landmarks_at`, and writes the record's JSON line, the line
-    `Trace` describes and the tests' record oracle writes.
-    `pack(id, [place,] *values)` packs the shape id, the snapshot's place
-    and the values as doubles for `array.frombytes`, which costs a third of
-    `array.extend`.
+    `template` takes the step and then the values as text and writes the
+    record's JSON line, the line `Trace` describes and the tests' record
+    oracle writes; the snapshot's text is part of the template, verbatim.
+    `pack(id, *values)` packs the shape id and the values as doubles for
+    `array.frombytes`, which costs a third of `array.extend`.
     """
 
-    __slots__ = ("key", "id", "width", "landmarks_at", "template", "pack")
+    __slots__ = ("key", "id", "width", "template", "pack")
 
     def __reduce__(self):
         # A `Struct`'s `pack` cannot be pickled; the shape is built again.
@@ -317,8 +280,7 @@ class _Shape:
         self.key = key
         self.id = shape_id
         self.width = len(obs_keys) + 2 * len(evidence) + len(action_keys) + len(option_keys)
-        self.landmarks_at = len(obs_keys) + 2 * len(evidence) if landmarks else None
-        self.pack = Struct(f"{1 + landmarks + self.width}d").pack
+        self.pack = Struct(f"{1 + self.width}d").pack
 
         def params(keys):
             return "{" + ",".join(_template_text(k) + ":%s" for k in keys) + "}"
@@ -327,7 +289,7 @@ class _Shape:
         self.template = (
             '{"step":%d,"observation":{"values":' + params(obs_keys)
             + (',"latent_evidence":[' + latent_evidence + "]" if evidence else "")
-            + (',"landmarks":%s' if landmarks else "") + "}"
+            + (',"landmarks":' + landmarks.replace("%", "%%") if landmarks else "") + "}"
             + ',"action":{"kind":' + _template_text(action_kind)
             + ',"params":' + params(action_keys) + "}"
             + ',"option_active":{"kind":' + _template_text(option_kind.value)

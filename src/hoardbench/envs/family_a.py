@@ -58,11 +58,11 @@ OPTION_SCHEMA = {
 # as action and as option; a stabilize step's are the observed error and
 # error rate, then the force.
 _LAUNCH_RECORD = (
-    ("error", "error_rate"), ("compliance",), False, "launch", ("impulse", "offset"),
+    ("error", "error_rate"), ("compliance",), None, "launch", ("impulse", "offset"),
     OptionKind.LAUNCH, ("impulse", "offset"), False,
 )
 _STABILIZE_RECORD = (
-    ("error", "error_rate"), (), False, "force", ("force",), OptionKind.STABILIZE, (), False)
+    ("error", "error_rate"), (), None, "force", ("force",), OptionKind.STABILIZE, (), False)
 
 @dataclass(frozen=True)
 class FamilyAConfig:

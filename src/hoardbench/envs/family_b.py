@@ -63,20 +63,6 @@ OPTION_SCHEMA = {
 }
 
 
-# The trace shape keys of a write and of a query. Each observes its phase
-# and that phase's landmark snapshot; a write digs at the cached item and
-# caches it, a query digs where the store's episode decodes to and
-# retrieves the queried item.
-_WRITE_RECORD = (
-    ("phase",), (), True, "dig", ("item_type", "item_value", "step", "x", "y"),
-    OptionKind.CACHE, ("item_type", "item_value", "x", "y"), False,
-)
-_QUERY_RECORD = (
-    ("phase",), (), True, "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type", "x", "y"),
-    False,
-)
-
-
 def _chunks(items):
     """Consecutive lists of up to `CHUNK` items."""
     it = iter(items)
@@ -157,11 +143,19 @@ def run_family_b(
     angles = streams.env.uniform(0.0, 2.0 * np.pi, size=n_conflict) if n_conflict else np.zeros(0)
     conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
-    # The trace's landmark snapshot of each phase: every write sees the
-    # original landmarks and every query the drifted ones, so each snapshot
-    # is built once and held and encoded once in the trace's table.
-    write_landmarks = landmarks.as_obs_tuples()
-    query_landmarks = drifted.as_obs_tuples()
+    # The trace shape keys of a write and of a query. Each observes its phase
+    # and that phase's landmark snapshot, the original landmarks for every
+    # write and the drifted ones for every query; a write digs at the cached
+    # item and caches it, a query digs where the store's episode decodes to
+    # and retrieves the queried item.
+    write_record = (
+        ("phase",), (), landmarks.to_json(), "dig", ("item_type", "item_value", "step", "x", "y"),
+        OptionKind.CACHE, ("item_type", "item_value", "x", "y"), False,
+    )
+    query_record = (
+        ("phase",), (), drifted.to_json(), "dig", ("x", "y"), OptionKind.RETRIEVE,
+        ("item_type", "x", "y"), False,
+    )
     step = 0
     write_kappa = 0.0
 
@@ -196,8 +190,8 @@ def run_family_b(
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
             # Values in key order: the phase, the dig's params, the cache's.
-            trace.append(len(trace), _WRITE_RECORD, 0.0, item_type, value, k, x, y,
-                         item_type, value, x, y, landmarks=write_landmarks)
+            trace.append(len(trace), write_record, 0.0, item_type, value, k, x, y,
+                         item_type, value, x, y)
         step += 1
 
     # Delay between storage and recall is structural: nothing decays, but the
@@ -238,8 +232,7 @@ def run_family_b(
         accrue(ledger, latency=1.0, compute=float(result.probes_used))
         if trace is not None:
             dig = result.decoded_location or (0.0, 0.0)
-            trace.append(len(trace), _QUERY_RECORD, 1.0, *dig, types[idx], *true_loc,
-                         landmarks=query_landmarks)
+            trace.append(len(trace), query_record, 1.0, *dig, types[idx], *true_loc)
 
         if result.episode is not None and result.decoded_location is not None:
             dx = result.decoded_location[0] - true_loc[0]

@@ -60,7 +60,7 @@ OPTION_SCHEMA = {
 # step's is a placeholder conceal at (0, 0) for 1 step.
 _CACHING_RECORD = {
     (kind, visible): (
-        ("phase",), (), False, kind, ("x", "y"),
+        ("phase",), (), None, kind, ("x", "y"),
         *((OptionKind.CACHE, ("col", "row")) if kind in ("cache", "recache")
           else (OptionKind.CONCEAL, ("col", "row", "steps"))),
         visible,

@@ -329,7 +329,7 @@ def run_family_d(
     step = 0
     # The trace shape key of a proposal: the repair round it is proposed
     # in, and the plan's symbols keyed by position.
-    plan_record = (("round",), (), False, "plan", tuple(range(env.plan_length)),
+    plan_record = (("round",), (), None, "plan", tuple(range(env.plan_length)),
                    OptionKind.PROPOSE, (), False)
 
     while True:

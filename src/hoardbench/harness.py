@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,14 +32,6 @@ from .rng import Substream
 WORST_RUNS_LISTED = 3
 # The steps a trace window holds before its signal's segment starts.
 LEAD_IN = 20
-
-LEDGER_DEFAULTS: dict[str, float] = {
-    "lambda_latency": 0.01,
-    "lambda_leak": 1.0,
-    "lambda_repair": 0.1,
-    "budget": 1e9,
-    "delta": 0.1,
-}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -131,9 +122,9 @@ def _build_agent(family: str, block: dict) -> dict:
 
 
 def _build_ledger(block: dict) -> dict:
-    out = dict(LEDGER_DEFAULTS)
+    out = {f.name: f.default for f in dataclasses.fields(CostLedger) if f.init}
     for key, value in block.items():
-        if key not in LEDGER_DEFAULTS:
+        if key not in out:
             raise _fail(f"ledger.{key}", "unknown key")
         if not is_finite_number(value):
             raise _fail(f"ledger.{key}", "expected a finite number")
@@ -306,19 +297,11 @@ class CellResult:
 
 @dataclass
 class ResultSet:
-    """A grid's cells. `loaded_from` is the results directory the set was
-    read back from by `load_result_set`, else None."""
+    """A grid's cells."""
 
     config: ExperimentConfig
     cells: list[CellResult] = field(default_factory=list)
     wallclock: dict[str, float] = field(default_factory=dict)
-    loaded_from: Path | None = None
-
-    def by_variant(self) -> dict[str, list[RunRecord]]:
-        out: dict[str, list[RunRecord]] = {}
-        for cell in self.cells:
-            out.setdefault(cell.variant, []).append(cell.record)
-        return out
 
     def any_failed(self) -> bool:
         return any(c.record.status == STATUS_FAILED for c in self.cells)
@@ -338,8 +321,8 @@ def run_one(
     In a sweep, `sweep_value` replaces the swept env key, None included.
     `record_into` records the steps of a grid cell, as every grid cell does.
     `trace` is for a failure-trace replay: re-running a cell only to record
-    its steps, which `report --in` does when a listed trace window's file is
-    missing, and which gives any cell's whole trace.
+    its steps, which `report --in` does for each listed cell that gets a
+    trace window, and which gives any cell's whole trace.
     Both fill the Trace the same way; they stay apart because a call with
     `trace` is a replay, and perfbench's span tracer (`perfbench/tracing.py`)
     counts it as one rather than as a grid cell.
@@ -476,11 +459,12 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     constraint_report.json, failures.md, traces/ with a window of each
     listed cell's trace around its first failing signal (see
     `_write_failures`), and timing.json (the only file allowed to differ
-    between identical runs). The report encodes windows of the traces the
-    grid kept and runs no cell again, except under `report --in` for a
-    listed window whose file is missing. A whole trace stays one
-    deterministic replay away: `run_one(config, agent, seed, sweep_value,
-    Trace())`.
+    between identical runs). Every window file of the grid's variants is
+    cleared first, so the directory holds no window of another run. The
+    report encodes windows of the traces the grid kept; results read back by
+    `load_result_set` carry none, so under `report --in` each listed cell
+    that gets a window is run again. A whole trace stays one deterministic
+    replay away: `run_one(config, agent, seed, sweep_value, Trace())`.
 
     summary.csv gives each variant's metrics over its completed seeds: mean,
     median, p95 and a bootstrap 95% interval of the mean (`ledger.aggregate`,
@@ -491,12 +475,10 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     call; `trace_write_seconds`, the part of it spent encoding and writing
     trace windows; and `trace_replay_seconds`, the part spent re-running
     listed cells to record their traces, their files included. The replay
-    seconds are 0.0 after `hoardbench run`, and both are 0.0 for a
-    re-report of the directory the results were loaded from that finds every
-    listed window file there. `cell_seconds` maps variant, then seed, to the
-    wall seconds each cell took in the grid, measured inside the worker
-    that ran it; a seed's first variant there carries what its variants share
-    (D's universe). Results read back from a directory carry the grid's wall
+    seconds are 0.0 after `hoardbench run`. `cell_seconds` maps variant,
+    then seed, to the wall seconds each cell took in the grid, measured
+    inside the worker that ran it; a seed's first variant there carries what
+    its variants share (D's universe). Results read back from a directory carry the grid's wall
     clock and cell seconds from its timing.json, so a re-report keeps them.
     """
     started = time.monotonic()
@@ -515,16 +497,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     for cell in ordered:
         by_variant.setdefault(cell.variant, []).append(cell.record)
 
-    # Only a re-report of the directory the results came from may reuse the
-    # window files there. Otherwise every window file of the grid's variants
-    # is cleared before runs.jsonl is written, so that a report cut short
-    # cannot leave an older run's windows where a later `report --in` would
-    # take them.
-    reuse = result.loaded_from is not None and result.loaded_from.resolve() == out.resolve()
-    if not reuse:
-        for variant in by_variant:
-            for path in (out / "traces" / _safe(variant)).glob("seed_*_steps_*_*.jsonl"):
-                path.unlink()
+    for variant in by_variant:
+        for path in (out / "traces" / _safe(variant)).glob("seed_*_steps_*_*.jsonl"):
+            path.unlink()
 
     with open(out / "runs.jsonl", "w") as fh:
         for cell in ordered:
@@ -594,7 +569,7 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, out, reuse)
+    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, out)
 
     cell_seconds: dict[str, dict[str, float]] = {}
     for cell in ordered:
@@ -665,22 +640,6 @@ def _window_path(variant: str, seed: int, first: int, last: int) -> Path:
     return Path("traces") / _safe(variant) / f"seed_{seed}_steps_{first}_{last}.jsonl"
 
 
-_WINDOW_NAME = re.compile(r"seed_\d+_steps_(\d+)_(\d+)\.jsonl")
-
-
-def _window_on_disk(out: Path, variant: str, seed: int, signal: dict) -> tuple[int, int] | None:
-    """The window of `signal` that a file in `out` holds for the cell, by
-    the range its name gives; None when no file's range is one `_window`
-    gives for `signal`, whatever the trace's length."""
-    for path in (out / "traces" / _safe(variant)).glob(f"seed_{seed}_steps_*.jsonl"):
-        match = _WINDOW_NAME.fullmatch(path.name)
-        if match:
-            first, last = int(match[1]), int(match[2])
-            if last <= signal["segment"][1] and _window(signal, last + 1) == (first, last):
-                return first, last
-    return None
-
-
 def _describe(signal: dict | None) -> str:
     if signal is None:
         return "none"
@@ -692,7 +651,7 @@ def _describe(signal: dict | None) -> str:
 
 
 def _write_failures(
-    result: ResultSet, variants: dict, by_variant: dict, out: Path, reuse: bool
+    result: ResultSet, variants: dict, by_variant: dict, out: Path
 ) -> tuple[float, float]:
     """Write failures.md: per variant, the error of every failed cell, then
     the first `WORST_RUNS_LISTED` completed runs by `_rank`. Each listed run
@@ -703,12 +662,11 @@ def _write_failures(
     A listed run with either signal gets a trace window around the earlier
     one (`_window_signal`, `_window`), and failures.md gives the steps the
     file holds; a run with neither gets no file. The window is cut from the
-    trace the grid kept or, with `reuse`, is the file already there.
-    Results read back by `load_result_set` carry no traces, so for them a
-    missing window is recorded by re-running the cell (determinism makes the
-    replay exact); `variants` is `_variant_table` of the config. Returns the
-    seconds spent on re-runs, their window files included, and the seconds
-    spent encoding and writing window files."""
+    trace the grid kept. Results read back by `load_result_set` carry no
+    traces, so for them each window is recorded by re-running its cell
+    (determinism makes the replay exact); `variants` is `_variant_table` of
+    the config. Returns the seconds spent on re-runs, their window files
+    included, and the seconds spent encoding and writing window files."""
     config = result.config
     lines = [
         "# Representative failures",
@@ -743,7 +701,7 @@ def _write_failures(
             if signal is not None:
                 where, replayed, written = _write_window(
                     config, agent, sweep_value, variant, record.seed, signal,
-                    recorded.get((variant, record.seed)), out, reuse,
+                    recorded.get((variant, record.seed)), out,
                 )
                 replay_seconds += replayed
                 write_seconds += written
@@ -762,27 +720,24 @@ def _write_failures(
 
 def _write_window(
     config: ExperimentConfig, agent: dict, sweep_value, variant: str, seed: int, signal: dict,
-    trace: Trace | None, out: Path, reuse: bool,
+    trace: Trace | None, out: Path,
 ) -> tuple[str, float, float]:
-    """Write, or with `reuse` find, one listed cell's window around
-    `signal`, replaying the cell when there is neither `trace` nor a file.
-    Returns what failures.md says of it, the replay seconds and the write
-    seconds."""
-    window = _window_on_disk(out, variant, seed, signal) if trace is None and reuse else None
-    replay = trace is None and window is None
+    """Write one listed cell's window around `signal`, replaying the cell
+    when there is no `trace`. Returns what failures.md says of it, the
+    replay seconds and the write seconds."""
+    replay = trace is None
     started = time.monotonic()
     write_started = None
     try:
         if replay:
             trace = Trace()
             run_one(config, agent, seed, sweep_value, trace)
-        if trace is not None:
-            window = _window(signal, len(trace))
-            write_started = time.monotonic()
-            path = out / _window_path(variant, seed, *window)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            trace.write_jsonl(path, window[0], window[1] + 1)
-        where = f"{_window_path(variant, seed, *window)} (steps {window[0]}..{window[1]})"
+        first, last = _window(signal, len(trace))
+        write_started = time.monotonic()
+        path = _window_path(variant, seed, first, last)
+        (out / path).parent.mkdir(parents=True, exist_ok=True)
+        trace.write_jsonl(out / path, first, last + 1)
+        where = f"{path} (steps {first}..{last})"
     except Exception as exc:  # a trace must never sink the report
         where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
     finished = time.monotonic()
@@ -807,7 +762,7 @@ def load_result_set(directory: str | Path) -> ResultSet:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    result = ResultSet(config=parse_config(text), loaded_from=directory)
+    result = ResultSet(config=parse_config(text))
     variants = _variant_table(result.config)
     seeds = result.config.seeds()
     seen: set[tuple[str, int]] = set()

@@ -22,7 +22,7 @@ count serves every metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 import numpy as np
@@ -44,12 +44,16 @@ class CostLedger:
     budget: float = 1e9
     delta: float = 0.1
 
-    task_cost: float = 0.0
-    latency_cost: float = 0.0
-    leak_cost: float = 0.0
-    repair_cost: float = 0.0
-    compute_used: float = 0.0
-    exhausted: bool = False
+    # The running sums, which only `accrue` sets. Each starts at 0.0 or False
+    # from a factory, so that it lives on the instance from the start; a
+    # plain default would be read from the class until first set, at twice
+    # the cost of the per-step reads.
+    task_cost: float = field(default_factory=float, init=False)
+    latency_cost: float = field(default_factory=float, init=False)
+    leak_cost: float = field(default_factory=float, init=False)
+    repair_cost: float = field(default_factory=float, init=False)
+    compute_used: float = field(default_factory=float, init=False)
+    exhausted: bool = field(default_factory=bool, init=False)
 
     def __post_init__(self):
         # Each test fails on NaN; an infinite budget is no budget.

@@ -36,6 +36,7 @@ each through `write`; the records are bit-identical to one `write` per item.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -115,10 +116,11 @@ class LandmarkSet:
         except KeyError:
             raise ValueError(f"unknown landmark id {landmark_id!r}") from None
 
-    def as_obs_tuples(self) -> tuple[tuple[int, float, float], ...]:
-        return tuple(
-            (i, float(x), float(y)) for i, (x, y) in zip(self.ids, self.positions)
-        )
+    def to_json(self) -> str:
+        """The landmarks as compact JSON, a list of [id, x, y]: a trace
+        record's landmark snapshot."""
+        return json.dumps([[i, x, y] for i, (x, y) in zip(self.ids, self.positions.tolist())],
+                          separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ def outputs_by_jobs(tmp_path):
 
     Every grid cell records its trace, in the pool as in one process, so
     neither report re-runs a cell. The replay is the oracle: with the
-    `--jobs 1` run's trace windows deleted, `report --in` re-runs the cells
-    they came from and must write the same files. Either run's timing.json
-    must give the seconds of every cell in runs.jsonl."""
+    `--jobs 1` run's trace windows deleted, `report --in` re-runs every
+    listed cell that gets a window and must write the same files. Either
+    run's timing.json must give the seconds of every cell in runs.jsonl."""
 
     def run(document: dict) -> dict:
         config = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import importlib.util
+import marshal
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,27 @@ def test_fresh_copy_takes_src_from_one_side_and_the_benchmark_from_the_other(tmp
     assert not (copy / "src" / "__pycache__").exists()
     assert (copy / "perfbench" / "run.py").read_text() == "a"
     assert (copy / "BENCHMARK.json").read_text() == "a"
+
+
+def test_each_copy_is_compiled_from_its_own_source(tmp_path):
+    tool = _tool()
+    for side in ("a", "b"):
+        for tree in ("src/pkg", "perfbench"):
+            (tmp_path / side / tree).mkdir(parents=True)
+            (tmp_path / side / tree / "mod.py").write_text(f"SIDE = {side!r}\n")
+        (tmp_path / side / "src" / "pkg" / "__init__.py").write_text(f"SIDE = {side!r}\n")
+        (tmp_path / side / "BENCHMARK.json").write_text(side)
+    copies = {side: tool.fresh_copy(tmp_path / side, tmp_path / "a", tmp_path / f"copy_{side}")
+              for side in ("a", "b")}
+    for copy in copies.values():
+        tool.compile_copy(copy)
+    for side, copy in copies.items():
+        sources = sorted(copy.rglob("*.py"))
+        assert len(sources) == 3
+        for source in sources:
+            cached = Path(importlib.util.cache_from_source(source))
+            # The bytecode of the source it sits beside: perfbench is the
+            # parent's on both sides, src the side's own.
+            expected = "a" if source.parent.name == "perfbench" else side
+            assert source.read_text() == f"SIDE = {expected!r}\n"
+            assert marshal.loads(cached.read_bytes()[16:]).co_consts[0] == expected

@@ -106,18 +106,24 @@ def _record(step):
     )
 
 
+def _snapshot_text(landmarks):
+    """A shape key's snapshot group for these (id, x, y) triples: their JSON
+    text, or None for none."""
+    return _ENCODER.encode([list(t) for t in landmarks]) if landmarks else None
+
+
 def _append(trace, record):
     """Append `record` through its shape key and its values in key order."""
     obs, action, option = record.observation, record.action, record.option_active
     obs_keys, action_keys, option_keys = (
         tuple(sorted(params)) for params in (obs.values, action.params, option.params))
-    key = (obs_keys, tuple(e.name for e in obs.latent_evidence), bool(obs.landmarks),
+    key = (obs_keys, tuple(e.name for e in obs.latent_evidence), _snapshot_text(obs.landmarks),
            action.kind, action_keys, option.kind, option_keys, record.observed_by_adversary)
     values = ([obs.values[k] for k in obs_keys]
               + [v for e in obs.latent_evidence for v in (e.regressor, e.response)]
               + [action.params[k] for k in action_keys]
               + [option.params[k] for k in option_keys])
-    trace.append(record.step, key, *values, landmarks=obs.landmarks or None)
+    trace.append(record.step, key, *values)
 
 
 def _float_line(record):
@@ -216,8 +222,9 @@ _snapshots = st.lists(
 @st.composite
 def _traces(draw):
     # A small pool of snapshots, so records alternate between them and
-    # repeat them. Each has an equal copy that is another object, and an
-    # equal twin that prints differently: its zeros carry the other sign.
+    # repeat them. Each has an equal copy, which shares its shape, and an
+    # equal twin that prints differently, so has a shape of its own: its
+    # zeros carry the other sign.
     pool = draw(st.lists(_snapshots, min_size=1, max_size=3))
     pool += [tuple(tuple(t) for t in s) for s in pool] + [
         tuple((i, x if x else -x, y if y else -y) for i, x, y in s) for s in pool
@@ -302,9 +309,9 @@ _coordinates = st.sampled_from((0.0, -0.0, 0.5, 1, math.inf)) | st.floats(allow_
 
 @st.composite
 def _snapshot_pool(draw):
-    """A few landmark snapshots, each with an equal copy that is another
-    object and a signed-zero twin: equal too, but its zeros carry the other
-    sign, which JSON writes."""
+    """A few landmark snapshots, each with an equal copy, which gives the
+    same shape key, and a signed-zero twin: equal too, but its zeros carry
+    the other sign, which JSON writes, so its key is another."""
     pool = draw(st.lists(
         st.lists(st.tuples(st.integers(0, 30), _coordinates, _coordinates),
                  min_size=1, max_size=3).map(tuple),
@@ -319,8 +326,8 @@ def _snapshot_pool(draw):
 def _mixed_records(draw):
     # A few shapes that records come back to, with kinds drawn from a small
     # set, so shapes share kinds and take turns. Landmark records draw their
-    # snapshot object from a small pool, so they share one, alternate
-    # between two, and meet equal objects that are not the same one.
+    # snapshot from a small pool, so they share one, alternate between two,
+    # and meet equal snapshots that JSON writes differently.
     snapshots = draw(_snapshot_pool())
     shapes = draw(st.lists(
         st.tuples(
@@ -360,9 +367,9 @@ def _plan_records():
 
 
 def _landmark_records():
-    # One snapshot object per phase, shared by every record of the phase;
-    # then a copy of the first, equal but another object, and its
-    # signed-zero twin.
+    # One snapshot per phase, shared by every record of the phase; then a
+    # copy of the first, which shares its shape, and its signed-zero twin,
+    # which does not.
     write = ((0, 0.25, -0.0), (1, 0.5, 0.75))
     query = ((0, 0.25, 0.0), (1, 0.5, 0.5))
     records = []
@@ -397,7 +404,7 @@ def test_compact_trace_writes_each_records_own_json_line(records):
 
 
 def test_plan_action_int_keys_are_written_as_json_strings_in_numeric_order():
-    key = (("round",), (), False, "plan", tuple(range(12)), OptionKind.PROPOSE, (), False)
+    key = (("round",), (), None, "plan", tuple(range(12)), OptionKind.PROPOSE, (), False)
     trace = Trace()
     trace.append(0, key, 0, *(k % 5 for k in range(12)))
     line = trace.to_jsonl().splitlines()[0]
@@ -418,10 +425,9 @@ def test_compact_records_keep_no_per_step_object():
     launch, stabilize = trace._shapes.values()
     assert (launch.width, stabilize.width) == (8, 3)
     assert len(trace._floats) == trials * (1 + 8) + (len(trace) - trials) * (1 + 3)
-    assert len(trace) > 2 * trials and trace._snapshots == []
+    assert len(trace) > 2 * trials
     assert {name: type(value) for name, value in vars(trace).items()} == {
-        "_floats": array, "_shapes": dict, "_snapshots": list, "_snapshot_at": dict,
-        "_count": int}
+        "_floats": array, "_shapes": dict, "_count": int}
 
 
 def _family_b_trace():
@@ -432,27 +438,33 @@ def _family_b_trace():
 
 
 def test_pickled_trace_keeps_its_snapshots_but_not_their_ids():
+    # B's writes and queries have a shape each, whose key holds the phase's
+    # snapshot as JSON text. A trace shipped back from a pool worker writes
+    # the same bytes. It finds a shape by its key's value, not by object: a
+    # key rebuilt from the snapshot's triples takes the shape it has.
     trace = _family_b_trace()
-    expected = trace.to_jsonl()
+    write, query = trace._shapes
+    assert type(write[2]) is type(query[2]) is str and write[2] != query[2]
     restored = pickle.loads(pickle.dumps(trace))
-    assert restored.to_jsonl() == expected
-    # Ids mean nothing in another process. Free the snapshots the pickled
-    # trace held, then append snapshots of their size, which CPython often
-    # puts at a freed one's address and so gives its id: each gets its own
-    # entry, and every line is still the record's own.
-    held = {id(snapshot) for snapshot, _ in trace._snapshots}
-    size = len(trace._snapshots[0][0])
-    del trace
-    fresh = [tuple((i, float(j), -0.0) for i in range(size)) for j in range(50)]
-    reused = [s for s in fresh if id(s) in held] or fresh[:1]
-    key = (("phase",), (), True, "noop", (), OptionKind.CACHE, (), False)
-    for snapshot in reused + reused:
-        step = len(restored)
-        restored.append(step, key, 1.0, landmarks=snapshot)
-        expected += _float_line(TraceRecord(step, Observation({"phase": 1.0}, landmarks=snapshot),
-                                            Action("noop"), OptionChoice(OptionKind.CACHE), False))
-    assert len(restored._snapshots) == 2 + len(reused)
-    assert restored.to_jsonl() == expected
+    assert restored.to_jsonl() == trace.to_jsonl()
+    rebuilt = query[:2] + (_ENCODER.encode(json.loads(query[2])),) + query[3:]
+    assert rebuilt == query and rebuilt[2] is not query[2]
+    steps = [(key, (0.5,) * restored._shapes[key].width) for key in (rebuilt, write, query)]
+    records = _feed(restored, steps, len(restored))
+    assert list(restored._shapes) == [write, query]
+    assert "".join(restored.jsonl_lines(len(trace))) == _lines(records)
+
+
+def test_a_snapshot_text_is_written_verbatim():
+    # The snapshot's text is part of the shape's `%`-template, so a `%` in
+    # it must be written as it is, not read as a conversion.
+    snapshot = ((0, "%s", 0.5), (1, "%d%%", -0.0))
+    key = _shape_key(("phase",), "dig", ("x",), OptionKind.RETRIEVE, (), False, snapshot)
+    trace = Trace()
+    trace.append(0, key, 1.0, 0.25, 1, 0.5)
+    assert trace.to_jsonl() == _lines([_record_of(0, key, (1.0, 0.25)),
+                                       _record_of(1, key, (1, 0.5))])
+    assert '"landmarks":[[0,"%s",0.5],[1,"%d%%",-0.0]]}' in trace.to_jsonl()
 
 
 # Records given as a shape key and values against the same oracle, in
@@ -473,20 +485,23 @@ def _float_value(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible, landmarks=False,
+def _shape_key(obs_keys, kind, action_keys, option_kind, option_keys, visible, snapshot=(),
                evidence=()):
-    return (tuple(sorted(obs_keys)), evidence, landmarks, kind, tuple(sorted(action_keys)),
-            option_kind, tuple(sorted(option_keys)), visible)
+    """The shape key of these groups, with `snapshot`'s (id, x, y) triples as
+    its snapshot text."""
+    return (tuple(sorted(obs_keys)), evidence, _snapshot_text(snapshot), kind,
+            tuple(sorted(action_keys)), option_kind, tuple(sorted(option_keys)), visible)
 
 
 _STABILIZE_KEY = _shape_key(("error", "error_rate"), "force", ("force",), OptionKind.STABILIZE,
                             (), False)
 
 
-def _record_of(step, key, values, landmarks=None):
-    """The record `append(step, key, *values, landmarks=landmarks)` stands
-    for."""
-    obs_keys, evidence, _, kind, action_keys, option_kind, option_keys, visible = key
+def _record_of(step, key, values):
+    """The record `append(step, key, *values)` stands for; its snapshot is
+    the one whose text the key holds."""
+    obs_keys, evidence, snapshot, kind, action_keys, option_kind, option_keys, visible = key
+    landmarks = tuple(map(tuple, json.loads(snapshot))) if snapshot else ()
     a = len(obs_keys)
     b = a + 2 * len(evidence)
     c = b + len(action_keys)
@@ -495,7 +510,7 @@ def _record_of(step, key, values, landmarks=None):
         Observation(dict(zip(obs_keys, values[:a])),
                     tuple(LatentEvidence(name, *values[a + 2 * i:a + 2 * i + 2])
                           for i, name in enumerate(evidence)),
-                    landmarks or ()),
+                    landmarks),
         Action(kind, dict(zip(action_keys, values[b:c]))),
         OptionChoice(option_kind, dict(zip(option_keys, values[c:]))), visible,
     )
@@ -503,12 +518,12 @@ def _record_of(step, key, values, landmarks=None):
 
 @st.composite
 def _float_steps(draw):
-    """(key, values, snapshot) to append, or a record for `_append`, per
-    step. A key with landmarks takes a snapshot from a small pool that holds
-    equal copies and signed-zero twins; other keys take None."""
+    """(key, values) to append, or a record for `_append`, per step. A key
+    with landmarks holds a snapshot from a small pool that holds equal
+    copies and signed-zero twins."""
     snapshots = draw(_snapshot_pool())
-    keys = draw(st.lists(
-        st.builds(_shape_key, _key_sets, st.sampled_from(["force", "%s"]), _key_sets,
+    groups = draw(st.lists(
+        st.tuples(_key_sets, st.sampled_from(["force", "%s"]), _key_sets,
                   st.sampled_from([OptionKind.STABILIZE, OptionKind.CACHE]), _key_sets,
                   st.booleans(), st.booleans(),
                   st.sampled_from([(), ("compliance",), ("%s", '"')])),
@@ -516,14 +531,15 @@ def _float_steps(draw):
     ))
     steps = []
     for step in range(draw(st.integers(0, 14))):
-        key = draw(st.sampled_from(keys))
+        *fields, landmarks, evidence = draw(st.sampled_from(groups))
+        snapshot = draw(st.sampled_from(snapshots)) if landmarks else ()
+        key = _shape_key(*fields, snapshot, evidence)
         width = len(key[0]) + 2 * len(key[1]) + len(key[4]) + len(key[6])
         values = tuple(draw(_float_value()) for _ in range(width))
-        snapshot = draw(st.sampled_from(snapshots)) if key[2] else None
         if draw(st.integers(0, 3)) == 0:
-            steps.append(_record_of(step, key, values, snapshot))
+            steps.append(_record_of(step, key, values))
         else:
-            steps.append((key, values, snapshot))
+            steps.append((key, values))
     return steps
 
 
@@ -535,9 +551,9 @@ def _feed(trace, steps, start=0):
             record = dataclasses.replace(item, step=step)
             _append(trace, record)
         else:
-            key, values, snapshot = item
-            trace.append(step, key, *values, landmarks=snapshot)
-            record = _record_of(step, key, values, snapshot)
+            key, values = item
+            trace.append(step, key, *values)
+            record = _record_of(step, key, values)
         records.append(record)
     return records
 
@@ -547,9 +563,9 @@ def _stabilize_steps():
     # after a landing record that carries latent evidence.
     steps = [_launch(0, error=0.1)]
     for x in _EDGE_FLOATS:
-        steps += [(_STABILIZE_KEY, (x, 0.25, -1.5), None), (_STABILIZE_KEY, (0.25, x, 1.0), None),
-                  (_STABILIZE_KEY, (1.0, 2.0, x), None)]
-    steps.append((_STABILIZE_KEY, (1, 0.5, True), None))
+        steps += [(_STABILIZE_KEY, (x, 0.25, -1.5)), (_STABILIZE_KEY, (0.25, x, 1.0)),
+                  (_STABILIZE_KEY, (1.0, 2.0, x))]
+    steps.append((_STABILIZE_KEY, (1, 0.5, True)))
     return steps
 
 
@@ -569,36 +585,36 @@ def test_float_entry_point_writes_each_records_own_json_line(steps, more):
     assert restored.to_jsonl() == _lines(records)
 
 
-_FORCE_KEY = (("error",), (), False, "force", ("force",), OptionKind.STABILIZE, (), False)
-_FORCE_KEY_WITH_LANDMARKS = (("error",), (), True, "force", ("force",), OptionKind.STABILIZE, (),
-                             False)
+_FORCE_KEY = (("error",), (), None, "force", ("force",), OptionKind.STABILIZE, (), False)
 
 
-@pytest.mark.parametrize("calls", [
-    [((("error_rate", "error"), (), False, "force", ("force",), OptionKind.STABILIZE, (), False),
-      None)],
-    # A key with landmarks and no snapshot or an empty one; a snapshot with
-    # a key without landmarks.
-    [(_FORCE_KEY_WITH_LANDMARKS, None), (_FORCE_KEY_WITH_LANDMARKS, ()),
-     (_FORCE_KEY, ((0, 0.5, 0.5),))],
-    [((("error",), (), False, "force", ("force",), "stabilize", (), False), None)],
-    [((("error",), (), False, "force", ("force",), OptionKind.STABILIZE, (), 0), None)],
-    [((("error", "error"), (), False, "force", (), OptionKind.STABILIZE, (), False), None)],
-    [((("error",), (), False, "force", (True,), OptionKind.STABILIZE, (), False), None),
-     ((("error",), (), False, "force", (1.0,), OptionKind.STABILIZE, (), False), None)],
-    [((("error",), (1,), False, "force", (), OptionKind.STABILIZE, (), False), None),
-     ((("error",), (("compliance",),), False, "force", (), OptionKind.STABILIZE, (), False),
-      None)],
+def _with_snapshot(text):
+    return _FORCE_KEY[:2] + (text,) + _FORCE_KEY[3:]
+
+
+@pytest.mark.parametrize("keys", [
+    [(("error_rate", "error"), (), None, "force", ("force",), OptionKind.STABILIZE, (), False)],
+    # A snapshot group that is a flag, as keys once had, empty text, or the
+    # snapshot itself in place of its text.
+    [_with_snapshot(True), _with_snapshot(False), _with_snapshot(""),
+     _with_snapshot(((0, 0.5, 0.5),))],
+    [(("error",), (), None, "force", ("force",), "stabilize", (), False)],
+    [(("error",), (), None, "force", ("force",), OptionKind.STABILIZE, (), 0)],
+    [(("error", "error"), (), None, "force", (), OptionKind.STABILIZE, (), False)],
+    [(("error",), (), None, "force", (True,), OptionKind.STABILIZE, (), False),
+     (("error",), (), None, "force", (1.0,), OptionKind.STABILIZE, (), False)],
+    [(("error",), (1,), None, "force", (), OptionKind.STABILIZE, (), False),
+     (("error",), (("compliance",),), None, "force", (), OptionKind.STABILIZE, (), False)],
     # A key without its evidence names.
-    [((("error",), False, "force", ("force",), OptionKind.STABILIZE, (), False), None)],
+    [(("error",), None, "force", ("force",), OptionKind.STABILIZE, (), False)],
 ], ids=["unsorted", "landmarks", "option_kind_str", "visible_int", "duplicate_key", "bool_key",
         "evidence_names", "seven_groups"])
-def test_float_entry_point_refuses_a_key_no_record_has(calls):
+def test_float_entry_point_refuses_a_key_no_record_has(keys):
     trace = Trace()
-    for key, snapshot in calls:
+    for key in keys:
         with pytest.raises(InputError, match="trace shape key"):
-            trace.append(0, key, 0.0, 0.0, landmarks=snapshot)
-    assert len(trace) == 0 and trace._snapshots == [] and len(trace._floats) == 0
+            trace.append(0, key, 0.0, 0.0)
+    assert len(trace) == 0 and trace._shapes == {} and len(trace._floats) == 0
 
 
 def test_float_entry_point_keeps_steps_gap_free():
@@ -631,19 +647,28 @@ def _prefixed(prefix):
 
 
 _ROW = st.tuples(_float_value(), _float_value(), _float_value())
+# The keys runs of rows are given in: a stabilize record's, and one of the
+# same width that holds a landmark snapshot.
+_RUN_KEYS = (
+    _STABILIZE_KEY,
+    _shape_key(("phase",), "dig", ("x", "y"), OptionKind.RETRIEVE, (), False,
+               ((0, 0.5, -0.0), (1, 0.25, 1))),
+)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.lists(_ROW, max_size=3), st.lists(_ROW, min_size=1, max_size=12), st.lists(_ROW, max_size=3))
-@example([], [(x, -0.0, 5e-324) for x in _EDGE_FLOATS], [])
-@example([(0.5, 0.5, 0.5)], [(0.1, 0.2, 0.3), (0.4, 1, 0.6), (0.7, 0.8, True), (-0.0, 1.0, 2.0)],
-         [(1.0, 2.0, 3.0)])
-def test_one_call_of_several_records_equals_one_call_each(prefix, rows, suffix):
+@given(st.sampled_from(_RUN_KEYS), st.lists(_ROW, max_size=3),
+       st.lists(_ROW, min_size=1, max_size=12), st.lists(_ROW, max_size=3))
+@example(_STABILIZE_KEY, [], [(x, -0.0, 5e-324) for x in _EDGE_FLOATS], [])
+@example(_STABILIZE_KEY, [(0.5, 0.5, 0.5)],
+         [(0.1, 0.2, 0.3), (0.4, 1, 0.6), (0.7, 0.8, True), (-0.0, 1.0, 2.0)], [(1.0, 2.0, 3.0)])
+@example(_RUN_KEYS[1], [(0.5, 0.5, 0.5)], [(0.1, 0.2, 0.3), (0.4, 1, 0.6)], [(1.0, 2.0, 3.0)])
+def test_one_call_of_several_records_equals_one_call_each(key, prefix, rows, suffix):
     together, apart = _prefixed(prefix), _prefixed(prefix)
     start = len(prefix)
-    together.append(start, _STABILIZE_KEY, *[v for row in rows for v in row])
+    together.append(start, key, *[v for row in rows for v in row])
     for step, row in enumerate(rows, start):
-        apart.append(step, _STABILIZE_KEY, *row)
+        apart.append(step, key, *row)
     assert _state(together) == _state(apart)
     assert list(together._shapes) == list(apart._shapes)
     # Both go on alike after the run, with another shape, and after a trip
@@ -651,7 +676,7 @@ def test_one_call_of_several_records_equals_one_call_each(prefix, rows, suffix):
     for trace in (together, apart):
         _append(trace, _launch(len(trace)))
         for step, row in enumerate(suffix, len(trace)):
-            trace.append(step, _STABILIZE_KEY, *row)
+            trace.append(step, key, *row)
     assert _state(together) == _state(apart)
     restored = [pickle.loads(pickle.dumps(t)) for t in (together, apart)]
     assert _state(restored[0]) == _state(restored[1]) == _state(apart)
@@ -671,30 +696,10 @@ def test_one_call_of_several_records_equals_one_call_each(prefix, rows, suffix):
 def test_a_bad_run_of_records_is_refused_with_nothing_appended(step, values, match):
     trace = _prefixed([(0.1, -0.0, math.nan)])
     before = _state(trace)
-    with pytest.raises(InputError, match=match):
-        trace.append(step, _STABILIZE_KEY, *values)
-    assert _state(trace) == before
-
-
-@pytest.mark.parametrize("values, match", [
-    ((), "not one record"),
-    ((0.5,), "not one record"),
-    ((0.5,) * 3, "not one record"),
-    ((0.5,) * 8, "not one record"),
-    ((0.5,) * 10, "not one record"),
-    ((0.5, 0.5, "0.5", 0.5), "trace values"),
-], ids=["none", "one", "three", "two_records", "two_rows_with_place", "str_value"])
-def test_a_landmark_record_is_appended_one_at_a_time(values, match):
-    # Four values make one record of the key; ten would be two whole rows
-    # of its width with the snapshot's place, and are refused all the same.
-    # A refused record leaves its new snapshot out of the table.
-    key = _shape_key(("phase",), "dig", ("x", "y"), OptionKind.RETRIEVE, ("item_type",), False,
-                     landmarks=True)
-    trace = _prefixed([(0.1, -0.0, math.nan)])
-    before = _state(trace)
-    with pytest.raises(InputError, match=match):
-        trace.append(1, key, *values, landmarks=((0, 0.5, -0.0),))
-    assert _state(trace) == before and trace._snapshots == []
+    for key in _RUN_KEYS:
+        with pytest.raises(InputError, match=match):
+            trace.append(step, key, *values)
+        assert _state(trace) == before
 
 
 # A window of a trace against the same slice of its whole JSONL.

@@ -59,6 +59,8 @@ from hoardbench.harness import (
         ("knowledge_fraction", {"family": "D", "env": {"knowledge_fraction": 0.0}}),
         ("coverage", {"family": "D", "env": {"coverage": True}}),
         ("coverage", {"family": "D", "env": {"coverage": "x"}}),
+        # A running sum of the ledger is not a setting.
+        ("ledger.task_cost", {"ledger": {"task_cost": 0.0}}),
     ],
 )
 def test_top_level_keys_rejected_by_name(key, document):
@@ -369,11 +371,12 @@ def test_failures_md_names_the_failed_check_and_writes_its_window(tmp_path, monk
         whole = trace.to_jsonl().splitlines(keepends=True)
         window = files[f"traces/no_feedback/seed_{seed}_steps_{first}_{last}.jsonl"]
         assert window.decode() == "".join(whole[first:last + 1])
-    # `report --in` replays only the cell whose window is gone.
+    # `report --in` replays every listed cell that gets a window, in
+    # failures.md's order, the one whose file is gone too.
     (out / "traces/no_feedback/seed_3_steps_41_121.jsonl").unlink()
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
-    assert calls == [3]
+    assert calls == [2, 3]
     assert _result_files(out) == files
 
 
@@ -395,9 +398,9 @@ def test_a_window_is_the_segment_clipped_to_the_trace_after_its_lead_in(segment,
 
 def test_report_takes_no_whole_trace_or_other_range_for_a_window(tmp_path, monkeypatch):
     # A directory written before windows holds each listed cell's whole
-    # trace at traces/<variant>/seed_<s>.jsonl. That file, and a window file
-    # whose range the cell's signal cannot give, are never taken for the
-    # window: `report --in` replays the cell.
+    # trace at traces/<variant>/seed_<s>.jsonl. `report --in` reads no file
+    # under traces/: it replays every listed cell that gets a window, and
+    # clears a window file of another range.
     out = _run_into(tmp_path, A_NO_FEEDBACK)
     files = _result_files(out)
     window = out / "traces/no_feedback/seed_3_steps_41_121.jsonl"
@@ -406,12 +409,13 @@ def test_report_takes_no_whole_trace_or_other_range_for_a_window(tmp_path, monke
     (out / "traces/no_feedback/seed_3_steps_40_121.jsonl").write_text("another range\n")
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
-    assert calls == [3]
+    assert calls == [2, 3]
     assert window.read_bytes() == files[str(window.relative_to(out))]
     assert (out / "failures.md").read_bytes() == files["failures.md"]
+    assert not (out / "traces/no_feedback/seed_3_steps_40_121.jsonl").exists()
 
 
-def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
+def test_report_replays_every_listed_window(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(D_TWO_SEEDS))
     out = tmp_path / "out"
@@ -421,23 +425,19 @@ def test_report_replays_only_missing_traces(tmp_path, monkeypatch):
     assert set(grid_timing["cell_seconds"]) == {"baseline", "single_agent"}
     assert grid_timing["trace_replay_seconds"] == 0.0
     assert 0.0 < grid_timing["trace_write_seconds"] <= grid_timing["report_seconds"]
+    # With every window file in place, `report --in` still replays each
+    # listed cell that gets one, in failures.md's order: baseline seed 1,
+    # then single_agent seeds 0 and 1; baseline seed 0 gets no window.
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
-    assert calls == []
+    assert calls == [1, 0, 1]
     timing = json.loads((out / "timing.json").read_text())
-    assert timing["trace_replay_seconds"] == 0.0
-    assert timing["trace_write_seconds"] == 0.0
+    # A replay's seconds include writing its window.
+    assert 0.0 < timing["trace_write_seconds"] <= timing["trace_replay_seconds"] \
+        <= timing["report_seconds"]
     # The grid's wall clock and cell seconds survive the re-report.
     for key in ("total_seconds", "jobs", "cell_seconds"):
         assert timing[key] == grid_timing[key]
-    assert _result_files(out) == before
-
-    (out / "traces" / "single_agent" / "seed_1_steps_0_0.jsonl").unlink()
-    assert main(["report", "--in", str(out)]) == 0
-    assert calls == [1]
-    timing = json.loads((out / "timing.json").read_text())
-    assert timing["trace_replay_seconds"] > 0.0
-    assert 0.0 < timing["trace_write_seconds"] <= timing["report_seconds"]
     assert _result_files(out) == before
 
 
@@ -464,7 +464,13 @@ def test_report_replays_a_missing_trace_of_a_swept_ablation(tmp_path, monkeypatc
 
     monkeypatch.setattr(harness, "run_one", recording)
     assert main(["report", "--in", str(out)]) == 0
-    assert calls == [(False, [0.5, 0.8], 1)]
+    # Every listed cell but baseline seed 0 at z_range [0.2, 0.4] gets a
+    # window; the replays go variant by variant, in failures.md's order.
+    assert calls == [
+        (True, [0.2, 0.4], 1), (True, [0.5, 0.8], 0), (True, [0.5, 0.8], 1),
+        (False, [0.2, 0.4], 0), (False, [0.2, 0.4], 1), (False, [0.5, 0.8], 0),
+        (False, [0.5, 0.8], 1),
+    ]
     assert _result_files(out) == before
 
 
@@ -488,7 +494,8 @@ def test_report_without_a_readable_timing_file_keeps_only_its_own(tmp_path, timi
 
 def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
     # A trace write that stops partway leaves nothing at the trace's path,
-    # so `report --in` replays that cell instead of keeping a truncated file.
+    # and the next `report --in` replays every listed cell that gets a
+    # window, that cell included.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(D_TWO_SEEDS))
     out = tmp_path / "out"
@@ -512,14 +519,14 @@ def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
 
     calls = _count_run_one(monkeypatch)
     assert main(["report", "--in", str(out)]) == 0
-    assert calls == [1]
+    assert calls == [1, 0, 1]
     assert _result_files(out) == before
 
 
 def test_report_ignores_traces_of_an_older_run_in_the_same_directory(tmp_path, monkeypatch):
     # An older run with other results left windows, some at the same paths.
-    # A new run whose report stops after runs.jsonl must not let `report
-    # --in` take those windows for its own.
+    # A new run whose report stops after runs.jsonl leaves none of them, and
+    # `report --in` replays every listed cell that gets a window.
     reference = tmp_path / "reference"
     write_report(run_grid(parse_config(json.dumps(D_TWO_SEEDS))), reference)
     out = tmp_path / "out"

@@ -5,11 +5,13 @@
 
 Each side is copied fresh into a temporary directory: its own `src`, and
 PARENT's `perfbench` and `BENCHMARK.json`, so both sides run the same
-benchmark code. For each seed, one pair: `perfbench/run.py --workload W
---seed S --seconds N --trace 0` once in each copy, with
-`PYTHONDONTWRITEBYTECODE=1`, so neither side ever reads bytecode the other
-did not. The parent runs first on even pair indices and the change first on
-odd ones.
+benchmark code. Each copy's `src` and `perfbench` are then byte-compiled
+once, so no benchmark process spends its time compiling source, a cost that
+grows with the source's line count. For each seed, one pair:
+`perfbench/run.py --workload W --seed S --seconds N --trace 0` once in each
+copy, with `PYTHONDONTWRITEBYTECODE=1`, so each copy's bytecode stays what
+was compiled from its own source. The parent runs first on even pair
+indices and the change first on odd ones.
 
 The summary, printed as JSON on stdout and written to `--out` when given,
 has the shape of a `BENCH_*.json` file's `workloads` block: per workload its
@@ -26,6 +28,7 @@ when a benchmark run crashes or a side has no `src/hoardbench`.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import shutil
@@ -54,6 +57,14 @@ def fresh_copy(src_side: Path, bench_side: Path, dest: Path) -> Path:
     shutil.copytree(bench_side / "perfbench", dest / "perfbench", ignore=skip)
     shutil.copy2(bench_side / "BENCHMARK.json", dest / "BENCHMARK.json")
     return dest
+
+
+def compile_copy(copy: Path) -> None:
+    """Byte-compile the `src` and `perfbench` of `copy` in place. A file
+    that does not compile gets no bytecode; its run then fails as it would
+    have."""
+    for tree in ("src", "perfbench"):
+        compileall.compile_dir(copy / tree, quiet=2)
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -136,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         copies = {side: fresh_copy(checkout, checkouts["parent"], Path(work) / side)
                   for side, checkout in checkouts.items()}
+        for copy in copies.values():
+            compile_copy(copy)
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
