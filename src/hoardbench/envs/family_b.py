@@ -15,10 +15,15 @@ returning the wrong episode.
 One noisy verifier checks the goal, precision at or above `precision_target`,
 once at the end of the run. No agent reads its signal, so the family takes no
 verifier placement.
+
+A seed's world, its env draws and its writes' cues, is built once per seed
+and config and shared by the seed's variants, which a grid runs back to
+back; each variant fills its own store and forms its own queries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -40,10 +45,11 @@ from ..memory import (
     LandmarkSet,
     MemoryStore,
     StoreVariant,
+    encode_cues,
     retrieve,
-    write_many,
+    write,
 )
-from ..rng import RunStreams
+from ..rng import RunStreams, Substream
 from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
@@ -51,10 +57,10 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 # landmark context and confuse cue matching, far enough that digging at a
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
-# Writes are stored, and queries formed, this many at a time, with one cue
-# encoding pass per chunk. Nothing in one chunk depends on another's result,
-# so the chunk size changes no output; larger chunks cost more peak memory
-# for less per-call set-up.
+# Write cues are encoded, and queries formed, this many at a time, with one
+# cue encoding pass per chunk. Nothing in one chunk depends on another's
+# result, so the chunk size changes no output; larger chunks cost more peak
+# memory for less per-call set-up.
 CHUNK = 64
 
 OPTION_SCHEMA = {
@@ -115,6 +121,47 @@ class FamilyBConfig:
             raise ConfigurationError("dig_radius must be positive")
 
 
+@functools.lru_cache(maxsize=1)
+def _world(env: FamilyBConfig, seed: int) -> tuple:
+    """`seed`'s world under `env`: the landmarks at write and at query time,
+    the query order as event indices, and every write, the true caches then
+    the distractors, as an (item_type, value, x, y) event and its cue. Only
+    this reads the seed's env stream, so a seed's variants share it; keyed
+    on the whole config, it cannot go stale. It hands out tuples and
+    landmark sets of read-only positions, whose decode memos only cache."""
+    stream = Substream(seed, "env")
+    landmarks = LandmarkSet.sample(env.landmark_count, stream)
+    n = env.n_events
+    types = stream.integers(1, env.item_types + 1, size=n)
+    values = stream.uniform(0.5, 1.5, size=n)
+    locs = stream.uniform(0.0, 1.0, size=(n, 2))
+
+    # Drift and query order are drawn before the conflict payload so that
+    # sweeps over conflict_rate compare paired worlds: same landmarks, same
+    # caches, same drift, only the distractor set differs.
+    drifted = landmarks.drifted(env.landmark_drift, stream)
+    order = stream.permutation(n)
+
+    # The distractor draws come last, so drawing none changes no other draw.
+    n_conflict = int(round(env.conflict_rate * n))
+    base_idx = stream.integers(0, n, size=n_conflict)
+    radii = CONFLICT_RADIUS * np.sqrt(stream.uniform(0.0, 1.0, size=n_conflict))
+    angles = stream.uniform(0.0, 2.0 * np.pi, size=n_conflict)
+    conflict_values = stream.uniform(0.5, 1.5, size=n_conflict)
+
+    events = [(int(types[i]), float(values[i]), float(locs[i, 0]), float(locs[i, 1]))
+              for i in range(n)]
+    for b, radius, angle, value in zip(base_idx.tolist(), radii, angles, conflict_values):
+        item_type, _, x, y = events[b]
+        x = min(1.0, max(0.0, x + float(radius * np.cos(angle))))
+        y = min(1.0, max(0.0, y + float(radius * np.sin(angle))))
+        events.append((item_type, float(value), x, y))
+    cues = [cue for chunk in _chunks(events)
+            for cue in encode_cues([(x, y) for _, _, x, y in chunk], landmarks)]
+    landmarks.positions.flags.writeable = drifted.positions.flags.writeable = False
+    return landmarks, drifted, tuple(order.tolist()), tuple(events), tuple(cues)
+
+
 def run_family_b(
     env: FamilyBConfig,
     variant: StoreVariant | str,
@@ -123,25 +170,9 @@ def run_family_b(
     trace: Trace | None = None,
 ) -> RunRecord:
     streams = RunStreams(seed)
-    landmarks = LandmarkSet.sample(env.landmark_count, streams.env)
+    landmarks, drifted, order, events, cues = _world(env, seed)
     store = MemoryStore(variant)
-
     n = env.n_events
-    types = streams.env.integers(1, env.item_types + 1, size=n)
-    values = streams.env.uniform(0.5, 1.5, size=n)
-    locs = streams.env.uniform(0.0, 1.0, size=(n, 2))
-
-    # Drift and query order are drawn before the conflict payload so that
-    # sweeps over conflict_rate compare paired worlds: same landmarks, same
-    # caches, same drift, only the distractor set differs.
-    drifted = landmarks.drifted(env.landmark_drift, streams.env)
-    order = streams.env.permutation(n)
-
-    n_conflict = int(round(env.conflict_rate * n))
-    base_idx = streams.env.integers(0, n, size=n_conflict) if n_conflict else np.zeros(0, dtype=int)
-    radii = CONFLICT_RADIUS * np.sqrt(streams.env.uniform(0.0, 1.0, size=n_conflict)) if n_conflict else np.zeros(0)
-    angles = streams.env.uniform(0.0, 2.0 * np.pi, size=n_conflict) if n_conflict else np.zeros(0)
-    conflict_values = streams.env.uniform(0.5, 1.5, size=n_conflict) if n_conflict else np.zeros(0)
 
     # The trace shape keys of a write and of a query. Each observes its phase
     # and that phase's landmark snapshot, the original landmarks for every
@@ -156,52 +187,19 @@ def run_family_b(
         ("phase",), (), drifted.to_json(), "dig", ("x", "y"), OptionKind.RETRIEVE,
         ("item_type", "x", "y"), False,
     )
-    step = 0
-    write_kappa = 0.0
 
-    def cache_events():
-        """(item_type, value, x, y) of every write: the true caches, then
-        the distractors."""
-        for i in range(n):
-            yield int(types[i]), float(values[i]), float(locs[i, 0]), float(locs[i, 1])
-        for j in range(n_conflict):
-            b = int(base_idx[j])
-            dx = float(radii[j] * np.cos(angles[j]))
-            dy = float(radii[j] * np.sin(angles[j]))
-            yield (
-                int(types[b]),
-                float(conflict_values[j]),
-                min(1.0, max(0.0, float(locs[b, 0]) + dx)),
-                min(1.0, max(0.0, float(locs[b, 1]) + dy)),
-            )
-
-    def written():
-        """Every write's step and event, in order, stored a chunk at a
-        time; the writes are the steps from 0."""
-        for events in _chunks(enumerate(cache_events())):
-            write_many(store, landmarks,
-                       [(item_type, (x, y)) for _, (item_type, _, x, y) in events])
-            yield from events
-
-    for k, (item_type, value, x, y) in written():
+    for k, ((item_type, value, x, y), cue) in enumerate(zip(events, cues)):
+        write(store, landmarks, item_type, (x, y), cue)
         accrue(ledger, latency=1.0, compute=1.0)
-        write_kappa += 1.0
         if trace is not None:
             # Trace steps are contiguous; the semantic timestamp (including
             # the structural query delay) lives in the store records.
             # Values in key order: the phase, the dig's params, the cache's.
             trace.append(len(trace), write_record, 0.0, item_type, value, k, x, y,
                          item_type, value, x, y)
-        step += 1
-
-    # Delay between storage and recall is structural: nothing decays, but the
-    # world moves underneath the cues.
-    step += env.query_delay
 
     policy = check_policy(
-        RetrievalGoalPolicy(
-            [(int(types[int(k)]), float(locs[int(k), 0]), float(locs[int(k), 1])) for k in order]
-        ),
+        RetrievalGoalPolicy([(t, x, y) for t, _, x, y in (events[k] for k in order)]),
         OptionPolicy,
     )
     ctx = PolicyContext(
@@ -220,35 +218,37 @@ def run_family_b(
     def queried():
         """The event index and the query of every retrieval, in query
         order, formed a chunk at a time."""
-        for batch in _chunks(int(k) for k in order):
+        for batch in _chunks(order):
             options = [select_option(policy, None, ctx) for _ in batch]
             yield from zip(batch, form_queries(None, options, ctx))
 
     for idx, query in queried():
-        true_loc = (float(locs[idx, 0]), float(locs[idx, 1]))
+        item_type, _, true_x, true_y = events[idx]
         result = retrieve(store, query, drifted)
         probes.append(result.probes_used)
         probe_kappa += result.probes_used
         accrue(ledger, latency=1.0, compute=float(result.probes_used))
         if trace is not None:
             dig = result.decoded_location or (0.0, 0.0)
-            trace.append(len(trace), query_record, 1.0, *dig, types[idx], *true_loc)
+            trace.append(len(trace), query_record, 1.0, *dig, item_type, true_x, true_y)
 
         if result.episode is not None and result.decoded_location is not None:
-            dx = result.decoded_location[0] - true_loc[0]
-            dy = result.decoded_location[1] - true_loc[1]
+            dx = result.decoded_location[0] - true_x
+            dy = result.decoded_location[1] - true_y
             if (dx * dx + dy * dy) ** 0.5 <= env.dig_radius:
                 hits += 1
             if result.episode.id != idx:
                 confusions += 1
         else:
             confusions += 1
-        step += 1
 
     precision = hits / n
     confusion_rate = confusions / n
     precision_ok = precision >= env.precision_target
-    sink.check("precision_target", 0, step, precision_ok)
+    # The check follows the writes, the delay between storage and recall,
+    # which is structural (nothing decays, but the world moves underneath
+    # the cues), and the queries.
+    sink.check("precision_target", 0, len(events) + env.query_delay + n, precision_ok)
 
     accrue(ledger, task=0.0 if precision_ok else 1.0)
 
@@ -263,7 +263,7 @@ def run_family_b(
         "probes_p95": percentile(probe_arr, 95),
         "episodes_stored": float(len(store)),
     }
-    record.kappa_by_source = {"writes": write_kappa, "retrieval_probes": probe_kappa}
+    record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": probe_kappa}
     record.signals = [s.to_json_obj() for s in sink.signals]
     return finish_record(record, ledger)
 

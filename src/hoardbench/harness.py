@@ -376,8 +376,9 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
 
     Cells are independent. They run seed-major (seed, sweep value, variant),
     so a seed's cells, which draw the same env stream, run back to back and
-    can share what they build from it (D's universe); results are ordered by
-    (variant, sweep value, seed), so worker count never changes the bytes.
+    can share what they build from it (B's world, D's universe); results are
+    ordered by (variant, sweep value, seed), so worker count never changes
+    the bytes.
 
     Every cell records its step trace as it runs, so `write_report` re-runs
     nothing, but keeps it only when it has a failing signal: failures.md

@@ -29,9 +29,9 @@ vectorized form over an inverted landmark index, which tests pin to the rule
 through `brute_force_retrieve`.
 
 A write takes the landmark set the item was cached against, the item's
-type and its (x, y). Writes that need no result of one another go through
-`write_many`, which encodes their cues in one `encode_cues` pass and stores
-each through `write`; the records are bit-identical to one `write` per item.
+type, its (x, y) and, if the caller encoded it already (`encode_cues` does
+many points in one pass), its cue. A landmark set keeps what each cue
+decoded to against it, so no cue is solved twice against one set.
 """
 
 from __future__ import annotations
@@ -85,6 +85,9 @@ class LandmarkSet:
     _id_array: np.ndarray = field(init=False, repr=False, compare=False)
     _xs: np.ndarray = field(init=False, repr=False, compare=False)
     _ys: np.ndarray = field(init=False, repr=False, compare=False)
+    # cue -> the point `_decode` solved it to against this set, or () where
+    # it falls back to the record's own location.
+    _decoded: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.positions.shape != (len(self.ids), 2):
@@ -96,6 +99,7 @@ class LandmarkSet:
         object.__setattr__(self, "_id_array", np.asarray(self.ids))
         object.__setattr__(self, "_xs", np.ascontiguousarray(self.positions[:, 0], dtype=float))
         object.__setattr__(self, "_ys", np.ascontiguousarray(self.positions[:, 1], dtype=float))
+        object.__setattr__(self, "_decoded", {})
 
     @classmethod
     def sample(cls, count: int, stream: Substream) -> "LandmarkSet":
@@ -405,8 +409,8 @@ def write(
     cue: CueVector | None = None,
 ) -> MemoryStore:
     """Record an item of `item_type` cached at `location`, its cue encoded
-    against `landmarks`. A caller that has encoded it already, as
-    `write_many` does for a batch, passes it as `cue`."""
+    against `landmarks`. A caller that has encoded it already, say with
+    `encode_cues` for a batch, passes it as `cue`."""
     record = EpisodeRecord(
         id=store.next_id(),
         item_type=item_type,
@@ -414,18 +418,6 @@ def write(
         cue=encode_cue(location, landmarks) if cue is None else cue,
     )
     store.append(record)
-    return store
-
-
-def write_many(
-    store: MemoryStore, landmarks: LandmarkSet, items: list[tuple[int, tuple[float, float]]]
-) -> MemoryStore:
-    """`write` of every (item type, location) pair, in order, against one
-    landmark set, with all cues encoded in one pass. A bad item type raises
-    at its own item, as it would in one `write` per item."""
-    cues = encode_cues([location for _, location in items], landmarks)
-    for (item_type, location), cue in zip(items, cues):
-        write(store, landmarks, item_type, location, cue)
     return store
 
 
@@ -623,16 +615,21 @@ def _range_least_squares(
 def _decode(record: EpisodeRecord, current_landmarks: LandmarkSet) -> tuple[float, float]:
     """Re-derive a stored location from its cue under current landmarks; the
     stored location itself when the set lacks one of the cue's landmarks or
-    they are collinear."""
-    anchors, ok = _cue_anchor_positions(record.cue, current_landmarks)
-    if not ok:
-        return record.location
-    (x0, y0), (x1, y1), (x2, y2) = anchors
-    cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    if abs(cross) < COLLINEAR_TOL:
-        return record.location
-    init = _bearing_fix(record.cue, anchors)
-    return _range_least_squares(record.cue, anchors, init)
+    they are collinear. The set's memo solves each cue once, keyed by value:
+    cues equal under `==` hold the same numbers up to the sign of a zero,
+    which moves no bit of the solve."""
+    cue = record.cue
+    point = current_landmarks._decoded.get(cue)
+    if point is None:
+        point = ()
+        anchors, ok = _cue_anchor_positions(cue, current_landmarks)
+        if ok:
+            (x0, y0), (x1, y1), (x2, y2) = anchors
+            cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+            if not abs(cross) < COLLINEAR_TOL:
+                point = _range_least_squares(cue, anchors, _bearing_fix(cue, anchors))
+        current_landmarks._decoded[cue] = point
+    return point or record.location
 
 
 decode_location = _decode

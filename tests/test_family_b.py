@@ -8,7 +8,7 @@ import pytest
 from hoardbench.core.policy import PolicyContext, form_queries, form_query
 from hoardbench.core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from hoardbench.envs import family_b
-from hoardbench.envs.family_b import FamilyBConfig, run_family_b
+from hoardbench.envs.family_b import FamilyBConfig, _world, run_family_b
 from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import LandmarkSet, StoreVariant, brute_force_retrieve
@@ -214,8 +214,32 @@ def test_chunk_size_changes_no_output(monkeypatch):
     expected = {v: _run_bytes(40, v, 0.5, seed=3) for v in ("flat", "clustered")}
     for chunk in (1, 7, 1000):
         monkeypatch.setattr(family_b, "CHUNK", chunk)
+        _world.cache_clear()  # the world encodes the write cues a chunk at a time
         for variant, want in expected.items():
             assert _run_bytes(40, variant, 0.5, seed=3) == want
+
+
+@pytest.mark.parametrize("variant, other", [("clustered", "flat"), ("flat", "clustered")])
+def test_cell_on_a_cold_memo_matches_one_after_another_variant(variant, other):
+    env = FamilyBConfig(n_events=48, landmark_drift=0.02, conflict_rate=0.5)
+    _world.cache_clear()
+    cold = _run_bytes(48, variant, 0.5, seed=5)
+    run_family_b(env, other, _ledger(), 5)
+    hits = _world.cache_info().hits
+    warm = _run_bytes(48, variant, 0.5, seed=5)
+    assert _world.cache_info().hits == hits + 1
+    assert warm == cold
+
+
+def test_grid_builds_each_seeds_world_once():
+    config = parse_config(json.dumps({
+        "family": "B", "seeds": "0..1", "env": {"n_events": 48},
+        "ablations": ["flat_archive"],
+    }))
+    _world.cache_clear()
+    result = run_grid(config, jobs=1)
+    assert [c.record.status for c in result.cells] == ["completed"] * 4
+    assert (_world.cache_info().misses, _world.cache_info().hits) == (2, 2)
 
 
 def test_form_queries_matches_form_query_per_option():

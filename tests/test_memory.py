@@ -37,7 +37,6 @@ from hoardbench.memory import (
     retrieve,
     trilaterate,
     write,
-    write_many,
 )
 from hoardbench.rng import RunStreams, Substream
 
@@ -314,6 +313,13 @@ def test_single_write_builds_cue_from_three_nearest():
     assert ep.item_type == 1
     assert ep.location == (0.25, 0.75)
     assert ep.cue == encode_cue((0.25, 0.75), lm)
+    # A cue encoded already is stored as given; a bad item type stores nothing.
+    cue = encode_cues([(0.6, 0.1)], lm)[0]
+    write(store, lm, 2, (0.6, 0.1), cue)
+    assert store.episodes[1].cue is cue
+    with pytest.raises(InputError, match="item_type"):
+        write(store, lm, 0, (0.3, 0.4))
+    assert len(store) == 2
 
 
 def test_duplicate_episode_id_aborts():
@@ -335,34 +341,6 @@ def test_thousand_writes_match_brute_force_partition():
     partition = index_partition(store)
     assert sum(len(v) for v in partition.values()) == 1000
     assert partition == reference_partition(store.episodes)
-
-
-def test_write_many_stores_what_one_write_per_item_stores():
-    lm = _landmarks(6)
-    stream = Substream(12, "env")
-    locs = stream.uniform(0.0, 1.0, size=(70, 2))
-    items = [(1 + k % 3, (float(x), float(y))) for k, (x, y) in enumerate(locs)]
-    for variant in StoreVariant:
-        one, many = MemoryStore(variant), MemoryStore(variant)
-        for item_type, location in items:
-            write(one, lm, item_type, location)
-        write_many(many, lm, items[:5])
-        write_many(many, lm, items[5:])
-        assert [
-            (e.id, e.item_type, e.location, _cue_bits(e.cue)) for e in many.episodes
-        ] == [
-            (e.id, e.item_type, e.location, _cue_bits(e.cue)) for e in one.episodes
-        ]
-        assert index_partition(many) == index_partition(one)
-
-
-def test_write_many_rejects_what_write_rejects():
-    lm = _landmarks()
-    store = MemoryStore(StoreVariant.FLAT)
-    # A bad item type stops the batch at its own item, as a loop of `write` does.
-    with pytest.raises(InputError, match="item_type"):
-        write_many(store, lm, [(1, (0.1, 0.2)), (0, (0.3, 0.4))])
-    assert len(store) == 1
 
 
 # --- Retrieval ---------------------------------------------------------------
@@ -856,8 +834,30 @@ _ON_ANCHOR = LandmarkSet((0, 1, 2, 3), np.array([[0.2, 0.3], [0.6, 0.1], [0.5, 0
 @example((_HAND_CUE, LandmarkSet((0, 1, 7), _COLLINEAR.positions + 0.2)))  # unknown id
 @example((_episode(0, 1, (0.2, 0.3), _ON_ANCHOR), _ON_ANCHOR))  # starts on an anchor
 def test_decode_is_bit_identical_to_numpy_scalar_form(case):
+    # The second decode is answered from the set's memo.
     record, current = case
-    assert _hex_point(_decode(record, current)) == _hex_point(_numpy_scalar_decode(record, current))
+    expected = _hex_point(_numpy_scalar_decode(record, current))
+    assert _hex_point(_decode(record, current)) == expected
+    assert _hex_point(_decode(record, current)) == expected
+
+
+@pytest.mark.parametrize("ids", [(0, 1, 2), (0, 1, 7)], ids=["collinear", "unknown_id"])
+def test_a_decode_that_falls_back_returns_its_own_records_location(ids):
+    current = LandmarkSet(ids, _COLLINEAR.positions + 0.2)
+    other = replace(_HAND_CUE, id=1, location=(0.6, 0.2))
+    assert _decode(_HAND_CUE, current) == _HAND_CUE.location
+    assert _decode(other, current) == other.location
+    assert current._decoded == {_HAND_CUE.cue: ()}
+
+
+def test_a_derived_landmark_set_starts_with_an_empty_decode_memo():
+    lm = _landmarks(5)
+    record = _episode(0, 1, (0.4, 0.6), lm)
+    decoded = _decode(record, lm)
+    assert lm._decoded == {record.cue: decoded}
+    for derived in (lm.drifted(0.01, Substream(2, "env")), replace(lm, positions=lm.positions + 0.1)):
+        assert derived._decoded == {}
+        assert _decode(record, derived) != decoded
 
 
 def test_decode_of_a_real_query_phase_is_bit_identical(monkeypatch):

@@ -70,10 +70,10 @@ def test_a_checkout_without_source_is_refused(tmp_path, capsys):
     assert "has no src/hoardbench" in capsys.readouterr().err
 
 
-def test_seeds_and_workloads_default_to_all_workloads_at_seeds_0_to_2(capsys):
+def test_seeds_and_workloads_default_to_all_workloads_at_seeds_0_to_2_and_601(capsys):
     tool = _tool()
     args = tool.parse_args(["p", "c"])
-    assert args.seeds == (0, 1, 2)
+    assert args.seeds == (0, 1, 2, 601)
     assert args.workloads == list(tool.WORKLOADS) and len(args.workloads) == 4
     args = tool.parse_args(["p", "c", "--seeds", "0..9", "--workloads", "b_archive", "d_verify"])
     assert args.seeds == tuple(range(10))

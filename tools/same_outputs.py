@@ -5,12 +5,12 @@
 Runs `hoardbench run` from each checkout's `src` on the benchmark workloads
 of `perfbench/workloads.py` (this checkout's, imported and not run), all
 four unless `--workloads` names some (space- or comma-separated), at seeds
-0..2 unless `--seeds` gives a range (`0..9`) or a list (`3,5`), under
-`--jobs 1` and `--jobs 2`. It then compares every output file except
-timing.json, traces included, byte for byte: CHANGE's against PARENT's for
-the same workload, seed and jobs, and CHANGE's `--jobs 2` against its
-`--jobs 1`. resolved_config.json is compared up to its `output_dir`, which
-names the run's own directory.
+0, 1, 2 and 601 unless `--seeds` gives a range (`0..9`) or a list
+(`3,5`), under `--jobs 1` and `--jobs 2`. It then compares every output
+file except timing.json, traces included, byte for byte: CHANGE's against
+PARENT's for the same workload, seed and jobs, and CHANGE's `--jobs 2`
+against its `--jobs 1`. resolved_config.json is compared up to its
+`output_dir`, which names the run's own directory.
 
 Every difference is printed. When runs.jsonl differs, so is each key path
 that differs inside its records, with list indices collapsed
@@ -39,7 +39,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
-SEEDS = "0..2"
+# b_archive writes trace windows at workload seed 601 (a cell misses the
+# precision target), at none of 0..2.
+SEEDS = "0,1,2,601"
 JOBS = (1, 2)
 SKIPPED = {"timing.json"}
 
