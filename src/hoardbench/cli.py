@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    hoardbench run --config experiment.json [--seeds a..b] [--out DIR] [--jobs N]
+    hoardbench run --config experiment.json [--seeds N|a..b] [--out DIR] [--jobs N]
     hoardbench report --in DIR
     hoardbench validate --config experiment.json
 
@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a config's ablation grid")
     run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run.add_argument("--seeds", default=None, help="override seed range, e.g. 0..31")
+    run.add_argument(
+        "--seeds", default=None, help="override seeds: one, e.g. 3, or a range, e.g. 0..31")
     run.add_argument("--out", default=None, help="override output directory")
     run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
@@ -84,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
             config = _read_config(args.config)
             if args.seeds is not None:
                 document = resolved_document(config)
-                document["seeds"] = args.seeds
+                # A config's seeds are an int or an 'a..b' string; so is the flag.
+                document["seeds"] = int(args.seeds) if args.seeds.isdecimal() else args.seeds
                 config = parse_config(json.dumps(document))
             if args.out is not None:
                 config = dataclasses.replace(config, output_dir=args.out)

@@ -5,7 +5,6 @@ from .policy import (
     PrimitivePolicy,
     StabilizingController,
     act,
-    check_policy,
     form_queries,
     form_query,
     select_option,
@@ -16,9 +15,7 @@ from .state import (
     LatentEvidence,
     OptionChoice,
     OptionKind,
-    SchemaError,
     Trace,
-    validate_option,
 )
 
 __all__ = [
@@ -32,15 +29,12 @@ __all__ = [
     "OptionPolicy",
     "PolicyContext",
     "PrimitivePolicy",
-    "SchemaError",
     "StabilizingController",
     "Trace",
     "act",
-    "check_policy",
     "form_queries",
     "form_query",
     "initial_belief",
     "select_option",
     "update_belief",
-    "validate_option",
 ]

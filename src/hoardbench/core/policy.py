@@ -8,19 +8,14 @@ that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from ..controller import ControllerConfig, pd_feedback
 from ..memory import CueVector, LandmarkSet, Query, Retrieval, encode_cue, encode_cues
 from ..rng import Substream
 from .belief import Belief
-from .state import (
-    ConfigurationError,
-    OptionChoice,
-    OptionKind,
-    validate_option,
-)
+from .state import OptionChoice
 
 
 @dataclass
@@ -29,15 +24,13 @@ class PolicyContext:
 
     `observer_estimate` is the adversary belief an observer-aware agent reads
     (None for observer-unaware agents); `landmark_estimates` are the agent's
-    current landmark fixes used for cue formation; `option_schema` is the
-    environment's option schema, which admits no option until it is given.
+    current landmark fixes used for cue formation.
     """
 
     rng: Substream
     controller: ControllerConfig | None = None
     observer_estimate: object | None = None
     landmark_estimates: LandmarkSet | None = None
-    option_schema: dict = field(default_factory=dict)
 
 
 @runtime_checkable
@@ -61,50 +54,24 @@ class PrimitivePolicy(Protocol):
     ) -> tuple[float, bool]: ...
 
 
-def check_policy(policy, protocol: type):
-    """Return `policy` once it is shown to implement `protocol`
-    (`OptionPolicy` or `PrimitivePolicy`).
-
-    Runners call this where they build each policy, so `select_option` and
-    `act` need not repeat the structural check on every step.
-    """
-    if not isinstance(policy, protocol):
-        raise ConfigurationError(
-            f"{type(policy).__name__} does not implement {protocol.__name__}"
-        )
-    return policy
-
-
 def select_option(
     policy: OptionPolicy, belief: Belief | None, ctx: PolicyContext
 ) -> OptionChoice:
-    """Run the high-level policy and validate its choice against the schema.
-    The policy was checked against `OptionPolicy` when it was built."""
-    option = policy.select(belief, ctx)
-    return validate_option(option, ctx.option_schema)
-
-
-def _query_landmarks(options: list[OptionChoice], ctx: PolicyContext) -> LandmarkSet:
-    """The landmarks to encode the options' cues against, once every option
-    is shown to be one that touches memory."""
-    if any(o.kind not in (OptionKind.RETRIEVE, OptionKind.CACHE) for o in options):
-        raise ConfigurationError("query formation takes cache and retrieve options only")
-    if ctx.landmark_estimates is None:
-        raise ConfigurationError("query formation requires landmark estimates")
-    return ctx.landmark_estimates
+    """Run the high-level policy. This is the seam that perfbench's
+    `policy.select_option` span times."""
+    return policy.select(belief, ctx)
 
 
 def form_query(
     belief: Belief | None, option: OptionChoice, ctx: PolicyContext, cue: CueVector | None = None
 ) -> Query:
-    """Derive the retrieval query of a cache or retrieve option; any other
-    option kind raises ConfigurationError. A caller that has encoded the
-    option's location already, as `form_queries` does for a batch, passes
-    the cue as `cue`.
+    """Derive the retrieval query of a cache or retrieve option from its
+    location, encoded against the context's landmark estimates. A caller
+    that has encoded the option's location already, as `form_queries` does
+    for a batch, passes the cue as `cue`.
     """
-    landmarks = _query_landmarks([option], ctx)
     if cue is None:
-        cue = encode_cue((option.params["x"], option.params["y"]), landmarks)
+        cue = encode_cue((option.params["x"], option.params["y"]), ctx.landmark_estimates)
     return Query(item_type=int(option.params["item_type"]), cue=cue)
 
 
@@ -113,8 +80,7 @@ def form_queries(
 ) -> list[Query]:
     """`form_query` of each cache or retrieve option, with all their cues
     encoded in one pass."""
-    landmarks = _query_landmarks(options, ctx)
-    cues = encode_cues([(o.params["x"], o.params["y"]) for o in options], landmarks)
+    cues = encode_cues([(o.params["x"], o.params["y"]) for o in options], ctx.landmark_estimates)
     return [form_query(belief, o, ctx, cue) for o, cue in zip(options, cues)]
 
 
@@ -126,8 +92,8 @@ def act(
     ctx: PolicyContext,
 ) -> tuple[float, bool]:
     """Run the low-level policy for the active option: the step's force and
-    whether it was clamped. The policy was checked against `PrimitivePolicy`
-    when it was built."""
+    whether it was clamped. This is the seam that perfbench's `policy.act`
+    span times."""
     return policy.act(belief, retrieved, option, ctx)
 
 

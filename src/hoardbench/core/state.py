@@ -10,7 +10,6 @@ in a `Trace` as a shape key and that step's values, not as a per-step object.
 from __future__ import annotations
 
 import json
-import math
 import os
 from array import array
 from collections.abc import Iterator
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from struct import Struct, error as StructError
 
-from ..errors import ConfigurationError, InputError, SchemaError
+from ..errors import ConfigurationError, InputError
 
 
 # ---------------------------------------------------------------------------
@@ -41,25 +40,6 @@ class OptionChoice:
 
     kind: OptionKind
     params: dict[str, float] = field(default_factory=dict)
-
-
-def validate_option(
-    option: OptionChoice, schema: dict[OptionKind, tuple[str, ...]]
-) -> OptionChoice:
-    """Check the option kind and its exact parameter key set against an
-    environment's schema, which maps each admitted kind to its keys."""
-    if option.kind not in schema:
-        raise ConfigurationError(f"option kind {option.kind} not in environment schema")
-    expected = set(schema[option.kind])
-    got = set(option.params)
-    if got != expected:
-        raise SchemaError(
-            f"option {option.kind.value}: params {sorted(got)} != declared {sorted(expected)}"
-        )
-    for k, v in option.params.items():
-        if not math.isfinite(float(v)):
-            raise InputError(f"option {option.kind.value}: param {k!r} is not finite")
-    return option
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 
 from ..controller import ControllerConfig, double_integrator, open_loop_plan
 from ..core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from ..core.policy import (
-    OptionPolicy,
-    PolicyContext,
-    PrimitivePolicy,
-    StabilizingController,
-    act,
-    check_policy,
-    select_option,
-)
+from ..core.policy import PolicyContext, StabilizingController, act, select_option
 from ..core.state import (
     ConfigurationError,
     LatentEvidence,
@@ -46,11 +38,6 @@ from ..verifier import SignalSink
 from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 
 INTERVENTION_EPS = 1e-12
-
-OPTION_SCHEMA = {
-    OptionKind.LAUNCH: ("offset", "impulse"),
-    OptionKind.STABILIZE: (),
-}
 
 # The trace shape keys of a trial's landing and of a stabilize step. The
 # landing's values are the observed error and error rate, the compliance
@@ -169,12 +156,8 @@ def run_family_a(
     )
     # Checks the goal: the trial reached and held the tolerance window.
     sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
-    planner = check_policy(LaunchPlanner(env), OptionPolicy)
-    ctx = PolicyContext(
-        rng=streams.agent,
-        controller=agent,
-        option_schema=OPTION_SCHEMA,
-    )
+    planner = LaunchPlanner(env)
+    ctx = PolicyContext(rng=streams.agent, controller=agent)
 
     belief = initial_belief(belief_cfg, 0.0, 0.0)
     record = RunRecord(family="A", variant="", seed=seed, status=STATUS_COMPLETED)
@@ -229,7 +212,7 @@ def run_family_a(
                 env.dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol,
                 agent.action_bound,
             )
-        stabilizer = check_policy(StabilizingController(plan), PrimitivePolicy)
+        stabilizer = StabilizingController(plan)
         option = OptionChoice(OptionKind.STABILIZE)
 
         hold = 0

@@ -31,13 +31,7 @@ from itertools import islice
 import numpy as np
 
 from ..core.belief import Belief
-from ..core.policy import (
-    OptionPolicy,
-    PolicyContext,
-    check_policy,
-    form_queries,
-    select_option,
-)
+from ..core.policy import PolicyContext, form_queries, select_option
 from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue, median, percentile
@@ -62,11 +56,6 @@ CONFLICT_RADIUS = 0.15
 # result, so the chunk size changes no output; larger chunks cost more peak
 # memory for less per-call set-up.
 CHUNK = 64
-
-OPTION_SCHEMA = {
-    OptionKind.RETRIEVE: ("item_type", "x", "y"),
-    OptionKind.CACHE: ("x", "y", "item_type", "item_value"),
-}
 
 
 def _chunks(items):
@@ -198,15 +187,8 @@ def run_family_b(
             trace.append(len(trace), write_record, 0.0, item_type, value, k, x, y,
                          item_type, value, x, y)
 
-    policy = check_policy(
-        RetrievalGoalPolicy([(t, x, y) for t, _, x, y in (events[k] for k in order)]),
-        OptionPolicy,
-    )
-    ctx = PolicyContext(
-        rng=streams.agent,
-        landmark_estimates=drifted,
-        option_schema=OPTION_SCHEMA,
-    )
+    policy = RetrievalGoalPolicy([(t, x, y) for t, _, x, y in (events[k] for k in order)])
+    ctx = PolicyContext(rng=streams.agent, landmark_estimates=drifted)
 
     sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
 

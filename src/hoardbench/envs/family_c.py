@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ..core.belief import Belief
-from ..core.policy import OptionPolicy, PolicyContext, check_policy, select_option
+from ..core.policy import PolicyContext, select_option
 from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
@@ -48,11 +48,6 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 CANDIDATE_CELLS = 8
 MAX_DEFERS_PER_CACHE = 3
 OPENING_DECOYS = 2
-
-OPTION_SCHEMA = {
-    OptionKind.CACHE: ("row", "col"),
-    OptionKind.CONCEAL: ("steps", "row", "col"),
-}
 
 # The trace shape key of each caching step, by action kind and visibility.
 # Every record observes {"phase": 0.0} and acts at the {"x", "y"} centre of
@@ -225,13 +220,8 @@ def run_family_c(
     inbox: list = []  # (deliver_at, agent-visible signal view)
     sighted_cells: list[tuple[int, int]] = []  # raw sightings, in order
 
-    policy = check_policy(
-        CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells), OptionPolicy
-    )
-    ctx = PolicyContext(
-        rng=streams.agent,
-        option_schema=OPTION_SCHEMA,
-    )
+    policy = CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells)
+    ctx = PolicyContext(rng=streams.agent)
 
     def pick_decoy_cell() -> tuple[int, int]:
         flat = streams.agent.integers(0, OBSERVER_GRID * OBSERVER_GRID, size=CANDIDATE_CELLS)

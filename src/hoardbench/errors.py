@@ -3,10 +3,6 @@
 import math
 
 
-class SchemaError(ValueError):
-    """An option payload does not match the declared schema."""
-
-
 class InputError(ValueError):
     """A value is out of range, non-finite, or otherwise unusable."""
 

@@ -8,7 +8,7 @@ only in access structure:
                   probed outward from the cue-predicted location.
 
 Retrieval latency is structural: the probe count is the number of episodes
-examined while answering a query, tracked on the store's monotone counter.
+examined while answering a query, reported as its `Retrieval.probes_used`.
 
 A cue is the write-time encoding of a location against the three nearest
 landmarks: their ids, distances, and bearings. Matching aligns two cues by
@@ -347,7 +347,6 @@ class MemoryStore:
         self.variant = StoreVariant(variant)
         self.episodes: list[EpisodeRecord] = []
         self.index: dict[int, dict[tuple[int, int], list[int]]] = {}
-        self.probe_counter = 0
         self._id_to_index: dict[int, int] = {}
         # item type -> its `_TypeIndex`, built on the first flat scan of the
         # type and dropped by a write of it.
@@ -444,7 +443,6 @@ def _fold_best(
 def _finish(
     store: MemoryStore, best_idx: int, probes: int, current_landmarks: LandmarkSet
 ) -> Retrieval:
-    store.probe_counter += probes
     episode = store.episodes[best_idx]
     return Retrieval(episode, _decode(episode, current_landmarks), probes)
 

@@ -46,6 +46,16 @@ def test_report_of_a_file_is_refused(tmp_path, capsys):
     assert "is not a results directory" in err
 
 
+def test_seeds_flag_takes_one_seed_as_an_integer(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--seeds", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("wrote 1 run cells")
+    records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert [record["seed"] for record in records] == [3]
+
+
 def test_run_into_a_file_is_refused_before_the_grid(tmp_path, capsys, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))

@@ -10,14 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoardbench.core.state import (
-    ConfigurationError,
     InputError,
     LatentEvidence,
     OptionChoice,
     OptionKind,
-    SchemaError,
     Trace,
-    validate_option,
 )
 from hoardbench.controller import ControllerConfig
 from hoardbench.envs.family_a import FamilyAConfig, run_family_a
@@ -152,21 +149,6 @@ def _trace_of(records):
     for record in records:
         _append(trace, record)
     return trace
-
-
-def test_option_schema_exact_keys():
-    schema = {OptionKind.LAUNCH: ("offset", "impulse")}
-    ok = OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.4})
-    assert validate_option(ok, schema) is ok
-    with pytest.raises(SchemaError):
-        validate_option(OptionChoice(OptionKind.LAUNCH, {"offset": 0.5}), schema)
-    with pytest.raises(SchemaError):
-        validate_option(
-            OptionChoice(OptionKind.LAUNCH, {"offset": 0.5, "impulse": 0.4, "extra": 1.0}),
-            schema,
-        )
-    with pytest.raises(ConfigurationError, match="not in environment schema"):
-        validate_option(OptionChoice(OptionKind.STABILIZE), schema)
 
 
 def test_trace_steps_gap_free():

@@ -255,10 +255,6 @@ def test_form_queries_matches_form_query_per_option():
     assert [(q.item_type, q.cue) for q in batch] == [
         (q.item_type, q.cue) for q in (form_query(None, o, ctx) for o in options)
     ]
-    with pytest.raises(ConfigurationError, match="cache and retrieve"):
-        form_queries(None, options + [OptionChoice(OptionKind.CONCEAL, {})], ctx)
-    with pytest.raises(ConfigurationError, match="landmark estimates"):
-        form_queries(None, options, PolicyContext(rng=streams.agent))
 
 
 def test_flat_queries_agree_with_brute_force(monkeypatch):

@@ -354,7 +354,6 @@ def test_singleton_store_probes_one_for_both_variants():
         r = retrieve(store, q, lm)
         assert r.episode.id == 0
         assert r.probes_used == 1
-        assert store.probe_counter == 1
 
 
 def test_absent_type_returns_empty():
@@ -365,7 +364,6 @@ def test_absent_type_returns_empty():
         for search in (retrieve, brute_force_retrieve):
             r = search(store, query, lm)
             assert (r.episode, r.decoded_location, r.probes_used) == (None, None, 0)
-        assert store.probe_counter == 0
 
 
 def test_empty_query_rejected():
@@ -680,18 +678,6 @@ def test_storage_parity_between_variants():
     flat = _store_with(episodes, StoreVariant.FLAT)
     clustered = _store_with(episodes, StoreVariant.CLUSTERED)
     assert flat.episodes == clustered.episodes
-
-
-def test_probe_counter_monotone_and_consistent():
-    lm = _landmarks()
-    stream = Substream(53, "env")
-    store = _store_with(_random_episodes(30, lm, stream))
-    last = 0
-    for e in store.episodes[:10]:
-        q = Query(e.item_type, encode_cue(e.location, lm))
-        r = retrieve(store, q, lm)
-        assert store.probe_counter == last + r.probes_used
-        last = store.probe_counter
 
 
 def test_grid_cell_clipping():

@@ -8,8 +8,6 @@ a verifier signal's ground-truth verdict.
 import inspect
 import typing
 
-import pytest
-
 from hoardbench.core.belief import Belief
 from hoardbench.core.policy import (
     OptionPolicy,
@@ -17,15 +15,14 @@ from hoardbench.core.policy import (
     PrimitivePolicy,
     StabilizingController,
     act,
-    check_policy,
     form_queries,
     form_query,
     select_option,
 )
-from hoardbench.core.state import ConfigurationError
+from hoardbench.envs import family_a, family_b, family_c
 from hoardbench.envs.family_a import LaunchPlanner, FamilyAConfig
-from hoardbench.envs.family_b import RetrievalGoalPolicy
-from hoardbench.envs.family_c import CacheSitePolicy
+from hoardbench.envs.family_b import FamilyBConfig, RetrievalGoalPolicy
+from hoardbench.envs.family_c import CacheSitePolicy, FamilyCConfig
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import MemoryStore, Retrieval
 from hoardbench.rng import RunStreams
@@ -89,15 +86,45 @@ def test_primitive_policies_conform_to_protocol():
         assert isinstance(policy, PrimitivePolicy)
 
 
-def test_non_conforming_policy_is_rejected_when_built():
-    for policy in OPTION_POLICIES:
-        assert check_policy(policy, OptionPolicy) is policy
-    for policy in PRIMITIVE_POLICIES:
-        assert check_policy(policy, PrimitivePolicy) is policy
-    with pytest.raises(ConfigurationError, match="OptionPolicy"):
-        check_policy(StabilizingController(), OptionPolicy)
-    with pytest.raises(ConfigurationError, match="PrimitivePolicy"):
-        check_policy(RetrievalGoalPolicy([]), PrimitivePolicy)
+# Tiny cells of each family and the ablations whose runners build their
+# policies differently: A with and without feedback (an open-loop plan), B
+# on both stores, C observer-aware.
+TINY_CELLS = [
+    (family_a, FamilyAConfig(trials=2, horizon=20), (None, "no_feedback")),
+    (family_b, FamilyBConfig(n_events=16), (None, "flat_archive")),
+    (family_c, FamilyCConfig(caches=3), (None,)),
+]
+
+
+def test_runners_build_only_audited_policies(monkeypatch):
+    """Every policy a runner hands to `select_option` or `act` is of a class
+    this audit inspects, and implements that seam's protocol."""
+    audited = {
+        "select_option": ({type(p) for p in OPTION_POLICIES}, OptionPolicy),
+        "act": ({type(p) for p in PRIMITIVE_POLICIES}, PrimitivePolicy),
+    }
+    seen = {name: [] for name in audited}
+
+    def recording(seam, policies):
+        def record(policy, *args):
+            policies.append(policy)
+            return seam(policy, *args)
+        return record
+
+    for module, env, ablations in TINY_CELLS:
+        for name, policies in seen.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), policies))
+        for ablation in ablations:
+            agent = dict(module.FAMILY.agent)
+            if ablation is not None:
+                key, value = module.FAMILY.ablations[ablation]
+                agent[key] = value
+            module.FAMILY.run(env, agent, CostLedger(), 0, None)
+
+    for name, (classes, protocol) in audited.items():
+        assert {type(policy) for policy in seen[name]} == classes, name
+        assert all(isinstance(policy, protocol) for policy in seen[name]), name
 
 
 def test_policy_signatures_expose_no_ground_truth():
@@ -118,7 +145,6 @@ def test_policy_context_carries_no_truth_fields():
         "controller",
         "observer_estimate",
         "landmark_estimates",
-        "option_schema",
     }
 
 

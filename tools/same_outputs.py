@@ -18,9 +18,10 @@ that differs inside its records, with list indices collapsed
 differ, and in how many records. The exit code is 0 when there is no
 difference, 1 when there is one, and 2 when a run fails to start or crashes.
 
-Whenever both checkouts hold a `src/hoardbench`, the last line printed
-gives their source line counts and the difference, counted as
-`cat src/hoardbench/*.py src/hoardbench/*/*.py | wc -l` counts them.
+Whenever both checkouts hold a `src/hoardbench`, the last two lines printed
+give their source and test line counts and the differences, counted as
+`cat src/hoardbench/*.py src/hoardbench/*/*.py | wc -l` and
+`cat tests/*.py | wc -l` count them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = "0,1,2,601"
 JOBS = (1, 2)
 SKIPPED = {"timing.json"}
+# The files of each line count printed last, by the count's name.
+LINE_COUNTS = {
+    "source": ("src/hoardbench/*.py", "src/hoardbench/*/*.py"),
+    "test": ("tests/*.py",),
+}
 
 
 def run(checkout: Path, config: dict, jobs: int, out: Path) -> None:
@@ -127,11 +133,10 @@ def key_path_differences(a: bytes, b: bytes, names: tuple[str, str]) -> list[str
     return lines
 
 
-def source_lines(checkout: Path) -> int:
-    """Newlines in `src/hoardbench/*.py` and `src/hoardbench/*/*.py`, which is
+def line_count(checkout: Path, patterns: tuple[str, ...]) -> int:
+    """Newlines in the files of `checkout` that `patterns` match, which is
     what `wc -l` counts in their concatenation."""
-    package = checkout / "src" / "hoardbench"
-    files = [*package.glob("*.py"), *package.glob("*/*.py")]
+    files = [path for pattern in patterns for path in checkout.glob(pattern)]
     return sum(path.read_bytes().count(b"\n") for path in files)
 
 
@@ -184,8 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return compare(args, sides)
     finally:
-        parent, change = (source_lines(checkout) for checkout in sides.values())
-        print(f"source lines: parent {parent}, change {change}, difference {change - parent:+d}")
+        for name, patterns in LINE_COUNTS.items():
+            parent, change = (line_count(checkout, patterns) for checkout in sides.values())
+            print(f"{name} lines: parent {parent}, change {change}, "
+                  f"difference {change - parent:+d}")
 
 
 def compare(args: argparse.Namespace, sides: dict[str, Path]) -> int:
