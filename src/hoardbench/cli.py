@@ -71,6 +71,13 @@ def _read_config(path: str):
     return config
 
 
+def _flag_seeds(text: str) -> int | str:
+    """The `--seeds` flag as a config's seeds value, an int or an 'a..b'
+    string: a signed integer goes in as an int, anything else as text."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return int(text) if digits.isdecimal() else text
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -85,8 +92,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _read_config(args.config)
             if args.seeds is not None:
                 document = resolved_document(config)
-                # A config's seeds are an int or an 'a..b' string; so is the flag.
-                document["seeds"] = int(args.seeds) if args.seeds.isdecimal() else args.seeds
+                document["seeds"] = _flag_seeds(args.seeds)
                 config = parse_config(json.dumps(document))
             if args.out is not None:
                 config = dataclasses.replace(config, output_dir=args.out)

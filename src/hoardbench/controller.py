@@ -8,7 +8,9 @@ one of them. All functions are pure; none draws randomness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Callable
 
 from .errors import ConfigurationError, InputError, check_number_fields
@@ -31,9 +33,9 @@ def double_integrator(dt: float) -> StepDynamics:
 class ControllerConfig:
     """Switchboard and gains for the local control stack.
 
-    With `feedback_enabled` false the gains are inert: the controller emits
-    identically zero corrections. Defaults sit inside the discrete-time
-    stability region of the double integrator at dt = 0.05.
+    With `feedback_enabled` false the gains are inert: family A issues only
+    the open-loop schedule planned at landing. Defaults sit inside the
+    discrete-time stability region of the double integrator at dt = 0.05.
     """
 
     feedback_enabled: bool = True
@@ -67,28 +69,33 @@ def pd_feedback(config: ControllerConfig, error: float, error_rate: float) -> tu
     if not config.feedback_enabled:
         raise ConfigurationError("pd_feedback called with feedback disabled")
     raw = -config.kp * error - config.kd * error_rate
-    clamped = abs(raw) > config.action_bound
-    force = max(-config.action_bound, min(config.action_bound, raw))
-    return force, clamped
+    bound = config.action_bound
+    if -bound <= raw <= bound:
+        return raw, False
+    # Outside the bound, or NaN, which goes to `bound` and is not counted
+    # as clamped.
+    return max(-bound, min(bound, raw)), abs(raw) > bound
 
 
 def predictive_compensate(
     dynamics: StepDynamics,
     delayed_pos: float,
     delayed_vel: float,
-    logged_actions: tuple[float, ...],
+    logged_actions: Sequence[float],
     delay: int,
 ) -> tuple[float, float, int]:
     """Roll the delayed observation forward through the last `delay` logged
-    actions, the ones issued since it was taken.
+    actions, the ones issued since it was taken. The log is any sized
+    iterable, oldest first: a tuple, or the belief's bounded deque.
 
     Returns (pos_now, vel_now, compute_cost); the cost is one unit per
     simulated step. A log shorter than the delay raises InputError.
     """
-    if len(logged_actions) < delay:
+    older = len(logged_actions) - delay
+    if older < 0:
         raise InputError(f"action log of {len(logged_actions)} cannot cover a delay of {delay}")
     pos, vel = delayed_pos, delayed_vel
-    for a in logged_actions[len(logged_actions) - delay:]:
+    for a in islice(logged_actions, older, None):
         pos, vel = dynamics(pos, vel, a)
     return pos, vel, delay
 

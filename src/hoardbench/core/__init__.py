@@ -3,7 +3,6 @@ from .policy import (
     OptionPolicy,
     PolicyContext,
     PrimitivePolicy,
-    StabilizingController,
     act,
     form_queries,
     form_query,
@@ -29,7 +28,6 @@ __all__ = [
     "OptionPolicy",
     "PolicyContext",
     "PrimitivePolicy",
-    "StabilizingController",
     "Trace",
     "act",
     "form_queries",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from ..controller import ControllerConfig, pd_feedback
 from ..memory import CueVector, LandmarkSet, Query, Retrieval, encode_cue, encode_cues
 from ..rng import Substream
 from .belief import Belief
@@ -28,7 +27,6 @@ class PolicyContext:
     """
 
     rng: Substream
-    controller: ControllerConfig | None = None
     observer_estimate: object | None = None
     landmark_estimates: LandmarkSet | None = None
 
@@ -93,40 +91,7 @@ def act(
 ) -> tuple[float, bool]:
     """Run the low-level policy for the active option: the step's force and
     whether it was clamped. This is the seam that perfbench's `policy.act`
-    span times."""
+    span times. No runner calls it today: family A's stabilize loop takes
+    its force from `controller.pd_feedback` or its open-loop schedule
+    directly, so the span reads 0 calls."""
     return policy.act(belief, retrieved, option, ctx)
-
-
-# ---------------------------------------------------------------------------
-# Generic primitive policies
-# ---------------------------------------------------------------------------
-
-
-class StabilizingController:
-    """PD regulation toward zero error while a stabilize option is active.
-
-    Reads the belief's present estimate, which is the delayed estimate
-    itself when the compensator is off. With feedback disabled it pops the
-    pre-committed open-loop schedule (if any) and then stays silent. `act`
-    returns the force, clamped to the checked `action_bound`, and whether
-    the clamp changed it.
-    """
-
-    def __init__(self, schedule: list[float] | None = None):
-        self.schedule = list(schedule or [])
-
-    def act(
-        self,
-        belief: Belief,
-        retrieved: Retrieval | None,
-        option: OptionChoice,
-        ctx: PolicyContext,
-    ) -> tuple[float, bool]:
-        cfg = ctx.controller
-        if cfg.feedback_enabled:
-            return pd_feedback(cfg, belief.position, belief.velocity)
-        if self.schedule:
-            force = self.schedule.pop(0)
-            bounded = max(-cfg.action_bound, min(cfg.action_bound, force))
-            return bounded, bounded != force
-        return 0.0, False

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..controller import ControllerConfig, double_integrator, open_loop_plan
+from ..controller import ControllerConfig, double_integrator, open_loop_plan, pd_feedback
 from ..core.belief import Belief, BeliefConfig, initial_belief, update_belief
-from ..core.policy import PolicyContext, StabilizingController, act, select_option
+from ..core.policy import PolicyContext, select_option
 from ..core.state import (
     ConfigurationError,
     LatentEvidence,
@@ -157,7 +157,13 @@ def run_family_a(
     # Checks the goal: the trial reached and held the tolerance window.
     sink = SignalSink(streams.verifier, env.verifier_fp, env.verifier_fn)
     planner = LaunchPlanner(env)
-    ctx = PolicyContext(rng=streams.agent, controller=agent)
+    ctx = PolicyContext(rng=streams.agent)
+    tracing = trace is not None
+    # The stabilize loop's constants, read once per run.
+    feedback, bound = agent.feedback_enabled, agent.action_bound
+    dt, obs_noise = env.dt, env.obs_noise
+    pos_tol, vel_tol, hold_steps = env.pos_tol, env.vel_tol, env.hold_steps
+    perturb_step, perturb_w = env.perturb_step, env.perturb_magnitude / dt
 
     belief = initial_belief(belief_cfg, 0.0, 0.0)
     record = RunRecord(family="A", variant="", seed=seed, status=STATUS_COMPLETED)
@@ -198,22 +204,18 @@ def run_family_a(
         regressor = -(impulse * offset * offset)
         response = e_obs - (impulse - env.gap_scale * (1.0 - offset))
         evidence = (LatentEvidence("compliance", regressor, response),)
-        belief = update_belief(belief, e_obs, r_obs, 0.0, belief_cfg, evidence)
-        comp_kappa += belief.last_compute
-        if trace is not None:
+        comp_kappa += update_belief(belief, e_obs, r_obs, 0.0, belief_cfg, evidence).last_compute
+        if tracing:
             trace.append(global_step, _LAUNCH_RECORD, e_obs, r_obs, regressor, response,
                          impulse, offset, impulse, offset)
         global_step += 1
 
         # Open-loop agents commit a correction schedule now and never revise.
         plan: list[float] = []
-        if not agent.feedback_enabled:
+        if not feedback:
             plan = open_loop_plan(
-                env.dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol,
-                agent.action_bound,
+                dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol, bound,
             )
-        stabilizer = StabilizingController(plan)
-        option = OptionChoice(OptionKind.STABILIZE)
 
         hold = 0
         first_hold_step = None
@@ -225,42 +227,54 @@ def run_family_a(
         first_stabilize_step = global_step
         rows: list[float] = []
 
-        for step in range(1, env.horizon + 1):
-            force, clamped = act(stabilizer, belief, None, option, ctx)
+        # The stabilize loop, one step per iteration: the force from the
+        # belief's present estimate (PD feedback toward zero error, or the
+        # next entry of the open-loop schedule clamped to the bound, then
+        # silence); the plant; the readings; one in-place belief update and
+        # one ledger accrual. Plant state, counters and constants stay in
+        # locals.
+        for step, (noise_e, noise_r) in enumerate(step_noise, 1):
+            if feedback:
+                force, clamped = pd_feedback(agent, belief.position, belief.velocity)
+            elif plan:
+                scheduled = plan.pop(0)
+                force = max(-bound, min(bound, scheduled))
+                clamped = force != scheduled
+            else:
+                force, clamped = 0.0, False
             if clamped:
                 clamp_events += 1
             if abs(force) > INTERVENTION_EPS:
                 interventions += 1
 
             w = 0.0
-            if env.perturb_step is not None and step == env.perturb_step:
-                w = env.perturb_magnitude / env.dt
+            if step == perturb_step:
+                w = perturb_w
                 perturbed = True
-            e, edot = e + edot * env.dt, edot + (force + w) * env.dt
+            e, edot = e + edot * dt, edot + (force + w) * dt
 
-            noise = step_noise[step - 1]
-            e_obs = e + env.obs_noise * noise[0]
-            r_obs = edot + env.obs_noise * noise[1]
-            belief = update_belief(belief, e_obs, r_obs, force, belief_cfg)
-            comp_kappa += belief.last_compute
-            if trace is not None:
+            e_obs = e + obs_noise * noise_e
+            r_obs = edot + obs_noise * noise_r
+            kappa = update_belief(belief, e_obs, r_obs, force, belief_cfg).last_compute
+            comp_kappa += kappa
+            if tracing:
                 rows += (e_obs, r_obs, force)
-            global_step += 1
 
-            if abs(e) < env.pos_tol and abs(edot) < env.vel_tol:
+            if abs(e) < pos_tol and abs(edot) < vel_tol:
                 hold += 1
             else:
                 hold = 0
-            if first_hold_step is None and hold >= env.hold_steps:
+            if first_hold_step is None and hold >= hold_steps:
                 first_hold_step = step
 
             # Positional, in `accrue`'s order: task, latency, leak, repair, compute.
             accrue(ledger, 0.0, 0.0 if first_hold_step is not None else 1.0, 0.0,
-                   abs(force) if perturbed else 0.0, float(belief.last_compute))
+                   abs(force) if perturbed else 0.0, kappa)
             if ledger.exhausted:
                 break
+        global_step = first_stabilize_step + step
 
-        if trace is not None:
+        if tracing:
             trace.append(first_stabilize_step, _STABILIZE_RECORD, *rows)
 
         # Success is terminal: the tolerance window must be held through the

@@ -1,10 +1,13 @@
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoardbench.controller import ControllerConfig, double_integrator, predictive_compensate
+from hoardbench.controller import (
+    ControllerConfig, RlsState, double_integrator, predictive_compensate, rls_update,
+)
 from hoardbench.core import belief as belief_module
 from hoardbench.core.belief import BeliefConfig, initial_belief, update_belief
 from hoardbench.core.state import InputError, LatentEvidence
@@ -33,9 +36,9 @@ def test_queue_semantics_oldest_delivered():
     o1, o2, o3 = (1.0, 0.0, ()), (2.0, 0.0, ()), (3.0, 0.0, ())
     belief = update_belief(belief, 1.0, 0.0, 0.0, cfg)
     belief = update_belief(belief, 2.0, 0.0, 0.0, cfg)
-    assert belief.delayed_obs_buffer == (o1, o2)
+    assert tuple(belief.delayed_obs_buffer) == (o1, o2)
     belief = update_belief(belief, 3.0, 0.0, 0.0, cfg)
-    assert belief.delayed_obs_buffer == (o2, o3)
+    assert tuple(belief.delayed_obs_buffer) == (o2, o3)
     # Delivered o1 plus forward simulation of logged (zero) actions.
     assert belief.delayed_position == 1.0
     assert belief.position == 1.0
@@ -204,8 +207,10 @@ def test_a_non_finite_reading_is_refused_at_any_point_of_the_queue(delay, before
     for e, v, force in before:
         belief = update_belief(belief, e, v, force, cfg)
     e, v = (bad, 0.0) if slot == "error" else (0.0, bad)
+    before_refusal = _fields(belief)
     with pytest.raises(InputError, match=f"{slot!r} is not finite"):
         update_belief(belief, e, v, 0.0, cfg)
+    assert _fields(belief) == before_refusal
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -233,3 +238,91 @@ def test_landing_evidence_moves_the_posterior_exactly_delay_updates_later(
         posteriors.append((belief.latent_mean, belief.latent_variance))
     moved = [t for t in range(len(posteriors) - 1) if posteriors[t + 1] != posteriors[t]]
     assert moved == ([landing + delay] if rls else [])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the immutable belief, rebuilt from tuples at every update
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBelief(NamedTuple):
+    latent_mean: float
+    latent_variance: float
+    delayed_obs_buffer: tuple
+    action_log: tuple
+    position: float
+    velocity: float
+    delayed_position: float
+    delayed_velocity: float
+    last_compute: int = 0
+
+
+def reference_initial_belief(config, position, velocity):
+    mean, variance = float(config.latent_prior_mean), float(config.latent_prior_variance)
+    return ReferenceBelief(mean, variance, (), (), position, velocity, position, velocity)
+
+
+def reference_update_belief(belief, error, error_rate, force, config, evidence=()):
+    """The update as one new tuple per step: the queue and the log grow by
+    concatenation and shrink by slicing."""
+    if not (math.isfinite(error) and math.isfinite(error_rate)):
+        name = "error_rate" if math.isfinite(error) else "error"
+        raise InputError(f"observation value {name!r} is not finite")
+    controller = config.controller
+    delay = config.delay
+    buffer = belief.delayed_obs_buffer + ((error, error_rate, evidence),)
+    log = (belief.action_log + (force,))[-max(delay, 1):]
+    mean, var, kappa = belief.latent_mean, belief.latent_variance, 0
+    if len(buffer) > delay:
+        (delayed_p, delayed_v, delivered), buffer = buffer[0], buffer[1:]
+        p, v = delayed_p, delayed_v
+        if controller.compensator_enabled:
+            p, v, kappa = predictive_compensate(config.dynamics, p, v, log, delay)
+        if controller.rls_enabled:
+            for ev in delivered:
+                est = rls_update(
+                    RlsState(mean, var, controller.forgetting), ev.regressor, ev.response
+                )
+                mean, var = est.mean, est.variance
+    else:
+        delayed_p, delayed_v = config.dynamics(
+            belief.delayed_position, belief.delayed_velocity, force
+        )
+        p, v = delayed_p, delayed_v
+    return ReferenceBelief(mean, var, buffer, log, p, v, delayed_p, delayed_v, kappa)
+
+
+def _fields(belief):
+    return (
+        belief.position, belief.velocity, belief.delayed_position, belief.delayed_velocity,
+        belief.latent_mean, belief.latent_variance, belief.last_compute,
+        tuple(belief.delayed_obs_buffer), tuple(belief.action_log),
+    )
+
+
+_EVIDENCE = st.none() | st.builds(
+    lambda regressor, response: (LatentEvidence("compliance", regressor, response),),
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    delay=st.integers(0, 8),
+    compensate=st.booleans(),
+    rls=st.booleans(),
+    start=st.tuples(_READING, _READING),
+    steps=st.lists(st.tuples(_READING, _READING, _READING, _EVIDENCE), max_size=30),
+)
+def test_in_place_update_matches_the_tuple_oracle_after_every_step(
+    delay, compensate, rls, start, steps
+):
+    cfg = _config(delay=delay, compensator_enabled=compensate, rls_enabled=rls)
+    belief = initial_belief(cfg, *start)
+    reference = reference_initial_belief(cfg, *start)
+    assert _fields(belief) == _fields(reference)
+    for e, v, force, evidence in steps:
+        evidence = evidence or ()
+        assert update_belief(belief, e, v, force, cfg, evidence) is belief
+        reference = reference_update_belief(reference, e, v, force, cfg, evidence)
+        assert _fields(belief) == _fields(reference)

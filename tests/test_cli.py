@@ -183,3 +183,22 @@ def test_a_run_and_its_report_leave_numpy_ma_unimported(tmp_path, document):
     )
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "out" / "summary.csv").read_text().count("\n") > 1
+
+
+def test_a_negative_seeds_flag_gets_the_message_a_negative_config_seeds_gets(tmp_path, capsys):
+    in_config, in_flag = tmp_path / "negative.json", tmp_path / "config.json"
+    in_config.write_text(json.dumps({**CONFIG, "seeds": -3}))
+    in_flag.write_text(json.dumps(CONFIG))
+    out = str(tmp_path / "out")
+    from_config = _refused_config(capsys, ["run", "--config", str(in_config), "--out", out])
+    from_flag = _refused_config(
+        capsys, ["run", "--config", str(in_flag), "--seeds", "-3", "--out", out])
+    assert from_flag == from_config
+    assert "seeds must be non-negative" in from_flag
+
+
+def _refused_config(capsys, argv) -> str:
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    return err

@@ -1,4 +1,6 @@
+import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,8 +14,12 @@ from hoardbench.controller import (
     predictive_compensate,
     rls_update,
 )
-from hoardbench.core.state import ConfigurationError, InputError
+from hoardbench.core.state import ConfigurationError, InputError, Trace
+from hoardbench.envs.family_a import FamilyAConfig, predicted_landing_error, run_family_a
+from hoardbench.ledger import CostLedger
 from hoardbench.rng import Substream
+
+OPEN_LOOP = ControllerConfig(feedback_enabled=False, compensator_enabled=False)
 
 
 # --- PD feedback ---------------------------------------------------------
@@ -39,10 +45,64 @@ def test_pd_clamps_at_bound():
     assert force == 1.0 and clamped
 
 
+def test_pd_keeps_a_force_on_the_bound_and_sends_nan_to_it_unclamped():
+    cfg = ControllerConfig(kp=2.0, kd=1.0, action_bound=1.0)
+    assert pd_feedback(cfg, -0.5, 0.0) == (1.0, False)
+    assert pd_feedback(cfg, 0.5, 0.0) == (-1.0, False)
+    assert pd_feedback(cfg, math.nan, 0.0) == (1.0, False)
+
+
 def test_pd_requires_feedback_enabled():
     cfg = ControllerConfig(feedback_enabled=False)
     with pytest.raises(ConfigurationError):
         pd_feedback(cfg, 0.1, 0.0)
+
+
+# Family A's stabilize loop without observation delay: the belief's present
+# estimate is the last reading, so each step's force follows from the
+# reading before it.
+
+
+def _stabilize_steps(controller, **env):
+    """One family A trial without delay: each stabilize step's force with
+    the (error, error_rate) reading it was computed from, and the record."""
+    trace = Trace()
+    config = FamilyAConfig(obs_delay=0, **env)
+    record = run_family_a(config, controller, CostLedger(), 0, trace)
+    lines = [json.loads(line) for line in trace.jsonl_lines()]
+    readings = [tuple(line["observation"]["values"].values()) for line in lines]
+    forces = [line["action"]["params"]["force"] for line in lines[1:]]
+    return list(zip(readings, forces)), record
+
+
+def test_stabilize_loop_issues_the_clamped_pd_force_of_the_last_reading():
+    cfg = ControllerConfig(kp=2.0, kd=1.0, action_bound=0.05)
+    steps, record = _stabilize_steps(cfg)
+    clamped = 0
+    for (e, r), force in steps:
+        raw = -2.0 * e - 1.0 * r
+        if abs(raw) > 0.05:
+            clamped += 1
+            assert force == math.copysign(0.05, raw)
+        else:
+            assert force == raw
+        assert (force, abs(raw) > 0.05) == pd_feedback(cfg, e, r)
+    assert 0 < clamped < len(steps)
+    assert record.metrics["clamp_events"] == clamped
+
+
+def test_open_loop_agent_issues_its_plan_then_nothing():
+    # With feedback off the loop never applies the law: it issues the
+    # open-loop schedule planned at landing, then zeros, whatever it reads.
+    env = dict(launch_grid=2, horizon=40)
+    steps, _ = _stabilize_steps(OPEN_LOOP, **env)
+    config = FamilyAConfig(obs_delay=0, **env)
+    e_pred = predicted_landing_error(config, config.z_prior_mean, 1.0)
+    plan = open_loop_plan(config.dt, (e_pred, 0.0), (0.0, 0.0), config.pos_tol,
+                          config.vel_tol, OPEN_LOOP.action_bound)
+    assert plan
+    assert [force for _, force in steps] == plan + [0.0] * (len(steps) - len(plan))
+    assert any(force == 0.0 and reading != (0.0, 0.0) for reading, force in steps)
 
 
 def test_gain_and_forgetting_validation():
@@ -82,8 +142,11 @@ def test_compensate_matches_stepwise_simulation():
     assert pos == pytest.approx(e, abs=1e-9)
     assert vel == pytest.approx(v, abs=1e-9)
     assert cost == 5
-    # Only the last `delay` actions are rolled through.
+    # Only the last `delay` actions are rolled through, of a tuple or of
+    # the belief's bounded deque alike.
     assert predictive_compensate(dyn, 0.4, 0.2, (9.0,) + actions, 5) == (pos, vel, 5)
+    log = deque((8.0, 9.0) + actions, maxlen=6)
+    assert predictive_compensate(dyn, 0.4, 0.2, log, 5) == (pos, vel, 5)
 
 
 def test_compensate_rejects_a_log_shorter_than_the_delay():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoardbench import cli
 from hoardbench.controller import ControllerConfig
 from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs.family_a import (
@@ -206,6 +207,25 @@ def test_kappa_conservation():
 def test_budget_exhaustion_outcome():
     record = run_family_a(FamilyAConfig(), FEEDBACK, CostLedger(budget=150.0), seed=0)
     assert record.status == "budget_exhausted"
+
+
+def test_a_reading_the_loop_cannot_check_fails_its_cell_end_to_end(tmp_path, capsys):
+    # A perturbation of 1e307 over dt 0.05 takes the error rate past the
+    # largest float at step 5. The config is valid, so only the stabilize
+    # loop's own reading check can stop the run: the cell fails, the run
+    # exits 2, and runs.jsonl says why.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "family": "A", "seeds": 0, "env": {"perturb_step": 5, "perturb_magnitude": 1e307},
+    }))
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    capsys.readouterr()
+    runs = (out / "runs.jsonl").read_text()
+    assert runs.count("\n") == 1
+    assert '"status":"failed"' in runs
+    assert "InputError: observation value 'error_rate' is not finite" in runs
 
 
 def test_config_validation():

@@ -13,7 +13,6 @@ from hoardbench.core.policy import (
     OptionPolicy,
     PolicyContext,
     PrimitivePolicy,
-    StabilizingController,
     act,
     form_queries,
     form_query,
@@ -37,10 +36,8 @@ OPTION_POLICIES = [
     RetrievalGoalPolicy([(1, 0.5, 0.5)]),
     CacheSitePolicy(0.02, 2, set()),
 ]
-PRIMITIVE_POLICIES = [StabilizingController()]
 ENTRY_POINTS = [
     *(policy.select for policy in OPTION_POLICIES),
-    *(policy.act for policy in PRIMITIVE_POLICIES),
     OptionPolicy.select,
     PrimitivePolicy.act,
     select_option,
@@ -81,11 +78,6 @@ def test_option_policies_conform_to_protocol():
         assert isinstance(policy, OptionPolicy)
 
 
-def test_primitive_policies_conform_to_protocol():
-    for policy in PRIMITIVE_POLICIES:
-        assert isinstance(policy, PrimitivePolicy)
-
-
 # Tiny cells of each family and the ablations whose runners build their
 # policies differently: A with and without feedback (an open-loop plan), B
 # on both stores, C observer-aware.
@@ -97,24 +89,18 @@ TINY_CELLS = [
 
 
 def test_runners_build_only_audited_policies(monkeypatch):
-    """Every policy a runner hands to `select_option` or `act` is of a class
-    this audit inspects, and implements that seam's protocol."""
-    audited = {
-        "select_option": ({type(p) for p in OPTION_POLICIES}, OptionPolicy),
-        "act": ({type(p) for p in PRIMITIVE_POLICIES}, PrimitivePolicy),
-    }
-    seen = {name: [] for name in audited}
+    """Every policy a runner hands to `select_option` is of a class this
+    audit inspects, and implements the option-policy protocol. (No runner
+    calls `act`: family A's stabilize loop takes its force from
+    `pd_feedback` or its open-loop plan, through no policy object.)"""
+    seen = []
 
-    def recording(seam, policies):
-        def record(policy, *args):
-            policies.append(policy)
-            return seam(policy, *args)
-        return record
+    def record(policy, *args):
+        seen.append(policy)
+        return select_option(policy, *args)
 
     for module, env, ablations in TINY_CELLS:
-        for name, policies in seen.items():
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, recording(getattr(module, name), policies))
+        monkeypatch.setattr(module, "select_option", record)
         for ablation in ablations:
             agent = dict(module.FAMILY.agent)
             if ablation is not None:
@@ -122,9 +108,8 @@ def test_runners_build_only_audited_policies(monkeypatch):
                 agent[key] = value
             module.FAMILY.run(env, agent, CostLedger(), 0, None)
 
-    for name, (classes, protocol) in audited.items():
-        assert {type(policy) for policy in seen[name]} == classes, name
-        assert all(isinstance(policy, protocol) for policy in seen[name]), name
+    assert {type(policy) for policy in seen} == {type(p) for p in OPTION_POLICIES}
+    assert all(isinstance(policy, OptionPolicy) for policy in seen)
 
 
 def test_policy_signatures_expose_no_ground_truth():
@@ -133,23 +118,19 @@ def test_policy_signatures_expose_no_ground_truth():
     for policy in OPTION_POLICIES:
         params = list(inspect.signature(policy.select).parameters)
         assert params == ["belief", "ctx"]
-    for policy in PRIMITIVE_POLICIES:
-        params = list(inspect.signature(policy.act).parameters)
-        assert params == ["belief", "retrieved", "option", "ctx"]
 
 
 def test_policy_context_carries_no_truth_fields():
     field_names = set(PolicyContext.__dataclass_fields__)
     assert field_names == {
         "rng",
-        "controller",
         "observer_estimate",
         "landmark_estimates",
     }
 
 
 def test_belief_has_no_ground_truth_fields():
-    field_names = set(Belief._fields)
+    field_names = set(Belief.__slots__)
     assert "latent_truth" not in field_names
     assert all("truth" not in name for name in field_names)
 

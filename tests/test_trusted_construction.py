@@ -1,13 +1,14 @@
-"""Guards for unchecked construction of the per-step tuples.
+"""Guards for unchecked construction of the per-step state.
 
-`Belief` and `ObserverBelief` are tuples. A public constructor checks what
-it is given (`Belief` has nothing to check); inside a step loop,
-`update_belief` and `observer_update` build their results with
-`tuple.__new__`, which checks nothing, from values that were checked on
-the way in or derived from them in a way that keeps them valid. These
-tests pin three things: both paths build the same object from valid
-input; the public entry points (constructors, and `accrue` for step costs)
-still reject invalid input; and only an allow-listed set of internal
+`ObserverBelief` is a tuple. Its public constructor checks what it is
+given; inside a step loop, `observer_update` builds its result with
+`tuple.__new__`, which checks nothing, from values that were checked on the
+way in or derived from them in a way that keeps them valid. `Belief` has
+nothing to check; `update_belief` changes it in place, and refuses a
+reading that is not finite before it changes anything. These tests pin
+three things: both paths build the same object from valid input; the
+public entry points (constructors, `update_belief`, and `accrue` for step
+costs) still reject invalid input; and only an allow-listed set of internal
 functions builds one of these classes unchecked at all.
 """
 
@@ -36,7 +37,6 @@ UNCHECKED = {"Belief", "ObserverBelief"}
 # way in or derived from them in a way that keeps them valid; see the
 # docstring at each one.
 ALLOWED_CALLERS = {
-    "hoardbench.core.belief:update_belief",
     "hoardbench.observer:observer_update",
 }
 
@@ -113,9 +113,9 @@ def test_public_constructors_still_reject_invalid_input(build):
     ],
 )
 def test_update_belief_validates_an_observation_built_unchecked(values):
-    # update_belief builds its new Belief, a tuple, with no checks, so it
-    # must refuse a reading that is not finite before the reading reaches
-    # the queue.
+    # update_belief writes the reading into its belief with no further
+    # checks, so it must refuse one that is not finite before the reading
+    # reaches the queue.
     config = BeliefConfig(delay=1)
     belief = initial_belief(config, 0.0, 0.0)
     with pytest.raises(InputError, match="is not finite"):
