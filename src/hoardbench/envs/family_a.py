@@ -299,7 +299,7 @@ def run_family_a(
         "trials": float(env.trials),
     }
     record.kappa_by_source = {"launch_scan": scan_kappa, "compensation": comp_kappa}
-    record.signals = [s.to_json_obj() for s in sink.signals]
+    record.signals = sink.signals
     return finish_record(record, ledger)
 
 

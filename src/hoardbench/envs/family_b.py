@@ -246,7 +246,7 @@ def run_family_b(
         "episodes_stored": float(len(store)),
     }
     record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": probe_kappa}
-    record.signals = [s.to_json_obj() for s in sink.signals]
+    record.signals = sink.signals
     return finish_record(record, ledger)
 
 

@@ -22,6 +22,7 @@ arrive only after the adversary has already acted.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from ..core.belief import Belief
@@ -217,7 +218,11 @@ def run_family_c(
     recache_moves = 0
     violations = 0
     kappa = {"cache_writes": 0.0, "decoys": 0.0, "recovery_probes": 0.0, "corrections": 0.0}
-    inbox: list = []  # (deliver_at, agent-visible signal view)
+    # The observer-aware agent's fail verdicts, as (deliver_at, step), in
+    # delivery order: no ground truth. A step names the cache first placed
+    # at it (`placed_at`), which is compromised unless it has moved since.
+    inbox: deque[tuple[int, int]] = deque()
+    placed_at: dict[int, int] = {}
     sighted_cells: list[tuple[int, int]] = []  # raw sightings, in order
 
     policy = CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells)
@@ -235,15 +240,10 @@ def run_family_c(
     # the adversary strike comes at a fixed time, idle steps diffuse its
     # belief, and every agent variant sees the same visibility draws.
     while step < caching_horizon:
-        arrived = [m for m in inbox if m[0] <= step]
-        inbox = [m for m in inbox if m[0] > step]
-        if flags.observer_aware:
-            for _, view in arrived:
-                if view.verdict is False:
-                    for i, cache in enumerate(placed):
-                        if cache["placed_step"] == view.segment_start and not cache["moved"]:
-                            if i not in compromised:
-                                compromised.append(i)
+        while inbox and inbox[0][0] <= step:
+            i = placed_at.get(inbox.popleft()[1])
+            if i is not None and not placed[i]["moved"]:
+                compromised.append(i)
 
         if flags.observer_aware:
             ctx.observer_estimate = adversary
@@ -301,19 +301,18 @@ def run_family_c(
                 used_cells.discard(cache["cell"])
                 cache["cell"] = cell
                 cache["moved"] = True
-                cache["placed_step"] = step
                 item_type = cache["type"]
                 recache_moves += 1
                 repair = 1.0
                 layout = CacheLayout(c["cell"] for c in placed)
             else:
                 item_type = 1 + item_idx % env.item_types
+                placed_at[step] = len(placed)
                 placed.append(
                     {
                         "cell": cell,
                         "value": float(values[item_idx]),
                         "type": item_type,
-                        "placed_step": step,
                         "moved": False,
                         "stolen": False,
                     }
@@ -353,8 +352,8 @@ def run_family_c(
         violation = is_real_cache and visible
         violations += int(violation)
         sig = sink.check("cache_while_observed", step, step, not violation)
-        if sig is not None:
-            inbox.append((sig.emitted_at, sig.agent_view()))
+        if flags.observer_aware and sig is not None and not sig["verdict"]:
+            inbox.append((sig["emitted_at"], step))
 
         if trace is not None:
             # Values in key order: phase, x, y, then col, row (and steps).
@@ -424,7 +423,7 @@ def run_family_c(
 
     accrue(ledger, task=max(0.0, 1.0 - recovered_fraction))
 
-    monitor_signals = [s for s in sink.signals if s.predicate_id == "cache_while_observed"]
+    monitor_signals = [s for s in sink.signals if s["predicate_id"] == "cache_while_observed"]
 
     record = RunRecord(family="C", variant="", seed=seed, status=STATUS_COMPLETED)
     record.goal_verdict = sink.goal_verdict("recovered_target")
@@ -441,7 +440,7 @@ def run_family_c(
         "zone_breaches": float(in_zone),
     }
     record.kappa_by_source = dict(kappa)
-    record.signals = [s.to_json_obj() for s in sink.signals]
+    record.signals = sink.signals
     record.observer_grid = adversary.dump_row_major()
     return finish_record(record, ledger)
 
@@ -450,6 +449,14 @@ def _run(env, agent, ledger, seed, trace):
     flags = AgentFlags(agent["observer_aware"], agent["decoys"])
     end_only = agent["verifier_placement"] == "end_only"
     return run_family_c(env, flags, ledger, seed, end_only, trace)
+
+
+def _unread(env: FamilyCConfig, agent: dict) -> list[tuple[str, str]]:
+    if env.recovery_horizon < env.caches:
+        return [("env.recovery_horizon",
+                 f"{env.recovery_horizon} is below env.caches {env.caches}: "
+                 f"recovery stops after the first {env.recovery_horizon} caches")]
+    return []
 
 
 FAMILY = Family(
@@ -461,4 +468,5 @@ FAMILY = Family(
         "end_only_checking": ("verifier_placement", "end_only"),
     },
     run=_run,
+    unread=_unread,
 )

@@ -354,9 +354,9 @@ def run_family_d(
         for cid in sorted(checker_coverage):
             sig = checker.check(f"c{cid}", step, step, by_id[cid].satisfied(plan))
             checker_evals += 1
-            if sig.verdict is False:
+            if sig["verdict"] is False:
                 checker_bad.append(cid)
-                if not sig.ground_truth_verdict:
+                if not sig["ground_truth_verdict"]:
                     caught_by_checker.add(cid)
         accrue(ledger, compute=float(len(checker_coverage)))
         step += 1
@@ -407,7 +407,7 @@ def run_family_d(
         "executor_evals": float(executor_evals),
         "checker_evals": float(checker_evals),
     }
-    record.signals = [s.to_json_obj() for s in (checker.signals + goal.signals)[-20:]]
+    record.signals = (checker.signals + goal.signals)[-20:]
     return finish_record(record, ledger)
 
 

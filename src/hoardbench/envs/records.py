@@ -109,9 +109,9 @@ class Family:
     its name to the (agent key, value) it sets. `run(env, agent, ledger,
     seed, trace)` runs one cell, and `check_agent` raises
     `ConfigurationError` for an agent block the family cannot run.
-    `unread(env, agent)` lists, as (key, reason) pairs, the env keys set off
-    their defaults to no effect in that cell: read by nothing the agent
-    runs, or clamped.
+    `unread(env, agent)` lists, as (key, reason) pairs, the env keys that
+    fall short in that cell: set off their defaults to no effect (read by
+    nothing the agent runs, or clamped), or cut short by another key.
     """
 
     env_config: type

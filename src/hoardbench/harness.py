@@ -401,7 +401,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     if jobs <= 1:
         cells = _keeping_listed_traces(map(_run_cell, payloads))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=4))
     elapsed = time.monotonic() - started
 

@@ -3,70 +3,24 @@
 Each family computes a check's ground truth itself, as a bool over the steps
 the check covers. A verifier flips that truth with its false-positive or
 false-negative probability, using the dedicated verifier-noise stream, and
-emits the result no earlier than the end of the covered steps. Signals carry
-both the (possibly flipped) verdict the agent may see and the ground-truth
-verdict, which exists for offline metric computation only: agent-facing code
-receives `AgentSignal` views with the ground truth stripped. Every check
+emits the result no earlier than the end of the covered steps. Every check
 yields a signal; a verifier has no blind spot other than its noise.
+
+A signal is one dict, the object runs.jsonl records, and only `evaluate`
+builds one. Its ground-truth verdict is for metrics and reports: an agent
+sees only what its family hands it, and family C, whose agent alone reads
+signals, hands it the step of each delivered fail verdict.
 
 A `SignalSink` is one verifier: it holds the noise rates, the delay and the
 placement, and every check a run sends to it is evaluated at once (in-loop)
-or queued until the run ends (end-only). Only family C's agent reads
-verifier signals, so only C sets `end_only`; the other families check
-in-loop.
+or queued until the run ends (end-only). Only C sets `end_only`; the other
+families check in-loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, check_noise_rates
 from .rng import Substream
-
-
-@dataclass(frozen=True)
-class AgentSignal:
-    """What the agent is allowed to see of a verifier signal."""
-
-    emitted_at: int
-    segment_start: int
-    segment_end: int
-    verdict: bool
-    predicate_id: str
-
-
-@dataclass(frozen=True)
-class VerifierSignal:
-    """Full signal, including ground truth. Report-side only."""
-
-    emitted_at: int
-    segment_start: int
-    segment_end: int
-    verdict: bool
-    ground_truth_verdict: bool
-    predicate_id: str
-
-    def __post_init__(self):
-        if self.emitted_at < self.segment_end:
-            raise InputError("signal emitted before its segment completed")
-
-    def agent_view(self) -> AgentSignal:
-        return AgentSignal(
-            self.emitted_at,
-            self.segment_start,
-            self.segment_end,
-            self.verdict,
-            self.predicate_id,
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "emitted_at": self.emitted_at,
-            "segment": [self.segment_start, self.segment_end],
-            "verdict": self.verdict,
-            "ground_truth_verdict": self.ground_truth_verdict,
-            "predicate_id": self.predicate_id,
-        }
 
 
 def evaluate(
@@ -78,13 +32,16 @@ def evaluate(
     fp_rate: float,
     fn_rate: float,
     emitted_at: int,
-) -> VerifierSignal:
+) -> dict:
     """Check the ground truth `truth` of steps `start`..`end` and emit the
-    result at `emitted_at`.
+    result at `emitted_at`, as a signal dict; raises `InputError` when
+    `emitted_at` precedes `end`.
 
     One noise draw is consumed per evaluation regardless of the rates, so
     noise settings do not shift the stream.
     """
+    if emitted_at < end:
+        raise InputError("signal emitted before its segment completed")
     ground = bool(truth)
     u = float(noise_stream.random())
     verdict = ground
@@ -92,7 +49,13 @@ def evaluate(
         verdict = False
     elif not ground and u < fn_rate:
         verdict = True
-    return VerifierSignal(emitted_at, start, end, verdict, ground, predicate_id)
+    return {
+        "emitted_at": emitted_at,
+        "segment": [start, end],
+        "verdict": verdict,
+        "ground_truth_verdict": ground,
+        "predicate_id": predicate_id,
+    }
 
 
 class SignalSink:
@@ -122,12 +85,12 @@ class SignalSink:
         self.fn_rate = fn_rate
         self.delay = delay
         self.end_only = end_only
-        self.signals: list[VerifierSignal] = []
+        self.signals: list[dict] = []
         self._queue: list[tuple[str, int, int, bool]] = []
 
     def check(
         self, predicate_id: str, start: int, end: int, truth: bool
-    ) -> VerifierSignal | None:
+    ) -> dict | None:
         if self.end_only:
             self._queue.append((predicate_id, start, end, truth))
             return None
@@ -152,14 +115,14 @@ class SignalSink:
     def goal_verdict(self, predicate_id: str) -> int:
         """1 when every signal of the predicate passed, else 0, also when
         there is none."""
-        verdicts = [s.verdict for s in self.signals if s.predicate_id == predicate_id]
+        verdicts = [s["verdict"] for s in self.signals if s["predicate_id"] == predicate_id]
         return int(all(verdicts)) if verdicts else 0
 
 
-def miss_rate(signals: list[VerifierSignal], deadline: int) -> float:
+def miss_rate(signals: list[dict], deadline: int) -> float:
     """The fraction of ground-truth failures whose signal was emitted after
     `deadline`, too late to act on; 0.0 when no check failed."""
-    failures = [s for s in signals if not s.ground_truth_verdict]
+    failures = [s for s in signals if not s["ground_truth_verdict"]]
     if not failures:
         return 0.0
-    return sum(s.emitted_at > deadline for s in failures) / len(failures)
+    return sum(s["emitted_at"] > deadline for s in failures) / len(failures)

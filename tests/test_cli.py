@@ -134,14 +134,19 @@ def test_report_of_a_damaged_results_file_is_refused(results, capsys, name, dama
       "sweep": {"key": "adversary_probes", "values": [10, 21]}},
      "warning: config key 'env.adversary_probes': 21 exceeds env.n_constraints 20; "
      "the adversary probes each constraint at most once\n"),
+    ({"family": "C", "env": {"caches": 6, "recovery_horizon": 4}},
+     "warning: config key 'env.recovery_horizon': 4 is below env.caches 6: "
+     "recovery stops after the first 4 caches\n"),
     # RLS reads the variance; the launch planner aims with the prior mean
     # whether RLS runs or not; D's default probes cover a small universe by
-    # design.
+    # design; a horizon of one step per cache recovers every cache.
     ({"family": "A", "env": {"z_prior_variance": 1.0}, "agent": {"rls": True}}, ""),
     ({"family": "A", "env": {"z_prior_mean": 0.75}}, ""),
     ({"family": "D", "env": {"n_constraints": 3}}, ""),
+    ({"family": "C", "env": {"caches": 6, "recovery_horizon": 6}}, ""),
 ], ids=["a_variance_without_rls", "d_probes_clamped", "d_probes_clamped_in_a_sweep",
-        "a_variance_with_rls", "a_mean_without_rls", "d_default_probes"])
+        "c_horizon_below_caches", "a_variance_with_rls", "a_mean_without_rls",
+        "d_default_probes", "c_horizon_of_every_cache"])
 def test_a_key_set_to_no_effect_is_warned_of_on_stderr(tmp_path, capsys, document, warning):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**document, "seeds": "0..0"}))

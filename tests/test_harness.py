@@ -166,6 +166,34 @@ def test_cells_run_seed_major_and_come_back_variant_major(jobs, monkeypatch):
         ]
 
 
+@pytest.mark.parametrize("jobs, workers", [(1, []), (2, [2]), (64, [2])])
+def test_the_pool_starts_at_most_one_worker_per_cell(monkeypatch, jobs, workers):
+    # A fork pool starts every worker it is sized for at once, so a grid of
+    # two cells sizes it for two, whatever `--jobs` asks; timing.json keeps
+    # the requested count.
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    config = parse_config(json.dumps({"family": "D", "seeds": "0..1", "env": {"n_constraints": 8}}))
+    result = run_grid(config, jobs=jobs)
+    assert requested == workers
+    assert [c.seed for c in result.cells] == [0, 1]
+    assert result.wallclock["jobs"] == jobs
+
+
 def test_null_sweep_value_unsets_the_env_key():
     # A null sweep value replaces the env block's value like any other.
     swept = run_grid(parse_config(json.dumps({

@@ -1,13 +1,15 @@
 """Interface audit: policies can see beliefs and retrievals, never truth.
 
-These tests inspect the policy API surface rather than behavior: no policy
-entry point may accept or reach ground-truth latents, environment state, or
-a verifier signal's ground-truth verdict.
+Most of these tests inspect the policy API surface rather than behavior: no
+policy entry point may accept or reach ground-truth latents or environment
+state. One runs family C, whose agent alone reads verifier signals, to check
+that it acts on a signal's verdict and never on its ground-truth verdict.
 """
 
 import inspect
 import typing
 
+from hoardbench import verifier
 from hoardbench.core.belief import Belief
 from hoardbench.core.policy import (
     OptionPolicy,
@@ -25,11 +27,10 @@ from hoardbench.envs.family_c import CacheSitePolicy, FamilyCConfig
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import MemoryStore, Retrieval
 from hoardbench.rng import RunStreams
-from hoardbench.verifier import AgentSignal, VerifierSignal
 
 # Compared by identity, so a type that is deleted breaks this import rather
 # than leaving a name that can never match.
-FORBIDDEN_TYPES = (VerifierSignal, MemoryStore, CostLedger, RunStreams)
+FORBIDDEN_TYPES = (MemoryStore, CostLedger, RunStreams)
 
 OPTION_POLICIES = [
     LaunchPlanner(FamilyAConfig()),
@@ -135,12 +136,17 @@ def test_belief_has_no_ground_truth_fields():
     assert all("truth" not in name for name in field_names)
 
 
-def test_agent_signal_view_strips_ground_truth():
-    assert "ground_truth_verdict" in VerifierSignal.__dataclass_fields__
-    assert "ground_truth_verdict" not in AgentSignal.__dataclass_fields__
-    sig = VerifierSignal(5, 0, 4, True, False, "p")
-    view = sig.agent_view()
-    assert view is not None and not hasattr(view, "ground_truth_verdict")
+def test_family_c_agent_acts_on_verdicts_not_ground_truth(monkeypatch):
+    """With every verdict forced to pass, the observer-aware agent moves no
+    cache, although the adversary saw caches placed: it learns of a sighting
+    only from a fail verdict, whatever the ground truth says."""
+    env, agent = FamilyCConfig(caches=12, visibility=0.7), dict(family_c.FAMILY.agent)
+    assert family_c.FAMILY.run(env, agent, CostLedger(), 0, None).metrics["recache_moves"] > 0
+    original = verifier.evaluate
+    monkeypatch.setattr(verifier, "evaluate", lambda *args: {**original(*args), "verdict": True})
+    metrics = family_c.FAMILY.run(env, agent, CostLedger(), 0, None).metrics
+    assert metrics["recache_moves"] == 0
+    assert metrics["violations"] > 0
 
 
 def test_retrieval_carries_no_truth():
