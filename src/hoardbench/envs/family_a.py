@@ -227,12 +227,17 @@ def run_family_a(
         first_stabilize_step = global_step
         rows: list[float] = []
 
+        # The ledger's running sums that the loop charges, kept in locals
+        # for the trial and written back after it.
+        latency_cost, repair_cost = ledger.latency_cost, ledger.repair_cost
+        compute_used, budget = ledger.compute_used, ledger.budget
+
         # The stabilize loop, one step per iteration: the force from the
         # belief's present estimate (PD feedback toward zero error, or the
         # next entry of the open-loop schedule clamped to the bound, then
         # silence); the plant; the readings; one in-place belief update and
-        # one ledger accrual. Plant state, counters and constants stay in
-        # locals.
+        # the step's charge. Plant state, counters, cost sums and constants
+        # stay in locals.
         for step, (noise_e, noise_r) in enumerate(step_noise, 1):
             if feedback:
                 force, clamped = pd_feedback(agent, belief.position, belief.velocity)
@@ -267,12 +272,23 @@ def run_family_a(
             if first_hold_step is None and hold >= hold_steps:
                 first_hold_step = step
 
-            # Positional, in `accrue`'s order: task, latency, leak, repair, compute.
-            accrue(ledger, 0.0, 0.0 if first_hold_step is not None else 1.0, 0.0,
-                   abs(force) if perturbed else 0.0, kappa)
-            if ledger.exhausted:
+            # `accrue` restated, its 0.0 additions left out: latency 1.0 until
+            # the window is first held, repair |force| once perturbed, then
+            # kappa against the budget. Its finiteness check has nothing to
+            # catch here: latency is 1.0, the force is clamped to the finite
+            # `action_bound`, and kappa is an int.
+            if first_hold_step is None:
+                latency_cost += 1.0
+            if perturbed:
+                repair_cost += abs(force)
+            if kappa > budget - compute_used:
+                compute_used = budget
+                ledger.exhausted = True
                 break
+            compute_used += kappa
         global_step = first_stabilize_step + step
+        ledger.latency_cost, ledger.repair_cost = latency_cost, repair_cost
+        ledger.compute_used = compute_used
 
         if tracing:
             trace.append(first_stabilize_step, _STABILIZE_RECORD, *rows)

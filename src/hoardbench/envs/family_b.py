@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -70,10 +71,10 @@ class RetrievalGoalPolicy:
     retrieve the next one."""
 
     def __init__(self, goals: list[tuple[int, float, float]]):
-        self.goals = list(goals)
+        self.goals = deque(goals)
 
     def select(self, belief: Belief | None, ctx: PolicyContext) -> OptionChoice:
-        item_type, x, y = self.goals.pop(0)
+        item_type, x, y = self.goals.popleft()
         return OptionChoice(
             OptionKind.RETRIEVE, {"item_type": float(item_type), "x": x, "y": y}
         )

@@ -401,8 +401,12 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     if jobs <= 1:
         cells = _keeping_listed_traces(map(_run_cell, payloads))
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=4))
+        workers = min(jobs, len(payloads))
+        # Chunks of 4 cut IPC on large grids; a small grid's chunks shrink so
+        # that every worker gets one.
+        chunksize = min(4, -(-len(payloads) // workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cells = _keeping_listed_traces(pool.map(_run_cell, payloads, chunksize=chunksize))
     elapsed = time.monotonic() - started
 
     # cells[v + j * nv::ns * nv] are variant v's at sweep value j, by seed.

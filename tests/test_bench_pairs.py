@@ -126,3 +126,32 @@ def test_each_copy_is_compiled_from_its_own_source(tmp_path):
             expected = "a" if source.parent.name == "perfbench" else side
             assert source.read_text() == f"SIDE = {expected!r}\n"
             assert marshal.loads(cached.read_bytes()[16:]).co_consts[0] == expected
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    ([1.0] * 5, [1.3] * 5, "worse"),            # 30% slower against a 25% bound
+    ([1.0] * 5, [1.2] * 5, "none"),             # 20% slower, inside the bound
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [1.3] * 5, "worse"),
+    # Parent IQR 0.4 is 40% of its median: too wide to tell, unless every
+    # change run beats every parent run.
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [1.0] * 5, "unresolved"),
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [0.59] * 5, "none"),
+    ([0.6, 0.8, 1.0, 1.2, 1.4], [0.59, 0.59, 0.59, 0.59, 0.6], "unresolved"),
+])
+def test_regression_verdict_weighs_the_median_against_the_bound_and_parent_spread(
+        parent, change, verdict):
+    tool = _tool()
+    # cells_per_s mirrors run_s, higher being better.
+    pairs = _pairs(parent, change, [10 / p for p in parent], [10 / c for c in change])
+    block = tool.summarize(list(range(5)), pairs, _END_TO_END)
+    assert block["metrics"]["run_s"]["regression"] == verdict
+
+
+def test_regression_verdict_of_a_higher_is_better_metric():
+    tool = _tool()
+    pairs = _pairs([1.0] * 5, [1.0] * 5, [10.0] * 5, [7.0] * 5)
+    assert tool.summarize(list(range(5)), pairs, _END_TO_END)[
+        "metrics"]["cells_per_s"]["regression"] == "worse"
+    pairs = _pairs([1.0] * 5, [1.0] * 5, [10.0] * 5, [8.0] * 5)
+    assert tool.summarize(list(range(5)), pairs, _END_TO_END)[
+        "metrics"]["cells_per_s"]["regression"] == "none"

@@ -209,6 +209,23 @@ def test_budget_exhaustion_outcome():
     assert record.status == "budget_exhausted"
 
 
+def test_the_budget_runs_out_on_the_step_after_it_is_met():
+    # Delay 2 with the compensator: the landing reading fills the queue's
+    # first slot, so stabilize step 1 delivers nothing and each later step
+    # charges 2 units. A budget of 100 is met exactly at step 51; the ledger
+    # stays open there and runs out at step 52, which the trace keeps. A
+    # rule that closed at equality would stop at step 51.
+    trace = Trace()
+    ledger = CostLedger(budget=100.0)
+    record = run_family_a(FamilyAConfig(), FEEDBACK, ledger, seed=0, trace=trace)
+    stabilize = [r for r in _records(trace) if r["option_active"]["kind"] == "stabilize"]
+    assert record.status == "budget_exhausted"
+    assert len(stabilize) == 52 and stabilize[-1]["step"] == 52
+    assert ledger.exhausted and ledger.compute_used == 100.0
+    assert record.costs == {"task_cost": 0.0, "latency_cost": 27.0, "leak_cost": 0.0,
+                            "repair_cost": 0.0, "compute_used": 100.0}
+
+
 def test_a_reading_the_loop_cannot_check_fails_its_cell_end_to_end(tmp_path, capsys):
     # A perturbation of 1e307 over dt 0.05 takes the error rate past the
     # largest float at step 5. The config is valid, so only the stabilize

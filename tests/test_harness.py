@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,32 @@ def test_the_pool_starts_at_most_one_worker_per_cell(monkeypatch, jobs, workers)
     assert requested == workers
     assert [c.seed for c in result.cells] == [0, 1]
     assert result.wallclock["jobs"] == jobs
+
+
+def test_a_two_cell_grid_runs_in_two_workers_under_two_jobs(tmp_path, monkeypatch):
+    # Each cell names its worker, then waits for the other cell to start, so
+    # the two can run together only if their chunks went to different
+    # workers; one worker holding both would wait out the timeout alone.
+    document = {"family": "B", "seeds": 0, "env": {"n_events": 32},
+                "ablations": ["flat_archive"]}
+    serial = _result_files(_run_into(tmp_path, document, "jobs1"))
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def waiting(*args, **kwargs):
+        (started / str(os.getpid())).touch()
+        deadline = time.monotonic() + 10.0
+        while len(list(started.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return run_one(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_one", waiting)
+    pooled = _result_files(_run_into(tmp_path, document, "jobs2", jobs=2))
+    assert len(list(started.iterdir())) == 2
+    assert os.getpid() not in {int(p.name) for p in started.iterdir()}
+    for files in (serial, pooled):
+        del files["resolved_config.json"]  # differs by its output_dir only
+    assert pooled == serial
 
 
 def test_null_sweep_value_unsets_the_env_key():

@@ -21,8 +21,13 @@ side's median, inclusive quartiles and runs, the change's wins (ties count
 for neither side), the relative change of the medians, and `gain_shown`:
 whether the change won at least nine tenths of the pairs and the medians
 differ, in the metric's better direction, by more than the parent's
-interquartile distance. Progress goes to stderr. The exit code is 0, or 2
-when a benchmark run crashes or a side has no `src/hoardbench`.
+interquartile distance; and `regression`, the no-regression verdict:
+`"worse"` when the change's median is worse than the parent's by more than
+the bound (a fraction of the parent's median), else `"unresolved"` when the
+parent's interquartile distance is wider than that same fraction of its
+median and not every change run beats every parent run, else `"none"`.
+Progress goes to stderr. The exit code is 0, or 2 when a benchmark run
+crashes or a side has no `src/hoardbench`.
 """
 
 from __future__ import annotations
@@ -106,6 +111,14 @@ def summarize(seeds: list[int], pairs: list[dict[str, dict]], end_to_end: list[d
         q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
         parent, change = (statistics.median(values[side]) for side in SIDES)
         gap = (parent - change) if lower else (change - parent)
+        beats_every_run = (max(values["change"]) < min(values["parent"]) if lower
+                           else min(values["change"]) > max(values["parent"]))
+        if -gap > spec["bound"] * parent:
+            regression = "worse"
+        elif (q3 - q1) > spec["bound"] * parent and not beats_every_run:
+            regression = "unresolved"
+        else:
+            regression = "none"
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -115,6 +128,7 @@ def summarize(seeds: list[int], pairs: list[dict[str, dict]], end_to_end: list[d
             "change_wins": f"{wins}/{len(pairs)}",
             "relative_change": round(change / parent - 1.0, DIGITS),
             "gain_shown": wins * 10 >= 9 * len(pairs) and gap > q3 - q1,
+            "regression": regression,
         }
     return {
         "seeds": list(seeds),
