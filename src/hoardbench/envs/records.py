@@ -82,18 +82,14 @@ class RunRecord:
         raise KeyError(f"unknown metric {metric!r}; known: {known}")
 
 
-def ledger_costs(ledger: CostLedger) -> dict[str, float]:
-    return {
+def finish_record(record: RunRecord, ledger: CostLedger) -> RunRecord:
+    record.costs = {
         "task_cost": ledger.task_cost,
         "latency_cost": ledger.latency_cost,
         "leak_cost": ledger.leak_cost,
         "repair_cost": ledger.repair_cost,
         "compute_used": ledger.compute_used,
     }
-
-
-def finish_record(record: RunRecord, ledger: CostLedger) -> RunRecord:
-    record.costs = ledger_costs(ledger)
     record.objective = objective_value(ledger)
     if ledger.exhausted:
         record.status = STATUS_BUDGET_EXHAUSTED

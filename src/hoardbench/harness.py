@@ -15,6 +15,7 @@ defaults, its ablations, its agent check and its cell runner.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import time
@@ -464,8 +465,10 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     constraint_report.json, failures.md, traces/ with a window of each
     listed cell's trace around its first failing signal (see
     `_write_failures`), and timing.json (the only file allowed to differ
-    between identical runs). Every window file of the grid's variants is
-    cleared first, so the directory holds no window of another run. The
+    between identical runs). Every window file under traces/
+    (`traces/*/seed_*_steps_*_*.jsonl`), of whatever variant, is cleared
+    first, and a variant directory that clearing empties is removed, so the
+    directory holds no window of another run; other files there stay. The
     report encodes windows of the traces the grid kept; results read back by
     `load_result_set` carry none, so under `report --in` each listed cell
     that gets a window is run again. A whole trace stays one deterministic
@@ -501,10 +504,17 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     by_variant = {}
     for cell in ordered:
         by_variant.setdefault(cell.variant, []).append(cell.record)
+    completed = {
+        variant: [r for r in records if r.status != STATUS_FAILED]
+        for variant, records in by_variant.items()
+    }
 
-    for variant in by_variant:
-        for path in (out / "traces" / _safe(variant)).glob("seed_*_steps_*_*.jsonl"):
-            path.unlink()
+    windows = list((out / "traces").glob("*/seed_*_steps_*_*.jsonl"))
+    for path in windows:
+        path.unlink()
+    for directory in {path.parent for path in windows}:
+        if not any(directory.iterdir()):
+            directory.rmdir()
 
     with open(out / "runs.jsonl", "w") as fh:
         for cell in ordered:
@@ -515,66 +525,42 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     # with that many seeds is resampled: the matrix a fresh
     # `Substream(seed_start, "bootstrap")` would draw for each such metric.
     resamples = {}
-    for variant, records in by_variant.items():
-        completed = [r for r in records if r.status != STATUS_FAILED]
-        if len(completed) < 2:
+    for variant, records in completed.items():
+        if len(records) < 2:
             continue
         name, _, sweep_value = variants[variant]
-        baseline = None
+        baseline = []
         if name != "baseline":
-            baseline = by_variant.get(_variant_label("baseline", config.sweep_key, sweep_value))
-        for metric in _numeric_metrics(completed):
-            values = [_metric_or_nan(r, metric) for r in completed]
-            values = [v for v in values if v == v]
-            if len(values) < 2:
-                continue
-            base_values = None
-            if baseline is not None:
-                base_values = [
-                    _metric_or_nan(r, metric)
-                    for r in baseline
-                    if r.status != STATUS_FAILED
-                ]
-                base_values = [v for v in base_values if v == v] or None
+            baseline = completed.get(_variant_label("baseline", config.sweep_key, sweep_value), [])
+        for metric in _numeric_metrics(records):
+            values = _values(records, metric)
             n = len(values)
+            if n < 2:
+                continue
             if n not in resamples and resampled(values):
                 resamples[n] = Substream(config.seed_start, "bootstrap").integers(
                     0, n, size=(BOOTSTRAP_RESAMPLES, n)
                 )
-            summary = aggregate(values, metric, resamples.get(n), base_values)
-            effect = summary.effect_size_vs_baseline
-            rows.append(
-                (
-                    f"{variant}/{metric}",
-                    _fmt(summary.mean),
-                    _fmt(summary.median),
-                    _fmt(summary.p95),
-                    _fmt(summary.ci_low),
-                    _fmt(summary.ci_high),
-                    str(summary.n_seeds),
-                    "" if effect is None else _fmt(effect),
-                )
+            *stats, n_seeds, effect = aggregate(
+                values, resamples.get(n), _values(baseline, metric)
             )
-    with open(out / "summary.csv", "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+            rows.append((f"{variant}/{metric}", *map(_fmt, stats), str(n_seeds),
+                         "" if effect is None else _fmt(effect)))
+    with open(out / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows(rows)
 
-    constraint = {}
-    for variant, records in by_variant.items():
-        completed = [r for r in records if r.status != STATUS_FAILED]
-        if not completed:
-            constraint[variant] = {"error": "no completed runs"}
-            continue
-        report = constraint_check(
-            [r.goal_verdict for r in completed], config.ledger["delta"]
-        )
-        constraint[variant] = report.to_json_obj()
+    constraint = {
+        variant: constraint_check([r.goal_verdict for r in records], config.ledger["delta"])
+        if records else {"error": "no completed runs"}
+        for variant, records in completed.items()
+    }
     (out / "constraint_report.json").write_text(
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, out)
+    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, completed, out)
 
     cell_seconds: dict[str, dict[str, float]] = {}
     for cell in ordered:
@@ -591,11 +577,18 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     return out
 
 
-def _metric_or_nan(record: RunRecord, metric: str) -> float:
-    try:
-        return record.value(metric)
-    except KeyError:
-        return float("nan")
+def _values(records: list[RunRecord], metric: str) -> list[float]:
+    """`metric`'s values over `records`, leaving out each record that lacks
+    the metric or holds NaN for it."""
+    values = []
+    for record in records:
+        try:
+            value = record.value(metric)
+        except KeyError:
+            continue
+        if value == value:
+            values.append(value)
+    return values
 
 
 def _rank(record: RunRecord) -> tuple[bool, float, int]:
@@ -603,12 +596,6 @@ def _rank(record: RunRecord) -> tuple[bool, float, int]:
     goal verdict 0 first, then highest objective, then lowest seed. Seeds
     are unique within a variant, so no two runs tie."""
     return (record.goal_verdict != 0, -record.objective, record.seed)
-
-
-def _listed_runs(records: list[RunRecord]) -> list[RunRecord]:
-    """The completed runs failures.md lists for one variant."""
-    completed = [r for r in records if r.status != STATUS_FAILED]
-    return sorted(completed, key=_rank)[:WORST_RUNS_LISTED]
 
 
 def _failed_check(signal: dict) -> bool:
@@ -656,7 +643,7 @@ def _describe(signal: dict | None) -> str:
 
 
 def _write_failures(
-    result: ResultSet, variants: dict, by_variant: dict, out: Path
+    result: ResultSet, variants: dict, by_variant: dict, completed: dict, out: Path
 ) -> tuple[float, float]:
     """Write failures.md: per variant, the error of every failed cell, then
     the first `WORST_RUNS_LISTED` completed runs by `_rank`. Each listed run
@@ -670,7 +657,8 @@ def _write_failures(
     trace the grid kept. Results read back by `load_result_set` carry no
     traces, so for them each window is recorded by re-running its cell
     (determinism makes the replay exact); `variants` is `_variant_table` of
-    the config. Returns the seconds spent on re-runs, their window files
+    the config, and `completed` holds the completed records of each variant
+    of `by_variant`. Returns the seconds spent on re-runs, their window files
     included, and the seconds spent encoding and writing window files."""
     config = result.config
     lines = [
@@ -685,7 +673,7 @@ def _write_failures(
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
     replay_seconds = write_seconds = 0.0
     for variant, records in by_variant.items():
-        listed = _listed_runs(records)
+        listed = sorted(completed[variant], key=_rank)[:WORST_RUNS_LISTED]
         failed = [r for r in records if r.status == STATUS_FAILED]
         lines.append(f"## {variant}")
         if failed:

@@ -11,6 +11,10 @@ that exhaust it end with a budget-exhausted outcome rather than an error.
 The goal-verdict constraint is judged with a Wilson 95% interval on the
 empirical success frequency.
 
+The report statistics return plain rows, in the form their files write:
+`constraint_check` a variant's constraint_report.json object, `aggregate`
+a summary.csv row's statistics in column order.
+
 The report's statistics (median, percentiles, the bootstrap interval) go
 through `percentile` and `median`, which give `np.percentile` (linear) and
 `np.median` bit for bit, the sign of a zero included, without numpy's
@@ -118,30 +122,11 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    successes: int
-    total: int
-    frequency: float
-    ci_low: float
-    ci_high: float
-    target: float
-    verdict: str  # satisfied | violated | inconclusive
-
-    def to_json_obj(self) -> dict:
-        return {
-            "successes": self.successes,
-            "total": self.total,
-            "frequency": self.frequency,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "target": self.target,
-            "verdict": self.verdict,
-        }
-
-
-def constraint_check(outcomes: list[int], delta: float) -> ConstraintReport:
-    """Judge Pr(goal verdict = 1) >= 1 - delta from binary run outcomes.
+def constraint_check(outcomes: list[int], delta: float) -> dict:
+    """Judge Pr(goal verdict = 1) >= 1 - delta from binary run outcomes, as
+    constraint_report.json's object for one variant: `successes`, `total`,
+    `frequency`, the Wilson bounds `ci_low` and `ci_high`, `target` and
+    `verdict`.
 
     Satisfied when the Wilson lower bound clears the target, violated when
     the upper bound falls short, inconclusive otherwise.
@@ -160,24 +145,13 @@ def constraint_check(outcomes: list[int], delta: float) -> ConstraintReport:
         verdict = "violated"
     else:
         verdict = "inconclusive"
-    return ConstraintReport(k, n, k / n, lo, hi, target, verdict)
+    return {"successes": k, "total": n, "frequency": k / n, "ci_low": lo, "ci_high": hi,
+            "target": target, "verdict": verdict}
 
 
 # ---------------------------------------------------------------------------
 # Aggregation across runs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Summary:
-    metric: str
-    mean: float
-    median: float
-    p95: float
-    ci_low: float
-    ci_high: float
-    n_seeds: int
-    effect_size_vs_baseline: float | None = None
 
 
 def percentile(values, q: float) -> float:
@@ -255,11 +229,12 @@ def cohens_d(values: np.ndarray, baseline: np.ndarray) -> float:
 
 def aggregate(
     values: list[float],
-    metric: str,
     resamples: np.ndarray | None,
     baseline: list[float] | None = None,
-) -> Summary:
-    """Mean, median, p95, bootstrap 95% CI, and effect size for one metric.
+) -> tuple:
+    """One summary.csv row's statistics, in its column order after the
+    metric name: mean, median, p95, the bootstrap 95% CI of the mean, the
+    seed count, and the effect size against `baseline` (None without one).
     `resamples` is `bootstrap_ci`'s index matrix for `len(values)` seeds,
     or None when the values are not `resampled`."""
     if len(values) < 2:
@@ -267,13 +242,4 @@ def aggregate(
     arr = np.asarray(values, dtype=float)
     lo, hi = bootstrap_ci(arr, resamples)
     effect = cohens_d(arr, np.asarray(baseline, dtype=float)) if baseline else None
-    return Summary(
-        metric=metric,
-        mean=float(arr.mean()),
-        median=median(arr),
-        p95=percentile(arr, 95),
-        ci_low=lo,
-        ci_high=hi,
-        n_seeds=len(values),
-        effect_size_vs_baseline=effect,
-    )
+    return float(arr.mean()), median(arr), percentile(arr, 95), lo, hi, len(values), effect

@@ -36,7 +36,6 @@ CACHE_KERNEL_WIDTH = 3
 CACHE_KERNEL_WEIGHT = 0.9
 PRESENCE_KERNEL_WIDTH = 5
 PRESENCE_KERNEL_WEIGHT = 0.5
-NORMALIZATION_TOL = 1e-12
 
 Cell = tuple[int, int]
 

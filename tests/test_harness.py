@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import math
@@ -119,11 +120,11 @@ def test_version_echo_round_trips():
 @pytest.mark.parametrize(
     "family, env, key, values",
     [
-        ("A", {"trials": 1, "horizon": 20}, "z_range", [[0.2, 0.4], [0.5, 0.8]]),
+        ("A", {"trials": 1}, "z_range", [[0.2, 0.8], [0.3, 0.7]]),
         ("C", {"caches": 5}, "forbidden_zone", [[0, 0, 2, 2], [5, 5, 9, 9]]),
     ],
 )
-def test_sweep_over_tuple_field_runs(family, env, key, values):
+def test_sweep_over_tuple_field_runs(tmp_path, family, env, key, values):
     # JSON writes tuple fields as lists; each cell must get the tuple back.
     config = parse_config(json.dumps({
         "family": family, "seeds": "0..1", "env": env,
@@ -131,9 +132,15 @@ def test_sweep_over_tuple_field_runs(family, env, key, values):
     }))
     result = run_grid(config)
     assert [c.record.error for c in result.cells] == [""] * 4
-    assert [c.variant for c in result.cells] == [
-        f"baseline@{key}={v}" for v in values for _ in range(2)
-    ]
+    labels = [f"baseline@{key}={v}" for v in values]
+    assert [c.variant for c in result.cells] == [label for label in labels for _ in range(2)]
+    # Such labels hold a comma; summary.csv quotes them, so every row keeps
+    # its columns and gives its label back.
+    with open(write_report(result, tmp_path) / "summary.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == harness.SUMMARY_COLUMNS
+    assert rows and {len(row) for row in rows} == {len(header)}
+    assert {row[0].rsplit("/", 1)[0] for row in rows} == set(labels)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -468,6 +475,22 @@ def test_report_takes_no_whole_trace_or_other_range_for_a_window(tmp_path, monke
     assert window.read_bytes() == files[str(window.relative_to(out))]
     assert (out / "failures.md").read_bytes() == files["failures.md"]
     assert not (out / "traces/no_feedback/seed_3_steps_40_121.jsonl").exists()
+
+
+def test_a_run_clears_the_windows_of_variants_its_grid_lacks(tmp_path):
+    # A grid with an ablation writes its windows; the same grid without it,
+    # run into the same directory, leaves the directory as a fresh run does.
+    grid = {"family": "A", "seeds": "0..1", "env": {"trials": 2, "z_drift": 0.05}}
+    out = _run_into(tmp_path, {**grid, "ablations": ["no_feedback"]})
+    assert sorted(p.name for p in (out / "traces/no_feedback").iterdir()) == [
+        "seed_0_steps_0_240.jsonl", "seed_1_steps_0_240.jsonl",
+    ]
+    _run_into(tmp_path, grid)
+    fresh = _result_files(_run_into(tmp_path, grid, "fresh"))
+    files = _result_files(out)
+    del files["resolved_config.json"], fresh["resolved_config.json"]  # their output_dir
+    assert files == fresh
+    assert not (out / "traces/no_feedback").exists()
 
 
 def test_report_replays_every_listed_window(tmp_path, monkeypatch):

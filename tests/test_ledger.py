@@ -176,21 +176,35 @@ def test_wilson_interval_hand_fixture():
 
 
 def test_constraint_check_verdicts():
-    assert constraint_check([1] * 100, 0.1).verdict == "satisfied"
-    assert constraint_check([0] * 100, 0.1).verdict == "violated"
+    assert constraint_check([1] * 100, 0.1)["verdict"] == "satisfied"
+    assert constraint_check([0] * 100, 0.1)["verdict"] == "violated"
     report = constraint_check([1] * 92 + [0] * 8, 0.1)
-    assert report.verdict == "inconclusive"
-    assert report.ci_low == pytest.approx(0.850, abs=5e-4)
+    assert report["verdict"] == "inconclusive"
+    assert report["ci_low"] == pytest.approx(0.850, abs=5e-4)
+
+
+@pytest.mark.parametrize("outcomes, delta", [
+    ([1] * 100, 0.1), ([0] * 100, 0.1), ([1] * 92 + [0] * 8, 0.1), ([1], 0.5), ([0, 1, 1], 0.25),
+])
+def test_constraint_check_returns_the_constraint_report_json_object(outcomes, delta):
+    report = constraint_check(outcomes, delta)
+    types = {"successes": int, "total": int, "frequency": float, "ci_low": float,
+             "ci_high": float, "target": float, "verdict": str}
+    assert {key: type(value) for key, value in report.items()} == types
+    k, n = sum(outcomes), len(outcomes)
+    assert (report["successes"], report["total"], report["frequency"]) == (k, n, k / n)
+    assert (report["ci_low"], report["ci_high"]) == wilson_interval(k, n)
+    assert report["target"] == 1.0 - delta
 
 
 def test_constraint_check_monotone_in_successes():
     # Adding a success never moves the verdict toward violated.
     order = {"violated": 0, "inconclusive": 1, "satisfied": 2}
     outcomes = [0] * 30
-    last = order[constraint_check(outcomes, 0.2).verdict]
+    last = order[constraint_check(outcomes, 0.2)["verdict"]]
     for _ in range(60):
         outcomes = outcomes + [1]
-        now = order[constraint_check(outcomes, 0.2).verdict]
+        now = order[constraint_check(outcomes, 0.2)["verdict"]]
         assert now >= last
         last = now
 
@@ -204,13 +218,31 @@ def test_constraint_check_requires_outcomes():
 
 def test_aggregate_identical_records_zero_width_ci():
     # Constant values are not resampled, so they need no index matrix.
-    s = aggregate([3.0] * 10, "m", None)
-    assert s.ci_low == s.ci_high == s.mean == 3.0
+    mean, _, _, ci_lo, ci_hi, _, _ = aggregate([3.0] * 10, None)
+    assert ci_lo == ci_hi == mean == 3.0
 
 
 def test_aggregate_two_point_mean():
-    s = aggregate([0.0, 1.0], "m", _resamples(0, 2))
-    assert s.mean == 0.5
+    assert aggregate([0.0, 1.0], _resamples(0, 2))[0] == 0.5
+
+
+@pytest.mark.parametrize("n", [2, 5, 40])
+def test_aggregate_returns_the_summary_row_in_column_order(n):
+    # mean, median, p95, ci_lo, ci_hi, n_seeds, effect: bit for bit what
+    # numpy gives over the same values and index matrix.
+    draws = Substream(n, "env")
+    values = list(draws.normal(0.0, 1.0, size=n))
+    baseline = list(draws.normal(0.5, 1.0, size=n + 1))
+    shared = _resamples(7, n)
+    means = np.asarray(values)[shared].mean(axis=1)
+    row = (float(np.mean(values)), float(np.median(values)), float(np.percentile(values, 95)),
+           float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5)), n)
+    got = aggregate(values, shared)
+    assert len(got) == 7 and all(map(_same, got[:6], row)) and got[5] == n
+    assert got[6] is None
+    with_baseline = aggregate(values, shared, baseline)
+    assert all(map(_same, with_baseline[:6], row))
+    assert _same(with_baseline[6], cohens_d(np.asarray(values), np.asarray(baseline)))
 
 
 def test_bootstrap_matches_independent_reimplementation():
@@ -299,7 +331,7 @@ def test_cohens_d_sign_and_scale():
 
 def test_aggregate_requires_two_records():
     with pytest.raises(InputError):
-        aggregate([1.0], "m", None)
+        aggregate([1.0], None)
 
 
 def test_ledger_validation():

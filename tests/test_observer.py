@@ -8,7 +8,6 @@ from hoardbench.core.state import InputError
 from hoardbench.observer import (
     CACHE_KERNEL_WIDTH,
     CACHE_KERNEL_WEIGHT,
-    NORMALIZATION_TOL,
     OBSERVER_GRID,
     PRESENCE_KERNEL_WIDTH,
     PRESENCE_KERNEL_WEIGHT,
@@ -289,7 +288,7 @@ def test_mass_stays_one_and_cells_non_negative(rate, events):
         belief = observer_update(belief, event)
         if isinstance(event, SawNothing) and rate == 0.0:
             assert belief is before
-        assert abs(belief.grid.sum() - 1.0) <= NORMALIZATION_TOL
+        assert abs(belief.grid.sum() - 1.0) <= 1e-12
         assert np.all(belief.grid >= 0.0)
         assert belief.diffusion_rate == rate
         # The update skips ObserverBelief's checks; the public constructor

@@ -125,3 +125,41 @@ def test_source_lines_count_as_wc_does_and_end_every_comparison(tmp_path, capsys
         "source lines: parent 6, change 1, difference -5",
         "test lines: parent 4, change 3, difference -1",
     ]
+
+
+# A stand-in `hoardbench.cli`: `run` writes a results directory, and
+# `report --in` rewrites its runs.jsonl with REPORTED and its timing.json.
+_FAKE_CLI = '''import json, sys
+from pathlib import Path
+args = sys.argv[1:]
+out = Path(args[args.index("--out" if args[0] == "run" else "--in") + 1])
+if args[0] == "run":
+    (out / "resolved_config.json").write_text(json.dumps({"output_dir": str(out)}))
+    (out / "runs.jsonl").write_text('{"seed":0}\\n')
+else:
+    (out / "runs.jsonl").write_text(REPORTED)
+(out / "timing.json").write_text(json.dumps(args))
+'''
+
+
+@pytest.mark.parametrize("reported, status", [
+    ('{"seed":0}\n', "same"), ('{"seed":1}\n', "DIFFER: runs.jsonl"),
+], ids=["same", "differs"])
+def test_a_re_report_of_the_change_is_compared_with_its_run(tmp_path, capsys, reported, status):
+    sides = []
+    for side in ("parent", "change"):
+        cli = f"REPORTED = {reported!r}\n" + _FAKE_CLI
+        sides.append(_checkout(tmp_path / side, {
+            "src/hoardbench/__init__.py": "", "src/hoardbench/cli.py": cli,
+        }))
+    code = _tool().main([*map(str, sides), "--workloads", "d_verify", "--seeds", "0"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "d_verify seed 0 --jobs 1: change vs parent: 2 files same",
+        "d_verify seed 0 --jobs 2: change vs parent: 2 files same",
+        "d_verify seed 0 change: --jobs 2 vs --jobs 1: 2 files same",
+        f"d_verify seed 0 change: report --in vs run: 2 files {status}",
+    ]
+    assert code == (0 if status == "same" else 1)
+    if code:
+        assert out[4] == "  runs.jsonl seed: differs, 1 records"

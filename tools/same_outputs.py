@@ -6,11 +6,13 @@ Runs `hoardbench run` from each checkout's `src` on the benchmark workloads
 of `perfbench/workloads.py` (this checkout's, imported and not run), all
 four unless `--workloads` names some (space- or comma-separated), at seeds
 0, 1, 2 and 601 unless `--seeds` gives a range (`0..9`) or a list
-(`3,5`), under `--jobs 1` and `--jobs 2`. It then compares every output
+(`3,5`), under `--jobs 1` and `--jobs 2`, then `hoardbench report --in` from CHANGE
+on a copy of CHANGE's `--jobs 1` directory. It then compares every output
 file except timing.json, traces included, byte for byte: CHANGE's against
-PARENT's for the same workload, seed and jobs, and CHANGE's `--jobs 2`
-against its `--jobs 1`. resolved_config.json is compared up to its
-`output_dir`, which names the run's own directory.
+PARENT's for the same workload, seed and jobs, CHANGE's `--jobs 2` against
+its `--jobs 1`, and the re-report's against the `--jobs 1` run's.
+resolved_config.json is compared up to its `output_dir`, which names the
+run's own directory.
 
 Every difference is printed. When runs.jsonl differs, so is each key path
 that differs inside its records, with list indices collapsed
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -52,34 +55,49 @@ LINE_COUNTS = {
 }
 
 
+def hoardbench(checkout: Path, *args: str) -> None:
+    """`hoardbench ARGS` with the code of `checkout`. RuntimeError unless it
+    exits 0 or 2: exit 2 reports failed cells, which are outputs like any
+    other."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "hoardbench.cli", *args], env=env, capture_output=True, text=True,
+    )
+    if done.returncode not in (0, 2):
+        raise RuntimeError(f"{checkout}: hoardbench {' '.join(args)} exited "
+                           f"{done.returncode}\n{done.stderr}")
+
+
 def run(checkout: Path, config: dict, jobs: int, out: Path) -> None:
     """`hoardbench run --jobs JOBS` of `config` into `out` with the code of
     `checkout`."""
     out.mkdir(parents=True)
     config_path = out.parent / f"{out.name}.json"
     config_path.write_text(json.dumps(config))
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "hoardbench.cli", "run", "--config", str(config_path),
-         "--out", str(out), "--jobs", str(jobs)],
-        env=env, capture_output=True, text=True,
-    )
-    # Exit 2 reports failed cells, which are outputs like any other.
-    if done.returncode not in (0, 2):
-        raise RuntimeError(f"{checkout}: hoardbench run into {out} exited "
-                           f"{done.returncode}\n{done.stderr}")
+    hoardbench(checkout, "run", "--config", str(config_path), "--out", str(out),
+               "--jobs", str(jobs))
 
 
-def outputs(out: Path) -> dict[str, bytes]:
+def rereport(checkout: Path, out: Path, copy: Path) -> dict[str, bytes]:
+    """The `outputs` of `hoardbench report --in`, run with the code of
+    `checkout` on a copy of the results directory `out` made at `copy`. The
+    copy's resolved_config.json still names `out`, which is blanked."""
+    shutil.copytree(out, copy)
+    hoardbench(checkout, "report", "--in", str(copy))
+    return outputs(copy, out)
+
+
+def outputs(out: Path, named: Path | None = None) -> dict[str, bytes]:
     """Every output file under `out` but timing.json, by relative path, with
-    resolved_config.json's `output_dir` value blanked."""
+    resolved_config.json's `output_dir` value blanked: `named`, or `out`
+    itself."""
     files = {
         str(path.relative_to(out)): path.read_bytes()
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name not in SKIPPED
     }
     if "resolved_config.json" in files:
-        own = json.dumps(str(out)).encode()
+        own = json.dumps(str(named or out)).encode()
         files["resolved_config.json"] = files["resolved_config.json"].replace(own, b'""')
     return files
 
@@ -203,19 +221,25 @@ def compare(args: argparse.Namespace, sides: dict[str, Path]) -> int:
             for seed in args.seeds:
                 config = WORKLOADS[name].config(seed)
                 got = {}
-                for jobs in JOBS:
-                    for side, checkout in sides.items():
-                        out = Path(work) / f"{name}_{seed}_{side}_{jobs}"
-                        try:
+                base = Path(work) / f"{name}_{seed}"
+                try:
+                    for jobs in JOBS:
+                        for side, checkout in sides.items():
+                            out = Path(f"{base}_{side}_{jobs}")
                             run(checkout, config, jobs, out)
-                        except RuntimeError as exc:
-                            print(exc, file=sys.stderr)
-                            return 2
-                        got[side, jobs] = outputs(out)
+                            got[side, jobs] = outputs(out)
+                    got["change", "report"] = rereport(
+                        sides["change"], Path(f"{base}_change_1"), Path(f"{base}_change_report")
+                    )
+                except RuntimeError as exc:
+                    print(exc, file=sys.stderr)
+                    return 2
                 pairs = [(f"--jobs {j}: change vs parent", ("change", j), ("parent", j),
                           ("change", "parent")) for j in JOBS]
                 pairs.append(("change: --jobs 2 vs --jobs 1", ("change", 2), ("change", 1),
                               ("--jobs 2", "--jobs 1")))
+                pairs.append(("change: report --in vs run", ("change", "report"), ("change", 1),
+                              ("report --in", "run")))
                 for label, a, b, names in pairs:
                     diff = differences(got[a], got[b])
                     found += bool(diff)
