@@ -7,10 +7,12 @@
 `run` and `validate` print `warning: config key ...` on stderr for each env
 key the config sets to no effect, and go on. `report --in` rewrites a
 results directory's reports from its runs.jsonl and resolved_config.json; it
-re-runs each listed cell that gets a trace window in failures.md.
+re-runs each listed cell that gets a trace window in failures.md, and writes
+no window for a re-run whose record differs from the stored one.
 
-Exit codes: 0 on success, 1 on a configuration error, 2 when at least one
-run cell failed at runtime.
+Exit codes: 0 on success, 1 on a configuration error or unusable input (a
+re-run that differs from its record included), 2 when at least one run cell
+failed at runtime.
 """
 
 from __future__ import annotations

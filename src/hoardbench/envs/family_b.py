@@ -57,6 +57,17 @@ CONFLICT_RADIUS = 0.15
 # result, so the chunk size changes no output; larger chunks cost more peak
 # memory for less per-call set-up.
 CHUNK = 64
+# `conflict_rate` is the number of distractors per true cache, drawn with
+# replacement. Up to one per cache the true caches stay at least half the
+# store, so a retrieval still asks which of a few nearby cues is the cache;
+# above it the store is mostly distractors, and at 1e30 the distractor draw
+# asks numpy for more values than an array can hold.
+MAX_CONFLICT_RATE = 1.0
+# `landmark_drift` is the σ of each landmark's Gaussian displacement, in
+# arena units. At σ 1 a landmark moves about a whole side of the unit arena,
+# so no cue still points near its cache; far above it (1e300) the decode's
+# squared distances overflow.
+MAX_LANDMARK_DRIFT = 1.0
 
 
 def _chunks(items):
@@ -101,8 +112,8 @@ class FamilyBConfig:
             ("query_delay", 0, math.inf),
         ))
         check_number_fields(self, (
-            ("landmark_drift", 0.0, math.inf),
-            ("conflict_rate", 0.0, math.inf),
+            ("landmark_drift", 0.0, MAX_LANDMARK_DRIFT),
+            ("conflict_rate", 0.0, MAX_CONFLICT_RATE),
             ("dig_radius", 0.0, math.inf),
             ("precision_target", 0.0, 1.0),
         ))

@@ -13,6 +13,13 @@ the adversary digs up its top-mass cells. In the recovery phase the agent
 retrieves survivors through its episodic memory and re-caches what it finds
 stolen.
 
+Work that belongs to a whole phase is done once per phase. Nothing reads
+the memory store before recovery, and C's landmarks never move, so each
+cache or recache is written after the caching phase, in step order, with its
+cue from one `encode_cues` pass; recovery encodes its query cues in one pass
+too. The caching loop keeps its cost sums in locals, charged by `accrue`'s
+rule, and writes them to the ledger before the pilfer phase.
+
 A hidden constraint (a forbidden zone the agent does not know about) is
 checkable only by postcondition. The "cache while observed" runtime monitor
 is the signal whose placement the ablation grid flips: end-only signals
@@ -30,7 +37,7 @@ from ..core.policy import PolicyContext, select_option
 from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
-from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cue, retrieve, write
+from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cues, retrieve, write
 from ..observer import (
     OBSERVER_GRID,
     CacheLayout,
@@ -206,6 +213,9 @@ def run_family_c(
     # Cells hiding something: a placed cache adds its cell, a moved one
     # rebuilds the layout, and leakage_score reads its indices every step.
     layout = CacheLayout()
+    # Each cache or recache's (item type, cell centre), in step order, for
+    # the memory writes after the phase.
+    cache_writes: list[tuple[int, tuple[float, float]]] = []
 
     caching_horizon = 8 * env.caches
     # One visibility draw per step, all drawn at once: the same values as a
@@ -235,6 +245,12 @@ def run_family_c(
         pool = [c for c in cells if c not in avoid] or cells
         mass = policy._mass
         return min(pool, key=lambda c: (-mass(ctx, c), c))
+
+    # The ledger's running sums that the caching phase charges, kept in
+    # locals and written back before the pilfer phase.
+    latency_cost, leak_cost = ledger.latency_cost, ledger.leak_cost
+    repair_cost = ledger.repair_cost
+    compute_used, budget = ledger.compute_used, ledger.budget
 
     # The caching phase runs for its full horizon whatever the agent does:
     # the adversary strike comes at a fixed time, idle steps diffuse its
@@ -292,7 +308,7 @@ def run_family_c(
         visible = physical and u < env.visibility
         present_visible = action_kind == "conceal" and u < env.visibility
 
-        repair = compute = 0.0
+        compute = 0.0
         if action_kind in ("cache", "recache"):
             cell = action_cell
             assert cell is not None and item_idx is not None
@@ -303,8 +319,10 @@ def run_family_c(
                 cache["moved"] = True
                 item_type = cache["type"]
                 recache_moves += 1
-                repair = 1.0
-                layout = CacheLayout(c["cell"] for c in placed)
+                repair_cost += 1.0
+                # Every placed cell came in through `layout.add`'s check or
+                # from `pick_cell`, which draws only cells of the grid.
+                layout = CacheLayout.of_checked(c["cell"] for c in placed)
             else:
                 item_type = 1 + item_idx % env.item_types
                 placed_at[step] = len(placed)
@@ -319,7 +337,7 @@ def run_family_c(
                 )
                 layout.add(cell)
             used_cells.add(cell)
-            write(store, landmarks, item_type, _cell_center(cell))
+            cache_writes.append((item_type, _cell_center(cell)))
             compute = 1.0
             kappa["cache_writes"] += 1.0
         elif action_kind == "decoy":
@@ -346,8 +364,19 @@ def run_family_c(
         # Leakage is charged as per-step exposure: the mass the adversary
         # currently holds on cells that currently hide something.
         exposure = leakage_score(adversary, layout) if placed else 0.0
-        # Positional, in `accrue`'s order: task, latency, leak, repair, compute.
-        accrue(ledger, 0.0, 1.0, exposure, repair, compute)
+        # `accrue` restated, its 0.0 additions left out: latency 1.0, the
+        # exposure as leak, repair 1.0 on a recache (above), then compute
+        # against the budget. Its finiteness check has nothing to catch
+        # here: latency is 1.0, `leakage_score` clips exposure to [0, 1],
+        # repair is 0 or 1, and compute is 0, 1 or the validated
+        # `decoy_cost`.
+        latency_cost += 1.0
+        leak_cost += exposure
+        if compute > budget - compute_used:
+            compute_used = budget
+            ledger.exhausted = True
+        else:
+            compute_used += compute
 
         violation = is_real_cache and visible
         violations += int(violation)
@@ -364,6 +393,15 @@ def run_family_c(
             else:
                 trace.append(step, key, 0.0, px, py, 0.0, 0.0, 1.0)
         step += 1
+    ledger.latency_cost, ledger.leak_cost = latency_cost, leak_cost
+    ledger.repair_cost, ledger.compute_used = repair_cost, compute_used
+
+    # The phase's memory writes, in step order, so episode ids follow the
+    # steps; one `encode_cues` pass gives each the cue it would have had at
+    # its step, since the landmarks never move.
+    cues = encode_cues([location for _, location in cache_writes], landmarks)
+    for (item_type, location), cue in zip(cache_writes, cues):
+        write(store, landmarks, item_type, location, cue)
 
     # Pilfer phase: the adversary digs its best guesses.
     pilfer_step = step
@@ -386,14 +424,14 @@ def run_family_c(
             stolen_count += 1
 
     # Recovery: retrieve each cache through memory, dig, and re-cache losses.
+    # It reaches the first `recovery_horizon` caches, one step each; their
+    # query cues are encoded in one pass.
     recovered_value = 0.0
     corrections = 0
-    for cache in placed:
-        if step >= pilfer_step + env.recovery_horizon:
-            break
-        x, y = _cell_center(cache["cell"])
-        query = Query(item_type=cache["type"], cue=encode_cue((x, y), landmarks))
-        result = retrieve(store, query, landmarks)
+    reached = placed[: env.recovery_horizon]
+    centres = [_cell_center(cache["cell"]) for cache in reached]
+    for cache, (x, y), cue in zip(reached, centres, encode_cues(centres, landmarks)):
+        result = retrieve(store, Query(item_type=cache["type"], cue=cue), landmarks)
         kappa["recovery_probes"] += float(result.probes_used)
         step_compute = float(result.probes_used)
         repair = 0.0

@@ -465,7 +465,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     constraint_report.json, failures.md, traces/ with a window of each
     listed cell's trace around its first failing signal (see
     `_write_failures`), and timing.json (the only file allowed to differ
-    between identical runs). Every window file under traces/
+    between identical runs). When a replayed cell's record differs from the
+    stored one, the records were written by other code: InputError names
+    the cells after every file is written. Every window file under traces/
     (`traces/*/seed_*_steps_*_*.jsonl`), of whatever variant, is cleared
     first, and a variant directory that clearing empties is removed, so the
     directory holds no window of another run; other files there stay. The
@@ -560,7 +562,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         json.dumps(constraint, indent=2, sort_keys=True) + "\n"
     )
 
-    replay_seconds, write_seconds = _write_failures(result, variants, by_variant, completed, out)
+    replay_seconds, write_seconds, mismatches = _write_failures(
+        result, variants, by_variant, completed, out
+    )
 
     cell_seconds: dict[str, dict[str, float]] = {}
     for cell in ordered:
@@ -574,6 +578,12 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
         "cell_seconds": cell_seconds,
     }
     (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")
+    if mismatches:
+        raise InputError(
+            f"trace replay differs from runs.jsonl in {len(mismatches)} listed cell(s) of "
+            f"{out} ({'; '.join(mismatches)}): the records were written by other code; "
+            "see failures.md"
+        )
     return out
 
 
@@ -644,7 +654,7 @@ def _describe(signal: dict | None) -> str:
 
 def _write_failures(
     result: ResultSet, variants: dict, by_variant: dict, completed: dict, out: Path
-) -> tuple[float, float]:
+) -> tuple[float, float, list[str]]:
     """Write failures.md: per variant, the error of every failed cell, then
     the first `WORST_RUNS_LISTED` completed runs by `_rank`. Each listed run
     gives its goal verdict, its costs, its first signal whose ground truth
@@ -656,10 +666,13 @@ def _write_failures(
     file holds; a run with neither gets no file. The window is cut from the
     trace the grid kept. Results read back by `load_result_set` carry no
     traces, so for them each window is recorded by re-running its cell
-    (determinism makes the replay exact); `variants` is `_variant_table` of
-    the config, and `completed` holds the completed records of each variant
-    of `by_variant`. Returns the seconds spent on re-runs, their window files
-    included, and the seconds spent encoding and writing window files."""
+    (determinism makes the replay exact, and a replay whose record differs
+    from the stored one gets no window: failures.md names the first field
+    that differs); `variants` is `_variant_table` of the config, and
+    `completed` holds the completed records of each variant of
+    `by_variant`. Returns the seconds spent on re-runs, their window files
+    included, the seconds spent encoding and writing window files, and a
+    line per replay that differs, naming its cell and field."""
     config = result.config
     lines = [
         "# Representative failures",
@@ -672,6 +685,7 @@ def _write_failures(
     ]
     recorded = {(c.variant, c.seed): c.trace for c in result.cells if c.trace is not None}
     replay_seconds = write_seconds = 0.0
+    mismatches: list[str] = []
     for variant, records in by_variant.items():
         listed = sorted(completed[variant], key=_rank)[:WORST_RUNS_LISTED]
         failed = [r for r in records if r.status == STATUS_FAILED]
@@ -692,12 +706,14 @@ def _write_failures(
             signal = _window_signal(record.signals)
             where = "none"
             if signal is not None:
-                where, replayed, written = _write_window(
-                    config, agent, sweep_value, variant, record.seed, signal,
+                where, replayed, written, differs = _write_window(
+                    config, agent, sweep_value, record, signal,
                     recorded.get((variant, record.seed)), out,
                 )
                 replay_seconds += replayed
                 write_seconds += written
+                if differs is not None:
+                    mismatches.append(f"{variant} seed {record.seed}: {differs}")
             lines.append(
                 f"- seed {record.seed}: objective {record.objective:.6g}, "
                 f"status {record.status}, goal_verdict {record.goal_verdict}, trace: {where}"
@@ -708,35 +724,66 @@ def _write_failures(
             lines.append(f"  - first wrong verdict: {_describe(_first(record.signals, _wrong_verdict))}")
         lines.append("")
     (out / "failures.md").write_text("\n".join(lines) + "\n")
-    return replay_seconds, write_seconds
+    return replay_seconds, write_seconds, mismatches
 
 
 def _write_window(
-    config: ExperimentConfig, agent: dict, sweep_value, variant: str, seed: int, signal: dict,
+    config: ExperimentConfig, agent: dict, sweep_value, record: RunRecord, signal: dict,
     trace: Trace | None, out: Path,
-) -> tuple[str, float, float]:
+) -> tuple[str, float, float, str | None]:
     """Write one listed cell's window around `signal`, replaying the cell
-    when there is no `trace`. Returns what failures.md says of it, the
-    replay seconds and the write seconds."""
+    when there is no `trace`. A replay must give `record` again, the same
+    runs.jsonl line; where it does not, no window is written. Returns what
+    failures.md says of it, the replay seconds, the write seconds and, for
+    a replay that differs, the first field where it does, else None."""
+    variant, seed = record.variant, record.seed
     replay = trace is None
     started = time.monotonic()
     write_started = None
+    differs = None
     try:
         if replay:
             trace = Trace()
-            run_one(config, agent, seed, sweep_value, trace)
-        first, last = _window(signal, len(trace))
-        write_started = time.monotonic()
-        path = _window_path(variant, seed, first, last)
-        (out / path).parent.mkdir(parents=True, exist_ok=True)
-        trace.write_jsonl(out / path, first, last + 1)
-        where = f"{path} (steps {first}..{last})"
+            rerun = run_one(config, agent, seed, sweep_value, trace)
+            rerun.variant = variant
+            stored_line, rerun_line = record.to_json_line(), rerun.to_json_line()
+            if rerun_line != stored_line:
+                differs = _first_difference(json.loads(stored_line), json.loads(rerun_line))
+        if differs is None:
+            first, last = _window(signal, len(trace))
+            write_started = time.monotonic()
+            path = _window_path(variant, seed, first, last)
+            (out / path).parent.mkdir(parents=True, exist_ok=True)
+            trace.write_jsonl(out / path, first, last + 1)
+            where = f"{path} (steps {first}..{last})"
+        else:
+            where = f"(trace replay differs from runs.jsonl: first differing field {differs})"
     except Exception as exc:  # a trace must never sink the report
         where = f"(trace {'replay failed' if replay else 'not written'}: {exc})"
     finished = time.monotonic()
     replayed = finished - started if replay else 0.0
     written = finished - write_started if write_started is not None else 0.0
-    return where, replayed, written
+    return where, replayed, written, differs
+
+
+def _first_difference(stored, rerun, path: str = "") -> str:
+    """The path (`metrics.leakage`, `signals[3].verdict`) of the first place
+    where two differing JSON values differ: object keys in the stored
+    order, then keys only the rerun has; list items by index. Values are
+    compared as JSON text, in which NaN equals NaN."""
+    if isinstance(stored, dict) and isinstance(rerun, dict):
+        for key in [*stored, *(k for k in rerun if k not in stored)]:
+            inner = f"{path}.{key}" if path else key
+            if key not in stored or key not in rerun:
+                return inner
+            if json.dumps(stored[key]) != json.dumps(rerun[key]):
+                return _first_difference(stored[key], rerun[key], inner)
+    elif isinstance(stored, list) and isinstance(rerun, list):
+        for i, (a, b) in enumerate(zip(stored, rerun)):
+            if json.dumps(a) != json.dumps(b):
+                return _first_difference(a, b, f"{path}[{i}]")
+        return f"{path}[{min(len(stored), len(rerun))}]"
+    return path
 
 
 def _safe(name: str) -> str:

@@ -48,10 +48,12 @@ class CostLedger:
     budget: float = 1e9
     delta: float = 0.1
 
-    # The running sums, which `accrue` sets. Family A's stabilize loop also
-    # sets three of them, `latency_cost`, `repair_cost` and `compute_used`
-    # (and `exhausted`), by `accrue`'s rule, from sums it keeps in locals for
-    # a trial (`envs/family_a.py::run_family_a`). Each starts at 0.0 or False
+    # The running sums, which `accrue` sets. Two loops also set some of them
+    # by `accrue`'s rule, from sums they keep in locals: family A's stabilize
+    # loop `latency_cost`, `repair_cost` and `compute_used` (and `exhausted`)
+    # for a trial (`envs/family_a.py::run_family_a`), and family C's caching
+    # loop those and `leak_cost` for the caching phase
+    # (`envs/family_c.py::run_family_c`). Each starts at 0.0 or False
     # from a factory, so that it lives on the instance from the start; a
     # plain default would be read from the class until first set, at twice
     # the cost of the per-step reads.

@@ -16,6 +16,9 @@ a + w * (1.0/cnt) from the same operands in the same order; each cell is
 then one multiplication by the same double, and the normalizing sum runs
 over the same array.
 
+An update allocates one array, its result's, and finishes it in place, in
+the operand order of the out-of-place expression (`observer_update`).
+
 The adversary runs the update on what it actually saw. An observer-aware
 agent logs the visibility bit of every action it takes and knows this prior
 and this rule, so the belief it could compute is exactly the adversary's;
@@ -123,27 +126,35 @@ def observer_update(belief: ObserverBelief, event: ObservedEvent) -> ObserverBel
     `belief` times non-negative factors, divided by a positive total, and
     the rate is `belief`'s. With rate 0 a quiet step returns `belief`
     itself.
+
+    Each event allocates one array, the result's, and works on it in
+    place: a quiet step multiplies by 1 - rate, adds rate / size and
+    divides by the total; a sighting divides `_sighting_update`'s fresh
+    array. These are the operands, in the order, of the out-of-place form,
+    so the bits are its bits, and `belief.grid` is never written.
     """
     grid = belief.grid
     if isinstance(event, SawCache):
         cell = _check_cell(event.cell)
-        grid = _sighting_update(grid, cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
+        out = _sighting_update(grid, cell, CACHE_KERNEL_WIDTH, CACHE_KERNEL_WEIGHT)
     elif isinstance(event, SawPresence):
         cell = _check_cell(event.cell)
-        grid = _sighting_update(grid, cell, PRESENCE_KERNEL_WIDTH, PRESENCE_KERNEL_WEIGHT)
+        out = _sighting_update(grid, cell, PRESENCE_KERNEL_WIDTH, PRESENCE_KERNEL_WEIGHT)
     elif isinstance(event, SawNothing):
         rate = belief.diffusion_rate
         if rate == 0.0:
             # Exact identity; skip the renormalization round-off.
             return belief
-        grid = (1.0 - rate) * grid + rate / grid.size
+        out = grid * (1.0 - rate)
+        out += rate / grid.size
     else:
         raise InputError(f"unknown observed event {event!r}")
 
-    total = grid.sum()
+    total = out.sum()
     if total <= 0:
         raise InputError("observer update produced zero total mass")
-    return tuple.__new__(ObserverBelief, (grid / total, belief.diffusion_rate))
+    out /= total
+    return tuple.__new__(ObserverBelief, (out, belief.diffusion_rate))
 
 
 class CacheLayout:
@@ -155,7 +166,7 @@ class CacheLayout:
     that of a layout built from the same cells at once. A set that lost a
     cell can iterate in another order, so a layout never drops one: when a
     cache moves, build a new layout from the cells in order. Each cell is
-    checked as it comes in.
+    checked as it comes in, except by `of_checked`.
     """
 
     __slots__ = ("cells", "flat")
@@ -165,6 +176,17 @@ class CacheLayout:
         for cell in self.cells:
             _check_cell(cell)
         self._index()
+
+    @classmethod
+    def of_checked(cls, cells: Iterable[Cell]) -> "CacheLayout":
+        """The layout of `cells`, each already an (int, int) cell inside the
+        grid, built without checking them again. The set takes them in the
+        order given, as the constructor's does, so it iterates in the same
+        order."""
+        layout = object.__new__(cls)
+        layout.cells = set(cells)
+        layout._index()
+        return layout
 
     def add(self, cell: Cell) -> None:
         cell = _check_cell((int(cell[0]), int(cell[1])))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import marshal
 from pathlib import Path
 
@@ -155,3 +156,37 @@ def test_regression_verdict_of_a_higher_is_better_metric():
     pairs = _pairs([1.0] * 5, [1.0] * 5, [10.0] * 5, [8.0] * 5)
     assert tool.summarize(list(range(5)), pairs, _END_TO_END)[
         "metrics"]["cells_per_s"]["regression"] == "none"
+
+
+@pytest.mark.parametrize("workloads", [["a_control,c_watched"], ["a_control", "c_watched"]])
+def test_several_workloads_run_their_pairs_in_turn_and_print_a_block_each(
+        tmp_path, monkeypatch, capsys, workloads):
+    tool = _tool()
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "hoardbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench").mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _END_TO_END}))
+    calls = []
+
+    def fake_run_once(copy, workload, seed, seconds):
+        calls.append((workload, seed, copy.name))
+        run_s = 1.0 if copy.name == "parent" else 0.5
+        return _result(run_s, 1.0 / run_s)
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", *workloads,
+            "--seeds", "3..4", "--seconds", "1", "--out", str(tmp_path / "pairs.json")]
+    assert tool.main(argv) == 0
+    # Each workload's pairs in turn, the parent first on even pair indices.
+    assert calls == [
+        ("a_control", 3, "parent"), ("a_control", 3, "change"),
+        ("a_control", 4, "change"), ("a_control", 4, "parent"),
+        ("c_watched", 3, "parent"), ("c_watched", 3, "change"),
+        ("c_watched", 4, "change"), ("c_watched", 4, "parent"),
+    ]
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == json.loads((tmp_path / "pairs.json").read_text())
+    assert list(printed) == ["a_control", "c_watched"]
+    for block in printed.values():
+        assert block["seeds"] == [3, 4]
+        assert block["metrics"]["run_s"]["change_wins"] == "2/2"

@@ -8,7 +8,13 @@ import pytest
 from hoardbench.core.policy import PolicyContext, form_queries, form_query
 from hoardbench.core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from hoardbench.envs import family_b
-from hoardbench.envs.family_b import FamilyBConfig, _world, run_family_b
+from hoardbench.envs.family_b import (
+    MAX_CONFLICT_RATE,
+    MAX_LANDMARK_DRIFT,
+    FamilyBConfig,
+    _world,
+    run_family_b,
+)
 from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
 from hoardbench.memory import LandmarkSet, StoreVariant, brute_force_retrieve
@@ -309,6 +315,11 @@ def test_config_validation():
         ("conflict_rate", math.inf),
         ("conflict_rate", -1.0),
         ("conflict_rate", "0.5"),
+        # Accepted before they had caps, then crashed the cell: a distractor
+        # draw beyond numpy's largest array, and an overflowing decode.
+        ("conflict_rate", 1e30),
+        ("conflict_rate", 1e300),
+        ("landmark_drift", 1e300),
         ("dig_radius", math.nan),
         ("precision_target", math.nan),
         ("precision_target", 1.5),
@@ -321,6 +332,15 @@ def test_config_rejects_bad_values_by_field_name(field, value):
         FamilyBConfig(**{field: value})
     with pytest.raises(ConfigurationError, match=field):
         parse_config(json.dumps({"family": "B", "env": {field: value}}))
+
+
+@pytest.mark.parametrize("variant", ["clustered", "flat"])
+def test_a_config_at_both_caps_runs(variant):
+    env = FamilyBConfig(n_events=32, landmark_drift=MAX_LANDMARK_DRIFT,
+                        conflict_rate=MAX_CONFLICT_RATE)
+    record = run_family_b(env, variant, _ledger(), seed=3)
+    assert record.status == "completed"
+    assert record.metrics["episodes_stored"] == 64.0
 
 
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):

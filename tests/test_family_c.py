@@ -151,6 +151,24 @@ def test_kappa_conservation():
         )
 
 
+@pytest.mark.parametrize("flags, costs", [
+    (AWARE, {"task_cost": 0.14159474210105016, "latency_cost": 80.0,
+             "leak_cost": 2.8084054016733266, "repair_cost": 3.0, "compute_used": 6.5}),
+    (UNAWARE, {"task_cost": 0.2939900573650148, "latency_cost": 80.0,
+               "leak_cost": 2.2911796420401864, "repair_cost": 3.0, "compute_used": 6.5}),
+])
+def test_a_budget_spent_in_the_caching_phase_exhausts_the_run(flags, costs):
+    # The caching phase alone asks for more compute than the budget holds.
+    # The costs were recorded when every caching step charged the ledger
+    # through `accrue`.
+    record = run_family_c(FamilyCConfig(decoy_cost=1.5), flags, CostLedger(budget=6.5), seed=5)
+    kappa = record.kappa_by_source
+    assert kappa["cache_writes"] + kappa["decoys"] > 6.5
+    assert record.status == "budget_exhausted"
+    assert record.costs["compute_used"] == 6.5
+    assert record.costs == costs
+
+
 def test_observer_grid_dumped_row_major():
     record = run_family_c(FamilyCConfig(), AWARE, _ledger(), seed=1)
     assert record.observer_grid is not None

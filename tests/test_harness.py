@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -517,6 +518,46 @@ def test_report_replays_every_listed_window(tmp_path, monkeypatch):
     for key in ("total_seconds", "jobs", "cell_seconds"):
         assert timing[key] == grid_timing[key]
     assert _result_files(out) == before
+
+
+def test_report_writes_no_window_for_a_replay_that_differs_from_its_record(
+        tmp_path, monkeypatch, capsys):
+    # The directory is written, then the family's code changes: every
+    # replayed listed cell now records another repair_rounds.
+    out = _run_into(tmp_path, D_TWO_SEEDS)
+    before = _result_files(out)
+    family = FAMILIES["D"]
+
+    def changed(env, agent, ledger, seed, trace):
+        record = family.run(env, agent, ledger, seed, trace)
+        record.metrics["repair_rounds"] += 1.0
+        return record
+
+    monkeypatch.setitem(FAMILIES, "D", dataclasses.replace(family, run=changed))
+    capsys.readouterr()
+    assert main(["report", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace replay differs from runs.jsonl in 3 listed cell(s)")
+    assert "baseline seed 1: metrics.repair_rounds" in err
+    failures_md = (out / "failures.md").read_text()
+    assert failures_md.count("trace: (trace replay differs from runs.jsonl: first differing "
+                             "field metrics.repair_rounds)\n") == 3
+    assert not list((out / "traces").rglob("*.jsonl"))
+    # Every other file is rewritten as it was.
+    after = _result_files(out)
+    for name in ("resolved_config.json", "runs.jsonl", "summary.csv", "constraint_report.json"):
+        assert after[name] == before[name]
+
+
+@pytest.mark.parametrize("stored, rerun, path", [
+    ({"a": 1, "b": {"c": [1, 2]}}, {"a": 1, "b": {"c": [1, 3]}}, "b.c[1]"),
+    ({"a": [1, 2]}, {"a": [1, 2, 3]}, "a[2]"),
+    ({"a": 1}, {"a": 1, "z": 2}, "z"),
+    ({"a": [{"x": math.nan}], "b": 1}, {"a": [{"x": math.nan}], "b": 2}, "b"),
+    ({"a": 1.0}, {"a": "1.0"}, "a"),
+])
+def test_first_difference_names_the_path_of_the_first_differing_value(stored, rerun, path):
+    assert harness._first_difference(stored, rerun) == path
 
 
 def test_report_replays_a_missing_trace_of_a_swept_ablation(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Benchmark two checkouts of hoardbench in alternating pairs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload a_control --seeds 501..510 \
-        [--seconds 28] [--out pairs.json]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload a_control[,c_watched ...] \
+        --seeds 501..510 [--seconds 28] [--out pairs.json]
 
 Each side is copied fresh into a temporary directory: its own `src`, and
 PARENT's `perfbench` and `BENCHMARK.json`, so both sides run the same
@@ -11,10 +11,13 @@ grows with the source's line count. For each seed, one pair:
 `perfbench/run.py --workload W --seed S --seconds N --trace 0` once in each
 copy, with `PYTHONDONTWRITEBYTECODE=1`, so each copy's bytecode stays what
 was compiled from its own source. The parent runs first on even pair
-indices and the change first on odd ones.
+indices and the change first on odd ones. `--workload` names one workload
+or several, space- or comma-separated; each runs its pairs over every seed
+in turn, in the order named.
 
 The summary, printed as JSON on stdout and written to `--out` when given,
-has the shape of a `BENCH_*.json` file's `workloads` block: per workload its
+has the shape of a `BENCH_*.json` file's `workloads` block, one block per
+workload named: per workload its
 seeds, whether every run was correct, failed operations per side, and per
 end-to-end metric of BENCHMARK.json the unit, the direction, the bound, each
 side's median, inclusive quartiles and runs, the change's wins (ties count
@@ -47,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tools"))
 
-from same_outputs import seed_list  # noqa: E402
+from same_outputs import seed_list, workload_list  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -142,11 +145,13 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", nargs="+", type=workload_list, required=True)
     parser.add_argument("--seeds", type=seed_list, required=True)
     parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--out", type=Path, default=None)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    args.workload = [name for names in args.workload for name in names]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,28 +162,30 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{side} {checkout} has no src/hoardbench", file=sys.stderr)
             return 2
     end_to_end = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = []
+    block = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         copies = {side: fresh_copy(checkout, checkouts["parent"], Path(work) / side)
                   for side, checkout in checkouts.items()}
         for copy in copies.values():
             compile_copy(copy)
-        for i, seed in enumerate(args.seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {}
-            for side in order:
-                try:
-                    pair[side] = run_once(copies[side], args.workload, seed, args.seconds)
-                except RuntimeError as exc:
-                    print(exc, file=sys.stderr)
-                    return 2
-            pairs.append(pair)
-            print(f"{args.workload} seed {seed} ({order[0]} first): " + ", ".join(
-                f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
-                f"{pair['change']['metrics'][name]['value']:.4g}"
-                for name in (m["name"] for m in end_to_end)
-            ), file=sys.stderr)
-    block = {args.workload: summarize(list(args.seeds), pairs, end_to_end)}
+        for workload in args.workload:
+            pairs = []
+            for i, seed in enumerate(args.seeds):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {}
+                for side in order:
+                    try:
+                        pair[side] = run_once(copies[side], workload, seed, args.seconds)
+                    except RuntimeError as exc:
+                        print(exc, file=sys.stderr)
+                        return 2
+                pairs.append(pair)
+                print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
+                    f"{name} {pair['parent']['metrics'][name]['value']:.4g} -> "
+                    f"{pair['change']['metrics'][name]['value']:.4g}"
+                    for name in (m["name"] for m in end_to_end)
+                ), file=sys.stderr)
+            block[workload] = summarize(list(args.seeds), pairs, end_to_end)
     text = json.dumps(block, indent=1)
     if args.out is not None:
         args.out.write_text(text + "\n")
