@@ -19,6 +19,12 @@ verifier placement.
 A seed's world, its env draws and its writes' cues, is built once per seed
 and config and shared by the seed's variants, which a grid runs back to
 back; each variant fills its own store and forms its own queries.
+
+Each write and each query is one `write` and one `retrieve` call, but the
+bookkeeping around them goes a chunk at a time: the write and query phases
+keep their latency and compute sums in locals, charged by `accrue`'s rule
+and written back to the ledger before the task charge, and each chunk of
+events or queries goes to the trace in one append.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue, median, percentile
 from ..memory import (
+    MAX_LANDMARKS,
     LandmarkSet,
     MemoryStore,
     StoreVariant,
@@ -52,10 +59,11 @@ from .records import Family, RunRecord, STATUS_COMPLETED, finish_record
 # landmark context and confuse cue matching, far enough that digging at a
 # distractor's location usually misses the true item.
 CONFLICT_RADIUS = 0.15
-# Write cues are encoded, and queries formed, this many at a time, with one
-# cue encoding pass per chunk. Nothing in one chunk depends on another's
-# result, so the chunk size changes no output; larger chunks cost more peak
-# memory for less per-call set-up.
+# Write cues are encoded, queries formed and trace records appended this
+# many at a time, with one cue encoding pass and one trace append per chunk.
+# Nothing in one chunk depends on another's result, so the chunk size
+# changes no output; larger chunks cost more peak memory for less per-call
+# set-up.
 CHUNK = 64
 # `conflict_rate` is the number of distractors per true cache, drawn with
 # replacement. Up to one per cache the true caches stay at least half the
@@ -68,6 +76,15 @@ MAX_CONFLICT_RATE = 1.0
 # so no cue still points near its cache; far above it (1e300) the decode's
 # squared distances overflow.
 MAX_LANDMARK_DRIFT = 1.0
+# `n_events` is the number of caches, each written and queried once. A cell
+# keeps every event's episode, cue and trace rows, about 1.2 KB, and spends
+# about 60 µs on it (16,384 events: 0.9 s and 19 MB), so at 2**20 it runs
+# for about a minute in over a GB; at 1e20 numpy refuses the event draws.
+MAX_EVENTS = 2**20
+# A retrieval goal carries its item type as a float option parameter, which
+# holds every integer up to 2**53 exactly; beyond it a query could ask for a
+# type that no cache has, and at 1e20 the type draw leaves int64.
+MAX_ITEM_TYPES = 2**53
 
 
 def _chunks(items):
@@ -106,9 +123,9 @@ class FamilyBConfig:
 
     def __post_init__(self):
         check_int_fields(self, (
-            ("n_events", 1, math.inf),
-            ("item_types", 1, math.inf),
-            ("landmark_count", 3, math.inf),
+            ("n_events", 1, MAX_EVENTS),
+            ("item_types", 1, MAX_ITEM_TYPES),
+            ("landmark_count", 3, MAX_LANDMARKS),
             ("query_delay", 0, math.inf),
         ))
         check_number_fields(self, (
@@ -189,15 +206,35 @@ def run_family_b(
         ("item_type", "x", "y"), False,
     )
 
-    for k, ((item_type, value, x, y), cue) in enumerate(zip(events, cues)):
-        write(store, landmarks, item_type, (x, y), cue)
-        accrue(ledger, latency=1.0, compute=1.0)
-        if trace is not None:
-            # Trace steps are contiguous; the semantic timestamp (including
-            # the structural query delay) lives in the store records.
-            # Values in key order: the phase, the dig's params, the cache's.
-            trace.append(len(trace), write_record, 0.0, item_type, value, k, x, y,
-                         item_type, value, x, y)
+    # The ledger's running sums that both phases charge, kept in locals and
+    # written back before the task charge. Each write and each query
+    # restates `accrue`, its 0.0 additions left out: latency 1.0, then its
+    # compute against the budget. Its finiteness check has nothing to catch
+    # here: latency is 1.0, and compute is 1.0 for a write and a query's
+    # probe count, an int. B never stops on an exhausted budget: every
+    # write and query still runs and is charged latency.
+    latency_cost, compute_used, budget = ledger.latency_cost, ledger.compute_used, ledger.budget
+    tracing = trace is not None
+
+    # Trace steps are contiguous; the semantic timestamp (including the
+    # structural query delay) lives in the store records. Each phase's
+    # records go to the trace a chunk at a time, row after row, in key order:
+    # a write's phase, its dig's params, its cache's; a query's phase, its
+    # dig's params, its retrieval's.
+    for chunk in _chunks(enumerate(zip(events, cues))):
+        rows: list[float] = []
+        for k, ((item_type, value, x, y), cue) in chunk:
+            write(store, landmarks, item_type, (x, y), cue)
+            latency_cost += 1.0
+            if 1.0 > budget - compute_used:
+                compute_used = budget
+                ledger.exhausted = True
+            else:
+                compute_used += 1.0
+            if tracing:
+                rows += (0.0, item_type, value, k, x, y, item_type, value, x, y)
+        if tracing:
+            trace.append(len(trace), write_record, *rows)
 
     policy = RetrievalGoalPolicy([(t, x, y) for t, _, x, y in (events[k] for k in order)])
     ctx = PolicyContext(rng=streams.agent, landmark_estimates=drifted)
@@ -207,34 +244,43 @@ def run_family_b(
     hits = 0
     confusions = 0
     probes: list[int] = []
-    probe_kappa = 0.0
 
     def queried():
-        """The event index and the query of every retrieval, in query
-        order, formed a chunk at a time."""
+        """Each chunk of retrievals, in query order, as its (event index,
+        query) pairs; a chunk's queries are formed together."""
         for batch in _chunks(order):
             options = [select_option(policy, None, ctx) for _ in batch]
-            yield from zip(batch, form_queries(None, options, ctx))
+            yield zip(batch, form_queries(None, options, ctx))
 
-    for idx, query in queried():
-        item_type, _, true_x, true_y = events[idx]
-        result = retrieve(store, query, drifted)
-        probes.append(result.probes_used)
-        probe_kappa += result.probes_used
-        accrue(ledger, latency=1.0, compute=float(result.probes_used))
-        if trace is not None:
-            dig = result.decoded_location or (0.0, 0.0)
-            trace.append(len(trace), query_record, 1.0, *dig, item_type, true_x, true_y)
+    for chunk in queried():
+        rows = []
+        for idx, query in chunk:
+            item_type, _, true_x, true_y = events[idx]
+            result = retrieve(store, query, drifted)
+            used = result.probes_used
+            probes.append(used)
+            latency_cost += 1.0
+            if used > budget - compute_used:
+                compute_used = budget
+                ledger.exhausted = True
+            else:
+                compute_used += used
+            if tracing:
+                dig = result.decoded_location or (0.0, 0.0)
+                rows += (1.0, *dig, item_type, true_x, true_y)
 
-        if result.episode is not None and result.decoded_location is not None:
-            dx = result.decoded_location[0] - true_x
-            dy = result.decoded_location[1] - true_y
-            if (dx * dx + dy * dy) ** 0.5 <= env.dig_radius:
-                hits += 1
-            if result.episode.id != idx:
+            if result.episode is not None and result.decoded_location is not None:
+                dx = result.decoded_location[0] - true_x
+                dy = result.decoded_location[1] - true_y
+                if (dx * dx + dy * dy) ** 0.5 <= env.dig_radius:
+                    hits += 1
+                if result.episode.id != idx:
+                    confusions += 1
+            else:
                 confusions += 1
-        else:
-            confusions += 1
+        if tracing:
+            trace.append(len(trace), query_record, *rows)
+    ledger.latency_cost, ledger.compute_used = latency_cost, compute_used
 
     precision = hits / n
     confusion_rate = confusions / n
@@ -257,7 +303,7 @@ def run_family_b(
         "probes_p95": percentile(probe_arr, 95),
         "episodes_stored": float(len(store)),
     }
-    record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": probe_kappa}
+    record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": float(sum(probes))}
     record.signals = sink.signals
     return finish_record(record, ledger)
 

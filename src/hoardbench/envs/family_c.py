@@ -37,7 +37,16 @@ from ..core.policy import PolicyContext, select_option
 from ..core.state import ConfigurationError, OptionChoice, OptionKind, Trace
 from ..errors import check_int_fields, check_noise_rates, check_number_fields
 from ..ledger import CostLedger, accrue
-from ..memory import LandmarkSet, MemoryStore, Query, StoreVariant, encode_cues, retrieve, write
+from ..memory import (
+    MAX_LANDMARKS,
+    LandmarkSet,
+    MemoryStore,
+    Query,
+    StoreVariant,
+    encode_cues,
+    retrieve,
+    write,
+)
 from ..observer import (
     OBSERVER_GRID,
     CacheLayout,
@@ -99,7 +108,7 @@ class FamilyCConfig:
             ("pilfer_budget", 1, n_cells),
             ("conceal_wait_cost", 1, math.inf),
             ("recovery_horizon", 0, math.inf),
-            ("landmark_count", 3, math.inf),
+            ("landmark_count", 3, MAX_LANDMARKS),
             ("item_types", 1, math.inf),
             ("monitor_delay", 0, math.inf),
         ))

@@ -32,10 +32,15 @@ A write takes the landmark set the item was cached against, the item's
 type, its (x, y) and, if the caller encoded it already (`encode_cues` does
 many points in one pass), its cue. A landmark set keeps what each cue
 decoded to against it, so no cue is solved twice against one set.
+
+An episode's id is its position in the store: `write` numbers episodes in
+insertion order and `MemoryStore.append` refuses any other id. So the
+clustered index's id lists are rows of `episodes` as they stand.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -59,6 +64,12 @@ COLLINEAR_TOL = 1e-6
 # Clustered retrieval stops expanding its cell search once a candidate this
 # strong has been seen; an uncorrupted cue scores 1.0.
 EARLY_STOP_SCORE = 0.5
+# The most landmarks a family's config may ask for, 16 to a grid cell.
+# Encoding a cue measures its distance to every landmark: a 256-event
+# family B cell takes 0.24 s at 4,096 landmarks against 0.02 s at 25, and
+# 4.7 s and 194 MB at 65,536; at 1e20 the landmark draw asks numpy for more
+# values than an array can hold.
+MAX_LANDMARKS = 4096
 
 
 class StoreVariant(str, Enum):
@@ -256,7 +267,8 @@ def _flat_scores(index: _TypeIndex, cue: CueVector) -> np.ndarray:
     block = np.concatenate([index.table[:, span] for span in spans], axis=1)
     rows = np.concatenate([index.rows[span] for span in spans])
     _, dists, coss, sins = zip(*_query_terms(cue))
-    query = np.repeat([dists, coss, sins], [span.stop - span.start for span in spans], axis=1)
+    query = np.array([dists, coss, sins]).repeat(
+        [span.stop - span.start for span in spans], axis=1)
     diff = block - query
     dd = diff[0] / DIST_SCALE
     dc, ds = diff[1], diff[2]
@@ -341,13 +353,14 @@ def grid_cell(location: tuple[float, float]) -> tuple[int, int]:
 
 
 class MemoryStore:
-    """Append-only episode store with a flat or clustered access path."""
+    """Append-only episode store with a flat or clustered access path. Each
+    episode's id is its position in `episodes`."""
 
     def __init__(self, variant: StoreVariant | str = StoreVariant.CLUSTERED):
         self.variant = StoreVariant(variant)
         self.episodes: list[EpisodeRecord] = []
+        # item type -> grid cell -> the ids, so the rows, of its episodes.
         self.index: dict[int, dict[tuple[int, int], list[int]]] = {}
-        self._id_to_index: dict[int, int] = {}
         # item type -> its `_TypeIndex`, built on the first flat scan of the
         # type and dropped by a write of it.
         self._by_type: dict[int, _TypeIndex] = {}
@@ -380,9 +393,11 @@ class MemoryStore:
         return hit
 
     def append(self, record: EpisodeRecord) -> None:
-        if record.id in self._id_to_index:
-            raise RuntimeError(f"duplicate episode id {record.id}")
-        self._id_to_index[record.id] = len(self.episodes)
+        """Store `record`, whose id must be its position, `next_id()`:
+        RuntimeError for any other id, a duplicate included."""
+        if record.id != len(self.episodes):
+            raise RuntimeError(
+                f"episode id {record.id} is not the next position {len(self.episodes)}")
         self.episodes.append(record)
         if self.variant is StoreVariant.CLUSTERED:
             cell = grid_cell(record.location)
@@ -463,7 +478,7 @@ def retrieve(
         count = len(index.episodes)
         if not count:
             return Retrieval(None, None, 0)
-        best_pos = int(np.argmax(_flat_scores(index, query.cue)))
+        best_pos = int(_flat_scores(index, query.cue).argmax())
         return _finish(store, index.episodes[best_pos], count, current_landmarks)
 
     # Clustered: predict the target location from the query cue, then probe
@@ -471,7 +486,6 @@ def retrieve(
     bucket = store.index.get(query.item_type, {})
     if not bucket:
         return Retrieval(None, None, 0)
-    rank = store._id_to_index
     anchors, ok = _cue_anchor_positions(query.cue, current_landmarks)
     predicted = None
     if ok:
@@ -481,7 +495,7 @@ def retrieve(
     if predicted is None:
         # No usable geometry: fall back to scanning the type bucket in
         # deterministic row-major cell order.
-        rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
+        rows = [i for cell in sorted(bucket) for i in bucket[cell]]
         best_idx, _ = _fold_best(store, query.cue, rows, _NO_PICK)
         return _finish(store, best_idx, len(rows), current_landmarks)
 
@@ -493,7 +507,7 @@ def retrieve(
     center = grid_cell(predicted)
     picked, probes = _NO_PICK, 0
     for ring in range(GRID_DIV + 1):
-        rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
+        rows = [i for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
         picked = _fold_best(store, query.cue, rows, picked)
         probes += len(rows)
         if picked[1] >= EARLY_STOP_SCORE or (ring >= 1 and probes > 0):
@@ -501,8 +515,11 @@ def retrieve(
     return _finish(store, picked[0], probes, current_landmarks)
 
 
-def _ring_cells(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:
-    """Cells at exact Chebyshev distance `ring`, row-major, clipped to grid."""
+@functools.lru_cache(maxsize=None)
+def _ring_cells(center: tuple[int, int], ring: int) -> tuple[tuple[int, int], ...]:
+    """Cells at exact Chebyshev distance `ring`, row-major, clipped to grid.
+    Memoized: at most GRID_DIV**2 centres times GRID_DIV + 1 rings, each
+    computed on its first use."""
     cx, cy = center
     cells = []
     for gx in range(cx - ring, cx + ring + 1):
@@ -511,7 +528,7 @@ def _ring_cells(center: tuple[int, int], ring: int) -> list[tuple[int, int]]:
                 continue
             if 0 <= gx < GRID_DIV and 0 <= gy < GRID_DIV:
                 cells.append((gx, gy))
-    return cells
+    return tuple(cells)
 
 
 def _cue_anchor_positions(
@@ -639,7 +656,8 @@ def brute_force_retrieve(
     """Reference retrieval: scan every episode, no index, no early stop.
 
     Shares only the scoring rule with the production paths; used as the
-    oracle for equivalence checks. Does not touch the probe counter.
+    oracle for equivalence checks. It reports 0 probes: what it scans is
+    not a retrieval's cost.
     """
     _check_query(query)
     best_idx, best = None, -1.0

@@ -10,6 +10,8 @@ from hoardbench.core.state import ConfigurationError, OptionChoice, OptionKind, 
 from hoardbench.envs import family_b
 from hoardbench.envs.family_b import (
     MAX_CONFLICT_RATE,
+    MAX_EVENTS,
+    MAX_ITEM_TYPES,
     MAX_LANDMARK_DRIFT,
     FamilyBConfig,
     _world,
@@ -17,7 +19,7 @@ from hoardbench.envs.family_b import (
 )
 from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
-from hoardbench.memory import LandmarkSet, StoreVariant, brute_force_retrieve
+from hoardbench.memory import MAX_LANDMARKS, LandmarkSet, StoreVariant, brute_force_retrieve
 from hoardbench.rng import RunStreams
 
 
@@ -90,6 +92,30 @@ def test_kappa_conservation_and_costs():
     assert sum(record.kappa_by_source.values()) == pytest.approx(
         record.costs["compute_used"]
     )
+
+
+# 32 writes then 32 queries, seed 0. The costs were recorded when every write
+# and every query charged the ledger through `accrue`. At budget 20 the
+# writes run it out; at 32 they meet it exactly and the first query crosses
+# it. Latency is charged whatever the budget, since B never stops early.
+@pytest.mark.parametrize("budget", [20, 32, 40, 60])
+def test_a_spent_budget_exhausts_the_run_and_every_step_still_runs(budget):
+    record = run_family_b(FamilyBConfig(n_events=32), "clustered", CostLedger(budget=budget),
+                          seed=0)
+    assert record.status == "budget_exhausted"
+    assert record.costs == {"task_cost": 0.0, "latency_cost": 64.0, "leak_cost": 0.0,
+                            "repair_cost": 0.0, "compute_used": float(budget)}
+    assert record.objective == 0.64
+
+
+@pytest.mark.parametrize("variant, compute_used", [("clustered", 64.0), ("flat", 166.0)])
+def test_a_budget_the_run_never_reaches_charges_every_write_and_probe(variant, compute_used):
+    record = run_family_b(FamilyBConfig(n_events=32), variant, CostLedger(budget=1e5), seed=0)
+    assert record.status == "completed"
+    assert record.costs == {"task_cost": 0.0, "latency_cost": 64.0, "leak_cost": 0.0,
+                            "repair_cost": 0.0, "compute_used": compute_used}
+    assert record.objective == 0.64
+    assert sum(record.kappa_by_source.values()) == compute_used
 
 
 def test_goal_verdict_follows_precision_target():
@@ -320,6 +346,15 @@ def test_config_validation():
         ("conflict_rate", 1e30),
         ("conflict_rate", 1e300),
         ("landmark_drift", 1e300),
+        # Int keys accepted before they had caps, then crashed the cell: the
+        # event and landmark draws beyond numpy's largest array, and a type
+        # draw beyond int64.
+        ("n_events", 10**20),
+        ("n_events", MAX_EVENTS + 1),
+        ("item_types", 10**20),
+        ("item_types", MAX_ITEM_TYPES + 1),
+        ("landmark_count", 10**20),
+        ("landmark_count", MAX_LANDMARKS + 1),
         ("dig_radius", math.nan),
         ("precision_target", math.nan),
         ("precision_target", 1.5),
@@ -341,6 +376,20 @@ def test_a_config_at_both_caps_runs(variant):
     record = run_family_b(env, variant, _ledger(), seed=3)
     assert record.status == "completed"
     assert record.metrics["episodes_stored"] == 64.0
+
+
+@pytest.mark.parametrize("variant", ["clustered", "flat"])
+def test_a_cell_at_the_item_type_cap_queries_the_types_it_wrote(variant):
+    # Types this large are all distinct, so every query finds exactly its own
+    # cache: a type that lost bits on its way through the retrieval goal
+    # would find none. The caps of n_events and landmark_count are too
+    # costly to run here.
+    env = FamilyBConfig(n_events=16, item_types=MAX_ITEM_TYPES)
+    assert max(item_type for item_type, *_ in _world(env, 5)[3]) > 2**52
+    record = run_family_b(env, variant, _ledger(), seed=5)
+    assert record.status == "completed"
+    assert record.metrics["confusion_rate"] == 0.0
+    assert record.metrics["probes_mean"] == 1.0
 
 
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):

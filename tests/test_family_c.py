@@ -17,6 +17,7 @@ from hoardbench.core.policy import PolicyContext
 from hoardbench.core.state import OptionKind
 from hoardbench.harness import parse_config, run_grid, write_report
 from hoardbench.ledger import CostLedger
+from hoardbench.memory import MAX_LANDMARKS
 from hoardbench.observer import ObserverBelief, SawCache, observer_update
 from hoardbench.rng import RunStreams, Substream
 
@@ -210,6 +211,10 @@ def test_config_validation():
         ("pilfer_budget", 401),
         ("item_types", 0),
         ("landmark_count", 2),
+        # Accepted before it had a cap, then crashed the cell: a landmark
+        # draw beyond numpy's largest array.
+        ("landmark_count", 10**20),
+        ("landmark_count", MAX_LANDMARKS + 1),
         ("recovery_horizon", -3),
         ("conceal_wait_cost", 0),
         ("conceal_wait_cost", 2.5),

@@ -330,6 +330,24 @@ def test_duplicate_episode_id_aborts():
         store.append(_episode(0, 1, (0.4, 0.4), lm))
 
 
+@pytest.mark.parametrize("variant", [StoreVariant.FLAT, StoreVariant.CLUSTERED])
+def test_an_episode_id_must_be_its_position(variant):
+    # A duplicate, a gap and an id from the past are refused, and the store
+    # keeps what it held; the next position is accepted.
+    lm = _landmarks()
+    store = _store_with([_episode(0, 1, (0.5, 0.5), lm), _episode(1, 1, (0.2, 0.7), lm)],
+                        variant)
+    for bad in (1, 3, 0, -1):
+        with pytest.raises(RuntimeError, match="not the next position 2"):
+            store.append(_episode(bad, 1, (0.4, 0.4), lm))
+    assert [e.id for e in store.episodes] == [0, 1]
+    store.append(_episode(2, 1, (0.4, 0.4), lm))
+    assert store.next_id() == len(store) == 3
+    if variant is StoreVariant.CLUSTERED:
+        assert sorted(i for cells in store.index.values() for ids in cells.values()
+                      for i in ids) == [0, 1, 2]
+
+
 def test_thousand_writes_match_brute_force_partition():
     lm = _landmarks(5)
     store = MemoryStore(StoreVariant.CLUSTERED)
@@ -553,11 +571,11 @@ def _frozen_clustered_retrieve(store, query, current):
     """Frozen copy of the former clustered path: (episode id, probes,
     decoded location). Each ring is scored as one batch and folded in probe
     order; without usable geometry the whole type bucket is scored in sorted
-    cell order and picked by argmax."""
+    cell order and picked by argmax. The index's episode ids are read as
+    rows, since an id is its episode's position in the store."""
     bucket = store.index.get(query.item_type, {})
     if not bucket:
         return None, 0, None
-    rank = store._id_to_index
     anchors, ok = _cue_anchor_positions(query.cue, current)
     predicted = None
     if ok:
@@ -565,7 +583,7 @@ def _frozen_clustered_retrieve(store, query, current):
         if degenerate:
             predicted = None
     if predicted is None:
-        rows = [rank[i] for cell in sorted(bucket) for i in bucket[cell]]
+        rows = [i for cell in sorted(bucket) for i in bucket[cell]]
         scores = _frozen_batch_scores(store, rows, query.cue)
         best_idx = rows[int(np.argmax(scores))]
         probes = len(rows)
@@ -573,7 +591,7 @@ def _frozen_clustered_retrieve(store, query, current):
         center = grid_cell(predicted)
         best_idx, best, probes = None, -1.0, 0
         for ring in range(GRID_DIV + 1):
-            rows = [rank[i] for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
+            rows = [i for cell in _ring_cells(center, ring) for i in bucket.get(cell, ())]
             if rows:
                 scores = _frozen_batch_scores(store, rows, query.cue)
                 probes += len(rows)
@@ -684,6 +702,20 @@ def test_grid_cell_clipping():
     assert grid_cell((0.0, 0.0)) == (0, 0)
     assert grid_cell((1.0, 1.0)) == (15, 15)
     assert grid_cell((0.51, 0.49)) == (8, 7)
+
+
+def test_ring_cells_are_the_chebyshev_ring_of_every_centre():
+    # Every centre and every ring a retrieve can reach, against a brute-force
+    # enumeration of the grid in row-major order; each call, memoized or
+    # not, returns the same tuple.
+    grid = [(gx, gy) for gx in range(GRID_DIV) for gy in range(GRID_DIV)]
+    for cx, cy in grid:
+        for ring in range(GRID_DIV + 1):
+            expected = tuple(
+                (gx, gy) for gx, gy in grid if max(abs(gx - cx), abs(gy - cy)) == ring
+            )
+            assert _ring_cells((cx, cy), ring) == expected
+            assert _ring_cells((cx, cy), ring) is _ring_cells((cx, cy), ring)
 
 
 # --- Python-float decode against the numpy-scalar form ------------------------
