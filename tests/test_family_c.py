@@ -211,10 +211,6 @@ def test_config_validation():
         ("pilfer_budget", 401),
         ("item_types", 0),
         ("landmark_count", 2),
-        # Accepted before it had a cap, then crashed the cell: a landmark
-        # draw beyond numpy's largest array.
-        ("landmark_count", 10**20),
-        ("landmark_count", MAX_LANDMARKS + 1),
         ("recovery_horizon", -3),
         ("conceal_wait_cost", 0),
         ("conceal_wait_cost", 2.5),
@@ -230,6 +226,10 @@ def test_config_validation():
         ("verifier_fn", 1.0),
         ("forbidden_zone", (0, 0, 2)),
         ("forbidden_zone", (0, 0, 2.5, 2)),
+        # Accepted before it had a cap, then crashed the cell: a landmark
+        # draw beyond numpy's largest array.
+        ("landmark_count", 10**20),
+        ("landmark_count", MAX_LANDMARKS + 1),
     ],
 )
 def test_config_rejects_bad_values_by_field_name(field, value):
