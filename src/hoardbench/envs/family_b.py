@@ -20,11 +20,8 @@ A seed's world, its env draws and its writes' cues, is built once per seed
 and config and shared by the seed's variants, which a grid runs back to
 back; each variant fills its own store and forms its own queries.
 
-Each write and each query is one `write` and one `retrieve` call, but the
-bookkeeping around them goes a chunk at a time: the write and query phases
-keep their latency and compute sums in locals, charged by `accrue`'s rule
-and written back to the ledger before the task charge, and each chunk of
-events or queries goes to the trace in one append.
+Each write and each query is one `write` and one `retrieve` call, but each
+chunk of events or queries goes to the trace in one append.
 """
 
 from __future__ import annotations
@@ -206,14 +203,6 @@ def run_family_b(
         ("item_type", "x", "y"), False,
     )
 
-    # The ledger's running sums that both phases charge, kept in locals and
-    # written back before the task charge. Each write and each query
-    # restates `accrue`, its 0.0 additions left out: latency 1.0, then its
-    # compute against the budget. Its finiteness check has nothing to catch
-    # here: latency is 1.0, and compute is 1.0 for a write and a query's
-    # probe count, an int. B never stops on an exhausted budget: every
-    # write and query still runs and is charged latency.
-    latency_cost, compute_used, budget = ledger.latency_cost, ledger.compute_used, ledger.budget
     tracing = trace is not None
 
     # Trace steps are contiguous; the semantic timestamp (including the
@@ -225,12 +214,6 @@ def run_family_b(
         rows: list[float] = []
         for k, ((item_type, value, x, y), cue) in chunk:
             write(store, landmarks, item_type, (x, y), cue)
-            latency_cost += 1.0
-            if 1.0 > budget - compute_used:
-                compute_used = budget
-                ledger.exhausted = True
-            else:
-                compute_used += 1.0
             if tracing:
                 rows += (0.0, item_type, value, k, x, y, item_type, value, x, y)
         if tracing:
@@ -257,14 +240,7 @@ def run_family_b(
         for idx, query in chunk:
             item_type, _, true_x, true_y = events[idx]
             result = retrieve(store, query, drifted)
-            used = result.probes_used
-            probes.append(used)
-            latency_cost += 1.0
-            if used > budget - compute_used:
-                compute_used = budget
-                ledger.exhausted = True
-            else:
-                compute_used += used
+            probes.append(result.probes_used)
             if tracing:
                 dig = result.decoded_location or (0.0, 0.0)
                 rows += (1.0, *dig, item_type, true_x, true_y)
@@ -280,7 +256,6 @@ def run_family_b(
                 confusions += 1
         if tracing:
             trace.append(len(trace), query_record, *rows)
-    ledger.latency_cost, ledger.compute_used = latency_cost, compute_used
 
     precision = hits / n
     confusion_rate = confusions / n
@@ -290,7 +265,18 @@ def run_family_b(
     # the cues), and the queries.
     sink.check("precision_target", 0, len(events) + env.query_delay + n, precision_ok)
 
-    accrue(ledger, task=0.0 if precision_ok else 1.0)
+    # Every write and query costs one latency unit; a write's compute is 1
+    # and a query's its probe count. B never stops on an exhausted budget,
+    # so one charge of the run's totals leaves the ledger as per-event
+    # charges would: the costs are non-negative integers, so some event
+    # crosses the budget if and only if the total does.
+    probe_total = float(sum(probes))
+    accrue(
+        ledger,
+        task=0.0 if precision_ok else 1.0,
+        latency=float(len(events) + n),
+        compute=float(len(events)) + probe_total,
+    )
 
     probe_arr = np.asarray(probes, dtype=float)
     record = RunRecord(family="B", variant="", seed=seed, status=STATUS_COMPLETED)
@@ -303,7 +289,7 @@ def run_family_b(
         "probes_p95": percentile(probe_arr, 95),
         "episodes_stored": float(len(store)),
     }
-    record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": float(sum(probes))}
+    record.kappa_by_source = {"writes": float(len(events)), "retrieval_probes": probe_total}
     record.signals = sink.signals
     return finish_record(record, ledger)
 
