@@ -8,7 +8,9 @@
 key the config sets to no effect, and go on. `report --in` rewrites a
 results directory's reports from its runs.jsonl and resolved_config.json; it
 re-runs each listed cell that gets a trace window in failures.md, and writes
-no window for a re-run whose record differs from the stored one.
+no window for a re-run whose record differs from the stored one. It warns on
+stderr when the directory's timing.json names other source than the running
+code's (`source_sha256`), and goes on.
 
 Exit codes: 0 on success, 1 on a configuration error or unusable input (a
 re-run that differs from its record included), 2 when at least one run cell
@@ -31,6 +33,7 @@ from .harness import (
     parse_config,
     resolved_document,
     run_grid,
+    source_sha256,
     write_report,
 )
 
@@ -113,6 +116,11 @@ def main(argv: list[str] | None = None) -> int:
             if not Path(args.input_dir).is_dir():
                 raise _Unusable(f"{args.input_dir} is not a results directory")
             result = load_result_set(args.input_dir)
+            running = source_sha256()
+            if result.source_sha256 not in (None, running):
+                print(f"warning: {args.input_dir} was written by other code: its timing.json "
+                      f"names source_sha256 {result.source_sha256}, the running code's is "
+                      f"{running}", file=sys.stderr)
             write_report(result, args.input_dir)
             print(f"rebuilt reports in {args.input_dir}")
             return 2 if result.any_failed() else 0

@@ -9,7 +9,11 @@ forward to the present (Smith-predictor style).
 
 `update_belief` advances one belief in place, once per step: the queue and
 the log are bounded deques, so a step appends and pops rather than building
-a new state.
+a new state. It is the reference form of a step. Family A's stabilize loop
+(`envs/family_a.py::run_family_a`) restates it for its stabilize steps, with
+the estimates in locals, and calls it only for a trial's landing reading;
+`tests/test_family_a.py::test_stabilize_forces_replay_through_update_belief`
+replays the loop's traces through `update_belief` and pins the two together.
 """
 
 from __future__ import annotations
@@ -92,10 +96,12 @@ def update_belief(
     through the logged forces. The latent posterior moves only when the
     delivered reading carries evidence (an informative step). A reading
     that is not finite raises InputError before the belief changes.
+
+    Family A's stabilize loop restates this for its stabilize steps; the
+    module docstring names the test that pins the two together.
     """
     if not (-inf < error < inf and -inf < error_rate < inf):
-        name = "error_rate" if -inf < error < inf else "error"
-        raise InputError(f"observation value {name!r} is not finite")
+        raise reading_error(error, error_rate)
     buffer = belief.delayed_obs_buffer
     buffer.append((error, error_rate, evidence))
     log = belief.action_log
@@ -116,14 +122,8 @@ def update_belief(
         # Evidence rides the sensor stream: the posterior moves when an
         # informative reading is delivered, not when it is taken.
         if delivered and controller.rls_enabled:
-            mean, var = belief.latent_mean, belief.latent_variance
-            for ev in delivered:
-                est = rls_update(
-                    RlsState(mean, var, controller.forgetting), ev.regressor, ev.response
-                )
-                mean, var = est.mean, est.variance
-            belief.latent_mean = mean
-            belief.latent_variance = var
+            belief.latent_mean, belief.latent_variance = absorb_evidence(
+                belief.latent_mean, belief.latent_variance, delivered, controller.forgetting)
     else:
         # Nothing delivered yet (early steps): dead-reckon the previous
         # delayed estimate through the force just issued.
@@ -135,3 +135,22 @@ def update_belief(
     belief.position = p
     belief.velocity = v
     return belief
+
+
+def reading_error(error: float, error_rate: float) -> InputError:
+    """The InputError for a step's readings when one is not finite; it
+    names `error` when that one is not."""
+    name = "error_rate" if -inf < error < inf else "error"
+    return InputError(f"observation value {name!r} is not finite")
+
+
+def absorb_evidence(
+    mean: float, variance: float, evidence: tuple[LatentEvidence, ...], forgetting: float,
+) -> tuple[float, float]:
+    """The latent posterior's mean and variance after one recursive
+    least-squares step, with `forgetting`, per item of a delivered
+    reading's `evidence`, in order."""
+    for ev in evidence:
+        est = rls_update(RlsState(mean, variance, forgetting), ev.regressor, ev.response)
+        mean, variance = est.mean, est.variance
+    return mean, variance

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 
 from ..controller import ControllerConfig, double_integrator, open_loop_plan, pd_feedback
-from ..core.belief import Belief, BeliefConfig, initial_belief, update_belief
+from ..core.belief import (
+    Belief, BeliefConfig, absorb_evidence, initial_belief, reading_error, update_belief,
+)
 from ..core.policy import PolicyContext, select_option
 from ..core.state import (
     ConfigurationError,
@@ -120,23 +123,27 @@ def predicted_landing_error(config: FamilyAConfig, z_hat: float, offset: float) 
 
 
 class LaunchPlanner:
-    """Scan a fixed offset grid and launch where predicted error is smallest."""
+    """Scan a fixed offset grid and launch where predicted error is smallest.
+
+    The grid's offsets and their remaining gaps `gap_scale * (1 - offset)`
+    are built once; a scan takes `predicted_landing_error`'s operations in
+    its order, so it picks the offset that function's scan would."""
 
     def __init__(self, config: FamilyAConfig):
         self._config = config
+        last = config.launch_grid - 1
+        offsets = [i / last for i in range(config.launch_grid)]
+        self._grid = [(offset, config.gap_scale * (1.0 - offset)) for offset in offsets]
 
     def select(self, belief: Belief, ctx: PolicyContext) -> OptionChoice:
-        cfg = self._config
+        impulse = self._config.impulse
         z_hat = belief.latent_mean
-        best_offset, best_err = 0.0, float("inf")
-        for i in range(cfg.launch_grid):
-            offset = i / (cfg.launch_grid - 1)
-            err = abs(predicted_landing_error(cfg, z_hat, offset))
+        best_offset, best_err = 0.0, inf
+        for offset, gap in self._grid:
+            err = abs(impulse * (1.0 - z_hat * offset * offset) - gap)
             if err < best_err:
                 best_offset, best_err = offset, err
-        return OptionChoice(
-            OptionKind.LAUNCH, {"offset": best_offset, "impulse": cfg.impulse}
-        )
+        return OptionChoice(OptionKind.LAUNCH, {"offset": best_offset, "impulse": impulse})
 
 
 def run_family_a(
@@ -161,6 +168,12 @@ def run_family_a(
     tracing = trace is not None
     # The stabilize loop's constants, read once per run.
     feedback, bound = agent.feedback_enabled, agent.action_bound
+    delay, rls, forgetting = env.obs_delay, agent.rls_enabled, agent.forgetting
+    # A delivered reading is rolled forward through the whole force log,
+    # which then holds the `delay` forces since it was taken. At delay 0
+    # the log's one force lies outside that window: nothing is rolled.
+    compensate = agent.compensator_enabled and delay > 0
+    delivery_kappa = delay if agent.compensator_enabled else 0
     dt, obs_noise = env.dt, env.obs_noise
     pos_tol, vel_tol, hold_steps = env.pos_tol, env.vel_tol, env.hold_steps
     perturb_step, perturb_w = env.perturb_step, env.perturb_magnitude / dt
@@ -211,11 +224,11 @@ def run_family_a(
         global_step += 1
 
         # Open-loop agents commit a correction schedule now and never revise.
-        plan: list[float] = []
+        schedule = iter(())
         if not feedback:
-            plan = open_loop_plan(
+            schedule = iter(open_loop_plan(
                 dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol, bound,
-            )
+            ))
 
         hold = 0
         first_hold_step = None
@@ -232,17 +245,28 @@ def run_family_a(
         latency_cost, repair_cost = ledger.latency_cost, ledger.repair_cost
         compute_used, budget = ledger.compute_used, ledger.budget
 
+        # The belief's estimates, kept in locals for the trial and written
+        # back after it; its delay queue and force log stay its deques. The
+        # landing reading is queued (or, at delay 0, already delivered), so
+        # the first `dead_reckoned` steps deliver nothing and every later
+        # one delivers the oldest reading.
+        position, velocity = belief.position, belief.velocity
+        delayed_position, delayed_velocity = belief.delayed_position, belief.delayed_velocity
+        latent_mean, latent_variance = belief.latent_mean, belief.latent_variance
+        queue, forces = belief.delayed_obs_buffer, belief.action_log
+        enqueue, deliver, log_force = queue.append, queue.popleft, forces.append
+        dead_reckoned = delay - len(queue)
+
         # The stabilize loop, one step per iteration: the force from the
         # belief's present estimate (PD feedback toward zero error, or the
         # next entry of the open-loop schedule clamped to the bound, then
-        # silence); the plant; the readings; one in-place belief update and
-        # the step's charge. Plant state, counters, cost sums and constants
-        # stay in locals.
+        # silence); the plant; the readings; the belief update and the
+        # step's charge. Plant state, estimates, counters, cost sums and
+        # constants stay in locals.
         for step, (noise_e, noise_r) in enumerate(step_noise, 1):
             if feedback:
-                force, clamped = pd_feedback(agent, belief.position, belief.velocity)
-            elif plan:
-                scheduled = plan.pop(0)
+                force, clamped = pd_feedback(agent, position, velocity)
+            elif (scheduled := next(schedule, None)) is not None:
                 force = max(-bound, min(bound, scheduled))
                 clamped = force != scheduled
             else:
@@ -260,7 +284,30 @@ def run_family_a(
 
             e_obs = e + obs_noise * noise_e
             r_obs = edot + obs_noise * noise_r
-            kappa = update_belief(belief, e_obs, r_obs, force, belief_cfg).last_compute
+            # `update_belief` restated: queue the reading and log the force;
+            # past the delay, deliver the oldest reading as the delayed
+            # estimate, roll it forward through the logged forces and absorb
+            # its evidence (the landing's), else dead-reckon the delayed
+            # estimate through this step's force.
+            if not (-inf < e_obs < inf and -inf < r_obs < inf):
+                raise reading_error(e_obs, r_obs)
+            enqueue((e_obs, r_obs, ()))
+            log_force(force)
+            if step > dead_reckoned:
+                p, v, delivered = deliver()
+                delayed_position, delayed_velocity = p, v
+                if compensate:
+                    for a in forces:
+                        p, v = p + v * dt, v + a * dt
+                if delivered and rls:
+                    latent_mean, latent_variance = absorb_evidence(
+                        latent_mean, latent_variance, delivered, forgetting)
+                kappa = delivery_kappa
+            else:
+                p, v = delayed_position + delayed_velocity * dt, delayed_velocity + force * dt
+                delayed_position, delayed_velocity = p, v
+                kappa = 0
+            position, velocity = p, v
             comp_kappa += kappa
             if tracing:
                 rows += (e_obs, r_obs, force)
@@ -287,6 +334,10 @@ def run_family_a(
                 break
             compute_used += kappa
         global_step = first_stabilize_step + step
+        belief.position, belief.velocity = position, velocity
+        belief.delayed_position, belief.delayed_velocity = delayed_position, delayed_velocity
+        belief.latent_mean, belief.latent_variance = latent_mean, latent_variance
+        belief.last_compute = kappa
         ledger.latency_cost, ledger.repair_cost = latency_cost, repair_cost
         ledger.compute_used = compute_used
 

@@ -298,11 +298,14 @@ class CellResult:
 
 @dataclass
 class ResultSet:
-    """A grid's cells."""
+    """A grid's cells, and the `source_sha256` of the code that ran them:
+    the running code's for a grid just run, the one timing.json names (or
+    None) for results read back from a directory."""
 
     config: ExperimentConfig
     cells: list[CellResult] = field(default_factory=list)
     wallclock: dict[str, float] = field(default_factory=dict)
+    source_sha256: str | None = None
 
     def any_failed(self) -> bool:
         return any(c.record.status == STATUS_FAILED for c in self.cells)
@@ -413,7 +416,7 @@ def run_grid(config: ExperimentConfig, jobs: int = 1) -> ResultSet:
     # cells[v + j * nv::ns * nv] are variant v's at sweep value j, by seed.
     ns, nv = len(sweep_values), len(variants)
     cells = [c for v in range(nv) for j in range(ns) for c in cells[v + j * nv :: ns * nv]]
-    result = ResultSet(config=config, cells=cells)
+    result = ResultSet(config=config, cells=cells, source_sha256=source_sha256())
     result.wallclock = {"total_seconds": elapsed, "jobs": float(jobs)}
     return result
 
@@ -482,7 +485,9 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
     count, so every metric with that many seeds resamples the same seeds.
 
     timing.json holds the grid's wall clock plus `report_seconds` for this
-    call; `trace_write_seconds`, the part of it spent encoding and writing
+    call; `source_sha256`, the result's, which a re-report keeps;
+    `runs_sha256`, the sha256 of the runs.jsonl written;
+    `trace_write_seconds`, the part of it spent encoding and writing
     trace windows; and `trace_replay_seconds`, the part spent re-running
     listed cells to record their traces, their files included. The replay
     seconds are 0.0 after `hoardbench run`. `cell_seconds` maps variant,
@@ -572,6 +577,8 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
             cell_seconds.setdefault(cell.variant, {})[str(cell.seed)] = cell.seconds
     timing = {
         **result.wallclock,
+        "source_sha256": result.source_sha256,
+        "runs_sha256": _file_sha256(out / "runs.jsonl"),
         "report_seconds": time.monotonic() - started,
         "trace_replay_seconds": replay_seconds,
         "trace_write_seconds": write_seconds,
@@ -585,6 +592,38 @@ def write_report(result: ResultSet, output_dir: str | Path) -> Path:
             "see failures.md"
         )
     return out
+
+
+def source_sha256() -> str:
+    """sha256 of the running hoardbench package's source: each `.py` file
+    under it, sorted by relative path, as that path, its byte length and its
+    bytes."""
+    root = Path(__file__).resolve().parent
+    digest = _sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _file_sha256(path: Path) -> str:
+    """sha256 of the file at `path`, read a block at a time, so that a
+    large runs.jsonl adds no more than a block to a run's peak memory."""
+    digest = _sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _sha256():
+    """A new sha256 hash. hashlib is imported here, not with the module: it
+    loads OpenSSL (~6 ms), which `validate` never needs, and `run` has
+    imported it already, through numpy.random."""
+    import hashlib
+
+    return hashlib.sha256()
 
 
 def _values(records: list[RunRecord], metric: str) -> list[float]:
@@ -806,7 +845,7 @@ def load_result_set(directory: str | Path) -> ResultSet:
     variants = _variant_table(result.config)
     seeds = result.config.seeds()
     seen: set[tuple[str, int]] = set()
-    result.wallclock, cell_seconds = _read_timing(directory)
+    result.wallclock, cell_seconds, result.source_sha256 = _read_timing(directory)
     path = directory / "runs.jsonl"
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -832,10 +871,13 @@ def load_result_set(directory: str | Path) -> ResultSet:
     return result
 
 
-def _read_timing(directory: Path) -> tuple[dict[str, float], dict[tuple[str, int], float]]:
-    """The grid's wall clock (`total_seconds`, `jobs`) and per-cell seconds,
-    by (variant, seed), from a results directory's timing.json; both empty
-    when the file is missing or unreadable."""
+def _read_timing(
+    directory: Path,
+) -> tuple[dict[str, float], dict[tuple[str, int], float], str | None]:
+    """The grid's wall clock (`total_seconds`, `jobs`), per-cell seconds,
+    by (variant, seed), and `source_sha256` from a results directory's
+    timing.json; empty, empty and None when the file is missing or
+    unreadable. A digest that is not a string reads as None."""
     try:
         timing = json.loads((directory / "timing.json").read_text())
         wallclock = {k: float(timing[k]) for k in ("total_seconds", "jobs") if k in timing}
@@ -844,6 +886,7 @@ def _read_timing(directory: Path) -> tuple[dict[str, float], dict[tuple[str, int
             for variant, by_seed in timing.get("cell_seconds", {}).items()
             for seed, seconds in by_seed.items()
         }
+        source = timing.get("source_sha256")
     except (OSError, ValueError, TypeError, AttributeError):
-        return {}, {}
-    return wallclock, cells
+        return {}, {}, None
+    return wallclock, cells, source if isinstance(source, str) else None

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoardbench import cli
-from hoardbench.controller import ControllerConfig
-from hoardbench.core.state import ConfigurationError, Trace
+from hoardbench.controller import ControllerConfig, double_integrator, open_loop_plan, pd_feedback
+from hoardbench.core.state import ConfigurationError, LatentEvidence, Trace
 from hoardbench.envs.family_a import (
     FamilyAConfig,
     LaunchPlanner,
     predicted_landing_error,
     run_family_a,
 )
-from hoardbench.core.belief import BeliefConfig, initial_belief
+from hoardbench.core.belief import BeliefConfig, initial_belief, update_belief
 from hoardbench.core.policy import PolicyContext
 from hoardbench.harness import _run_cell, parse_config, resolved_document, run_grid, write_report
 from hoardbench.ledger import CostLedger
@@ -202,6 +202,72 @@ def test_kappa_conservation():
     assert sum(record.kappa_by_source.values()) == pytest.approx(
         record.costs["compute_used"]
     )
+
+
+def _replayed_forces(env, agent, records):
+    """Each stabilize step's reference force, and the compensation kappa,
+    from replaying a run's trace records through `initial_belief`,
+    `update_belief` and `pd_feedback` (or the open-loop schedule, clamped,
+    then silence). Each trial's belief starts, as the run's does, at the
+    landing error its launch predicts from the latent mean the previous
+    trial left; each launch offset is checked against a scan of
+    `predicted_landing_error` over the grid at that mean."""
+    cfg = BeliefConfig(agent, env.obs_delay, env.z_prior_mean, env.z_prior_variance,
+                       double_integrator(env.dt))
+    latent_mean = env.z_prior_mean
+    forces, kappa = [], 0.0
+    for record in records:
+        values = record["observation"]["values"]
+        e_obs, r_obs = values["error"], values["error_rate"]
+        if record["option_active"]["kind"] == "launch":
+            offset = record["action"]["params"]["offset"]
+            grid = [i / (env.launch_grid - 1) for i in range(env.launch_grid)]
+            errors = [abs(predicted_landing_error(env, latent_mean, x)) for x in grid]
+            assert offset == grid[errors.index(min(errors))]
+            e_pred = predicted_landing_error(env, latent_mean, offset)
+            belief = initial_belief(cfg, e_pred, 0.0)
+            evidence = tuple(LatentEvidence(*item) for item in
+                             record["observation"]["latent_evidence"])
+            kappa += update_belief(belief, e_obs, r_obs, 0.0, cfg, evidence).last_compute
+            schedule = iter(()) if agent.feedback_enabled else iter(open_loop_plan(
+                env.dt, (e_pred, 0.0), (0.0, 0.0), env.pos_tol, env.vel_tol,
+                agent.action_bound))
+            continue
+        if agent.feedback_enabled:
+            force = pd_feedback(agent, belief.position, belief.velocity)[0]
+        else:
+            scheduled = next(schedule, 0.0)
+            force = max(-agent.action_bound, min(agent.action_bound, scheduled))
+        forces.append(force)
+        kappa += update_belief(belief, e_obs, r_obs, record["action"]["params"]["force"],
+                               cfg).last_compute
+        latent_mean = belief.latent_mean
+    return forces, kappa
+
+
+@pytest.mark.parametrize("delay", [0, 1, 2, 3, 10])
+@pytest.mark.parametrize("agent", [
+    *(ControllerConfig(compensator_enabled=comp, rls_enabled=rls)
+      for comp in (True, False) for rls in (True, False)),
+    ControllerConfig(feedback_enabled=False, rls_enabled=True),
+], ids=["comp_rls", "comp", "rls", "plain", "no_feedback"])
+def test_stabilize_forces_replay_through_update_belief(delay, agent):
+    # The stabilize loop restates `update_belief`; replaying its trace
+    # through the reference gives every force it issued and the
+    # compensation it charged. Drifting compliance moves each trial's
+    # launch, RLS carries the landing evidence into the next, and the
+    # perturbation makes the feedback work.
+    env = FamilyAConfig(obs_delay=delay, trials=3, z_drift=0.05, perturb_step=60,
+                        perturb_magnitude=0.2)
+    trace = Trace()
+    record = run_family_a(env, agent, _ledger(), seed=3, trace=trace)
+    records = _records(trace)
+    recorded = [r["action"]["params"]["force"] for r in records
+                if r["option_active"]["kind"] == "stabilize"]
+    forces, kappa = _replayed_forces(env, agent, records)
+    assert len(recorded) == 3 * env.horizon
+    assert recorded == forces
+    assert record.kappa_by_source["compensation"] == kappa
 
 
 def test_budget_exhaustion_outcome():

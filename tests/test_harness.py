@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -606,9 +607,62 @@ def test_report_without_a_readable_timing_file_keeps_only_its_own(tmp_path, timi
     assert main(["report", "--in", str(out)]) == 0
     rewritten = json.loads((out / "timing.json").read_text())
     assert set(rewritten) == {
+        "source_sha256", "runs_sha256",
         "report_seconds", "trace_replay_seconds", "trace_write_seconds", "cell_seconds",
     }
     assert rewritten["cell_seconds"] == {}
+    assert rewritten["source_sha256"] is None
+
+
+def _sources_sha256(root: Path) -> str:
+    """The source digest recomputed here: each `.py` file under `root`, by
+    sorted relative path, as path, NUL, byte length, NUL, bytes."""
+    digest = hashlib.sha256()
+    paths = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    for name, path in paths:
+        data = path.read_bytes()
+        digest.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+    return digest.hexdigest()
+
+
+def test_timing_names_the_source_and_the_runs_it_describes(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(D_TWO_SEEDS))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    package = Path(hoardbench.__file__).resolve().parent
+    assert timing["source_sha256"] == _sources_sha256(package) == harness.source_sha256()
+    assert timing["runs_sha256"] == hashlib.sha256((out / "runs.jsonl").read_bytes()).hexdigest()
+    capsys.readouterr()
+    # Re-reporting with the code that wrote the directory warns of nothing.
+    assert main(["report", "--in", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "timing.json").read_text())["runs_sha256"] == timing["runs_sha256"]
+
+
+def test_report_warns_when_the_directory_names_other_source(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(D_TWO_SEEDS))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    running = timing["source_sha256"]
+    timing["source_sha256"] = "0" * 64
+    (out / "timing.json").write_text(json.dumps(timing))
+    before = _result_files(out)
+    capsys.readouterr()
+    assert main(["report", "--in", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == (f"warning: {out} was written by other code: its timing.json names "
+                   f"source_sha256 {'0' * 64}, the running code's is {running}\n")
+    # A warning, not a refusal: every report is rewritten as before.
+    # timing.json still names the code that wrote runs.jsonl, so the next
+    # re-report warns again.
+    assert _result_files(out) == before
+    assert json.loads((out / "timing.json").read_text())["source_sha256"] == "0" * 64
+    assert main(["report", "--in", str(out)]) == 0
+    assert capsys.readouterr().err == err
 
 
 def test_report_after_a_trace_write_cut_short_replays_it(tmp_path, monkeypatch):
