@@ -228,16 +228,11 @@ def run_family_b(
     confusions = 0
     probes: list[int] = []
 
-    def queried():
-        """Each chunk of retrievals, in query order, as its (event index,
-        query) pairs; a chunk's queries are formed together."""
-        for batch in _chunks(order):
-            options = [select_option(policy, None, ctx) for _ in batch]
-            yield zip(batch, form_queries(None, options, ctx))
-
-    for chunk in queried():
+    # Each chunk's options and queries are formed before its retrievals.
+    for chunk in _chunks(order):
+        options = [select_option(policy, None, ctx) for _ in chunk]
         rows = []
-        for idx, query in chunk:
+        for idx, query in zip(chunk, form_queries(None, options, ctx)):
             item_type, _, true_x, true_y = events[idx]
             result = retrieve(store, query, drifted)
             probes.append(result.probes_used)

@@ -18,7 +18,9 @@ the memory store before recovery, and C's landmarks never move, so each
 cache or recache is written after the caching phase, in step order, with its
 cue from one `encode_cues` pass; recovery encodes its query cues in one pass
 too. The caching loop keeps its cost sums in locals, charged by `accrue`'s
-rule, and writes them to the ledger before the pilfer phase.
+rule at every step, and writes them to the ledger before the pilfer phase.
+Its `CacheLayout` is the one record of which cells hide a cache, and
+`recache_moves` and `kappa_by_source` are read off its records at the end.
 
 A hidden constraint (a forbidden zone the agent does not know about) is
 checkable only by postcondition. The "cache while observed" runtime monitor
@@ -153,22 +155,30 @@ def _cell_center(cell: tuple[int, int]) -> tuple[float, float]:
 
 class CacheSitePolicy:
     """Pick a low-suspicion burial cell, or conceal (defer) when even the
-    best candidate carries more inferred observer mass than the threshold."""
+    best candidate carries more inferred observer mass than the threshold.
+
+    `avoid` holds the occupied cells. The run loop passes its `CacheLayout`'s
+    cell set and rebinds it to the new layout's when a moved cache rebuilds
+    the layout; a decoy dig draws from the same `candidates`."""
 
     def __init__(self, theta: float, wait_steps: int, avoid: set[tuple[int, int]]):
         self.theta = theta
         self.wait_steps = wait_steps
-        self.avoid = avoid  # shared with the run loop; cells already in use
+        self.avoid = avoid
 
     def _mass(self, ctx: PolicyContext, cell: tuple[int, int]) -> float:
         est = ctx.observer_estimate
         return est.mass_at(cell) if est is not None else 0.0
 
-    def pick_cell(self, ctx: PolicyContext) -> tuple[int, int]:
+    def candidates(self, ctx: PolicyContext) -> list[tuple[int, int]]:
+        """`CANDIDATE_CELLS` cells drawn from `ctx.rng`, less the avoided
+        ones, or all of them when every one is avoided."""
         flat = ctx.rng.integers(0, OBSERVER_GRID * OBSERVER_GRID, size=CANDIDATE_CELLS)
         cells = [_cell_of(k) for k in flat]
-        pool = [c for c in cells if c not in self.avoid] or cells
-        return min(pool, key=lambda c: (self._mass(ctx, c), c))
+        return [c for c in cells if c not in self.avoid] or cells
+
+    def pick_cell(self, ctx: PolicyContext) -> tuple[int, int]:
+        return min(self.candidates(ctx), key=lambda c: (self._mass(ctx, c), c))
 
     def select(self, belief: Belief | None, ctx: PolicyContext) -> OptionChoice:
         cell = self.pick_cell(ctx)
@@ -214,13 +224,14 @@ def run_family_c(
     ]
 
     placed: list[dict] = []
-    pending_items = list(range(env.caches))
+    next_item = 0  # items `next_item` on are still to cache
+    defers_left = MAX_DEFERS_PER_CACHE  # for item `next_item`
     compromised: list[int] = []
-    defer_budget = dict.fromkeys(range(env.caches), MAX_DEFERS_PER_CACHE)
-    decoys_owed = OPENING_DECOYS if (flags.observer_aware and flags.decoys_enabled) else 0
-    used_cells: set[tuple[int, int]] = set()
-    # Cells hiding something: a placed cache adds its cell, a moved one
-    # rebuilds the layout, and leakage_score reads its indices every step.
+    owes_decoys = flags.observer_aware and flags.decoys_enabled  # one after each cache
+    decoys_owed = OPENING_DECOYS if owes_decoys else 0
+    # The one record of the cells hiding something: a placed cache adds its
+    # cell, a moved one rebuilds the layout, the site policy avoids its
+    # cells, and leakage_score reads its indices every step.
     layout = CacheLayout()
     # Each cache or recache's (item type, cell centre), in step order, for
     # the memory writes after the phase.
@@ -234,26 +245,16 @@ def run_family_c(
     step = 0
     wait_remaining = 0
     decoys_used = 0
-    recache_moves = 0
+    decoy_compute = 0.0
     violations = 0
-    kappa = {"cache_writes": 0.0, "decoys": 0.0, "recovery_probes": 0.0, "corrections": 0.0}
-    # The observer-aware agent's fail verdicts, as (deliver_at, step), in
-    # delivery order: no ground truth. A step names the cache first placed
-    # at it (`placed_at`), which is compromised unless it has moved since.
+    # The observer-aware agent's fail verdicts on first placements, as
+    # (deliver_at, cache index), in delivery order: no ground truth. The
+    # cache is compromised unless it has moved since.
     inbox: deque[tuple[int, int]] = deque()
-    placed_at: dict[int, int] = {}
     sighted_cells: list[tuple[int, int]] = []  # raw sightings, in order
 
-    policy = CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, used_cells)
+    policy = CacheSitePolicy(env.theta_obs, env.conceal_wait_cost, layout.cells)
     ctx = PolicyContext(rng=streams.agent)
-
-    def pick_decoy_cell() -> tuple[int, int]:
-        flat = streams.agent.integers(0, OBSERVER_GRID * OBSERVER_GRID, size=CANDIDATE_CELLS)
-        cells = [_cell_of(k) for k in flat]
-        avoid = used_cells | {c["cell"] for c in placed}
-        pool = [c for c in cells if c not in avoid] or cells
-        mass = policy._mass
-        return min(pool, key=lambda c: (-mass(ctx, c), c))
 
     # The ledger's running sums that the caching phase charges, kept in
     # locals and written back before the pilfer phase.
@@ -266,96 +267,75 @@ def run_family_c(
     # belief, and every agent variant sees the same visibility draws.
     while step < caching_horizon:
         while inbox and inbox[0][0] <= step:
-            i = placed_at.get(inbox.popleft()[1])
-            if i is not None and not placed[i]["moved"]:
+            i = inbox.popleft()[1]
+            if not placed[i]["moved"]:
                 compromised.append(i)
 
         if flags.observer_aware:
             ctx.observer_estimate = adversary
         action_kind = "wait"
         action_cell: tuple[int, int] | None = None
-        item_idx: int | None = None
-        is_real_cache = False
+        item_idx = next_item
 
         if wait_remaining > 0:
             wait_remaining -= 1
         elif decoys_owed and flags.observer_aware:
             decoys_owed -= 1
-            action_cell = pick_decoy_cell()
+            action_cell = min(policy.candidates(ctx), key=lambda c: (-policy._mass(ctx, c), c))
             action_kind = "decoy"
         elif flags.observer_aware and compromised:
             item_idx = compromised.pop(0)
             action_cell = policy.pick_cell(ctx)
             action_kind = "recache"
-            is_real_cache = True
-        elif pending_items:
-            nxt = pending_items[0]
-            if flags.observer_aware:
-                option = select_option(policy, None, ctx)
-                cell = (int(option.params["row"]), int(option.params["col"]))
-                if option.kind is OptionKind.CONCEAL and defer_budget[nxt] > 0:
-                    defer_budget[nxt] -= 1
-                    action_kind = "conceal"
-                    action_cell = cell
-                    wait_remaining = int(option.params["steps"]) - 1
-                else:
-                    pending_items.pop(0)
-                    item_idx = nxt
-                    action_cell = cell
-                    action_kind = "cache"
-                    is_real_cache = True
+        elif next_item < env.caches:
+            action_kind = "cache"
+            if not flags.observer_aware:
+                action_cell = unaware_cells[next_item]
             else:
-                pending_items.pop(0)
-                item_idx = nxt
-                action_cell = unaware_cells[nxt]
-                action_kind = "cache"
-                is_real_cache = True
+                option = select_option(policy, None, ctx)
+                action_cell = (int(option.params["row"]), int(option.params["col"]))
+                if option.kind is OptionKind.CONCEAL and defers_left > 0:
+                    defers_left -= 1
+                    action_kind = "conceal"
+                    wait_remaining = int(option.params["steps"]) - 1
+            if action_kind == "cache":
+                next_item += 1
+                defers_left = MAX_DEFERS_PER_CACHE
+                decoys_owed += owes_decoys
+        is_real_cache = action_kind in ("cache", "recache")
 
         # Only physical digs can actually be seen.
         u = visibility_draws[step]
-        physical = action_kind in ("cache", "recache", "decoy")
-        visible = physical and u < env.visibility
+        visible = (is_real_cache or action_kind == "decoy") and u < env.visibility
         present_visible = action_kind == "conceal" and u < env.visibility
 
         compute = 0.0
-        if action_kind in ("cache", "recache"):
-            cell = action_cell
-            assert cell is not None and item_idx is not None
+        if is_real_cache:
             if action_kind == "recache":
                 cache = placed[item_idx]
-                used_cells.discard(cache["cell"])
-                cache["cell"] = cell
+                cache["cell"] = action_cell
                 cache["moved"] = True
-                item_type = cache["type"]
-                recache_moves += 1
                 repair_cost += 1.0
                 # Every placed cell came in through `layout.add`'s check or
                 # from `pick_cell`, which draws only cells of the grid.
                 layout = CacheLayout.of_checked(c["cell"] for c in placed)
+                policy.avoid = layout.cells
             else:
-                item_type = 1 + item_idx % env.item_types
-                placed_at[step] = len(placed)
-                placed.append(
-                    {
-                        "cell": cell,
-                        "value": float(values[item_idx]),
-                        "type": item_type,
-                        "moved": False,
-                        "stolen": False,
-                    }
-                )
-                layout.add(cell)
-            used_cells.add(cell)
-            cache_writes.append((item_type, _cell_center(cell)))
+                cache = {
+                    "cell": action_cell,
+                    "value": float(values[item_idx]),
+                    "type": 1 + item_idx % env.item_types,
+                    "moved": False,
+                    "stolen": False,
+                }
+                placed.append(cache)
+                layout.add(action_cell)
+            cache_writes.append((cache["type"], _cell_center(action_cell)))
             compute = 1.0
-            kappa["cache_writes"] += 1.0
         elif action_kind == "decoy":
             decoys_used += 1
             compute = env.decoy_cost
-            kappa["decoys"] += env.decoy_cost
-
-        if action_kind == "cache" and flags.observer_aware and flags.decoys_enabled:
-            decoys_owed += 1
+            decoy_compute += compute
 
         # Adversary inference, which the aware agent reads from the next step.
         # The adversary also keeps its raw sighting list: a dig it actually
@@ -375,10 +355,13 @@ def run_family_c(
         exposure = leakage_score(adversary, layout) if placed else 0.0
         # `accrue` restated, its 0.0 additions left out: latency 1.0, the
         # exposure as leak, repair 1.0 on a recache (above), then compute
-        # against the budget. Its finiteness check has nothing to catch
-        # here: latency is 1.0, `leakage_score` clips exposure to [0, 1],
-        # repair is 0 or 1, and compute is 0, 1 or the validated
-        # `decoy_cost`.
+        # against the budget. Its finiteness check has nothing to catch:
+        # latency is 1.0, `leakage_score` clips exposure to [0, 1], repair is
+        # 0 or 1, and compute is 0, 1 or the validated `decoy_cost`. Nothing
+        # acts on exhaustion, yet one charge of the phase's total, as B
+        # makes, could differ: the rounded `budget - compute_used` can fall
+        # below a step's compute while the sum stays within the budget
+        # (`decoy_cost` 0.7, budget 21.399999999999995, seed 0: exhausted).
         latency_cost += 1.0
         leak_cost += exposure
         if compute > budget - compute_used:
@@ -388,10 +371,11 @@ def run_family_c(
             compute_used += compute
 
         violation = is_real_cache and visible
-        violations += int(violation)
+        violations += violation
         sig = sink.check("cache_while_observed", step, step, not violation)
-        if flags.observer_aware and sig is not None and not sig["verdict"]:
-            inbox.append((sig["emitted_at"], step))
+        if (flags.observer_aware and action_kind == "cache"
+                and sig is not None and not sig["verdict"]):
+            inbox.append((sig["emitted_at"], len(placed) - 1))
 
         if trace is not None:
             # Values in key order: phase, x, y, then col, row (and steps).
@@ -436,19 +420,19 @@ def run_family_c(
     # It reaches the first `recovery_horizon` caches, one step each; their
     # query cues are encoded in one pass.
     recovered_value = 0.0
+    recovery_probes = 0
     corrections = 0
     reached = placed[: env.recovery_horizon]
     centres = [_cell_center(cache["cell"]) for cache in reached]
     for cache, (x, y), cue in zip(reached, centres, encode_cues(centres, landmarks)):
         result = retrieve(store, Query(item_type=cache["type"], cue=cue), landmarks)
-        kappa["recovery_probes"] += float(result.probes_used)
+        recovery_probes += result.probes_used
         step_compute = float(result.probes_used)
         repair = 0.0
         if cache["stolen"]:
             corrections += 1
             repair = 1.0
             step_compute += 1.0
-            kappa["corrections"] += 1.0
         else:
             ok = (
                 result.decoded_location is not None
@@ -481,12 +465,17 @@ def run_family_c(
         "verifier_miss_rate": miss_rate(monitor_signals, pilfer_step),
         "violations": float(violations),
         "decoys_used": float(decoys_used),
-        "recache_moves": float(recache_moves),
+        "recache_moves": float(len(cache_writes) - len(placed)),
         "caches_pilfered": float(stolen_count),
         "post_hoc_corrections": float(corrections),
         "zone_breaches": float(in_zone),
     }
-    record.kappa_by_source = dict(kappa)
+    record.kappa_by_source = {
+        "cache_writes": float(len(cache_writes)),
+        "decoys": decoy_compute,
+        "recovery_probes": float(recovery_probes),
+        "corrections": float(corrections),
+    }
     record.signals = sink.signals
     record.observer_grid = adversary.dump_row_major()
     return finish_record(record, ledger)

@@ -152,38 +152,23 @@ class CueVector:
             raise InputError("cue must reference three distinct landmarks")
 
 
-def _check_landmark_count(landmarks: LandmarkSet) -> None:
-    if len(landmarks.ids) < CUE_LANDMARKS:
-        raise InputError("need at least three landmarks to encode a cue")
-
-
 def encode_cue(location: tuple[float, float], landmarks: LandmarkSet) -> CueVector:
     """Encode a point against its three nearest landmarks (ties by id).
 
-    The one-point form of `encode_cues`, bit for bit, without its batch
-    set-up, for callers that encode one point between steps.
+    The one-point form of `encode_cues`, for callers that encode one point
+    between steps.
     """
-    _check_landmark_count(landmarks)
-    dx = landmarks._xs - location[0]
-    dy = landmarks._ys - location[1]
-    dist = np.hypot(dx, dy)
-    a, b, c = np.lexsort((landmarks._id_array, dist))[:CUE_LANDMARKS].tolist()
-    ids = landmarks.ids
-    atan2 = math.atan2
-    return CueVector(
-        (int(ids[a]), int(ids[b]), int(ids[c])),
-        (float(dist[a]), float(dist[b]), float(dist[c])),
-        (atan2(dy[a], dx[a]), atan2(dy[b], dx[b]), atan2(dy[c], dx[c])),
-    )
+    return encode_cues([location], landmarks)[0]
 
 
 def encode_cues(
     locations: list[tuple[float, float]], landmarks: LandmarkSet
 ) -> list[CueVector]:
-    """`encode_cue` of every point, in order, with one distance matrix and
-    one row-wise sort by (distance, id) for all of them. The bearings stay
-    `math.atan2` on Python floats, as in the one-point form."""
-    _check_landmark_count(landmarks)
+    """Each point's cue as `encode_cue` describes it, in order, with one
+    distance matrix and one row-wise sort by (distance, id) for all of them.
+    The bearings are `math.atan2` on Python floats."""
+    if len(landmarks.ids) < CUE_LANDMARKS:
+        raise InputError("need at least three landmarks to encode a cue")
     points = np.asarray(locations, dtype=float).reshape(-1, 2)
     dx = landmarks._xs - points[:, :1]
     dy = landmarks._ys - points[:, 1:]

@@ -16,9 +16,9 @@ from hoardbench.envs.family_c import (
 from hoardbench.core.policy import PolicyContext
 from hoardbench.core.state import OptionKind
 from hoardbench.harness import parse_config, run_grid, write_report
-from hoardbench.ledger import CostLedger
+from hoardbench.ledger import CostLedger, accrue
 from hoardbench.memory import MAX_LANDMARKS
-from hoardbench.observer import ObserverBelief, SawCache, observer_update
+from hoardbench.observer import CacheLayout, ObserverBelief, SawCache, observer_update
 from hoardbench.rng import RunStreams, Substream
 
 AWARE = AgentFlags(observer_aware=True, decoys_enabled=True)
@@ -168,6 +168,41 @@ def test_a_budget_spent_in_the_caching_phase_exhausts_the_run(flags, costs):
     assert record.status == "budget_exhausted"
     assert record.costs["compute_used"] == 6.5
     assert record.costs == costs
+
+
+def test_the_caching_phase_checks_its_budget_at_every_step():
+    # The caching phase's compute adds up to exactly the budget, so one
+    # charge of its total, as B makes, leaves the run completed. Checked at
+    # every step, a decoy finds the rounded `budget - compute_used`
+    # (0.6999999999999993) below its 0.7 and exhausts the run.
+    env = FamilyCConfig(caches=10, decoy_cost=0.7, recovery_horizon=0)
+    budget = 21.399999999999995
+    total = run_family_c(env, AWARE, CostLedger(), seed=0).costs["compute_used"]
+    assert total == budget
+    assert not accrue(CostLedger(budget=budget), compute=total).exhausted
+    record = run_family_c(env, AWARE, CostLedger(budget=budget), seed=0)
+    assert record.status == "budget_exhausted"
+
+
+def test_every_cell_pick_avoids_exactly_the_occupied_cells(monkeypatch):
+    # 400 caches on the 400-cell grid share cells. A recache from a shared
+    # cell leaves the other cache there, so that cell stays occupied.
+    layouts, picks = [], []
+    index, pick = CacheLayout._index, CacheSitePolicy.pick_cell
+
+    def indexing(layout):
+        layouts.append(layout)
+        index(layout)
+
+    def picking(policy, ctx):
+        picks.append(policy.avoid == layouts[-1].cells)
+        return pick(policy, ctx)
+
+    monkeypatch.setattr(CacheLayout, "_index", indexing)
+    monkeypatch.setattr(CacheSitePolicy, "pick_cell", picking)
+    record = run_family_c(FamilyCConfig(caches=400), AWARE, _ledger(), seed=0)
+    assert record.metrics["recache_moves"] > 0
+    assert len(picks) > 400 and picks.count(False) == 0
 
 
 def test_observer_grid_dumped_row_major():

@@ -20,7 +20,7 @@ import re
 
 import pytest
 
-from hoardbench.envs import FAMILIES, STATUS_FAILED
+from hoardbench.envs import FAMILIES, STATUS_COMPLETED, STATUS_FAILED
 from hoardbench.harness import parse_config, run_grid
 
 NOISY = {"verifier_fp": 0.2, "verifier_fn": 0.2}
@@ -88,6 +88,8 @@ def _reported_values(grid: dict) -> dict[str, set]:
     for cell in run_grid(parse_config(json.dumps(grid))).cells:
         record = cell.record
         assert record.status != STATUS_FAILED, record.error
+        if record.status == STATUS_COMPLETED:
+            assert sum(record.kappa_by_source.values()) == record.costs["compute_used"]
         named = {**record.metrics, **record.costs}
         named["objective"] = record.objective
         named["goal_verdict"] = record.goal_verdict
