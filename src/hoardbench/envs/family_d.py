@@ -46,6 +46,22 @@ HILLCLIMB_ITERATIONS = 200
 WITNESS_ITERATIONS = 2000
 MAX_REPAIR_ROUNDS = 5
 CONSTRAINT_KINDS = ("forbid_symbol", "require_symbol", "forbid_adjacent", "parity_ban")
+# Each cap keeps a cell within about a second with the other keys at their
+# defaults (times from a shared 2-vCPU VM).
+# `n_constraints` is the universe's size. A cell spends about 15 µs and
+# 0.5 KB on each constraint, mostly checking constraints against plans
+# (65,536 constraints: 1.1 s and 36 MB; 262,144: 2.4 s and 110 MB); at 1e20
+# numpy refuses the kind and symbol draws.
+MAX_CONSTRAINTS = 2**16
+# `plan_length` is the number of symbols in a plan. A cell spends about 2 µs
+# and 65 bytes on each (65,536 symbols: 0.11 s and 4 MB; 1,048,576: 1.0 s
+# and 67 MB); at 1e20 numpy refuses the plan draw.
+MAX_PLAN_LENGTH = 2**16
+# `alphabet_size` is the length of the symbol tables each climb builds
+# afresh. At 1,024 symbols they add about 10 µs to a climb, against a median
+# of 140 µs for a 200-iteration climb of the default config; at 16,384 they
+# add about 350 µs, and at 1e20 the plan draw leaves int64.
+MAX_ALPHABET = 2**10
 
 
 class RoleMode(str, Enum):
@@ -89,9 +105,9 @@ class FamilyDConfig:
 
     def __post_init__(self):
         check_int_fields(self, (
-            ("n_constraints", 1, math.inf),
-            ("plan_length", 2, math.inf),
-            ("alphabet_size", 2, math.inf),
+            ("n_constraints", 1, MAX_CONSTRAINTS),
+            ("plan_length", 2, MAX_PLAN_LENGTH),
+            ("alphabet_size", 2, MAX_ALPHABET),
             ("adversary_probes", 0, math.inf),
         ))
         check_number_fields(self, (("knowledge_fraction", 0.0, 1.0),))
@@ -148,8 +164,8 @@ def _hill_climb(
     """Greedy single-symbol mutation accepting non-worsening moves.
 
     Each trial is scored in O(1) by its change in the number of violated
-    `known` constraints, which are first compiled into integer weights keyed
-    by the features they mention:
+    `known` constraints, which are first compiled into integer weights per
+    feature:
 
     - a symbol: +1 per forbid_symbol, -1 per require_symbol, so that the
       presence of the symbol adds its weight to the violation count;
@@ -157,15 +173,19 @@ def _hill_climb(
       forbid_adjacent;
     - a symbol in one parity class of positions: +1 per parity_ban.
 
-    The climb keeps the plan and, for each mentioned feature, how often the
-    plan contains it; a constraint is violated exactly when the count of its
-    feature is non-zero (for require_symbol: zero). Mutating `pos` from `old`
-    to `new` touches only the counts of `old` and `new`, their counts in the
-    parity class of `pos`, and the adjacent pairs through `pos` (at most two
-    leave and two arrive, and a leaving pair may equal an arriving one); a
-    trial collects pair steps only when one of those pairs is a feature.
-    Counts change only when the move is accepted. Features are dict keys, so
-    memory grows with the constraints, not with `alphabet`.
+    The climb keeps the plan and how often it contains each feature (every
+    symbol, overall and per parity class, and each mentioned pair); a
+    constraint is violated exactly when the count of its feature is non-zero
+    (for require_symbol: zero). Mutating `pos` from `old` to `new` touches
+    only the counts of `old` and `new`, their counts in the parity class of
+    `pos`, and the adjacent pairs through `pos` (at most two leave and two
+    arrive, and a leaving pair may equal an arriving one); a trial collects
+    pair steps only when one of those pairs is a feature. Counts change only
+    when the move is accepted. The symbol and parity-class weights and counts
+    are lists indexed by symbol, built afresh by each climb, so they grow
+    with `alphabet` (at most `MAX_ALPHABET` in a config); only the pair
+    features are dict keys, so their memory grows with the constraints, not
+    with `alphabet` squared.
 
     Every trial counts as one plan evaluation, a no-op mutation included.
     Returns the plan and the number of plan evaluations (compute burden).
@@ -176,25 +196,29 @@ def _hill_climb(
     current_bad = len(_violations(plan, known))
     evals = 1
 
-    presence_w: dict[int, int] = {}
+    presence_w = [0] * alphabet
+    parity_w = ([0] * alphabet, [0] * alphabet)
     pair_w: dict[int, int] = {}
-    parity_w: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for c in known:
         if c.kind == "forbid_symbol":
-            presence_w[c.a] = presence_w.get(c.a, 0) + 1
+            presence_w[c.a] += 1
         elif c.kind == "require_symbol":
-            presence_w[c.a] = presence_w.get(c.a, 0) - 1
+            presence_w[c.a] -= 1
         elif c.kind == "forbid_adjacent":
             key = c.a * alphabet + c.b
             pair_w[key] = pair_w.get(key, 0) + 1
         else:
-            parity_w[c.b][c.a] = parity_w[c.b].get(c.a, 0) + 1
-    symbol_n = _feature_counts(presence_w, current)
-    pair_n = _feature_counts(pair_w, (a * alphabet + b for a, b in zip(current, current[1:])))
-    parity_n = (
-        _feature_counts(parity_w[0], current[0::2]),
-        _feature_counts(parity_w[1], current[1::2]),
-    )
+            parity_w[c.b][c.a] += 1
+    symbol_n = [0] * alphabet
+    parity_n = ([0] * alphabet, [0] * alphabet)
+    for pos, symbol in enumerate(current):
+        symbol_n[symbol] += 1
+        parity_n[pos & 1][symbol] += 1
+    pair_n = dict.fromkeys(pair_w, 0)
+    for a, b in zip(current, current[1:]):
+        key = a * alphabet + b
+        if key in pair_n:
+            pair_n[key] += 1
     last = len(current) - 1
 
     for pos, new in zip(positions.tolist(), symbols.tolist()):
@@ -205,14 +229,14 @@ def _hill_climb(
         if new == old:
             continue
         delta = 0
-        if symbol_n.get(old) == 1:
+        if symbol_n[old] == 1:
             delta -= presence_w[old]
-        if symbol_n.get(new) == 0:
+        if not symbol_n[new]:
             delta += presence_w[new]
         class_w, class_n = parity_w[pos & 1], parity_n[pos & 1]
-        if class_n.get(old) == 1:
+        if class_n[old] == 1:
             delta -= class_w[old]
-        if class_n.get(new) == 0:
+        if not class_n[new]:
             delta += class_w[new]
         pair_steps = None
         if pos:
@@ -242,24 +266,14 @@ def _hill_climb(
             continue
         current[pos] = new
         current_bad += delta
-        for counts in (symbol_n, class_n):
-            if old in counts:
-                counts[old] -= 1
-            if new in counts:
-                counts[new] += 1
+        symbol_n[old] -= 1
+        symbol_n[new] += 1
+        class_n[old] -= 1
+        class_n[new] += 1
         if pair_steps:
             for key, step in pair_steps.items():
                 pair_n[key] += step
     return tuple(current), evals
-
-
-def _feature_counts(weights: dict, features) -> dict:
-    """How often each key of `weights` occurs in `features`."""
-    counts = dict.fromkeys(weights, 0)
-    for key in features:
-        if key in counts:
-            counts[key] += 1
-    return counts
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import marshal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,14 +21,16 @@ def _tool():
     return module
 
 
-def _result(run_s, cells_per_s, correct=True, failed=0):
-    """A result object as perfbench prints it last."""
+def _result(run_s, cells_per_s, correct=True, failed=0, runs_sha256="ab12"):
+    """A result object as `run_once` returns it: perfbench's last line and
+    the runs.jsonl hash it printed."""
     return {
         "correct": correct,
         "attempted": 10,
         "failed": failed,
         "metrics": {"run_s": {"value": run_s, "unit": "s"},
                     "cells_per_s": {"value": cells_per_s, "unit": "1/s"}},
+        "runs_sha256": runs_sha256,
     }
 
 
@@ -190,3 +193,45 @@ def test_several_workloads_run_their_pairs_in_turn_and_print_a_block_each(
     for block in printed.values():
         assert block["seeds"] == [3, 4]
         assert block["metrics"]["run_s"]["change_wins"] == "2/2"
+
+
+def test_run_once_takes_the_runs_hash_perfbench_printed(tmp_path, monkeypatch):
+    tool = _tool()
+    printed = {"correct": True, "attempted": 4, "failed": 0, "metrics": {}}
+    stdout = ["workload d_verify seed 3: family D", "runs_sha256 " + "c0" * 32,
+              "outputs identical across 3 runs: True", json.dumps(printed)]
+
+    def fake_run(cmd, cwd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout="\n".join(stdout) + "\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run_once(tmp_path, "d_verify", 3, 1.0) == {**printed, "runs_sha256": "c0" * 32}
+    del stdout[1]
+    assert tool.run_once(tmp_path, "d_verify", 3, 1.0)["runs_sha256"] is None
+
+
+def test_runs_hash_identity_needs_the_same_hash_on_both_sides_of_every_pair(
+        tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "hoardbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench").mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": _END_TO_END}))
+
+    def fake_run_once(copy, workload, seed, seconds):
+        # Each seed writes its own outputs. On c_watched the change's second
+        # seed differs; on d_verify the parent's second run printed no hash.
+        digest = f"seed{seed}"
+        if (workload, seed, copy.name) == ("c_watched", 4, "change"):
+            digest = "other"
+        if (workload, seed, copy.name) == ("d_verify", 4, "parent"):
+            digest = None
+        return _result(1.0, 1.0, runs_sha256=digest)
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "a_control,c_watched,d_verify", "--seeds", "3..4", "--seconds", "1"]
+    assert tool.main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert {name: block["runs_sha256_identical"] for name, block in printed.items()} == {
+        "a_control": True, "c_watched": False, "d_verify": False}

@@ -10,6 +10,10 @@ from hoardbench.core.state import ConfigurationError, Trace
 from hoardbench.envs import family_d
 from hoardbench.envs.family_d import (
     CONSTRAINT_KINDS as KINDS,
+    MAX_ALPHABET,
+    MAX_CONSTRAINTS,
+    MAX_PLAN_LENGTH,
+    WITNESS_ITERATIONS,
     Constraint,
     FamilyDConfig,
     RoleMode,
@@ -199,6 +203,35 @@ def test_config_rejects_non_integer_and_degenerate_counts(field, low, bad):
         parse_config(json.dumps({"family": "D", "env": {field: value}}))
 
 
+@pytest.mark.parametrize("field, value", [
+    # Accepted before they had caps, then crashed the cell: the universe and
+    # plan draws beyond numpy's largest array, and a symbol draw beyond int64.
+    ("n_constraints", 10**20),
+    ("n_constraints", MAX_CONSTRAINTS + 1),
+    ("plan_length", 10**20),
+    ("plan_length", MAX_PLAN_LENGTH + 1),
+    ("alphabet_size", 10**20),
+    ("alphabet_size", MAX_ALPHABET + 1),
+])
+def test_config_refuses_int_keys_beyond_their_caps(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        FamilyDConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        parse_config(json.dumps({"family": "D", "env": {field: value}}))
+
+
+@pytest.mark.parametrize("field, cap", [
+    ("n_constraints", MAX_CONSTRAINTS),
+    ("plan_length", MAX_PLAN_LENGTH),
+    ("alphabet_size", MAX_ALPHABET),
+])
+def test_a_cell_at_each_cap_runs(field, cap):
+    env = FamilyDConfig(**{field: cap})
+    record = run_family_d(env, "differentiated", _ledger(), 2)
+    assert record.status == "completed"
+    assert 0 < record.metrics["universe_size"] <= env.n_constraints
+
+
 def test_jobs_do_not_change_output_bytes(outputs_by_jobs):
     # Both modes, noisy checkers, with trace windows written.
     outputs = outputs_by_jobs({
@@ -284,12 +317,41 @@ _ALL_KINDS_TWICE = [
 ]
 
 
+def _top_symbol_case(alphabet, arrive, seed):
+    """A 2,000-iteration climb whose constraints all name the last symbol of
+    the symbol tables, `alphabet - 1`. With `arrive`, the plan lacks it and a
+    require_symbol makes the climb draw it; otherwise every kind names it,
+    forbid_symbol twice, and the plan starts full of it."""
+    top = alphabet - 1
+    specs = [("require_symbol", top, 0), ("forbid_adjacent", top, top),
+             ("forbid_adjacent", top, 0), ("parity_ban", top, 1)]
+    if not arrive:
+        specs += [("forbid_adjacent", 0, top), ("parity_ban", top, 0),
+                  ("forbid_symbol", top, 0), ("forbid_symbol", top, 0)]
+    known = [Constraint(cid, kind, a, b) for cid, (kind, a, b) in enumerate(specs)]
+    plan = (0, 0, 0, 0, 0) if arrive else (top, top, 0, top, 0, top)
+    return plan, known, alphabet, 2000, seed
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_climb_cases())
 @example(((0, 0, 3, 3, 0, 1), _ALL_KINDS_TWICE, 4, 2000, 5))
 @example(((1, 2, 1, 2), [c for c in _ALL_KINDS_TWICE if c.satisfied((1, 2, 1, 2))], 4, 200, 6))
+@example(_top_symbol_case(2, False, 7))
+@example(_top_symbol_case(2, True, 8))
+@example(_top_symbol_case(MAX_ALPHABET, False, 9))
+@example(_top_symbol_case(MAX_ALPHABET, True, 10))
 def test_incremental_climb_matches_brute_force_oracle(case):
     _assert_climb_matches_reference(*case)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witness_climb_at_the_alphabet_cap_matches_the_reference(seed):
+    env = FamilyDConfig(n_constraints=200, alphabet_size=MAX_ALPHABET)
+    stream = Substream(seed, "env")
+    universe = _sample_universe(env, stream)
+    witness = tuple(int(v) for v in stream.integers(0, MAX_ALPHABET, size=env.plan_length))
+    _assert_climb_matches_reference(witness, universe, MAX_ALPHABET, WITNESS_ITERATIONS, seed)
 
 
 def test_climb_with_huge_alphabet_keeps_memory_per_feature():

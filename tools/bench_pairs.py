@@ -10,15 +10,19 @@ once, so no benchmark process spends its time compiling source, a cost that
 grows with the source's line count. For each seed, one pair:
 `perfbench/run.py --workload W --seed S --seconds N --trace 0` once in each
 copy, with `PYTHONDONTWRITEBYTECODE=1`, so each copy's bytecode stays what
-was compiled from its own source. The parent runs first on even pair
-indices and the change first on odd ones. `--workload` names one workload
-or several, space- or comma-separated; each runs its pairs over every seed
-in turn, in the order named.
+was compiled from its own source. A run's result is the JSON object
+perfbench prints last, with the runs.jsonl hash from the `runs_sha256 <hex>`
+line it prints before. The parent runs first on even pair indices and the
+change first on odd ones. `--workload` names one workload or several,
+space- or comma-separated; each runs its pairs over every seed in turn, in
+the order named.
 
 The summary, printed as JSON on stdout and written to `--out` when given,
 has the shape of a `BENCH_*.json` file's `workloads` block, one block per
 workload named: per workload its
-seeds, whether every run was correct, failed operations per side, and per
+seeds, whether every run was correct, failed operations per side,
+`runs_sha256_identical`: whether both sides printed the same runs.jsonl
+hash in every pair (a run that printed none counts as a difference), and per
 end-to-end metric of BENCHMARK.json the unit, the direction, the bound, each
 side's median, inclusive quartiles and runs, the change's wins (ties count
 for neither side), the relative change of the medians, and `gain_shown`:
@@ -76,7 +80,9 @@ def compile_copy(copy: Path) -> None:
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result object perfbench prints last, for one untraced invocation."""
+    """The result object perfbench prints last, for one untraced invocation,
+    with the runs.jsonl hash it printed as `runs_sha256` (None when it
+    printed none)."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -87,7 +93,8 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{copy.name} seed {seed}: perfbench exited {done.returncode}\n"
                            f"{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    hashes = [line.split()[1] for line in lines[:-1] if line.startswith("runs_sha256 ")]
+    return {**json.loads(lines[-1]), "runs_sha256": hashes[-1] if hashes else None}
 
 
 def _side(values: list[float]) -> dict:
@@ -137,6 +144,11 @@ def summarize(seeds: list[int], pairs: list[dict[str, dict]], end_to_end: list[d
         "seeds": list(seeds),
         "all_runs_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "runs_sha256_identical": all(
+            p["parent"]["runs_sha256"] is not None
+            and p["parent"]["runs_sha256"] == p["change"]["runs_sha256"]
+            for p in pairs
+        ),
         "metrics": metrics,
     }
 
